@@ -12,8 +12,10 @@ package geomob
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -733,6 +735,70 @@ func BenchmarkLiveQuery(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tweets)), "tweets/op")
+}
+
+// BenchmarkLiveEdgeRefresh measures one dashboard refresh at the moving
+// edge (DESIGN.md §11): with 120 days of the 50k-user feed warm in an
+// hourly ring, ingest the next hour and re-ask the four-query panel
+// ending at it — a week of stats, a day of state population, a week of
+// metro flows and the unbounded national flows. An append must cost one
+// bucket partial and a re-fold over closed rollup groups, never a
+// re-merge of the open day or month.
+func BenchmarkLiveEdgeRefresh(b *testing.B) {
+	feed := slices.Clone(studyBenchCorpus(b))
+	slices.SortFunc(feed, func(x, y Tweet) int { return cmp.Compare(x.TS, y.TS) })
+	const hour = int64(time.Hour / time.Millisecond)
+	start := feed[0].TS / hour
+	warm := start + 120*24
+	upTo := func(from int, hr int64) int { // index of the first tweet at or after bucket hr
+		for from < len(feed) && feed[from].TS/hour < hr {
+			from++
+		}
+		return from
+	}
+	panel := func(agg *live.Aggregator, edge int64) {
+		at := func(hr int64) time.Time { return time.UnixMilli(hr * hour).UTC() }
+		for _, req := range []StudyRequest{
+			{Analyses: []Analysis{AnalysisStats}, From: at(edge - 7*24), To: at(edge)},
+			{Analyses: []Analysis{AnalysisPopulation}, Scales: []Scale{ScaleState}, From: at(edge - 24), To: at(edge)},
+			{Analyses: []Analysis{AnalysisFlows}, Scales: []Scale{ScaleMetropolitan}, From: at(edge - 7*24), To: at(edge)},
+			{Analyses: []Analysis{AnalysisFlows}, Scales: []Scale{ScaleNational}},
+		} {
+			if _, err := agg.Query(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	var agg *live.Aggregator
+	var next int
+	var edge int64
+	reset := func() {
+		var err error
+		if agg, err = live.NewAggregator(live.Options{BucketWidth: time.Hour}); err != nil {
+			b.Fatal(err)
+		}
+		next, edge = upTo(0, warm), warm
+		if err := agg.Ingest(feed[:next]); err != nil {
+			b.Fatal(err)
+		}
+		panel(agg, edge)
+	}
+	reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(feed) { // feed exhausted: start over on a fresh ring
+			b.StopTimer()
+			reset()
+			b.StartTimer()
+		}
+		end := upTo(next, edge+1)
+		if err := agg.Ingest(feed[next:end]); err != nil {
+			b.Fatal(err)
+		}
+		next, edge = end, edge+1
+		panel(agg, edge)
+	}
 }
 
 // BenchmarkStoreScan measures full-store scan throughput including

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -366,5 +367,46 @@ func TestIngestLineLimit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("overlong line: status %d, want 413", resp.StatusCode)
+	}
+}
+
+// TestInsufficientDataAnswers422: an estimate the window's data cannot
+// define — a model fit over fewer than five positive flow pairs, the
+// 0.5 km metro rescaling with no user in range — is unprocessable (422
+// with the reason), not a server fault (500), identically on a single
+// node and through a coordinator.
+func TestInsufficientDataAnswers422(t *testing.T) {
+	_, single := newLiveTestServer(t)
+	_, coord, _ := newClusterTestServer(t, 2)
+	// One user, twice at one spot 1 km north of Blacktown's centre:
+	// inside the metro scale's 2 km radius, outside the 0.5 km variant's,
+	// and no flow between any two areas at any scale.
+	thin := []tweet.Tweet{
+		{ID: 1, UserID: 7, TS: 1380000000000, Lat: -33.7578, Lon: 150.9054},
+		{ID: 2, UserID: 7, TS: 1380000600000, Lat: -33.7578, Lon: 150.9054},
+	}
+	for mode, ts := range map[string]*httptest.Server{"single": single, "coordinator": coord} {
+		resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", corpusNDJSON(t, thin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		for path, reason := range map[string]string{
+			"/v1/models?scale=metro":     "positive pairs",
+			"/v1/population?scale=metro": "no Twitter user",
+		} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatalf("%s %s: %v", mode, path, err)
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), reason) {
+				t.Errorf("%s %s: status %d %q, want 422 naming %q", mode, path, resp.StatusCode, msg, reason)
+			}
+		}
 	}
 }

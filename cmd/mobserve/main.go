@@ -73,6 +73,7 @@ import (
 	"geomob/internal/heatmap"
 	"geomob/internal/live"
 	"geomob/internal/mobility"
+	"geomob/internal/models"
 	"geomob/internal/obs"
 	"geomob/internal/svcache"
 	"geomob/internal/tweet"
@@ -1074,6 +1075,11 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 	case errors.Is(err, live.ErrNotCovered):
 		httpError(w, http.StatusNotImplemented,
 			"this request shape is not materialized by the cluster's shard rings (custom radii need a single-node deployment): %v", err)
+	case errors.Is(err, models.ErrInsufficientData):
+		// The window holds too little data to define the estimate (a
+		// model fit with too few positive flow pairs, a rescaling over
+		// no users): the request is well-formed but unanswerable.
+		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 	case errors.Is(err, context.Canceled):
 		httpError(w, http.StatusServiceUnavailable, "server shutting down")
 	default:

@@ -80,24 +80,18 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 		f.Metro500 = make([]float64, len(a.regions[a.metroSlot].Areas))
 		countTargets = append(countTargets, countTarget{slot: a.metroSlot, counts: f.Metro500})
 	}
-	var flowTargets []*mobility.FlowMatrix
+	// flowTargets alias the result matrices' dense storage, so interior
+	// sums and boundary transitions land in them directly.
+	var flowTargets []flowAcc
 	if info.Extract {
 		f.Flows = map[census.Scale]*mobility.FlowMatrix{}
-		flowTargets = make([]*mobility.FlowMatrix, len(info.Scales))
+		flowTargets = make([]flowAcc, len(info.Scales))
 		for i, sc := range info.Scales {
 			fm := mobility.NewFlowMatrix(a.regions[slots[i]].Areas)
 			f.Flows[sc] = fm
-			flowTargets[i] = fm
-			// Interior transitions sum exactly in any order.
+			flowTargets[i] = flowAcc{flows: fm.Flows, stays: fm.Stays}
 			for _, p := range parts {
-				src := p.flows[slots[i]]
-				for r := range src.flows {
-					row := fm.Flows[r]
-					for c, v := range src.flows[r] {
-						row[c] += v
-					}
-					fm.Stays[r] += src.stays[r]
-				}
+				flowTargets[i].add(p.flows[slots[i]])
 			}
 		}
 	}
@@ -107,34 +101,16 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 		st = &mobility.Stats{Tweets: int(f.Tweets)}
 	}
 
-	// k-way user-major merge across the chronological partials.
-	type rec struct {
-		p   *partial
-		row int
-	}
-	heads := make([]int, len(parts))
-	var recs []rec
 	var cellScratch []uint64
 	var waitsBuf, dispsBuf []float64
-	for {
-		u, found := int64(0), false
-		for pi, p := range parts {
-			if heads[pi] < len(p.users) && (!found || p.users[heads[pi]].id < u) {
-				u = p.users[heads[pi]].id
-				found = true
-			}
-		}
-		if !found {
+	for cur := newUserCursor(parts); ; {
+		u, recs, ok := cur.next()
+		if !ok {
 			break
 		}
-		recs = recs[:0]
 		n := 0
-		for pi, p := range parts {
-			if heads[pi] < len(p.users) && p.users[heads[pi]].id == u {
-				recs = append(recs, rec{p: p, row: heads[pi]})
-				n += int(p.users[heads[pi]].n)
-				heads[pi]++
-			}
+		for _, rc := range recs {
+			n += int(rc.p.users[rc.row].n)
 		}
 
 		if info.Stats {
@@ -199,19 +175,13 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 			}
 		}
 
-		if info.Extract && len(recs) > 1 {
+		if info.Extract {
 			for k := 1; k < len(recs); k++ {
-				prev, cur := recs[k-1], recs[k]
+				prev, next := recs[k-1], recs[k]
 				for i, slot := range slots {
-					pa := prev.p.lastArea[prev.row*a.slots+slot]
-					ca := cur.p.firstArea[cur.row*a.slots+slot]
-					if pa >= 0 && ca >= 0 {
-						if pa == ca {
-							flowTargets[i].Stays[ca]++
-						} else {
-							flowTargets[i].Flows[pa][ca]++
-						}
-					}
+					flowTargets[i].transition(
+						prev.p.lastArea[prev.row*a.slots+slot],
+						next.p.firstArea[next.row*a.slots+slot])
 				}
 			}
 		}

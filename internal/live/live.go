@@ -34,6 +34,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -135,8 +136,11 @@ type Aggregator struct {
 	ingested atomic.Int64 // records accepted into the ring
 	dropped  atomic.Int64 // late records below the eviction floor
 
-	mu       sync.Mutex
-	buckets  map[int64]*bucket
+	mu      sync.Mutex
+	buckets map[int64]*bucket
+	// idxs are the live bucket indexes in ascending order, so every
+	// window probe is a binary search instead of a map walk and a sort.
+	idxs     []int64
 	rev      uint64
 	floorIdx int64 // buckets below this index were evicted
 	hasFloor bool
@@ -213,40 +217,54 @@ func NewShape(opts Options) (*Shape, error) {
 		maxBuckets: opts.MaxBuckets,
 	}
 	gaz := census.Australia()
-	var mappers []*mobility.AreaMapper
+	// Slot layout: the configured scales in order, then the metro 0.5 km
+	// variant; radii[s] is the radius slot s's mapper is asked for.
+	var radii []float64
+	addSlot := func(sc census.Scale, radius float64) error {
+		rs, err := gaz.Regions(sc)
+		if err != nil {
+			return fmt.Errorf("live: regions for %s: %w", sc, err)
+		}
+		a.regions = append(a.regions, rs)
+		radii = append(radii, radius)
+		return nil
+	}
 	hasMetro := false
 	for _, sc := range scales {
 		if _, dup := a.slotOf[sc]; dup {
 			continue
 		}
-		rs, err := gaz.Regions(sc)
-		if err != nil {
-			return nil, fmt.Errorf("live: regions for %s: %w", sc, err)
-		}
-		m, err := mobility.NewAreaMapper(rs, opts.Radius)
-		if err != nil {
-			return nil, fmt.Errorf("live: mapper for %s: %w", sc, err)
-		}
-		a.slotOf[sc] = len(mappers)
+		a.slotOf[sc] = len(radii)
 		a.scales = append(a.scales, sc)
-		a.regions = append(a.regions, rs)
-		a.slotRadius = append(a.slotRadius, m.Radius())
-		mappers = append(mappers, m)
+		if err := addSlot(sc, opts.Radius); err != nil {
+			return nil, err
+		}
 		hasMetro = hasMetro || sc == census.ScaleMetropolitan
 	}
 	if opts.Radius == 0 && hasMetro {
-		rs, err := gaz.Regions(census.ScaleMetropolitan)
-		if err != nil {
+		a.metroSlot = len(radii)
+		if err := addSlot(census.ScaleMetropolitan, 500); err != nil {
 			return nil, err
 		}
-		m, err := mobility.NewAreaMapper(rs, 500)
+	}
+	// The grid resolvers are independent and immutable and dominate boot
+	// time, so they build concurrently; errors report in slot order.
+	mappers := make([]*mobility.AreaMapper, len(radii))
+	errs := make([]error, len(radii))
+	var wg sync.WaitGroup
+	for s := range radii {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mappers[s], errs[s] = mobility.NewAreaMapper(a.regions[s], radii[s])
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("live: metro 0.5 km mapper: %w", err)
+			return nil, fmt.Errorf("live: mapper for %s at radius %g: %w", a.regions[s].Scale, radii[s], err)
 		}
-		a.metroSlot = len(mappers)
-		a.regions = append(a.regions, rs)
-		a.slotRadius = append(a.slotRadius, m.Radius())
-		mappers = append(mappers, m)
+		a.slotRadius = append(a.slotRadius, mappers[s].Radius())
 	}
 	msm, err := mobility.NewMultiScaleMapper(mappers...)
 	if err != nil {
@@ -397,11 +415,7 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 			i = j
 			continue
 		}
-		bk := a.buckets[idx]
-		if bk == nil {
-			bk = &bucket{}
-			a.buckets[idx] = bk
-		}
+		bk := a.bucketLocked(idx)
 		touched[idx] = bk
 		bk.assign = append(bk.assign, assign[i*slots:j*slots]...)
 		bk.vecs = append(bk.vecs, vecs[3*i:3*j]...)
@@ -447,24 +461,34 @@ func growSlice[T any](s *[]T, n int) []T {
 
 var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
+// bucketLocked returns bucket idx, adding an empty one to the ring when
+// it is new. Caller holds a.mu.
+func (a *Aggregator) bucketLocked(idx int64) *bucket {
+	b := a.buckets[idx]
+	if b == nil {
+		b = &bucket{}
+		a.buckets[idx] = b
+		at, _ := slices.BinarySearch(a.idxs, idx)
+		a.idxs = slices.Insert(a.idxs, at, idx)
+	}
+	return b
+}
+
 // evictLocked drops the oldest buckets until the ring fits MaxBuckets,
 // raising the eviction floor past them.
 func (a *Aggregator) evictLocked() {
 	if a.maxBuckets <= 0 {
 		return
 	}
-	for len(a.buckets) > a.maxBuckets {
-		oldest := int64(math.MaxInt64)
-		for idx := range a.buckets {
-			if idx < oldest {
-				oldest = idx
-			}
+	if n := len(a.idxs) - a.maxBuckets; n > 0 {
+		for _, idx := range a.idxs[:n] {
+			delete(a.buckets, idx)
 		}
-		delete(a.buckets, oldest)
-		if !a.hasFloor || oldest+1 > a.floorIdx {
-			a.floorIdx = oldest + 1
+		if floor := a.idxs[n-1] + 1; !a.hasFloor || floor > a.floorIdx {
+			a.floorIdx = floor
 			a.hasFloor = true
 		}
+		a.idxs = slices.Delete(a.idxs, 0, n)
 	}
 	a.pruneTiersLocked()
 }
@@ -523,34 +547,20 @@ func window(info *core.PlanInfo) (lo, hi int64) {
 	return lo, hi
 }
 
-// bucketRange maps record bounds onto the bucket index range to visit,
-// clamped to the ring's extent. ok is false when the ring is empty.
-func (a *Aggregator) bucketRangeLocked(lo, hi int64) (loIdx, hiIdx int64, ok bool) {
-	if len(a.buckets) == 0 {
-		return 0, 0, false
-	}
-	minIdx, maxIdx := int64(math.MaxInt64), int64(math.MinInt64)
-	for idx := range a.buckets {
-		if idx < minIdx {
-			minIdx = idx
-		}
-		if idx > maxIdx {
-			maxIdx = idx
-		}
-	}
-	loIdx = minIdx
+// rangeLocked returns the live bucket indexes, ascending, that the record
+// window [lo, hi) touches (a sub-slice of a.idxs). Caller holds a.mu.
+func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
+	i, j := 0, len(a.idxs)
 	if lo != math.MinInt64 {
-		if i := a.bucketIdx(lo); i > loIdx {
-			loIdx = i
-		}
+		i, _ = slices.BinarySearch(a.idxs, a.bucketIdx(lo))
 	}
-	hiIdx = maxIdx
 	if hi != math.MaxInt64 {
-		if i := a.bucketIdx(hi - 1); i < hiIdx {
-			hiIdx = i
-		}
+		j, _ = slices.BinarySearch(a.idxs, a.bucketIdx(hi-1)+1)
 	}
-	return loIdx, hiIdx, loIdx <= hiIdx
+	if i >= j {
+		return nil
+	}
+	return a.idxs[i:j]
 }
 
 // checkFloorLocked rejects windows that reach below the eviction floor.
@@ -585,68 +595,54 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 	if err := a.checkFloorLocked(lo); err != nil {
 		return nil, err
 	}
-	loIdx, hiIdx, ok := a.bucketRangeLocked(lo, hi)
-	if !ok {
+	idxs := a.rangeLocked(lo, hi)
+	if len(idxs) == 0 {
 		return nil, nil
 	}
-	idxs := make([]int64, 0, len(a.buckets))
-	for idx := range a.buckets {
-		if idx >= loIdx && idx <= hiIdx {
-			idxs = append(idxs, idx)
-		}
-	}
-	slices.Sort(idxs)
+	loIdx, hiIdx, edgeIdx := idxs[0], idxs[len(idxs)-1], a.idxs[len(a.idxs)-1]
 	type span struct {
 		start int64
 		p     *partial
 	}
 	var spans []span
-	used := map[int64]bool{}
-	// Coarsest tier first: a group is usable only when the window covers
-	// its whole time range, so every live bucket inside it contributes
-	// fully and the cached merge is window-independent.
+	used := make([]bool, len(idxs)) // parallel to idxs
+	// Coarsest tier first. A group is usable only when the window covers
+	// its whole time range — every live bucket inside it contributes
+	// fully and the cached merge is window-independent — and the group
+	// is closed: the ring has moved past its end. An open group's merge
+	// would be invalidated by every append at the edge, so the open day
+	// and month are served by their closed sub-groups and buckets.
 	for t := len(a.tiers) - 1; t >= 0; t-- {
 		tier := a.tiers[t]
 		for g := floorDiv(loIdx, tier.factor); g <= floorDiv(hiIdx, tier.factor); g++ {
 			gLo, gHi := g*tier.factor, (g+1)*tier.factor
-			if !(lo == math.MinInt64 || lo <= gLo*a.width) || !(hi == math.MaxInt64 || hi >= gHi*a.width) {
+			if !(lo == math.MinInt64 || lo <= gLo*a.width) || !(hi == math.MaxInt64 || hi >= gHi*a.width) || edgeIdx < gHi {
 				continue
 			}
-			members := make([]int64, 0, tier.factor)
-			taken := false
-			for idx := gLo; idx < gHi; idx++ {
-				if used[idx] {
-					taken = true
-					break
-				}
-				if b := a.buckets[idx]; b != nil && len(b.tweets) > 0 {
-					members = append(members, idx)
-				}
-			}
-			if taken || len(members) < 2 {
+			// The window covers the group, so its live buckets (never
+			// empty: a bucket is created by its first record) are a run
+			// of idxs.
+			m0, _ := slices.BinarySearch(idxs, gLo)
+			m1, _ := slices.BinarySearch(idxs, gHi)
+			members := idxs[m0:m1]
+			if len(members) < 2 || slices.Contains(used[m0:m1], true) {
 				continue
+			}
+			for i := m0; i < m1; i++ {
+				used[i] = true
 			}
 			if dry {
 				// Every member bucket holds records, so the merged
 				// rollup partial is necessarily seen.
 				cov.addTier(tier.factor, len(members))
-				for _, idx := range members {
-					used[idx] = true
-				}
-				continue
-			}
-			p := a.rollupLocked(tier, g, members)
-			if p.seen {
+			} else if p := a.rollupLocked(tier, g, members); p.seen {
 				spans = append(spans, span{start: gLo, p: p})
 				cov.addTier(tier.factor, len(members))
 			}
-			for _, idx := range members {
-				used[idx] = true
-			}
 		}
 	}
-	for _, idx := range idxs {
-		if used[idx] {
+	for k, idx := range idxs {
+		if used[k] {
 			continue
 		}
 		b := a.buckets[idx]
@@ -735,19 +731,20 @@ func (a *Aggregator) CoverageKey(lo, hi int64) string {
 	defer a.mu.Unlock()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "w=%d;f=%v:%d;", a.width, a.hasFloor, a.floorIdx)
-	if loIdx, hiIdx, ok := a.bucketRangeLocked(lo, hi); ok {
-		idxs := make([]int64, 0, len(a.buckets))
-		for idx := range a.buckets {
-			if idx >= loIdx && idx <= hiIdx {
-				idxs = append(idxs, idx)
-			}
-		}
-		slices.Sort(idxs)
-		for _, idx := range idxs {
-			fmt.Fprintf(h, "%d:%d;", idx, a.buckets[idx].rev)
-		}
-	}
+	a.hashRevsLocked(h, a.rangeLocked(lo, hi))
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// hashRevsLocked feeds h the (index, revision) pair of every listed
+// bucket — the fingerprint cache keys and rollup groups are valid under.
+// Caller holds a.mu.
+func (a *Aggregator) hashRevsLocked(h hash.Hash64, idxs []int64) {
+	var kb [16]byte
+	for _, idx := range idxs {
+		putI64(kb[:8], idx)
+		putU64(kb[8:], a.buckets[idx].rev)
+		h.Write(kb[:])
+	}
 }
 
 // CoverageKeyRequest is CoverageKey for a request's window, after
@@ -834,15 +831,9 @@ func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 	if err := a.checkFloorLocked(lo); err != nil {
 		return nil, err
 	}
-	loIdx, hiIdx, ok := a.bucketRangeLocked(lo, hi)
-	if !ok {
-		return nil, nil
-	}
 	var out []tweet.Tweet
-	for idx, b := range a.buckets {
-		if idx < loIdx || idx > hiIdx {
-			continue
-		}
+	for _, idx := range a.rangeLocked(lo, hi) {
+		b := a.buckets[idx]
 		for i := range b.tweets {
 			if ts := b.tweets[i].TS; ts >= lo && (hi == math.MaxInt64 || ts < hi) {
 				out = append(out, b.tweets[i])

@@ -62,18 +62,147 @@ type userPart struct {
 	v0              int // vecs offset (3*n floats follow)
 }
 
-// flowAcc is a dense interior flow accumulator for one scale slot.
+// flowAcc is the interior flow accumulator of one scale slot. It is
+// sparse by rows: an hourly partial of mostly single-tweet users books
+// almost no transitions, so stays and each flows row are allocated on
+// their first increment and a nil row reads as all zeros.
 type flowAcc struct {
 	flows [][]float64
 	stays []float64
 }
 
-func newFlowAcc(n int) flowAcc {
-	f := flowAcc{flows: make([][]float64, n), stays: make([]float64, n)}
-	for i := range f.flows {
-		f.flows[i] = make([]float64, n)
+func newFlowAcc(n int) flowAcc { return flowAcc{flows: make([][]float64, n)} }
+
+// flowRow and stayRow return the row to increment, allocating it on
+// first use.
+func (f *flowAcc) flowRow(r int) []float64 {
+	if f.flows[r] == nil {
+		f.flows[r] = make([]float64, len(f.flows))
 	}
-	return f
+	return f.flows[r]
+}
+
+func (f *flowAcc) stayRow() []float64 {
+	if f.stays == nil {
+		f.stays = make([]float64, len(f.flows))
+	}
+	return f.stays
+}
+
+// transition books one user's move between the areas of two consecutive
+// tweets (negative = no area within ε): a stay when they match, a flow
+// otherwise — the extractor's rule.
+func (f *flowAcc) transition(from, to int16) {
+	switch {
+	case from < 0 || to < 0:
+	case from == to:
+		f.stayRow()[to]++
+	default:
+		f.flowRow(int(from))[to]++
+	}
+}
+
+// add sums src into f. The cells are transition counts, which add
+// exactly in any order, so skipping src's nil rows changes no bit.
+func (f *flowAcc) add(src flowAcc) {
+	for r, row := range src.flows {
+		if row == nil {
+			continue
+		}
+		dst := f.flowRow(r)
+		for c, v := range row {
+			dst[c] += v
+		}
+	}
+	if src.stays != nil {
+		dst := f.stayRow()
+		for r, v := range src.stays {
+			dst[r] += v
+		}
+	}
+}
+
+// userRec is one user's row in one partial.
+type userRec struct {
+	p   *partial
+	row int
+}
+
+// userCursor is the k-way user-major merge over chronologically ordered
+// partials that both the fold and the rollup merge walk: a binary
+// min-heap over the parts' next unread users keyed (user id, part
+// index), so next yields users in ascending id — the canonical stream
+// order — and each user's rows in part, hence time, order at
+// O(log parts) per row.
+type userCursor struct {
+	heap []cursorHead
+	recs []userRec // reused across next calls
+}
+
+type cursorHead struct {
+	id   int64
+	part int
+	rec  userRec
+}
+
+func (h cursorHead) less(o cursorHead) bool {
+	return h.id < o.id || (h.id == o.id && h.part < o.part)
+}
+
+func newUserCursor(parts []*partial) *userCursor {
+	c := &userCursor{heap: make([]cursorHead, 0, len(parts))}
+	for pi, p := range parts {
+		if len(p.users) > 0 {
+			c.heap = append(c.heap, cursorHead{id: p.users[0].id, part: pi, rec: userRec{p: p}})
+		}
+	}
+	for i := len(c.heap)/2 - 1; i >= 0; i-- {
+		c.siftDown(i)
+	}
+	return c
+}
+
+// next returns the smallest unread user id and that user's rows in part
+// order; the slice is valid until the following call.
+func (c *userCursor) next() (id int64, recs []userRec, ok bool) {
+	if len(c.heap) == 0 {
+		return 0, nil, false
+	}
+	id = c.heap[0].id
+	c.recs = c.recs[:0]
+	for len(c.heap) > 0 && c.heap[0].id == id {
+		h := &c.heap[0]
+		c.recs = append(c.recs, h.rec)
+		// Ids ascend strictly within a part, so the advanced head sorts
+		// after every remaining head carrying id.
+		if h.rec.row++; h.rec.row < len(h.rec.p.users) {
+			h.id = h.rec.p.users[h.rec.row].id
+		} else {
+			last := len(c.heap) - 1
+			c.heap[0] = c.heap[last]
+			c.heap = c.heap[:last]
+		}
+		c.siftDown(0)
+	}
+	return id, c.recs, true
+}
+
+func (c *userCursor) siftDown(i int) {
+	h := c.heap
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].less(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].less(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // buildRange materialises the partial for b's records with timestamps in
@@ -134,14 +263,7 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			p.waits = append(p.waits, mobility.WaitingSecs(cu.lastTS, t.TS))
 			p.disps = append(p.disps, mobility.DisplacementKM(cu.lastPt, pt))
 			for s := range a.scales {
-				pa, ca := b.assign[prevBase+s], b.assign[base+s]
-				if pa >= 0 && ca >= 0 {
-					if pa == ca {
-						p.flows[s].stays[ca]++
-					} else {
-						p.flows[s].flows[pa][ca]++
-					}
-				}
+				p.flows[s].transition(b.assign[prevBase+s], b.assign[base+s])
 			}
 			copy(p.lastArea[(len(p.users)-1)*slots:], b.assign[base:base+slots])
 		}

@@ -68,12 +68,7 @@ func floorDiv(x, d int64) int64 {
 // sorted non-empty live bucket indexes inside the group's range.
 func (a *Aggregator) rollupLocked(t *rollupTier, g int64, members []int64) *partial {
 	h := fnv.New64a()
-	var kb [16]byte
-	for _, idx := range members {
-		putI64(kb[:8], idx)
-		putU64(kb[8:], a.buckets[idx].rev)
-		h.Write(kb[:])
-	}
+	a.hashRevsLocked(h, members)
 	fp := h.Sum64()
 	if grp := t.groups[g]; grp != nil && grp.fp == fp {
 		t.hits.Add(1)
@@ -152,49 +147,28 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			m.seen = true
 		}
 	}
-	// Interior transitions are counts: they sum exactly in any order.
 	for s := range m.flows {
-		dst := m.flows[s]
 		for _, p := range parts {
-			src := p.flows[s]
-			for r := range src.flows {
-				row := dst.flows[r]
-				for c, v := range src.flows[r] {
-					row[c] += v
-				}
-				dst.stays[r] += src.stays[r]
-			}
+			m.flows[s].add(p.flows[s])
 		}
 	}
 	slots := a.slots
-	heads := make([]int, len(parts))
 	var cellScratch []uint64
-	for {
-		u, found := int64(0), false
-		for pi, p := range parts {
-			if heads[pi] < len(p.users) && (!found || p.users[heads[pi]].id < u) {
-				u = p.users[heads[pi]].id
-				found = true
-			}
-		}
-		if !found {
+	for cur := newUserCursor(parts); ; {
+		u, recs, ok := cur.next()
+		if !ok {
 			break
 		}
-		row := -1
+		row := len(m.users)
 		cellScratch = cellScratch[:0]
-		for pi, p := range parts {
-			if heads[pi] >= len(p.users) || p.users[heads[pi]].id != u {
-				continue
-			}
-			prow := heads[pi]
+		for k, rc := range recs {
+			p, prow := rc.p, rc.row
 			r := &p.users[prow]
-			heads[pi]++
-			if row < 0 {
+			if k == 0 {
 				m.users = append(m.users, userPart{
 					id: u, firstTS: r.firstTS, firstPt: r.firstPt,
 					w0: len(m.waits), v0: len(m.vecs),
 				})
-				row = len(m.users) - 1
 				m.firstArea = append(m.firstArea, p.firstArea[prow*slots:(prow+1)*slots]...)
 				m.lastArea = append(m.lastArea, p.lastArea[prow*slots:(prow+1)*slots]...)
 				m.marks = append(m.marks, a.zeroWords...)
@@ -205,14 +179,7 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 				m.waits = append(m.waits, mobility.WaitingSecs(cu.lastTS, r.firstTS))
 				m.disps = append(m.disps, mobility.DisplacementKM(cu.lastPt, r.firstPt))
 				for s := range a.scales {
-					pa, ca := m.lastArea[row*slots+s], p.firstArea[prow*slots+s]
-					if pa >= 0 && ca >= 0 {
-						if pa == ca {
-							m.flows[s].stays[ca]++
-						} else {
-							m.flows[s].flows[pa][ca]++
-						}
-					}
+					m.flows[s].transition(m.lastArea[row*slots+s], p.firstArea[prow*slots+s])
 				}
 				copy(m.lastArea[row*slots:(row+1)*slots], p.lastArea[prow*slots:(prow+1)*slots])
 			}

@@ -105,7 +105,8 @@ func (a *Aggregator) Capture() *RingCapture {
 		shapeHash: a.hash, width: a.width, slots: a.slots,
 		hasFloor: a.hasFloor, floorIdx: a.floorIdx,
 	}
-	for idx, b := range a.buckets {
+	for _, idx := range a.idxs { // ascending, so live and dirty are too
+		b := a.buckets[idx]
 		if len(b.tweets) == 0 {
 			continue
 		}
@@ -121,19 +122,7 @@ func (a *Aggregator) Capture() *RingCapture {
 			})
 		}
 	}
-	slices.SortFunc(c.live, func(x, y bucketRef) int { return cmpI64(x.Idx, y.Idx) })
-	slices.SortFunc(c.dirty, func(x, y capturedBucket) int { return cmpI64(x.idx, y.idx) })
 	return c
-}
-
-func cmpI64(x, y int64) int {
-	if x < y {
-		return -1
-	}
-	if x > y {
-		return 1
-	}
-	return 0
 }
 
 // MarkSnapshotted records, after a successful commit, that the captured
@@ -353,11 +342,7 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 		a.dropped.Add(int64(n))
 		return
 	}
-	b := a.buckets[bs.Idx]
-	if b == nil {
-		b = &bucket{}
-		a.buckets[bs.Idx] = b
-	}
+	b := a.bucketLocked(bs.Idx)
 	fresh := len(b.tweets) == 0
 	b.tweets = append(b.tweets, bs.tweets...)
 	b.assign = append(b.assign, bs.assign...)
@@ -400,7 +385,8 @@ func (a *Aggregator) restoreFloor(hasFloor bool, floorIdx int64) {
 func (a *Aggregator) ExportSnapshots(fn func(blob []byte) error) error {
 	a.mu.Lock()
 	var caps []capturedBucket
-	for idx, b := range a.buckets {
+	for _, idx := range a.idxs {
+		b := a.buckets[idx]
 		if len(b.tweets) == 0 {
 			continue
 		}
@@ -414,7 +400,6 @@ func (a *Aggregator) ExportSnapshots(fn func(blob []byte) error) error {
 		})
 	}
 	a.mu.Unlock()
-	slices.SortFunc(caps, func(x, y capturedBucket) int { return cmpI64(x.idx, y.idx) })
 	for i := range caps {
 		if err := fn(encodeBucketBlob(a.hash, a.width, a.slots, &caps[i])); err != nil {
 			return err

@@ -23,6 +23,11 @@ type Model interface {
 // ErrNotFitted is returned by Predict before a successful Fit.
 var ErrNotFitted = errors.New("models: model has not been fitted")
 
+// ErrInsufficientData marks an estimate the data cannot define — a fit
+// with too few positive flow pairs, a rescaling over no users. It is the
+// window's property, not a fault: services answer it as unprocessable.
+var ErrInsufficientData = errors.New("insufficient data")
+
 // Gravity4 is the 4-parameter gravity model of Eq. 1:
 //
 //	P ∝ C · m^α · n^β / d^γ
@@ -43,7 +48,7 @@ func (g *Gravity4) Name() string { return "Gravity 4Param" }
 func (g *Gravity4) Fit(od *OD) error {
 	is, js := od.positivePairs()
 	if len(is) < 5 {
-		return fmt.Errorf("models: gravity-4 needs >= 5 positive pairs, got %d", len(is))
+		return fmt.Errorf("models: gravity-4 needs >= 5 positive pairs, got %d: %w", len(is), ErrInsufficientData)
 	}
 	design := make([][]float64, len(is))
 	y := make([]float64, len(is))
@@ -102,7 +107,7 @@ func (g *Gravity2) Name() string { return "Gravity 2Param" }
 func (g *Gravity2) Fit(od *OD) error {
 	is, js := od.positivePairs()
 	if len(is) < 3 {
-		return fmt.Errorf("models: gravity-2 needs >= 3 positive pairs, got %d", len(is))
+		return fmt.Errorf("models: gravity-2 needs >= 3 positive pairs, got %d: %w", len(is), ErrInsufficientData)
 	}
 	x := make([]float64, len(is))
 	y := make([]float64, len(is))
@@ -170,7 +175,7 @@ func (r *Radiation) kernel(od *OD, i, j int) float64 {
 func (r *Radiation) Fit(od *OD) error {
 	is, js := od.positivePairs()
 	if len(is) < 3 {
-		return fmt.Errorf("models: radiation needs >= 3 positive pairs, got %d", len(is))
+		return fmt.Errorf("models: radiation needs >= 3 positive pairs, got %d: %w", len(is), ErrInsufficientData)
 	}
 	var sum float64
 	var count int
@@ -184,7 +189,7 @@ func (r *Radiation) Fit(od *OD) error {
 		count++
 	}
 	if count < 3 {
-		return fmt.Errorf("models: radiation has only %d pairs with positive kernel", count)
+		return fmt.Errorf("models: radiation has only %d pairs with positive kernel: %w", count, ErrInsufficientData)
 	}
 	r.C = math.Pow(10, sum/float64(count))
 	r.fitted = true

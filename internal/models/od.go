@@ -141,7 +141,7 @@ func CommonPartOfCommuters(pred, obs []float64) (float64, error) {
 func Evaluate(od *OD, m Model) (*Metrics, error) {
 	is, js := od.positivePairs()
 	if len(is) < 3 {
-		return nil, fmt.Errorf("models: only %d positive pairs to evaluate", len(is))
+		return nil, fmt.Errorf("models: only %d positive pairs to evaluate: %w", len(is), ErrInsufficientData)
 	}
 	pred := make([]float64, len(is))
 	obs := make([]float64, len(is))
@@ -158,7 +158,7 @@ func Evaluate(od *OD, m Model) (*Metrics, error) {
 		return nil, err
 	}
 	if len(lp) < 3 {
-		return nil, fmt.Errorf("models: only %d positive predictions to correlate", len(lp))
+		return nil, fmt.Errorf("models: only %d positive predictions to correlate: %w", len(lp), ErrInsufficientData)
 	}
 	r, err := stats.Pearson(lp, lo)
 	if err != nil {

@@ -41,7 +41,7 @@ func (o *InterveningOpportunities) kernelAt(od *OD, i, j int, l float64) float64
 func (o *InterveningOpportunities) Fit(od *OD) error {
 	is, js := od.positivePairs()
 	if len(is) < 3 {
-		return fmt.Errorf("models: intervening opportunities needs >= 3 positive pairs, got %d", len(is))
+		return fmt.Errorf("models: intervening opportunities needs >= 3 positive pairs, got %d: %w", len(is), ErrInsufficientData)
 	}
 	// Scale-aware bracket for L: the kernel saturates when L·s ~ 1, so
 	// bracket around the reciprocal of the typical intervening population.
@@ -99,7 +99,7 @@ func (o *InterveningOpportunities) Fit(od *OD) error {
 		n++
 	}
 	if n < 3 {
-		return fmt.Errorf("models: intervening opportunities: only %d pairs with positive kernel at fitted L", n)
+		return fmt.Errorf("models: intervening opportunities: only %d pairs with positive kernel at fitted L: %w", n, ErrInsufficientData)
 	}
 	o.L = l
 	o.C = math.Pow(10, sum/float64(n))

@@ -7,9 +7,11 @@ package population
 
 import (
 	"fmt"
+	"slices"
 
 	"geomob/internal/census"
 	"geomob/internal/linalg"
+	"geomob/internal/models"
 	"geomob/internal/stats"
 )
 
@@ -29,6 +31,9 @@ type Estimate struct {
 func NewEstimate(rs census.RegionSet, radius float64, twitterUsers []float64) (*Estimate, error) {
 	if len(twitterUsers) != len(rs.Areas) {
 		return nil, fmt.Errorf("population: %d user counts for %d areas", len(twitterUsers), len(rs.Areas))
+	}
+	if !slices.ContainsFunc(twitterUsers, func(v float64) bool { return v != 0 }) {
+		return nil, fmt.Errorf("population: no Twitter user in any %s area: %w", rs.Scale, models.ErrInsufficientData)
 	}
 	censusPop := rs.Populations()
 	c, err := linalg.ScaleThroughOrigin(twitterUsers, censusPop)
