@@ -737,6 +737,110 @@ func BenchmarkLiveQuery(b *testing.B) {
 	b.ReportMetric(float64(len(tweets)), "tweets/op")
 }
 
+const edgeHour = int64(time.Hour / time.Millisecond)
+
+// edgeFeed returns the 50k-user corpus as a feed in timestamp order, the
+// hour bucket 120 days into it (where the moving-edge benchmarks stop
+// warming and start stepping), and upTo, which advances an index to the
+// first tweet at or after bucket hr.
+func edgeFeed(b *testing.B) (feed []Tweet, warm int64, upTo func(from int, hr int64) int) {
+	feed = slices.Clone(studyBenchCorpus(b))
+	slices.SortFunc(feed, func(x, y Tweet) int { return cmp.Compare(x.TS, y.TS) })
+	warm = feed[0].TS/edgeHour + 120*24
+	upTo = func(from int, hr int64) int {
+		for from < len(feed) && feed[from].TS/edgeHour < hr {
+			from++
+		}
+		return from
+	}
+	return feed, warm, upTo
+}
+
+// BenchmarkClusterEdgeIngest measures the acknowledgement of one hourly
+// append through the replicated topology (DESIGN.md §10): with 120 days
+// warm, each op routes the next hour's tweets through a WAL-backed R=2
+// coordinator over two store-backed shards and waits for Flush — the
+// spool commit plus both replicas' durable store commits. fsyncs/op and
+// deliveries/op are the request-group contract: one spool fsync and one
+// DeliverBatch per shard per request, however many of the 16 slots the
+// hour touches.
+func BenchmarkClusterEdgeIngest(b *testing.B) {
+	feed, warm, upTo := edgeFeed(b)
+	var coord *cluster.Coordinator
+	var next int
+	var edge int64
+	reset := func() {
+		if coord != nil {
+			if err := coord.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		shards := make([]cluster.Shard, 2)
+		for k := range shards {
+			store, err := tweetdb.Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			if shards[k], err = cluster.NewLocalShard(store, live.Options{BucketWidth: time.Hour}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var err error
+		coord, err = cluster.NewCoordinator(shards, cluster.CoordinatorOptions{Replication: 2, WALDir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		next, edge = upTo(0, warm), warm
+		if err := coord.AddBatch(tweet.BatchOf(feed[:next])); err != nil {
+			b.Fatal(err)
+		}
+		if err := coord.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reset()
+	counts := func() (fsyncs, deliveries float64) {
+		snap := obs.Def.Snapshot()
+		return snap.Value("geomob_wal_fsyncs_total"), snap.Value("geomob_shard_deliver_seconds_count")
+	}
+	// Counted over the timed sections only: a reset's warm-up is not an op.
+	var fsyncs, deliveries float64
+	f0, d0 := counts()
+	timedUntilHere := func() {
+		f, d := counts()
+		fsyncs, deliveries = fsyncs+f-f0, deliveries+d-d0
+	}
+	tweets := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(feed) { // feed exhausted: start over on a fresh cluster
+			b.StopTimer()
+			timedUntilHere()
+			reset()
+			f0, d0 = counts()
+			b.StartTimer()
+		}
+		end := upTo(next, edge+1)
+		if err := coord.AddBatch(tweet.BatchOf(feed[next:end])); err != nil {
+			b.Fatal(err)
+		}
+		if err := coord.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		tweets += end - next
+		next, edge = end, edge+1
+	}
+	b.StopTimer()
+	timedUntilHere()
+	b.ReportMetric(fsyncs/float64(b.N), "fsyncs/op")
+	b.ReportMetric(deliveries/float64(b.N), "deliveries/op")
+	b.ReportMetric(float64(tweets)/float64(b.N), "tweets/op")
+	if err := coord.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkLiveEdgeRefresh measures one dashboard refresh at the moving
 // edge (DESIGN.md §11): with 120 days of the 50k-user feed warm in an
 // hourly ring, ingest the next hour and re-ask the four-query panel
@@ -745,17 +849,8 @@ func BenchmarkLiveQuery(b *testing.B) {
 // bucket partial and a re-fold over closed rollup groups, never a
 // re-merge of the open day or month.
 func BenchmarkLiveEdgeRefresh(b *testing.B) {
-	feed := slices.Clone(studyBenchCorpus(b))
-	slices.SortFunc(feed, func(x, y Tweet) int { return cmp.Compare(x.TS, y.TS) })
-	const hour = int64(time.Hour / time.Millisecond)
-	start := feed[0].TS / hour
-	warm := start + 120*24
-	upTo := func(from int, hr int64) int { // index of the first tweet at or after bucket hr
-		for from < len(feed) && feed[from].TS/hour < hr {
-			from++
-		}
-		return from
-	}
+	feed, warm, upTo := edgeFeed(b)
+	const hour = edgeHour
 	panel := func(agg *live.Aggregator, edge int64) {
 		at := func(hr int64) time.Time { return time.UnixMilli(hr * hour).UTC() }
 		for _, req := range []StudyRequest{

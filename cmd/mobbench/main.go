@@ -23,7 +23,10 @@
 // end-to-end single-worker study pass, the grid-resolved area assignment
 // and its k-d tree reference, the multi-scale assignment, the geodesic
 // kernel, the store scan, the live ingest path (tweets/sec through
-// durable append + bucket-ring routing) and the warm bucket-fold query.
+// durable append + bucket-ring routing), the warm bucket-fold query, and
+// the replicated cluster's ingest paths (bulk routing, the WAL ack floor,
+// and one hourly request's acknowledgement with its fsyncs/op and
+// deliveries/op).
 package main
 
 import (
@@ -40,7 +43,7 @@ import (
 )
 
 // defaultBenchRegex selects the perf-trajectory benchmarks.
-const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkKDTreeNearest$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkClusterIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
+const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkKDTreeNearest$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
 
 // BenchResult is one benchmark's parsed measurements. Metric keys are the
 // benchmark units with "/op" trimmed and slashes made JSON-friendly:

@@ -695,9 +695,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var err error
 	switch {
 	case s.coord != nil && binary:
-		n, err = live.DrainBinary(body, s.maxIngestBytes, s.coord.AddBatch, s.coord.Flush)
+		n, err = s.coord.IngestBinary(r.Context(), body, s.maxIngestBytes)
 	case s.coord != nil:
-		n, err = s.coord.IngestNDJSON(body)
+		n, err = s.coord.IngestNDJSON(r.Context(), body)
 	case binary:
 		n, err = live.DrainBinary(body, s.maxIngestBytes, s.ing.IngestBatch, s.ing.Flush)
 	default:
@@ -716,8 +716,11 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.coord != nil {
 		// 202, not 200: the records are durably spooled (the coordinator's
-		// acknowledgement point), but replica delivery is asynchronous —
-		// the lanes replay until every copy has acked.
+		// acknowledgement point) and Flush has waited for every healthy
+		// lane to settle, so on a healthy cluster each replica already
+		// holds them — but a lane whose shard is down was not waited for:
+		// its copy stays owed in the spool (pending in /healthz) and is
+		// replayed when the shard returns.
 		writeJSONStatus(w, http.StatusAccepted, map[string]any{
 			"ingested": n,
 			"shards":   s.coord.Shards(),

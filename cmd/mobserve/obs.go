@@ -9,9 +9,11 @@ import (
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux, served by -pprof-addr
+	"slices"
 	"strconv"
 	"time"
 
+	"geomob/internal/cluster"
 	"geomob/internal/obs"
 )
 
@@ -192,8 +194,8 @@ func latencyBlock() map[string]any {
 		query[ep] = quantiles(obs.Def.Histogram("geomob_query_duration_seconds", "End-to-end latency of one query endpoint request.", nil, "endpoint", ep))
 	}
 	stages := map[string]any{}
-	for _, st := range []string{"scatter", "fold", "merge", "assemble"} {
-		stages[st] = quantiles(obs.Def.Histogram("geomob_query_stage_seconds", "Per-stage latency of a coordinator scatter-gather query.", nil, "stage", st))
+	for _, st := range slices.Concat(cluster.QueryStages, cluster.IngestStages) {
+		stages[st] = quantiles(cluster.StageHistogram(st))
 	}
 	return map[string]any{"query": query, "stages": stages}
 }

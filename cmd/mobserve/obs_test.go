@@ -430,3 +430,61 @@ func TestDegraded503CarriesTraceID(t *testing.T) {
 		t.Fatalf("503 body trace_id = %q, want %q (body %v)", got, tid, body)
 	}
 }
+
+// TestIngestTraceStages: a coordinator-mode POST /v1/ingest — NDJSON and
+// binary alike — leaves a retained trace whose decode, route, spool and
+// deliver stages appear once each, in that order, and account for the
+// handler's time (they are cut from one wall clock, so they can fall
+// short of the trace total only by what the handler does around the
+// drain); the same four stages then show in /healthz's latency block.
+func TestIngestTraceStages(t *testing.T) {
+	_, ts, _ := newClusterTestServer(t, 2)
+	tweets := genTweets(t, 120, 31, 32)
+	frame, err := tweet.AppendFrame(nil, tweet.BatchOf(tweets))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, post := range []struct {
+		contentType string
+		body        io.Reader
+	}{
+		{"application/x-ndjson", corpusNDJSON(t, tweets)},
+		{tweet.BatchContentType, bytes.NewReader(frame)},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/ingest", post.contentType, post.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s ingest: status %d", post.contentType, resp.StatusCode)
+		}
+		detail := fetchJSON(t, ts.URL+"/debug/traces/"+resp.Header.Get(obs.TraceHeader))
+		stages, _ := detail["stages"].([]any)
+		var names []string
+		var sum float64
+		for _, st := range stages {
+			m := st.(map[string]any)
+			names = append(names, m["stage"].(string))
+			ms := m["ms"].(float64)
+			if ms < 0 {
+				t.Errorf("%s ingest: stage %v took %v ms", post.contentType, m["stage"], ms)
+			}
+			sum += ms
+		}
+		if got := strings.Join(names, ","); got != "decode,route,spool,deliver" {
+			t.Fatalf("%s ingest: trace stages %q, want decode,route,spool,deliver", post.contentType, got)
+		}
+		total := detail["total_ms"].(float64)
+		if sum > total || sum < total/2 {
+			t.Errorf("%s ingest: stages sum to %.3f ms of a %.3f ms request", post.contentType, sum, total)
+		}
+	}
+	lat := fetchJSON(t, ts.URL+"/healthz")["latency"].(map[string]any)["stages"].(map[string]any)
+	for _, st := range cluster.IngestStages {
+		if q, ok := lat[st].(map[string]any); !ok || q["p50_ms"] == nil {
+			t.Errorf("healthz latency.stages missing ingest stage %q: %v", st, lat)
+		}
+	}
+}

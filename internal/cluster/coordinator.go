@@ -24,7 +24,8 @@ import (
 // Coordinator-side series (DESIGN.md §12). Stage histograms share one
 // family labelled by pipeline stage; the scatter stage includes every
 // failover retry round, so scatter_seconds − fold_seconds exposes
-// probe/assignment overhead directly.
+// probe/assignment overhead directly. The four ingest stages are
+// observed once per request and sum to its wall time (ingestStages).
 var (
 	mClusterIngested  = obs.Def.Counter("geomob_cluster_ingested_rows_total", "Rows accepted into the replication spool by coordinators.")
 	mClusterFetches   = obs.Def.Counter("geomob_cluster_partial_fetches_total", "Shard fold RPCs issued by coordinators.")
@@ -32,19 +33,42 @@ var (
 	mClusterFailovers = obs.Def.Counter("geomob_cluster_failovers_total", "Nodes banned mid-query after an unavailable response.")
 	mClusterUnavail   = obs.Def.Counter("geomob_cluster_unavailable_total", "Queries failed because some slot had no live, current replica.")
 
-	mStageScatter  = obs.Def.Histogram("geomob_query_stage_seconds", "Per-stage latency of a coordinator scatter-gather query.", nil, "stage", "scatter")
-	mStageFold     = obs.Def.Histogram("geomob_query_stage_seconds", "Per-stage latency of a coordinator scatter-gather query.", nil, "stage", "fold")
-	mStageMerge    = obs.Def.Histogram("geomob_query_stage_seconds", "Per-stage latency of a coordinator scatter-gather query.", nil, "stage", "merge")
-	mStageAssemble = obs.Def.Histogram("geomob_query_stage_seconds", "Per-stage latency of a coordinator scatter-gather query.", nil, "stage", "assemble")
+	mStageScatter  = StageHistogram("scatter")
+	mStageFold     = StageHistogram("fold")
+	mStageMerge    = StageHistogram("merge")
+	mStageAssemble = StageHistogram("assemble")
+
+	mStageIngest = func() (hs [4]*obs.Histogram) {
+		for i, name := range IngestStages {
+			hs[i] = StageHistogram(name)
+		}
+		return hs
+	}()
 )
+
+// QueryStages and IngestStages name the stage label's values in
+// pipeline order: a scatter-gather query, and a POST /v1/ingest through
+// the coordinator.
+var (
+	QueryStages  = []string{"scatter", "fold", "merge", "assemble"}
+	IngestStages = []string{"decode", "route", "spool", "deliver"}
+)
+
+// StageHistogram returns the coordinator stage-latency series for one
+// stage label value.
+func StageHistogram(stage string) *obs.Histogram {
+	return obs.Def.Histogram("geomob_query_stage_seconds",
+		"Per-stage latency of a coordinator request: scatter/fold/merge/assemble of a query, decode/route/spool/deliver of an ingest.",
+		nil, "stage", stage)
+}
 
 // CoordinatorOptions configure a Coordinator.
 type CoordinatorOptions struct {
 	// BatchSize is how many records accumulate per placement slot
-	// before the slot's buffer is framed, spooled, and staged on its
-	// replica lanes; zero means 4096. Larger batches amortise the
-	// per-frame overhead (an fsync'd spool append plus one HTTP
-	// round-trip per replica).
+	// before the slot's buffer ships on its own, mid-request; zero means
+	// 4096. Whatever is still buffered when the request ends ships as
+	// one group (see Flush), so BatchSize bounds coordinator memory and
+	// frame size, not the number of fsyncs a small request pays.
 	BatchSize int
 	// QueueDepth bounds each delivery lane's staged frames; zero means
 	// DefaultQueueDepth. Overflow is not lost and does not block the
@@ -82,9 +106,9 @@ const (
 )
 
 // Coordinator is the cluster front door: it routes ingest records into
-// per-slot batches, spools each framed batch durably (the
-// acknowledgement point), and stages it on the delivery lane of every
-// replica the ring places the slot on. Queries scatter slot-set folds
+// per-slot batches, spools a request's framed batches durably as one
+// group (the acknowledgement point), and stages each replica lane's
+// share of the group in one step. Queries scatter slot-set folds
 // over one live, current replica per slot — failing over replica by
 // replica — merge the slot-disjoint partials, and assemble through the
 // exact single-node float pipeline, so answers are bit-identical to a
@@ -225,19 +249,22 @@ func (c *Coordinator) SpoolStats() wal.Stats { return c.sp.Stats() }
 // nil return from the enclosing Flush) means the record is spooled —
 // durably under a WALDir — and owed to every replica, not that every
 // replica already holds it.
-func (c *Coordinator) Add(t tweet.Tweet) error {
+func (c *Coordinator) Add(t tweet.Tweet) error { return c.add(t, nil) }
+
+func (c *Coordinator) add(t tweet.Tweet, st *ingestStages) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
 	}
+	defer st.routed(st.now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
 		return fmt.Errorf("cluster: coordinator closed")
 	}
-	return c.addLocked(t)
+	return c.addLocked(t, st)
 }
 
-func (c *Coordinator) addLocked(t tweet.Tweet) error {
+func (c *Coordinator) addLocked(t tweet.Tweet, st *ingestStages) error {
 	k := ring.SlotOf(t.UserID)
 	b := c.bufs[k]
 	if b == nil {
@@ -247,7 +274,7 @@ func (c *Coordinator) addLocked(t tweet.Tweet) error {
 	}
 	b.Append(t)
 	if b.Len() >= c.batch {
-		return c.shipLocked(k)
+		return c.shipLocked(st, k)
 	}
 	return nil
 }
@@ -255,81 +282,118 @@ func (c *Coordinator) addLocked(t tweet.Tweet) error {
 // AddBatch routes a whole columnar batch, splitting it across placement
 // slots by the UserID column. The batch is validated once up front and
 // only read; ownership stays with the caller. Safe for concurrent use.
-func (c *Coordinator) AddBatch(b *tweet.Batch) error {
+func (c *Coordinator) AddBatch(b *tweet.Batch) error { return c.addBatch(b, nil) }
+
+func (c *Coordinator) addBatch(b *tweet.Batch, st *ingestStages) error {
 	if b.Len() == 0 {
 		return nil
 	}
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
 	}
+	defer st.routed(st.now())
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
 		return fmt.Errorf("cluster: coordinator closed")
 	}
 	for r := 0; r < b.Len(); r++ {
-		if err := c.addLocked(b.Row(r)); err != nil {
+		if err := c.addLocked(b.Row(r), st); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// shipLocked frames slot k's buffer, appends it to the spool (the
-// durability/acknowledgement point), and stages it on every replica
-// lane. Caller holds c.mu.
-func (c *Coordinator) shipLocked(k int) error {
-	b := c.bufs[k]
-	if b == nil || b.Len() == 0 {
+// allSlots is the shipment a Flush makes: every slot with anything
+// buffered.
+var allSlots = func() (ks [ring.Slots]int) {
+	for k := range ks {
+		ks[k] = k
+	}
+	return
+}()
+
+// shipLocked is the one shipping path: it frames the buffers of the
+// given slots (a full buffer ships a set of one, Flush ships them all),
+// makes one spool group append — the durability/acknowledgement point,
+// one write and one fsync however many slots ship — and only then
+// stages each replica lane's share with one enqueue, so an idle lane
+// drains the shipment as one delivery. The fsync is deliberately not
+// overlapped with delivery: a frame applied at a shard under a sequence
+// the spool then lost would see that sequence reused for another
+// payload and silently deduplicated. Caller holds c.mu.
+func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
+	c.topoMu.RLock()
+	rg, lanes := c.ring, c.lanes
+	c.topoMu.RUnlock()
+	var group []wal.Entry
+	for _, k := range slots {
+		b := c.bufs[k]
+		if b == nil || b.Len() == 0 {
+			continue
+		}
+		frame, err := tweet.AppendFrame(nil, b)
+		if err != nil {
+			return fmt.Errorf("%w: %w", live.ErrBadInput, err)
+		}
+		var mask uint64
+		for _, nd := range rg.Replicas(k) {
+			mask |= 1 << uint(nd)
+		}
+		group = append(group, wal.Entry{Slot: k, Dests: mask, Frame: frame})
+	}
+	if len(group) == 0 {
 		return nil
 	}
-	frame, err := tweet.AppendFrame(nil, b)
-	if err != nil {
-		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
-	}
-	c.topoMu.RLock()
-	replicas := c.ring.Replicas(k)
-	lanes := c.lanes
-	c.topoMu.RUnlock()
-	var mask uint64
-	for _, nd := range replicas {
-		mask |= 1 << uint(nd)
-	}
-	seq, err := c.sp.Append(k, mask, frame)
+	t0 := st.now()
+	first, err := c.sp.AppendGroup(group)
+	st.spooled(t0)
 	if err != nil {
 		return fmt.Errorf("cluster: spool append: %w", err)
 	}
-	rows := b.Len()
-	for _, nd := range replicas {
-		lanes[nd].enqueue(seq, k, rows, frame)
+	shares := make([][]*laneEntry, len(lanes))
+	var rows int64
+	for i, e := range group {
+		b := c.bufs[e.Slot]
+		ent := &laneEntry{seq: first + uint64(i), slot: e.Slot, rows: b.Len(), frame: e.Frame}
+		for _, nd := range rg.Replicas(e.Slot) {
+			shares[nd] = append(shares[nd], ent)
+		}
+		rows += int64(b.Len())
+		b.Reset()
 	}
-	c.ingested.Add(int64(rows))
-	mClusterIngested.Add(int64(rows))
-	b.Reset()
+	for nd, share := range shares {
+		if len(share) > 0 {
+			lanes[nd].enqueue(share)
+		}
+	}
+	c.ingested.Add(rows)
+	mClusterIngested.Add(rows)
 	return nil
 }
 
-// Flush ships every buffered slot batch and waits for the lanes to
-// settle: on a healthy cluster every replica has applied everything on
-// return, while a lane whose shard is down returns immediately — its
+// Flush ships everything buffered as one group and waits for the lanes
+// to settle: on a healthy cluster every replica has applied everything
+// on return, while a lane whose shard is down returns immediately — its
 // frames are safe in the spool, surfaced as pending in Health, and
 // delivered on recovery. Flush therefore fails only when spooling
 // itself fails; a dead shard degrades the report, not the ingest.
-func (c *Coordinator) Flush() error {
+func (c *Coordinator) Flush() error { return c.flush(nil) }
+
+func (c *Coordinator) flush(st *ingestStages) error {
+	t0 := st.now()
 	c.mu.Lock()
-	var firstErr error
-	for k := range c.bufs {
-		if err := c.shipLocked(k); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
+	err := c.shipLocked(st, allSlots[:]...)
+	st.routed(t0)
 	c.topoMu.RLock()
 	lanes := append([]*lane(nil), c.lanes...)
 	c.topoMu.RUnlock()
 	c.mu.Unlock()
-	if firstErr != nil {
-		return firstErr
+	if err != nil {
+		return err
 	}
+	defer st.delivered(st.now())
 	for _, l := range lanes {
 		l.waitSettled()
 	}
@@ -359,20 +423,82 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
+// ingestStages accumulates where one ingest request's time went:
+// route (slot routing and framing, including the wait for c.mu), spool
+// (the group append: write plus fsync wait) and deliver (waiting for
+// healthy lanes to settle); decode is whatever remains of the request's
+// wall time — reading and parsing the body. A nil *ingestStages, which
+// is what the plain Add/AddBatch/Flush pass, records nothing and reads
+// no clock.
+type ingestStages struct {
+	route, spool, deliver time.Duration
+}
+
+func (st *ingestStages) now() time.Time {
+	if st == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (st *ingestStages) routed(t0 time.Time) {
+	if st != nil {
+		st.route += time.Since(t0)
+	}
+}
+
+// spooled books an append made inside a routed interval: to spool, and
+// back out of route.
+func (st *ingestStages) spooled(t0 time.Time) {
+	if st != nil {
+		d := time.Since(t0)
+		st.spool += d
+		st.route -= d
+	}
+}
+
+func (st *ingestStages) delivered(t0 time.Time) {
+	if st != nil {
+		st.deliver += time.Since(t0)
+	}
+}
+
+// record closes the request: one observation per stage histogram and
+// one stage per name on ctx's trace, summing to total.
+func (st *ingestStages) record(ctx context.Context, total time.Duration) {
+	tr := obs.TraceFrom(ctx)
+	for i, d := range []time.Duration{total - st.route - st.spool - st.deliver, st.route, st.spool, st.deliver} {
+		tr.AddStage(IngestStages[i], d)
+		mStageIngest[i].Observe(d.Seconds())
+	}
+}
+
 // IngestNDJSON drains an NDJSON stream through the coordinator and
 // flushes at the end, returning how many records the stream contributed
 // — the cluster-mode twin of live.Ingestor.IngestNDJSON, riding the
 // same shared loop and error contract (live.ErrBadInput marks the
-// caller's records).
-func (c *Coordinator) IngestNDJSON(r io.Reader) (int, error) {
-	return live.DrainNDJSON(r, c.Add, c.Flush)
+// caller's records). The decode, route, spool and deliver stages land
+// on ctx's trace.
+func (c *Coordinator) IngestNDJSON(ctx context.Context, r io.Reader) (int, error) {
+	st, t0 := &ingestStages{}, time.Now()
+	n, err := live.DrainNDJSON(r,
+		func(t tweet.Tweet) error { return c.add(t, st) },
+		func() error { return c.flush(st) })
+	st.record(ctx, time.Since(t0))
+	return n, err
 }
 
 // IngestBinary drains a binary batch stream through the coordinator and
 // flushes at the end — the cluster-mode twin of
-// live.Ingestor.IngestBinary.
-func (c *Coordinator) IngestBinary(r io.Reader) (int, error) {
-	return live.DrainBinary(r, 0, c.AddBatch, c.Flush)
+// live.Ingestor.IngestBinary, with IngestNDJSON's trace stages. maxFrame
+// bounds one frame (0 selects tweet.DefaultMaxFrameBytes).
+func (c *Coordinator) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
+	st, t0 := &ingestStages{}, time.Now()
+	n, err := live.DrainBinary(r, maxFrame,
+		func(b *tweet.Batch) error { return c.addBatch(b, st) },
+		func() error { return c.flush(st) })
+	st.record(ctx, time.Since(t0))
+	return n, err
 }
 
 // UnavailableError reports placement slots with no live, current

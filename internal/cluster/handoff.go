@@ -133,10 +133,8 @@ func (c *Coordinator) RemoveShard(idx int) error {
 // then verifies no member except skip still owes deliveries. Caller
 // holds c.mu.
 func (c *Coordinator) settleLocked(skip int) error {
-	for k := range c.bufs {
-		if err := c.shipLocked(k); err != nil {
-			return err
-		}
+	if err := c.shipLocked(nil, allSlots[:]...); err != nil {
+		return err
 	}
 	for _, l := range c.lanes {
 		l.waitSettled()

@@ -46,6 +46,7 @@ type laneEntry struct {
 type lane struct {
 	node   int
 	shard  Shard
+	batch  BatchDeliverer // shard's batched fast path; nil when it has none
 	sp     spool
 	sender string
 	depth  int
@@ -56,6 +57,7 @@ type lane struct {
 	cv         *sync.Cond
 	q          []*laneEntry
 	gapped     bool
+	spilled    bool   // enqueue left frames to the spool since the last refill began
 	lastEnq    uint64 // highest seq ever staged in q
 	attempting bool
 	down       bool // last attempt failed; cleared on the next success
@@ -84,6 +86,7 @@ func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration
 		depth: depth, base: base, max: max,
 		closeCh: make(chan struct{}),
 	}
+	l.batch, _ = shard.(BatchDeliverer)
 	l.cv = sync.NewCond(&l.mu)
 	nd := memberName(node)
 	l.mRows = obs.Def.Counter("geomob_lane_delivered_rows_total", "Rows delivered (and spool-acked) per shard lane.", "node", nd)
@@ -97,24 +100,32 @@ func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration
 	return l
 }
 
-// enqueue stages one freshly-spooled frame. A full (or already gapped)
-// queue flips the lane to gapped: the frame is already durable in the
-// spool, and the sender will pull it back via PendingForNode once the
+// enqueue stages this lane's share of one freshly-spooled group, in
+// ascending sequence order, under a single lock hold — so an idle
+// sender wakes to the whole share and drains it as one delivery. What
+// does not fit the queue (or anything at all once gapped) flips the
+// lane to gapped: those frames are already durable in the spool, and
+// the sender pulls them back via PendingForNode past lastEnq once the
 // queue drains.
-func (l *lane) enqueue(seq uint64, slot, rows int, frame []byte) {
+func (l *lane) enqueue(ents []*laneEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return
 	}
-	if l.gapped || len(l.q) >= l.depth {
-		l.gapped = true
+	room := l.depth - len(l.q)
+	if l.gapped || room < 0 {
+		room = 0
+	}
+	if len(ents) > room {
+		l.gapped, l.spilled = true, true
+		ents = ents[:room]
+	}
+	if len(ents) == 0 {
 		return
 	}
-	l.q = append(l.q, &laneEntry{seq: seq, slot: slot, rows: rows, frame: frame})
-	if seq > l.lastEnq {
-		l.lastEnq = seq
-	}
+	l.q = append(l.q, ents...)
+	l.lastEnq = ents[len(ents)-1].seq
 	l.cv.Broadcast()
 }
 
@@ -127,7 +138,7 @@ func (l *lane) markGapped() {
 	l.mu.Unlock()
 }
 
-// run is the sender loop: deliver the queue head, ack the spool on
+// run is the sender loop: deliver what is staged, ack the spool on
 // success, back off exponentially on failure. Strict FIFO in seq order
 // keeps per-sender sequences monotone at the shard, which is what
 // makes its high-water-mark dedup sound.
@@ -146,6 +157,7 @@ func (l *lane) run(wg *sync.WaitGroup) {
 		if len(l.q) == 0 {
 			// Gapped: refill from the spool past the highest staged seq.
 			after := l.lastEnq
+			l.spilled = false
 			l.mu.Unlock()
 			recs, err := l.sp.PendingForNode(l.node, after, l.depth)
 			l.mu.Lock()
@@ -161,7 +173,10 @@ func (l *lane) run(wg *sync.WaitGroup) {
 				continue
 			}
 			if len(recs) == 0 {
-				l.gapped = false
+				// Caught up — unless a group spilled while the spool was
+				// being read: it may have landed after that read, so look
+				// again rather than strand it behind later sequences.
+				l.gapped = l.spilled
 				l.cv.Broadcast()
 				l.mu.Unlock()
 				continue
@@ -176,49 +191,31 @@ func (l *lane) run(wg *sync.WaitGroup) {
 		}
 		// Drain: a batch-capable shard takes the whole staged queue in
 		// one durable commit (one high-water-mark advance per drain);
-		// otherwise deliver the head alone. The drained prefix is stable
-		// across the unlock — enqueue only appends, and only this
+		// any other shard takes the head alone. The drained prefix is
+		// stable across the unlock — enqueue only appends, and only this
 		// goroutine removes.
 		ents := l.q[:1]
-		bd, batching := l.shard.(BatchDeliverer)
-		if batching && len(l.q) > 1 {
+		if l.batch != nil {
 			ents = l.q[:len(l.q):len(l.q)]
 		}
 		l.attempting = true
 		l.mu.Unlock()
 
 		t0 := time.Now()
-		var err error
-		if len(ents) > 1 {
-			ds := make([]Delivery, len(ents))
-			for i, e := range ents {
-				ds[i] = Delivery{Seq: e.seq, Slot: e.slot, Frame: e.frame}
-			}
-			if err = bd.DeliverBatch(l.sender, ds); err != nil {
-				// Retry the head alone: a transient failure backs off as
-				// usual, and a single poison frame is isolated and dropped
-				// instead of permanently rejecting the whole drain.
-				ents = ents[:1]
-				err = l.shard.Deliver(l.sender, ents[0].seq, ents[0].slot, ents[0].frame)
-			}
-		} else {
-			err = l.shard.Deliver(l.sender, ents[0].seq, ents[0].slot, ents[0].frame)
+		err := l.deliver(ents)
+		if err != nil && len(ents) > 1 {
+			// Retry the head alone: a transient failure backs off as
+			// usual, and a single poison frame is isolated and dropped
+			// instead of permanently rejecting the whole drain.
+			ents = ents[:1]
+			err = l.deliver(ents)
 		}
-
 		l.mDeliverSecs.Observe(time.Since(t0).Seconds())
 
 		l.mu.Lock()
 		l.attempting = false
 		if err == nil {
-			if len(ents) == 1 {
-				_ = l.sp.Ack(ents[0].seq, l.node)
-			} else {
-				seqs := make([]uint64, len(ents))
-				for i, e := range ents {
-					seqs[i] = e.seq
-				}
-				_ = l.sp.AckBatch(seqs, l.node)
-			}
+			_ = l.sp.AckBatch(entrySeqs(ents), l.node)
 			for _, e := range ents {
 				l.delivered += int64(e.rows)
 				l.mRows.Add(int64(e.rows))
@@ -240,7 +237,7 @@ func (l *lane) run(wg *sync.WaitGroup) {
 			// The shard rejected the frame outright; retrying cannot
 			// succeed. Drop it (counted, latched) rather than wedge
 			// every later frame behind it.
-			_ = l.sp.Ack(ents[0].seq, l.node)
+			_ = l.sp.AckBatch(entrySeqs(ents), l.node)
 			l.q = l.q[1:]
 			l.dropped++
 			l.mDropped.Inc()
@@ -265,6 +262,27 @@ func (l *lane) run(wg *sync.WaitGroup) {
 			return
 		}
 	}
+}
+
+// deliver hands ents to the shard: one DeliverBatch when it takes
+// batches, else the single entry through Deliver.
+func (l *lane) deliver(ents []*laneEntry) error {
+	if l.batch == nil {
+		return l.shard.Deliver(l.sender, ents[0].seq, ents[0].slot, ents[0].frame)
+	}
+	ds := make([]Delivery, len(ents))
+	for i, e := range ents {
+		ds[i] = Delivery{Seq: e.seq, Slot: e.slot, Frame: e.frame}
+	}
+	return l.batch.DeliverBatch(l.sender, ds)
+}
+
+func entrySeqs(ents []*laneEntry) []uint64 {
+	seqs := make([]uint64, len(ents))
+	for i, e := range ents {
+		seqs[i] = e.seq
+	}
+	return seqs
 }
 
 // sleep waits d or until the lane closes; false means closed.

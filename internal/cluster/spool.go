@@ -9,13 +9,13 @@ import (
 
 // spool is the coordinator's view of its ingest spool: the durable WAL
 // (CoordinatorOptions.WALDir) or an in-memory fallback with identical
-// semantics minus crash durability. Either way, Append is the ingest
-// acknowledgement point and lanes drain PendingForNode until every
-// replica has acked.
+// semantics minus crash durability. Either way, AppendGroup is the
+// ingest acknowledgement point — one call per shipment, entry i getting
+// sequence first+i — and lanes drain PendingForNode until every replica
+// has acked.
 type spool interface {
 	SenderID() string
-	Append(slot int, destMask uint64, frame []byte) (uint64, error)
-	Ack(seq uint64, node int) error
+	AppendGroup(es []wal.Entry) (first uint64, err error)
 	AckBatch(seqs []uint64, node int) error
 	AckNode(node int) error
 	PendingForNode(node int, after uint64, max int) ([]wal.Record, error)
@@ -50,20 +50,21 @@ func newMemSpool(sender string) *memSpool {
 
 func (m *memSpool) SenderID() string { return m.sender }
 
-func (m *memSpool) Append(slot int, destMask uint64, frame []byte) (uint64, error) {
-	rows := wal.FrameRows(frame)
+func (m *memSpool) AppendGroup(es []wal.Entry) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	seq := m.nextSeq
-	m.nextSeq++
-	m.recs[seq] = &wal.Record{Seq: seq, Slot: slot, Dests: destMask, Rows: rows, Frame: frame}
-	for node := 0; destMask != 0; node++ {
-		if destMask&1 != 0 {
-			m.addRows(node, slot, int64(rows))
+	first := m.nextSeq
+	for _, e := range es {
+		rows := wal.FrameRows(e.Frame)
+		m.recs[m.nextSeq] = &wal.Record{Seq: m.nextSeq, Slot: e.Slot, Dests: e.Dests, Rows: rows, Frame: e.Frame}
+		m.nextSeq++
+		for node, mask := 0, e.Dests; mask != 0; node, mask = node+1, mask>>1 {
+			if mask&1 != 0 {
+				m.addRows(node, e.Slot, int64(rows))
+			}
 		}
-		destMask >>= 1
 	}
-	return seq, nil
+	return first, nil
 }
 
 func (m *memSpool) addRows(node, slot int, delta int64) {
@@ -89,13 +90,6 @@ func (m *memSpool) ackLocked(seq uint64, node int) {
 	if rec.Dests == 0 {
 		delete(m.recs, seq)
 	}
-}
-
-func (m *memSpool) Ack(seq uint64, node int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.ackLocked(seq, node)
-	return nil
 }
 
 func (m *memSpool) AckBatch(seqs []uint64, node int) error {

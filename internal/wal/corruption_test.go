@@ -2,26 +2,43 @@ package wal
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 )
 
 // corruptionFixture builds a spool with nRecords data records in one
-// segment, closes it, and returns the segment path plus the byte
-// boundaries [start, end) of each record within the file.
-func corruptionFixture(t *testing.T, dir string, nRecords int) (segPath string, seqs []uint64, bounds [][2]int64) {
+// segment — appended singly, or as one group — closes it, and returns
+// the segment path plus the byte boundaries [start, end) of each record
+// within the file.
+func corruptionFixture(t testing.TB, dir string, nRecords int, grouped bool) (segPath string, seqs []uint64, bounds [][2]int64) {
 	t.Helper()
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nRecords; i++ {
-		seq, err := s.Append(i%8, 0b1, testFrame(t, int64(i)*100, 2+i%3))
+	group := make([]Entry, nRecords)
+	for i := range group {
+		group[i] = Entry{Slot: i % 8, Dests: 0b1, Frame: testFrame(t, int64(i)*100, 2+i%3)}
+	}
+	if grouped {
+		first, err := s.AppendGroup(group)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seqs = append(seqs, seq)
+		for i := range group {
+			seqs = append(seqs, first+uint64(i))
+		}
+	} else {
+		for _, e := range group {
+			seq, err := s.Append(e.Slot, e.Dests, e.Frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seq)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -60,7 +77,7 @@ func expectPrefix(bounds [][2]int64, p int64) int {
 
 // reopenScratch copies the damaged segment (and SENDER) into a fresh
 // dir and opens a spool over it.
-func reopenScratch(t *testing.T, srcDir string, seg []byte) (*Spool, error) {
+func reopenScratch(t testing.TB, srcDir string, seg []byte) (*Spool, error) {
 	t.Helper()
 	dir := t.TempDir()
 	sender, err := os.ReadFile(filepath.Join(srcDir, "SENDER"))
@@ -82,7 +99,7 @@ func reopenScratch(t *testing.T, srcDir string, seg []byte) (*Spool, error) {
 // contract the PR 6 store corruption matrix pins for segments.
 func TestSpoolCorruptionMatrix(t *testing.T) {
 	srcDir := t.TempDir()
-	segPath, seqs, bounds := corruptionFixture(t, srcDir, 8)
+	segPath, seqs, bounds := corruptionFixture(t, srcDir, 8, false)
 	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +151,7 @@ func TestSpoolCorruptionMatrix(t *testing.T) {
 // but loses nothing that was acknowledged durable before the cut.
 func TestSpoolTruncationMatrix(t *testing.T) {
 	srcDir := t.TempDir()
-	segPath, seqs, bounds := corruptionFixture(t, srcDir, 8)
+	segPath, seqs, bounds := corruptionFixture(t, srcDir, 8, false)
 	raw, err := os.ReadFile(segPath)
 	if err != nil {
 		t.Fatal(err)
@@ -198,4 +215,191 @@ func TestSpoolAckCorruption(t *testing.T) {
 	if len(got) != 1 || got[0] != seq {
 		t.Fatalf("lost-ack recovery pending = %v, want [%d]", got, seq)
 	}
+}
+
+// TestSpoolTornGroup damages one 16-record group append — the shape a
+// cluster ingest request now has on disk — at every byte: cut short
+// there, and flipped there. A group is sixteen ordinary records, so the
+// intact-prefix contract applies record by record: reopening never
+// panics and keeps exactly the records wholly before the damage.
+// Detectable damage (anything but a cut on a record boundary) also
+// lifts NextSeq past all sixteen sequences. A cut exactly between
+// records reads as a clean, shorter spool whose NextSeq follows the
+// prefix — sound, because the group's one fsync had then not returned,
+// so no sequence of it ever reached a lane.
+func TestSpoolTornGroup(t *testing.T) {
+	srcDir := t.TempDir()
+	segPath, seqs, bounds := corruptionFixture(t, srcDir, 16, true)
+	raw, err := os.ReadFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seq := range seqs {
+		if seq != seqs[0]+uint64(i) {
+			t.Fatalf("group sequences not contiguous: %v", seqs)
+		}
+	}
+	last := seqs[len(seqs)-1]
+	check := func(what string, p int64, damaged []byte, detectable bool) {
+		t.Helper()
+		s, err := reopenScratch(t, srcDir, damaged)
+		if err != nil {
+			t.Fatalf("%s at byte %d: Open failed: %v", what, p, err)
+		}
+		defer s.Close()
+		want := expectPrefix(bounds, p)
+		got := pendingSeqs(t, s, 0)
+		if len(got) != want {
+			t.Fatalf("%s at byte %d: recovered %d records (%v), want prefix of %d", what, p, len(got), got, want)
+		}
+		for i := range got {
+			if got[i] != seqs[i] {
+				t.Fatalf("%s at byte %d: recovered seq %d at position %d, want %d", what, p, got[i], i, seqs[i])
+			}
+		}
+		st := s.Stats()
+		if st.Corrupt != detectable {
+			t.Fatalf("%s at byte %d: corrupt = %v, want %v", what, p, st.Corrupt, detectable)
+		}
+		if detectable && st.NextSeq <= last {
+			t.Fatalf("%s at byte %d: NextSeq %d not past the group's last sequence %d", what, p, st.NextSeq, last)
+		}
+		if want > 0 && st.NextSeq <= seqs[want-1] {
+			t.Fatalf("%s at byte %d: NextSeq %d not past recovered sequence %d", what, p, st.NextSeq, seqs[want-1])
+		}
+	}
+	for p := bounds[0][0]; p < int64(len(raw)); p++ {
+		onBoundary := false
+		for _, b := range bounds {
+			onBoundary = onBoundary || b[0] == p
+		}
+		check("truncate", p, raw[:p], !onBoundary)
+		flipped := append([]byte(nil), raw...)
+		flipped[p] ^= 0xA5
+		check("flip", p, flipped, true)
+	}
+}
+
+// refRecover is the fuzz oracle: an independent walk of one segment's
+// bytes under the documented format and the intact-prefix rule,
+// returning each record still pending (seq → destination mask) and
+// whether the whole file parsed.
+func refRecover(raw []byte) (pending map[uint64]uint64, clean bool) {
+	le := binary.LittleEndian
+	pending = map[uint64]uint64{}
+	if len(raw) < segHeader || le.Uint32(raw[0:4]) != segMagic || le.Uint16(raw[4:6]) != segVersion ||
+		crc32.ChecksumIEEE(raw[0:16]) != le.Uint32(raw[16:20]) {
+		return pending, false
+	}
+	rest := raw[segHeader:]
+	for len(rest) >= recHeader {
+		plen := uint64(le.Uint32(rest[0:4]))
+		if plen == 0 || plen > maxPayloadBytes || plen > uint64(len(rest)-recHeader) {
+			return pending, false
+		}
+		payload := rest[recHeader : recHeader+plen]
+		if crc32.ChecksumIEEE(payload) != le.Uint32(rest[4:8]) {
+			return pending, false
+		}
+		switch {
+		case payload[0] == kindData && plen >= dataHeader:
+			if mask := le.Uint64(payload[16:24]); mask != 0 {
+				pending[le.Uint64(payload[8:16])] = mask
+			}
+		case payload[0] == kindAck && plen == ackLen:
+			seq, node := le.Uint64(payload[8:16]), le.Uint32(payload[4:8])
+			if node < 64 && pending[seq]&(1<<node) != 0 {
+				if pending[seq] &^= 1 << node; pending[seq] == 0 {
+					delete(pending, seq)
+				}
+			}
+		default:
+			return pending, false
+		}
+		rest = rest[recHeader+plen:]
+	}
+	return pending, len(rest) == 0
+}
+
+// FuzzSpoolRecover opens a spool over arbitrary segment bytes. Recovery
+// must never panic, must flag exactly the files the oracle cannot parse
+// to the end, must hold pending exactly the oracle's intact prefix, and
+// must never hand back a frame longer than the file it came from — a
+// length field is only ever believed up to the bytes actually present.
+func FuzzSpoolRecover(f *testing.F) {
+	// Seeds: one 16-record group with five of its records acked behind
+	// it, whole, and cut and flipped at points spread over the file.
+	srcDir := f.TempDir()
+	s, err := Open(Options{Dir: srcDir})
+	if err != nil {
+		f.Fatal(err)
+	}
+	group := make([]Entry, 16)
+	for i := range group {
+		group[i] = Entry{Slot: i, Dests: 0b11, Frame: testFrame(f, int64(i)*100, 2+i%3)}
+	}
+	if _, err := s.AppendGroup(group); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.AckBatch(pendingSeqs(f, s, 0)[:5], 0); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(srcDir, "spool-00000000.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add([]byte{})
+	for i := 1; i < 12; i++ {
+		p := len(raw) * i / 12
+		f.Add(raw[:p])
+		flipped := append([]byte(nil), raw...)
+		flipped[p] ^= 0xA5
+		f.Add(flipped)
+	}
+	f.Fuzz(func(t *testing.T, seg []byte) {
+		s, err := reopenScratch(t, srcDir, seg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		want, clean := refRecover(seg)
+		st := s.Stats()
+		if st.Corrupt == clean {
+			t.Fatalf("corrupt = %v, oracle parsed cleanly = %v", st.Corrupt, clean)
+		}
+		if st.PendingRecords != len(want) {
+			t.Fatalf("%d pending records, oracle has %d", st.PendingRecords, len(want))
+		}
+		for node := 0; node < 64; node++ {
+			var wantSeqs []uint64
+			for seq, mask := range want {
+				if mask&(1<<uint(node)) != 0 {
+					wantSeqs = append(wantSeqs, seq)
+				}
+			}
+			sort.Slice(wantSeqs, func(a, b int) bool { return wantSeqs[a] < wantSeqs[b] })
+			recs, err := s.PendingForNode(node, 0, 0)
+			if err != nil {
+				t.Fatalf("node %d: reload: %v", node, err)
+			}
+			if len(recs) != len(wantSeqs) {
+				t.Fatalf("node %d: %d pending, oracle has %v", node, len(recs), wantSeqs)
+			}
+			for i, r := range recs {
+				if r.Seq != wantSeqs[i] || r.Dests != want[r.Seq] {
+					t.Fatalf("node %d: pending[%d] = seq %d mask %b, oracle has seq %d mask %b", node, i, r.Seq, r.Dests, wantSeqs[i], want[wantSeqs[i]])
+				}
+				if len(r.Frame) > len(seg) {
+					t.Fatalf("node %d: seq %d reloaded %d frame bytes from a %d-byte segment", node, r.Seq, len(r.Frame), len(seg))
+				}
+				if st.NextSeq <= r.Seq {
+					t.Fatalf("NextSeq %d not past pending sequence %d", st.NextSeq, r.Seq)
+				}
+			}
+		}
+	})
 }

@@ -12,12 +12,17 @@
 // Shards deduplicate on (sender, seq), which makes replay after a
 // crash or a redelivery after an ambiguous failure idempotent.
 //
-// Durability model: Append returns only after the record bytes have
-// reached the file and fsync has covered them. Concurrent appenders
-// share fsyncs (group commit): whichever appender syncs first covers
-// everything written before it, and the rest return without issuing
-// their own. Ack records are appended without an immediate sync — a
-// lost ack merely causes a redelivery that the shard deduplicates.
+// Durability model: AppendGroup returns only after every record of the
+// group has reached the file and one fsync has covered them all — the
+// group is one Write and one Sync, however many frames it carries, and
+// no sequence number leaves the spool before that. Each frame is still
+// its own CRC'd record with its own sequence number and destination
+// mask, so recovery, acks and (sender, seq) dedup see no difference
+// between a group of sixteen and sixteen single appends. Appenders on
+// different goroutines additionally share fsyncs: whichever syncs first
+// covers everything written before it. Ack records are appended without
+// a sync — a lost ack merely causes a redelivery that the shard
+// deduplicates.
 //
 // Recovery scans segments in order and keeps every record up to the
 // first corruption (CRC mismatch, truncated tail, bad header);
@@ -36,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -46,15 +52,16 @@ import (
 	"geomob/internal/obs"
 )
 
-// Spool metrics (DESIGN.md §12). Appends time the full durability path
-// including the group-commit fsync; fsyncs count Sync calls actually
-// issued, so appends/fsyncs is the group-commit sharing ratio. Ack
+// Spool metrics (DESIGN.md §12). Appends count frames and fsyncs count
+// Sync calls actually issued, so appends/fsyncs is the group-commit
+// sharing ratio (16 for a request touching every slot); append_seconds
+// times one group's full durability path, write plus fsync. Ack
 // counters cover delivery acknowledgements only — boot replay restores
 // pending state without touching them.
 var (
 	mWalAppends     = obs.Def.Counter("geomob_wal_appends_total", "Batch frames durably appended to the ingest spool.")
 	mWalAppendBytes = obs.Def.Counter("geomob_wal_append_bytes_total", "Payload bytes durably appended to the ingest spool.")
-	mWalAppendSecs  = obs.Def.Histogram("geomob_wal_append_seconds", "Latency of one durable spool append including fsync.", nil)
+	mWalAppendSecs  = obs.Def.Histogram("geomob_wal_append_seconds", "Latency of one durable spool group append including fsync.", nil)
 	mWalFsyncs      = obs.Def.Counter("geomob_wal_fsyncs_total", "fsync calls issued by the spool (group commit shares them).")
 	mWalAcks        = obs.Def.Counter("geomob_wal_acks_total", "Per-node delivery acknowledgements recorded in the spool.")
 	mWalReplayed    = obs.Def.Counter("geomob_wal_replayed_frames_total", "Still-pending frames restored from spool segments at boot.")
@@ -424,22 +431,33 @@ func (s *Spool) ensureActiveLocked() error {
 	return nil
 }
 
-// appendRecordLocked writes one CRC-framed record to the active
-// segment. Caller holds mu.
-func (s *Spool) appendRecordLocked(payload []byte) error {
+// writeLocked appends already-framed records to the active segment in
+// one Write, returning the segment index and offset they start at. A
+// failed or short write is rolled back (truncate + seek) so whatever
+// is appended next does not sit behind a torn record that recovery
+// would stop at. Caller holds mu.
+func (s *Spool) writeLocked(recs []byte) (seg int, off int64, err error) {
 	if err := s.ensureActiveLocked(); err != nil {
-		return err
+		return 0, 0, err
 	}
-	buf := make([]byte, recHeader+len(payload))
+	if _, err := s.f.Write(recs); err != nil {
+		if terr := s.f.Truncate(s.fSize); terr == nil {
+			_, _ = s.f.Seek(s.fSize, io.SeekStart)
+		}
+		return 0, 0, err
+	}
+	off = s.fSize
+	s.fSize += int64(len(recs))
+	return s.fIdx, off, nil
+}
+
+// sealRecord fills the 8-byte record header (payload length, payload
+// CRC) of the record occupying buf[start:].
+func sealRecord(buf []byte, start int) {
 	le := binary.LittleEndian
-	le.PutUint32(buf[0:4], uint32(len(payload)))
-	le.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recHeader:], payload)
-	if _, err := s.f.Write(buf); err != nil {
-		return err
-	}
-	s.fSize += int64(len(buf))
-	return nil
+	payload := buf[start+recHeader:]
+	le.PutUint32(buf[start:], uint32(len(payload)))
+	le.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
 }
 
 // FrameRows peeks the record count out of a PR 6 binary batch frame
@@ -451,57 +469,95 @@ func FrameRows(frame []byte) int {
 	return int(binary.LittleEndian.Uint32(frame[12:16]))
 }
 
+// Entry is one frame of a group append: the placement slot it belongs
+// to, the bitmask of replica node indexes owed it, and the frame bytes.
+type Entry struct {
+	Slot  int
+	Dests uint64
+	Frame []byte
+}
+
 // Append durably spools one batch frame bound for the replica nodes in
-// destMask and returns its sequence number. On return the record has
-// been fsynced — this is the cluster's ingest acknowledgement point.
+// destMask and returns its sequence number — AppendGroup of one.
 func (s *Spool) Append(slot int, destMask uint64, frame []byte) (uint64, error) {
-	if destMask == 0 {
-		return 0, fmt.Errorf("wal: empty destination mask")
+	return s.AppendGroup([]Entry{{Slot: slot, Dests: destMask, Frame: frame}})
+}
+
+// AppendGroup durably spools the entries as consecutive records and
+// returns the first one's sequence number; entry i holds first+i. The
+// records are built in one buffer, written with one Write and covered
+// by one fsync before this returns — the cluster's ingest
+// acknowledgement point, paid once per request rather than once per
+// slot. If the write fails no entry is pending; on any error none of the
+// sequence numbers is ever issued again.
+func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
+	if len(es) == 0 {
+		return 0, fmt.Errorf("wal: empty append group")
 	}
-	if slot < 0 || slot > 255 {
-		return 0, fmt.Errorf("wal: slot %d out of range", slot)
+	size := 0
+	for _, e := range es {
+		if e.Dests == 0 {
+			return 0, fmt.Errorf("wal: empty destination mask")
+		}
+		if e.Slot < 0 || e.Slot > 255 {
+			return 0, fmt.Errorf("wal: slot %d out of range", e.Slot)
+		}
+		size += recHeader + dataHeader + len(e.Frame)
 	}
 	t0 := time.Now()
-	rows := FrameRows(frame)
-	payload := make([]byte, dataHeader+len(frame))
 	le := binary.LittleEndian
-	payload[0] = kindData
-	payload[1] = byte(slot)
-	le.PutUint32(payload[4:8], uint32(rows))
-	le.PutUint64(payload[16:24], destMask)
-	copy(payload[dataHeader:], frame)
 
 	s.mu.Lock()
-	seq := s.nextSeq
-	le.PutUint64(payload[8:16], seq)
-	// Recompute nothing: appendRecordLocked CRCs the payload as given.
-	if err := s.appendRecordLocked(payload); err != nil {
+	first = s.nextSeq
+	buf := make([]byte, 0, size)
+	recs := make([]prec, len(es))
+	for i, e := range es {
+		start := len(buf)
+		rows := FrameRows(e.Frame)
+		var hdr [recHeader + dataHeader]byte
+		p := hdr[recHeader:]
+		p[0] = kindData
+		p[1] = byte(e.Slot)
+		le.PutUint32(p[4:8], uint32(rows))
+		le.PutUint64(p[8:16], first+uint64(i))
+		le.PutUint64(p[16:24], e.Dests)
+		buf = append(append(buf, hdr[:]...), e.Frame...)
+		sealRecord(buf, start)
+		recs[i] = prec{
+			seq:  first + uint64(i),
+			slot: uint8(e.Slot),
+			mask: e.Dests,
+			rows: int32(rows),
+			off:  int64(start),
+			n:    int32(len(buf) - start),
+		}
+	}
+	seg, base, err := s.writeLocked(buf)
+	// The range is burned even when the write failed: a group that fails
+	// part-way may have left whole records on disk, and a sequence
+	// recovered from there must never also name a later payload.
+	s.nextSeq = first + uint64(len(es))
+	if err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	s.nextSeq = seq + 1
-	rec := &prec{
-		seq:  seq,
-		slot: uint8(slot),
-		mask: destMask,
-		rows: int32(rows),
-		seg:  s.fIdx,
-		off:  s.fSize - int64(recHeader+len(payload)),
-		n:    int32(recHeader + len(payload)),
+	for i := range recs {
+		rec := &recs[i]
+		rec.seg, rec.off = seg, base+rec.off
+		s.index[rec.seq] = rec
+		s.addPending(rec, rec.mask)
 	}
-	s.index[seq] = rec
-	s.segPending[rec.seg]++
-	s.addPending(rec, destMask)
-	f, fileIdx, target := s.f, s.fIdx, s.fSize
+	s.segPending[seg] += len(recs)
+	f, target := s.f, s.fSize
 	s.mu.Unlock()
 
-	err := s.syncTo(f, fileIdx, target)
-	if err == nil {
-		mWalAppends.Inc()
-		mWalAppendBytes.Add(int64(len(payload)))
-		mWalAppendSecs.Observe(time.Since(t0).Seconds())
+	if err := s.syncTo(f, seg, target); err != nil {
+		return 0, err
 	}
-	return seq, err
+	mWalAppends.Add(int64(len(es)))
+	mWalAppendBytes.Add(int64(size - len(es)*recHeader))
+	mWalAppendSecs.Observe(time.Since(t0).Seconds())
+	return first, nil
 }
 
 // syncTo implements group commit: returns once bytes [0, target) of
@@ -538,54 +594,24 @@ func (s *Spool) syncTo(f *os.File, fileIdx int, target int64) error {
 	return nil
 }
 
-// Ack marks seq delivered to node. When every destination has acked,
-// the record is dropped and its segment reclaimed once empty. Acks are
-// logged but not individually fsynced: a lost ack is redelivered and
-// deduplicated by the shard.
+// Ack marks seq delivered to node — AckBatch of one.
 func (s *Spool) Ack(seq uint64, node int) error {
-	if node < 0 || node >= 64 {
-		return fmt.Errorf("wal: node %d out of range", node)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.clearPendingLocked(seq, node) {
-		return nil
-	}
-	mWalAcks.Inc()
-	payload := make([]byte, ackLen)
-	le := binary.LittleEndian
-	payload[0] = kindAck
-	le.PutUint32(payload[4:8], uint32(node))
-	le.PutUint64(payload[8:16], seq)
-	return s.appendRecordLocked(payload)
+	return s.AckBatch([]uint64{seq}, node)
 }
 
-// AckBatch marks several sequences delivered to node in one locked
-// pass — the lane's companion to a batched shard delivery: one lock
-// acquisition and one contiguous run of ack records instead of one
-// round trip per frame. Like Ack, the records are logged but not
-// individually fsynced; a lost ack redelivers and deduplicates.
+// AckBatch marks the sequences delivered to node — the lane's companion
+// to a batched shard delivery: one lock acquisition and one Write
+// carrying the drain's ack records. When every destination of a record
+// has acked, it is dropped and its segment reclaimed once empty. Acks
+// are logged but not fsynced: a lost ack is redelivered and
+// deduplicated by the shard.
 func (s *Spool) AckBatch(seqs []uint64, node int) error {
 	if node < 0 || node >= 64 {
 		return fmt.Errorf("wal: node %d out of range", node)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	le := binary.LittleEndian
-	for _, seq := range seqs {
-		if !s.clearPendingLocked(seq, node) {
-			continue
-		}
-		mWalAcks.Inc()
-		payload := make([]byte, ackLen)
-		payload[0] = kindAck
-		le.PutUint32(payload[4:8], uint32(node))
-		le.PutUint64(payload[8:16], seq)
-		if err := s.appendRecordLocked(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.ackLocked(seqs, node)
 }
 
 // AckNode force-acks every pending record for node — used when a
@@ -603,21 +629,33 @@ func (s *Spool) AckNode(node int) error {
 		}
 	}
 	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+	return s.ackLocked(seqs, node)
+}
+
+// ackLocked clears node's claim on each still-pending sequence and logs
+// the acks as one write. Caller holds mu.
+func (s *Spool) ackLocked(seqs []uint64, node int) error {
 	le := binary.LittleEndian
+	buf := make([]byte, 0, len(seqs)*(recHeader+ackLen))
 	for _, seq := range seqs {
 		if !s.clearPendingLocked(seq, node) {
 			continue
 		}
 		mWalAcks.Inc()
-		payload := make([]byte, ackLen)
-		payload[0] = kindAck
-		le.PutUint32(payload[4:8], uint32(node))
-		le.PutUint64(payload[8:16], seq)
-		if err := s.appendRecordLocked(payload); err != nil {
-			return err
-		}
+		var rec [recHeader + ackLen]byte
+		p := rec[recHeader:]
+		p[0] = kindAck
+		le.PutUint32(p[4:8], uint32(node))
+		le.PutUint64(p[8:16], seq)
+		start := len(buf)
+		buf = append(buf, rec[:]...)
+		sealRecord(buf, start)
 	}
-	return nil
+	if len(buf) == 0 {
+		return nil
+	}
+	_, _, err := s.writeLocked(buf)
+	return err
 }
 
 // PendingForNode returns up to max pending records destined for node

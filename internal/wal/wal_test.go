@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,7 +13,7 @@ import (
 
 // testFrame builds a small valid binary batch frame whose rows are
 // recognisable by base id.
-func testFrame(t *testing.T, base int64, rows int) []byte {
+func testFrame(t testing.TB, base int64, rows int) []byte {
 	t.Helper()
 	tweets := make([]tweet.Tweet, rows)
 	for i := range tweets {
@@ -28,7 +29,7 @@ func testFrame(t *testing.T, base int64, rows int) []byte {
 	return frame
 }
 
-func pendingSeqs(t *testing.T, s *Spool, node int) []uint64 {
+func pendingSeqs(t testing.TB, s *Spool, node int) []uint64 {
 	t.Helper()
 	recs, err := s.PendingForNode(node, 0, 0)
 	if err != nil {
@@ -277,6 +278,62 @@ func TestSpoolConcurrentAppend(t *testing.T) {
 	}
 }
 
+// TestSpoolAppendGroup: a group is one fsync and one pass through the
+// append histogram however many frames it carries, while every frame
+// stays its own record — own contiguous sequence, slot, mask and row
+// count — and a drain's acks retire them together.
+func TestSpoolAppendGroup(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := make([]Entry, 16)
+	for i := range group {
+		group[i] = Entry{Slot: i, Dests: 0b01 << uint(i%2), Frame: testFrame(t, int64(i), 1+i%3)}
+	}
+	fsyncs, appends := mWalFsyncs.Value(), mWalAppends.Value()
+	first, err := s.AppendGroup(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if df, da := mWalFsyncs.Value()-fsyncs, mWalAppends.Value()-appends; df != 1 || da != 16 {
+		t.Fatalf("group of 16 cost %d fsyncs and counted %d appends, want 1 and 16", df, da)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for node := 0; node < 2; node++ {
+		recs, err := s.PendingForNode(node, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 8 {
+			t.Fatalf("node %d recovered %d records, want 8", node, len(recs))
+		}
+		for j, r := range recs {
+			i := 2*j + node
+			if r.Seq != first+uint64(i) || r.Slot != i || r.Dests != group[i].Dests || r.Rows != 1+i%3 || !bytes.Equal(r.Frame, group[i].Frame) {
+				t.Fatalf("node %d record %d = seq %d slot %d mask %b rows %d, want entry %d of the group (seq %d)", node, j, r.Seq, r.Slot, r.Dests, r.Rows, i, first+uint64(i))
+			}
+		}
+		if got := s.PendingRowsSlotNode(node, 2+node); got != int64(1+(2+node)%3) {
+			t.Fatalf("node %d slot %d owes %d rows", node, 2+node, got)
+		}
+		if err := s.AckBatch(pendingSeqs(t, s, node), node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PendingRecords != 0 || st.NextSeq != first+16 {
+		t.Fatalf("after acking both nodes: %d pending, NextSeq %d, want 0 and %d", st.PendingRecords, st.NextSeq, first+16)
+	}
+}
+
 func TestFrameRows(t *testing.T) {
 	if got := FrameRows(testFrame(t, 0, 7)); got != 7 {
 		t.Fatalf("FrameRows = %d, want 7", got)
@@ -300,6 +357,20 @@ func TestSpoolRejectsBadArgs(t *testing.T) {
 	}
 	if err := s.Ack(1, 64); err == nil {
 		t.Error("out-of-range node accepted")
+	}
+	// One bad entry rejects its whole group before anything is written.
+	ok := Entry{Slot: 1, Dests: 1, Frame: testFrame(t, 0, 1)}
+	for name, group := range map[string][]Entry{
+		"empty group":         nil,
+		"empty mask in group": {ok, {Slot: 2, Frame: ok.Frame}},
+		"bad slot in group":   {ok, {Slot: 300, Dests: 1, Frame: ok.Frame}},
+	} {
+		if _, err := s.AppendGroup(group); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if st := s.Stats(); st.PendingRecords != 0 || st.NextSeq != 1 {
+		t.Errorf("rejected appends left %d pending records and NextSeq %d", st.PendingRecords, st.NextSeq)
 	}
 	if _, err := Open(Options{}); err == nil {
 		t.Error("empty dir accepted")
@@ -344,5 +415,62 @@ func TestSpoolDirLayout(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "spool-00000000.wal")); err != nil {
 		t.Errorf("first segment missing: %v", err)
+	}
+}
+
+// TestSpoolParentFormatReplays opens a spool directory written by the
+// commit before group appends existed (three single appends to slots
+// 4–6 owed to nodes 0 and 1, then node 0's ack of the first): the
+// on-disk layout did not change, so it must replay as is, take a group
+// behind the old records, and drain.
+func TestSpoolParentFormatReplays(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"SENDER", "spool-00000000.wal"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "pr13-spool", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Corrupt || st.NextSeq != 4 {
+		t.Fatalf("reopened parent spool: corrupt=%v NextSeq=%d, want clean and 4", st.Corrupt, st.NextSeq)
+	}
+	if got := fmt.Sprint(pendingSeqs(t, s, 0), pendingSeqs(t, s, 1)); got != "[2 3] [1 2 3]" {
+		t.Fatalf("pending for nodes 0 and 1 = %s, want [2 3] [1 2 3]", got)
+	}
+	recs, err := s.PendingForNode(1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		var b tweet.Batch
+		if err := tweet.NewBatchReader(bytes.NewReader(r.Frame), 0).Read(&b); err != nil {
+			t.Fatalf("seq %d: frame does not decode: %v", r.Seq, err)
+		}
+		if r.Slot != 4+i || r.Rows != 2 || b.Len() != 2 || b.Row(0).UserID != int64(100+i) {
+			t.Fatalf("seq %d: slot %d rows %d first user %d, want slot %d, 2 rows of user %d", r.Seq, r.Slot, r.Rows, b.Row(0).UserID, 4+i, 100+i)
+		}
+	}
+	first, err := s.AppendGroup([]Entry{
+		{Slot: 1, Dests: 0b11, Frame: testFrame(t, 900, 1)},
+		{Slot: 2, Dests: 0b10, Frame: testFrame(t, 901, 1)},
+	})
+	if err != nil || first != 4 {
+		t.Fatalf("group after replay: first seq %d, err %v; want 4", first, err)
+	}
+	for node := 0; node < 2; node++ {
+		if err := s.AckBatch(pendingSeqs(t, s, node), node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.PendingRecords != 0 || st.NextSeq != 6 {
+		t.Fatalf("after draining: %d pending, NextSeq %d; want 0 and 6", st.PendingRecords, st.NextSeq)
 	}
 }
