@@ -896,6 +896,48 @@ func BenchmarkLiveEdgeRefresh(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveColdQuery measures the first full-shape query after a
+// restart (DESIGN.md §11): per op, 120 warm days of the 50k-user feed are
+// restored from their snapshot blobs into a fresh ring (untimed), and the
+// timed part is the one Query that materialises every bucket partial and
+// rollup group the window takes.
+func BenchmarkLiveColdQuery(b *testing.B) {
+	feed, warm, upTo := edgeFeed(b)
+	sh, err := live.NewShape(live.Options{BucketWidth: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := sh.NewAggregator()
+	if err := src.Ingest(feed[:upTo(0, warm)]); err != nil {
+		b.Fatal(err)
+	}
+	var blobs [][]byte
+	if err := src.ExportSnapshots(func(blob []byte) error {
+		blobs = append(blobs, blob)
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		agg := sh.NewAggregator()
+		for _, blob := range blobs {
+			bs, err := sh.DecodeBucketSnapshot(blob)
+			if err != nil {
+				b.Fatal(err)
+			}
+			agg.InjectSnapshot(bs)
+		}
+		b.StartTimer()
+		if _, err := agg.Query(StudyRequest{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blobs)), "buckets/op")
+}
+
 // BenchmarkStoreScan measures full-store scan throughput including
 // checksum verification.
 func BenchmarkStoreScan(b *testing.B) {
@@ -1062,5 +1104,39 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	if c.Value() != int64(b.N) {
 		b.Fatal("count drift")
+	}
+}
+
+// BenchmarkResolverBuild measures constructing the assignment grid of
+// each study configuration — what every process that builds a live.Shape
+// or a Study pays at start (DESIGN.md §6).
+func BenchmarkResolverBuild(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		scale  census.Scale
+		radius float64
+	}{
+		{"national", census.ScaleNational, census.ScaleNational.SearchRadius()},
+		{"state", census.ScaleState, census.ScaleState.SearchRadius()},
+		{"metro", census.ScaleMetropolitan, census.ScaleMetropolitan.SearchRadius()},
+		{"metro500", census.ScaleMetropolitan, 500},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rs, err := census.Australia().Regions(c.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			entries := make([]index.Entry, rs.Len())
+			for i, a := range rs.Areas {
+				entries[i] = index.Entry{ID: int64(i), P: a.Center}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := index.NewResolver(entries, c.radius); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

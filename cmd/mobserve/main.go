@@ -104,8 +104,11 @@ type server struct {
 	// partition mode localShards holds the in-process shards instead,
 	// each owning its per-slot snapshot stores.
 	snaps       *live.SnapshotStore
-	recovery    live.RecoveryStats
+	recovery    recoveryReport
 	localShards []*cluster.LocalShard
+	// boot attributes this process's start-up time to phases; main hands
+	// the server the clock it started before opening the store.
+	boot *bootClock
 
 	// traces retains recent completed request traces (slow and error
 	// traces with priority) for GET /debug/traces (DESIGN.md §13).
@@ -137,8 +140,17 @@ type server struct {
 	slowQuery time.Duration
 }
 
+// recoveryReport is the /healthz recovery block: what boot recovery did,
+// and how long the boot clock's recover phase (snapshot restore plus tail
+// replay) took.
+type recoveryReport struct {
+	live.RecoveryStats
+	Seconds float64 `json:"seconds"`
+}
+
 func newServer(store *tweetdb.Store, workers int) *server {
 	return &server{
+		boot:           newBootClock(),
 		store:          store,
 		workers:        workers,
 		cache:          svcache.New(0),
@@ -164,14 +176,17 @@ func (s *server) enableLive(width time.Duration) error {
 // restart path of DESIGN.md §11. An empty dir keeps the classic full
 // scan.
 func (s *server) enableLiveSnap(width time.Duration, snapDir string) error {
-	agg, err := live.NewAggregator(live.Options{BucketWidth: width})
+	sh, err := live.NewShape(live.Options{BucketWidth: width})
 	if err != nil {
 		return err
 	}
+	s.boot.mark("shape")
+	agg := sh.NewAggregator()
 	if snapDir == "" {
 		if _, err := live.Backfill(agg, s.store); err != nil {
 			return err
 		}
+		s.boot.mark("recover")
 	} else {
 		snaps, err := live.OpenSnapshotStore(snapDir)
 		if err != nil {
@@ -182,7 +197,7 @@ func (s *server) enableLiveSnap(width time.Duration, snapDir string) error {
 			return err
 		}
 		s.snaps = snaps
-		s.recovery = rec
+		s.recovery = recoveryReport{RecoveryStats: rec, Seconds: s.boot.mark("recover").Seconds()}
 	}
 	s.agg = agg
 	return nil
@@ -259,6 +274,7 @@ func (s *server) scaleMapper(scale census.Scale) (*mobility.AreaMapper, error) {
 }
 
 func main() {
+	boot := newBootClock()
 	log.SetFlags(0)
 	log.SetPrefix("mobserve: ")
 
@@ -348,17 +364,19 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		boot.mark("store_open")
 		shard, err := cluster.NewLocalShardSnap(store, live.Options{BucketWidth: *bucket}, *snapDir)
 		if err != nil {
 			log.Fatal(err)
 		}
+		boot.mark("recover") // the shard builds its shape and hydrates its slot rings in one call
 		if *snapDir == "" {
-			log.Printf("shard node: %d records backfilled into %d buckets of %v",
-				shard.Ingested(), shard.Buckets(), *bucket)
+			log.Printf("shard node: %d records backfilled into %d buckets of %v (boot: %v)",
+				shard.Ingested(), shard.Buckets(), *bucket, boot)
 		} else {
 			rec := shard.Recovery()
-			log.Printf("shard node: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) into %d buckets of %v",
-				rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, shard.Buckets(), *bucket)
+			log.Printf("shard node: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) into %d buckets of %v (boot: %v)",
+				rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, shard.Buckets(), *bucket, boot)
 		}
 		node := cluster.NewNode(shard, cluster.NodeOptions{MaxBodyBytes: *maxBody})
 		obs.RegisterBuildMetrics(obs.Def)
@@ -395,6 +413,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
+				boot.mark("store_open")
 				partSnap := ""
 				if *snapDir != "" {
 					partSnap = filepath.Join(*snapDir, fmt.Sprintf("part-%03d", i))
@@ -403,12 +422,13 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
+				boot.mark("recover")
 				if *snapDir != "" {
 					locals = append(locals, shard)
 				}
 				shards = append(shards, shard)
 			}
-			log.Printf("coordinator over %d in-process partitions under %s", *partsN, *dbDir)
+			log.Printf("coordinator over %d in-process partitions under %s (boot: %v)", *partsN, *dbDir, boot)
 		}
 		coord, err := cluster.NewCoordinator(shards, cluster.CoordinatorOptions{
 			Replication: *replicas,
@@ -438,7 +458,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		boot.mark("store_open")
 		s := newServer(store, *workers)
+		s.boot = boot
 		s.maxIngestBytes = *maxBody
 		s.slowQuery = *slowQuery
 		s.traces = obs.NewTraceStore(*traceRetain)
@@ -447,11 +469,11 @@ func main() {
 				log.Fatal(err)
 			}
 			if *snapDir == "" {
-				log.Printf("live aggregation on: %d records backfilled into %d buckets of %v",
-					s.agg.Ingested(), s.agg.Buckets(), *bucket)
+				log.Printf("live aggregation on: %d records backfilled into %d buckets of %v (boot: %v)",
+					s.agg.Ingested(), s.agg.Buckets(), *bucket, boot)
 			} else {
-				log.Printf("live aggregation on: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) of %v",
-					s.recovery.Restored, s.recovery.Backfilled, s.recovery.FullRescan, s.recovery.TailRecords, *bucket)
+				log.Printf("live aggregation on: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) of %v (boot: %v)",
+					s.recovery.Restored, s.recovery.Backfilled, s.recovery.FullRescan, s.recovery.TailRecords, *bucket, boot)
 			}
 		}
 		if err := s.initIngest(); err != nil {
@@ -501,9 +523,13 @@ func main() {
 		WriteTimeout: 120 * time.Second,
 		BaseContext:  func(net.Listener) context.Context { return ctx },
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	log.Printf("serving %s on %s", *dbDir, *addr)
+	go func() { errCh <- srv.Serve(ln) }()
+	log.Printf("serving %s on %s (listen %.3fs, %.3fs since process start)", *dbDir, *addr, boot.mark("listen").Seconds(), boot.total().Seconds())
 
 	select {
 	case err := <-errCh:

@@ -6,11 +6,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux, served by -pprof-addr
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"geomob/internal/cluster"
@@ -66,6 +68,48 @@ func (s *server) registerInstanceMetrics() {
 		r.GaugeFunc("geomob_snapshot_last_unix_ms", "Wall time of the last snapshot commit (ms since epoch).",
 			func() float64 { return float64(s.snaps.Stats().LastUnixMs) })
 	}
+}
+
+// bootClock attributes the time from process start to the listening
+// socket to named phases — store_open, shape, recover (snapshot restore
+// plus tail replay, or the cold backfill), listen. Every mark charges the
+// time since the previous one, so the phases are read off one clock and
+// sum to the boot's wall time; each is exported as
+// geomob_boot_seconds{phase=...}.
+type bootClock struct {
+	start, last time.Time
+	names       []string // phases in the order first marked
+	spent       map[string]time.Duration
+}
+
+func newBootClock() *bootClock {
+	now := time.Now()
+	return &bootClock{start: now, last: now, spent: map[string]time.Duration{}}
+}
+
+// mark closes the phase that began at the previous mark and returns its
+// duration. A phase marked again (one store per partition) accumulates.
+func (c *bootClock) mark(phase string) time.Duration {
+	now := time.Now()
+	d := now.Sub(c.last)
+	c.last = now
+	if _, seen := c.spent[phase]; !seen {
+		c.names = append(c.names, phase)
+	}
+	c.spent[phase] += d
+	obs.Def.Gauge("geomob_boot_seconds", "Seconds this process's boot spent in each phase.", "phase", phase).Set(c.spent[phase].Seconds())
+	return d
+}
+
+// total is the time from process start to the last mark.
+func (c *bootClock) total() time.Duration { return c.last.Sub(c.start) }
+
+func (c *bootClock) String() string {
+	parts := make([]string, len(c.names))
+	for i, name := range c.names {
+		parts[i] = fmt.Sprintf("%s %.3fs", name, c.spent[name].Seconds())
+	}
+	return strings.Join(parts, ", ")
 }
 
 // buildBlock is the /healthz build-and-uptime report.

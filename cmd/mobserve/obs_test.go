@@ -20,6 +20,7 @@ import (
 	"geomob/internal/obs"
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
+	"geomob/internal/tweetdb"
 )
 
 // genTweets builds a small synthetic corpus.
@@ -239,6 +240,34 @@ func TestHealthzShape(t *testing.T) {
 			t.Errorf("latency.query[/v1/stats].p50_ms = %v, want > 0", q["p50_ms"])
 		}
 	}
+
+	// With a snapshot directory the recovery block reports what boot
+	// recovery did and, beside those keys, how long it took.
+	store, err := tweetdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapped := newServer(store, 0)
+	if err := snapped.enableLiveSnap(time.Hour, t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapped.initIngest(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(snapped.routes())
+	defer ts2.Close()
+	recov, ok := fetchJSON(t, ts2.URL+"/healthz")["recovery"].(map[string]any)
+	if !ok {
+		t.Fatal("healthz of a snapshotting server lacks the recovery block")
+	}
+	for _, k := range []string{"restored", "backfilled", "snapshot_errors", "full_rescan", "tail_segments", "tail_records", "seconds"} {
+		if _, ok := recov[k]; !ok {
+			t.Errorf("recovery block missing %q: %v", k, recov)
+		}
+	}
+	if sec, _ := recov["seconds"].(float64); sec <= 0 {
+		t.Errorf("recovery.seconds = %v, want > 0", recov["seconds"])
+	}
 }
 
 // TestMetricsEndToEnd scrapes /metrics around an ingest + query cycle:
@@ -278,6 +307,25 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	checkBucketsMonotone(t, after, "geomob_query_duration_seconds")
 	checkBucketsMonotone(t, after, "geomob_ingest_flush_seconds")
+
+	// The unbounded population query closed day and month groups over the
+	// corpus: the per-tier rollup series moved, and the repeat was served
+	// from the cache above them, not by re-merging.
+	for _, tier := range []string{"24", "720"} {
+		builds := `geomob_ring_rollup_builds_total{tier="` + tier + `"}`
+		if after[builds]-before[builds] < 1 {
+			t.Errorf("%s moved by %g, want >= 1", builds, after[builds]-before[builds])
+		}
+		if _, ok := after[`geomob_ring_rollup_hits_total{tier="`+tier+`"}`]; !ok {
+			t.Errorf("no geomob_ring_rollup_hits_total series for tier %s", tier)
+		}
+	}
+	// The server's boot clock marked the phases enableLive ran.
+	for _, phase := range []string{"shape", "recover"} {
+		if _, ok := after[`geomob_boot_seconds{phase="`+phase+`"}`]; !ok {
+			t.Errorf("no geomob_boot_seconds series for phase %s", phase)
+		}
+	}
 
 	// Counters only ever go up.
 	for k, v := range before {

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -373,5 +376,66 @@ func TestHandoffSnapshotStreaming(t *testing.T) {
 	if recSenders == 0 || snapSenders != 0 {
 		t.Fatalf("snapshot-blind sources should stream records only: %d snapshot senders, %d record senders",
 			snapSenders, recSenders)
+	}
+}
+
+// TestDeliverSnapRejectsUnorderedBlob: a handoff blob whose checksums
+// hold but whose rows are not in canonical order would be folded as
+// sorted and answer wrongly. The receiver must refuse it as a corrupt
+// blob — a permanent delivery error in process, 400 over the wire —
+// before anything reaches its store or ring.
+func TestDeliverSnapRejectsUnorderedBlob(t *testing.T) {
+	opts := live.Options{BucketWidth: 7 * 24 * time.Hour}
+	src, err := NewLocalShard(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Ingest(tweet.BatchOf(failoverCorpus(t, 200, 71, 73))); err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	slot := -1
+	for k := 0; k < ring.Slots && blob == nil; k++ {
+		slot = k
+		err := src.ExportSnap(k, func(b []byte) error {
+			// The row count is at byte 32 of the header; two rows are enough
+			// to be out of order.
+			if blob == nil && binary.LittleEndian.Uint32(b[32:]) >= 2 {
+				blob = b
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if blob == nil {
+		t.Fatal("no exported bucket holds two rows")
+	}
+	unordered := testx.SwapSnapshotRows(blob, 0, 1)
+
+	store, err := tweetdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewLocalShard(store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = dst.DeliverSnap("handoffsnap:test", 1, slot, unordered)
+	if !errors.Is(err, live.ErrBadInput) || !errors.Is(err, live.ErrSnapshotCorrupt) {
+		t.Fatalf("DeliverSnap of an unordered blob: %v, want ErrBadInput wrapping ErrSnapshotCorrupt", err)
+	}
+	srv := httptest.NewServer(NewNode(dst, NodeOptions{}))
+	defer srv.Close()
+	if err := NewHTTPShard(srv.URL, nil).DeliverSnap("handoffsnap:test", 1, slot, unordered); !errors.Is(err, errPermanent) {
+		t.Fatalf("DeliverSnap of an unordered blob over HTTP: %v, want a permanent (4xx) rejection", err)
+	}
+	if h, err := dst.Health(); err != nil || h.Tweets != 0 || h.Ingested != 0 {
+		t.Fatalf("rejected blob left state behind: health %+v, err %v", h, err)
+	}
+	// The blob as exported is accepted: the rejection was about the order.
+	if err := dst.DeliverSnap("handoffsnap:test", 1, slot, blob); err != nil {
+		t.Fatalf("DeliverSnap of the exported blob: %v", err)
 	}
 }

@@ -12,6 +12,7 @@ package index
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"geomob/internal/geo"
 )
@@ -178,11 +179,67 @@ func (r *Resolver) build(entBox geo.BBox) {
 	}
 
 	r.cells = make([]int32, nx*ny)
+	for i := range r.cells {
+		r.cells[i] = cellNoEntry
+	}
 	r.candStart = []int32{0}
+
+	// Reach box of every entry in cell indices. A cell outside the padded
+	// radius in latitude or dLonDeg in longitude of an entry has
+	// cellLowerBound > radius for it, so the entry is no candidate there,
+	// and neither can its (larger still) upper bound be the dominance
+	// cut-off of an entry that is. Classifying a cell against only the
+	// entries whose box covers it therefore gives exactly the result of
+	// classifying it against all of them (DESIGN.md §6); the one-cell
+	// margin keeps that true under rounding of the index arithmetic.
+	type cellBox struct{ ix0, ix1, iy0, iy1 int }
+	cellOf := func(deg, inv float64, margin, n int) int {
+		return min(max(int(math.Floor(deg*inv))+margin, 0), n-1)
+	}
+	reach := make([]cellBox, len(r.pts))
+	for j, q := range r.pts {
+		reach[j] = cellBox{
+			ix0: cellOf(q.Lon-dLonDeg-r.minLon, r.invCellLon, -1, nx),
+			ix1: cellOf(q.Lon+dLonDeg-r.minLon, r.invCellLon, +1, nx),
+			iy0: cellOf(q.Lat-rDeg-r.minLat, r.invCellLat, -1, ny),
+			iy1: cellOf(q.Lat+rDeg-r.minLat, r.invCellLat, +1, ny),
+		}
+	}
+
 	lb := make([]float64, len(r.pts))
 	ub := make([]float64, len(r.pts))
 	scratch := make([]int32, 0, len(r.pts))
+	// Per row, the entries in reach of each cell in ascending slot order:
+	// rowEnts[rowStart[ix]:rowStart[ix+1]], laid out by a counting sort.
+	rowStart := make([]int32, nx+1)
+	rowNext := make([]int32, nx)
+	var rowEnts []int32
 	for iy := 0; iy < ny; iy++ {
+		clear(rowStart)
+		for _, b := range reach {
+			if iy >= b.iy0 && iy <= b.iy1 {
+				for ix := b.ix0; ix <= b.ix1; ix++ {
+					rowStart[ix+1]++
+				}
+			}
+		}
+		for ix := 0; ix < nx; ix++ {
+			rowStart[ix+1] += rowStart[ix]
+		}
+		if rowStart[nx] == 0 {
+			continue
+		}
+		rowEnts = slices.Grow(rowEnts[:0], int(rowStart[nx]))[:rowStart[nx]]
+		copy(rowNext, rowStart)
+		for j, b := range reach {
+			if iy >= b.iy0 && iy <= b.iy1 {
+				for ix := b.ix0; ix <= b.ix1; ix++ {
+					rowEnts[rowNext[ix]] = int32(j)
+					rowNext[ix]++
+				}
+			}
+		}
+
 		latLo := r.minLat + float64(iy)*cellLat
 		latHi := latLo + cellLat
 		// Bounds on cos(latitude) over the cell's lat range: the floor
@@ -192,11 +249,16 @@ func (r *Resolver) build(entBox geo.BBox) {
 		halfDiag := 0.5*cellLat*geo.MetersPerDegreeLat +
 			0.5*cellLon*geo.MetersPerDegreeLat*cosCellCeil
 		for ix := 0; ix < nx; ix++ {
+			inReach := rowEnts[rowStart[ix]:rowStart[ix+1]]
+			if len(inReach) == 0 {
+				continue
+			}
 			lonLo := r.minLon + float64(ix)*cellLon
 			lonHi := lonLo + cellLon
 			center := geo.Point{Lat: (latLo + latHi) / 2, Lon: (lonLo + lonHi) / 2}
 			minUB := math.Inf(1)
-			for j, q := range r.pts {
+			for _, j := range inReach {
+				q := r.pts[j]
 				lb[j] = cellLowerBound(q, latLo, latHi, lonLo, lonHi, cosCellFloor)
 				ub[j] = geo.Haversine(q, center) + halfDiag
 				if ub[j] < minUB {
@@ -207,21 +269,19 @@ func (r *Resolver) build(entBox geo.BBox) {
 			// in the cell (lb <= radius) and is not strictly dominated
 			// everywhere by another entry (lb <= minUB).
 			scratch = scratch[:0]
-			for j := range r.pts {
+			for _, j := range inReach {
 				if lb[j] <= r.radius && lb[j] <= minUB {
-					scratch = append(scratch, int32(j))
+					scratch = append(scratch, j)
 				}
 			}
 			ci := iy*nx + ix
 			switch {
 			case len(scratch) == 0:
-				r.cells[ci] = cellNoEntry
-				r.resolved++
+				// stays cellNoEntry
 			case len(scratch) == 1 && ub[scratch[0]] <= r.radius:
 				// Single surviving entry, whole cell within its radius:
 				// every point in the cell resolves to it.
 				r.cells[ci] = scratch[0]
-				r.resolved++
 			default:
 				r.cells[ci] = cellListBase - int32(len(r.candStart)-1)
 				r.cands = append(r.cands, scratch...)
@@ -229,6 +289,7 @@ func (r *Resolver) build(entBox geo.BBox) {
 			}
 		}
 	}
+	r.resolved = len(r.cells) - (len(r.candStart) - 1)
 }
 
 // bandCosFloor returns the minimum of cos(latitude) over [latLo, latHi]

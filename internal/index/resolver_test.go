@@ -1,10 +1,13 @@
 package index
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
+	"geomob/internal/census"
 	"geomob/internal/geo"
 )
 
@@ -305,5 +308,238 @@ func TestGridRadiusAntimeridianWrap(t *testing.T) {
 	// Both seam entries must see each other within 25 km.
 	if got := g.Radius(east.P, 25_000); len(got) != 2 {
 		t.Errorf("east seam query found %d entries, want 2 (east+west)", len(got))
+	}
+}
+
+// buildExhaustive is the reference the reach-bounded Resolver.build must
+// equal bit for bit: the same band and cell layout, but every cell
+// classified against every entry, O(cells × entries).
+func (r *Resolver) buildExhaustive(entBox geo.BBox) {
+	pad := r.radius * resolverBandSlack
+	rDeg := pad / geo.MetersPerDegreeLat
+	r.minLat = math.Max(entBox.MinLat-rDeg, -90)
+	r.maxLat = math.Min(entBox.MaxLat+rDeg, 90)
+
+	// cosFloor over the whole lat band: the longitude reach of the radius
+	// and the cell lower bounds both need it. Near the poles the bounds
+	// collapse; fall back to the tree.
+	cosFloor := bandCosFloor(r.minLat, r.maxLat)
+	if cosFloor < resolverCosFloorMin {
+		r.degenerate = true
+		return
+	}
+	// Longitude reach of the padded radius anywhere in the band, from the
+	// haversine identity sin²(d/2R) >= cosφ₁·cosφ₂·sin²(Δλ/2): a point
+	// within pad metres of an entry differs by at most dLonDeg degrees.
+	sinHalf := math.Sin(pad/(2*geo.EarthRadius)) / cosFloor
+	if sinHalf >= 1 {
+		r.degenerate = true
+		return
+	}
+	dLonDeg := 2 * math.Asin(sinHalf) * 180 / math.Pi
+	r.minLon = entBox.MinLon - dLonDeg
+	r.maxLon = entBox.MaxLon + dLonDeg
+	if r.minLon < -180 || r.maxLon > 180 {
+		// The band would cross the antimeridian; the gap arithmetic below
+		// assumes it does not. Exactness beats coverage: use the tree.
+		r.degenerate = true
+		return
+	}
+
+	// Cell extents: ~resolverCellFraction of the radius per side, capped
+	// at resolverMaxCells total, then stretched to tile the band exactly.
+	target := r.radius * resolverCellFraction
+	if target <= 0 {
+		target = 1 // radius 0: any cell size is sound, resolve by candidates
+	}
+	cellLat := target / geo.MetersPerDegreeLat
+	cellLon := target / (geo.MetersPerDegreeLat * math.Max(cosFloor, resolverCosFloorMin))
+	latSpan := r.maxLat - r.minLat
+	lonSpan := r.maxLon - r.minLon
+	ny := int(math.Ceil(latSpan / cellLat))
+	nx := int(math.Ceil(lonSpan / cellLon))
+	if ny < 1 {
+		ny = 1
+	}
+	if nx < 1 {
+		nx = 1
+	}
+	if total := float64(nx) * float64(ny); total > resolverMaxCells {
+		scale := math.Sqrt(total / resolverMaxCells)
+		ny = int(math.Ceil(float64(ny) / scale))
+		nx = int(math.Ceil(float64(nx) / scale))
+	}
+	r.nx, r.ny = nx, ny
+	cellLat = latSpan / float64(ny)
+	cellLon = lonSpan / float64(nx)
+	if cellLat > 0 {
+		r.invCellLat = 1 / cellLat
+	}
+	if cellLon > 0 {
+		r.invCellLon = 1 / cellLon
+	}
+
+	r.cells = make([]int32, nx*ny)
+	r.candStart = []int32{0}
+	lb := make([]float64, len(r.pts))
+	ub := make([]float64, len(r.pts))
+	scratch := make([]int32, 0, len(r.pts))
+	for iy := 0; iy < ny; iy++ {
+		latLo := r.minLat + float64(iy)*cellLat
+		latHi := latLo + cellLat
+		// Bounds on cos(latitude) over the cell's lat range: the floor
+		// tightens entry lower bounds, the ceiling caps the half-diagonal.
+		cosCellFloor := bandCosFloor(latLo, latHi)
+		cosCellCeil := bandCosCeil(latLo, latHi)
+		halfDiag := 0.5*cellLat*geo.MetersPerDegreeLat +
+			0.5*cellLon*geo.MetersPerDegreeLat*cosCellCeil
+		for ix := 0; ix < nx; ix++ {
+			lonLo := r.minLon + float64(ix)*cellLon
+			lonHi := lonLo + cellLon
+			center := geo.Point{Lat: (latLo + latHi) / 2, Lon: (lonLo + lonHi) / 2}
+			minUB := math.Inf(1)
+			for j, q := range r.pts {
+				lb[j] = cellLowerBound(q, latLo, latHi, lonLo, lonHi, cosCellFloor)
+				ub[j] = geo.Haversine(q, center) + halfDiag
+				if ub[j] < minUB {
+					minUB = ub[j]
+				}
+			}
+			// An entry is a candidate only if it can be assigned somewhere
+			// in the cell (lb <= radius) and is not strictly dominated
+			// everywhere by another entry (lb <= minUB).
+			scratch = scratch[:0]
+			for j := range r.pts {
+				if lb[j] <= r.radius && lb[j] <= minUB {
+					scratch = append(scratch, int32(j))
+				}
+			}
+			ci := iy*nx + ix
+			switch {
+			case len(scratch) == 0:
+				r.cells[ci] = cellNoEntry
+				r.resolved++
+			case len(scratch) == 1 && ub[scratch[0]] <= r.radius:
+				// Single surviving entry, whole cell within its radius:
+				// every point in the cell resolves to it.
+				r.cells[ci] = scratch[0]
+				r.resolved++
+			default:
+				r.cells[ci] = cellListBase - int32(len(r.candStart)-1)
+				r.cands = append(r.cands, scratch...)
+				r.candStart = append(r.candStart, int32(len(r.cands)))
+			}
+		}
+	}
+}
+
+// exhaustiveResolver lays out the entries as NewResolver does and builds
+// the grid with the exhaustive reference classifier.
+func exhaustiveResolver(entries []Entry, radius float64) *Resolver {
+	r := &Resolver{radius: radius}
+	entBox := geo.EmptyBBox()
+	for _, e := range entries {
+		r.ids = append(r.ids, e.ID)
+		r.pts = append(r.pts, e.P)
+		entBox = entBox.Extend(e.P)
+	}
+	r.buildExhaustive(entBox)
+	return r
+}
+
+// checkBuildMatchesExhaustive asserts every field the build writes equals
+// the exhaustive reference.
+func checkBuildMatchesExhaustive(t *testing.T, name string, entries []Entry, radius float64) *Resolver {
+	t.Helper()
+	got, err := NewResolver(entries, radius)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := exhaustiveResolver(entries, radius)
+	if got.degenerate != want.degenerate || got.nx != want.nx || got.ny != want.ny || got.resolved != want.resolved {
+		t.Fatalf("%s: degenerate/nx/ny/resolved = %v/%d/%d/%d, reference %v/%d/%d/%d", name,
+			got.degenerate, got.nx, got.ny, got.resolved, want.degenerate, want.nx, want.ny, want.resolved)
+	}
+	if !slices.Equal(got.cells, want.cells) {
+		t.Fatalf("%s: cells differ from the exhaustive reference (%d cells)", name, len(want.cells))
+	}
+	if !slices.Equal(got.candStart, want.candStart) || !slices.Equal(got.cands, want.cands) {
+		t.Fatalf("%s: candidate lists differ from the exhaustive reference", name)
+	}
+	return got
+}
+
+func areaEntries(t *testing.T, s census.Scale) []Entry {
+	t.Helper()
+	rs, err := census.Australia().Regions(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]Entry, len(rs.Areas))
+	for i, a := range rs.Areas {
+		entries[i] = Entry{ID: int64(i), P: a.Center}
+	}
+	return entries
+}
+
+// TestResolverBuildMatchesExhaustive: the reach-bounded build is the
+// exhaustive build, not an approximation of it — on the four assignment
+// configurations the study runs and on seeded random entry sets across
+// the radii and spreads that change the grid's shape (radius 0, cells a
+// metre wide, a continent of 75 km cells, the resolverMaxCells cap).
+func TestResolverBuildMatchesExhaustive(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		scale  census.Scale
+		radius float64
+	}{
+		{"national", census.ScaleNational, census.ScaleNational.SearchRadius()},
+		{"state", census.ScaleState, census.ScaleState.SearchRadius()},
+		{"metro", census.ScaleMetropolitan, census.ScaleMetropolitan.SearchRadius()},
+		{"metro500", census.ScaleMetropolitan, 500},
+	} {
+		r := checkBuildMatchesExhaustive(t, c.name, areaEntries(t, c.scale), c.radius)
+		if r.degenerate {
+			t.Errorf("%s: study configuration built no grid", c.name)
+		}
+	}
+
+	au := geo.AustraliaBBox
+	sydney := geo.BBox{MinLat: -34.1, MinLon: 150.6, MaxLat: -33.7, MaxLon: 151.3}
+	block := geo.BBox{MinLat: -33.871, MinLon: 151.2, MaxLat: -33.869, MaxLon: 151.202}
+	rng := rand.New(rand.NewPCG(31, 32))
+	// Boxes and spreads are sized so the reference stays affordable:
+	// cells × entries is what the exhaustive classifier pays.
+	for _, c := range []struct {
+		radius    float64
+		box       geo.BBox
+		spreadDeg float64
+	}{
+		{0, block, 0.0005},
+		{0, block, 0},
+		{500, sydney, 0.05},
+		{500, block, 0.3},
+		{2_000, sydney, 0.3},
+		{2_000, sydney, 1},
+		{25_000, sydney, 3},
+		{25_000, au, 5},
+		{50_000, sydney, 1},
+		{50_000, au, 8},
+		{300_000, sydney, 2},
+		{300_000, au, 20},
+	} {
+		for rep := 0; rep < 3; rep++ {
+			n := 1 + rng.IntN(80)
+			name := fmt.Sprintf("random r=%v spread=%v n=%d", c.radius, c.spreadDeg, n)
+			checkBuildMatchesExhaustive(t, name, clusteredEntries(rng, n, c.box, c.spreadDeg), c.radius)
+		}
+	}
+
+	// A continent of 125 m cells: the layout hits resolverMaxCells and
+	// stretches the cells, so the index margin is exercised on cells that
+	// are not the size the radius asked for.
+	capped := checkBuildMatchesExhaustive(t, "max-cells", clusteredEntries(rng, 3, au, 8), 500)
+	if got := capped.nx * capped.ny; capped.degenerate || got < resolverMaxCells/2 {
+		t.Errorf("max-cells: %d cells (degenerate %v), want the grid at its cap", got, capped.degenerate)
 	}
 }

@@ -32,6 +32,7 @@
 package live
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash"
@@ -184,7 +185,7 @@ func NewAggregator(opts Options) (*Aggregator, error) {
 func (sh *Shape) NewAggregator() *Aggregator {
 	a := &Aggregator{Shape: sh, buckets: map[int64]*bucket{}}
 	for _, f := range sh.rollups {
-		a.tiers = append(a.tiers, &rollupTier{factor: f, groups: map[int64]*rollupGroup{}})
+		a.tiers = append(a.tiers, newRollupTier(f))
 	}
 	return a
 }
@@ -247,24 +248,14 @@ func NewShape(opts Options) (*Shape, error) {
 			return nil, err
 		}
 	}
-	// The grid resolvers are independent and immutable and dominate boot
-	// time, so they build concurrently; errors report in slot order.
 	mappers := make([]*mobility.AreaMapper, len(radii))
-	errs := make([]error, len(radii))
-	var wg sync.WaitGroup
 	for s := range radii {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			mappers[s], errs[s] = mobility.NewAreaMapper(a.regions[s], radii[s])
-		}()
-	}
-	wg.Wait()
-	for s, err := range errs {
+		m, err := mobility.NewAreaMapper(a.regions[s], radii[s])
 		if err != nil {
 			return nil, fmt.Errorf("live: mapper for %s at radius %g: %w", a.regions[s].Scale, radii[s], err)
 		}
-		a.slotRadius = append(a.slotRadius, mappers[s].Radius())
+		mappers[s] = m
+		a.slotRadius = append(a.slotRadius, m.Radius())
 	}
 	msm, err := mobility.NewMultiScaleMapper(mappers...)
 	if err != nil {
@@ -511,7 +502,11 @@ type bucketOrder struct {
 
 func (s *bucketOrder) Len() int { return len(s.b.tweets) }
 func (s *bucketOrder) Less(i, j int) bool {
-	a, b := s.b.tweets[i], s.b.tweets[j]
+	return canonicalLess(&s.b.tweets[i], &s.b.tweets[j])
+}
+
+// canonicalLess is the (user, time, id) order of tweet.ByUserTime.
+func canonicalLess(a, b *tweet.Tweet) bool {
 	if a.UserID != b.UserID {
 		return a.UserID < b.UserID
 	}
@@ -589,6 +584,12 @@ func (a *Aggregator) collect(lo, hi int64) ([]*partial, error) {
 // set the same span selection runs in counting-only mode — no partials
 // are built, merged, or returned and no build caches or counters are
 // touched — which is what keeps EXPLAIN ANALYZE side-effect-free.
+//
+// The selection only gathers: which groups and buckets the window takes
+// and which of them lack their partial. materialiseLocked then builds
+// everything lacking at once, so a cold ring is materialised on every
+// processor and a warm one — nothing lacking, or the one edge bucket —
+// pays nothing for it.
 func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*partial, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -604,7 +605,12 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 		start int64
 		p     *partial
 	}
-	var spans []span
+	var (
+		spans   []span      // residuals here; groups and full buckets once built
+		groups  []groupPick // the rollup groups taken, coarsest tier first
+		full    []int64     // the fully covered buckets taken one by one
+		missing []*bucket   // those of full whose partial is not materialised
+	)
 	used := make([]bool, len(idxs)) // parallel to idxs
 	// Coarsest tier first. A group is usable only when the window covers
 	// its whole time range — every live bucket inside it contributes
@@ -635,9 +641,8 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 				// Every member bucket holds records, so the merged
 				// rollup partial is necessarily seen.
 				cov.addTier(tier.factor, len(members))
-			} else if p := a.rollupLocked(tier, g, members); p.seen {
-				spans = append(spans, span{start: gLo, p: p})
-				cov.addTier(tier.factor, len(members))
+			} else {
+				groups = append(groups, a.pickGroupLocked(tier, g, members))
 			}
 		}
 	}
@@ -650,9 +655,6 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 			continue
 		}
 		start, end := idx*a.width, (idx+1)*a.width
-		if !dry {
-			ensureSortedLocked(b, a.slots)
-		}
 		if lo > start || hi < end {
 			// Partially covered edge bucket: residual partial over the
 			// in-window slice, built fresh (it depends on the request
@@ -676,6 +678,7 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 				}
 				continue
 			}
+			ensureSortedLocked(b, a.slots)
 			if p := a.buildRange(b, rLo, rHi); p.seen {
 				spans = append(spans, span{start: idx, p: p})
 				cov.addResidual(p.tweets)
@@ -688,20 +691,25 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 			cov.addFull()
 			continue
 		}
-		if p := a.bucketPartLocked(b); p.seen {
+		full = append(full, idx)
+		if b.part == nil {
+			missing = append(missing, b)
+		}
+	}
+	a.materialiseLocked(groups, missing)
+	for _, pk := range groups {
+		if pk.part.seen {
+			spans = append(spans, span{start: pk.g * pk.tier.factor, p: pk.part})
+			cov.addTier(pk.tier.factor, len(pk.members))
+		}
+	}
+	for _, idx := range full {
+		if p := a.buckets[idx].part; p.seen {
 			spans = append(spans, span{start: idx, p: p})
 			cov.addFull()
 		}
 	}
-	slices.SortFunc(spans, func(x, y span) int {
-		if x.start < y.start {
-			return -1
-		}
-		if x.start > y.start {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.start, y.start) })
 	parts := make([]*partial, len(spans))
 	for i, sp := range spans {
 		parts[i] = sp.p
@@ -709,16 +717,49 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 	return parts, nil
 }
 
-// bucketPartLocked returns b's full materialised partial, building it on
-// demand. Caller holds a.mu.
-func (a *Aggregator) bucketPartLocked(b *bucket) *partial {
-	ensureSortedLocked(b, a.slots)
-	if b.part == nil {
-		b.part = a.buildRange(b, math.MinInt64, math.MaxInt64)
-		a.builds.Add(1)
-		mRingBuilds.Inc()
+// materialiseLocked builds what one window's selection lacks: the
+// partial of every bucket in missing and of every member of a stale
+// group, then the stale groups' merges — each batch on every processor.
+// The caller holds a.mu throughout, so nothing else touches the ring; the
+// groups one window takes are disjoint in buckets, a bucket build sorts
+// and reads only its own bucket, a merge only reads finished partials,
+// and both write fresh memory. The cache maps and counters are updated
+// serially afterwards. One missing bucket — the steady edge step — is
+// built inline.
+func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
+	var stale []*groupPick
+	for i := range groups {
+		if pk := &groups[i]; pk.part == nil {
+			stale = append(stale, pk)
+			for _, idx := range pk.members {
+				if b := a.buckets[idx]; b.part == nil {
+					missing = append(missing, b)
+				}
+			}
+		}
 	}
-	return b.part
+	runTasks(len(missing), func(i int) {
+		b := missing[i]
+		ensureSortedLocked(b, a.slots)
+		b.part = a.buildRange(b, math.MinInt64, math.MaxInt64)
+	})
+	a.builds.Add(int64(len(missing)))
+	mRingBuilds.Add(int64(len(missing)))
+	runTasks(len(stale), func(i int) {
+		pk := stale[i]
+		parts := make([]*partial, 0, len(pk.members))
+		for _, idx := range pk.members {
+			if p := a.buckets[idx].part; p.seen {
+				parts = append(parts, p)
+			}
+		}
+		pk.part = a.mergePartials(parts)
+	})
+	for _, pk := range stale {
+		pk.tier.groups[pk.g] = &rollupGroup{fp: pk.fp, part: pk.part}
+		pk.tier.builds.Add(1)
+		pk.tier.mBuilds.Inc()
+	}
 }
 
 // CoverageKey fingerprints the bucket coverage of the record window

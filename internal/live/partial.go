@@ -2,6 +2,7 @@ package live
 
 import (
 	"slices"
+	"sync"
 
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
@@ -205,32 +206,75 @@ func (c *userCursor) siftDown(i int) {
 	}
 }
 
+// partialScratch pools the partials that buildRange and mergePartials
+// grow their columns in. A cold restart materialises thousands of
+// partials at once; grown by append, every column would be reallocated a
+// dozen times and left a quarter empty, and collecting that garbage —
+// not the build — is what the restart would wait for (DESIGN.md §11).
+var partialScratch = sync.Pool{New: func() any { return new(partial) }}
+
+// scratchPartial returns an empty partial of a's shape whose columns
+// reuse pooled capacity. It must be finished with publish.
+func (a *Aggregator) scratchPartial() *partial {
+	w := partialScratch.Get().(*partial)
+	*w = partial{
+		bbox:      geo.EmptyBBox(),
+		flows:     make([]flowAcc, len(a.scales)),
+		users:     w.users[:0],
+		firstArea: w.firstArea[:0],
+		lastArea:  w.lastArea[:0],
+		marks:     w.marks[:0],
+		waits:     w.waits[:0],
+		disps:     w.disps[:0],
+		cells:     w.cells[:0],
+		vecs:      w.vecs[:0],
+	}
+	for s := range w.flows {
+		w.flows[s] = newFlowAcc(len(a.regions[s].Areas))
+	}
+	return w
+}
+
+// publish returns the finished partial: each column copied out of the
+// scratch with one allocation at its final length (nil when empty), the
+// scratch back in the pool.
+func (w *partial) publish() *partial {
+	p := *w
+	p.users = append([]userPart(nil), w.users...)
+	p.firstArea = append([]int16(nil), w.firstArea...)
+	p.lastArea = append([]int16(nil), w.lastArea...)
+	p.marks = append([]uint64(nil), w.marks...)
+	p.waits = append([]float64(nil), w.waits...)
+	p.disps = append([]float64(nil), w.disps...)
+	p.cells = append([]uint64(nil), w.cells...)
+	p.vecs = append([]float64(nil), w.vecs...)
+	w.flows = nil // handed to p
+	partialScratch.Put(w)
+	return &p
+}
+
+// closeCells turns the raw cell ids appended for the last user since
+// u.c0 into the user's sorted distinct set.
+func (p *partial) closeCells(u *userPart) {
+	own := p.cells[u.c0:]
+	slices.Sort(own)
+	u.c1 = u.c0 + len(slices.Compact(own))
+	p.cells = p.cells[:u.c1]
+}
+
 // buildRange materialises the partial for b's records with timestamps in
 // [lo, hi). b must be sorted; the caller holds the aggregator lock (the
-// build reads bucket storage but writes only fresh memory).
+// build reads bucket storage but writes only fresh memory, so builds of
+// different buckets may run side by side under it).
 func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
-	p := &partial{bbox: geo.EmptyBBox(), flows: make([]flowAcc, len(a.scales))}
-	for s := range p.flows {
-		p.flows[s] = newFlowAcc(len(a.regions[s].Areas))
-	}
+	p := a.scratchPartial()
 	slots := a.slots
-	cellSeen := map[uint64]struct{}{}
-	var cellTmp []uint64
 	var cu *userPart
 	closeUser := func() {
-		if cu == nil {
-			return
+		if cu != nil {
+			cu.w1 = len(p.waits)
+			p.closeCells(cu)
 		}
-		cu.w1 = len(p.waits)
-		cellTmp = cellTmp[:0]
-		for c := range cellSeen {
-			cellTmp = append(cellTmp, c)
-		}
-		slices.Sort(cellTmp)
-		cu.c0 = len(p.cells)
-		p.cells = append(p.cells, cellTmp...)
-		cu.c1 = len(p.cells)
-		clear(cellSeen)
 	}
 	prevBase := -1
 	for i := range b.tweets {
@@ -253,7 +297,7 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			closeUser()
 			p.users = append(p.users, userPart{
 				id: t.UserID, firstTS: t.TS, firstPt: pt,
-				w0: len(p.waits), v0: len(p.vecs),
+				w0: len(p.waits), c0: len(p.cells), v0: len(p.vecs),
 			})
 			cu = &p.users[len(p.users)-1]
 			p.firstArea = append(p.firstArea, b.assign[base:base+slots]...)
@@ -276,10 +320,10 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 				p.marks[mbase+a.wordOff[s]+int(ar)>>6] |= 1 << (uint(ar) & 63)
 			}
 		}
-		cellSeen[b.cells[i]] = struct{}{}
+		p.cells = append(p.cells, b.cells[i])
 		p.vecs = append(p.vecs, b.vecs[3*i], b.vecs[3*i+1], b.vecs[3*i+2])
 		prevBase = base
 	}
 	closeUser()
-	return p
+	return p.publish()
 }

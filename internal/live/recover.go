@@ -133,21 +133,28 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 	for _, f := range man.Covered {
 		covered[f] = true
 	}
+	// Bucket files are read, checked and decoded on every processor (the
+	// decoder only reads the immutable shape) and installed in manifest
+	// order, so the ring's revisions do not depend on scheduling.
+	decoded := make([]*BucketSnapshot, len(man.Buckets))
+	runTasks(len(man.Buckets), func(i int) {
+		bm := man.Buckets[i]
+		blob, err := os.ReadFile(filepath.Join(snaps.dir, bm.File))
+		if err != nil {
+			return
+		}
+		if bs, err := a.DecodeBucketSnapshot(blob); err == nil && bs.Idx == bm.Idx && bs.Count() == bm.Count {
+			decoded[i] = bs
+		}
+	})
 	failed := map[int64]bool{}
-	for _, bm := range man.Buckets {
-		blob, rerr := os.ReadFile(filepath.Join(snaps.dir, bm.File))
-		if rerr != nil {
+	for i, bm := range man.Buckets {
+		if decoded[i] == nil {
 			failed[bm.Idx] = true
 			st.SnapErrors++
 			continue
 		}
-		bs, derr := a.DecodeBucketSnapshot(blob)
-		if derr != nil || bs.Idx != bm.Idx || bs.Count() != bm.Count {
-			failed[bm.Idx] = true
-			st.SnapErrors++
-			continue
-		}
-		a.restoreBucket(bs, true)
+		a.restoreBucket(decoded[i], true)
 		st.Restored++
 	}
 
@@ -165,8 +172,11 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 			return st, err
 		}
 	}
-	for idx := range failed {
-		idx := idx
+	for _, bm := range man.Buckets {
+		idx := bm.Idx
+		if !failed[idx] {
+			continue
+		}
 		q := tweetdb.Query{FromTS: idx * a.width}
 		if hi := (idx + 1) * a.width; hi > 0 {
 			q.ToTS = hi

@@ -2,11 +2,11 @@ package live
 
 import (
 	"hash/fnv"
-	"slices"
+	"strconv"
 	"sync/atomic"
 
-	"geomob/internal/geo"
 	"geomob/internal/mobility"
+	"geomob/internal/obs"
 )
 
 // Rollup tiers (DESIGN.md §11): cached partials merged over aligned
@@ -39,12 +39,26 @@ func rollupFactors(width int64) []int64 {
 	return fs
 }
 
-// rollupTier caches the merged partials of one grouping factor.
+// rollupTier caches the merged partials of one grouping factor. builds
+// and hits are this ring's lifetime counters (RollupStats); mBuilds and
+// mHits the process-wide series of the same events, labelled by factor.
 type rollupTier struct {
 	factor int64
 	groups map[int64]*rollupGroup
 	builds atomic.Int64
 	hits   atomic.Int64
+
+	mBuilds, mHits *obs.Counter
+}
+
+func newRollupTier(factor int64) *rollupTier {
+	tier := strconv.FormatInt(factor, 10)
+	return &rollupTier{
+		factor:  factor,
+		groups:  map[int64]*rollupGroup{},
+		mBuilds: obs.Def.Counter("geomob_ring_rollup_builds_total", "Rollup group merges materialised, by tier (group size in base buckets).", "tier", tier),
+		mHits:   obs.Def.Counter("geomob_ring_rollup_hits_total", "Rollup groups served from their cached merge, by tier (group size in base buckets).", "tier", tier),
+	}
 }
 
 // rollupGroup is one aligned group's cached merge, valid exactly while
@@ -63,27 +77,29 @@ func floorDiv(x, d int64) int64 {
 	return q
 }
 
-// rollupLocked returns the cached merge of group g's member buckets,
-// rebuilding it when any member changed. Caller holds a.mu; members are
-// sorted non-empty live bucket indexes inside the group's range.
-func (a *Aggregator) rollupLocked(t *rollupTier, g int64, members []int64) *partial {
+// groupPick is one rollup group a window takes: the cached merge when
+// the fingerprint of its member buckets still holds, else (part nil)
+// what materialiseLocked rebuilds it from.
+type groupPick struct {
+	tier    *rollupTier
+	g       int64
+	members []int64 // sorted non-empty live bucket indexes inside the group
+	fp      uint64
+	part    *partial
+}
+
+// pickGroupLocked looks group g of tier t up under its members' current
+// fingerprint. Caller holds a.mu.
+func (a *Aggregator) pickGroupLocked(t *rollupTier, g int64, members []int64) groupPick {
 	h := fnv.New64a()
 	a.hashRevsLocked(h, members)
-	fp := h.Sum64()
-	if grp := t.groups[g]; grp != nil && grp.fp == fp {
+	pk := groupPick{tier: t, g: g, members: members, fp: h.Sum64()}
+	if grp := t.groups[g]; grp != nil && grp.fp == pk.fp {
 		t.hits.Add(1)
-		return grp.part
+		t.mHits.Inc()
+		pk.part = grp.part
 	}
-	parts := make([]*partial, 0, len(members))
-	for _, idx := range members {
-		if p := a.bucketPartLocked(a.buckets[idx]); p.seen {
-			parts = append(parts, p)
-		}
-	}
-	merged := a.mergePartials(parts)
-	t.groups[g] = &rollupGroup{fp: fp, part: merged}
-	t.builds.Add(1)
-	return merged
+	return pk
 }
 
 // pruneTiersLocked drops cached groups wholly below the eviction floor.
@@ -130,10 +146,7 @@ func (a *Aggregator) RollupStats() []RollupTierStats {
 // same single mobility operations, interior float series concatenated in
 // serial order — re-emitted as a partial instead of observer state.
 func (a *Aggregator) mergePartials(parts []*partial) *partial {
-	m := &partial{bbox: geo.EmptyBBox(), flows: make([]flowAcc, len(a.scales))}
-	for s := range m.flows {
-		m.flows[s] = newFlowAcc(len(a.regions[s].Areas))
-	}
+	m := a.scratchPartial()
 	for _, p := range parts {
 		m.tweets += p.tweets
 		if p.seen {
@@ -153,21 +166,19 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 		}
 	}
 	slots := a.slots
-	var cellScratch []uint64
 	for cur := newUserCursor(parts); ; {
 		u, recs, ok := cur.next()
 		if !ok {
 			break
 		}
 		row := len(m.users)
-		cellScratch = cellScratch[:0]
 		for k, rc := range recs {
 			p, prow := rc.p, rc.row
 			r := &p.users[prow]
 			if k == 0 {
 				m.users = append(m.users, userPart{
 					id: u, firstTS: r.firstTS, firstPt: r.firstPt,
-					w0: len(m.waits), v0: len(m.vecs),
+					w0: len(m.waits), c0: len(m.cells), v0: len(m.vecs),
 				})
 				m.firstArea = append(m.firstArea, p.firstArea[prow*slots:(prow+1)*slots]...)
 				m.lastArea = append(m.lastArea, p.lastArea[prow*slots:(prow+1)*slots]...)
@@ -186,7 +197,7 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			m.waits = append(m.waits, p.waits[r.w0:r.w1]...)
 			m.disps = append(m.disps, p.disps[r.w0:r.w1]...)
 			m.vecs = append(m.vecs, p.vecs[r.v0:r.v0+3*int(r.n)]...)
-			cellScratch = append(cellScratch, p.cells[r.c0:r.c1]...)
+			m.cells = append(m.cells, p.cells[r.c0:r.c1]...)
 			mb, pb := row*a.totalWords, prow*a.totalWords
 			for w := 0; w < a.totalWords; w++ {
 				m.marks[mb+w] |= p.marks[pb+w]
@@ -198,14 +209,7 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 		}
 		cu := &m.users[row]
 		cu.w1 = len(m.waits)
-		slices.Sort(cellScratch)
-		cu.c0 = len(m.cells)
-		for i, c := range cellScratch {
-			if i == 0 || c != cellScratch[i-1] {
-				m.cells = append(m.cells, c)
-			}
-		}
-		cu.c1 = len(m.cells)
+		m.closeCells(cu)
 	}
-	return m
+	return m.publish()
 }

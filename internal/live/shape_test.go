@@ -1,9 +1,11 @@
 package live
 
 import (
+	"slices"
 	"testing"
 	"time"
 
+	"geomob/internal/census"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
@@ -72,5 +74,31 @@ func TestShapeSharedAggregators(t *testing.T) {
 		if row.UserID != 200 {
 			t.Fatalf("aggregator b leaked user %d from aggregator a", row.UserID)
 		}
+	}
+}
+
+// TestShapeSlotOrder: slots follow the configured scales in order
+// (duplicates dropped), then the metro 0.5 km variant; a custom radius
+// applies to every slot and drops the variant.
+func TestShapeSlotOrder(t *testing.T) {
+	sh, err := NewShape(Options{Scales: []census.Scale{census.ScaleMetropolitan, census.ScaleNational, census.ScaleMetropolitan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sh.scales, []census.Scale{census.ScaleMetropolitan, census.ScaleNational}) ||
+		!slices.Equal(sh.slotRadius, []float64{2_000, 50_000, 500}) || sh.metroSlot != 2 || sh.slots != 3 {
+		t.Fatalf("scales %v, radii %v, metro slot %d of %d", sh.scales, sh.slotRadius, sh.metroSlot, sh.slots)
+	}
+	for s, want := range []census.Scale{census.ScaleMetropolitan, census.ScaleNational, census.ScaleMetropolitan} {
+		if got := sh.regions[s].Scale; got != want {
+			t.Errorf("slot %d resolves %v regions, want %v", s, got, want)
+		}
+	}
+	custom, err := NewShape(Options{Radius: 7_500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(custom.slotRadius, []float64{7_500, 7_500, 7_500}) || custom.metroSlot != -1 {
+		t.Fatalf("custom radius: radii %v, metro slot %d", custom.slotRadius, custom.metroSlot)
 	}
 }

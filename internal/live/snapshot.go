@@ -229,8 +229,9 @@ func (bs *BucketSnapshot) Batch() *tweet.Batch { return tweet.BatchOf(bs.tweets)
 
 // DecodeBucketSnapshot parses and fully validates a bucket blob against
 // this shape: magic, version, header CRC, shape hash, width, section
-// ids, lengths and CRCs, assignment bounds, and that every record's
-// timestamp maps to the blob's bucket. Any mismatch returns
+// ids, lengths and CRCs, assignment bounds, that every record's
+// timestamp maps to the blob's bucket, and that the records are in
+// canonical (user, time, id) order. Any mismatch returns
 // ErrSnapshotCorrupt — callers degrade that bucket to a cold backfill.
 func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
 	fail := func(format string, args ...any) (*BucketSnapshot, error) {
@@ -304,6 +305,11 @@ func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
 		if got := floorDiv(bs.tweets[i].TS, sh.width); got != idx {
 			return fail("record %d timestamp maps to bucket %d, not %d", i, got, idx)
 		}
+		// A restored bucket is folded as already sorted, so the order is
+		// part of the blob's validity, not an assumption about its writer.
+		if i > 0 && canonicalLess(&bs.tweets[i], &bs.tweets[i-1]) {
+			return fail("record %d breaks the (user, time, id) order", i)
+		}
 	}
 	bs.assign = make([]int16, n*sh.slots)
 	for i := range bs.assign {
@@ -327,10 +333,12 @@ func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
 	return bs, nil
 }
 
-// restoreBucket installs a decoded snapshot bucket into the ring. With
-// clean set (boot restore into an empty slot) the bucket is marked as
-// already durable; otherwise (handoff injection) the columns merge into
-// any existing content and the bucket goes dirty.
+// restoreBucket installs a decoded snapshot bucket into the ring and
+// consumes it: an empty slot takes the decoded columns as its own
+// instead of copying them. With clean set (boot restore into an empty
+// slot) the bucket is marked as already durable; otherwise (handoff
+// injection) the columns merge into any existing content and the bucket
+// goes dirty.
 func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	n := len(bs.tweets)
 	if n == 0 {
@@ -344,11 +352,16 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	}
 	b := a.bucketLocked(bs.Idx)
 	fresh := len(b.tweets) == 0
-	b.tweets = append(b.tweets, bs.tweets...)
-	b.assign = append(b.assign, bs.assign...)
-	b.vecs = append(b.vecs, bs.vecs...)
-	b.cells = append(b.cells, bs.cells...)
-	b.sorted = fresh // blobs carry canonical order
+	if fresh {
+		b.tweets, b.assign, b.vecs, b.cells = bs.tweets, bs.assign, bs.vecs, bs.cells
+	} else {
+		b.tweets = append(b.tweets, bs.tweets...)
+		b.assign = append(b.assign, bs.assign...)
+		b.vecs = append(b.vecs, bs.vecs...)
+		b.cells = append(b.cells, bs.cells...)
+	}
+	bs.tweets, bs.assign, bs.vecs, bs.cells = nil, nil, nil, nil
+	b.sorted = fresh // the decoder checked the blob's canonical order
 	b.part = nil
 	a.rev++
 	b.rev = a.rev
@@ -362,7 +375,7 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 // InjectSnapshot merges a decoded snapshot bucket into the ring as
 // freshly ingested (dirty) content — the receiving half of a
 // snapshot-streamed shard handoff, which skips re-resolving columns the
-// sender already computed.
+// sender already computed. bs is consumed: it is empty afterwards.
 func (a *Aggregator) InjectSnapshot(bs *BucketSnapshot) { a.restoreBucket(bs, false) }
 
 // restoreFloor raises the ring's eviction floor to a recovered value.

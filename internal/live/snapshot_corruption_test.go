@@ -1,16 +1,21 @@
 package live
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime/metrics"
 	"testing"
 	"time"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
@@ -31,7 +36,12 @@ type snapFixture struct {
 	refs  []*core.Result
 }
 
-func newSnapFixture(t *testing.T) *snapFixture {
+func newSnapFixture(t testing.TB) *snapFixture {
+	t.Helper()
+	return newSnapFixtureWidth(t, 31*24*time.Hour)
+}
+
+func newSnapFixtureWidth(t testing.TB, width time.Duration) *snapFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1234))
 	all, sorted := snapCorpus(t, 120, 77)
@@ -40,7 +50,7 @@ func newSnapFixture(t *testing.T) *snapFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := NewShape(Options{BucketWidth: 31 * 24 * time.Hour})
+	sh, err := NewShape(Options{BucketWidth: width})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +136,7 @@ func (f *snapFixture) recoverFresh(t *testing.T, label string) (*Aggregator, Rec
 
 // bucketFile picks the smallest bucket blob — the densest damage matrix
 // for the fewest recovery runs.
-func (f *snapFixture) bucketFile(t *testing.T) (string, []byte) {
+func (f *snapFixture) bucketFile(t testing.TB) (string, []byte) {
 	t.Helper()
 	name, size := "", 0
 	for n, raw := range f.files {
@@ -212,7 +222,7 @@ func TestSnapshotBucketTruncationMatrix(t *testing.T) {
 // TestSnapshotBucketDamageShapes covers the structured failure shapes a
 // byte matrix can miss: a zeroed header, a version bump with a *valid*
 // header CRC (forward-compatibility gate), a missing file (torn rename),
-// and trailing garbage.
+// trailing garbage, and rows out of canonical order under valid CRCs.
 func TestSnapshotBucketDamageShapes(t *testing.T) {
 	f := newSnapFixture(t)
 	name, pristine := f.bucketFile(t)
@@ -237,6 +247,17 @@ func TestSnapshotBucketDamageShapes(t *testing.T) {
 		},
 		"trailing-garbage": func() error {
 			damaged := append(append([]byte(nil), pristine...), 0xDE, 0xAD)
+			return os.WriteFile(path, damaged, 0o644)
+		},
+		// Every CRC holds, every row is in bounds, but the rows are not in
+		// the order a restored bucket is folded in: the decoder must check
+		// it, because nothing after it does.
+		"rows-swapped-valid-crcs": func() error {
+			n := int(binary.LittleEndian.Uint32(pristine[32:]))
+			damaged := testx.SwapSnapshotRows(pristine, 0, n-1)
+			if _, err := f.shape.DecodeBucketSnapshot(damaged); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Errorf("decode of a blob with rows 0 and %d swapped: %v, want ErrSnapshotCorrupt", n-1, err)
+			}
 			return os.WriteFile(path, damaged, 0o644)
 		},
 	}
@@ -340,4 +361,55 @@ func TestSnapshotForeignShapeRejected(t *testing.T) {
 	if _, err := other.DecodeBucketSnapshot(raw); err == nil {
 		t.Fatalf("decode of foreign-shape blob %s succeeded", name)
 	}
+}
+
+// FuzzDecodeBucketSnapshot fuzzes the one decoder that reads bucket blobs
+// back from disk and off the handoff wire — concurrently, at boot. Seeded
+// with the damage the matrices above apply, it must never panic, never
+// allocate more than the blob's own size justifies (a header may claim
+// four billion rows), and accept only canonical blobs: whatever decodes
+// re-encodes to the very bytes it was decoded from.
+func FuzzDecodeBucketSnapshot(f *testing.F) {
+	fx := newSnapFixture(f)
+	_, pristine := fx.bucketFile(f)
+	f.Add(pristine)
+	for _, p := range []int{0, 5, 17, 33, 37, snapHeader + 2, snapHeader + 9, snapHeader + 40, len(pristine) / 2, len(pristine) - 1} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[p] ^= 0xA5
+		f.Add(flipped)
+	}
+	f.Add(pristine[:snapHeader])
+	f.Add(pristine[:len(pristine)/2])
+	f.Add(testx.SwapSnapshotRows(pristine, 0, 1))
+	claim := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(claim[32:], math.MaxUint32)
+	binary.LittleEndian.PutUint32(claim[36:], crc32.ChecksumIEEE(claim[:36]))
+	f.Add(claim)
+	f.Add([]byte{})
+
+	sh := fx.shape
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(allocs)
+		return allocs[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		before := allocated()
+		bs, err := sh.DecodeBucketSnapshot(blob)
+		// A decoded bucket is as large as its blob (80 bytes a row at four
+		// slots); the slack covers the error message and the test runtime.
+		if got, limit := allocated()-before, uint64(4*len(blob)+1<<16); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(blob), got)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("decode error %v does not wrap ErrSnapshotCorrupt", err)
+			}
+			return
+		}
+		cb := capturedBucket{idx: bs.Idx, tweets: bs.tweets, assign: bs.assign, vecs: bs.vecs, cells: bs.cells}
+		if again := encodeBucketBlob(sh.hash, sh.width, sh.slots, &cb); !bytes.Equal(again, blob) {
+			t.Fatal("an accepted blob does not re-encode to itself")
+		}
+	})
 }

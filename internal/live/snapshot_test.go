@@ -21,7 +21,7 @@ import (
 // Coordinates are pre-quantised to the microdegree grid, matching real
 // feed data (and mobgen): restart exactness is defined over store
 // round-trips, and the storage codec quantises (DESIGN.md §10).
-func snapCorpus(t *testing.T, users int, seed uint64) (all, sorted []tweet.Tweet) {
+func snapCorpus(t testing.TB, users int, seed uint64) (all, sorted []tweet.Tweet) {
 	t.Helper()
 	gen, err := synth.NewGenerator(synth.DefaultConfig(users, seed, 11))
 	if err != nil {
@@ -62,7 +62,7 @@ func snapRequests(sorted []tweet.Tweet) []core.Request {
 }
 
 // snapRefs cold-executes the request matrix over the sorted corpus.
-func snapRefs(t *testing.T, sorted []tweet.Tweet, reqs []core.Request) []*core.Result {
+func snapRefs(t testing.TB, sorted []tweet.Tweet, reqs []core.Request) []*core.Result {
 	t.Helper()
 	study := core.NewStudyWithOptions(core.SliceSource(sorted), core.StudyOptions{Workers: 1})
 	refs := make([]*core.Result, len(reqs))

@@ -4,6 +4,8 @@
 package testx
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"reflect"
 
@@ -92,4 +94,27 @@ func ValuesBitEqual(a, b any) bool {
 // merge-contract property tests (DESIGN.md §4/§7/§8) are stated in.
 func ResultsBitEqual(a, b *core.Result) bool {
 	return BitEqual(reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// SwapSnapshotRows returns a copy of a live bucket snapshot blob with
+// rows i and j exchanged in every column section and the section
+// checksums recomputed: a blob every CRC accepts whose records are out of
+// canonical order. It knows only the blob's framing (DESIGN.md §11): a
+// 40-byte header with the row count at byte 32, then sections of id,
+// payload length, CRC-32 and payload, each payload a whole number of
+// equal-width rows.
+func SwapSnapshotRows(blob []byte, i, j int) []byte {
+	out := append([]byte(nil), blob...)
+	n := int(binary.LittleEndian.Uint32(out[32:]))
+	for off := 40; off < len(out); {
+		l := int(binary.LittleEndian.Uint32(out[off+4:]))
+		p := out[off+12 : off+12+l]
+		w := l / n
+		tmp := append([]byte(nil), p[i*w:(i+1)*w]...)
+		copy(p[i*w:(i+1)*w], p[j*w:(j+1)*w])
+		copy(p[j*w:(j+1)*w], tmp)
+		binary.LittleEndian.PutUint32(out[off+8:], crc32.ChecksumIEEE(p))
+		off += 12 + l
+	}
+	return out
 }

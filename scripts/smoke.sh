@@ -62,7 +62,8 @@ strip_cached() { python3 -c 'import json,sys
 d=json.load(sys.stdin); d.pop("cached",None)
 json.dump(d,sys.stdout,indent=2,sort_keys=True)'; }
 
-# mval pulls one unlabeled series value from a /metrics scrape.
+# mval pulls one series value from a /metrics scrape; the series is named
+# as exposed, labels included.
 mval() { awk -v n="$2" '$1 == n { print $2; exit }' "$1"; }
 
 curl -fsS "$BASE/metrics" >"$WORK/metrics-before.txt"
@@ -187,6 +188,23 @@ jsonget live.rollups <"$WORK/health.json" >/dev/null || { echo "smoke: healthz l
 [ "$RESCAN" = "False" ] || { echo "smoke: restart fell back to a full rescan"; exit 1; }
 [ "$TAIL" = "0" ] || { echo "smoke: restart replayed a tail after a covering snapshot"; exit 1; }
 [ "$SCANS" = "0" ] || { echo "smoke: restart scanned the store $SCANS times, want 0"; exit 1; }
+
+# The restarted process accounts for its own boot: every phase of the
+# boot clock is a geomob_boot_seconds series, the recover phase took
+# time and is the same number /healthz reports, and the boot line in the
+# log carries the breakdown.
+curl -fsS "$BASE/metrics" >"$WORK/metrics-boot.txt"
+for phase in store_open shape recover listen; do
+  [ -n "$(mval "$WORK/metrics-boot.txt" "geomob_boot_seconds{phase=\"$phase\"}")" ] \
+    || { echo "smoke: /metrics lacks geomob_boot_seconds for phase $phase"; exit 1; }
+done
+BOOT_RECOVER=$(mval "$WORK/metrics-boot.txt" 'geomob_boot_seconds{phase="recover"}')
+RECOVER_S=$(jsonget recovery.seconds <"$WORK/health.json")
+python3 -c "import sys; sys.exit(0 if float('$BOOT_RECOVER') > 0 and float('$RECOVER_S') > 0 else 1)" \
+  || { echo "smoke: boot recover phase not positive (metrics $BOOT_RECOVER, healthz $RECOVER_S)"; exit 1; }
+grep -q 'live aggregation on: .*(boot: store_open .*shape .*recover ' "$WORK/server.log" \
+  || { echo "smoke: boot line lacks the phase breakdown"; cat "$WORK/server.log"; exit 1; }
+echo "smoke: boot phases $(grep -o '(boot: [^)]*)' "$WORK/server.log" | tail -1), recovery.seconds=$RECOVER_S"
 
 for pair in "v1/population?scale=national:pop" "v1/flows?scale=national:flows" "v1/stats:stats"; do
   ep=${pair%:*}; name=${pair#*:}
