@@ -23,8 +23,9 @@
 // end-to-end single-worker study pass, the grid-resolved area assignment
 // and its k-d tree reference, the multi-scale assignment, the geodesic
 // kernel, the store scan, the live ingest path (tweets/sec through
-// durable append + bucket-ring routing), the warm bucket-fold query, and
-// the replicated cluster's ingest paths (bulk routing, the WAL ack floor,
+// durable append + bucket-ring routing), the warm bucket-fold query, a
+// shard's cold fill with its resident B/record, and the replicated
+// cluster's ingest paths (bulk routing, the WAL ack floor,
 // and one hourly request's acknowledgement with its fsyncs/op and
 // deliveries/op).
 package main
@@ -43,7 +44,7 @@ import (
 )
 
 // defaultBenchRegex selects the perf-trajectory benchmarks.
-const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkResolverBuild$|BenchmarkKDTreeNearest$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkLiveColdQuery$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
+const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkResolverBuild$|BenchmarkKDTreeNearest$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkLiveColdQuery$|BenchmarkShardResident$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
 
 // BenchResult is one benchmark's parsed measurements. Metric keys are the
 // benchmark units with "/op" trimmed and slashes made JSON-friendly:
@@ -204,19 +205,13 @@ func parseBenchLine(line string) (BenchResult, bool) {
 		case "allocs/op":
 			r.AllocsOp = v
 		default:
-			if strings.HasSuffix(unit, "/op") {
-				if r.Extra == nil {
-					r.Extra = map[string]float64{}
-				}
-				r.Extra[strings.TrimSuffix(unit, "/op")] = v
-			} else if strings.HasSuffix(unit, "/sec") {
-				// Rate metrics (tweets/sec on the ingest path) keep their
-				// full unit as the key.
-				if r.Extra == nil {
-					r.Extra = map[string]float64{}
-				}
-				r.Extra[unit] = v
+			// Custom metrics: per-op units drop the "/op"; anything else
+			// (tweets/sec on the ingest path, B/record, partials) keeps its
+			// full unit as the key.
+			if r.Extra == nil {
+				r.Extra = map[string]float64{}
 			}
+			r.Extra[strings.TrimSuffix(unit, "/op")] = v
 		}
 	}
 	if !seen {

@@ -26,6 +26,18 @@ func TestParseBenchLineMinimal(t *testing.T) {
 	}
 }
 
+func TestParseBenchLineCustomUnits(t *testing.T) {
+	r, ok := parseBenchLine("BenchmarkShardResident-2 \t 3\t 113703852 ns/op\t 232.8 B/record\t 44399 partials\t 1.5e+06 tweets/sec\t86413981 B/op\t 466713 allocs/op")
+	if !ok || r.BytesPerOp != 86413981 {
+		t.Fatalf("parse = %+v ok=%v", r, ok)
+	}
+	for unit, want := range map[string]float64{"B/record": 232.8, "partials": 44399, "tweets/sec": 1.5e6} {
+		if r.Extra[unit] != want {
+			t.Errorf("Extra[%q] = %v, want %v", unit, r.Extra[unit], want)
+		}
+	}
+}
+
 func TestParseBenchLineRejectsNoise(t *testing.T) {
 	for _, line := range []string{
 		"",

@@ -380,9 +380,12 @@ func main() {
 		}
 		node := cluster.NewNode(shard, cluster.NodeOptions{MaxBodyBytes: *maxBody})
 		obs.RegisterBuildMetrics(obs.Def)
+		reg := obs.NewRegistry()
+		registerRuntimeMetrics(reg)
+		registerResidentMetrics(reg, shard.ResidentBytes)
 		mux := http.NewServeMux()
 		mux.Handle("/", node)
-		mux.Handle("GET /metrics", obs.Handler(obs.Def))
+		mux.Handle("GET /metrics", obs.Handler(obs.Def, reg))
 		if *snapDir != "" {
 			snapFn = shard.Snapshot
 			mux.Handle("POST /v1/snapshot", snapshotHandler(snapFn))
@@ -686,6 +689,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"ingested": snap.Int("geomob_live_ingested_rows"),
 			"builds":   snap.Int("geomob_live_builds"),
 			"rollups":  s.agg.RollupStats(),
+			// What the ring holds on the heap, by kind.
+			"resident_bytes": s.agg.ResidentBytes(),
 		}
 	}
 	if s.snaps != nil {

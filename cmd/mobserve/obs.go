@@ -8,14 +8,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux, served by -pprof-addr
+	"runtime/metrics"
 	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"geomob/internal/cluster"
+	"geomob/internal/live"
 	"geomob/internal/obs"
 )
 
@@ -31,6 +34,7 @@ var mSlowQueries = obs.Def.Counter("geomob_slow_queries_total", "Queries slower 
 func (s *server) registerInstanceMetrics() {
 	obs.RegisterBuildMetrics(obs.Def)
 	r := s.obsReg
+	registerRuntimeMetrics(r)
 	if s.coord != nil {
 		r.GaugeFunc("geomob_coord_ingested_rows", "Rows accepted by this coordinator since boot.",
 			func() float64 { return float64(s.coord.Ingested()) })
@@ -57,6 +61,7 @@ func (s *server) registerInstanceMetrics() {
 			func() float64 { return float64(s.agg.Ingested()) })
 		r.GaugeFunc("geomob_live_builds", "Bucket partial materialisations performed.",
 			func() float64 { return float64(s.agg.Builds()) })
+		registerResidentMetrics(r, s.agg.ResidentBytes)
 	}
 	if s.snaps != nil {
 		r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
@@ -68,6 +73,69 @@ func (s *server) registerInstanceMetrics() {
 		r.GaugeFunc("geomob_snapshot_last_unix_ms", "Wall time of the last snapshot commit (ms since epoch).",
 			func() float64 { return float64(s.snaps.Stats().LastUnixMs) })
 	}
+}
+
+// registerResidentMetrics publishes what this process's rings hold on
+// the heap, by kind: one ring's ResidentBytes on a single node, the sum
+// over the slot rings on a shard node.
+func registerResidentMetrics(r *obs.Registry, resident func() live.ResidentBytes) {
+	const name, help = "geomob_ring_resident_bytes", "Heap bytes held by the bucket rings, by kind (raw record columns, bucket partials, rollup merges)."
+	r.GaugeFunc(name, help, func() float64 { return float64(resident().Records) }, "kind", "records")
+	r.GaugeFunc(name, help, func() float64 { return float64(resident().Partials) }, "kind", "partials")
+	r.GaugeFunc(name, help, func() float64 { return float64(resident().Rollups) }, "kind", "rollups")
+}
+
+// registerRuntimeMetrics publishes the Go runtime's own memory and
+// scheduler readings (runtime/metrics). The process's RSS follows the
+// GC's heap goal at its peak, not the live heap, so the two are exported
+// side by side with the ring's resident bytes: live ≈ resident means the
+// ring is the heap, goal ≫ live means the RSS is headroom.
+func registerRuntimeMetrics(r *obs.Registry) {
+	read := func(name string) metrics.Value {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return s[0].Value
+	}
+	u64 := func(name string) func() float64 {
+		return func() float64 {
+			if v := read(name); v.Kind() == metrics.KindUint64 {
+				return float64(v.Uint64())
+			}
+			return 0
+		}
+	}
+	r.GaugeFunc("geomob_go_heap_live_bytes", "Heap bytes live after the last garbage collection.", u64("/gc/heap/live:bytes"))
+	r.GaugeFunc("geomob_go_heap_goal_bytes", "Heap size the garbage collector aims to stay under.", u64("/gc/heap/goal:bytes"))
+	r.GaugeFunc("geomob_go_goroutines", "Live goroutines.", u64("/sched/goroutines:goroutines"))
+	r.GaugeFunc("geomob_go_gc_pause_p99_seconds", "99th percentile stop-the-world GC pause since process start.", func() float64 {
+		v := read("/sched/pauses/total/gc:seconds")
+		if v.Kind() != metrics.KindFloat64Histogram {
+			return 0
+		}
+		return histogramQuantile(v.Float64Histogram(), 0.99)
+	})
+}
+
+// histogramQuantile returns the upper bound of the bucket holding the
+// q-quantile of a runtime/metrics histogram (0 when it is empty).
+func histogramQuantile(h *metrics.Float64Histogram, q float64) float64 {
+	var total uint64
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total == 0 {
+		return 0
+	}
+	rank, seen := uint64(math.Ceil(q*float64(total))), uint64(0)
+	for i, c := range h.Counts {
+		if seen += c; seen >= rank {
+			if hi := h.Buckets[i+1]; !math.IsInf(hi, 1) {
+				return hi
+			}
+			return h.Buckets[i]
+		}
+	}
+	return h.Buckets[len(h.Buckets)-1]
 }
 
 // bootClock attributes the time from process start to the listening

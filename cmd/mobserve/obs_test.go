@@ -197,10 +197,22 @@ func TestHealthzShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("live block: %v", body["live"])
 	}
-	for _, k := range []string{"buckets", "width", "ingested", "builds", "rollups"} {
+	for _, k := range []string{"buckets", "width", "ingested", "builds", "rollups", "resident_bytes"} {
 		if _, ok := lv[k]; !ok {
 			t.Errorf("live block missing %q", k)
 		}
+	}
+	// The /v1/stats query above materialised the ring, so every kind of
+	// resident heap is held — at the very least the raw columns' 80 B a
+	// record.
+	res, _ := lv["resident_bytes"].(map[string]any)
+	for _, k := range []string{"records", "partials", "rollups"} {
+		if v, _ := res[k].(float64); v <= 0 {
+			t.Errorf("live.resident_bytes[%q] = %v, want > 0", k, res[k])
+		}
+	}
+	if v, _ := res["records"].(float64); v < 80*float64(len(corpus)) {
+		t.Errorf("live.resident_bytes.records = %v for %d records", v, len(corpus))
 	}
 	bld, ok := body["build"].(map[string]any)
 	if !ok {
@@ -319,6 +331,21 @@ func TestMetricsEndToEnd(t *testing.T) {
 		if _, ok := after[`geomob_ring_rollup_hits_total{tier="`+tier+`"}`]; !ok {
 			t.Errorf("no geomob_ring_rollup_hits_total series for tier %s", tier)
 		}
+	}
+	// The ring accounts for what it holds by kind, next to the runtime's
+	// own view of the heap.
+	for _, kind := range []string{"records", "partials", "rollups"} {
+		if k := `geomob_ring_resident_bytes{kind="` + kind + `"}`; after[k] <= before[k] {
+			t.Errorf("%s = %g after the ingest and query, %g before", k, after[k], before[k])
+		}
+	}
+	for _, k := range []string{"geomob_go_heap_live_bytes", "geomob_go_heap_goal_bytes", "geomob_go_goroutines"} {
+		if after[k] <= 0 {
+			t.Errorf("%s = %g, want > 0", k, after[k])
+		}
+	}
+	if _, ok := after["geomob_go_gc_pause_p99_seconds"]; !ok {
+		t.Error("no geomob_go_gc_pause_p99_seconds series")
 	}
 	// The server's boot clock marked the phases enableLive ran.
 	for _, phase := range []string{"shape", "recover"} {

@@ -313,6 +313,15 @@ func (s *LocalShard) Shape() *live.Shape { return s.shape }
 // handoff plumbing).
 func (s *LocalShard) SlotAggregator(slot int) *live.Aggregator { return s.aggs[slot] }
 
+// ResidentBytes sums the heap the slot rings hold, by kind.
+func (s *LocalShard) ResidentBytes() live.ResidentBytes {
+	var sum live.ResidentBytes
+	for _, a := range s.aggs {
+		sum.Add(a.ResidentBytes())
+	}
+	return sum
+}
+
 // Ingested sums records accepted into the slot rings.
 func (s *LocalShard) Ingested() int64 {
 	var n int64

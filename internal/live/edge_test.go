@@ -250,64 +250,3 @@ func TestUserCursorMatchesNaiveScan(t *testing.T) {
 		}
 	}
 }
-
-// dense returns a copy of p whose flow accumulators are fully allocated.
-func dense(p *partial) *partial {
-	d := *p
-	d.flows = make([]flowAcc, len(p.flows))
-	for s, src := range p.flows {
-		n := len(src.flows)
-		d.flows[s] = flowAcc{flows: make([][]float64, n), stays: make([]float64, n)}
-		for r := range d.flows[s].flows {
-			d.flows[s].flows[r] = make([]float64, n)
-		}
-		d.flows[s].add(src)
-	}
-	return &d
-}
-
-func TestSparseFlowRowsMatchDense(t *testing.T) {
-	agg, err := NewAggregator(Options{BucketWidth: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sparse, full []*partial
-	for idx := int64(1000); idx < 1060; idx++ {
-		if err := agg.Ingest(edgeHour(idx)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sparse, err = agg.collect(1000*hourMs, 1020*hourMs) // 20 hour partials, below any tier
-	if err != nil || len(sparse) != 20 {
-		t.Fatalf("collect: %d parts, err %v", len(sparse), err)
-	}
-	for _, p := range sparse {
-		// One tweet per user and hour: no interior transition, nothing
-		// allocated.
-		for s := range p.flows {
-			if p.flows[s].stays != nil || len(p.flows[s].flows) == 0 {
-				t.Fatalf("slot %d of an hour partial is not sparse: %+v", s, p.flows[s])
-			}
-			for _, row := range p.flows[s].flows {
-				if row != nil {
-					t.Fatalf("slot %d of an hour partial allocated a flow row", s)
-				}
-			}
-		}
-		full = append(full, dense(p))
-	}
-	info, err := core.PlanRequest(core.Request{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := agg.fold(info, sparse), agg.fold(info, full); !reflect.DeepEqual(got, want) {
-		t.Fatal("fold over nil-row partials differs from the dense fold")
-	}
-	got, want := agg.mergePartials(sparse), agg.mergePartials(full)
-	if !reflect.DeepEqual(dense(got), dense(want)) {
-		t.Fatal("merge of nil-row partials differs from the dense merge")
-	}
-	if !reflect.DeepEqual(agg.fold(info, []*partial{got}), agg.fold(info, full)) {
-		t.Fatal("fold of the sparse merge differs from the dense fold")
-	}
-}

@@ -80,18 +80,22 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 		f.Metro500 = make([]float64, len(a.regions[a.metroSlot].Areas))
 		countTargets = append(countTargets, countTarget{slot: a.metroSlot, counts: f.Metro500})
 	}
-	// flowTargets alias the result matrices' dense storage, so interior
-	// sums and boundary transitions land in them directly.
-	var flowTargets []flowAcc
+	// flowOf maps a scale slot to the result matrix the request wants for
+	// it (nil when none): interior cells and boundary transitions land in
+	// the result directly.
+	var flowOf []*mobility.FlowMatrix
 	if info.Extract {
 		f.Flows = map[census.Scale]*mobility.FlowMatrix{}
-		flowTargets = make([]flowAcc, len(info.Scales))
+		flowOf = make([]*mobility.FlowMatrix, len(a.scales))
 		for i, sc := range info.Scales {
-			fm := mobility.NewFlowMatrix(a.regions[slots[i]].Areas)
-			f.Flows[sc] = fm
-			flowTargets[i] = flowAcc{flows: fm.Flows, stays: fm.Stays}
-			for _, p := range parts {
-				flowTargets[i].add(p.flows[slots[i]])
+			flowOf[slots[i]] = mobility.NewFlowMatrix(a.regions[slots[i]].Areas)
+			f.Flows[sc] = flowOf[slots[i]]
+		}
+		for _, p := range parts {
+			for _, c := range p.flows {
+				if fm := flowOf[c.slot]; fm != nil {
+					bookFlow(fm, c.from, c.to, c.n)
+				}
 			}
 		}
 	}
@@ -108,14 +112,10 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 		if !ok {
 			break
 		}
-		n := 0
-		for _, rc := range recs {
-			n += int(rc.p.users[rc.row].n)
-		}
-
 		if info.Stats {
 			waitsBuf, dispsBuf = waitsBuf[:0], dispsBuf[:0]
 			var sx, sy, sz float64
+			n := 0
 			cellScratch = cellScratch[:0]
 			for k, rc := range recs {
 				r := &rc.p.users[rc.row]
@@ -124,14 +124,17 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 					waitsBuf = append(waitsBuf, mobility.WaitingSecs(pr.lastTS, r.firstTS))
 					dispsBuf = append(dispsBuf, mobility.DisplacementKM(pr.lastPt, r.firstPt))
 				}
-				waitsBuf = append(waitsBuf, rc.p.waits[r.w0:r.w1]...)
-				dispsBuf = append(dispsBuf, rc.p.disps[r.w0:r.w1]...)
-				for j := r.v0; j < r.v0+3*int(r.n); j += 3 {
+				rec0, rn := rc.p.recSpan(rc.row)
+				w0 := rec0 - rc.row
+				n += rn
+				waitsBuf = append(waitsBuf, rc.p.waits[w0:w0+rn-1]...)
+				dispsBuf = append(dispsBuf, rc.p.disps[w0:w0+rn-1]...)
+				for j := 3 * rec0; j < 3*(rec0+rn); j += 3 {
 					sx += rc.p.vecs[j]
 					sy += rc.p.vecs[j+1]
 					sz += rc.p.vecs[j+2]
 				}
-				cellScratch = append(cellScratch, rc.p.cells[r.c0:r.c1]...)
+				cellScratch = append(cellScratch, rc.p.userCells(rc.row)...)
 			}
 			slices.Sort(cellScratch)
 			distinct := 0
@@ -178,10 +181,10 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 		if info.Extract {
 			for k := 1; k < len(recs); k++ {
 				prev, next := recs[k-1], recs[k]
-				for i, slot := range slots {
-					flowTargets[i].transition(
+				for _, slot := range slots {
+					bookFlow(flowOf[slot],
 						prev.p.lastArea[prev.row*a.slots+slot],
-						next.p.firstArea[next.row*a.slots+slot])
+						next.p.firstArea[next.row*a.slots+slot], 1)
 				}
 			}
 		}

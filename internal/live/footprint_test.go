@@ -1,0 +1,463 @@
+package live
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"geomob/internal/census"
+	"geomob/internal/core"
+	"geomob/internal/ring"
+	"geomob/internal/tweet"
+)
+
+// What a published partial costs (DESIGN.md §7, §11): interior
+// transitions as a sorted cell list, 64-byte user rows with derived
+// column ranges, the bucket's own unit-vector column shared rather than
+// copied — and the ResidentBytes counters that account for all of it.
+
+// denseInterior accumulates, straight from the records, the interior
+// transition counts of every aligned group of `factor` hourly buckets:
+// one dense areas×areas matrix per scale slot (stays on the diagonal),
+// laid out like a build's accumulator. A transition is interior to a
+// group when both of a user's consecutive records fall inside it.
+func denseInterior(a *Aggregator, sorted []tweet.Tweet, factor int64) map[int64][]float64 {
+	b := tweet.BatchOf(sorted)
+	assign := make([]int16, len(sorted)*a.slots)
+	a.msm.MapAllBatch(b.Lat, b.Lon, assign, a.slots)
+	out := map[int64][]float64{}
+	for i := 1; i < len(sorted); i++ {
+		prev, cur := &sorted[i-1], &sorted[i]
+		g := floorDiv(a.bucketIdx(cur.TS), factor)
+		if prev.UserID != cur.UserID || floorDiv(a.bucketIdx(prev.TS), factor) != g {
+			continue
+		}
+		for s := range a.scales {
+			from, to := assign[(i-1)*a.slots+s], assign[i*a.slots+s]
+			if from < 0 || to < 0 {
+				continue
+			}
+			if out[g] == nil {
+				out[g] = make([]float64, a.accLen)
+			}
+			out[g][a.accOff[s]+int(from)*len(a.regions[s].Areas)+int(to)]++
+		}
+	}
+	return out
+}
+
+// checkCells requires p's cell list to be sorted, free of zeros and
+// equal, cell for cell, to the dense reference (nil = all zeros).
+func checkCells(t *testing.T, a *Aggregator, p *partial, want []float64, label string) {
+	t.Helper()
+	if want == nil && p.flows != nil {
+		t.Fatalf("%s: %d cells where the records hold no interior transition", label, len(p.flows))
+	}
+	got := make([]float64, a.accLen)
+	for k, c := range p.flows {
+		if c.n <= 0 || c.n != math.Trunc(c.n) {
+			t.Fatalf("%s: cell %+v is not a positive count", label, c)
+		}
+		if k > 0 {
+			q := p.flows[k-1]
+			if !(q.slot < c.slot || q.slot == c.slot && (q.from < c.from || q.from == c.from && q.to < c.to)) {
+				t.Fatalf("%s: cells %+v, %+v out of (slot, from, to) order", label, q, c)
+			}
+		}
+		got[a.accOff[c.slot]+int(c.from)*len(a.regions[c.slot].Areas)+int(c.to)] = c.n
+	}
+	if want != nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: cell list differs from the dense matrix accumulated from the records", label)
+	}
+}
+
+func TestFlowCellsMatchDenseReference(t *testing.T) {
+	all, sorted := snapCorpus(t, 400, 23)
+	agg := hourlyAgg(t, Options{})
+	if err := agg.Ingest(all); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Query(core.Request{}); err != nil { // materialises every bucket and closed group
+		t.Fatal(err)
+	}
+	hours, withCells := denseInterior(agg, sorted, 1), 0
+	for idx, b := range agg.buckets {
+		p := b.part
+		if p == nil {
+			t.Fatalf("bucket %d not materialised by the full-range query", idx)
+		}
+		checkCells(t, agg, p, hours[idx], "hour partial")
+		if int(p.tweets) == len(p.users) && p.flows != nil {
+			t.Fatalf("bucket %d: one tweet per user, yet flows = %v", idx, p.flows)
+		}
+		if p.flows != nil {
+			withCells++
+		}
+	}
+	if withCells == 0 || withCells == len(agg.buckets) {
+		t.Fatalf("corpus exercises one case only: %d of %d hour partials hold cells", withCells, len(agg.buckets))
+	}
+	for _, tier := range agg.tiers {
+		if len(tier.groups) == 0 {
+			t.Fatalf("no closed group at factor %d", tier.factor)
+		}
+		ref := denseInterior(agg, sorted, tier.factor)
+		for g, grp := range tier.groups {
+			checkCells(t, agg, grp.part, ref[g], "rollup merge")
+		}
+	}
+	// The moving-edge feed has one tweet per user and hour: every
+	// transition is a boundary, and no hour partial holds a cell.
+	edge, _ := edgeRing(t, 1000, 1060)
+	for idx, b := range edge.buckets {
+		if b.part != nil && b.part.flows != nil {
+			t.Fatalf("edge bucket %d: flows = %v, want nil", idx, b.part.flows)
+		}
+	}
+}
+
+// recount walks the ring for what ResidentBytes maintains incrementally.
+func recount(a *Aggregator) ResidentBytes {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var rb ResidentBytes
+	for _, b := range a.buckets {
+		rb.Records += a.recordBytes(len(b.tweets))
+		rb.Partials += b.part.bytes(false)
+	}
+	for _, t := range a.tiers {
+		for _, grp := range t.groups {
+			rb.Rollups += grp.part.bytes(true)
+		}
+	}
+	return rb
+}
+
+func TestResidentBytesMatchRecount(t *testing.T) {
+	all, _ := snapCorpus(t, 1500, 5)
+	sort.Sort(tweet.ByTime(all))
+	for _, maxBuckets := range []int{0, 900} {
+		agg := hourlyAgg(t, Options{MaxBuckets: maxBuckets})
+		rng := rand.New(rand.NewSource(int64(17 + maxBuckets)))
+		check := func(step string) {
+			t.Helper()
+			if got, want := agg.ResidentBytes(), recount(agg); got != want {
+				t.Fatalf("max=%d, after %s: ResidentBytes %+v, recount %+v", maxBuckets, step, got, want)
+			}
+		}
+		for next := 0; next < len(all); {
+			switch rng.Intn(4) {
+			case 0, 1: // the feed moves on
+				n := min(1+rng.Intn(400), len(all)-next)
+				if err := agg.Ingest(all[next : next+n]); err != nil {
+					t.Fatal(err)
+				}
+				next += n
+				check("append")
+			case 2: // a late batch lands in already materialised buckets
+				if next == 0 {
+					continue
+				}
+				late := slices.Clone(all[rng.Intn(next):next])
+				late = late[:min(len(late), 1+rng.Intn(20))]
+				for i := range late {
+					late[i].ID += 1 << 40
+				}
+				if err := agg.Ingest(late); err != nil {
+					t.Fatal(err)
+				}
+				check("late append")
+			default:
+				edge := agg.bucketIdx(all[max(next-1, 0)].TS)
+				req := core.Request{To: time.UnixMilli((edge + 1) * hourMs).UTC()}
+				if rng.Intn(2) == 0 {
+					req.From = time.UnixMilli((edge - int64(rng.Intn(24*40))) * hourMs).UTC()
+				}
+				// FoldPartial materialises what Query would and stops before
+				// the model fits, which thin windows cannot support.
+				if _, err := agg.FoldPartial(req); err != nil && !errors.Is(err, ErrEvicted) {
+					t.Fatal(err)
+				}
+				check("query")
+			}
+		}
+		rb := agg.ResidentBytes()
+		if rb.Records == 0 || rb.Partials == 0 || rb.Rollups == 0 {
+			t.Fatalf("max=%d: schedule left a kind empty: %+v", maxBuckets, rb)
+		}
+		if maxBuckets > 0 && !agg.hasFloor {
+			t.Fatalf("max=%d: eviction never ran (%d buckets)", maxBuckets, agg.Buckets())
+		}
+	}
+}
+
+// TestPartialFootprint pins the two numbers the layout was designed to:
+// a user row is one cache line, and a shard's worth of sparse hour
+// partials — 16 slot rings over one shape, hourly buckets, a couple of
+// user rows each — holds a bounded number of bytes per record.
+func TestPartialFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(userPart{}); sz > 64 {
+		t.Fatalf("userPart is %d bytes, want <= 64", sz)
+	}
+	all, _ := snapCorpus(t, 19000, 42)
+	sort.Sort(tweet.ByTime(all))
+	sh, err := NewShape(Options{BucketWidth: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := all[0].TS + 120*24*hourMs
+	var slotFeed [ring.Slots][]tweet.Tweet
+	records := 0
+	for _, tw := range all {
+		if tw.TS < horizon {
+			slotFeed[ring.SlotOf(tw.UserID)] = append(slotFeed[ring.SlotOf(tw.UserID)], tw)
+			records++
+		}
+	}
+	var total ResidentBytes
+	partials, rows := 0, 0
+	for _, feed := range slotFeed {
+		agg := sh.NewAggregator()
+		if err := agg.Ingest(feed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := agg.Query(core.Request{}); err != nil {
+			t.Fatal(err)
+		}
+		rb := agg.ResidentBytes()
+		if rb != recount(agg) {
+			t.Fatalf("ResidentBytes %+v, recount %+v", rb, recount(agg))
+		}
+		total.Add(rb)
+		for _, b := range agg.buckets {
+			partials++
+			rows += len(b.part.users)
+		}
+	}
+	perRecord := float64(total.Total()) / float64(records)
+	t.Logf("%d records in %d hour partials (%.1f user rows each): %+v = %.0f B/record",
+		records, partials, float64(rows)/float64(partials), total, perRecord)
+	if perRecord > 450 {
+		t.Fatalf("shard-shaped ring holds %.0f B per record, want <= 450", perRecord)
+	}
+}
+
+// TestSharedVecsSurviveIngest: a bucket's partial shares the bucket's
+// unit-vector column, folds run outside the ring lock, and appends keep
+// landing in the same bucket. Every fold must still be bit-equal to a
+// cold pass over exactly the records its coverage key names, and a
+// partial captured before an append must read its original column after
+// the bucket has grown and been re-sorted. Run under -race, this is the
+// proof that the hand-over never lets a writer reach a published column.
+func TestSharedVecsSurviveIngest(t *testing.T) {
+	agg := hourlyAgg(t, Options{})
+	const h0 = int64(500_000)
+	lo, hi := h0*hourMs, (h0+3)*hourMs
+	req := core.Request{
+		Analyses: []core.Analysis{core.AnalysisStats, core.AnalysisFlows},
+		Scales:   []census.Scale{census.ScaleState},
+		From:     time.UnixMilli(lo).UTC(), To: time.UnixMilli(hi).UTC(),
+	}
+	// Rounds of records for the middle bucket; user ids descend across
+	// rounds so every append reorders the sorted columns.
+	const rounds, perRound = 12, 40
+	var feed []tweet.Tweet
+	for r := 0; r < rounds; r++ {
+		for k := 0; k < perRound; k++ {
+			c := edgeCities[(r+k)%len(edgeCities)]
+			feed = append(feed, tweet.Tweet{
+				ID: int64(r*perRound + k), UserID: int64(1000 - 7*r + k%5),
+				TS:  (h0+1)*hourMs + int64(k)*60_000 + int64(r),
+				Lat: c[0], Lon: c[1],
+			})
+		}
+	}
+	seed := append(edgeHour(h0), edgeHour(h0+2)...)
+	if err := agg.Ingest(seed); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var folds atomic.Int64
+	prefixOf := map[string]int{agg.CoverageKey(lo, hi): 0} // coverage key → rounds ingested
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	type sample struct {
+		rounds int
+		res    *core.Result
+	}
+	samples := make([][]sample, 3)
+	for r := range samples {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one last fold over the final state
+				default:
+				}
+				key := agg.CoverageKey(lo, hi)
+				res, err := agg.Query(req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				folds.Add(1)
+				if agg.CoverageKey(lo, hi) != key {
+					continue // an append landed between the probes; the fold may be of either state
+				}
+				mu.Lock()
+				n, ok := prefixOf[key]
+				mu.Unlock()
+				if !ok {
+					t.Errorf("fold under coverage key %s the writer never published", key)
+					return
+				}
+				samples[r] = append(samples[r], sample{n, res})
+			}
+		}()
+	}
+	var captured *partial
+	var capturedVecs []float64
+	for r := 0; r < rounds; r++ {
+		if r == rounds/2 {
+			// A fold's view: the partial as published, held past the append.
+			if _, err := agg.Query(req); err != nil {
+				t.Fatal(err)
+			}
+			agg.mu.Lock()
+			captured = agg.buckets[h0+1].part
+			agg.mu.Unlock()
+			capturedVecs = slices.Clone(captured.vecs)
+		}
+		mu.Lock()
+		if err := agg.Ingest(feed[r*perRound : (r+1)*perRound]); err != nil {
+			t.Fatal(err)
+		}
+		prefixOf[agg.CoverageKey(lo, hi)] = r + 1
+		mu.Unlock()
+		// Let the readers fold this state before the next append.
+		for seen := folds.Load(); folds.Load() < seen+int64(len(samples)) && !t.Failed(); {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	refs := map[int]*core.Result{}
+	checked := 0
+	for _, ss := range samples {
+		for _, s := range ss {
+			if refs[s.rounds] == nil {
+				recs := append(slices.Clone(seed), feed[:s.rounds*perRound]...)
+				sort.Sort(tweet.ByUserTime(recs))
+				ref, err := core.NewStudyWithOptions(core.SliceSource(recs), core.StudyOptions{Workers: 1}).Execute(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[s.rounds] = ref
+			}
+			if !resultsBitEqual(s.res, refs[s.rounds]) {
+				t.Fatalf("fold concurrent with appends diverges from Execute over its %d rounds", s.rounds)
+			}
+			checked++
+		}
+	}
+	if checked == 0 || refs[rounds] == nil {
+		t.Fatalf("%d folds checked, final state seen: %v", checked, refs[rounds] != nil)
+	}
+
+	if captured == nil || len(capturedVecs) == 0 {
+		t.Fatal("no partial captured mid-feed")
+	}
+	if !slices.Equal(captured.vecs, capturedVecs) {
+		t.Fatal("a published partial's unit-vector column changed after appends into its bucket")
+	}
+	agg.mu.Lock()
+	b := agg.buckets[h0+1]
+	if b.part == nil || &b.part.vecs[0] != &b.vecs[0] || cap(b.vecs) != len(b.vecs) {
+		t.Error("the bucket's partial does not share its clipped unit-vector column")
+	}
+	if &b.vecs[0] == &captured.vecs[0] {
+		t.Error("the bucket still appends into the column it handed over")
+	}
+	agg.mu.Unlock()
+}
+
+// TestScratchReuseAcrossShapes: shapes with different scale sets share
+// the process-wide build scratch, whose dense accumulator is laid out by
+// the area counts of whoever used it last. Builds and merges alternating
+// between a 3-scale and a 1-scale shape must equal those out of a fresh
+// pool.
+func TestScratchReuseAcrossShapes(t *testing.T) {
+	all, _ := snapCorpus(t, 120, 9)
+	var aggs []*Aggregator
+	for _, scales := range [][]census.Scale{nil, {census.ScaleState}} {
+		a, err := NewAggregator(Options{BucketWidth: 24 * time.Hour, Scales: scales})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Ingest(all); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range a.buckets {
+			ensureSortedLocked(b, a.slots)
+		}
+		aggs = append(aggs, a)
+	}
+	days := len(aggs[0].idxs) // the same feed at the same width: the same buckets
+	// step builds aggregator i's partial of day k, and a merge of the week
+	// that day completes.
+	step := func(out [][]*partial, i, k int) {
+		a := aggs[i]
+		out[i] = append(out[i], a.buildRange(a.buckets[a.idxs[k]], math.MinInt64, math.MaxInt64))
+		if k%7 == 6 {
+			out[i] = append(out[i], a.mergePartials(out[i][len(out[i])-7:]))
+		}
+	}
+	shared := func() [][]*partial { // the shapes take turns on one pool
+		out := make([][]*partial, len(aggs))
+		for k := 0; k < days; k++ {
+			for i := range aggs {
+				step(out, i, k)
+			}
+		}
+		return out
+	}
+	fresh := func() [][]*partial { // each shape on a pool no other has touched
+		out := make([][]*partial, len(aggs))
+		for i := range aggs {
+			partialScratch = sync.Pool{New: func() any { return new(partialBuild) }}
+			for k := 0; k < days; k++ {
+				step(out, i, k)
+			}
+		}
+		return out
+	}
+	want := fresh()
+	cells := 0
+	for _, ps := range want {
+		for _, p := range ps {
+			cells += len(p.flows)
+		}
+	}
+	if cells == 0 {
+		t.Fatal("corpus books no interior transition")
+	}
+	for round := 0; round < 2; round++ {
+		if !reflect.DeepEqual(shared(), want) {
+			t.Fatalf("round %d: partials built out of a scratch shared across shapes differ from a fresh pool's", round)
+		}
+	}
+}

@@ -14,8 +14,8 @@
 //   - one materialised partial per bucket — per-user boundary summaries
 //     (first/last timestamp, point and assignment), per-user interior
 //     series (waiting times, displacements, unit-vector addends, distinct
-//     cells) and interior flow matrices — rebuilt only when a batch lands
-//     in that bucket;
+//     cells) and the nonzero interior transition counts — rebuilt only
+//     when a batch lands in that bucket;
 //
 //   - a fold that merges the partials covering a [From, To) window in
 //     user-major order, stitching the cross-bucket boundaries (waiting
@@ -43,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
@@ -120,7 +121,12 @@ type Shape struct {
 	wordOff      []int
 	totalWords   int
 	zeroWords    []uint64
-	maxBuckets   int
+	// A build's dense interior-transition accumulator (partialBuild.acc)
+	// gives scale slot s the len(areas)² cells from accOff[s], accLen in
+	// all.
+	accOff     []int
+	accLen     int
+	maxBuckets int
 	// hash fingerprints the assignment configuration (width, scales,
 	// radii, area counts). Snapshot files record it so a restore never
 	// injects pre-resolved columns into a ring with different machinery.
@@ -136,6 +142,9 @@ type Aggregator struct {
 	builds   atomic.Int64 // full-bucket partial materialisations
 	ingested atomic.Int64 // records accepted into the ring
 	dropped  atomic.Int64 // late records below the eviction floor
+	// Resident heap by kind (ResidentBytes), moved with every append,
+	// publish, invalidation and eviction so a scrape never walks the ring.
+	resRecords, resPartials, resRollups atomic.Int64
 
 	mu      sync.Mutex
 	buckets map[int64]*bucket
@@ -274,6 +283,10 @@ func NewShape(opts Options) (*Shape, error) {
 		}
 	}
 	a.zeroWords = make([]uint64, a.totalWords)
+	for s := range a.scales {
+		a.accOff = append(a.accOff, a.accLen)
+		a.accLen += len(a.regions[s].Areas) * len(a.regions[s].Areas)
+	}
 	h := fnv.New64a()
 	fmt.Fprintf(h, "w=%d;slots=%d;metro=%d;", a.width, a.slots, a.metroSlot)
 	for i, sc := range a.scales {
@@ -307,6 +320,44 @@ func (a *Aggregator) Dropped() int64 { return a.dropped.Load() }
 // observable cost of invalidation: an ingest into bucket b forces at most
 // one rebuild of b's partial, and no other bucket's.
 func (a *Aggregator) Builds() int64 { return a.builds.Load() }
+
+// ResidentBytes is the heap a ring holds, counted from the lengths of its
+// columns: the raw pre-resolved records, the bucket partials built from
+// them (less the unit-vector column they share with their bucket) and the
+// cached rollup merges.
+type ResidentBytes struct {
+	Records  int64 `json:"records"`
+	Partials int64 `json:"partials"`
+	Rollups  int64 `json:"rollups"`
+}
+
+// Add sums o into rb, kind by kind.
+func (rb *ResidentBytes) Add(o ResidentBytes) {
+	rb.Records += o.Records
+	rb.Partials += o.Partials
+	rb.Rollups += o.Rollups
+}
+
+// Total is the sum over the kinds.
+func (rb ResidentBytes) Total() int64 { return rb.Records + rb.Partials + rb.Rollups }
+
+// ResidentBytes reports the ring's resident heap by kind.
+func (a *Aggregator) ResidentBytes() ResidentBytes {
+	return ResidentBytes{Records: a.resRecords.Load(), Partials: a.resPartials.Load(), Rollups: a.resRollups.Load()}
+}
+
+// recordBytes is what n records hold across a bucket's four columns.
+func (sh *Shape) recordBytes(n int) int64 {
+	return int64(n) * int64(int(unsafe.Sizeof(tweet.Tweet{}))+2*sh.slots+3*8+8)
+}
+
+// setPartLocked replaces b's materialised partial (nil invalidates it).
+// Caller holds a.mu; beyond b it touches only an atomic, so builds of
+// different buckets may call it side by side.
+func (a *Aggregator) setPartLocked(b *bucket, p *partial) {
+	a.resPartials.Add(p.bytes(false) - b.part.bytes(false))
+	b.part = p
+}
 
 // Revision returns the ring's global revision — advanced once per
 // (batch, touched bucket) pair. Cache layers key ring-wide fallback
@@ -401,8 +452,7 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 			j++
 		}
 		if a.hasFloor && idx < a.floorIdx {
-			a.dropped.Add(int64(j - i))
-			mRingDropped.Add(int64(j - i))
+			a.dropLocked(j - i)
 			i = j
 			continue
 		}
@@ -423,12 +473,25 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 		a.rev++
 		bk.rev = a.rev
 		bk.sorted = false
-		bk.part = nil
+		a.setPartLocked(bk, nil)
 	}
-	a.ingested.Add(accepted)
-	mRingRecords.Add(accepted)
+	a.acceptLocked(accepted)
 	a.evictLocked()
 	return nil
+}
+
+// acceptLocked counts n records appended to the ring, dropLocked n
+// rejected below the eviction floor; each moves the aggregator's own
+// counter and the process-wide series together. Caller holds a.mu.
+func (a *Aggregator) acceptLocked(n int64) {
+	a.ingested.Add(n)
+	mRingRecords.Add(n)
+	a.resRecords.Add(a.recordBytes(int(n)))
+}
+
+func (a *Aggregator) dropLocked(n int) {
+	a.dropped.Add(int64(n))
+	mRingDropped.Add(int64(n))
 }
 
 // ingestScratch holds the per-batch resolved columns between IngestBatch
@@ -473,6 +536,9 @@ func (a *Aggregator) evictLocked() {
 	}
 	if n := len(a.idxs) - a.maxBuckets; n > 0 {
 		for _, idx := range a.idxs[:n] {
+			b := a.buckets[idx]
+			a.resRecords.Add(-a.recordBytes(len(b.tweets)))
+			a.setPartLocked(b, nil)
 			delete(a.buckets, idx)
 		}
 		if floor := a.idxs[n-1] + 1; !a.hasFloor || floor > a.floorIdx {
@@ -741,7 +807,7 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 	runTasks(len(missing), func(i int) {
 		b := missing[i]
 		ensureSortedLocked(b, a.slots)
-		b.part = a.buildRange(b, math.MinInt64, math.MaxInt64)
+		a.setPartLocked(b, a.buildRange(b, math.MinInt64, math.MaxInt64))
 	})
 	a.builds.Add(int64(len(missing)))
 	mRingBuilds.Add(int64(len(missing)))
@@ -756,6 +822,10 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 		pk.part = a.mergePartials(parts)
 	})
 	for _, pk := range stale {
+		if old := pk.tier.groups[pk.g]; old != nil {
+			a.resRollups.Add(-old.part.bytes(true))
+		}
+		a.resRollups.Add(pk.part.bytes(true))
 		pk.tier.groups[pk.g] = &rollupGroup{fp: pk.fp, part: pk.part}
 		pk.tier.builds.Add(1)
 		pk.tier.mBuilds.Inc()

@@ -1,8 +1,10 @@
 package live
 
 import (
+	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
@@ -40,86 +42,88 @@ type partial struct {
 	// totalWords): which areas the user touched — the unique-user
 	// counting primitive, unioned exactly across buckets.
 	marks []uint64
-	// flows[s] accumulates the interior transitions of scale slot s.
-	flows []flowAcc
-	// waits/disps hold each user's interior waiting times and
-	// displacements (ranges on userPart; the two are 1:1). cells holds
-	// each user's sorted distinct cell ids; vecs the per-tweet unit
-	// vector addends in time order (3 floats per tweet).
+	// flows are the nonzero interior transition counts, sorted by
+	// (slot, from, to); nil when no user has two records in the partial —
+	// the common hour partial.
+	flows []flowCell
+	// waits/disps hold the interior waiting times and displacements, one
+	// per record that is not its user's first; cells each user's sorted
+	// distinct cell ids; vecs the per-tweet unit vector addends (3 floats
+	// per tweet) — all in user-row, then time, order. A bucket's own
+	// partial shares vecs with the bucket (buildRange).
 	waits []float64
 	disps []float64
 	cells []uint64
 	vecs  []float64
 }
 
-// userPart is one user's boundary summary within a partial.
+// userPart is one user's boundary summary within a partial. The rows
+// partition the partial's records in order, so a row's ranges in the
+// columns follow from two running offsets (recSpan, userCells) — 32-bit,
+// as a partial's columns pass 100 GB before a record offset wraps.
 type userPart struct {
 	id              int64
-	n               int32
+	rec0            uint32 // records in the rows before this one
+	c0              uint32 // cells in the rows before this one
 	firstTS, lastTS int64
 	firstPt, lastPt geo.Point
-	w0, w1          int // waits/disps range
-	c0, c1          int // cells range
-	v0              int // vecs offset (3*n floats follow)
 }
 
-// flowAcc is the interior flow accumulator of one scale slot. It is
-// sparse by rows: an hourly partial of mostly single-tweet users books
-// almost no transitions, so stays and each flows row are allocated on
-// their first increment and a nil row reads as all zeros.
-type flowAcc struct {
-	flows [][]float64
-	stays []float64
-}
-
-func newFlowAcc(n int) flowAcc { return flowAcc{flows: make([][]float64, n)} }
-
-// flowRow and stayRow return the row to increment, allocating it on
-// first use.
-func (f *flowAcc) flowRow(r int) []float64 {
-	if f.flows[r] == nil {
-		f.flows[r] = make([]float64, len(f.flows))
+// recSpan returns the record offset and count of one user row. Its unit
+// vectors are vecs[3*rec0 : 3*(rec0+n)]; a row's first record has no
+// interior value, so its n-1 waits and disps start at rec0-row.
+func (p *partial) recSpan(row int) (rec0, n int) {
+	rec0, end := int(p.users[row].rec0), int(p.tweets)
+	if row+1 < len(p.users) {
+		end = int(p.users[row+1].rec0)
 	}
-	return f.flows[r]
+	return rec0, end - rec0
 }
 
-func (f *flowAcc) stayRow() []float64 {
-	if f.stays == nil {
-		f.stays = make([]float64, len(f.flows))
+// userCells returns one user row's sorted distinct cell ids.
+func (p *partial) userCells(row int) []uint64 {
+	end := len(p.cells)
+	if row+1 < len(p.users) {
+		end = int(p.users[row+1].c0)
 	}
-	return f.stays
+	return p.cells[p.users[row].c0:end]
 }
 
-// transition books one user's move between the areas of two consecutive
-// tweets (negative = no area within ε): a stay when they match, a flow
-// otherwise — the extractor's rule.
-func (f *flowAcc) transition(from, to int16) {
+// bytes is the heap p holds, counted from its column lengths; a bucket's
+// own partial does not own its vecs. A nil partial holds nothing.
+func (p *partial) bytes(ownVecs bool) int64 {
+	if p == nil {
+		return 0
+	}
+	n := int(unsafe.Sizeof(*p)) +
+		len(p.users)*int(unsafe.Sizeof(userPart{})) +
+		len(p.flows)*int(unsafe.Sizeof(flowCell{})) +
+		2*(len(p.firstArea)+len(p.lastArea)) +
+		8*(len(p.marks)+len(p.waits)+len(p.disps)+len(p.cells))
+	if ownVecs {
+		n += 8 * len(p.vecs)
+	}
+	return int64(n)
+}
+
+// flowCell is one nonzero interior transition count of a partial: n
+// moves from area from to area to at scale slot slot, a stay when the
+// two match. Counts are exact integers, so cells add in any order.
+type flowCell struct {
+	slot, from, to int16
+	n              float64
+}
+
+// bookFlow adds n transitions from one area to another (negative = no
+// area within ε, which books nothing) to a result matrix: a stay when
+// they match, a flow otherwise — the extractor's rule.
+func bookFlow(fm *mobility.FlowMatrix, from, to int16, n float64) {
 	switch {
 	case from < 0 || to < 0:
 	case from == to:
-		f.stayRow()[to]++
+		fm.Stays[to] += n
 	default:
-		f.flowRow(int(from))[to]++
-	}
-}
-
-// add sums src into f. The cells are transition counts, which add
-// exactly in any order, so skipping src's nil rows changes no bit.
-func (f *flowAcc) add(src flowAcc) {
-	for r, row := range src.flows {
-		if row == nil {
-			continue
-		}
-		dst := f.flowRow(r)
-		for c, v := range row {
-			dst[c] += v
-		}
-	}
-	if src.stays != nil {
-		dst := f.stayRow()
-		for r, v := range src.stays {
-			dst[r] += v
-		}
+		fm.Flows[from][to] += n
 	}
 }
 
@@ -206,20 +210,32 @@ func (c *userCursor) siftDown(i int) {
 	}
 }
 
-// partialScratch pools the partials that buildRange and mergePartials
+// partialBuild is the scratch a partial is built in: columns that grow
+// by append, plus the dense interior transition accumulator — one cell
+// per (scale slot, from, to), stays on the diagonal — and the list of
+// cells it has touched. Between builds every cell of acc is zero, so a
+// scratch last used by a shape with other area counts is as good as new
+// once acc is long enough.
+type partialBuild struct {
+	partial
+	sh      *Shape
+	acc     []float64
+	touched []int
+}
+
+// partialScratch pools the scratch that buildRange and mergePartials
 // grow their columns in. A cold restart materialises thousands of
 // partials at once; grown by append, every column would be reallocated a
 // dozen times and left a quarter empty, and collecting that garbage —
 // not the build — is what the restart would wait for (DESIGN.md §11).
-var partialScratch = sync.Pool{New: func() any { return new(partial) }}
+var partialScratch = sync.Pool{New: func() any { return new(partialBuild) }}
 
 // scratchPartial returns an empty partial of a's shape whose columns
 // reuse pooled capacity. It must be finished with publish.
-func (a *Aggregator) scratchPartial() *partial {
-	w := partialScratch.Get().(*partial)
-	*w = partial{
+func (a *Aggregator) scratchPartial() *partialBuild {
+	w := partialScratch.Get().(*partialBuild)
+	w.partial = partial{
 		bbox:      geo.EmptyBBox(),
-		flows:     make([]flowAcc, len(a.scales)),
 		users:     w.users[:0],
 		firstArea: w.firstArea[:0],
 		lastArea:  w.lastArea[:0],
@@ -229,17 +245,36 @@ func (a *Aggregator) scratchPartial() *partial {
 		cells:     w.cells[:0],
 		vecs:      w.vecs[:0],
 	}
-	for s := range w.flows {
-		w.flows[s] = newFlowAcc(len(a.regions[s].Areas))
+	w.sh = a.Shape
+	if cap(w.acc) < a.accLen {
+		w.acc = make([]float64, a.accLen)
 	}
+	w.acc = w.acc[:a.accLen]
 	return w
+}
+
+// transition books one user's move between the areas of two consecutive
+// tweets at scale slot s (negative = no area within ε).
+func (w *partialBuild) transition(s int, from, to int16) {
+	if from >= 0 && to >= 0 {
+		w.addFlow(s, from, to, 1)
+	}
+}
+
+func (w *partialBuild) addFlow(s int, from, to int16, n float64) {
+	i := w.sh.accOff[s] + int(from)*len(w.sh.regions[s].Areas) + int(to)
+	if w.acc[i] == 0 {
+		w.touched = append(w.touched, i)
+	}
+	w.acc[i] += n
 }
 
 // publish returns the finished partial: each column copied out of the
 // scratch with one allocation at its final length (nil when empty), the
-// scratch back in the pool.
-func (w *partial) publish() *partial {
-	p := *w
+// touched accumulator cells emitted in (slot, from, to) order and zeroed
+// again, the scratch back in the pool.
+func (w *partialBuild) publish() *partial {
+	p := w.partial
 	p.users = append([]userPart(nil), w.users...)
 	p.firstArea = append([]int16(nil), w.firstArea...)
 	p.lastArea = append([]int16(nil), w.lastArea...)
@@ -248,7 +283,21 @@ func (w *partial) publish() *partial {
 	p.disps = append([]float64(nil), w.disps...)
 	p.cells = append([]uint64(nil), w.cells...)
 	p.vecs = append([]float64(nil), w.vecs...)
-	w.flows = nil // handed to p
+	if len(w.touched) > 0 {
+		slices.Sort(w.touched)
+		p.flows = make([]flowCell, len(w.touched))
+		s := 0
+		for k, i := range w.touched {
+			for s+1 < len(w.sh.accOff) && i >= w.sh.accOff[s+1] {
+				s++
+			}
+			n := len(w.sh.regions[s].Areas)
+			at := i - w.sh.accOff[s]
+			p.flows[k] = flowCell{slot: int16(s), from: int16(at / n), to: int16(at % n), n: w.acc[i]}
+			w.acc[i] = 0
+		}
+		w.touched = w.touched[:0]
+	}
 	partialScratch.Put(w)
 	return &p
 }
@@ -258,34 +307,32 @@ func (w *partial) publish() *partial {
 func (p *partial) closeCells(u *userPart) {
 	own := p.cells[u.c0:]
 	slices.Sort(own)
-	u.c1 = u.c0 + len(slices.Compact(own))
-	p.cells = p.cells[:u.c1]
+	p.cells = p.cells[:int(u.c0)+len(slices.Compact(own))]
 }
 
 // buildRange materialises the partial for b's records with timestamps in
 // [lo, hi). b must be sorted; the caller holds the aggregator lock (the
 // build reads bucket storage but writes only fresh memory, so builds of
 // different buckets may run side by side under it).
+//
+// The whole bucket's partial (unbounded lo and hi) would copy b.vecs
+// record for record, so it takes the column itself instead and clips the
+// bucket's slice to its length: the next append — the only thing that
+// can precede a re-sort — reallocates, and the published column is never
+// written again (DESIGN.md §11).
 func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
+	whole := lo == math.MinInt64 && hi == math.MaxInt64
 	p := a.scratchPartial()
 	slots := a.slots
 	var cu *userPart
-	closeUser := func() {
-		if cu != nil {
-			cu.w1 = len(p.waits)
-			p.closeCells(cu)
-		}
-	}
 	prevBase := -1
 	for i := range b.tweets {
 		t := &b.tweets[i]
-		if t.TS < lo || t.TS >= hi {
+		if !whole && (t.TS < lo || t.TS >= hi) {
 			continue
 		}
 		base := i * slots
 		pt := t.Point()
-		p.tweets++
-		p.bbox = p.bbox.Extend(pt)
 		if !p.seen || t.TS < p.firstTS {
 			p.firstTS = t.TS
 		}
@@ -293,11 +340,14 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			p.lastTS = t.TS
 		}
 		p.seen = true
+		p.bbox = p.bbox.Extend(pt)
 		if cu == nil || cu.id != t.UserID {
-			closeUser()
+			if cu != nil {
+				p.closeCells(cu)
+			}
 			p.users = append(p.users, userPart{
 				id: t.UserID, firstTS: t.TS, firstPt: pt,
-				w0: len(p.waits), c0: len(p.cells), v0: len(p.vecs),
+				rec0: uint32(p.tweets), c0: uint32(len(p.cells)),
 			})
 			cu = &p.users[len(p.users)-1]
 			p.firstArea = append(p.firstArea, b.assign[base:base+slots]...)
@@ -307,11 +357,11 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			p.waits = append(p.waits, mobility.WaitingSecs(cu.lastTS, t.TS))
 			p.disps = append(p.disps, mobility.DisplacementKM(cu.lastPt, pt))
 			for s := range a.scales {
-				p.flows[s].transition(b.assign[prevBase+s], b.assign[base+s])
+				p.transition(s, b.assign[prevBase+s], b.assign[base+s])
 			}
 			copy(p.lastArea[(len(p.users)-1)*slots:], b.assign[base:base+slots])
 		}
-		cu.n++
+		p.tweets++
 		cu.lastTS = t.TS
 		cu.lastPt = pt
 		mbase := (len(p.users) - 1) * a.totalWords
@@ -321,9 +371,18 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			}
 		}
 		p.cells = append(p.cells, b.cells[i])
-		p.vecs = append(p.vecs, b.vecs[3*i], b.vecs[3*i+1], b.vecs[3*i+2])
+		if !whole {
+			p.vecs = append(p.vecs, b.vecs[3*i], b.vecs[3*i+1], b.vecs[3*i+2])
+		}
 		prevBase = base
 	}
-	closeUser()
-	return p.publish()
+	if cu != nil {
+		p.closeCells(cu)
+	}
+	out := p.publish()
+	if whole {
+		b.vecs = slices.Clip(b.vecs)
+		out.vecs = b.vecs
+	}
+	return out
 }

@@ -109,8 +109,9 @@ func (a *Aggregator) pruneTiersLocked() {
 		return
 	}
 	for _, t := range a.tiers {
-		for g := range t.groups {
+		for g, grp := range t.groups {
 			if (g+1)*t.factor <= a.floorIdx {
+				a.resRollups.Add(-grp.part.bytes(true))
 				delete(t.groups, g)
 			}
 		}
@@ -160,9 +161,9 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			m.seen = true
 		}
 	}
-	for s := range m.flows {
-		for _, p := range parts {
-			m.flows[s].add(p.flows[s])
+	for _, p := range parts {
+		for _, c := range p.flows {
+			m.addFlow(int(c.slot), c.from, c.to, c.n)
 		}
 	}
 	slots := a.slots
@@ -178,7 +179,7 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			if k == 0 {
 				m.users = append(m.users, userPart{
 					id: u, firstTS: r.firstTS, firstPt: r.firstPt,
-					w0: len(m.waits), c0: len(m.cells), v0: len(m.vecs),
+					rec0: uint32(len(m.vecs) / 3), c0: uint32(len(m.cells)),
 				})
 				m.firstArea = append(m.firstArea, p.firstArea[prow*slots:(prow+1)*slots]...)
 				m.lastArea = append(m.lastArea, p.lastArea[prow*slots:(prow+1)*slots]...)
@@ -190,26 +191,25 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 				m.waits = append(m.waits, mobility.WaitingSecs(cu.lastTS, r.firstTS))
 				m.disps = append(m.disps, mobility.DisplacementKM(cu.lastPt, r.firstPt))
 				for s := range a.scales {
-					m.flows[s].transition(m.lastArea[row*slots+s], p.firstArea[prow*slots+s])
+					m.transition(s, m.lastArea[row*slots+s], p.firstArea[prow*slots+s])
 				}
 				copy(m.lastArea[row*slots:(row+1)*slots], p.lastArea[prow*slots:(prow+1)*slots])
 			}
-			m.waits = append(m.waits, p.waits[r.w0:r.w1]...)
-			m.disps = append(m.disps, p.disps[r.w0:r.w1]...)
-			m.vecs = append(m.vecs, p.vecs[r.v0:r.v0+3*int(r.n)]...)
-			m.cells = append(m.cells, p.cells[r.c0:r.c1]...)
+			rec0, n := p.recSpan(prow)
+			w0 := rec0 - prow
+			m.waits = append(m.waits, p.waits[w0:w0+n-1]...)
+			m.disps = append(m.disps, p.disps[w0:w0+n-1]...)
+			m.vecs = append(m.vecs, p.vecs[3*rec0:3*(rec0+n)]...)
+			m.cells = append(m.cells, p.userCells(prow)...)
 			mb, pb := row*a.totalWords, prow*a.totalWords
 			for w := 0; w < a.totalWords; w++ {
 				m.marks[mb+w] |= p.marks[pb+w]
 			}
 			cu := &m.users[row]
-			cu.n += r.n
 			cu.lastTS = r.lastTS
 			cu.lastPt = r.lastPt
 		}
-		cu := &m.users[row]
-		cu.w1 = len(m.waits)
-		m.closeCells(cu)
+		m.closeCells(&m.users[row])
 	}
 	return m.publish()
 }

@@ -347,7 +347,7 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.hasFloor && bs.Idx < a.floorIdx {
-		a.dropped.Add(int64(n))
+		a.dropLocked(n)
 		return
 	}
 	b := a.bucketLocked(bs.Idx)
@@ -362,13 +362,13 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	}
 	bs.tweets, bs.assign, bs.vecs, bs.cells = nil, nil, nil, nil
 	b.sorted = fresh // the decoder checked the blob's canonical order
-	b.part = nil
+	a.setPartLocked(b, nil)
 	a.rev++
 	b.rev = a.rev
 	if clean && fresh {
 		b.snapRev = b.rev
 	}
-	a.ingested.Add(int64(n))
+	a.acceptLocked(int64(n))
 	a.evictLocked()
 }
 

@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -380,13 +381,31 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 			t.Fatalf("export frame %d not deterministic across runs", i)
 		}
 	}
+	// A restore moves the process-wide ring series with the aggregator's
+	// own counters: /metrics and /healthz must agree after a restart.
 	dst := sh.NewAggregator()
 	for i, blob := range stream1 {
 		bs, err := sh.DecodeBucketSnapshot(blob)
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
+		n, before := int64(bs.Count()), mRingRecords.Value()
 		dst.InjectSnapshot(bs)
+		if got := mRingRecords.Value() - before; got != n {
+			t.Fatalf("frame %d: geomob_ring_records_total advanced by %d, blob holds %d", i, got, n)
+		}
+	}
+	floored := sh.NewAggregator()
+	floored.restoreFloor(true, math.MaxInt64)
+	bs, err := sh.DecodeBucketSnapshot(stream1[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, before := int64(bs.Count()), mRingDropped.Value()
+	floored.InjectSnapshot(bs)
+	if got := mRingDropped.Value() - before; got != n || floored.Dropped() != n || floored.Ingested() != 0 {
+		t.Fatalf("restore below the floor: series advanced by %d, Dropped() %d, Ingested() %d, blob holds %d",
+			got, floored.Dropped(), floored.Ingested(), n)
 	}
 	reqs := snapRequests(sorted)
 	assertAggMatchesRefs(t, dst, reqs, snapRefs(t, sorted, reqs), "injected ring")
