@@ -427,40 +427,6 @@ func BenchmarkMultiScaleMap(b *testing.B) {
 	}
 }
 
-// BenchmarkTweetEncode measures the storage codec write path.
-func BenchmarkTweetEncode(b *testing.B) {
-	tweets := makeBenchTweets(10000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc := tweet.NewEncoder()
-		for _, t := range tweets {
-			if err := enc.Append(t); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.SetBytes(int64(len(tweets)))
-}
-
-// BenchmarkTweetDecode measures the storage codec read path.
-func BenchmarkTweetDecode(b *testing.B) {
-	tweets := makeBenchTweets(10000)
-	enc := tweet.NewEncoder()
-	for _, t := range tweets {
-		if err := enc.Append(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	block := append([]byte(nil), enc.Bytes()...)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tweet.DecodeAll(block, len(tweets)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(tweets)))
-}
-
 // benchIngestEnv builds one fresh ingest stack (store + ring + ingestor)
 // — the per-iteration setup of the ingest wire benchmarks.
 func benchIngestEnv(b *testing.B) *live.Ingestor {

@@ -62,14 +62,15 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 	}
 
 	s, ts := newLiveTestServer(t)
+	e := s.eng.(*ringEngine)
 	status, body := postBinary(t, ts.URL, corpusBinary(t, tweets, 1000))
 	if status != http.StatusOK || int(body["ingested"].(float64)) != len(tweets) {
 		t.Fatalf("binary ingest: status %d body %v", status, body)
 	}
-	if got := s.store.Count(); got != int64(len(tweets)) {
+	if got := e.store.Count(); got != int64(len(tweets)) {
 		t.Fatalf("store holds %d records, want %d", got, len(tweets))
 	}
-	if got := s.agg.Ingested(); got != int64(len(tweets)) {
+	if got := e.agg.Ingested(); got != int64(len(tweets)) {
 		t.Fatalf("ring ingested %d records, want %d", got, len(tweets))
 	}
 

@@ -48,9 +48,8 @@ func newClusterTestServer(t *testing.T, n int) (*server, *httptest.Server, []*cl
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newServer(&coordEngine{coord: coord, locals: locals}, testConfig())
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts, locals
 }
@@ -77,6 +76,7 @@ func corpusNDJSON(t *testing.T, tweets []tweet.Tweet) *bytes.Buffer {
 // zero shard folds, and a degradation-aware /healthz.
 func TestClusterModeEndToEnd(t *testing.T) {
 	s, ts, locals := newClusterTestServer(t, 3)
+	coord := s.eng.(*coordEngine).coord
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(500, 11, 12))
 	if err != nil {
@@ -113,7 +113,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	sorted := append([]tweet.Tweet(nil), tweets...)
 	sort.Sort(tweet.ByUserTime(sorted))
 	study := core.NewStudyWithOptions(core.SliceSource(sorted), core.StudyOptions{Workers: 1})
-	clusterRes, cached, err := s.coord.Query(core.Request{})
+	clusterRes, cached, err := coord.Query(core.Request{})
 	if err != nil || cached {
 		t.Fatalf("cluster query: cached=%v err=%v", cached, err)
 	}
@@ -131,11 +131,11 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	if pop["cached"].(bool) {
 		t.Error("first population query reported cached")
 	}
-	folds := s.coord.PartialFetches()
+	folds := coord.PartialFetches()
 	if !fetchJSON(t, ts.URL+"/v1/population?scale=national")["cached"].(bool) {
 		t.Error("repeat population query not cached")
 	}
-	if got := s.coord.PartialFetches(); got != folds {
+	if got := coord.PartialFetches(); got != folds {
 		t.Fatalf("warm repeat issued %d shard folds", got-folds)
 	}
 
@@ -156,6 +156,48 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Fatalf("custom radius in cluster mode: status %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestPartitionsResidentBytes: a -partitions node answers for the memory
+// of the shards living in it, with and without a snapshot directory —
+// the wiring used to keep its shards only when snapshots were on, so
+// without them the gauge and any /healthz figure were dark. After an
+// ingest and a query every kind is held, and what /metrics and /healthz
+// report is the sum over the shards.
+func TestPartitionsResidentBytes(t *testing.T) {
+	for _, snapDir := range []string{"", t.TempDir()} {
+		cfg := testConfig()
+		cfg.db, cfg.snapDir, cfg.partitions, cfg.replication = t.TempDir(), snapDir, 2, 1
+		eng, err := openEngine(context.Background(), cfg, newBootClock())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eng.close() })
+		ts := httptest.NewServer(newServer(eng, cfg).routes())
+		t.Cleanup(ts.Close)
+
+		ingestNDJSON(t, ts.URL, genTweets(t, 300, 41, 42))
+		fetchJSON(t, ts.URL+"/v1/population?scale=national")
+
+		var want live.ResidentBytes
+		locals := eng.(*coordEngine).locals
+		for _, sh := range locals {
+			want.Add(sh.ResidentBytes())
+		}
+		if len(locals) != 2 || want.Records <= 0 || want.Partials <= 0 || want.Rollups <= 0 {
+			t.Fatalf("snapshots %q: %d shards hold %+v, want every kind > 0", snapDir, len(locals), want)
+		}
+		metrics, _ := scrapeMetrics(t, ts.URL)
+		health, _ := fetchJSON(t, ts.URL+"/healthz")["resident_bytes"].(map[string]any)
+		for kind, bytes := range map[string]int64{"records": want.Records, "partials": want.Partials, "rollups": want.Rollups} {
+			if got := metrics[`geomob_ring_resident_bytes{kind="`+kind+`"}`]; got != float64(bytes) {
+				t.Errorf("snapshots %q: geomob_ring_resident_bytes{kind=%s} = %v, shards sum to %d", snapDir, kind, got, bytes)
+			}
+			if got, _ := health[kind].(float64); got != float64(bytes) {
+				t.Errorf("snapshots %q: healthz resident_bytes.%s = %v, shards sum to %d", snapDir, kind, health[kind], bytes)
+			}
+		}
 	}
 }
 
@@ -279,9 +321,8 @@ func TestDegradedReadUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newServer(&coordEngine{coord: coord}, testConfig())
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(400, 21, 22))

@@ -40,25 +40,26 @@ func fetchBytes(t *testing.T, url string) []byte {
 // the store sees no extra scans — the coverage walk is dry.
 func TestExplainSideEffectFree(t *testing.T) {
 	s, ts := newLiveTestServer(t)
+	e := s.eng.(*ringEngine)
 	ingestNDJSON(t, ts.URL, genTweets(t, 300, 21, 22))
 
 	const q = "/v1/stats"
 	_ = fetchBytes(t, ts.URL+q)      // cold miss computes the entry
 	plain := fetchBytes(t, ts.URL+q) // warm hit pins the cached bytes
-	hits0, misses0 := s.cache.Stats()
-	scans0 := s.store.ScanCount()
-	builds0 := s.agg.Builds()
+	hits0, misses0 := e.cache.Stats()
+	scans0 := e.store.ScanCount()
+	builds0 := e.agg.Builds()
 
 	explained := fetchBytes(t, ts.URL+q+"?explain=1")
 
-	hits1, misses1 := s.cache.Stats()
+	hits1, misses1 := e.cache.Stats()
 	if hits1 != hits0+1 || misses1 != misses0 {
 		t.Errorf("explain moved cache counters hits %d->%d misses %d->%d; want exactly one hit", hits0, hits1, misses0, misses1)
 	}
-	if got := s.store.ScanCount(); got != scans0 {
+	if got := e.store.ScanCount(); got != scans0 {
 		t.Errorf("explain caused %d store scans", got-scans0)
 	}
-	if got := s.agg.Builds(); got != builds0 {
+	if got := e.agg.Builds(); got != builds0 {
 		t.Errorf("explain caused %d bucket builds", got-builds0)
 	}
 
@@ -208,9 +209,8 @@ func newFederatedCluster(t *testing.T) (*httptest.Server, []*httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newServer(&coordEngine{coord: coord}, testConfig())
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return ts, nodes
 }

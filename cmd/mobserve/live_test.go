@@ -15,7 +15,7 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// newLiveTestServer boots a live-mode server over an empty store — the
+// newLiveTestServer boots a ring-engine server over an empty store — the
 // situation the CI smoke job reproduces with the real binary.
 func newLiveTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
@@ -23,13 +23,7 @@ func newLiveTestServer(t *testing.T) (*server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, 0)
-	if err := s.enableLive(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.initIngest(); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := newRingTestServer(t, store, "")
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -59,6 +53,7 @@ func fetchJSON(t *testing.T, url string) map[string]any {
 // repeat query reports cached with zero new store scans.
 func TestLiveIngestEndToEnd(t *testing.T) {
 	s, ts := newLiveTestServer(t)
+	e := s.eng.(*ringEngine)
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(800, 5, 6))
 	if err != nil {
@@ -90,11 +85,11 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || int(ing["ingested"].(float64)) != len(tweets) {
 		t.Fatalf("ingest: status %d body %v", resp.StatusCode, ing)
 	}
-	if got := s.store.Count(); got != int64(len(tweets)) {
+	if got := e.store.Count(); got != int64(len(tweets)) {
 		t.Fatalf("store count = %d, want %d", got, len(tweets))
 	}
 
-	scans := s.store.ScanCount()
+	scans := e.store.ScanCount()
 	pop := fetchJSON(t, ts.URL+"/v1/population?scale=national")
 	if pop["cached"].(bool) {
 		t.Error("first population query reported cached")
@@ -118,7 +113,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if !fetchJSON(t, ts.URL+"/v1/flows?scale=national")["cached"].(bool) {
 		t.Error("repeat flows query not cached")
 	}
-	if got := s.store.ScanCount(); got != scans {
+	if got := e.store.ScanCount(); got != scans {
 		t.Fatalf("live /v1 queries scanned the store: %d -> %d", scans, got)
 	}
 	// A radius-override request is not materialised: it falls back to a
@@ -127,7 +122,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if over["radius"].(float64) != 30000 {
 		t.Fatalf("override radius = %v", over["radius"])
 	}
-	if got := s.store.ScanCount(); got != scans {
+	if got := e.store.ScanCount(); got != scans {
 		t.Fatalf("radius fallback scanned the store: %d -> %d", scans, got)
 	}
 	health := fetchJSON(t, ts.URL+"/healthz")
@@ -150,6 +145,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 // results whose windows cover the buckets it landed in.
 func TestLiveIngestInvalidatesOnlyLandedBuckets(t *testing.T) {
 	s, ts := newLiveTestServer(t)
+	e := s.eng.(*ringEngine)
 	post := func(lines string) {
 		t.Helper()
 		resp, err := http.Post(ts.URL+"/v1/ingest", "application/x-ndjson", strings.NewReader(lines))
@@ -198,7 +194,7 @@ func TestLiveIngestInvalidatesOnlyLandedBuckets(t *testing.T) {
 	if got := lateAfter["tweets"].(float64); got != 3 {
 		t.Errorf("late window tweets = %v, want 3 (new record folded in)", got)
 	}
-	hits, misses := s.cache.Stats()
+	hits, misses := e.cache.Stats()
 	if hits != 2 || misses != 3 {
 		t.Errorf("cache stats hits=%d misses=%d, want 2 hits / 3 misses", hits, misses)
 	}

@@ -1,20 +1,42 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"image/png"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
+	"geomob/internal/cluster"
 	"geomob/internal/synth"
-	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
-// newTestServer builds a server over a small compacted store.
-func newTestServer(t *testing.T) *server {
+// testConfig is the command line the in-process test servers run under:
+// the flag defaults.
+func testConfig() config {
+	return config{bucket: time.Hour, maxIngestBytes: cluster.DefaultMaxBodyBytes}
+}
+
+// newRingTestServer boots a ring engine over the store — restoring from
+// snapDir when one is given — and a server over it.
+func newRingTestServer(t *testing.T, store *tweetdb.Store, snapDir string) (*server, *ringEngine) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.snapDir = snapDir
+	e, err := newRingEngine(context.Background(), store, cfg, newBootClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newServer(e, cfg), e
+}
+
+// newTestServer builds a server over a small compacted store, which the
+// ring backfills at boot.
+func newTestServer(t *testing.T) (*server, *ringEngine) {
 	t.Helper()
 	store, err := tweetdb.Open(t.TempDir())
 	if err != nil {
@@ -34,140 +56,7 @@ func newTestServer(t *testing.T) *server {
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	return newServer(store, 0)
-}
-
-func TestHandleStats(t *testing.T) {
-	s := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var body map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body["tweets"].(float64) <= 0 {
-		t.Errorf("tweets = %v", body["tweets"])
-	}
-	if body["segments"].(float64) <= 0 {
-		t.Errorf("segments = %v", body["segments"])
-	}
-	if body["workers"].(float64) < 1 {
-		t.Errorf("workers = %v, want >= 1", body["workers"])
-	}
-}
-
-func TestHandleTweetsUserFilter(t *testing.T) {
-	s := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.handleTweets(rec, httptest.NewRequest("GET", "/tweets?user=3&limit=5", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var tweets []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &tweets); err != nil {
-		t.Fatal(err)
-	}
-	if len(tweets) == 0 || len(tweets) > 5 {
-		t.Fatalf("got %d tweets", len(tweets))
-	}
-	for _, tw := range tweets {
-		if tw["user"].(float64) != 3 {
-			t.Errorf("wrong user: %v", tw["user"])
-		}
-	}
-}
-
-func TestHandleTweetsTimeWindow(t *testing.T) {
-	s := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.handleTweets(rec, httptest.NewRequest("GET",
-		"/tweets?from=2013-10-01T00:00:00Z&to=2013-10-02T00:00:00Z&limit=100000", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var tweets []map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &tweets); err != nil {
-		t.Fatal(err)
-	}
-	loMS := float64(1380585600000) // 2013-10-01 UTC in ms
-	hiMS := loMS + 86400000
-	for _, tw := range tweets {
-		ts := tw["ts"].(float64)
-		if ts < loMS || ts >= hiMS {
-			t.Fatalf("tweet outside window: %v", ts)
-		}
-	}
-}
-
-func TestHandleTweetsBadInputs(t *testing.T) {
-	s := newTestServer(t)
-	for _, url := range []string{
-		"/tweets?user=notanumber",
-		"/tweets?from=yesterday",
-		"/tweets?to=tomorrow",
-		"/tweets?limit=0",
-		"/tweets?limit=-3",
-	} {
-		rec := httptest.NewRecorder()
-		s.handleTweets(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, rec.Code)
-		}
-	}
-}
-
-func TestHandleDensityPNG(t *testing.T) {
-	s := newTestServer(t)
-	rec := httptest.NewRecorder()
-	s.handleDensity(rec, httptest.NewRequest("GET", "/density.png?nx=60&ny=48", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "image/png" {
-		t.Errorf("content type %q", ct)
-	}
-	img, err := png.Decode(rec.Body)
-	if err != nil {
-		t.Fatalf("invalid png: %v", err)
-	}
-	if img.Bounds().Dx() != 60 || img.Bounds().Dy() != 48 {
-		t.Errorf("dimensions %v", img.Bounds())
-	}
-}
-
-func TestHandleFlows(t *testing.T) {
-	s := newTestServer(t)
-	for _, scale := range []string{"national", "state", "metropolitan", ""} {
-		rec := httptest.NewRecorder()
-		s.handleFlows(rec, httptest.NewRequest("GET", "/flows?scale="+scale, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("scale %q: status %d: %s", scale, rec.Code, rec.Body.String())
-		}
-		var body struct {
-			Scale  string      `json:"scale"`
-			Areas  []string    `json:"areas"`
-			Flows  [][]float64 `json:"flows"`
-			Total  float64     `json:"total"`
-			Radius float64     `json:"radius"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		if len(body.Areas) != 20 || len(body.Flows) != 20 {
-			t.Errorf("scale %q: %d areas, %d flow rows", scale, len(body.Areas), len(body.Flows))
-		}
-		if body.Radius <= 0 {
-			t.Errorf("scale %q: radius %v", scale, body.Radius)
-		}
-	}
-	rec := httptest.NewRecorder()
-	s.handleFlows(rec, httptest.NewRequest("GET", "/flows?scale=galactic", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown scale: status %d", rec.Code)
-	}
+	return newRingTestServer(t, store, "")
 }
 
 // getJSON routes a request through the full mux and decodes the JSON body.
@@ -185,7 +74,7 @@ func getJSON(t *testing.T, s *server, url string) (int, map[string]any) {
 }
 
 func TestHandleHealthz(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	code, body := getJSON(t, s, "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -201,50 +90,22 @@ func TestHandleHealthz(t *testing.T) {
 	}
 }
 
-// TestHandleStatsEmptyStore covers the minTS == 0 epoch-sentinel fix: an
-// empty store must omit the collection period instead of reporting
-// 1970-01-01.
-func TestHandleStatsEmptyStore(t *testing.T) {
-	store, err := tweetdb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newServer(store, 0)
-	code, body := getJSON(t, s, "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if _, ok := body["first"]; ok {
-		t.Errorf("empty store reported first = %v", body["first"])
-	}
-	if _, ok := body["last"]; ok {
-		t.Errorf("empty store reported last = %v", body["last"])
-	}
-	if body["tweets"].(float64) != 0 {
-		t.Errorf("tweets = %v, want 0", body["tweets"])
-	}
-}
-
-// TestHandleDensityBadParams: invalid grid dimensions are a 400, not a
-// silent fallback to the defaults.
-func TestHandleDensityBadParams(t *testing.T) {
-	s := newTestServer(t)
-	for _, url := range []string{
-		"/density.png?nx=0",
-		"/density.png?ny=-3",
-		"/density.png?nx=notanumber",
-		"/density.png?ny=2001",
-	} {
-		rec := httptest.NewRecorder()
-		s.routes().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", url, rec.Code)
+// TestUnversionedEndpointsGone: the pre-/v1 store-scan endpoints are not
+// part of the surface, on either engine.
+func TestUnversionedEndpointsGone(t *testing.T) {
+	ring, _ := newTestServer(t)
+	coord, _, _ := newClusterTestServer(t, 1)
+	for name, s := range map[string]*server{"ring": ring, "coordinator": coord} {
+		for _, url := range []string{"/stats", "/tweets?user=3", "/density.png", "/flows?scale=state"} {
+			if code, _ := getJSON(t, s, url); code != http.StatusNotFound {
+				t.Errorf("%s engine: GET %s answered %d, want 404", name, url, code)
+			}
 		}
 	}
 }
 
 func TestV1Stats(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	code, body := getJSON(t, s, "/v1/stats")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -266,7 +127,7 @@ func TestV1Stats(t *testing.T) {
 
 // TestV1StatsWindow: a windowed stats request only sees in-window tweets.
 func TestV1StatsWindow(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	_, full := getJSON(t, s, "/v1/stats")
 	code, windowed := getJSON(t, s,
 		"/v1/stats?from=2013-10-01T00:00:00Z&to=2013-11-01T00:00:00Z")
@@ -284,7 +145,7 @@ func TestV1StatsWindow(t *testing.T) {
 }
 
 func TestV1Population(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	code, body := getJSON(t, s, "/v1/population?scale=metropolitan")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -311,7 +172,7 @@ func TestV1Population(t *testing.T) {
 }
 
 func TestV1Models(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	code, body := getJSON(t, s, "/v1/models?scale=national")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -331,11 +192,16 @@ func TestV1Models(t *testing.T) {
 	}
 }
 
-// TestV1FlowsSnapshotCache is the caching acceptance test: a repeated
-// request on an unchanged store is answered without a single store scan,
-// and appending to the store invalidates the snapshot.
+// TestV1FlowsSnapshotCache is the caching acceptance test: the store is
+// scanned once, to fill the ring at boot, and never by a query; a
+// repeated request is a bucket_fold cache hit; and an ingest invalidates
+// exactly the snapshots whose window covers the bucket it landed in.
 func TestV1FlowsSnapshotCache(t *testing.T) {
-	s := newTestServer(t)
+	s, e := newTestServer(t)
+	scansAtBoot := e.store.ScanCount()
+	if scansAtBoot == 0 {
+		t.Fatal("boot did not backfill the ring from the store")
+	}
 	code, first := getJSON(t, s, "/v1/flows?scale=state")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -346,20 +212,20 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if len(first["areas"].([]any)) == 0 {
 		t.Error("no areas in flow response")
 	}
-	scansAfterFirst := s.store.ScanCount()
-	if scansAfterFirst == 0 {
-		t.Fatal("first request did not scan the store")
-	}
 
-	code, second := getJSON(t, s, "/v1/flows?scale=state")
+	code, second := getJSON(t, s, "/v1/flows?scale=state&explain=1")
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if second["cached"] != true {
 		t.Error("repeated request not served from the snapshot cache")
 	}
-	if got := s.store.ScanCount(); got != scansAfterFirst {
-		t.Errorf("repeated request scanned the store: %d scans, want %d", got, scansAfterFirst)
+	disp, _ := second["explain"].(map[string]any)["cache"].(map[string]any)
+	if disp["source"] != "bucket_fold" || disp["hit"] != true {
+		t.Errorf("repeat's cache disposition = %v, want a bucket_fold hit", disp)
+	}
+	if got := e.store.ScanCount(); got != scansAtBoot {
+		t.Errorf("queries scanned the store: %d scans, %d at boot", got, scansAtBoot)
 	}
 	if !reflect.DeepEqual(first["flows"], second["flows"]) {
 		t.Error("cached flows differ from the computed ones")
@@ -370,13 +236,13 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if national["cached"] != false {
 		t.Error("different request served from an unrelated snapshot")
 	}
-	// ...and appending to the store moves the generation, invalidating
-	// every snapshot. The new user id sorts after all existing ones so
-	// the compacted global order survives the append.
-	if err := s.store.Append([]tweet.Tweet{
-		{ID: 1 << 40, UserID: 1 << 40, TS: 1380600000000, Lat: -33.87, Lon: 151.21},
-	}); err != nil {
-		t.Fatal(err)
+	// ...and a record ingested into a bucket the window covers moves that
+	// bucket's revision, invalidating the snapshots over it.
+	rec := httptest.NewRecorder()
+	s.routes().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/ingest",
+		strings.NewReader(`{"id":1099511627776,"user":1099511627776,"ts":1380600000000,"lat":-33.87,"lon":151.21}`+"\n")))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body)
 	}
 	code, third := getJSON(t, s, "/v1/flows?scale=state")
 	if code != http.StatusOK {
@@ -386,12 +252,15 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 		t.Fatal("missing cached field")
 	}
 	if third["cached"] == true {
-		t.Error("stale snapshot served after the store changed")
+		t.Error("stale snapshot served after the ring changed")
+	}
+	if got := e.store.ScanCount(); got != scansAtBoot {
+		t.Errorf("ingest or the refold scanned the store: %d scans, %d at boot", got, scansAtBoot)
 	}
 }
 
 func TestV1BadParams(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	for _, url := range []string{
 		"/v1/flows?scale=galactic",
 		"/v1/population?scale=metropolitan&radius=-5",
@@ -418,7 +287,7 @@ func TestV1BadParams(t *testing.T) {
 // endpoint, not an epoch-dated answer, a model-fit 500, or a stale cache
 // entry.
 func TestV1EmptyWindow(t *testing.T) {
-	s := newTestServer(t)
+	s, _ := newTestServer(t)
 	for _, url := range []string{
 		"/v1/stats?from=1999-01-01T00:00:00Z&to=1999-02-01T00:00:00Z",
 		"/v1/population?scale=state&from=1999-01-01T00:00:00Z&to=1999-02-01T00:00:00Z",

@@ -29,55 +29,19 @@ var mSlowQueries = obs.Def.Counter("geomob_slow_queries_total", "Queries slower 
 // registerInstanceMetrics publishes this server instance's state gauges
 // on its own registry: /healthz reads them back through one Snapshot()
 // so its numbers form one coherent scrape, and /metrics renders them
-// after the process-global obs.Def series. Registration is idempotent
-// (GaugeFunc replaces the callback), so routes() may run repeatedly.
+// after the process-global obs.Def series. routes() runs it before any
+// handler can; registration is idempotent (GaugeFunc replaces the
+// callback), so routes() may run repeatedly.
 func (s *server) registerInstanceMetrics() {
 	obs.RegisterBuildMetrics(obs.Def)
-	r := s.obsReg
-	registerRuntimeMetrics(r)
-	if s.coord != nil {
-		r.GaugeFunc("geomob_coord_ingested_rows", "Rows accepted by this coordinator since boot.",
-			func() float64 { return float64(s.coord.Ingested()) })
-		r.GaugeFunc("geomob_coord_partial_fetches", "Shard fold RPCs issued by this coordinator.",
-			func() float64 { return float64(s.coord.PartialFetches()) })
-		r.GaugeFunc("geomob_coord_cache_hits", "Coordinator snapshot-cache hits.",
-			func() float64 { h, _ := s.coord.CacheStats(); return float64(h) })
-		r.GaugeFunc("geomob_coord_cache_misses", "Coordinator snapshot-cache misses.",
-			func() float64 { _, m := s.coord.CacheStats(); return float64(m) })
-		return
-	}
-	r.GaugeFunc("geomob_store_tweets", "Durable records in this instance's store.",
-		func() float64 { return float64(s.store.Count()) })
-	r.GaugeFunc("geomob_store_scans", "Segment scans served by this instance's store.",
-		func() float64 { return float64(s.store.ScanCount()) })
-	r.GaugeFunc("geomob_cache_hits", "Snapshot-cache hits on this instance.",
-		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
-	r.GaugeFunc("geomob_cache_misses", "Snapshot-cache misses on this instance.",
-		func() float64 { _, m := s.cache.Stats(); return float64(m) })
-	if s.agg != nil {
-		r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
-			func() float64 { return float64(s.agg.Buckets()) })
-		r.GaugeFunc("geomob_live_ingested_rows", "Records routed into the bucket ring since boot.",
-			func() float64 { return float64(s.agg.Ingested()) })
-		r.GaugeFunc("geomob_live_builds", "Bucket partial materialisations performed.",
-			func() float64 { return float64(s.agg.Builds()) })
-		registerResidentMetrics(r, s.agg.ResidentBytes)
-	}
-	if s.snaps != nil {
-		r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
-			func() float64 { return float64(s.snaps.Stats().Buckets) })
-		r.GaugeFunc("geomob_snapshot_bytes", "Bytes held by the durable snapshot set.",
-			func() float64 { return float64(s.snaps.Stats().Bytes) })
-		r.GaugeFunc("geomob_snapshot_written", "Snapshot files written since boot.",
-			func() float64 { return float64(s.snaps.Stats().Written) })
-		r.GaugeFunc("geomob_snapshot_last_unix_ms", "Wall time of the last snapshot commit (ms since epoch).",
-			func() float64 { return float64(s.snaps.Stats().LastUnixMs) })
-	}
+	registerRuntimeMetrics(s.obsReg)
+	s.eng.registerMetrics(s.obsReg)
 }
 
 // registerResidentMetrics publishes what this process's rings hold on
 // the heap, by kind: one ring's ResidentBytes on a single node, the sum
-// over the slot rings on a shard node.
+// over the slot rings on a shard node, the sum over the in-process
+// shards under -partitions.
 func registerResidentMetrics(r *obs.Registry, resident func() live.ResidentBytes) {
 	const name, help = "geomob_ring_resident_bytes", "Heap bytes held by the bucket rings, by kind (raw record columns, bucket partials, rollup merges)."
 	r.GaugeFunc(name, help, func() float64 { return float64(resident().Records) }, "kind", "records")
@@ -194,7 +158,7 @@ func buildBlock() map[string]any {
 
 // traced wraps a query handler with the request-scoped trace: the
 // X-Geomob-Trace header (or a fresh random ID) becomes the context
-// trace carried through executeCached into the coordinator and its
+// trace carried through the engine's query into the coordinator and its
 // shard hops, the endpoint's end-to-end latency lands in
 // geomob_query_duration_seconds{endpoint=...}, and any request slower
 // than -slow-query logs one structured line with the per-stage
@@ -272,19 +236,6 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, rec)
-}
-
-// handleMetricsCluster serves GET /metrics/cluster on the coordinator:
-// every member's shard /metrics scraped concurrently and re-rendered as
-// one exposition with a node label per series plus member-up markers —
-// a down member degrades to geomob_member_up{node=...} 0, never to an
-// error response (DESIGN.md §13).
-func (s *server) handleMetricsCluster(w http.ResponseWriter, r *http.Request) {
-	results := s.coord.Federate(r.Context())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.MergeExpositions(w, results); err != nil {
-		log.Printf("metrics federation: %v", err)
-	}
 }
 
 // latencyBlock is /healthz's quantile summary over the endpoint latency

@@ -165,18 +165,27 @@ func checkBucketsMonotone(t *testing.T, samples map[string]float64, family strin
 	}
 }
 
-// TestHealthzShape pins the /healthz JSON contract: the registry-backed
-// rewrite must keep every pre-existing key (plus the build block).
+// healthzKeys are the sorted top-level keys of a /healthz body.
+func healthzKeys(body map[string]any) string {
+	keys := make([]string, 0, len(body))
+	for k := range body {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, " ")
+}
+
+// TestHealthzShape pins the single-node /healthz JSON contract: every key
+// the body has ever carried, the live block on every boot (the ring is
+// the only backend), and nothing else.
 func TestHealthzShape(t *testing.T) {
 	_, ts := newLiveTestServer(t)
 	corpus := genTweets(t, 200, 7, 8)
 	ingestNDJSON(t, ts.URL, corpus)
 	fetchJSON(t, ts.URL+"/v1/stats") // populate the query latency histogram
 	body := fetchJSON(t, ts.URL+"/healthz")
-	for _, k := range []string{"status", "tweets", "generation", "scans", "cache", "live", "build", "latency"} {
-		if _, ok := body[k]; !ok {
-			t.Errorf("healthz missing key %q: %v", k, body)
-		}
+	if got, want := healthzKeys(body), "build cache generation latency live scans status tweets"; got != want {
+		t.Errorf("healthz keys %q, want %q", got, want)
 	}
 	if body["status"] != "ok" {
 		t.Errorf("status = %v", body["status"])
@@ -259,16 +268,14 @@ func TestHealthzShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapped := newServer(store, 0)
-	if err := snapped.enableLiveSnap(time.Hour, t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	if err := snapped.initIngest(); err != nil {
-		t.Fatal(err)
-	}
+	snapped, _ := newRingTestServer(t, store, t.TempDir())
 	ts2 := httptest.NewServer(snapped.routes())
 	defer ts2.Close()
-	recov, ok := fetchJSON(t, ts2.URL+"/healthz")["recovery"].(map[string]any)
+	body = fetchJSON(t, ts2.URL+"/healthz")
+	if got, want := healthzKeys(body), "build cache generation latency live recovery scans snapshot status tweets"; got != want {
+		t.Errorf("healthz keys with a snapshot directory %q, want %q", got, want)
+	}
+	recov, ok := body["recovery"].(map[string]any)
 	if !ok {
 		t.Fatal("healthz of a snapshotting server lacks the recovery block")
 	}
@@ -347,7 +354,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if _, ok := after["geomob_go_gc_pause_p99_seconds"]; !ok {
 		t.Error("no geomob_go_gc_pause_p99_seconds series")
 	}
-	// The server's boot clock marked the phases enableLive ran.
+	// The boot clock marked the phases the ring engine's hydration ran.
 	for _, phase := range []string{"shape", "recover"} {
 		if _, ok := after[`geomob_boot_seconds{phase="`+phase+`"}`]; !ok {
 			t.Errorf("no geomob_boot_seconds series for phase %s", phase)
@@ -470,9 +477,8 @@ func TestDegraded503CarriesTraceID(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	s := newServer(nil, 0)
-	s.coord = coord
-	ts := httptest.NewServer(s.clusterRoutes())
+	s := newServer(&coordEngine{coord: coord}, testConfig())
+	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 
 	ingestNDJSON(t, ts.URL, genTweets(t, 300, 15, 16))

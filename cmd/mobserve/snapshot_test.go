@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
@@ -50,13 +49,7 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, 0)
-	if err := s.enableLiveSnap(time.Hour, snapDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.initIngest(); err != nil {
-		t.Fatal(err)
-	}
+	s, e := newRingTestServer(t, store, snapDir)
 	ts := httptest.NewServer(s.routes())
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(800, 5, 6))
@@ -90,7 +83,7 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	pop1 := fetchJSON(t, ts.URL+"/v1/population?scale=state")
 
 	// The drain flush main() runs after the listener stops.
-	if _, err := s.snapshotNow(); err != nil {
+	if _, err := e.snapshot(); err != nil {
 		t.Fatalf("final snapshot: %v", err)
 	}
 	ts.Close()
@@ -100,11 +93,8 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := newServer(store2, 0)
-	if err := s2.enableLiveSnap(time.Hour, snapDir); err != nil {
-		t.Fatal(err)
-	}
-	rec := s2.recovery
+	s2, e2 := newRingTestServer(t, store2, snapDir)
+	rec := e2.recovery
 	if rec.FullRescan || rec.Restored == 0 || rec.Backfilled != 0 || rec.SnapErrors != 0 {
 		t.Fatalf("restart recovery degraded: %+v", rec)
 	}
@@ -113,9 +103,6 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	}
 	if got := store2.ScanCount(); got != 0 {
 		t.Fatalf("restart scanned the store %d times, want 0", got)
-	}
-	if err := s2.initIngest(); err != nil {
-		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.routes())
 	defer ts2.Close()

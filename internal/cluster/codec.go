@@ -29,20 +29,26 @@ import (
 //	if users:  u32 count | per user:
 //	           i64 id, i64 tweets, f64 sx,sy,sz, i64 cells,
 //	           u32 nw, f64×nw waits, u32 nd, f64×nd disps
-//	v2 only:   u8 ntiers | per tier: i64 factor, u32 groups, u32 buckets
-//	           u32 buckets | u32 full | u32 residual | i64 residualRecords
+//	u8 ntiers | per tier: i64 factor, u32 groups, u32 buckets
+//	u32 buckets | u32 full | u32 residual | i64 residualRecords
 //
 // Flow matrices travel as bare numbers; the decoder re-attaches the area
 // lists from its own embedded gazetteer (every node bakes in the same
 // one), keeping user-count-independent metadata off the wire.
 //
-// Version 2 appends the fold-coverage accounting EXPLAIN ANALYZE
-// surfaces per shard; a v1 payload still decodes (zero coverage), so a
-// coordinator ahead of its members during a rolling upgrade keeps
-// answering — only the explain breakdown degrades.
+// The trailing section is the fold-coverage accounting EXPLAIN ANALYZE
+// surfaces per shard. partialVersion is the only version encoded or
+// decoded.
 const (
 	partialMagic   uint32 = 0x50434d47 // "GMCP" little-endian
 	partialVersion uint16 = 2
+
+	// userWireBytes is the least a user row costs on the wire (three
+	// i64, three f64, two empty float-slice prefixes), and lenPrefixBytes
+	// the least a nested partial does; claimed counts are bounded by the
+	// bytes actually left so a hostile prefix cannot size an allocation.
+	userWireBytes  = 3*8 + 3*8 + 2*4
+	lenPrefixBytes = 4
 
 	flagSeen  byte = 1 << 0
 	flagUsers byte = 1 << 1
@@ -135,8 +141,7 @@ func DecodePartial(data []byte) (*live.ShardPartial, error) {
 	if m := r.u32(); m != partialMagic && r.err == nil {
 		return nil, fmt.Errorf("cluster: partial codec: bad magic %#x", m)
 	}
-	ver := r.u16()
-	if ver != 1 && ver != partialVersion && r.err == nil {
+	if ver := r.u16(); ver != partialVersion && r.err == nil {
 		return nil, fmt.Errorf("cluster: partial codec: unsupported version %d", ver)
 	}
 	flags := r.u8()
@@ -184,6 +189,9 @@ func DecodePartial(data []byte) (*live.ShardPartial, error) {
 			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix over %d areas, gazetteer has %d",
 				sc, n, len(rs.Areas))
 		}
+		if (n*n+n)*8 > len(r.buf)-r.off {
+			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix exceeds remaining %d bytes", sc, len(r.buf)-r.off)
+		}
 		fm := mobility.NewFlowMatrix(rs.Areas)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -206,8 +214,8 @@ func DecodePartial(data []byte) (*live.ShardPartial, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		if n > len(data) { // each user costs well over one byte
-			return nil, fmt.Errorf("cluster: partial codec: implausible user count %d", n)
+		if n > (len(r.buf)-r.off)/userWireBytes {
+			return nil, fmt.Errorf("cluster: partial codec: user count %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
 		}
 		p.Users = make([]live.UserTrajectory, n)
 		for i := range p.Users {
@@ -225,26 +233,24 @@ func DecodePartial(data []byte) (*live.ShardPartial, error) {
 			}
 		}
 	}
-	if ver >= 2 {
-		ntiers := int(r.u8())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if ntiers > 8 {
-			return nil, fmt.Errorf("cluster: partial codec: implausible tier count %d", ntiers)
-		}
-		for i := 0; i < ntiers; i++ {
-			p.Coverage.TierFolds = append(p.Coverage.TierFolds, live.TierFold{
-				Factor:  r.i64(),
-				Groups:  int(r.u32()),
-				Buckets: int(r.u32()),
-			})
-		}
-		p.Coverage.Buckets = int(r.u32())
-		p.Coverage.FullBuckets = int(r.u32())
-		p.Coverage.ResidualBuckets = int(r.u32())
-		p.Coverage.ResidualRecords = r.i64()
+	ntiers := int(r.u8())
+	if r.err != nil {
+		return nil, r.err
 	}
+	if ntiers > 8 {
+		return nil, fmt.Errorf("cluster: partial codec: implausible tier count %d", ntiers)
+	}
+	for i := 0; i < ntiers; i++ {
+		p.Coverage.TierFolds = append(p.Coverage.TierFolds, live.TierFold{
+			Factor:  r.i64(),
+			Groups:  int(r.u32()),
+			Buckets: int(r.u32()),
+		})
+	}
+	p.Coverage.Buckets = int(r.u32())
+	p.Coverage.FullBuckets = int(r.u32())
+	p.Coverage.ResidualBuckets = int(r.u32())
+	p.Coverage.ResidualRecords = r.i64()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -276,8 +282,8 @@ func DecodePartials(data []byte) ([]*live.ShardPartial, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n > len(data) { // each partial costs well over one byte
-		return nil, fmt.Errorf("cluster: partial codec: implausible partial count %d", n)
+	if n > (len(r.buf)-r.off)/lenPrefixBytes {
+		return nil, fmt.Errorf("cluster: partial codec: partial count %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
 	}
 	out := make([]*live.ShardPartial, 0, n)
 	for i := 0; i < n; i++ {

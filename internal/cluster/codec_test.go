@@ -1,6 +1,11 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,9 +18,13 @@ import (
 
 // codecAggregator builds a ring loaded with a small corpus, returning
 // the ring and the corpus's timestamp span.
-func codecAggregator(t *testing.T) (*live.Aggregator, int64, int64) {
+func codecAggregator(t testing.TB) (*live.Aggregator, int64, int64) {
+	return codecAggregatorUsers(t, 300)
+}
+
+func codecAggregatorUsers(t testing.TB, users int) (*live.Aggregator, int64, int64) {
 	t.Helper()
-	gen, err := synth.NewGenerator(synth.DefaultConfig(300, 5, 9))
+	gen, err := synth.NewGenerator(synth.DefaultConfig(users, 5, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +77,9 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartialCodecRejectsCorruption: truncations, trailing garbage and a
-// bad magic must error, never yield a partial.
+// TestPartialCodecRejectsCorruption: truncations, trailing garbage, a
+// bad magic, any version but the current one, and counts claiming more
+// than the bytes that follow must error, never yield a partial.
 func TestPartialCodecRejectsCorruption(t *testing.T) {
 	agg, _, _ := codecAggregator(t)
 	p, err := agg.FoldPartial(core.Request{})
@@ -94,43 +104,107 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodePartial(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-}
+	for _, ver := range []byte{1, 9} {
+		bad := append([]byte(nil), data...)
+		bad[4], bad[5] = ver, 0
+		if _, err := DecodePartial(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: %v, want unsupported version", ver, err)
+		}
+	}
 
-// TestPartialCodecV1Compat: a version-1 payload (no coverage section)
-// still decodes — everything but the coverage accounting round-trips,
-// so a rolling upgrade degrades only the explain breakdown.
-func TestPartialCodecV1Compat(t *testing.T) {
-	agg, _, _ := codecAggregator(t)
-	p, err := agg.FoldPartial(core.Request{Analyses: []core.Analysis{core.AnalysisStats}})
-	if err != nil {
+	// A stats-only partial has no scales, so the user count sits right
+	// behind the fixed prefix: claim one more user than the bytes behind
+	// it could hold.
+	if p, err = agg.FoldPartial(core.Request{Analyses: []core.Analysis{core.AnalysisStats}}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Coverage.Buckets == 0 {
-		t.Fatal("fold recorded no coverage; v1 strip test would be vacuous")
+	data = EncodePartial(p)
+	const userCountAt = 4 + 2 + 1 + 8 + 4*8 + 2*8 + 2
+	if got := binary.LittleEndian.Uint32(data[userCountAt:]); int(got) != len(p.Users) {
+		t.Fatalf("user count at byte %d reads %d, fold has %d users", userCountAt, got, len(p.Users))
 	}
-	data := EncodePartial(p)
-	// Strip the trailing v2 coverage section (u8 ntiers + 16 bytes per
-	// tier + 3×u32 + i64) and patch the version field back to 1.
-	covLen := 1 + 16*len(p.Coverage.TierFolds) + 4 + 4 + 4 + 8
-	v1 := append([]byte(nil), data[:len(data)-covLen]...)
-	v1[4], v1[5] = 1, 0
-	q, err := DecodePartial(v1)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
+	claim := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(claim[userCountAt:], uint32((len(data)-userCountAt-4)/userWireBytes+1))
+	if _, err := DecodePartial(claim); err == nil || !strings.Contains(err.Error(), "user count") {
+		t.Fatalf("over-claimed user count: %v", err)
 	}
-	if q.Coverage.Buckets != 0 || q.Coverage.TierFolds != nil {
-		t.Fatalf("v1 decode invented coverage: %+v", q.Coverage)
+	list := EncodePartials([]*live.ShardPartial{p})
+	binary.LittleEndian.PutUint32(list, uint32((len(list)-4)/lenPrefixBytes+1))
+	if _, err := DecodePartials(list); err == nil || !strings.Contains(err.Error(), "partial count") {
+		t.Fatalf("over-claimed partial count: %v", err)
 	}
-	q.Coverage = p.Coverage
-	if !testx.ValuesBitEqual(p, q) {
-		t.Fatal("v1 decode lost non-coverage fields")
+}
+
+// FuzzDecodePartials fuzzes the decoder a coordinator runs on every shard
+// reply. Seeded with a real fold's slot list and the damage the test
+// above applies, it must never panic, never allocate more than the
+// payload's own size justifies (a prefix may claim four billion users),
+// and whatever it accepts must survive encode → decode bit for bit.
+func FuzzDecodePartials(f *testing.F) {
+	// Three users over a tenth of the corpus span, one partial per
+	// section of the format, keep the seed at a few kilobytes (most of it
+	// one 20×20 flow matrix). The engine minimises every input that finds
+	// coverage and would spend a short run doing only that: run with
+	// -fuzzminimizetime 100x, as CI does.
+	agg, minTS, maxTS := codecAggregatorUsers(f, 3)
+	from, to := time.UnixMilli(minTS).UTC(), time.UnixMilli(minTS+(maxTS-minTS)/10).UTC()
+	var ps []*live.ShardPartial
+	for _, req := range []core.Request{
+		{Analyses: []core.Analysis{core.AnalysisStats}, From: from, To: to},
+		{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleState}, From: from, To: to},
+		{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleMetropolitan}, From: from, To: to},
+	} {
+		p, err := agg.FoldPartial(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ps = append(ps, p)
 	}
-	// An unknown future version still errors.
-	bad := append([]byte(nil), data...)
-	bad[4], bad[5] = 9, 0
-	if _, err := DecodePartial(bad); err == nil {
-		t.Fatal("version 9 accepted")
+	pristine := EncodePartials(ps)
+	if again, err := DecodePartials(pristine); err != nil || !bytes.Equal(EncodePartials(again), pristine) {
+		f.Fatalf("seed does not round-trip to its own bytes: %v", err)
 	}
+	f.Add(pristine)
+	for _, at := range []int{0, 4, 8, 12, 14, 15, 71, len(pristine) / 2, len(pristine) - 1} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[at] ^= 0xA5
+		f.Add(flipped)
+	}
+	f.Add(pristine[:len(pristine)/2])
+	f.Add(append(append([]byte(nil), pristine...), 0))
+	claim := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(claim, math.MaxUint32)
+	f.Add(claim)
+	f.Add([]byte{})
+
+	// ReadMemStats, not runtime/metrics: it flushes the per-P allocation
+	// counts, so nothing allocated before the call is charged to it.
+	allocated := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		before := allocated()
+		got, err := DecodePartials(data)
+		// A decoded user row is 96 bytes for at least 56 on the wire and
+		// every float costs its own 8; the slack covers the gazetteer
+		// lookups, the error message and the test runtime.
+		if n, limit := allocated()-before, uint64(4*len(data)+1<<16); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		wire := EncodePartials(got)
+		again, err := DecodePartials(wire)
+		if err != nil {
+			t.Fatalf("an accepted payload does not re-decode: %v", err)
+		}
+		if !testx.ValuesBitEqual(got, again) || !bytes.Equal(EncodePartials(again), wire) {
+			t.Fatal("an accepted payload does not survive encode → decode bit for bit")
+		}
+	})
 }
 
 // TestMergeRejectsDuplicateUsers: the same user appearing on two shards

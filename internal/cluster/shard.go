@@ -592,12 +592,7 @@ func (s *LocalShard) Snapshot() (live.SnapshotStats, error) {
 			return total, fmt.Errorf("cluster: snapshot slot %d: %w", k, err)
 		}
 		s.aggs[k].MarkSnapshotted(caps[k])
-		total.Buckets += st.Buckets
-		total.Bytes += st.Bytes
-		total.Written += st.Written
-		if st.LastUnixMs > total.LastUnixMs {
-			total.LastUnixMs = st.LastUnixMs
-		}
+		total.Merge(st)
 	}
 	return total, nil
 }
@@ -610,13 +605,7 @@ func (s *LocalShard) SnapshotStats() live.SnapshotStats {
 		return total
 	}
 	for k := range s.snaps {
-		st := s.snaps[k].Stats()
-		total.Buckets += st.Buckets
-		total.Bytes += st.Bytes
-		total.Written += st.Written
-		if st.LastUnixMs > total.LastUnixMs {
-			total.LastUnixMs = st.LastUnixMs
-		}
+		total.Merge(s.snaps[k].Stats())
 	}
 	return total
 }

@@ -844,10 +844,10 @@ var ErrEmptyDataset = errors.New("core: empty dataset")
 // sibling shard already failed; it never escapes runSharded.
 var errShardAborted = errors.New("core: shard aborted")
 
-// runSharded is the fan-out/merge skeleton shared by Execute, ExtractFlows
-// and PopulationAtRadius: one private observer per shard, concurrent
-// consumption with cooperative abort on the first failure (so a corrupt
-// shard does not leave siblings scanning to completion), then a fold of
+// runSharded is Execute's fan-out/merge skeleton: one private observer
+// per shard, concurrent consumption with cooperative abort on the first
+// failure (so a corrupt shard does not leave siblings scanning to
+// completion), then a fold of
 // observers [1:] into observer [0] in shard order — the order the merge
 // contract (DESIGN.md §4) requires for serial-identical results. Workers
 // iterate via tweet.EachContext, so cancelling ctx aborts every shard
@@ -1144,32 +1144,6 @@ func describeModel(m models.Model) string {
 	default:
 		return ""
 	}
-}
-
-// ExtractFlows runs the §IV flow extraction alone over the source with the
-// given worker count (0 means one per CPU), sharding when the source
-// supports it and honouring ctx like Execute. It is the primitive behind
-// single-scale flow queries that bring their own mapper; callers wanting
-// the standard scales should prefer Execute with AnalysisFlows.
-func ExtractFlows(ctx context.Context, src Source, mapper *mobility.AreaMapper, workers int) (*mobility.FlowMatrix, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards, err := shardSource(src, workers)
-	if err != nil {
-		return nil, err
-	}
-	ext, err := runSharded(ctx, shards,
-		func() *mobility.Extractor { return mobility.NewFlowExtractor(mapper) },
-		(*mobility.Extractor).Observe,
-		(*mobility.Extractor).Merge)
-	if err != nil {
-		return nil, err
-	}
-	return ext.Flows(), nil
 }
 
 // PopulationAtRadius reruns the §III user counting for one scale at an

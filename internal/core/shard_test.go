@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 	"time"
 
 	"geomob/internal/census"
-	"geomob/internal/mobility"
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
@@ -168,38 +166,6 @@ func TestSliceSourceShards(t *testing.T) {
 				t.Fatalf("n=%d: tweet %d differs", n, i)
 			}
 		}
-	}
-}
-
-func TestExtractFlowsMatchesSerial(t *testing.T) {
-	gen, err := synth.NewGenerator(synth.DefaultConfig(800, 51, 52))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tweets, err := gen.GenerateAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := census.Australia().Regions(census.ScaleNational)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mapper, err := mobility.NewAreaMapper(rs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serialExt := mobility.NewExtractor(mapper)
-	for _, tw := range tweets {
-		if err := serialExt.Observe(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	parallel, err := ExtractFlows(context.Background(), SliceSource(tweets), mapper, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serialExt.Flows(), parallel) {
-		t.Error("parallel flow extraction differs from serial")
 	}
 }
 

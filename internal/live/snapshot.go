@@ -465,6 +465,16 @@ type SnapshotStats struct {
 	LastUnixMs int64 `json:"last_unix_ms"`
 }
 
+// Merge accumulates another snapshot set's stats into s (a shard sums
+// its slot directories, a partitioned node its shards): counts add, the
+// commit time is the latest.
+func (s *SnapshotStats) Merge(o SnapshotStats) {
+	s.Buckets += o.Buckets
+	s.Bytes += o.Bytes
+	s.Written += o.Written
+	s.LastUnixMs = max(s.LastUnixMs, o.LastUnixMs)
+}
+
 // SnapshotStore owns one snapshot directory: bucket blob files plus the
 // manifest, every write temp-file-fsync-renamed so a crash at any byte
 // leaves either the old snapshot or the new one, never a torn hybrid.

@@ -172,14 +172,16 @@ func (s *batchOrder) Len() int           { return (*Batch)(s).Len() }
 func (s *batchOrder) Less(i, j int) bool { return (*Batch)(s).less(i, j) }
 func (s *batchOrder) Swap(i, j int)      { (*Batch)(s).swap(i, j) }
 
-// Microdegrees quantises a coordinate in degrees to microdegrees (1e-6°,
-// ~0.11 m), rounding half away from zero — the exact quantisation of the
-// v1 row codec, exported so the columnar segment format stays
-// bit-compatible with it. Valid coordinates fit int32 (±180e6).
-func Microdegrees(deg float64) int32 { return int32(quantiseCoord(deg)) }
+// coordScale converts degrees to microdegrees.
+const coordScale = 1e6
 
-// DegreesFromMicro is the inverse of Microdegrees, bit-identical to the
-// v1 row codec's decode (float64(micro) / 1e6).
+// Microdegrees quantises a coordinate in degrees to microdegrees (1e-6°,
+// ~0.11 m, far below GPS noise), rounding half away from zero — the
+// quantisation of the columnar segment format. Valid coordinates fit
+// int32 (±180e6).
+func Microdegrees(deg float64) int32 { return int32(int64(math.Round(deg * coordScale))) }
+
+// DegreesFromMicro is the inverse of Microdegrees (float64(micro) / 1e6).
 func DegreesFromMicro(m int32) float64 { return float64(m) / coordScale }
 
 // Binary batch frame format. Every frame is one Batch, length-prefixed so

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"math/rand/v2"
 	"sort"
 	"strings"
 	"testing"
@@ -145,135 +144,21 @@ func TestNDJSONReaderErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	enc := NewEncoder()
-	var tweets []Tweet
-	ts := int64(1378000000000)
-	for u := int64(0); u < 20; u++ {
-		for k := 0; k < 50; k++ {
-			ts += int64(rng.IntN(100000))
-			tw := Tweet{
-				ID:     int64(len(tweets)),
-				UserID: u,
-				TS:     ts,
-				Lat:    -34 + rng.Float64(),
-				Lon:    150 + rng.Float64(),
-			}
-			tweets = append(tweets, tw)
-			if err := enc.Append(tw); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if enc.Len() != len(tweets) {
-		t.Fatalf("encoder Len = %d", enc.Len())
-	}
-	got, err := DecodeAll(enc.Bytes(), enc.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tweets {
-		want := tweets[i]
-		g := got[i]
-		if g.ID != want.ID || g.UserID != want.UserID || g.TS != want.TS {
-			t.Fatalf("record %d: %+v != %+v", i, g, want)
-		}
-		// Coordinates are quantised to microdegrees.
-		if d := g.Lat - want.Lat; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("record %d lat error %v", i, d)
-		}
-		if d := g.Lon - want.Lon; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("record %d lon error %v", i, d)
-		}
-	}
-}
-
-func TestBinaryCompressionBeatsFixedWidth(t *testing.T) {
-	// Sorted-by-user streams must encode well below the 36-byte fixed-width
-	// record footprint.
-	enc := NewEncoder()
-	ts := int64(1378000000000)
-	n := 5000
-	for i := 0; i < n; i++ {
-		ts += 60000
-		if err := enc.Append(Tweet{
-			ID: int64(i), UserID: int64(i / 100), TS: ts,
-			Lat: -33.8688, Lon: 151.2093,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	perRecord := float64(len(enc.Bytes())) / float64(n)
-	if perRecord > 12 {
-		t.Errorf("%.1f bytes/record — delta coding is not engaging", perRecord)
-	}
-}
-
+// TestBinaryQuantisationProperty: the storage quantisation holds every
+// valid coordinate to within half a microdegree, and quantising twice is
+// quantising once.
 func TestBinaryQuantisationProperty(t *testing.T) {
-	f := func(latSeed, lonSeed float64, id, user uint32, ts int64) bool {
-		lat := mod(latSeed, 90)
-		lon := mod(lonSeed, 180)
-		tw := Tweet{ID: int64(id), UserID: int64(user), TS: ts % (1 << 48), Lat: lat, Lon: lon}
-		enc := NewEncoder()
-		if err := enc.Append(tw); err != nil {
-			return false
+	f := func(latSeed, lonSeed float64) bool {
+		for _, deg := range []float64{mod(latSeed, 90), mod(lonSeed, 180)} {
+			got := DegreesFromMicro(Microdegrees(deg))
+			if abs(got-deg) > 5e-7+1e-12 || Microdegrees(got) != Microdegrees(deg) {
+				return false
+			}
 		}
-		got, err := DecodeAll(enc.Bytes(), 1)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		g := got[0]
-		return g.ID == tw.ID && g.UserID == tw.UserID && g.TS == tw.TS &&
-			abs(g.Lat-tw.Lat) <= 5e-7+1e-12 && abs(g.Lon-tw.Lon) <= 5e-7+1e-12
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBinaryEncoderReset(t *testing.T) {
-	enc := NewEncoder()
-	if err := enc.Append(validTweet()); err != nil {
-		t.Fatal(err)
-	}
-	enc.Reset()
-	if enc.Len() != 0 || len(enc.Bytes()) != 0 {
-		t.Error("Reset did not clear the encoder")
-	}
-	// After reset, deltas restart from the zero tweet.
-	if err := enc.Append(validTweet()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeAll(enc.Bytes(), 1)
-	if err != nil || got[0] != validTweet() {
-		t.Errorf("post-reset roundtrip: %+v, %v", got, err)
-	}
-}
-
-func TestBinaryDecodeTruncated(t *testing.T) {
-	enc := NewEncoder()
-	for i := 0; i < 10; i++ {
-		tw := validTweet()
-		tw.ID = int64(i)
-		if err := enc.Append(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full := enc.Bytes()
-	if _, err := DecodeAll(full[:len(full)/2], 10); err == nil {
-		t.Error("truncated block should fail")
-	}
-	// Claiming more records than encoded must also fail.
-	if _, err := DecodeAll(full, 11); err == nil {
-		t.Error("over-claimed record count should fail")
-	}
-}
-
-func TestBinaryEncoderRejectsInvalid(t *testing.T) {
-	enc := NewEncoder()
-	if err := enc.Append(Tweet{ID: 1, UserID: 1, Lat: 200, Lon: 0}); err == nil {
-		t.Error("invalid tweet should be rejected")
 	}
 }
 

@@ -1,8 +1,8 @@
 package tweetdb
 
-// The version-2 columnar segment payload (DESIGN.md §9): a struct-of-
-// arrays layout replacing the v1 row-wise varint stream. Each segment
-// stores five columns behind a fixed directory of (length, CRC-32) pairs:
+// The columnar segment payload (DESIGN.md §9): a struct-of-arrays
+// layout. Each segment stores five columns behind a fixed directory of
+// (length, CRC-32) pairs:
 // id, user and ts as zig-zag varint deltas down the column, lat and lon as
 // fixed-width little-endian int32 microdegrees. The delta columns decode
 // with no per-record branching on field order, and the packed coordinate
@@ -10,9 +10,7 @@ package tweetdb
 // of the segment file bytes, so a full-segment scan hands batches of
 // column data to consumers without materialising tweet.Tweet values.
 //
-// Quantisation is identical to the v1 codec (tweet.Microdegrees), so a
-// v1 → v2 compaction rewrite is lossless with respect to what v1 decode
-// produced, and mixed-version stores scan bit-identically.
+// Coordinates are quantised by tweet.Microdegrees.
 
 import (
 	"encoding/binary"
@@ -106,7 +104,6 @@ func (c *ColumnBlock) appendRow(src *ColumnBlock, i int) {
 
 // encodeColumnsV2 serialises records [from, to) of the batch as a v2
 // payload appended to dst: the column directory, then each column.
-// Coordinates are quantised exactly like the v1 codec.
 func encodeColumnsV2(dst []byte, b *tweet.Batch, from, to int) []byte {
 	n := to - from
 	le := binary.LittleEndian
@@ -214,26 +211,4 @@ func decodeColumnsV2(payload []byte, n int) (*ColumnBlock, error) {
 	blk.latRaw = cols[colLat]
 	blk.lonRaw = cols[colLon]
 	return blk, nil
-}
-
-// blockFromTweets converts decoded v1 records into a block, so the
-// iterator serves both segment versions through one view.
-func blockFromTweets(tweets []tweet.Tweet) *ColumnBlock {
-	n := len(tweets)
-	blk := &ColumnBlock{
-		ID:     make([]int64, n),
-		UserID: make([]int64, n),
-		TS:     make([]int64, n),
-		latRaw: make([]byte, 4*n),
-		lonRaw: make([]byte, 4*n),
-	}
-	le := binary.LittleEndian
-	for i, t := range tweets {
-		blk.ID[i] = t.ID
-		blk.UserID[i] = t.UserID
-		blk.TS[i] = t.TS
-		le.PutUint32(blk.latRaw[4*i:], uint32(tweet.Microdegrees(t.Lat)))
-		le.PutUint32(blk.lonRaw[4*i:], uint32(tweet.Microdegrees(t.Lon)))
-	}
-	return blk
 }

@@ -21,16 +21,14 @@ import (
 	"geomob/internal/geo"
 )
 
-// File format constants. Both segment versions share the magic and the
-// fixed header; they differ only in the payload layout — v1 is the
-// row-wise delta varint stream of tweet.Encoder, v2 the columnar layout
-// of column.go. New segments are written as v2; v1 stays readable and
-// Compact rewrites it.
+// File format constants. A segment is the magic, a fixed header and the
+// columnar payload of column.go; segVersion is the only version written
+// or read (version 1, a row-wise varint stream, is rejected like any
+// other unknown version).
 const (
-	segMagic     = "GMSEG1\x00\x00" // 8 bytes
-	segVersionV1 = 1
-	segVersionV2 = 2
-	headerSize   = 8 + 2 + 2 + 4 + 8*4 + 8*4 + 4 + 4 // magic, ver, flags, count, ts/user ranges, bbox, payload len, crc
+	segMagic   = "GMSEG1\x00\x00" // 8 bytes
+	segVersion = 2
+	headerSize = 8 + 2 + 2 + 4 + 8*4 + 8*4 + 4 + 4 // magic, ver, flags, count, ts/user ranges, bbox, payload len, crc
 )
 
 // SegmentMeta describes one immutable segment file. All ranges are
@@ -96,11 +94,8 @@ func unmarshalHeader(buf []byte) (header, error) {
 	if string(buf[0:8]) != segMagic {
 		return h, fmt.Errorf("tweetdb: bad segment magic %q", buf[0:8])
 	}
-	switch v := binary.LittleEndian.Uint16(buf[8:10]); v {
-	case segVersionV1, segVersionV2:
-		h.version = v
-	default:
-		return h, fmt.Errorf("tweetdb: unsupported segment version %d", v)
+	if h.version = binary.LittleEndian.Uint16(buf[8:10]); h.version != segVersion {
+		return h, fmt.Errorf("tweetdb: unsupported segment version %d", h.version)
 	}
 	h.count = binary.LittleEndian.Uint32(buf[12:16])
 	h.minTS = int64(binary.LittleEndian.Uint64(buf[16:24]))

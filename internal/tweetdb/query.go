@@ -300,8 +300,6 @@ func (it *Iterator) ReadAll() ([]tweet.Tweet, error) {
 // Compact merges every segment into a fresh set of segments holding all
 // records in global (user, time) order, replacing the old catalogue and
 // deleting the old files. Mobility extraction requires this order.
-// Compacted segments are always written in the current format, so a
-// compaction pass also upgrades any remaining v1 segments to v2.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

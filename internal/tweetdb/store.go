@@ -68,10 +68,6 @@ type Store struct {
 	mu         sync.Mutex
 	man        manifest
 	segRecords int // max records per segment; DefaultSegmentRecords unless overridden
-	// segVersion is the format new segments are written in — always
-	// segVersionV2 in production; tests dial it back to segVersionV1 to
-	// exercise mixed-version stores.
-	segVersion uint16
 	// garbage lists segment files retired by Compact that could not be
 	// unlinked yet because scans were in flight; dropped as soon as the
 	// store goes scan-idle.
@@ -84,7 +80,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tweetdb: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, man: manifest{Version: 1}, segRecords: DefaultSegmentRecords, segVersion: segVersionV2}
+	s := &Store{dir: dir, man: manifest{Version: 1}, segRecords: DefaultSegmentRecords}
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -254,7 +250,7 @@ func (s *Store) MetaPrefix(prefix string) map[string]string {
 // (not yet persisted). Caller holds s.mu.
 func (s *Store) writeSegmentLocked(b *tweet.Batch, from, to int) error {
 	h := header{
-		version: s.segVersion,
+		version: segVersion,
 		minTS:   b.TS[from],
 		maxTS:   b.TS[from],
 		minUser: b.UserID[from],
@@ -274,19 +270,7 @@ func (s *Store) writeSegmentLocked(b *tweet.Batch, from, to int) error {
 		}
 		h.bbox = h.bbox.Extend(geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]})
 	}
-	var payload []byte
-	switch s.segVersion {
-	case segVersionV2:
-		payload = encodeColumnsV2(nil, b, from, to)
-	default:
-		enc := tweet.NewEncoder()
-		for i := from; i < to; i++ {
-			if err := enc.Append(b.Row(i)); err != nil {
-				return fmt.Errorf("tweetdb: encode: %w", err)
-			}
-		}
-		payload = enc.Bytes()
-	}
+	payload := encodeColumnsV2(nil, b, from, to)
 	h.count = uint32(to - from)
 	h.payloadLen = uint32(len(payload))
 	h.crc = checksum(payload)
@@ -360,9 +344,8 @@ func atomicWrite(path string, data []byte) error {
 }
 
 // loadBlock reads, CRC-verifies and decodes one segment file into a
-// column block. v2 segments decode their integer columns and alias the
-// coordinate columns straight out of the file bytes (zero copy); v1
-// segments decode row-wise and are bridged into the same view.
+// column block: the integer columns are decoded, the coordinate columns
+// alias the file bytes (zero copy).
 func (s *Store) loadBlock(meta SegmentMeta) (*ColumnBlock, error) {
 	raw, err := os.ReadFile(filepath.Join(s.dir, meta.File))
 	if err != nil {
@@ -381,20 +364,11 @@ func (s *Store) loadBlock(meta SegmentMeta) (*ColumnBlock, error) {
 	if got := checksum(payload); got != h.crc {
 		return nil, fmt.Errorf("tweetdb: segment %s: checksum mismatch (stored %08x, computed %08x)", meta.File, h.crc, got)
 	}
-	switch h.version {
-	case segVersionV2:
-		blk, err := decodeColumnsV2(payload, int(h.count))
-		if err != nil {
-			return nil, fmt.Errorf("tweetdb: segment %s: %w", meta.File, err)
-		}
-		return blk, nil
-	default:
-		tweets, err := tweet.DecodeAll(payload, int(h.count))
-		if err != nil {
-			return nil, fmt.Errorf("tweetdb: segment %s: %w", meta.File, err)
-		}
-		return blockFromTweets(tweets), nil
+	blk, err := decodeColumnsV2(payload, int(h.count))
+	if err != nil {
+		return nil, fmt.Errorf("tweetdb: segment %s: %w", meta.File, err)
 	}
+	return blk, nil
 }
 
 // dropGarbageLocked unlinks segment files retired by Compact once no

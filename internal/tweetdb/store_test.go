@@ -1,6 +1,7 @@
 package tweetdb
 
 import (
+	"encoding/binary"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -316,21 +317,42 @@ func TestVerifyDetectsTruncation(t *testing.T) {
 	}
 }
 
+// TestVerifyDetectsBadMagic covers the two header fields that identify
+// the format: a foreign magic and a version this build does not read
+// (version 1, the retired row-wise format, included) fail Verify and
+// Scan with an error naming the segment file — never a panic, never a
+// misdecoded payload.
 func TestVerifyDetectsBadMagic(t *testing.T) {
-	s := openStore(t)
-	if err := s.Append(makeTweets(5, 100)); err != nil {
-		t.Fatal(err)
-	}
-	seg := s.Segments()[0]
-	path := filepath.Join(s.Dir(), seg.File)
-	raw, _ := os.ReadFile(path)
-	copy(raw[0:4], "XXXX")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Verify()
-	if err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("bad magic not detected: %v", err)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(raw []byte)
+		want    string
+	}{
+		{"magic", func(raw []byte) { copy(raw[0:4], "XXXX") }, "magic"},
+		{"version 1", func(raw []byte) { binary.LittleEndian.PutUint16(raw[8:10], 1) }, "unsupported segment version 1"},
+	} {
+		s := openStore(t)
+		if err := s.Append(makeTweets(5, 100)); err != nil {
+			t.Fatal(err)
+		}
+		seg := s.Segments()[0]
+		path := filepath.Join(s.Dir(), seg.File)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.corrupt(raw)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for what, err := range map[string]error{
+			"Verify": s.Verify(),
+			"Scan":   func() error { _, err := s.Scan(Query{}).ReadAll(); return err }(),
+		} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), seg.File) {
+				t.Errorf("%s: %s = %v, want an error naming %s and %q", tc.name, what, err, seg.File, tc.want)
+			}
+		}
 	}
 }
 

@@ -2,12 +2,9 @@ package tweetdb
 
 import (
 	"math/rand/v2"
-	"os"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
-	"geomob/internal/geo"
 	"geomob/internal/tweet"
 )
 
@@ -41,8 +38,7 @@ func edgeBatch(rng *rand.Rand, n int) *tweet.Batch {
 }
 
 // quantised maps a record to what any segment round trip may legally
-// return: ids and timestamps exact, coordinates quantised to microdegrees
-// — identically in v1 and v2.
+// return: ids and timestamps exact, coordinates quantised to microdegrees.
 func quantised(t tweet.Tweet) tweet.Tweet {
 	t.Lat = tweet.DegreesFromMicro(tweet.Microdegrees(t.Lat))
 	t.Lon = tweet.DegreesFromMicro(tweet.Microdegrees(t.Lon))
@@ -137,194 +133,5 @@ func TestColumnPayloadCorruptionNoPanic(t *testing.T) {
 	}
 	if _, err := decodeColumnsV2(payload, 65); err == nil {
 		t.Error("over-claimed count accepted")
-	}
-}
-
-// appendWithVersion appends tweets to s, writing segments in the given
-// format version.
-func appendWithVersion(t *testing.T, s *Store, version uint16, tweets []tweet.Tweet) {
-	t.Helper()
-	s.mu.Lock()
-	s.segVersion = version
-	s.mu.Unlock()
-	if err := s.Append(tweets); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.segVersion = segVersionV2
-	s.mu.Unlock()
-}
-
-// TestMixedVersionScanBitIdentical: a store holding both v1 and v2
-// segments answers every query bit-identically to an all-v1 store over
-// the same appends — the compatibility contract that let the v2 format
-// land without a migration.
-func TestMixedVersionScanBitIdentical(t *testing.T) {
-	batch1 := makeTweets(7, 1200)
-	batch2 := makeTweets(8, 900)
-
-	mixed := openStore(t)
-	if err := mixed.SetSegmentRecords(500); err != nil {
-		t.Fatal(err)
-	}
-	appendWithVersion(t, mixed, segVersionV1, batch1)
-	appendWithVersion(t, mixed, segVersionV2, batch2)
-
-	allV1 := openStore(t)
-	if err := allV1.SetSegmentRecords(500); err != nil {
-		t.Fatal(err)
-	}
-	appendWithVersion(t, allV1, segVersionV1, batch1)
-	appendWithVersion(t, allV1, segVersionV1, batch2)
-
-	user := int64(7)
-	minU, maxU := int64(10), int64(30)
-	bbox := &geo.BBox{MinLat: -37, MinLon: 145, MaxLat: -34, MaxLon: 151}
-	queries := []Query{
-		{},
-		{FromTS: 1378000020000, ToTS: 1378000090000},
-		{UserID: &user},
-		{MinUserID: &minU, MaxUserID: &maxU},
-		{BBox: bbox},
-		{FromTS: 1378000010000, BBox: bbox, MinUserID: &minU},
-	}
-	for qi, q := range queries {
-		got, err := mixed.Scan(q).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := allV1.Scan(q).ReadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: mixed %d rows, all-v1 %d rows", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %d row %d: %+v != %+v", qi, i, got[i], want[i])
-			}
-		}
-		if qi == 0 && len(got) != len(batch1)+len(batch2) {
-			t.Fatalf("full scan returned %d rows", len(got))
-		}
-	}
-}
-
-// segmentVersions reads the on-disk header version of every catalogued
-// segment file.
-func segmentVersions(t *testing.T, s *Store) []uint16 {
-	t.Helper()
-	var out []uint16
-	for _, meta := range s.Segments() {
-		raw, err := os.ReadFile(filepath.Join(s.Dir(), meta.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h, err := unmarshalHeader(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, h.version)
-	}
-	return out
-}
-
-// TestCompactUpgradesMixedToV2: compacting a store with mixed v1/v2
-// segments emits only v2 segments, preserves every record bit-for-bit
-// (modulo the global sort Compact exists to establish), keeps manifest
-// semantics — one catalogue swap, so Generation moves exactly once — and
-// survives a reopen.
-func TestCompactUpgradesMixedToV2(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetSegmentRecords(700); err != nil {
-		t.Fatal(err)
-	}
-	appendWithVersion(t, s, segVersionV1, makeTweets(11, 1000))
-	appendWithVersion(t, s, segVersionV2, makeTweets(12, 800))
-	appendWithVersion(t, s, segVersionV1, makeTweets(13, 300))
-
-	hasV1 := false
-	for _, v := range segmentVersions(t, s) {
-		if v == segVersionV1 {
-			hasV1 = true
-		}
-	}
-	if !hasV1 {
-		t.Fatal("setup: no v1 segments on disk")
-	}
-
-	before, err := s.Scan(Query{}).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	genBefore := s.Generation()
-
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-
-	genAfter := s.Generation()
-	if genAfter == genBefore {
-		t.Error("Compact did not change the generation")
-	}
-	// Generation is a pure function of the swapped catalogue: it moved
-	// with the compaction and now holds still.
-	if s.Generation() != genAfter {
-		t.Error("generation unstable after Compact")
-	}
-
-	for i, v := range segmentVersions(t, s) {
-		if v != segVersionV2 {
-			t.Errorf("post-compact segment %d still version %d", i, v)
-		}
-	}
-	want := (len(before) + 699) / 700
-	if got := len(s.Segments()); got != want {
-		t.Errorf("post-compact segments = %d, want %d", got, want)
-	}
-
-	after, err := s.Scan(Query{}).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after) != len(before) {
-		t.Fatalf("compact changed row count %d -> %d", len(before), len(after))
-	}
-	seen := map[tweet.Tweet]int{}
-	for _, tw := range before {
-		seen[tw]++
-	}
-	for _, tw := range after {
-		seen[tw]--
-		if seen[tw] < 0 {
-			t.Fatalf("compact invented record %+v", tw)
-		}
-	}
-	sorted, err := s.IsSorted()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sorted {
-		t.Error("compacted store is not globally sorted")
-	}
-	if err := s.Verify(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The upgraded catalogue is what a reopen sees.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Generation() != genAfter {
-		t.Error("reopened generation differs")
-	}
-	if err := s2.Verify(); err != nil {
-		t.Fatal(err)
 	}
 }
