@@ -133,10 +133,9 @@ func main() {
 			return err
 		}
 		if err := experiments.TableIIShapeCheck(env); err != nil {
-			fmt.Printf("WARNING: qualitative shape violated: %v\n", err)
-		} else {
-			fmt.Println("qualitative shape check passed: gravity dominates radiation, Gravity 2Param best overall")
+			return fmt.Errorf("qualitative shape violated: %w", err)
 		}
+		fmt.Println("qualitative shape check passed: gravity dominates radiation, Gravity 2Param best overall")
 		return nil
 	})
 

@@ -11,9 +11,9 @@
 // one placement slot, and every replica of a slot applies the identical
 // slot substream, so
 //
-//   - every consecutive-tweet quantity (waiting time, displacement, flow
-//     transition, gyration addend) is computed entirely within one slot
-//     with the single-sourced mobility ops the streaming extractor uses;
+//   - every per-user quantity (waiting time, flow transition, radius of
+//     gyration, distinct cells) is computed entirely within one slot with
+//     the single-sourced mobility ops the streaming extractor uses;
 //   - the additive aggregates (tweet counts, per-area unique-user counts,
 //     flow matrices, span bounds) sum or union exactly across slots;
 //   - the per-user Table I series re-interleave by ascending user id

@@ -26,9 +26,8 @@ import (
 //	per scale: u8 hasCounts [u32 len, f64×len]
 //	per scale: u8 hasFlows  [u32 n, f64×n×n flows row-major, f64×n stays]
 //	if metro:  u32 len, f64×len
-//	if users:  u32 count | per user:
-//	           i64 id, i64 tweets, f64 sx,sy,sz, i64 cells,
-//	           u32 nw, f64×nw waits, u32 nd, f64×nd disps
+//	if users:  u32 count | per user, 40 bytes, ids strictly ascending:
+//	           i64 id, i64 tweets, i64 cells, i64 waitMs, f64 gyrationKM
 //	u8 ntiers | per tier: i64 factor, u32 groups, u32 buckets
 //	u32 buckets | u32 full | u32 residual | i64 residualRecords
 //
@@ -41,13 +40,13 @@ import (
 // decoded.
 const (
 	partialMagic   uint32 = 0x50434d47 // "GMCP" little-endian
-	partialVersion uint16 = 2
+	partialVersion uint16 = 3
 
-	// userWireBytes is the least a user row costs on the wire (three
-	// i64, three f64, two empty float-slice prefixes), and lenPrefixBytes
-	// the least a nested partial does; claimed counts are bounded by the
-	// bytes actually left so a hostile prefix cannot size an allocation.
-	userWireBytes  = 3*8 + 3*8 + 2*4
+	// userWireBytes is what a user row costs on the wire, and
+	// lenPrefixBytes the least a nested partial does; claimed counts are
+	// bounded by the bytes actually left so a hostile prefix cannot size
+	// an allocation.
+	userWireBytes  = 5 * 8
 	lenPrefixBytes = 4
 
 	flagSeen  byte = 1 << 0
@@ -113,12 +112,9 @@ func EncodePartial(p *live.ShardPartial) []byte {
 			u := &p.Users[i]
 			w.i64(u.ID)
 			w.i64(u.Tweets)
-			w.f64(u.SumX)
-			w.f64(u.SumY)
-			w.f64(u.SumZ)
 			w.i64(u.DistinctCells)
-			w.f64s(u.Waits)
-			w.f64s(u.Disps)
+			w.i64(u.WaitMs)
+			w.f64(u.GyrationKM)
 		}
 	}
 	w.u8(byte(len(p.Coverage.TierFolds)))
@@ -220,16 +216,24 @@ func DecodePartial(data []byte) (*live.ShardPartial, error) {
 		p.Users = make([]live.UserTrajectory, n)
 		for i := range p.Users {
 			u := &p.Users[i]
-			u.ID = r.i64()
-			u.Tweets = r.i64()
-			u.SumX = r.f64()
-			u.SumY = r.f64()
-			u.SumZ = r.f64()
-			u.DistinctCells = r.i64()
-			u.Waits = r.f64s()
-			u.Disps = r.f64s()
+			*u = live.UserTrajectory{ID: r.i64(), Tweets: r.i64(), DistinctCells: r.i64(), WaitMs: r.i64(), GyrationKM: r.f64()}
 			if r.err != nil {
 				return nil, r.err
+			}
+			// The coordinator interleaves shards by ascending id and detects
+			// a user on two shards by equal heads, so order is part of the
+			// format; the rest are values no fold can produce.
+			switch {
+			case i > 0 && u.ID <= p.Users[i-1].ID:
+				return nil, fmt.Errorf("cluster: partial codec: user row %d: id %d after id %d, want strictly ascending", i, u.ID, p.Users[i-1].ID)
+			case u.Tweets < 1:
+				return nil, fmt.Errorf("cluster: partial codec: user row %d (id %d): %d tweets", i, u.ID, u.Tweets)
+			case u.DistinctCells < 1 || u.DistinctCells > u.Tweets:
+				return nil, fmt.Errorf("cluster: partial codec: user row %d (id %d): %d distinct cells for %d tweets", i, u.ID, u.DistinctCells, u.Tweets)
+			case u.WaitMs < 0:
+				return nil, fmt.Errorf("cluster: partial codec: user row %d (id %d): waiting time %d ms", i, u.ID, u.WaitMs)
+			case !(u.GyrationKM >= 0 && u.GyrationKM <= geo.EarthRadius/1000):
+				return nil, fmt.Errorf("cluster: partial codec: user row %d (id %d): radius of gyration %v km", i, u.ID, u.GyrationKM)
 			}
 		}
 	}

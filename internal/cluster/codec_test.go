@@ -78,8 +78,9 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 }
 
 // TestPartialCodecRejectsCorruption: truncations, trailing garbage, a
-// bad magic, any version but the current one, and counts claiming more
-// than the bytes that follow must error, never yield a partial.
+// bad magic, any version but the current one, counts claiming more than
+// the bytes that follow, and user rows out of order or holding values no
+// fold can produce must error, never yield a partial.
 func TestPartialCodecRejectsCorruption(t *testing.T) {
 	agg, _, _ := codecAggregator(t)
 	p, err := agg.FoldPartial(core.Request{})
@@ -104,7 +105,7 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodePartial(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	for _, ver := range []byte{1, 9} {
+	for _, ver := range []byte{1, 2, 9} {
 		bad := append([]byte(nil), data...)
 		bad[4], bad[5] = ver, 0
 		if _, err := DecodePartial(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
@@ -132,6 +133,34 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 	binary.LittleEndian.PutUint32(list, uint32((len(list)-4)/lenPrefixBytes+1))
 	if _, err := DecodePartials(list); err == nil || !strings.Contains(err.Error(), "partial count") {
 		t.Fatalf("over-claimed partial count: %v", err)
+	}
+
+	// MergePartials interleaves shards by ascending id and tells a user on
+	// two shards by equal heads, so a row out of order — or a value no fold
+	// emits — must stop at the decoder, named by row.
+	if len(p.Users) < 3 {
+		t.Fatalf("fold has %d users, want at least 3", len(p.Users))
+	}
+	for _, tc := range []struct {
+		name, want string
+		damage     func(us []live.UserTrajectory)
+	}{
+		{"rows swapped", "user row 2: id", func(us []live.UserTrajectory) { us[1], us[2] = us[2], us[1] }},
+		{"row duplicated", "user row 1: id", func(us []live.UserTrajectory) { us[1] = us[0] }},
+		{"no tweets", "user row 1", func(us []live.UserTrajectory) { us[1].Tweets = 0 }},
+		{"no cell", "user row 0", func(us []live.UserTrajectory) { us[0].DistinctCells = 0 }},
+		{"more cells than tweets", "user row 2", func(us []live.UserTrajectory) { us[2].DistinctCells = us[2].Tweets + 1 }},
+		{"negative wait", "user row 1", func(us []live.UserTrajectory) { us[1].WaitMs = -1 }},
+		{"NaN radius", "user row 0", func(us []live.UserTrajectory) { us[0].GyrationKM = math.NaN() }},
+		{"negative radius", "user row 2", func(us []live.UserTrajectory) { us[2].GyrationKM = -0.5 }},
+		{"radius above the Earth's", "user row 1", func(us []live.UserTrajectory) { us[1].GyrationKM = 6372 }},
+	} {
+		q := *p
+		q.Users = append([]live.UserTrajectory(nil), p.Users...)
+		tc.damage(q.Users)
+		if _, err := DecodePartial(EncodePartial(&q)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -165,6 +194,12 @@ func FuzzDecodePartials(f *testing.F) {
 		f.Fatalf("seed does not round-trip to its own bytes: %v", err)
 	}
 	f.Add(pristine)
+	// The stats fold comes first and has no scales, so its user rows start
+	// at a fixed offset behind the list count and its own length prefix.
+	const row0 = 4 + 4 + 4 + 2 + 1 + 8 + 4*8 + 2*8 + 2 + 4
+	if got := int64(binary.LittleEndian.Uint64(pristine[row0:])); got != ps[0].Users[0].ID {
+		f.Fatalf("byte %d reads %d, want the first user's id %d", row0, got, ps[0].Users[0].ID)
+	}
 	for _, at := range []int{0, 4, 8, 12, 14, 15, 71, len(pristine) / 2, len(pristine) - 1} {
 		flipped := append([]byte(nil), pristine...)
 		flipped[at] ^= 0xA5
@@ -176,6 +211,16 @@ func FuzzDecodePartials(f *testing.F) {
 	binary.LittleEndian.PutUint32(claim, math.MaxUint32)
 	f.Add(claim)
 	f.Add([]byte{})
+	// One flip in every field of the first user row (id, tweets, cells,
+	// wait, the radius's exponent byte), and the previous wire version.
+	for _, at := range []int{row0, row0 + 8, row0 + 16, row0 + 31, row0 + 39} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[at] ^= 0xA5
+		f.Add(flipped)
+	}
+	v2 := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint16(v2[12:], 2)
+	f.Add(v2)
 
 	// ReadMemStats, not runtime/metrics: it flushes the per-P allocation
 	// counts, so nothing allocated before the call is charged to it.
@@ -187,9 +232,9 @@ func FuzzDecodePartials(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		before := allocated()
 		got, err := DecodePartials(data)
-		// A decoded user row is 96 bytes for at least 56 on the wire and
-		// every float costs its own 8; the slack covers the gazetteer
-		// lookups, the error message and the test runtime.
+		// A decoded user row is the 40 bytes it is on the wire and every
+		// float costs its own 8; the slack covers the gazetteer lookups,
+		// the error message and the test runtime.
 		if n, limit := allocated()-before, uint64(4*len(data)+1<<16); n > limit {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}

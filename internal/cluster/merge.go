@@ -18,13 +18,11 @@ import (
 //     matrices are whole-number sums / min-max reductions, exact in any
 //     order; a user contributes to each of them on exactly one shard
 //     because the partitioner keeps trajectories whole;
-//   - the Table I series are rebuilt by interleaving the shards' per-user
-//     records in ascending user id — the canonical serial order — and
-//     flattening exactly as a local fold would: the per-user waiting and
-//     displacement series were computed whole on the owning shard, and
-//     the gyration radius is derived from the shipped addends with the
-//     same mobility.GyrationRadiusKM call, so every float carries the
-//     bits a single-node pass would have produced.
+//   - the Table I series are rebuilt by live.FlattenUsers, the function a
+//     local fold flattens its own rows with: every per-user value was
+//     finished on the owning shard, and interleaving the shards' rows in
+//     ascending user id — the canonical serial order — gives the ordered
+//     float reductions downstream the order a single-node pass has.
 //
 // A user id appearing on two shards violates the partitioning contract
 // and is reported as an error rather than silently double-counted.
@@ -128,49 +126,13 @@ func MergePartials(req core.Request, parts []*live.ShardPartial) (*core.FoldedPa
 		}
 	}
 	if info.Stats {
-		st, err := mergeUsers(parts)
-		if err != nil {
-			return nil, err
+		runs := make([][]live.UserTrajectory, len(parts))
+		for si, p := range parts {
+			runs[si] = p.Users
 		}
-		st.Tweets = int(f.Tweets)
-		f.Stats = st
+		if f.Stats, err = live.FlattenUsers(f.Tweets, runs...); err != nil {
+			return nil, fmt.Errorf("cluster: merge: %w", err)
+		}
 	}
 	return f, nil
-}
-
-// mergeUsers interleaves the shards' per-user trajectory records in
-// ascending user id and flattens them into the Table I series, exactly
-// as a serial pass emits them.
-func mergeUsers(parts []*live.ShardPartial) (*mobility.Stats, error) {
-	st := &mobility.Stats{}
-	heads := make([]int, len(parts))
-	for {
-		best, found := -1, false
-		for pi, p := range parts {
-			if heads[pi] >= len(p.Users) {
-				continue
-			}
-			id := p.Users[heads[pi]].ID
-			if !found || id < parts[best].Users[heads[best]].ID {
-				best, found = pi, true
-				continue
-			}
-			if id == parts[best].Users[heads[best]].ID {
-				return nil, fmt.Errorf("cluster: merge: user %d present on shards %d and %d — partitioning contract violated",
-					id, best, pi)
-			}
-		}
-		if !found {
-			break
-		}
-		u := &parts[best].Users[heads[best]]
-		heads[best]++
-		st.Users++
-		st.TweetsPerUser = append(st.TweetsPerUser, float64(u.Tweets))
-		st.WaitingSecs = append(st.WaitingSecs, u.Waits...)
-		st.DisplacementsKM = append(st.DisplacementsKM, u.Disps...)
-		st.CellsPerUser = append(st.CellsPerUser, float64(u.DistinctCells))
-		st.GyrationKM = append(st.GyrationKM, mobility.GyrationRadiusKM(u.SumX, u.SumY, u.SumZ, int(u.Tweets)))
-	}
-	return st, nil
 }

@@ -191,10 +191,8 @@ type DatasetStats struct {
 	// thresholds 50, 100, 500 and 1000.
 	HeavyUsers map[int]int64
 
-	TweetsPerUser   []float64 // raw per-user counts (Fig. 2a input)
-	WaitingSecs     []float64 // raw waiting times in seconds (Fig. 2b input)
-	DisplacementsKM []float64 // consecutive-tweet displacements in km (extension)
-	GyrationKM      []float64 // per-user radius of gyration in km (extension)
+	TweetsPerUser []float64 // raw per-user counts (Fig. 2a input)
+	GyrationKM    []float64 // per-user radius of gyration in km (extension)
 
 	// MedianGyrationKM and MeanGyrationKM summarise GyrationKM; the median
 	// is dominated by single-tweet users (r_g = 0), so the mean is the
@@ -218,9 +216,9 @@ type StudyOptions struct {
 type Analysis string
 
 const (
-	// AnalysisStats is the Table I corpus statistics plus the Fig. 2
-	// series: counts, waiting times, displacements, gyration radii and
-	// the observed bounding box / collection period.
+	// AnalysisStats is the Table I corpus statistics plus the per-user
+	// series behind them (tweet counts — Fig. 2a — and gyration radii)
+	// and the observed bounding box / collection period.
 	AnalysisStats Analysis = "stats"
 	// AnalysisPopulation is the §III population estimation: per-area
 	// unique-user counts, the rescaling fit and correlations (Fig. 3).
@@ -1037,14 +1035,12 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 // span accumulator.
 func buildStats(st mobility.Stats, span *spanAcc) (*DatasetStats, error) {
 	ds := &DatasetStats{
-		BBox:            span.bbox,
-		Tweets:          int64(st.Tweets),
-		Users:           int64(st.Users),
-		TweetsPerUser:   st.TweetsPerUser,
-		WaitingSecs:     st.WaitingSecs,
-		DisplacementsKM: st.DisplacementsKM,
-		GyrationKM:      st.GyrationKM,
-		HeavyUsers:      map[int]int64{},
+		BBox:          span.bbox,
+		Tweets:        int64(st.Tweets),
+		Users:         int64(st.Users),
+		TweetsPerUser: st.TweetsPerUser,
+		GyrationKM:    st.GyrationKM,
+		HeavyUsers:    map[int]int64{},
 	}
 	if len(st.GyrationKM) > 0 {
 		med, err := stats.Median(st.GyrationKM)
@@ -1066,12 +1062,8 @@ func buildStats(st mobility.Stats, span *spanAcc) (*DatasetStats, error) {
 		return nil, err
 	}
 	ds.AvgTweetsPerUser = mean
-	if len(st.WaitingSecs) > 0 {
-		mw, err := stats.Mean(st.WaitingSecs)
-		if err != nil {
-			return nil, err
-		}
-		ds.AvgWaitingHours = mw / 3600
+	if gaps := st.Tweets - st.Users; gaps > 0 {
+		ds.AvgWaitingHours = float64(st.WaitMs) / float64(gaps) / 3.6e6
 	}
 	if len(st.CellsPerUser) > 0 {
 		ml, err := stats.Mean(st.CellsPerUser)

@@ -6,6 +6,7 @@ import (
 
 	"geomob/internal/geo"
 	"geomob/internal/heatmap"
+	"geomob/internal/mobility"
 	"geomob/internal/report"
 	"geomob/internal/stats"
 )
@@ -115,9 +116,10 @@ func Figure2a(env *Env) ([]stats.Bin, *stats.PowerLawFit, error) {
 }
 
 // Figure2b regenerates the waiting-time distribution (Fig. 2b) from the
-// inter-tweet gaps in seconds.
+// inter-tweet gaps in seconds, derived from the corpus: a Result keeps
+// only their mean.
 func Figure2b(env *Env) ([]stats.Bin, error) {
-	gaps := env.Result.Stats.WaitingSecs
+	gaps := mobility.WaitingSeries(env.Tweets)
 	bins, _, err := stats.LogHistogram(gaps, 4)
 	if err != nil {
 		return nil, fmt.Errorf("figure 2b: %w", err)

@@ -6,6 +6,7 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/epidemic"
+	"geomob/internal/mobility"
 	"geomob/internal/models"
 	"geomob/internal/report"
 	"geomob/internal/stats"
@@ -16,7 +17,7 @@ import (
 // consecutive tweets, log-binned. Its shape diagnoses the movement model —
 // a sharp local mode (intra-city jitter) with a long inter-city tail.
 func FigureDisplacement(env *Env) ([]stats.Bin, error) {
-	disp := env.Result.Stats.DisplacementsKM
+	disp := mobility.DisplacementSeries(env.Tweets)
 	bins, _, err := stats.LogHistogram(disp, 4)
 	if err != nil {
 		return nil, fmt.Errorf("figure displacement: %w", err)

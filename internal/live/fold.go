@@ -11,37 +11,32 @@ import (
 )
 
 // fold merges the chronological partials covering one request window into
-// the folded pass core.AssembleFolded consumes. The merge walks users in
-// ascending id — the canonical stream order — and, per user, visits that
-// user's records bucket by bucket in time order, so:
-//
-//   - integer aggregates (tweet counts, flow matrices, unique-user
-//     bitsets, distinct cells) union or add exactly;
-//   - boundary quantities between buckets (the waiting time, displacement
-//     and flow transition between a user's last tweet in one bucket and
-//     first tweet in the next containing bucket) are computed with the
-//     same single operations the streaming extractor performs;
-//   - order-sensitive float series (per-user waiting/displacement series,
-//     the unit-vector sums behind the radius of gyration) are emitted in
-//     exactly the serial order, interior runs stitched with the boundary
-//     values, the gyration sums replayed addend by addend.
-//
-// The folded state is therefore bit-identical to the merged observer set
-// of a streaming pass over the same substream (property-tested).
+// the folded pass core.AssembleFolded consumes.
 func (a *Aggregator) fold(info *core.PlanInfo, parts []*partial) *core.FoldedPass {
-	f, _ := a.foldInto(info, parts, false)
+	f, users := a.foldInto(info, parts)
+	if info.Stats {
+		// One ascending-id run cannot collide with itself.
+		f.Stats, _ = FlattenUsers(f.Tweets, users)
+	}
 	return f
 }
 
-// foldInto is the fold with a selectable statistics sink. With perUser
-// unset it fills FoldedPass.Stats — the flat Table I series of a local
-// query. With perUser set the identical per-user values (the same waits,
-// displacements, gyration addends and distinct-cell counts, in the same
-// order) are emitted as id-keyed UserTrajectory records instead and
-// FoldedPass.Stats stays nil: a cluster coordinator interleaves the
-// user-disjoint records of several shards back into ascending-id order
-// before flattening, which a shard-local flat series could not support.
-func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser bool) (*core.FoldedPass, []UserTrajectory) {
+// foldInto walks users in ascending id — the canonical stream order —
+// and, per user, that user's rows partial by partial in time order:
+//
+//   - tweet counts, flow cells, unique-user bitsets, distinct cells, the
+//     telescoped waiting time (last − first tweet time) and the
+//     fixed-point unit-vector sums add or union exactly, in any order;
+//   - the flow transition between a user's last tweet in one partial and
+//     first tweet in the next is booked with the extractor's own rule.
+//
+// The trajectory statistics leave as one UserTrajectory per user (nil
+// unless the plan wants stats) and FoldedPass.Stats stays nil: a local
+// query flattens its one run, a cluster coordinator first interleaves the
+// user-disjoint runs of several shards, both through FlattenUsers. The
+// folded state is bit-identical to the merged observer set of a streaming
+// pass over the same substream (property-tested).
+func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial) (*core.FoldedPass, []UserTrajectory) {
 	f := &core.FoldedPass{BBox: geo.EmptyBBox()}
 	for _, p := range parts {
 		f.Tweets += p.tweets
@@ -99,69 +94,31 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 			}
 		}
 	}
-	var st *mobility.Stats
 	var users []UserTrajectory
-	if info.Stats && !perUser {
-		st = &mobility.Stats{Tweets: int(f.Tweets)}
-	}
-
 	var cellScratch []uint64
-	var waitsBuf, dispsBuf []float64
 	for cur := newUserCursor(parts); ; {
 		u, recs, ok := cur.next()
 		if !ok {
 			break
 		}
 		if info.Stats {
-			waitsBuf, dispsBuf = waitsBuf[:0], dispsBuf[:0]
-			var sx, sy, sz float64
+			var sum mobility.VecSum
 			n := 0
 			cellScratch = cellScratch[:0]
-			for k, rc := range recs {
-				r := &rc.p.users[rc.row]
-				if k > 0 {
-					pr := &recs[k-1].p.users[recs[k-1].row]
-					waitsBuf = append(waitsBuf, mobility.WaitingSecs(pr.lastTS, r.firstTS))
-					dispsBuf = append(dispsBuf, mobility.DisplacementKM(pr.lastPt, r.firstPt))
-				}
-				rec0, rn := rc.p.recSpan(rc.row)
-				w0 := rec0 - rc.row
-				n += rn
-				waitsBuf = append(waitsBuf, rc.p.waits[w0:w0+rn-1]...)
-				dispsBuf = append(dispsBuf, rc.p.disps[w0:w0+rn-1]...)
-				for j := 3 * rec0; j < 3*(rec0+rn); j += 3 {
-					sx += rc.p.vecs[j]
-					sy += rc.p.vecs[j+1]
-					sz += rc.p.vecs[j+2]
-				}
+			for _, rc := range recs {
+				n += rc.p.recCount(rc.row)
+				sum.Merge(rc.p.sums[rc.row])
 				cellScratch = append(cellScratch, rc.p.userCells(rc.row)...)
 			}
 			slices.Sort(cellScratch)
-			distinct := 0
-			for i := range cellScratch {
-				if i == 0 || cellScratch[i] != cellScratch[i-1] {
-					distinct++
-				}
-			}
-			if perUser {
-				users = append(users, UserTrajectory{
-					ID:            u,
-					Tweets:        int64(n),
-					SumX:          sx,
-					SumY:          sy,
-					SumZ:          sz,
-					DistinctCells: int64(distinct),
-					Waits:         cloneOrNil(waitsBuf),
-					Disps:         cloneOrNil(dispsBuf),
-				})
-			} else {
-				st.Users++
-				st.TweetsPerUser = append(st.TweetsPerUser, float64(n))
-				st.WaitingSecs = append(st.WaitingSecs, waitsBuf...)
-				st.DisplacementsKM = append(st.DisplacementsKM, dispsBuf...)
-				st.CellsPerUser = append(st.CellsPerUser, float64(distinct))
-				st.GyrationKM = append(st.GyrationKM, mobility.GyrationRadiusKM(sx, sy, sz, n))
-			}
+			first, last := recs[0], recs[len(recs)-1]
+			users = append(users, UserTrajectory{
+				ID:            u,
+				Tweets:        int64(n),
+				DistinctCells: int64(len(slices.Compact(cellScratch))),
+				WaitMs:        last.p.users[last.row].lastTS - first.p.users[first.row].firstTS,
+				GyrationKM:    mobility.GyrationRadiusKM(sum, n),
+			})
 		}
 
 		for _, ct := range countTargets {
@@ -189,17 +146,5 @@ func (a *Aggregator) foldInto(info *core.PlanInfo, parts []*partial, perUser boo
 			}
 		}
 	}
-	if st != nil {
-		f.Stats = st
-	}
 	return f, users
-}
-
-// cloneOrNil copies a scratch slice into fresh memory, mapping empty to
-// nil so wire codecs round-trip the value exactly.
-func cloneOrNil(vs []float64) []float64 {
-	if len(vs) == 0 {
-		return nil
-	}
-	return slices.Clone(vs)
 }

@@ -133,11 +133,11 @@ func recount(a *Aggregator) ResidentBytes {
 	var rb ResidentBytes
 	for _, b := range a.buckets {
 		rb.Records += a.recordBytes(len(b.tweets))
-		rb.Partials += b.part.bytes(false)
+		rb.Partials += b.part.bytes()
 	}
 	for _, t := range a.tiers {
 		for _, grp := range t.groups {
-			rb.Rollups += grp.part.bytes(true)
+			rb.Rollups += grp.part.bytes()
 		}
 	}
 	return rb
@@ -252,13 +252,13 @@ func TestPartialFootprint(t *testing.T) {
 	}
 }
 
-// TestSharedVecsSurviveIngest: a bucket's partial shares the bucket's
-// unit-vector column, folds run outside the ring lock, and appends keep
-// landing in the same bucket. Every fold must still be bit-equal to a
-// cold pass over exactly the records its coverage key names, and a
-// partial captured before an append must read its original column after
-// the bucket has grown and been re-sorted. Run under -race, this is the
-// proof that the hand-over never lets a writer reach a published column.
+// TestSharedVecsSurviveIngest: folds run outside the ring lock on the
+// partials they collected under it, while appends keep landing in — and
+// re-sorting — the same bucket. Every fold must still be bit-equal to a
+// cold pass over exactly the records its coverage key names. A published
+// partial owns all its columns (the build reads the bucket's unit-vector
+// column and keeps only the sums), so run under -race this is the proof
+// that no writer reaches anything a fold reads.
 func TestSharedVecsSurviveIngest(t *testing.T) {
 	agg := hourlyAgg(t, Options{})
 	const h0 = int64(500_000)
@@ -328,19 +328,7 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 			}
 		}()
 	}
-	var captured *partial
-	var capturedVecs []float64
 	for r := 0; r < rounds; r++ {
-		if r == rounds/2 {
-			// A fold's view: the partial as published, held past the append.
-			if _, err := agg.Query(req); err != nil {
-				t.Fatal(err)
-			}
-			agg.mu.Lock()
-			captured = agg.buckets[h0+1].part
-			agg.mu.Unlock()
-			capturedVecs = slices.Clone(captured.vecs)
-		}
 		mu.Lock()
 		if err := agg.Ingest(feed[r*perRound : (r+1)*perRound]); err != nil {
 			t.Fatal(err)
@@ -377,22 +365,6 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 	if checked == 0 || refs[rounds] == nil {
 		t.Fatalf("%d folds checked, final state seen: %v", checked, refs[rounds] != nil)
 	}
-
-	if captured == nil || len(capturedVecs) == 0 {
-		t.Fatal("no partial captured mid-feed")
-	}
-	if !slices.Equal(captured.vecs, capturedVecs) {
-		t.Fatal("a published partial's unit-vector column changed after appends into its bucket")
-	}
-	agg.mu.Lock()
-	b := agg.buckets[h0+1]
-	if b.part == nil || &b.part.vecs[0] != &b.vecs[0] || cap(b.vecs) != len(b.vecs) {
-		t.Error("the bucket's partial does not share its clipped unit-vector column")
-	}
-	if &b.vecs[0] == &captured.vecs[0] {
-		t.Error("the bucket still appends into the column it handed over")
-	}
-	agg.mu.Unlock()
 }
 
 // TestScratchReuseAcrossShapes: shapes with different scale sets share

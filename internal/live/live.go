@@ -12,18 +12,18 @@
 //     ring;
 //
 //   - one materialised partial per bucket — per-user boundary summaries
-//     (first/last timestamp, point and assignment), per-user interior
-//     series (waiting times, displacements, unit-vector addends, distinct
-//     cells) and the nonzero interior transition counts — rebuilt only
-//     when a batch lands in that bucket;
+//     (first/last timestamp and assignment), per-user reductions (record
+//     count, exact unit-vector sum, area bitset, distinct cells) and the
+//     nonzero interior transition counts — rebuilt only when a batch
+//     lands in that bucket;
 //
 //   - a fold that merges the partials covering a [From, To) window in
-//     user-major order, stitching the cross-bucket boundaries (waiting
-//     times, displacements, flow transitions, unique-user bitsets) and
-//     replaying the per-user float accumulations in exactly the serial
-//     order, so the folded observer state — and hence the assembled
-//     Result — is bit-identical to a cold full pass over the same
-//     substream at any worker count.
+//     user-major order: everything per user adds or unions exactly, and
+//     the one cross-bucket quantity that does not — the flow transition
+//     at each boundary — is stitched from the rows' boundary assignments,
+//     so the folded observer state — and hence the assembled Result — is
+//     bit-identical to a cold full pass over the same substream at any
+//     worker count.
 //
 // Requests whose window edges are not bucket-aligned fold the covered
 // buckets plus freshly built residual partials over the two partial edge
@@ -323,8 +323,7 @@ func (a *Aggregator) Builds() int64 { return a.builds.Load() }
 
 // ResidentBytes is the heap a ring holds, counted from the lengths of its
 // columns: the raw pre-resolved records, the bucket partials built from
-// them (less the unit-vector column they share with their bucket) and the
-// cached rollup merges.
+// them and the cached rollup merges.
 type ResidentBytes struct {
 	Records  int64 `json:"records"`
 	Partials int64 `json:"partials"`
@@ -355,7 +354,7 @@ func (sh *Shape) recordBytes(n int) int64 {
 // Caller holds a.mu; beyond b it touches only an atomic, so builds of
 // different buckets may call it side by side.
 func (a *Aggregator) setPartLocked(b *bucket, p *partial) {
-	a.resPartials.Add(p.bytes(false) - b.part.bytes(false))
+	a.resPartials.Add(p.bytes() - b.part.bytes())
 	b.part = p
 }
 
@@ -823,9 +822,9 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 	})
 	for _, pk := range stale {
 		if old := pk.tier.groups[pk.g]; old != nil {
-			a.resRollups.Add(-old.part.bytes(true))
+			a.resRollups.Add(-old.part.bytes())
 		}
-		a.resRollups.Add(pk.part.bytes(true))
+		a.resRollups.Add(pk.part.bytes())
 		pk.tier.groups[pk.g] = &rollupGroup{fp: pk.fp, part: pk.part}
 		pk.tier.builds.Add(1)
 		pk.tier.mBuilds.Inc()

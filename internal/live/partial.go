@@ -22,11 +22,11 @@ func geo5(p geo.Point) uint64 { return geo.GeohashCellID(p, 5) }
 //
 // Per-user data is flattened into partial-level arrays indexed by the
 // user's row; users are sorted by id, matching the canonical stream
-// order. Interior quantities (waiting times, displacements, flows between
-// consecutive in-bucket tweets) are precomputed with the very operations
-// the streaming extractor performs — single-sourced in package mobility —
-// so the fold only stitches bucket boundaries and replays addition
-// sequences; it never re-derives a float differently.
+// order. Everything a partial holds merges exactly in any grouping —
+// integer counts, set unions, min/max, the fixed-point vector sums of
+// package mobility — except the flow transition between a user's last
+// tweet in one partial and first tweet in the next, which the fold and
+// the rollup merge stitch from the rows' boundary assignments.
 type partial struct {
 	tweets          int64
 	bbox            geo.BBox
@@ -46,38 +46,30 @@ type partial struct {
 	// (slot, from, to); nil when no user has two records in the partial —
 	// the common hour partial.
 	flows []flowCell
-	// waits/disps hold the interior waiting times and displacements, one
-	// per record that is not its user's first; cells each user's sorted
-	// distinct cell ids; vecs the per-tweet unit vector addends (3 floats
-	// per tweet) — all in user-row, then time, order. A bucket's own
-	// partial shares vecs with the bucket (buildRange).
-	waits []float64
-	disps []float64
+	// cells are each user's sorted distinct cell ids, in user-row order;
+	// sums each user row's summed unit vectors.
 	cells []uint64
-	vecs  []float64
+	sums  []mobility.VecSum
 }
 
 // userPart is one user's boundary summary within a partial. The rows
-// partition the partial's records in order, so a row's ranges in the
-// columns follow from two running offsets (recSpan, userCells) — 32-bit,
-// as a partial's columns pass 100 GB before a record offset wraps.
+// partition the partial's records in order, so a row's record count and
+// its range in cells follow from two running offsets — 32-bit, as a
+// partial's columns pass 100 GB before a record offset wraps.
 type userPart struct {
 	id              int64
 	rec0            uint32 // records in the rows before this one
 	c0              uint32 // cells in the rows before this one
 	firstTS, lastTS int64
-	firstPt, lastPt geo.Point
 }
 
-// recSpan returns the record offset and count of one user row. Its unit
-// vectors are vecs[3*rec0 : 3*(rec0+n)]; a row's first record has no
-// interior value, so its n-1 waits and disps start at rec0-row.
-func (p *partial) recSpan(row int) (rec0, n int) {
-	rec0, end := int(p.users[row].rec0), int(p.tweets)
+// recCount returns the number of records of one user row.
+func (p *partial) recCount(row int) int {
+	end := int(p.tweets)
 	if row+1 < len(p.users) {
 		end = int(p.users[row+1].rec0)
 	}
-	return rec0, end - rec0
+	return end - int(p.users[row].rec0)
 }
 
 // userCells returns one user row's sorted distinct cell ids.
@@ -89,21 +81,18 @@ func (p *partial) userCells(row int) []uint64 {
 	return p.cells[p.users[row].c0:end]
 }
 
-// bytes is the heap p holds, counted from its column lengths; a bucket's
-// own partial does not own its vecs. A nil partial holds nothing.
-func (p *partial) bytes(ownVecs bool) int64 {
+// bytes is the heap p holds, counted from its column lengths. A nil
+// partial holds nothing.
+func (p *partial) bytes() int64 {
 	if p == nil {
 		return 0
 	}
-	n := int(unsafe.Sizeof(*p)) +
+	return int64(int(unsafe.Sizeof(*p)) +
 		len(p.users)*int(unsafe.Sizeof(userPart{})) +
 		len(p.flows)*int(unsafe.Sizeof(flowCell{})) +
+		len(p.sums)*int(unsafe.Sizeof(mobility.VecSum{})) +
 		2*(len(p.firstArea)+len(p.lastArea)) +
-		8*(len(p.marks)+len(p.waits)+len(p.disps)+len(p.cells))
-	if ownVecs {
-		n += 8 * len(p.vecs)
-	}
-	return int64(n)
+		8*(len(p.marks)+len(p.cells)))
 }
 
 // flowCell is one nonzero interior transition count of a partial: n
@@ -240,10 +229,8 @@ func (a *Aggregator) scratchPartial() *partialBuild {
 		firstArea: w.firstArea[:0],
 		lastArea:  w.lastArea[:0],
 		marks:     w.marks[:0],
-		waits:     w.waits[:0],
-		disps:     w.disps[:0],
 		cells:     w.cells[:0],
-		vecs:      w.vecs[:0],
+		sums:      w.sums[:0],
 	}
 	w.sh = a.Shape
 	if cap(w.acc) < a.accLen {
@@ -279,10 +266,8 @@ func (w *partialBuild) publish() *partial {
 	p.firstArea = append([]int16(nil), w.firstArea...)
 	p.lastArea = append([]int16(nil), w.lastArea...)
 	p.marks = append([]uint64(nil), w.marks...)
-	p.waits = append([]float64(nil), w.waits...)
-	p.disps = append([]float64(nil), w.disps...)
 	p.cells = append([]uint64(nil), w.cells...)
-	p.vecs = append([]float64(nil), w.vecs...)
+	p.sums = append([]mobility.VecSum(nil), w.sums...)
 	if len(w.touched) > 0 {
 		slices.Sort(w.touched)
 		p.flows = make([]flowCell, len(w.touched))
@@ -311,28 +296,21 @@ func (p *partial) closeCells(u *userPart) {
 }
 
 // buildRange materialises the partial for b's records with timestamps in
-// [lo, hi). b must be sorted; the caller holds the aggregator lock (the
-// build reads bucket storage but writes only fresh memory, so builds of
-// different buckets may run side by side under it).
-//
-// The whole bucket's partial (unbounded lo and hi) would copy b.vecs
-// record for record, so it takes the column itself instead and clips the
-// bucket's slice to its length: the next append — the only thing that
-// can precede a re-sort — reallocates, and the published column is never
-// written again (DESIGN.md §11).
+// [lo, hi), an unbounded hi taking every record. b must be sorted; the
+// caller holds the aggregator lock (the build reads bucket storage but
+// writes only fresh memory, so builds of different buckets may run side
+// by side under it).
 func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
-	whole := lo == math.MinInt64 && hi == math.MaxInt64
 	p := a.scratchPartial()
 	slots := a.slots
 	var cu *userPart
 	prevBase := -1
 	for i := range b.tweets {
 		t := &b.tweets[i]
-		if !whole && (t.TS < lo || t.TS >= hi) {
+		if t.TS < lo || (t.TS >= hi && hi != math.MaxInt64) {
 			continue
 		}
 		base := i * slots
-		pt := t.Point()
 		if !p.seen || t.TS < p.firstTS {
 			p.firstTS = t.TS
 		}
@@ -340,22 +318,21 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			p.lastTS = t.TS
 		}
 		p.seen = true
-		p.bbox = p.bbox.Extend(pt)
+		p.bbox = p.bbox.Extend(t.Point())
 		if cu == nil || cu.id != t.UserID {
 			if cu != nil {
 				p.closeCells(cu)
 			}
 			p.users = append(p.users, userPart{
-				id: t.UserID, firstTS: t.TS, firstPt: pt,
+				id: t.UserID, firstTS: t.TS,
 				rec0: uint32(p.tweets), c0: uint32(len(p.cells)),
 			})
 			cu = &p.users[len(p.users)-1]
 			p.firstArea = append(p.firstArea, b.assign[base:base+slots]...)
 			p.lastArea = append(p.lastArea, b.assign[base:base+slots]...)
 			p.marks = append(p.marks, a.zeroWords...)
+			p.sums = append(p.sums, mobility.VecSum{})
 		} else {
-			p.waits = append(p.waits, mobility.WaitingSecs(cu.lastTS, t.TS))
-			p.disps = append(p.disps, mobility.DisplacementKM(cu.lastPt, pt))
 			for s := range a.scales {
 				p.transition(s, b.assign[prevBase+s], b.assign[base+s])
 			}
@@ -363,7 +340,6 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 		}
 		p.tweets++
 		cu.lastTS = t.TS
-		cu.lastPt = pt
 		mbase := (len(p.users) - 1) * a.totalWords
 		for s := 0; s < slots; s++ {
 			if ar := b.assign[base+s]; ar >= 0 {
@@ -371,18 +347,11 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 			}
 		}
 		p.cells = append(p.cells, b.cells[i])
-		if !whole {
-			p.vecs = append(p.vecs, b.vecs[3*i], b.vecs[3*i+1], b.vecs[3*i+2])
-		}
+		p.sums[len(p.users)-1].Add(b.vecs[3*i], b.vecs[3*i+1], b.vecs[3*i+2])
 		prevBase = base
 	}
 	if cu != nil {
 		p.closeCells(cu)
 	}
-	out := p.publish()
-	if whole {
-		b.vecs = slices.Clip(b.vecs)
-		out.vecs = b.vecs
-	}
-	return out
+	return p.publish()
 }

@@ -13,11 +13,9 @@ import (
 // groups of base buckets, so a multi-year window at an hourly bucket
 // width folds dozens of day/month partials instead of tens of thousands
 // of hour partials. A tier partial is produced by mergePartials, which
-// reproduces exactly the stitching the fold itself performs — boundary
-// waits/displacements/flow transitions via the same single-sourced
-// mobility operations, order-preserving concatenation of the float
-// series — so folding [tier partial] is bit-identical to folding its
-// member bucket partials (property-tested).
+// adds and unions what the fold itself adds and unions and books the
+// same boundary flow transitions, so folding [tier partial] is
+// bit-identical to folding its member bucket partials (property-tested).
 
 const dayMs = int64(24 * 60 * 60 * 1000)
 
@@ -111,7 +109,7 @@ func (a *Aggregator) pruneTiersLocked() {
 	for _, t := range a.tiers {
 		for g, grp := range t.groups {
 			if (g+1)*t.factor <= a.floorIdx {
-				a.resRollups.Add(-grp.part.bytes(true))
+				a.resRollups.Add(-grp.part.bytes())
 				delete(t.groups, g)
 			}
 		}
@@ -142,14 +140,12 @@ func (a *Aggregator) RollupStats() []RollupTierStats {
 // mergePartials merges chronologically ordered, non-overlapping partials
 // into one partial covering their union, preserving the fold contract:
 // folding [..., M, ...] is bit-identical to folding [..., p1..pk, ...].
-// The construction is the fold's own per-user stitching — boundary
-// waiting times, displacements and flow transitions computed with the
-// same single mobility operations, interior float series concatenated in
-// serial order — re-emitted as a partial instead of observer state.
+// Per user the members' counts and vector sums add, their bitsets and
+// cell sets union, and the flow transition between one member's last
+// tweet and the next member's first is booked as the fold would book it.
 func (a *Aggregator) mergePartials(parts []*partial) *partial {
 	m := a.scratchPartial()
 	for _, p := range parts {
-		m.tweets += p.tweets
 		if p.seen {
 			m.bbox = m.bbox.Union(p.bbox)
 			if !m.seen || p.firstTS < m.firstTS {
@@ -160,8 +156,6 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			}
 			m.seen = true
 		}
-	}
-	for _, p := range parts {
 		for _, c := range p.flows {
 			m.addFlow(int(c.slot), c.from, c.to, c.n)
 		}
@@ -173,41 +167,32 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			break
 		}
 		row := len(m.users)
+		m.users = append(m.users, userPart{
+			id: u, firstTS: recs[0].p.users[recs[0].row].firstTS,
+			rec0: uint32(m.tweets), c0: uint32(len(m.cells)),
+		})
+		m.marks = append(m.marks, a.zeroWords...)
+		m.sums = append(m.sums, mobility.VecSum{})
 		for k, rc := range recs {
 			p, prow := rc.p, rc.row
-			r := &p.users[prow]
+			first, last := p.firstArea[prow*slots:(prow+1)*slots], p.lastArea[prow*slots:(prow+1)*slots]
 			if k == 0 {
-				m.users = append(m.users, userPart{
-					id: u, firstTS: r.firstTS, firstPt: r.firstPt,
-					rec0: uint32(len(m.vecs) / 3), c0: uint32(len(m.cells)),
-				})
-				m.firstArea = append(m.firstArea, p.firstArea[prow*slots:(prow+1)*slots]...)
-				m.lastArea = append(m.lastArea, p.lastArea[prow*slots:(prow+1)*slots]...)
-				m.marks = append(m.marks, a.zeroWords...)
+				m.firstArea = append(m.firstArea, first...)
+				m.lastArea = append(m.lastArea, last...)
 			} else {
-				cu := &m.users[row]
-				// Boundary between the previous member's last tweet and
-				// this member's first — the exact stitch the fold does.
-				m.waits = append(m.waits, mobility.WaitingSecs(cu.lastTS, r.firstTS))
-				m.disps = append(m.disps, mobility.DisplacementKM(cu.lastPt, r.firstPt))
 				for s := range a.scales {
-					m.transition(s, m.lastArea[row*slots+s], p.firstArea[prow*slots+s])
+					m.transition(s, m.lastArea[row*slots+s], first[s])
 				}
-				copy(m.lastArea[row*slots:(row+1)*slots], p.lastArea[prow*slots:(prow+1)*slots])
+				copy(m.lastArea[row*slots:], last)
 			}
-			rec0, n := p.recSpan(prow)
-			w0 := rec0 - prow
-			m.waits = append(m.waits, p.waits[w0:w0+n-1]...)
-			m.disps = append(m.disps, p.disps[w0:w0+n-1]...)
-			m.vecs = append(m.vecs, p.vecs[3*rec0:3*(rec0+n)]...)
+			m.tweets += int64(p.recCount(prow))
+			m.users[row].lastTS = p.users[prow].lastTS
+			m.sums[row].Merge(p.sums[prow])
 			m.cells = append(m.cells, p.userCells(prow)...)
 			mb, pb := row*a.totalWords, prow*a.totalWords
 			for w := 0; w < a.totalWords; w++ {
 				m.marks[mb+w] |= p.marks[pb+w]
 			}
-			cu := &m.users[row]
-			cu.lastTS = r.lastTS
-			cu.lastPt = r.lastPt
 		}
 		m.closeCells(&m.users[row])
 	}

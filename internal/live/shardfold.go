@@ -1,8 +1,11 @@
 package live
 
 import (
+	"fmt"
+
 	"geomob/internal/census"
 	"geomob/internal/core"
+	"geomob/internal/mobility"
 )
 
 // This file is the live subsystem's contribution to the cluster scale-out
@@ -11,32 +14,63 @@ import (
 // observer state at per-user granularity — which the coordinator merges
 // with the user-disjoint partials of the other shards.
 
-// UserTrajectory is one user's folded trajectory state over a request
-// window. A user-hash-partitioned cluster keeps each user's records whole
-// on one shard, but the global stream order interleaves the users of all
-// shards by ascending id, so the flat Table I series (per-user counts,
-// waiting/displacement runs, gyration radii) cannot be concatenated shard
-// by shard. Shipping the state per user lets the coordinator re-interleave
-// users into exactly the serial order and reassemble the flat series a
-// single-node pass emits, bit for bit.
+// UserTrajectory is one user's folded trajectory statistics over a
+// request window — fixed width, five numbers. A user-hash-partitioned
+// cluster keeps each user's records whole on one shard, so the owning
+// shard finishes every per-user value itself, the radius included; but
+// the global stream order interleaves the users of all shards by
+// ascending id, so the rows travel per user and FlattenUsers
+// re-interleaves them into the flat Table I series a single-node pass
+// emits, bit for bit.
 type UserTrajectory struct {
 	// ID is the user id; Tweets the user's in-window record count.
 	ID     int64
 	Tweets int64
-	// SumX, SumY and SumZ are the radius-of-gyration unit-vector addends,
-	// accumulated in serial record order on the shard (where the complete
-	// trajectory lives). The coordinator derives the radius with the same
-	// mobility.GyrationRadiusKM call a local fold performs, so the result
-	// carries identical bits.
-	SumX, SumY, SumZ float64
 	// DistinctCells is the user's distinct ~5 km geohash cell count
-	// (Table I "locations"), exact on the shard because the whole
-	// trajectory is local.
+	// (Table I "locations").
 	DistinctCells int64
-	// Waits and Disps are the user's complete waiting-time and
-	// displacement series in record order (length Tweets-1 each),
-	// cross-bucket boundaries already stitched by the shard's fold.
-	Waits, Disps []float64
+	// WaitMs is the sum of the user's Tweets − 1 waiting times: last −
+	// first tweet time, in milliseconds.
+	WaitMs int64
+	// GyrationKM is the user's radius of gyration
+	// (mobility.GyrationRadiusKM over the exact unit-vector sum).
+	GyrationKM float64
+}
+
+// FlattenUsers interleaves user-disjoint runs of per-user rows, each
+// ascending by id, into the trajectory statistics of a pass that observed
+// tweets tweets: the integer totals add, and the per-user series are
+// emitted in ascending id — the canonical stream order — so the ordered
+// float reductions downstream (the mean radius) see one order on every
+// backend. A user id present in two runs violates the partitioning
+// contract and is reported as an error rather than double-counted.
+func FlattenUsers(tweets int64, runs ...[]UserTrajectory) (*mobility.Stats, error) {
+	st := &mobility.Stats{Tweets: int(tweets)}
+	heads := make([]int, len(runs))
+	for {
+		best := -1
+		for ri, run := range runs {
+			if heads[ri] == len(run) {
+				continue
+			}
+			if best < 0 || run[heads[ri]].ID < runs[best][heads[best]].ID {
+				best = ri
+			} else if run[heads[ri]].ID == runs[best][heads[best]].ID {
+				return nil, fmt.Errorf("live: flatten: user %d present in runs %d and %d — partitioning contract violated",
+					run[heads[ri]].ID, best, ri)
+			}
+		}
+		if best < 0 {
+			return st, nil
+		}
+		u := &runs[best][heads[best]]
+		heads[best]++
+		st.Users++
+		st.WaitMs += u.WaitMs
+		st.TweetsPerUser = append(st.TweetsPerUser, float64(u.Tweets))
+		st.CellsPerUser = append(st.CellsPerUser, float64(u.DistinctCells))
+		st.GyrationKM = append(st.GyrationKM, u.GyrationKM)
+	}
 }
 
 // ShardPartial is the scatter-gather unit of internal/cluster: the folded
@@ -86,7 +120,7 @@ func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
 	if err != nil {
 		return nil, err
 	}
-	fp, users := a.foldInto(info, parts, true)
+	fp, users := a.foldInto(info, parts)
 	return &ShardPartial{
 		FoldedPass: *fp,
 		Scales:     append([]census.Scale(nil), info.Scales...),

@@ -89,7 +89,7 @@ func newSnapFixtureWidth(t testing.TB, width time.Duration) *snapFixture {
 	}
 	// Per-analysis requests: the tiny corpus can't support the full
 	// study's model fits, but stats + population + national flows touch
-	// every fold column (waits, displacements, vecs, cells, transitions).
+	// every fold column (sums, cells, marks, transitions).
 	f.reqs = []core.Request{
 		{Analyses: []core.Analysis{core.AnalysisStats}},
 		{Analyses: []core.Analysis{core.AnalysisPopulation}},

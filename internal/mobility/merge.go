@@ -28,9 +28,10 @@ func (f *FlowMatrix) Merge(o *FlowMatrix) error {
 // Merge folds o — an extractor that consumed a strictly later user shard of
 // the same stream — into e. Both extractors must share the same mapper.
 // After the merge, e's statistics and flows are exactly what a single
-// extractor would have produced over the concatenated stream: the per-user
-// series are appended in shard order, so even order-sensitive floating-
-// point reductions downstream see the serial order.
+// extractor would have produced over the concatenated stream: counts and
+// the waiting-time sum are integers, and the per-user series are appended
+// in shard order, so even order-sensitive floating-point reductions
+// downstream see the serial order.
 func (e *Extractor) Merge(o *Extractor) error {
 	if e.mapper != o.mapper {
 		return fmt.Errorf("mobility: merge extractors with different mappers")
@@ -53,15 +54,13 @@ func (e *Extractor) Merge(o *Extractor) error {
 		e.prevUser = o.prevUser
 		e.prevTS = o.prevTS
 		e.prevArea = o.prevArea
-		e.prevPoint = o.prevPoint
 	}
 	e.tweetsSeen += o.tweetsSeen
 	e.mappedSeen += o.mappedSeen
 	e.userCount += o.userCount
+	e.waitMs += o.waitMs
 	e.perUserCount = append(e.perUserCount, o.perUserCount...)
-	e.waitingSecs = append(e.waitingSecs, o.waitingSecs...)
 	e.perUserCells = append(e.perUserCells, o.perUserCells...)
-	e.displacementsKM = append(e.displacementsKM, o.displacementsKM...)
 	e.perUserGyration = append(e.perUserGyration, o.perUserGyration...)
 	return e.flows.Merge(o.flows)
 }

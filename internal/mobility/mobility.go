@@ -8,7 +8,6 @@ package mobility
 
 import (
 	"fmt"
-	"math"
 
 	"geomob/internal/census"
 	"geomob/internal/geo"
@@ -184,9 +183,9 @@ type Extractor struct {
 	mapper *AreaMapper
 	flows  *FlowMatrix
 	// trackStats selects whether the trajectory statistics (Table I,
-	// Fig. 2, the displacement and gyration series) are accumulated. Flow
-	// extraction never needs them, and the study pipeline reads them from
-	// a single extractor, so the others run lean.
+	// Fig. 2a, the gyration series) are accumulated. Flow extraction never
+	// needs them, and the study pipeline reads them from a single
+	// extractor, so the others run lean.
 	trackStats bool
 
 	firstUser int64
@@ -201,21 +200,16 @@ type Extractor struct {
 	userCount    int
 	userTweets   int
 	perUserCount []float64
-	waitingSecs  []float64
 	userCells    map[uint64]struct{} // geohash-5 cell IDs (geo.GeohashCellID)
 	perUserCells []float64
-	// Displacements between consecutive tweets of the same user, in
-	// kilometres (the Δr distribution of Hawelka et al., the paper's
-	// ref. [9]); zero-displacement pairs are recorded too.
-	displacementsKM []float64
-	prevPoint       geo.Point
-
-	// Per-user radius of gyration accumulators: running sums of the unit
-	// sphere vector of each tweet. The chord-based identity
-	// E‖p − p̄‖² = 1 − ‖p̄‖² turns the radius of gyration into an O(1)
-	// per-tweet computation.
-	sumX, sumY, sumZ float64
-	perUserGyration  []float64
+	// One user's waiting times telescope to last − first tweet time, so
+	// their sum over all users is one integer.
+	userFirstTS int64
+	waitMs      int64
+	// The current user's summed unit vectors and the radii of the users
+	// closed so far.
+	sum             VecSum
+	perUserGyration []float64
 }
 
 // NewExtractor builds an extractor over the mapper that accumulates both
@@ -232,9 +226,9 @@ func NewExtractor(mapper *AreaMapper) *Extractor {
 
 // NewFlowExtractor builds a lean extractor over the mapper: it accumulates
 // the flow matrix and the tweet/user counters but skips the trajectory
-// statistics (waiting times, displacements, geohash cells, gyration),
-// which cost a per-tweet hash insert and trig the flow extraction never
-// reads. Stats on a lean extractor returns empty series.
+// statistics (geohash cells, gyration), which cost a per-tweet hash insert
+// and trig the flow extraction never reads. Stats on a lean extractor
+// returns empty series.
 func NewFlowExtractor(mapper *AreaMapper) *Extractor {
 	return &Extractor{
 		mapper:   mapper,
@@ -295,30 +289,19 @@ func (e *Extractor) ObserveArea(t tweet.Tweet, area int) error {
 		e.prevUser = t.UserID
 		e.userCount++
 		e.userTweets = 0
-	} else {
-		if e.trackStats {
-			// Same user: waiting time between consecutive tweets (Fig. 2b).
-			e.waitingSecs = append(e.waitingSecs, WaitingSecs(e.prevTS, t.TS))
-			// Displacement between consecutive tweets (extension figure).
-			e.displacementsKM = append(e.displacementsKM, DisplacementKM(e.prevPoint, t.Point()))
-		}
-		// Flow contribution when both ends are mapped (§IV).
-		if e.prevArea >= 0 && area >= 0 {
-			if e.prevArea == area {
-				e.flows.Stays[area]++
-			} else {
-				e.flows.Flows[e.prevArea][area]++
-			}
+		e.userFirstTS = t.TS
+	} else if e.prevArea >= 0 && area >= 0 {
+		// Same user, both ends mapped: one unit of flow (§IV).
+		if e.prevArea == area {
+			e.flows.Stays[area]++
+		} else {
+			e.flows.Flows[e.prevArea][area]++
 		}
 	}
 	e.userTweets++
 	if e.trackStats {
 		e.userCells[geo.GeohashCellID(t.Point(), 5)] = struct{}{}
-		x, y, z := UnitVec(t.Point())
-		e.sumX += x
-		e.sumY += y
-		e.sumZ += z
-		e.prevPoint = t.Point()
+		e.sum.Add(UnitVec(t.Point()))
 	}
 	e.prevTS = t.TS
 	e.prevArea = area
@@ -331,34 +314,10 @@ func (e *Extractor) flushUser() {
 		e.perUserCount = append(e.perUserCount, float64(e.userTweets))
 		e.perUserCells = append(e.perUserCells, float64(len(e.userCells)))
 		clear(e.userCells)
-		e.perUserGyration = append(e.perUserGyration, GyrationRadiusKM(e.sumX, e.sumY, e.sumZ, e.userTweets))
-		e.sumX, e.sumY, e.sumZ = 0, 0, 0
+		e.waitMs += e.prevTS - e.userFirstTS
+		e.perUserGyration = append(e.perUserGyration, GyrationRadiusKM(e.sum, e.userTweets))
+		e.sum = VecSum{}
 	}
-}
-
-// The per-tweet floating-point operations of the trajectory statistics
-// live in exactly one place each, so any external aggregation layer that
-// replays them (internal/live folds per-bucket partials) performs the
-// bit-identical computation the streaming extractor performs.
-
-// UnitVec returns the unit sphere vector of p — the per-tweet addend of
-// the radius-of-gyration accumulators.
-func UnitVec(p geo.Point) (x, y, z float64) {
-	lat, lon := p.Radians()
-	cosLat := cos(lat)
-	return cosLat * cos(lon), cosLat * sin(lon), sin(lat)
-}
-
-// GyrationRadiusKM turns the summed unit vectors of one user's n tweets
-// into the chord-based radius of gyration in km: ‖p̄‖ <= 1 with equality
-// only when every tweet sits at the same point.
-func GyrationRadiusKM(sumX, sumY, sumZ float64, n int) float64 {
-	fn := float64(n)
-	norm2 := (sumX*sumX + sumY*sumY + sumZ*sumZ) / (fn * fn)
-	if norm2 > 1 {
-		norm2 = 1
-	}
-	return geo.EarthRadius / 1000 * sqrt(1-norm2)
 }
 
 // WaitingSecs is the waiting time between consecutive tweets of one user
@@ -366,8 +325,32 @@ func GyrationRadiusKM(sumX, sumY, sumZ float64, n int) float64 {
 func WaitingSecs(prevTS, ts int64) float64 { return float64(ts-prevTS) / 1000 }
 
 // DisplacementKM is the displacement between consecutive tweets of one
-// user, in kilometres.
+// user, in kilometres (the Δr of Hawelka et al., the paper's ref. [9]).
 func DisplacementKM(prev, cur geo.Point) float64 { return geo.Haversine(prev, cur) / 1000 }
+
+// WaitingSeries returns the waiting time of every pair of consecutive
+// tweets of one user in a (user, time)-ordered stream — Fig. 2b's input.
+// The extractor keeps only their sum (Stats.WaitMs); a figure that wants
+// the distribution derives it from the tweets it holds.
+func WaitingSeries(tweets []tweet.Tweet) []float64 {
+	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return WaitingSecs(prev.TS, cur.TS) })
+}
+
+// DisplacementSeries is WaitingSeries for the displacements; zero-length
+// moves are included.
+func DisplacementSeries(tweets []tweet.Tweet) []float64 {
+	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return DisplacementKM(prev.Point(), cur.Point()) })
+}
+
+func stepSeries(tweets []tweet.Tweet, step func(prev, cur *tweet.Tweet) float64) []float64 {
+	var out []float64
+	for i := 1; i < len(tweets); i++ {
+		if tweets[i].UserID == tweets[i-1].UserID {
+			out = append(out, step(&tweets[i-1], &tweets[i]))
+		}
+	}
+	return out
+}
 
 // Flows finalises and returns the flow matrix. Call after the last Observe.
 func (e *Extractor) Flows() *FlowMatrix {
@@ -378,14 +361,16 @@ func (e *Extractor) Flows() *FlowMatrix {
 
 // Stats summarises the trajectory statistics of the observed stream.
 type Stats struct {
-	Tweets          int       // total tweets observed
-	MappedTweets    int       // tweets assigned to some area
-	Users           int       // distinct users
-	TweetsPerUser   []float64 // per-user tweet counts (Fig. 2a input)
-	WaitingSecs     []float64 // inter-tweet gaps in seconds (Fig. 2b input)
-	CellsPerUser    []float64 // distinct ~5 km geohash cells per user (Table I "locations")
-	DisplacementsKM []float64 // consecutive-tweet displacements, km
-	GyrationKM      []float64 // per-user radius of gyration, km (González et al.)
+	Tweets       int // total tweets observed
+	MappedTweets int // tweets assigned to some area
+	Users        int // distinct users
+	// WaitMs is the sum of all Tweets − Users waiting times between
+	// consecutive tweets of one user, in milliseconds: per user it
+	// telescopes to last − first tweet time.
+	WaitMs        int64
+	TweetsPerUser []float64 // per-user tweet counts (Fig. 2a input)
+	CellsPerUser  []float64 // distinct ~5 km geohash cells per user (Table I "locations")
+	GyrationKM    []float64 // per-user radius of gyration, km (González et al.)
 }
 
 // Stats finalises and returns the trajectory statistics.
@@ -393,21 +378,15 @@ func (e *Extractor) Stats() Stats {
 	e.flushUser()
 	e.userTweets = 0
 	return Stats{
-		Tweets:          e.tweetsSeen,
-		MappedTweets:    e.mappedSeen,
-		Users:           e.userCount,
-		TweetsPerUser:   e.perUserCount,
-		WaitingSecs:     e.waitingSecs,
-		CellsPerUser:    e.perUserCells,
-		DisplacementsKM: e.displacementsKM,
-		GyrationKM:      e.perUserGyration,
+		Tweets:        e.tweetsSeen,
+		MappedTweets:  e.mappedSeen,
+		Users:         e.userCount,
+		WaitMs:        e.waitMs,
+		TweetsPerUser: e.perUserCount,
+		CellsPerUser:  e.perUserCells,
+		GyrationKM:    e.perUserGyration,
 	}
 }
-
-// Trigonometric aliases keep the accumulator code compact.
-func cos(v float64) float64  { return math.Cos(v) }
-func sin(v float64) float64  { return math.Sin(v) }
-func sqrt(v float64) float64 { return math.Sqrt(v) }
 
 // UniqueUsersPerArea counts, per area, the distinct users with at least one
 // tweet mapped to the area — the paper's "Twitter population" (§III).

@@ -1,6 +1,7 @@
 package mobility
 
 import (
+	"slices"
 	"testing"
 
 	"geomob/internal/census"
@@ -195,13 +196,14 @@ func TestExtractorStats(t *testing.T) {
 	if len(s.TweetsPerUser) != 2 || s.TweetsPerUser[0] != 3 || s.TweetsPerUser[1] != 2 {
 		t.Errorf("TweetsPerUser = %v", s.TweetsPerUser)
 	}
-	if len(s.WaitingSecs) != 3 { // 2 gaps for user1 + 1 gap for user2
-		t.Errorf("WaitingSecs = %v", s.WaitingSecs)
+	// 2 gaps for user 1 + 1 gap for user 2: the gap between the users'
+	// streams (4 000 s) must not be counted.
+	if s.WaitMs != 3*60_000 {
+		t.Errorf("WaitMs = %d, want 180000", s.WaitMs)
 	}
-	for _, w := range s.WaitingSecs {
-		if w != 60 {
-			t.Errorf("gap = %v, want 60", w)
-		}
+	stream := append(streamTweets(m, 1, 1_000_000, 0, 1, 2), streamTweets(m, 2, 5_000_000, 3, 4)...)
+	if gaps := WaitingSeries(stream); !slices.Equal(gaps, []float64{60, 60, 60}) {
+		t.Errorf("WaitingSeries = %v, want three gaps of 60 s", gaps)
 	}
 	if len(s.CellsPerUser) != 2 || s.CellsPerUser[0] < 2 {
 		t.Errorf("CellsPerUser = %v", s.CellsPerUser)

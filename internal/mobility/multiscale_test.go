@@ -183,7 +183,7 @@ func TestFlowExtractorMatchesFullFlows(t *testing.T) {
 		t.Errorf("lean counters differ: %d/%d/%d vs %d/%d/%d",
 			ls.Tweets, ls.MappedTweets, ls.Users, fs.Tweets, fs.MappedTweets, fs.Users)
 	}
-	if len(ls.WaitingSecs) != 0 || len(ls.TweetsPerUser) != 0 || len(ls.GyrationKM) != 0 {
+	if ls.WaitMs != 0 || len(ls.TweetsPerUser) != 0 || len(ls.GyrationKM) != 0 {
 		t.Error("lean extractor accumulated trajectory series")
 	}
 }

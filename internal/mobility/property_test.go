@@ -176,17 +176,21 @@ func TestEndToEndHandCraftedFlows(t *testing.T) {
 	if st.Users != 2 || st.Tweets != 7 {
 		t.Errorf("stats: %+v", st)
 	}
-	if len(st.DisplacementsKM) != 5 {
-		t.Fatalf("displacements: %v", st.DisplacementsKM)
+	if st.WaitMs != 3000+2000 {
+		t.Errorf("WaitMs = %d, want 5000", st.WaitMs)
+	}
+	disps := DisplacementSeries(stream)
+	if len(disps) != 5 {
+		t.Fatalf("displacements: %v", disps)
 	}
 	// Sydney→Melbourne displacement ~713 km appears twice (out and back).
 	var far int
-	for _, d := range st.DisplacementsKM {
+	for _, d := range disps {
 		if d > 700 && d < 730 {
 			far++
 		}
 	}
 	if far != 2 {
-		t.Errorf("expected 2 Sydney–Melbourne displacements, got %d (%v)", far, st.DisplacementsKM)
+		t.Errorf("expected 2 Sydney–Melbourne displacements, got %d (%v)", far, disps)
 	}
 }
