@@ -13,6 +13,7 @@ package geomob
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -470,7 +471,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.StopTimer()
 		ing := benchIngestEnv(b)
 		b.StartTimer()
-		n, err := ing.IngestNDJSON(bytes.NewReader(body.Bytes()))
+		n, err := ing.IngestNDJSON(context.Background(), bytes.NewReader(body.Bytes()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -507,7 +508,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 		b.StopTimer()
 		ing := benchIngestEnv(b)
 		b.StartTimer()
-		n, err := ing.IngestBinary(bytes.NewReader(body.Bytes()))
+		n, err := ing.IngestBinary(context.Background(), bytes.NewReader(body.Bytes()), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -291,14 +291,15 @@ func (e *ringEngine) cachedGet(ctx context.Context, key, source, ckey string, co
 	return res, hit, err
 }
 
-// ingest appends durably to the store and routes through the assignment
-// hot path into the ring. Cached results whose windows do not cover the
-// landed buckets stay warm.
-func (e *ringEngine) ingest(_ context.Context, body io.Reader, binary bool, maxFrame int64) (int, error) {
+// ingest commits durably to the store, resolves the records through the
+// assignment hot path and appends them to the ring. Cached results whose
+// windows do not cover the landed buckets stay warm. The
+// live.IngestStages land on ctx's trace.
+func (e *ringEngine) ingest(ctx context.Context, body io.Reader, binary bool, maxFrame int64) (int, error) {
 	if binary {
-		return live.DrainBinary(body, maxFrame, e.ing.IngestBatch, e.ing.Flush)
+		return e.ing.IngestBinary(ctx, body, maxFrame)
 	}
-	return e.ing.IngestNDJSON(body)
+	return e.ing.IngestNDJSON(ctx, body)
 }
 
 func (e *ringEngine) ingestReply(accepted int) (int, map[string]any) {

@@ -512,6 +512,69 @@ func TestDegraded503CarriesTraceID(t *testing.T) {
 	}
 }
 
+// TestIngestStagesSumToWall: a single-node POST /v1/ingest — binary and
+// NDJSON alike — leaves a retained trace whose decode, store,
+// resolve and ring stages appear once each, in that order, none
+// negative, and sum to within 5 % of the trace's wall time: the stages
+// are cut from one clock inside the drain, so only what the handler does
+// around it (the reply) is unattributed. The same four land in
+// geomob_ingest_stage_seconds.
+func TestIngestStagesSumToWall(t *testing.T) {
+	_, ts := newLiveTestServer(t)
+	before, _ := scrapeMetrics(t, ts.URL)
+	tweets := genTweets(t, 3000, 33, 34)
+	var frames []byte
+	for off := 0; off < len(tweets); off += 4096 {
+		var err error
+		if frames, err = tweet.AppendFrame(frames, tweet.BatchOf(tweets[off:min(len(tweets), off+4096)])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, post := range []struct {
+		contentType string
+		body        io.Reader
+	}{
+		{tweet.BatchContentType, bytes.NewReader(frames)},
+		{"application/x-ndjson", corpusNDJSON(t, tweets)},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/ingest", post.contentType, post.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s ingest: status %d", post.contentType, resp.StatusCode)
+		}
+		detail := fetchJSON(t, ts.URL+"/debug/traces/"+resp.Header.Get(obs.TraceHeader))
+		stages, _ := detail["stages"].([]any)
+		var names []string
+		var sum float64
+		for _, st := range stages {
+			m := st.(map[string]any)
+			names = append(names, m["stage"].(string))
+			ms := m["ms"].(float64)
+			if ms < 0 {
+				t.Errorf("%s ingest: stage %v took %v ms", post.contentType, m["stage"], ms)
+			}
+			sum += ms
+		}
+		if got, want := strings.Join(names, ","), strings.Join(live.IngestStages[:], ","); got != want {
+			t.Fatalf("%s ingest: trace stages %q, want %q", post.contentType, got, want)
+		}
+		if total := detail["total_ms"].(float64); sum > total || sum < 0.95*total {
+			t.Errorf("%s ingest: stages sum to %.3f ms of a %.3f ms request (%v)", post.contentType, sum, total, stages)
+		}
+	}
+	after, _ := scrapeMetrics(t, ts.URL)
+	for _, st := range live.IngestStages {
+		key := `geomob_ingest_stage_seconds_count{stage="` + st + `"}`
+		if got := after[key] - before[key]; got != 2 {
+			t.Errorf("%s moved by %v over two requests", key, got)
+		}
+	}
+}
+
 // TestIngestTraceStages: a coordinator-mode POST /v1/ingest — NDJSON and
 // binary alike — leaves a retained trace whose decode, route, spool and
 // deliver stages appear once each, in that order, and account for the

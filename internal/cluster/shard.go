@@ -249,55 +249,29 @@ func (s *LocalShard) backfillSlots(slots []int) error {
 	for _, k := range slots {
 		want[k] = true
 	}
-	it := s.store.Scan(tweetdb.Query{})
-	defer it.Close()
-	buf := &tweet.Batch{}
-	for {
-		blk, ok := it.NextBlock()
-		if !ok {
-			break
+	_, err := live.BackfillRouted(s.store, tweetdb.Query{}, s.aggs[:], func(user, _ int64) int {
+		if k := ring.SlotOf(user); want[k] {
+			return k
 		}
-		for i := 0; i < blk.Len(); i++ {
-			if !want[ring.SlotOf(blk.UserID[i])] {
-				continue
-			}
-			buf.Append(blk.Row(i))
-			if buf.Len() >= 1<<14 {
-				if err := s.routeLocked(buf); err != nil {
-					return err
-				}
-				buf.Reset()
-			}
-		}
-	}
-	if buf.Len() > 0 {
-		if err := s.routeLocked(buf); err != nil {
+		return -1
+	})
+	return err
+}
+
+// commitAndRoute appends all to the store durably (with meta in the same
+// manifest save), then ingests each of its per-slot parts into the slot's
+// ring. The parts are already validated, so only the commit can fail.
+func (s *LocalShard) commitAndRoute(parts *[ring.Slots]*tweet.Batch, all *tweet.Batch, meta map[string]string) error {
+	if s.store != nil && all.Len() > 0 {
+		if err := s.store.AppendBatchMeta(all, meta); err != nil {
 			return err
 		}
 	}
-	return it.Err()
-}
-
-// routeLocked splits one batch by placement slot and ingests each
-// piece into its ring. Callers must not require s.mu (boot) or must
-// hold it (Ingest).
-func (s *LocalShard) routeLocked(b *tweet.Batch) error {
-	var parts [ring.Slots]*tweet.Batch
-	for i, user := range b.UserID {
-		k := ring.SlotOf(user)
-		p := parts[k]
-		if p == nil {
-			p = &tweet.Batch{}
-			parts[k] = p
-		}
-		p.Append(b.Row(i))
-	}
 	for k, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := s.aggs[k].IngestBatch(p); err != nil {
-			return fmt.Errorf("slot %d: %w", k, err)
+		if p != nil {
+			if err := s.aggs[k].IngestBatch(p); err != nil {
+				return fmt.Errorf("slot %d: %w", k, err)
+			}
 		}
 	}
 	return nil
@@ -351,9 +325,9 @@ func (s *LocalShard) Buckets() int {
 
 // Deliver implements Shard. The frame's batch is appended to the store
 // together with the sender's advanced high-water mark in one atomic
-// manifest commit, then routed into the slot's ring; a crash between
-// the two is healed by the boot backfill. Duplicate (sender, seq)
-// deliveries return success without re-applying.
+// manifest commit, then resolved and appended to the slot's ring; a
+// crash between the two is healed by the boot backfill.
+// Duplicate (sender, seq) deliveries return success without re-applying.
 func (s *LocalShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
 	return s.DeliverBatch(sender, []Delivery{{Seq: seq, Slot: slot, Frame: frame}})
 }
@@ -375,6 +349,9 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 		b := &tweet.Batch{}
 		if err := tweet.NewBatchReader(bytes.NewReader(d.Frame), int64(len(d.Frame))+1).Read(b); err != nil {
 			return fmt.Errorf("%w: decode frame seq %d: %w", live.ErrBadInput, d.Seq, err)
+		}
+		if err := b.Validate(); err != nil {
+			return fmt.Errorf("cluster: frame seq %d: %w", d.Seq, err)
 		}
 		batches[i] = b
 	}
@@ -398,30 +375,18 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 			p = &tweet.Batch{}
 			parts[d.Slot] = p
 		}
-		for r := 0; r < b.Len(); r++ {
-			combined.Append(b.Row(r))
-			p.Append(b.Row(r))
-		}
+		combined.AppendBatch(b)
+		p.AppendBatch(b)
 	}
 	if !fresh {
 		return nil
 	}
-	if s.store != nil && combined.Len() > 0 {
-		var meta map[string]string
-		if sender != "" {
-			meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
-		}
-		if err := s.store.AppendBatchMeta(combined, meta); err != nil {
-			return err
-		}
+	var meta map[string]string
+	if sender != "" {
+		meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
 	}
-	for k, p := range parts {
-		if p == nil {
-			continue
-		}
-		if err := s.aggs[k].IngestBatch(p); err != nil {
-			return fmt.Errorf("slot %d: %w", k, err)
-		}
+	if err := s.commitAndRoute(&parts, combined, meta); err != nil {
+		return err
 	}
 	if sender != "" {
 		s.hwm[sender] = maxSeq
@@ -433,20 +398,23 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 
 // Ingest implements Shard: a direct, non-replicated ingest used by the
 // node's public ingest endpoint and single-process setups. Rows are
-// routed to their placement slots; with a store the batch lands
-// durably first.
+// routed to their placement slots, which they reach once the store,
+// if there is one, holds the batch durably.
 func (s *LocalShard) Ingest(b *tweet.Batch) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		if err := s.store.AppendBatch(b); err != nil {
-			return err
+	var parts [ring.Slots]*tweet.Batch
+	for i, user := range b.UserID {
+		k := ring.SlotOf(user)
+		if parts[k] == nil {
+			parts[k] = &tweet.Batch{}
 		}
+		parts[k].Append(b.Row(i))
 	}
-	return s.routeLocked(b)
+	return s.commitAndRoute(&parts, b, nil)
 }
 
 // Flush implements Shard; LocalShard applies synchronously.

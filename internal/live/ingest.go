@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -21,29 +22,49 @@ var (
 	mIngestBatches = obs.Def.Counter("geomob_ingest_batches_total", "Ingest batch flushes (store append + ring route).")
 	mIngestFlush   = obs.Def.Histogram("geomob_ingest_flush_seconds", "Latency of one ingest batch flush.", nil)
 	mIngestBad     = obs.Def.Counter("geomob_ingest_bad_input_total", "Ingest streams rejected for malformed records or frames.")
+	mIngestStage   = func() (hs [4]*obs.Histogram) {
+		for k, name := range IngestStages {
+			hs[k] = obs.Def.Histogram("geomob_ingest_stage_seconds", "Per-stage latency of a single-node ingest request: decode/store/resolve/ring.", nil, "stage", name)
+		}
+		return hs
+	}()
 )
 
-// Ingestor is the streaming write path: it buffers records and, per
-// flushed batch, (1) persists the batch durably through a
-// tweetdb.Appender and (2) routes the same batch into the aggregator's
-// bucket ring, where each record passes the assignment hot path exactly
-// once. The two sides flush together, so the ring never lags the store.
-//
-// Unlike the bare Appender, an Ingestor is safe for concurrent use —
-// it is the front door of mobserve's POST /v1/ingest handler.
+// IngestStages names where a request through an Ingestor spends its wall
+// time: decode (reading and buffering the body — what the rest leaves),
+// store (the durable commit), resolve (the resolve stage) and ring (the
+// appends).
+var IngestStages = [4]string{"decode", "store", "resolve", "ring"}
+
+// ingestStages accumulates one request's share of the last three; the
+// plain Add/IngestBatch/Flush pass nil and record nothing.
+type ingestStages struct{ store, resolve, ring time.Duration }
+
+// record books the request's four stages, summing to total, on ctx's trace and the histograms.
+func (st *ingestStages) record(ctx context.Context, total time.Duration) {
+	tr := obs.TraceFrom(ctx)
+	for k, d := range [4]time.Duration{total - st.store - st.resolve - st.ring, st.store, st.resolve, st.ring} {
+		tr.AddStage(IngestStages[k], d)
+		mIngestStage[k].Observe(d.Seconds())
+	}
+}
+
+// Ingestor is the streaming write path in front of a store and a bucket
+// ring (DESIGN.md §7's table). It buffers records and, per flushed batch,
+// commits the batch durably, resolves it and appends it to the ring, in
+// that order on the caller's goroutine: durability before visibility, every
+// record resolved once.
+// It is safe for concurrent use — the front door of POST /v1/ingest.
 type Ingestor struct {
 	mu    sync.Mutex
-	app   *tweetdb.Appender
 	store *tweetdb.Store
 	agg   *Aggregator // nil disables ring routing (durable-only ingest)
-	// batch buffers the records of the in-progress flush column-wise; the
-	// first handed records were already handed to the appender, so a flush
-	// retried after a transient failure never re-appends them (no
-	// duplicate writes).
-	batch  *tweet.Batch
-	handed int
-	limit  int
-	total  atomic.Int64
+	// batch buffers the in-progress flush column-wise. A failed flush
+	// leaves it alone (the store rolled back, the ring saw nothing), so a
+	// retried Flush commits it exactly once.
+	batch *tweet.Batch
+	limit int
+	total atomic.Int64
 }
 
 // ErrBadInput marks ingest failures caused by the caller's records —
@@ -55,22 +76,16 @@ var ErrBadInput = errors.New("live: bad ingest input")
 // into agg (which may be nil for a durable-only ingest path). batchSize 0
 // selects tweetdb.DefaultSegmentRecords.
 func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingestor, error) {
-	app, err := tweetdb.NewAppender(store, batchSize)
-	if err != nil {
-		return nil, err
+	if store == nil {
+		return nil, fmt.Errorf("live: ingestor requires a store")
 	}
 	if batchSize == 0 {
 		batchSize = tweetdb.DefaultSegmentRecords
 	}
-	b := &tweet.Batch{}
-	b.Grow(min(batchSize, 1<<14))
-	return &Ingestor{
-		app:   app,
-		store: store,
-		agg:   agg,
-		batch: b,
-		limit: batchSize,
-	}, nil
+	if batchSize < 1 {
+		return nil, fmt.Errorf("live: ingestor batch size must be positive, got %d", batchSize)
+	}
+	return &Ingestor{store: store, agg: agg, batch: &tweet.Batch{}, limit: batchSize}, nil
 }
 
 // Snapshot captures the ring and the store's segment catalogue under
@@ -97,8 +112,10 @@ func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 	return st, err
 }
 
-// Add buffers one record, flushing when the batch fills.
-func (i *Ingestor) Add(t tweet.Tweet) error {
+// Add buffers one record, flushing on a full batch.
+func (i *Ingestor) Add(t tweet.Tweet) error { return i.add(t, nil) }
+
+func (i *Ingestor) add(t tweet.Tweet, st *ingestStages) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadInput, err)
 	}
@@ -106,7 +123,7 @@ func (i *Ingestor) Add(t tweet.Tweet) error {
 	defer i.mu.Unlock()
 	i.batch.Append(t)
 	if i.batch.Len() >= i.limit {
-		return i.flushLocked()
+		return i.flushLocked(st)
 	}
 	return nil
 }
@@ -115,7 +132,9 @@ func (i *Ingestor) Add(t tweet.Tweet) error {
 // the column-wise counterpart of Add used by the binary ingest path.
 // Invalid records reject the entire batch before any is buffered. The
 // batch is copied in; the caller keeps ownership.
-func (i *Ingestor) IngestBatch(b *tweet.Batch) error {
+func (i *Ingestor) IngestBatch(b *tweet.Batch) error { return i.addBatch(b, nil) }
+
+func (i *Ingestor) addBatch(b *tweet.Batch, st *ingestStages) error {
 	if b.Len() == 0 {
 		return nil
 	}
@@ -126,56 +145,48 @@ func (i *Ingestor) IngestBatch(b *tweet.Batch) error {
 	defer i.mu.Unlock()
 	i.batch.AppendBatch(b)
 	if i.batch.Len() >= i.limit {
-		return i.flushLocked()
+		return i.flushLocked(st)
 	}
 	return nil
 }
 
 // Flush persists and routes any buffered records as one batch.
-func (i *Ingestor) Flush() error {
+func (i *Ingestor) Flush() error { return i.flush(nil) }
+
+func (i *Ingestor) flush(st *ingestStages) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.flushLocked()
+	return i.flushLocked(st)
 }
 
-func (i *Ingestor) flushLocked() error {
+func (i *Ingestor) flushLocked(st *ingestStages) error {
 	n := i.batch.Len()
 	if n == 0 {
 		return nil
 	}
 	t0 := time.Now()
-	// Hand the pending records to the appender exactly once: the appender
-	// copies them into its own buffer before attempting any write and
-	// keeps that buffer across failures, so a retried Flush resumes at
-	// the high-water mark instead of re-appending records the appender
-	// already owns. This makes flush retries on the same Ingestor safe;
-	// delivery to the Ingestor itself is still at-least-once — a caller
-	// that re-sends records it already handed in will duplicate them,
-	// as the store keeps no dedup state.
-	if i.handed < n {
-		pending := i.batch.Slice(i.handed, n)
-		i.handed = n
-		if err := i.app.AppendBatch(pending); err != nil {
-			return err
-		}
-	}
-	if err := i.app.Flush(); err != nil {
+	if err := i.store.AppendBatch(i.batch); err != nil {
+		// Nothing durable, nothing in the ring: i.batch stays for the retry.
 		return err
 	}
-	// Past this point the batch is durable: it must not be retried even
-	// if ring routing fails (it cannot — records were pre-validated —
-	// but a duplicate store write would be the worse failure).
-	routeErr := error(nil)
+	t1 := time.Now()
+	t2 := t1
 	if i.agg != nil {
-		routeErr = i.agg.IngestBatch(i.batch)
+		r := i.agg.Resolve(i.batch)
+		t2 = time.Now()
+		i.agg.appendResolved(i.batch, r)
+		r.release()
+	}
+	t3 := time.Now()
+	if st != nil {
+		st.store, st.resolve, st.ring = st.store+t1.Sub(t0), st.resolve+t2.Sub(t1), st.ring+t3.Sub(t2)
 	}
 	i.total.Add(int64(n))
 	i.batch.Reset()
-	i.handed = 0
 	mIngestRecords.Add(int64(n))
 	mIngestBatches.Inc()
-	mIngestFlush.Observe(time.Since(t0).Seconds())
-	return routeErr
+	mIngestFlush.Observe(t3.Sub(t0).Seconds())
+	return nil
 }
 
 // Total returns the number of records flushed so far.
@@ -187,42 +198,113 @@ func (i *Ingestor) Total() int64 { return i.total.Load() }
 // through an Ingestor and is resolved exactly once on its way in. It
 // returns the number of records backfilled.
 func Backfill(a *Aggregator, store *tweetdb.Store) (int64, error) {
-	it := store.Scan(tweetdb.Query{})
-	defer it.Close()
+	return BackfillRouted(store, tweetdb.Query{}, []*Aggregator{a}, nil)
+}
+
+// backfillChunk bounds the records one backfill chunk carries over all
+// rings; a backfillPart is what one ring takes of it.
+const backfillChunk = 1 << 14
+
+type backfillPart struct {
+	b tweet.Batch
+	r *resolved
+}
+
+// BackfillRouted is the one store-to-ring replay behind every boot path,
+// a two-stage pipeline: one goroutine scans q, decodes, routes and
+// resolves chunk k+1 while the caller's appends chunk k, in scan order, so
+// the rings end up as a one-goroutine replay leaves them. route names the
+// ring (an index into rings, which share one Shape) that takes a record,
+// negative to drop it; nil sends all to rings[0]. It returns the number of
+// records appended.
+func BackfillRouted(store *tweetdb.Store, q tweetdb.Query, rings []*Aggregator, route func(user, ts int64) int) (int64, error) {
+	// One chunk being filled, one waiting, one being appended; every chunk
+	// received from out returns to free, so neither side blocks for good.
+	free, out := make(chan []backfillPart, 3), make(chan []backfillPart, 1)
+	for k := 0; k < cap(free); k++ {
+		free <- make([]backfillPart, len(rings))
+	}
+	var scanErr error
+	go func() {
+		defer close(out)
+		scanErr = scanChunks(store.Scan(q), rings[0].Shape, route, free, out)
+	}()
 	total := int64(0)
-	buf := &tweet.Batch{}
-	const chunk = 1 << 14
+	for parts := range out {
+		for k := range parts {
+			if p := &parts[k]; p.b.Len() > 0 {
+				rings[k].appendResolved(&p.b, p.r)
+				p.r.release()
+				total += int64(p.b.Len())
+				p.b.Reset()
+			}
+		}
+		free <- parts
+	}
+	return total, scanErr
+}
+
+// scanChunks is BackfillRouted's first stage: it fills chunks from free
+// with the scan's routed, validated, resolved records and sends them on out.
+func scanChunks(it *tweetdb.Iterator, sh *Shape, route func(user, ts int64) int, free <-chan []backfillPart, out chan<- []backfillPart) error {
+	defer it.Close()
+	parts, n := <-free, 0
+	send := func() error {
+		for k := range parts {
+			if p := &parts[k]; p.b.Len() > 0 {
+				if err := p.b.Validate(); err != nil {
+					return fmt.Errorf("live: backfill: %w", err)
+				}
+				p.r = sh.Resolve(&p.b)
+			}
+		}
+		out <- parts
+		parts, n = <-free, 0
+		return nil
+	}
 	for {
 		blk, ok := it.NextBlock()
 		if !ok {
 			break
 		}
-		// The block aliases the segment file bytes; records move into the
-		// ring in bounded column chunks, never one at a time.
-		for off := 0; off < blk.Len(); off += chunk {
-			end := off + chunk
-			if end > blk.Len() {
-				end = blk.Len()
+		// The block aliases the file bytes; records leave it in column chunks.
+		for off := 0; off < blk.Len(); {
+			if route == nil {
+				end := min(blk.Len(), off+backfillChunk-n)
+				blk.AppendTo(&parts[0].b, off, end)
+				n, off = n+end-off, end
+			} else {
+				if k := route(blk.UserID[off], blk.TS[off]); k >= 0 {
+					parts[k].b.Append(blk.Row(off))
+					n++
+				}
+				off++
 			}
-			buf.Reset()
-			blk.AppendTo(buf, off, end)
-			err := a.IngestBatch(buf)
-			total += int64(end - off)
-			if err != nil {
-				return total, err
+			if n == backfillChunk {
+				if err := send(); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return total, it.Err()
+	if err := it.Err(); err != nil || n == 0 {
+		return err
+	}
+	return send()
 }
 
 // IngestNDJSON drains an NDJSON stream through the ingestor and flushes
 // at the end, returning how many records the stream contributed. On a
 // malformed record the error carries the line number and everything
 // before it is still flushed — the batch boundary the caller observes is
-// exactly what was accepted.
-func (i *Ingestor) IngestNDJSON(r io.Reader) (int, error) {
-	return DrainNDJSON(r, i.Add, i.Flush)
+// exactly what was accepted. The IngestStages land on ctx's trace.
+func (i *Ingestor) IngestNDJSON(ctx context.Context, r io.Reader) (int, error) {
+	st, t0 := &ingestStages{}, time.Now()
+	n, err := DrainNDJSON(r,
+		func(t tweet.Tweet) error { return i.add(t, st) },
+		func() error { return i.flush(st) })
+	st.record(ctx, time.Since(t0))
+	return n, err
 }
 
 // DrainNDJSON is the single NDJSON ingest loop every write front shares
@@ -261,9 +343,16 @@ func DrainNDJSON(r io.Reader, add func(tweet.Tweet) error, flush func() error) (
 
 // IngestBinary drains a length-prefixed binary batch stream (the
 // tweet.BatchReader wire format) through the ingestor and flushes at the
-// end, returning how many records the stream contributed.
-func (i *Ingestor) IngestBinary(r io.Reader) (int, error) {
-	return DrainBinary(r, 0, i.IngestBatch, i.Flush)
+// end, returning how many records the stream contributed; maxFrame bounds
+// one frame (0 selects tweet.DefaultMaxFrameBytes). The IngestStages land
+// on ctx's trace.
+func (i *Ingestor) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
+	st, t0 := &ingestStages{}, time.Now()
+	n, err := DrainBinary(r, maxFrame,
+		func(b *tweet.Batch) error { return i.addBatch(b, st) },
+		func() error { return i.flush(st) })
+	st.record(ctx, time.Since(t0))
+	return n, err
 }
 
 // DrainBinary is DrainNDJSON for the binary batch wire format: frames

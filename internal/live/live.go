@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -404,39 +405,63 @@ func (a *Aggregator) Ingest(batch []tweet.Tweet) error {
 }
 
 // IngestBatch is Ingest over columns — the hot path behind binary batch
-// ingest. The batch is validated column-wise, its coordinate columns go
-// through the multi-scale resolver as whole columns, and records are
-// distributed into buckets with a one-entry bucket memo, so a
-// time-clustered batch costs one map lookup per bucket run rather than
-// one per record. The batch is only read, never retained.
+// ingest: validate, Resolve, appendResolved. The batch is only read,
+// never retained.
 func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
-	n := b.Len()
-	if n == 0 {
+	if b.Len() == 0 {
 		return nil
 	}
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("live: ingest: %w", err)
 	}
-	// Resolve the whole batch before taking the lock: the mappers are
-	// immutable (Execute's workers already share them concurrently), so
-	// the expensive per-record work — grid resolution, trigonometry,
-	// cell hashing — must not stall concurrent queries on a.mu. The
-	// critical section below is pure appends and revision bumps. The
-	// resolved columns live in pooled scratch (fully overwritten, bucket
-	// appends copy out of them), so a steady batch feed allocates nothing
-	// here.
-	slots := a.slots
-	sc := ingestScratchPool.Get().(*ingestScratch)
-	defer ingestScratchPool.Put(sc)
-	assign := growSlice(&sc.assign, n*slots)
-	vecs := growSlice(&sc.vecs, 3*n)
-	cells := growSlice(&sc.cells, n)
-	a.msm.MapAllBatch(b.Lat, b.Lon, assign, slots)
-	for i := 0; i < n; i++ {
+	r := a.Resolve(b)
+	a.appendResolved(b, r)
+	r.release()
+	return nil
+}
+
+// resolved is what a batch's records are, wherever they end up: per
+// record the area assignment at every scale slot, the unit sphere vector
+// and the geohash cell, parallel to the batch with strides slots/3/1.
+// Computing it is the expensive half of a ring write and reads only the
+// immutable Shape, so it runs off every lock; appendResolved is the other
+// half.
+type resolved struct {
+	assign []int16
+	vecs   []float64
+	cells  []uint64
+}
+
+// resolvedPool recycles Resolve's columns, so a steady feed allocates
+// nothing; whoever releases one must not touch it again.
+var resolvedPool = sync.Pool{New: func() any { return new(resolved) }}
+
+func (r *resolved) release() { resolvedPool.Put(r) }
+
+// Resolve is the resolve stage over a whole (valid) batch, into pooled
+// columns the caller releases.
+func (sh *Shape) Resolve(b *tweet.Batch) *resolved {
+	r, n, slots := resolvedPool.Get().(*resolved), b.Len(), sh.slots
+	r.assign = slices.Grow(r.assign[:0], n*slots)[:n*slots]
+	r.vecs = slices.Grow(r.vecs[:0], 3*n)[:3*n]
+	r.cells = slices.Grow(r.cells[:0], n)[:n]
+	sh.msm.MapAllBatch(b.Lat, b.Lon, r.assign, slots)
+	for i := range r.cells {
 		pt := geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]}
-		vecs[3*i], vecs[3*i+1], vecs[3*i+2] = mobility.UnitVec(pt)
-		cells[i] = geo5(pt)
+		r.vecs[3*i], r.vecs[3*i+1], r.vecs[3*i+2] = mobility.UnitVec(pt)
+		r.cells[i] = geo5(pt)
 	}
+	return r
+}
+
+// appendResolved is where a record goes: b's records, with what Resolve
+// made of them, land in their time buckets under a.mu — pure appends and
+// revision bumps, with a one-entry bucket memo, so a time-clustered batch
+// costs one map lookup per bucket run. Each touched bucket's revision
+// advances once and its partial is invalidated. b must be valid and r,
+// which is only read, resolved from it under a's Shape.
+func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
+	n, slots := b.Len(), a.slots
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	touched := map[int64]*bucket{}
@@ -457,9 +482,9 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 		}
 		bk := a.bucketLocked(idx)
 		touched[idx] = bk
-		bk.assign = append(bk.assign, assign[i*slots:j*slots]...)
-		bk.vecs = append(bk.vecs, vecs[3*i:3*j]...)
-		bk.cells = append(bk.cells, cells[i:j]...)
+		bk.assign = append(bk.assign, r.assign[i*slots:j*slots]...)
+		bk.vecs = append(bk.vecs, r.vecs[3*i:3*j]...)
+		bk.cells = append(bk.cells, r.cells[i:j]...)
 		off := len(bk.tweets)
 		bk.tweets = slices.Grow(bk.tweets, j-i)[:off+j-i]
 		for k := i; k < j; k++ {
@@ -468,7 +493,9 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 		accepted += int64(j - i)
 		i = j
 	}
-	for _, bk := range touched {
+	// In bucket order: the revisions left depend on ring and batch alone.
+	for _, idx := range slices.Sorted(maps.Keys(touched)) {
+		bk := touched[idx]
 		a.rev++
 		bk.rev = a.rev
 		bk.sorted = false
@@ -476,7 +503,6 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 	}
 	a.acceptLocked(accepted)
 	a.evictLocked()
-	return nil
 }
 
 // acceptLocked counts n records appended to the ring, dropLocked n
@@ -492,27 +518,6 @@ func (a *Aggregator) dropLocked(n int) {
 	a.dropped.Add(int64(n))
 	mRingDropped.Add(int64(n))
 }
-
-// ingestScratch holds the per-batch resolved columns between IngestBatch
-// calls. Every element is overwritten before use, so reuse needs no
-// clearing.
-type ingestScratch struct {
-	assign []int16
-	vecs   []float64
-	cells  []uint64
-}
-
-// growSlice resizes *s to length n, reusing capacity when possible.
-func growSlice[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	} else {
-		*s = (*s)[:n]
-	}
-	return *s
-}
-
-var ingestScratchPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
 // bucketLocked returns bucket idx, adding an empty one to the ring when
 // it is new. Caller holds a.mu.

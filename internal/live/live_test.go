@@ -1,6 +1,7 @@
 package live
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -262,7 +263,7 @@ func TestIngestNDJSON(t *testing.T) {
 	body := `{"id":1,"user":5,"ts":3600100,"lat":-33.8688,"lon":151.2093}
 {"id":2,"user":5,"ts":7200100,"lat":-37.8136,"lon":144.9631}
 `
-	n, err := ing.IngestNDJSON(strings.NewReader(body))
+	n, err := ing.IngestNDJSON(context.Background(), strings.NewReader(body))
 	if err != nil || n != 2 {
 		t.Fatalf("ingest: n=%d err=%v", n, err)
 	}
@@ -271,7 +272,7 @@ func TestIngestNDJSON(t *testing.T) {
 	}
 	// A malformed line errors with its line number; prior records are
 	// still flushed durably and into the ring.
-	n, err = ing.IngestNDJSON(strings.NewReader(`{"id":3,"user":6,"ts":3600200,"lat":-33.86,"lon":151.20}
+	n, err = ing.IngestNDJSON(context.Background(), strings.NewReader(`{"id":3,"user":6,"ts":3600200,"lat":-33.86,"lon":151.20}
 {"id":4,"user":6,"lat":999`))
 	if err == nil || n != 1 {
 		t.Fatalf("malformed ingest: n=%d err=%v, want n=1 and an error", n, err)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"geomob/internal/obs"
-	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
@@ -194,45 +193,11 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 // in skip, or — when only is non-nil — whose bucket is not *only. It
 // returns how many records were routed.
 func backfillFiltered(a *Aggregator, store *tweetdb.Store, q tweetdb.Query, keep func(int64) bool, skip map[int64]bool, only *int64) (int64, error) {
-	it := store.Scan(q)
-	defer it.Close()
-	buf := &tweet.Batch{}
-	total := int64(0)
-	flush := func() error {
-		if buf.Len() == 0 {
-			return nil
+	return BackfillRouted(store, q, []*Aggregator{a}, func(user, ts int64) int {
+		idx := a.bucketIdx(ts)
+		if keep != nil && !keep(user) || skip[idx] || only != nil && idx != *only {
+			return -1
 		}
-		err := a.IngestBatch(buf)
-		total += int64(buf.Len())
-		buf.Reset()
-		return err
-	}
-	for {
-		blk, ok := it.NextBlock()
-		if !ok {
-			break
-		}
-		for i := 0; i < blk.Len(); i++ {
-			if keep != nil && !keep(blk.UserID[i]) {
-				continue
-			}
-			idx := a.bucketIdx(blk.TS[i])
-			if skip != nil && skip[idx] {
-				continue
-			}
-			if only != nil && idx != *only {
-				continue
-			}
-			buf.Append(blk.Row(i))
-			if buf.Len() >= 1<<14 {
-				if err := flush(); err != nil {
-					return total, err
-				}
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return total, err
-	}
-	return total, it.Err()
+		return 0
+	})
 }

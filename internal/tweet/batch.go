@@ -1,6 +1,7 @@
 package tweet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,8 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
+	"sync"
 
 	"geomob/internal/geo"
 )
@@ -131,46 +133,96 @@ func (b *Batch) Validate() error {
 // entirely.
 func (b *Batch) IsSorted() bool {
 	for i := 1; i < b.Len(); i++ {
-		if b.less(i, i-1) {
+		if u, p := b.UserID[i], b.UserID[i-1]; u != p {
+			if u < p {
+				return false
+			}
+		} else if t, p := b.TS[i], b.TS[i-1]; t < p || t == p && b.ID[i] < b.ID[i-1] {
 			return false
 		}
 	}
 	return true
 }
 
-func (b *Batch) less(i, j int) bool {
-	if b.UserID[i] != b.UserID[j] {
-		return b.UserID[i] < b.UserID[j]
-	}
-	if b.TS[i] != b.TS[j] {
-		return b.TS[i] < b.TS[j]
-	}
-	return b.ID[i] < b.ID[j]
+// sortKey is a record's user id, sign bit flipped so it orders unsigned,
+// and its input position.
+type sortKey struct {
+	user uint64
+	at   int
 }
 
-func (b *Batch) swap(i, j int) {
-	b.ID[i], b.ID[j] = b.ID[j], b.ID[i]
-	b.UserID[i], b.UserID[j] = b.UserID[j], b.UserID[i]
-	b.TS[i], b.TS[j] = b.TS[j], b.TS[i]
-	b.Lat[i], b.Lat[j] = b.Lat[j], b.Lat[i]
-	b.Lon[i], b.Lon[j] = b.Lon[j], b.Lon[i]
+// sortKeys pools SortInto's two key arrays, overwritten before being read.
+var sortKeys = sync.Pool{New: func() any { return new([2][]sortKey) }}
+
+// SortInto replaces dst's contents with b's records in canonical (user,
+// time, id) order, equal keys in input order, and leaves b untouched. It
+// sorts a permutation, not the columns: a stable byte-wise radix sort on
+// the user id, skipping the bytes all users share, groups each user's
+// records in input order; feeds arrive in time order, so most groups are
+// then in (time, id) order already and the rest are sorted one by one;
+// one gather writes the columns. dst must not alias b.
+func (b *Batch) SortInto(dst *Batch) {
+	n := b.Len()
+	kp := sortKeys.Get().(*[2][]sortKey)
+	defer sortKeys.Put(kp)
+	kp[0], kp[1] = slices.Grow(kp[0][:0], n), slices.Grow(kp[1][:0], n)
+	keys, tmp := kp[0][:n], kp[1][:n]
+	or, and := uint64(0), ^uint64(0)
+	for i, u := range b.UserID {
+		keys[i] = sortKey{uint64(u) ^ 1<<63, i}
+		or, and = or|keys[i].user, and&keys[i].user
+	}
+	for shift := 0; shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, k := range keys {
+			next[k.user>>shift&0xff]++
+		}
+		at := 0
+		for d, c := range next {
+			next[d], at = at, at+c
+		}
+		for _, k := range keys {
+			d := k.user >> shift & 0xff
+			tmp[next[d]] = k
+			next[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	byTime := func(x, y sortKey) int {
+		if c := cmp.Compare(b.TS[x.at], b.TS[y.at]); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.ID[x.at], b.ID[y.at])
+	}
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		for hi = lo + 1; hi < n && keys[hi].user == keys[lo].user; hi++ {
+		}
+		if !slices.IsSortedFunc(keys[lo:hi], byTime) {
+			slices.SortStableFunc(keys[lo:hi], byTime)
+		}
+	}
+	dst.Reset()
+	dst.Grow(n)
+	for _, k := range keys {
+		dst.Append(b.Row(k.at))
+	}
 }
 
-// Sort establishes canonical (user, time, id) order in place, co-sorting
-// all columns. Already-sorted batches return after the O(n) check.
+// Sort establishes canonical (user, time, id) order in place, equal keys
+// keeping their input order. Already-sorted batches return after the O(n)
+// check.
 func (b *Batch) Sort() {
 	if b.IsSorted() {
 		return
 	}
-	sort.Sort((*batchOrder)(b))
+	var tmp Batch
+	b.SortInto(&tmp)
+	b.Reset()
+	b.AppendBatch(&tmp) // back into the same arrays
 }
-
-// batchOrder adapts Batch to sort.Interface by tweet.ByUserTime order.
-type batchOrder Batch
-
-func (s *batchOrder) Len() int           { return (*Batch)(s).Len() }
-func (s *batchOrder) Less(i, j int) bool { return (*Batch)(s).less(i, j) }
-func (s *batchOrder) Swap(i, j int)      { (*Batch)(s).swap(i, j) }
 
 // coordScale converts degrees to microdegrees.
 const coordScale = 1e6

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -262,6 +265,66 @@ func TestBatchSortAndValidate(t *testing.T) {
 	ragged := &Batch{ID: []int64{1, 2}, UserID: []int64{1}, TS: []int64{1, 2}, Lat: []float64{0, 0}, Lon: []float64{0, 0}}
 	if err := ragged.Validate(); err == nil {
 		t.Error("ragged batch accepted")
+	}
+}
+
+// TestBatchSortMatchesStableReference pins the sort's full contract: the
+// order of sort.SliceStable over (user, time, id) — so records with equal
+// keys keep their input order — on random, sorted, reversed, all-equal and
+// one-row inputs, with SortInto leaving its receiver untouched.
+func TestBatchSortMatchesStableReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(101, 102))
+	inputs := map[string]*Batch{"one row": randomBatch(rng, 1), "empty": {}}
+	for _, n := range []int{2, 17, 1000, 5000} {
+		// A narrow key space, so most keys repeat with differing coordinates.
+		dup := randomBatch(rng, n)
+		for i := 0; i < n; i++ {
+			dup.UserID[i], dup.TS[i], dup.ID[i] = rng.Int64N(5), rng.Int64N(3), rng.Int64N(2)
+		}
+		inputs[fmt.Sprintf("duplicates %d", n)] = dup
+		inputs[fmt.Sprintf("random %d", n)] = randomBatch(rng, n)
+		// Every byte of the user id in play, both signs.
+		wide := randomBatch(rng, n)
+		for i := range wide.UserID {
+			wide.UserID[i] = int64(rng.Uint64())
+		}
+		inputs[fmt.Sprintf("full-range users %d", n)] = wide
+		sorted := randomBatch(rng, n)
+		sorted.Sort()
+		inputs[fmt.Sprintf("sorted %d", n)] = sorted
+		rev := BatchOf(sorted.Rows())
+		slices.Reverse(rev.ID)
+		slices.Reverse(rev.UserID)
+		slices.Reverse(rev.TS)
+		slices.Reverse(rev.Lat)
+		slices.Reverse(rev.Lon)
+		inputs[fmt.Sprintf("reversed %d", n)] = rev
+	}
+	for name, in := range inputs {
+		want := in.Rows()
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := want[i], want[j]
+			if a.UserID != b.UserID {
+				return a.UserID < b.UserID
+			}
+			if a.TS != b.TS {
+				return a.TS < b.TS
+			}
+			return a.ID < b.ID
+		})
+		before := in.Rows()
+		into := randomBatch(rng, 3) // stale contents must not survive
+		in.SortInto(into)
+		if !slices.Equal(into.Rows(), want) {
+			t.Errorf("%s: SortInto differs from the stable reference", name)
+		}
+		if !slices.Equal(in.Rows(), before) {
+			t.Errorf("%s: SortInto changed its receiver", name)
+		}
+		in.Sort()
+		if !slices.Equal(in.Rows(), want) || !in.IsSorted() {
+			t.Errorf("%s: Sort differs from the stable reference", name)
+		}
 	}
 }
 

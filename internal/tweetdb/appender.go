@@ -8,10 +8,9 @@ import (
 
 // Appender buffers streaming writes into batched Append calls, bounding
 // memory while ingesting corpora far larger than RAM would allow as a
-// single slice. It is the ingestion front door used by cmd/mobgen and the
-// live ingest path. The buffer is columnar, so batched callers hand whole
-// column slices through to segment encoding without materialising
-// per-record values.
+// single slice. It is the ingestion front door used by cmd/mobgen. The
+// buffer is columnar, so a flush hands whole column slices to segment
+// encoding.
 //
 // An Appender is not safe for concurrent use; wrap it or shard streams by
 // writer. Always call Flush (or Close) at the end — buffered records are
@@ -50,21 +49,6 @@ func (a *Appender) Add(t tweet.Tweet) error {
 		return fmt.Errorf("tweetdb: appender: %w", err)
 	}
 	a.buf.Append(t)
-	if a.buf.Len() >= a.limit {
-		return a.Flush()
-	}
-	return nil
-}
-
-// AppendBatch buffers a whole batch column-wise, flushing if the buffer
-// reaches its limit. The records are copied into the appender's buffer
-// before any write is attempted, so the appender owns every record handed
-// to it even when a flush fails — a later Flush retries them.
-func (a *Appender) AppendBatch(b *tweet.Batch) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	a.buf.AppendBatch(b)
 	if a.buf.Len() >= a.limit {
 		return a.Flush()
 	}

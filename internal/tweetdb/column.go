@@ -15,6 +15,7 @@ package tweetdb
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"geomob/internal/geo"
 	"geomob/internal/tweet"
@@ -103,42 +104,43 @@ func (c *ColumnBlock) appendRow(src *ColumnBlock, i int) {
 }
 
 // encodeColumnsV2 serialises records [from, to) of the batch as a v2
-// payload appended to dst: the column directory, then each column.
+// payload appended to dst: the column directory, then each column. dst
+// is grown once, to the payload's worst case (three columns of 10-byte
+// varints, two of 4-byte coordinates), and written by offset.
 func encodeColumnsV2(dst []byte, b *tweet.Batch, from, to int) []byte {
 	n := to - from
 	le := binary.LittleEndian
 	dirOff := len(dst)
-	dst = append(dst, make([]byte, colDirSize)...)
+	dst = slices.Grow(dst, colDirSize+(3*binary.MaxVarintLen64+2*4)*n)
+	dst = dst[:cap(dst)]
+	p := dirOff + colDirSize
 	putDir := func(col, length int, crc uint32) {
 		le.PutUint32(dst[dirOff+8*col:], uint32(length))
 		le.PutUint32(dst[dirOff+8*col+4:], crc)
 	}
-	var scratch [binary.MaxVarintLen64]byte
 	deltaCol := func(col int, vals []int64) {
-		start := len(dst)
+		start := p
 		prev := int64(0)
 		for _, v := range vals {
-			k := binary.PutVarint(scratch[:], v-prev)
-			dst = append(dst, scratch[:k]...)
+			p += binary.PutVarint(dst[p:], v-prev)
 			prev = v
 		}
-		putDir(col, len(dst)-start, checksum(dst[start:]))
+		putDir(col, p-start, checksum(dst[start:p]))
 	}
 	deltaCol(colID, b.ID[from:to])
 	deltaCol(colUser, b.UserID[from:to])
 	deltaCol(colTS, b.TS[from:to])
 	microCol := func(col int, vals []float64) {
-		start := len(dst)
-		dst = append(dst, make([]byte, 4*n)...)
-		body := dst[start:]
+		body := dst[p : p+4*n]
 		for i, v := range vals {
 			le.PutUint32(body[4*i:], uint32(tweet.Microdegrees(v)))
 		}
 		putDir(col, 4*n, checksum(body))
+		p += 4 * n
 	}
 	microCol(colLat, b.Lat[from:to])
 	microCol(colLon, b.Lon[from:to])
-	return dst
+	return dst[:p]
 }
 
 // decodeColumnsV2 parses a v2 payload of n records into a block. The

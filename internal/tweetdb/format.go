@@ -65,12 +65,11 @@ type header struct {
 	crc        uint32
 }
 
-// marshalHeader encodes the header into a fresh slice.
-func marshalHeader(h header) []byte {
-	buf := make([]byte, headerSize)
+// putHeader encodes the header over buf[:headerSize].
+func putHeader(buf []byte, h header) {
 	copy(buf[0:8], segMagic)
 	binary.LittleEndian.PutUint16(buf[8:10], h.version)
-	// buf[10:12] reserved flags, zero.
+	binary.LittleEndian.PutUint16(buf[10:12], 0) // reserved flags
 	binary.LittleEndian.PutUint32(buf[12:16], h.count)
 	binary.LittleEndian.PutUint64(buf[16:24], uint64(h.minTS))
 	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.maxTS))
@@ -82,7 +81,6 @@ func marshalHeader(h header) []byte {
 	binary.LittleEndian.PutUint64(buf[72:80], math.Float64bits(h.bbox.MaxLon))
 	binary.LittleEndian.PutUint32(buf[80:84], h.payloadLen)
 	binary.LittleEndian.PutUint32(buf[84:88], h.crc)
-	return buf
 }
 
 // unmarshalHeader decodes and validates the fixed-size header.

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,24 +171,28 @@ func (s *Store) Append(tweets []tweet.Tweet) error {
 	return s.AppendBatch(tweet.BatchOf(tweets))
 }
 
-// AppendBatch is Append over columns: the batch is validated once,
-// sorted in place into canonical (user, time, id) order — an O(n) no-op
-// when the feed is already ordered, which the batched ingest path
-// usually is — and written as one or more columnar segments without ever
-// materialising tweet.Tweet values. The batch is owned by the store for
-// the duration of the call (it may be reordered); its columns are not
-// retained.
+// AppendBatch is Append over columns: the batch is validated once and
+// written in canonical (user, time, id) order — as it stands when already
+// ordered, otherwise from a sorted copy in the store's own scratch — as
+// one or more columnar segments without ever materialising tweet.Tweet
+// values. The batch is only read, and its columns are not retained.
 func (s *Store) AppendBatch(b *tweet.Batch) error {
 	return s.AppendBatchMeta(b, nil)
 }
+
+// sortScratch pools the sorted copies of unordered appends, segBufs the
+// segment file images; both are overwritten before use.
+var sortScratch = sync.Pool{New: func() any { return new(tweet.Batch) }}
+var segBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendBatchMeta appends a batch and merges meta into the manifest's
 // key/value table in the same manifest save. Because AppendBatch
 // publishes all of an append's segments with one atomic manifest
 // rename, the batch and its meta updates commit together or not at
 // all — the property cluster shards rely on to make redelivery
-// deduplication exact across kill -9.
-func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) error {
+// deduplication exact across kill -9. A failed call leaves the store as
+// it found it, so retrying the same batch commits it exactly once.
+func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err error) {
 	if b.Len() == 0 && len(meta) == 0 {
 		return nil
 	}
@@ -194,11 +200,25 @@ func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) error {
 		if err := b.Validate(); err != nil {
 			return fmt.Errorf("tweetdb: append: %w", err)
 		}
-		b.Sort()
+		if !b.IsSorted() {
+			sorted := sortScratch.Get().(*tweet.Batch)
+			defer sortScratch.Put(sorted)
+			b.SortInto(sorted)
+			b = sorted
+		}
 	}
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	prev := s.man
+	defer func() {
+		if err != nil {
+			for _, seg := range s.man.Segments[len(prev.Segments):] {
+				_ = removeFile(s.dir, seg.File) // in no saved manifest; a leftover is overwritten with its name
+			}
+			s.man = prev
+		}
+	}()
 	for off := 0; off < b.Len(); off += s.segRecords {
 		end := off + s.segRecords
 		if end > b.Len() {
@@ -209,19 +229,19 @@ func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) error {
 		}
 	}
 	if len(meta) > 0 {
+		// A fresh table, so prev still holds the one to roll back to.
+		s.man.Meta = maps.Clone(s.man.Meta)
 		if s.man.Meta == nil {
 			s.man.Meta = make(map[string]string, len(meta))
 		}
-		for k, v := range meta {
-			s.man.Meta[k] = v
-		}
+		maps.Copy(s.man.Meta, meta)
 	}
-	err := s.saveManifestLocked()
-	if err == nil {
-		mAppends.Inc()
-		mAppendSecs.Observe(time.Since(t0).Seconds())
+	if err := s.saveManifestLocked(); err != nil {
+		return err
 	}
-	return err
+	mAppends.Inc()
+	mAppendSecs.Observe(time.Since(t0).Seconds())
+	return nil
 }
 
 // Meta returns the manifest meta value for key ("" when absent).
@@ -270,21 +290,20 @@ func (s *Store) writeSegmentLocked(b *tweet.Batch, from, to int) error {
 		}
 		h.bbox = h.bbox.Extend(geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]})
 	}
-	payload := encodeColumnsV2(nil, b, from, to)
+	bp := segBufs.Get().(*[]byte)
+	defer segBufs.Put(bp)
+	buf := encodeColumnsV2(slices.Grow((*bp)[:0], headerSize)[:headerSize], b, from, to)
+	*bp = buf
 	h.count = uint32(to - from)
-	h.payloadLen = uint32(len(payload))
-	h.crc = checksum(payload)
+	h.payloadLen = uint32(len(buf) - headerSize)
+	h.crc = checksum(buf[headerSize:])
+	putHeader(buf, h)
 
 	name := fmt.Sprintf("seg-%06d.gmseg", s.man.NextSeq)
-	s.man.NextSeq++
-	path := filepath.Join(s.dir, name)
-	if err := atomicWrite(path, append(marshalHeader(h), payload...)); err != nil {
+	if err := writeFile(filepath.Join(s.dir, name), buf); err != nil {
 		return fmt.Errorf("tweetdb: write segment %s: %w", name, err)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		return fmt.Errorf("tweetdb: stat segment %s: %w", name, err)
-	}
+	s.man.NextSeq++
 	s.man.Segments = append(s.man.Segments, SegmentMeta{
 		File:    name,
 		Count:   to - from,
@@ -296,7 +315,7 @@ func (s *Store) writeSegmentLocked(b *tweet.Batch, from, to int) error {
 		MinLon:  h.bbox.MinLon,
 		MaxLat:  h.bbox.MaxLat,
 		MaxLon:  h.bbox.MaxLon,
-		Bytes:   info.Size(),
+		Bytes:   int64(len(buf)),
 	})
 	return nil
 }
@@ -307,11 +326,15 @@ func (s *Store) saveManifestLocked() error {
 	if err != nil {
 		return fmt.Errorf("tweetdb: marshal manifest: %w", err)
 	}
-	if err := atomicWrite(filepath.Join(s.dir, manifestName), raw); err != nil {
+	if err := writeFile(filepath.Join(s.dir, manifestName), raw); err != nil {
 		return fmt.Errorf("tweetdb: save manifest: %w", err)
 	}
 	return nil
 }
+
+// writeFile is how segments and the manifest reach the disk; the tests of
+// failed appends swap it for a write that fails on demand.
+var writeFile = atomicWrite
 
 // atomicWrite writes data to path via a temp file and rename, so readers
 // never observe a partial file.
