@@ -1,16 +1,22 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
+	"net/http"
 	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/live"
+	"geomob/internal/ring"
 	"geomob/internal/synth"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
@@ -103,9 +109,18 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 	study := core.NewStudyWithOptions(core.SliceSource(sorted), core.StudyOptions{Workers: 1})
 
 	req := core.Request{}
+	serving := map[int]bool{}
+	for k := 0; k < ring.Slots; k++ {
+		serving[coord.ring.Replicas(k)[0]] = true
+	}
 	res, cached, err := coord.Query(req)
 	if err != nil || cached {
 		t.Fatalf("http cluster query: cached=%v err=%v", cached, err)
+	}
+	// The coordinator refuses a reply that is not exactly one partial, so
+	// one fetch per serving node is one partial per node.
+	if got := coord.PartialFetches(); got != int64(len(serving)) {
+		t.Fatalf("http cluster query: %d shard fetches, want one per serving node (%d)", got, len(serving))
 	}
 	ref, err := study.Execute(context.Background(), req)
 	if err != nil {
@@ -138,6 +153,93 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 		}
 		if st.Health.Ingested == 0 {
 			t.Fatalf("shard %d reports zero ingested records", st.Index)
+		}
+	}
+}
+
+// TestShardRejectsBadSlotSets: a slot set must be non-empty, in range and
+// strictly ascending — a repeated slot would fold its ring twice and
+// double every count — in process and over HTTP (400); a valid set folds
+// into exactly one partial.
+func TestShardRejectsBadSlotSets(t *testing.T) {
+	gen, err := synth.NewGenerator(synth.DefaultConfig(200, 3, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := gen.GenerateAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Ingest(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewNode(local, NodeOptions{}))
+	t.Cleanup(srv.Close)
+	req := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleNational}}
+	ctx := context.Background()
+
+	for _, slots := range [][]int{nil, {}, {3, 3}, {5, 2}, {-1}, {ring.Slots}, {0, ring.Slots}} {
+		if ps, err := local.Partials(ctx, req, slots); err == nil {
+			t.Errorf("Partials(%v) = %d partials, want an error", slots, len(ps))
+		}
+		if key, err := local.Coverage(ctx, req, slots); err == nil {
+			t.Errorf("Coverage(%v) = %q, want an error", slots, key)
+		}
+		for _, path := range []string{pathPartials, pathCoverage} {
+			body, _ := json.Marshal(slotRequest{Request: req, Slots: slots})
+			resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s slots %v: status %d, want 400", path, slots, resp.StatusCode)
+			}
+		}
+	}
+
+	ps, err := local.Partials(ctx, req, []int{3, 5, 11})
+	if err != nil || len(ps) != 1 {
+		t.Fatalf("valid slot set: %d partials, err %v; want exactly one", len(ps), err)
+	}
+	remote, err := NewHTTPShard(srv.URL, srv.Client()).Partials(ctx, req, []int{3, 5, 11})
+	if err != nil || len(remote) != 1 || !testx.ValuesBitEqual(ps, remote) {
+		t.Fatalf("valid slot set over HTTP: %d partials, err %v; want the same one partial", len(remote), err)
+	}
+}
+
+// TestCoverageFingerprintCoversEveryMember: a new coverage key at any
+// member index moves the coordinator's cache fingerprint — member indexes
+// only grow as members join, so none may fall outside it.
+func TestCoverageFingerprintCoversEveryMember(t *testing.T) {
+	members := []int{0, 63, 64, 70, 1000}
+	for _, nd := range members {
+		var assign [ring.Slots]int
+		for k := range assign {
+			assign[k] = nd
+		}
+		if coverageFingerprint(1, assign, map[int]string{nd: "before"}) == coverageFingerprint(1, assign, map[int]string{nd: "after"}) {
+			t.Errorf("member %d: new data leaves the fingerprint unchanged", nd)
+		}
+	}
+	var assign [ring.Slots]int
+	keys := map[int]string{}
+	for i, nd := range members {
+		keys[nd] = "before"
+		for k := i; k < ring.Slots; k += len(members) {
+			assign[k] = nd
+		}
+	}
+	base := coverageFingerprint(1, assign, keys)
+	for _, nd := range members {
+		moved := maps.Clone(keys)
+		moved[nd] = "after"
+		if coverageFingerprint(1, assign, moved) == base {
+			t.Errorf("member %d of %d: new data leaves the fingerprint unchanged", nd, len(members))
 		}
 	}
 }

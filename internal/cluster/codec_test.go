@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"geomob/internal/live"
 	"geomob/internal/synth"
 	"geomob/internal/testx"
+	"geomob/internal/tweet"
 )
 
 // codecAggregator builds a ring loaded with a small corpus, returning
@@ -165,40 +167,64 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 }
 
 // FuzzDecodePartials fuzzes the decoder a coordinator runs on every shard
-// reply. Seeded with a real fold's slot list and the damage the test
-// above applies, it must never panic, never allocate more than the
-// payload's own size justifies (a prefix may claim four billion users),
-// and whatever it accepts must survive encode → decode bit for bit.
+// reply. Seeded with real shard replies — one partial per node — and the
+// damage the test above applies, it must never panic, never allocate
+// more than the payload's own size justifies (a prefix may claim four
+// billion users), and whatever it accepts must survive encode → decode
+// bit for bit.
 func FuzzDecodePartials(f *testing.F) {
-	// Three users over a tenth of the corpus span, one partial per
-	// section of the format, keep the seed at a few kilobytes (most of it
-	// one 20×20 flow matrix). The engine minimises every input that finds
+	// Three users over a tenth of the corpus span, one reply per section
+	// of the format, keep each seed at a few kilobytes (most of it one
+	// 20×20 flow matrix). The engine minimises every input that finds
 	// coverage and would spend a short run doing only that: run with
 	// -fuzzminimizetime 100x, as CI does.
-	agg, minTS, maxTS := codecAggregatorUsers(f, 3)
+	gen, err := synth.NewGenerator(synth.DefaultConfig(3, 5, 9))
+	if err != nil {
+		f.Fatal(err)
+	}
+	all, err := gen.GenerateAll()
+	if err != nil {
+		f.Fatal(err)
+	}
+	shard, err := NewLocalShard(nil, live.Options{BucketWidth: 24 * time.Hour})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := shard.Ingest(tweet.BatchOf(all)); err != nil {
+		f.Fatal(err)
+	}
+	minTS, maxTS := all[0].TS, all[0].TS
+	for _, tw := range all {
+		minTS, maxTS = min(minTS, tw.TS), max(maxTS, tw.TS)
+	}
 	from, to := time.UnixMilli(minTS).UTC(), time.UnixMilli(minTS+(maxTS-minTS)/10).UTC()
-	var ps []*live.ShardPartial
+	var replies [][]byte
+	var stats *live.ShardPartial
 	for _, req := range []core.Request{
 		{Analyses: []core.Analysis{core.AnalysisStats}, From: from, To: to},
 		{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleState}, From: from, To: to},
 		{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleMetropolitan}, From: from, To: to},
 	} {
-		p, err := agg.FoldPartial(req)
-		if err != nil {
-			f.Fatal(err)
+		ps, err := shard.Partials(context.Background(), req, allSlots[:])
+		if err != nil || len(ps) != 1 {
+			f.Fatalf("shard reply: %d partials, err %v; want one", len(ps), err)
 		}
-		ps = append(ps, p)
+		if stats == nil {
+			stats = ps[0]
+		}
+		reply := EncodePartials(ps)
+		if again, err := DecodePartials(reply); err != nil || !bytes.Equal(EncodePartials(again), reply) {
+			f.Fatalf("seed does not round-trip to its own bytes: %v", err)
+		}
+		replies = append(replies, reply)
+		f.Add(reply)
 	}
-	pristine := EncodePartials(ps)
-	if again, err := DecodePartials(pristine); err != nil || !bytes.Equal(EncodePartials(again), pristine) {
-		f.Fatalf("seed does not round-trip to its own bytes: %v", err)
-	}
-	f.Add(pristine)
-	// The stats fold comes first and has no scales, so its user rows start
-	// at a fixed offset behind the list count and its own length prefix.
+	// The stats reply has no scales, so its user rows start at a fixed
+	// offset behind the list count and the partial's length prefix.
+	pristine := replies[0]
 	const row0 = 4 + 4 + 4 + 2 + 1 + 8 + 4*8 + 2*8 + 2 + 4
-	if got := int64(binary.LittleEndian.Uint64(pristine[row0:])); got != ps[0].Users[0].ID {
-		f.Fatalf("byte %d reads %d, want the first user's id %d", row0, got, ps[0].Users[0].ID)
+	if got := int64(binary.LittleEndian.Uint64(pristine[row0:])); got != stats.Users[0].ID {
+		f.Fatalf("byte %d reads %d, want the first user's id %d", row0, got, stats.Users[0].ID)
 	}
 	for _, at := range []int{0, 4, 8, 12, 14, 15, 71, len(pristine) / 2, len(pristine) - 1} {
 		flipped := append([]byte(nil), pristine...)

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -737,11 +739,12 @@ func (c *Coordinator) coverageScatter(ctx context.Context, shards []Shard, req c
 	return keys, -1, nil
 }
 
-// fetchPartials gathers every slot's partial from its assigned replica,
-// failing over slot by slot if a node drops between the coverage probe
-// and the fetch.
+// fetchPartials gathers one partial per assigned node over that node's
+// slot set, ordered by node index, failing the slots of a node that drops
+// between the coverage probe and the fetch over to surviving replicas —
+// one more partial per node in the next round.
 func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *ring.Ring, req core.Request, assign [ring.Slots]int, banned map[int]bool, rec *shardExplainRecorder) ([]*live.ShardPartial, error) {
-	parts := make([]*live.ShardPartial, ring.Slots)
+	var parts []*live.ShardPartial
 	done := map[int]bool{}
 	for len(done) < ring.Slots {
 		groups := groupAssign(assign, done)
@@ -765,15 +768,16 @@ func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *rin
 			}(nd, slots)
 		}
 		var failedNodes []int
+		round := map[int]*live.ShardPartial{}
 		for range groups {
 			f := <-ch
 			switch {
 			case f.err == nil:
-				if len(f.ps) != len(f.slots) {
-					return nil, fmt.Errorf("cluster: node %d returned %d partials for %d slots", f.node, len(f.ps), len(f.slots))
+				if len(f.ps) != 1 {
+					return nil, fmt.Errorf("cluster: node %d returned %d partials for one slot set", f.node, len(f.ps))
 				}
-				for i, k := range f.slots {
-					parts[k] = f.ps[i]
+				round[f.node] = f.ps[0]
+				for _, k := range f.slots {
 					done[k] = true
 				}
 			case isUnavailable(f.err):
@@ -781,6 +785,9 @@ func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *rin
 			default:
 				return nil, f.err
 			}
+		}
+		for _, nd := range slices.Sorted(maps.Keys(round)) {
+			parts = append(parts, round[nd])
 		}
 		if len(failedNodes) > 0 {
 			for _, nd := range failedNodes {
@@ -820,12 +827,9 @@ func coverageFingerprint(version uint64, assign [ring.Slots]int, keys map[int]st
 	for k := 0; k < ring.Slots; k++ {
 		fmt.Fprintf(h, "%d:%d;", k, assign[k])
 	}
-	// Node keys in node order; each embeds its slot list and the
-	// per-slot coverage keys.
-	for nd := 0; nd < 64; nd++ {
-		if key, ok := keys[nd]; ok {
-			fmt.Fprintf(h, "n%d=%s;", nd, key)
-		}
+	// Every node's key, in node order; each covers the node's slot set.
+	for _, nd := range slices.Sorted(maps.Keys(keys)) {
+		fmt.Fprintf(h, "n%d=%s;", nd, keys[nd])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -29,6 +29,9 @@ type chaosShard struct {
 	mu    sync.Mutex
 	inner Shard
 	down  bool
+	// failFetches fails that many Partials calls as unavailable while
+	// coverage probes still answer: a crash between probe and fetch.
+	failFetches int
 }
 
 func newChaosShard(inner Shard) *chaosShard { return &chaosShard{inner: inner} }
@@ -80,6 +83,15 @@ func (c *chaosShard) Flush() error {
 }
 
 func (c *chaosShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
+	c.mu.Lock()
+	fail := c.failFetches > 0
+	if fail {
+		c.failFetches--
+	}
+	c.mu.Unlock()
+	if fail {
+		return nil, fmt.Errorf("%w: injected crash mid-fetch", ErrUnavailable)
+	}
 	s, err := c.get()
 	if err != nil {
 		return nil, err
@@ -338,6 +350,73 @@ func TestQueryFailoverReplicated(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("slot %d reported unavailable but has a live replica", k)
+		}
+	}
+}
+
+// TestFetchFailoverMidQuery: with R=2 over 3 members, a member that
+// answers its coverage probe and then fails its fetch costs one more
+// round: its slots go to surviving replicas, every node still answers
+// each fetch with exactly one partial, and the answer stays bit-exact.
+func TestFetchFailoverMidQuery(t *testing.T) {
+	all := failoverCorpus(t, 400, 17, 19)
+	chaos := make([]*chaosShard, 3)
+	shards := make([]Shard, 3)
+	for i := range shards {
+		local, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chaos[i] = newChaosShard(local)
+		shards[i] = chaos[i]
+	}
+	opts := fastRetry()
+	opts.Replication = 2
+	coord, err := NewCoordinator(shards, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for _, tw := range all {
+		if err := coord.Add(tw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coord.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	first := map[int]bool{} // the nodes serving a healthy fetch
+	for k := 0; k < ring.Slots; k++ {
+		first[coord.ring.Replicas(k)[0]] = true
+	}
+	for kill := range chaos {
+		if !first[kill] {
+			continue
+		}
+		// A request no earlier round answered, so the fetch runs.
+		req := core.Request{Analyses: []core.Analysis{core.AnalysisStats, core.AnalysisPopulation, core.AnalysisFlows},
+			From: time.UnixMilli(-int64(kill) - 1).UTC()}
+		chaos[kill].mu.Lock()
+		chaos[kill].failFetches = 1
+		chaos[kill].mu.Unlock()
+		fetches := coord.PartialFetches()
+		res, cached, err := coord.Query(req)
+		if err != nil || cached {
+			t.Fatalf("kill %d: cached=%v err=%v", kill, cached, err)
+		}
+		if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+			t.Fatalf("kill %d: failover mid-fetch diverges from single-node execute", kill)
+		}
+		// One fetch per healthy first-round node, then one per node the
+		// failed node's slots moved to.
+		moved := map[int]bool{}
+		for k := 0; k < ring.Slots; k++ {
+			if rs := coord.ring.Replicas(k); rs[0] == kill {
+				moved[rs[1]] = true
+			}
+		}
+		if got, want := coord.PartialFetches()-fetches, int64(len(first)+len(moved)); got != want {
+			t.Fatalf("kill %d: %d fetches, want %d (one per node per round)", kill, got, want)
 		}
 	}
 }

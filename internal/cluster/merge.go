@@ -67,6 +67,15 @@ func MergePartials(req core.Request, parts []*live.ShardPartial) (*core.FoldedPa
 		}
 		return rs.Areas, nil
 	}
+	addCounts := func(sum, c []float64) error {
+		if len(c) != len(sum) {
+			return fmt.Errorf("got %d areas, want %d", len(c), len(sum))
+		}
+		for i, v := range c {
+			sum[i] += v
+		}
+		return nil
+	}
 	if info.Count {
 		f.Counts = map[census.Scale][]float64{}
 		for _, sc := range info.Scales {
@@ -74,36 +83,25 @@ func MergePartials(req core.Request, parts []*live.ShardPartial) (*core.FoldedPa
 			if err != nil {
 				return nil, err
 			}
-			sum := make([]float64, len(areas))
+			f.Counts[sc] = make([]float64, len(areas))
 			for si, p := range parts {
-				c := p.Counts[sc]
-				if len(c) != len(sum) {
-					return nil, fmt.Errorf("cluster: merge: shard %d counts for %s: got %d areas, want %d",
-						si, sc, len(c), len(sum))
-				}
-				for i, v := range c {
-					sum[i] += v
+				if err := addCounts(f.Counts[sc], p.Counts[sc]); err != nil {
+					return nil, fmt.Errorf("cluster: merge: shard %d counts for %s: %w", si, sc, err)
 				}
 			}
-			f.Counts[sc] = sum
 		}
 	}
 	if info.Metro500 {
-		rs, err := gaz.Regions(census.ScaleMetropolitan)
+		areas, err := scaleAreas(census.ScaleMetropolitan)
 		if err != nil {
 			return nil, err
 		}
-		sum := make([]float64, len(rs.Areas))
+		f.Metro500 = make([]float64, len(areas))
 		for si, p := range parts {
-			if len(p.Metro500) != len(sum) {
-				return nil, fmt.Errorf("cluster: merge: shard %d metro 0.5 km counts: got %d areas, want %d",
-					si, len(p.Metro500), len(sum))
-			}
-			for i, v := range p.Metro500 {
-				sum[i] += v
+			if err := addCounts(f.Metro500, p.Metro500); err != nil {
+				return nil, fmt.Errorf("cluster: merge: shard %d metro 0.5 km counts: %w", si, err)
 			}
 		}
-		f.Metro500 = sum
 	}
 	if info.Extract {
 		f.Flows = map[census.Scale]*mobility.FlowMatrix{}

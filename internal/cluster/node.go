@@ -33,7 +33,7 @@ import (
 //	POST /shard/v1/ingest        NDJSON or binary batch → {"ingested": n}
 //	POST /shard/v1/deliver       ?sender=&seq=&slot=, binary frame body
 //	POST /shard/v1/deliver-batch ?sender=, enveloped frames body
-//	POST /shard/v1/partials      {"request":…,"slots":[…]} → binary partials
+//	POST /shard/v1/partials      {"request":…,"slots":[…]} → binary partial list of one
 //	POST /shard/v1/coverage      {"request":…,"slots":[…]} → {"coverage": key}
 //	GET  /shard/v1/export        ?slot= → binary frame stream
 //	GET  /shard/v1/export-snap   ?slot= → length-prefixed snapshot blobs
@@ -358,12 +358,16 @@ type slotRequest struct {
 	Slots   []int        `json:"slots"`
 }
 
-// decodeSlotRequest parses the JSON body shared by the partials and
-// coverage endpoints.
+// decodeSlotRequest parses and checks the JSON body shared by the
+// partials and coverage endpoints.
 func (n *Node) decodeSlotRequest(w http.ResponseWriter, r *http.Request) (slotRequest, bool) {
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	var req slotRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	err := json.NewDecoder(body).Decode(&req)
+	if err == nil {
+		err = validSlots(req.Slots)
+	}
+	if err != nil {
 		http.Error(w, fmt.Sprintf("shard: bad request body: %v", err), http.StatusBadRequest)
 		return slotRequest{}, false
 	}

@@ -12,6 +12,7 @@ import (
 	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/live"
+	"geomob/internal/ring"
 	"geomob/internal/synth"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
@@ -170,8 +171,18 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 				t.Fatalf("routed %d of %d records into shard rings", routed, len(prop.all))
 			}
 
+			// Every node owning a slot answers each fold with one partial
+			// over its slot set: one fetch per serving node per query.
+			serving := map[int]bool{}
+			for k := 0; k < ring.Slots; k++ {
+				serving[coord.ring.Replicas(k)[0]] = true
+			}
 			for ri, req := range prop.reqs {
+				fetches := coord.PartialFetches()
 				res, cached, err := coord.Query(req)
+				if got := coord.PartialFetches() - fetches; got != int64(len(serving)) {
+					t.Fatalf("req %d (%s): %d shard fetches, want one per serving node (%d)", ri, req.Key(), got, len(serving))
+				}
 				if refErr := prop.refErr[ri]; refErr != nil {
 					// Degenerate windows fail identically: the same
 					// sentinel for empty datasets, and the same assembly

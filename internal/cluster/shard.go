@@ -50,9 +50,10 @@ type Shard interface {
 	// observes everything ingested so far.
 	Flush() error
 	// Partials folds the shard's materialised bucket partials covering
-	// req's window for each requested placement slot, in slot order.
-	// ctx carries the query's trace (obs.TraceFrom); remote transports
-	// propagate its ID via the obs.TraceHeader HTTP header.
+	// req's window over the requested placement slots (non-empty,
+	// strictly ascending) into exactly one partial. ctx carries the
+	// query's trace (obs.TraceFrom); remote transports propagate its ID
+	// via the obs.TraceHeader HTTP header.
 	Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error)
 	// Coverage fingerprints the shard's bucket coverage of req's window
 	// over the requested slots — the coordinator's cache key component
@@ -420,45 +421,57 @@ func (s *LocalShard) Ingest(b *tweet.Batch) error {
 // Flush implements Shard; LocalShard applies synchronously.
 func (s *LocalShard) Flush() error { return nil }
 
-// Partials implements Shard.
-func (s *LocalShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
-	end := obs.TraceFrom(ctx).StartStage("shard_fold")
-	t0 := time.Now()
-	out := make([]*live.ShardPartial, 0, len(slots))
-	for _, k := range slots {
+// validSlots checks a requested slot set: non-empty, in range and
+// strictly ascending, so no slot ring is folded or counted twice.
+func validSlots(slots []int) error {
+	if len(slots) == 0 {
+		return fmt.Errorf("cluster: empty slot set")
+	}
+	for i, k := range slots {
 		if k < 0 || k >= ring.Slots {
-			end()
-			return nil, fmt.Errorf("cluster: slot %d out of range", k)
+			return fmt.Errorf("cluster: slot %d out of range", k)
 		}
-		p, err := s.aggs[k].FoldPartial(req)
-		if err != nil {
-			end()
-			return nil, err
+		if i > 0 && k <= slots[i-1] {
+			return fmt.Errorf("cluster: slot %d follows slot %d; slot sets ascend strictly", k, slots[i-1])
 		}
-		out = append(out, p)
+	}
+	return nil
+}
+
+// rings returns the slot rings of a valid slot set, in slot order.
+func (s *LocalShard) rings(slots []int) []*live.Aggregator {
+	out := make([]*live.Aggregator, len(slots))
+	for i, k := range slots {
+		out[i] = s.aggs[k]
+	}
+	return out
+}
+
+// Partials implements Shard: the requested slot rings fold, planned
+// once, into one partial.
+func (s *LocalShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
+	if err := validSlots(slots); err != nil {
+		return nil, err
+	}
+	defer obs.TraceFrom(ctx).StartStage("shard_fold")()
+	t0 := time.Now()
+	p, err := live.FoldRings(req, s.rings(slots))
+	if err != nil {
+		return nil, err
 	}
 	mShardFolds.Inc()
 	mShardFoldSecs.Observe(time.Since(t0).Seconds())
-	end()
-	return out, nil
+	return []*live.ShardPartial{p}, nil
 }
 
-// Coverage implements Shard: a fingerprint over the per-slot coverage
-// keys, in slot order, so it moves exactly when any requested slot's
-// covered buckets change.
+// Coverage implements Shard: one key over the requested slot rings,
+// each fed into one hash behind its slot index, so it moves exactly when
+// any requested slot's covered buckets change.
 func (s *LocalShard) Coverage(_ context.Context, req core.Request, slots []int) (string, error) {
-	var buf bytes.Buffer
-	for _, k := range slots {
-		if k < 0 || k >= ring.Slots {
-			return "", fmt.Errorf("cluster: slot %d out of range", k)
-		}
-		key, err := s.aggs[k].CoverageKeyRequest(req)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&buf, "%d=%s;", k, key)
+	if err := validSlots(slots); err != nil {
+		return "", err
 	}
-	return buf.String(), nil
+	return live.CoverageKeyRings(req, slots, s.rings(slots))
 }
 
 // exportChunk bounds one handoff export batch.

@@ -46,7 +46,7 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 		atProcs(procs, func() {
 			// The unbounded window first: it is the one that finds every
 			// bucket partial and every closed rollup group missing.
-			parts, err := agg.collect(math.MinInt64, math.MaxInt64)
+			parts, err := agg.collectCov(math.MinInt64, math.MaxInt64, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}

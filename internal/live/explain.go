@@ -100,14 +100,10 @@ func (c *FoldCoverage) Merge(o FoldCoverage) {
 // timestamps directly.
 func (a *Aggregator) ExplainCoverage(req core.Request) (FoldCoverage, error) {
 	var cov FoldCoverage
-	info, err := core.PlanRequest(req)
+	_, lo, hi, err := plan(req, a)
 	if err != nil {
 		return cov, err
 	}
-	if err := a.covers(info); err != nil {
-		return cov, err
-	}
-	lo, hi := window(info)
 	_, err = a.collectCov(lo, hi, &cov, true)
 	return cov, err
 }

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -464,7 +463,7 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 	n, slots := b.Len(), a.slots
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	touched := map[int64]*bucket{}
+	var touched []int64 // one bucket index per run
 	accepted := int64(0)
 	// Append run-wise: records land in bucket-contiguous runs (time-ordered
 	// feeds put whole batches in one or two buckets), so each run costs one
@@ -481,7 +480,7 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 			continue
 		}
 		bk := a.bucketLocked(idx)
-		touched[idx] = bk
+		touched = append(touched, idx)
 		bk.assign = append(bk.assign, r.assign[i*slots:j*slots]...)
 		bk.vecs = append(bk.vecs, r.vecs[3*i:3*j]...)
 		bk.cells = append(bk.cells, r.cells[i:j]...)
@@ -494,15 +493,27 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 		i = j
 	}
 	// In bucket order: the revisions left depend on ring and batch alone.
-	for _, idx := range slices.Sorted(maps.Keys(touched)) {
-		bk := touched[idx]
-		a.rev++
-		bk.rev = a.rev
+	slices.Sort(touched)
+	for _, idx := range slices.Compact(touched) {
+		bk := a.buckets[idx]
 		bk.sorted = false
-		a.setPartLocked(bk, nil)
+		a.touchLocked(idx, bk)
 	}
 	a.acceptLocked(accepted)
 	a.evictLocked()
+}
+
+// touchLocked is the one place a bucket revision is assigned: bucket idx
+// changed, so it takes the next ring revision, drops its partial, and
+// stamps its group in every rollup tier with that revision. Caller holds
+// a.mu.
+func (a *Aggregator) touchLocked(idx int64, b *bucket) {
+	a.rev++
+	b.rev = a.rev
+	a.setPartLocked(b, nil)
+	for _, t := range a.tiers {
+		t.revs[floorDiv(idx, t.factor)] = a.rev
+	}
 }
 
 // acceptLocked counts n records appended to the ring, dropLocked n
@@ -639,18 +650,13 @@ func (a *Aggregator) checkFloorLocked(lo int64) error {
 	return nil
 }
 
-// collect gathers, under the lock, the chronological partials covering
+// collectCov gathers, under the lock, the chronological partials covering
 // [lo, hi): cached rollup-tier partials for every aligned group of
 // buckets the window fully covers (coarsest tier first), the
 // materialised partial of every remaining fully covered bucket (built on
 // demand), plus freshly built residual partials for the at most two
-// partially covered edge buckets.
-func (a *Aggregator) collect(lo, hi int64) ([]*partial, error) {
-	return a.collectCov(lo, hi, nil, false)
-}
-
-// collectCov is collect with optional coverage accounting: a non-nil
-// cov records which spans served the window (FoldCoverage). With dry
+// partially covered edge buckets. A non-nil cov records which spans
+// served the window (FoldCoverage). With dry
 // set the same span selection runs in counting-only mode — no partials
 // are built, merged, or returned and no build caches or counters are
 // touched — which is what keeps EXPLAIN ANALYZE side-effect-free.
@@ -830,72 +836,109 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 			a.resRollups.Add(-old.part.bytes())
 		}
 		a.resRollups.Add(pk.part.bytes())
-		pk.tier.groups[pk.g] = &rollupGroup{fp: pk.fp, part: pk.part}
+		pk.tier.groups[pk.g] = &rollupGroup{stamp: pk.stamp, part: pk.part}
 		pk.tier.builds.Add(1)
 		pk.tier.mBuilds.Inc()
 	}
 }
 
 // CoverageKey fingerprints the bucket coverage of the record window
-// [lo, hi) (math.MinInt64/MaxInt64 for unbounded sides): the ring shape
-// plus (index, revision) of every live bucket the window touches. A
-// cached result keyed on it stays valid exactly until an ingest lands in
-// one of those buckets — or, for unbounded windows, anywhere.
+// [lo, hi) (math.MinInt64/MaxInt64 for unbounded sides). A cached result
+// keyed on it stays valid exactly until an ingest lands in a bucket the
+// window touches — or, for unbounded windows, anywhere.
 func (a *Aggregator) CoverageKey(lo, hi int64) string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "w=%d;f=%v:%d;", a.width, a.hasFloor, a.floorIdx)
-	a.hashRevsLocked(h, a.rangeLocked(lo, hi))
+	a.hashCoverage(h, lo, hi)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// hashRevsLocked feeds h the (index, revision) pair of every listed
-// bucket — the fingerprint cache keys and rollup groups are valid under.
-// Caller holds a.mu.
-func (a *Aggregator) hashRevsLocked(h hash.Hash64, idxs []int64) {
-	var kb [16]byte
-	for _, idx := range idxs {
-		putI64(kb[:8], idx)
-		putU64(kb[8:], a.buckets[idx].rev)
+// hashCoverage feeds h the ring shape and eviction floor, then walks the
+// live buckets the window touches in ascending order, coarsest tier
+// first: one (tier, group, stamp) entry per rollup group lying wholly
+// between the first and the last of them, and (index, revision) only for
+// the remaining buckets. A touch gives its bucket and its groups a
+// revision the ring never issued before, so the entries change exactly
+// when a bucket in the window is created or changed — at a cost of
+// O(groups), not O(buckets), for a wide window.
+func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	fmt.Fprintf(h, "w=%d;f=%v:%d;", a.width, a.hasFloor, a.floorIdx)
+	idxs := a.rangeLocked(lo, hi)
+	if len(idxs) == 0 {
+		return
+	}
+	loIdx, hiIdx := idxs[0], idxs[len(idxs)-1]
+	var kb [24]byte // h may keep what it is handed, so one buffer escapes, not one per entry
+	n := 0          // tiers nest: those with a whole group in range are the finest n
+	for n < len(a.tiers) && (floorDiv(loIdx-1, a.tiers[n].factor)+2)*a.tiers[n].factor-1 <= hiIdx {
+		n++
+	}
+	for i := 0; i < len(idxs); {
+		// idxs[i] is the first bucket of any group it takes.
+		idx, next := idxs[i], i+1
+		tag, id, rev := uint64(0), idx, a.buckets[idx].rev
+		for t := n - 1; t >= 0; t-- {
+			tier := a.tiers[t]
+			g := floorDiv(idx, tier.factor)
+			if gHi := (g + 1) * tier.factor; g*tier.factor >= loIdx && gHi-1 <= hiIdx {
+				tag, id, rev = uint64(tier.factor), g, tier.revs[g]
+				n, _ := slices.BinarySearch(idxs[i:], gHi)
+				next = i + n
+				break
+			}
+		}
+		putU64(kb[0:], tag)
+		putI64(kb[8:], id)
+		putU64(kb[16:], rev)
 		h.Write(kb[:])
+		i = next
 	}
 }
 
 // CoverageKeyRequest is CoverageKey for a request's window, after
-// checking that the aggregator materialises the request's shape. The
-// error is ErrNotCovered for foreign shapes, or the request's own
-// validation error.
+// checking that the aggregator materialises the request's shape (plan).
 func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
-	info, err := core.PlanRequest(req)
+	_, lo, hi, err := plan(req, a)
 	if err != nil {
 		return "", err
 	}
-	if err := a.covers(info); err != nil {
-		return "", err
-	}
-	lo, hi := window(info)
 	return a.CoverageKey(lo, hi), nil
 }
 
-// covers reports whether the aggregator materialises the plan's shape:
-// every plan scale at the plan's resolved radius, plus the metro 0.5 km
-// variant when the plan runs it.
-func (a *Aggregator) covers(info *core.PlanInfo) error {
+// plan plans req once for rings sharing one Shape, checks that the Shape
+// materialises the plan — every plan scale at the plan's resolved
+// radius, plus the metro 0.5 km variant when the plan runs it — and
+// resolves its record window. The error is ErrNotCovered for foreign
+// shapes, or the request's own validation error.
+func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi int64, err error) {
+	if info, err = core.PlanRequest(req); err != nil {
+		return nil, 0, 0, err
+	}
+	if len(rings) == 0 {
+		return nil, 0, 0, fmt.Errorf("live: no rings to fold")
+	}
+	sh := rings[0].Shape
+	for _, a := range rings[1:] {
+		if a.Shape != sh {
+			return nil, 0, 0, fmt.Errorf("live: rings of different shapes")
+		}
+	}
 	for i, sc := range info.Scales {
-		slot, ok := a.slotOf[sc]
+		slot, ok := sh.slotOf[sc]
 		if !ok {
-			return fmt.Errorf("%w: scale %s", ErrNotCovered, sc)
+			return nil, 0, 0, fmt.Errorf("%w: scale %s", ErrNotCovered, sc)
 		}
-		if info.ScaleRadius[i] != a.slotRadius[slot] {
-			return fmt.Errorf("%w: radius %g at %s (materialized %g)",
-				ErrNotCovered, info.ScaleRadius[i], sc, a.slotRadius[slot])
+		if info.ScaleRadius[i] != sh.slotRadius[slot] {
+			return nil, 0, 0, fmt.Errorf("%w: radius %g at %s (materialized %g)",
+				ErrNotCovered, info.ScaleRadius[i], sc, sh.slotRadius[slot])
 		}
 	}
-	if info.Metro500 && a.metroSlot < 0 {
-		return fmt.Errorf("%w: metro 0.5 km variant", ErrNotCovered)
+	if info.Metro500 && sh.metroSlot < 0 {
+		return nil, 0, 0, fmt.Errorf("%w: metro 0.5 km variant", ErrNotCovered)
 	}
-	return nil
+	lo, hi = window(info)
+	return info, lo, hi, nil
 }
 
 // Query answers req by folding the materialised partials covering its
@@ -903,20 +946,22 @@ func (a *Aggregator) covers(info *core.PlanInfo) error {
 // Result through core.AssembleFolded. The result is bit-identical to
 // Study.Execute over the same records (see the property tests).
 func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
-	info, err := core.PlanRequest(req)
+	info, lo, hi, err := plan(req, a)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.covers(info); err != nil {
-		return nil, err
-	}
-	lo, hi := window(info)
 	t0 := time.Now()
-	parts, err := a.collect(lo, hi)
+	parts, err := a.collectCov(lo, hi, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.AssembleFolded(req, a.fold(info, parts))
+	acc := a.newFold(info)
+	users := acc.add(parts)
+	if info.Stats {
+		// One ascending-id run cannot collide with itself.
+		acc.f.Stats, _ = FlattenUsers(acc.f.Tweets, users)
+	}
+	res, err := core.AssembleFolded(req, acc.f)
 	if err == nil {
 		mRingFold.Observe(time.Since(t0).Seconds())
 	}

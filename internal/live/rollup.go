@@ -1,7 +1,6 @@
 package live
 
 import (
-	"hash/fnv"
 	"strconv"
 	"sync/atomic"
 
@@ -37,12 +36,16 @@ func rollupFactors(width int64) []int64 {
 	return fs
 }
 
-// rollupTier caches the merged partials of one grouping factor. builds
-// and hits are this ring's lifetime counters (RollupStats); mBuilds and
-// mHits the process-wide series of the same events, labelled by factor.
+// rollupTier caches the merged partials of one grouping factor. revs
+// stamps every group holding a live bucket with the ring revision of its
+// latest member touch (touchLocked): ring revisions only grow, so a stamp
+// moves exactly when a member bucket is created or changed. builds and
+// hits are this ring's lifetime counters (RollupStats); mBuilds and mHits
+// the process-wide series of the same events, labelled by factor.
 type rollupTier struct {
 	factor int64
 	groups map[int64]*rollupGroup
+	revs   map[int64]uint64
 	builds atomic.Int64
 	hits   atomic.Int64
 
@@ -54,16 +57,17 @@ func newRollupTier(factor int64) *rollupTier {
 	return &rollupTier{
 		factor:  factor,
 		groups:  map[int64]*rollupGroup{},
+		revs:    map[int64]uint64{},
 		mBuilds: obs.Def.Counter("geomob_ring_rollup_builds_total", "Rollup group merges materialised, by tier (group size in base buckets).", "tier", tier),
 		mHits:   obs.Def.Counter("geomob_ring_rollup_hits_total", "Rollup groups served from their cached merge, by tier (group size in base buckets).", "tier", tier),
 	}
 }
 
 // rollupGroup is one aligned group's cached merge, valid exactly while
-// the fingerprint of its member buckets' (index, revision) pairs holds.
+// the group's stamp is the one it was merged under.
 type rollupGroup struct {
-	fp   uint64
-	part *partial
+	stamp uint64
+	part  *partial
 }
 
 // floorDiv is exact floor division for possibly negative bucket indexes.
@@ -76,23 +80,21 @@ func floorDiv(x, d int64) int64 {
 }
 
 // groupPick is one rollup group a window takes: the cached merge when
-// the fingerprint of its member buckets still holds, else (part nil)
-// what materialiseLocked rebuilds it from.
+// the group's stamp still holds, else (part nil) what materialiseLocked
+// rebuilds it from.
 type groupPick struct {
 	tier    *rollupTier
 	g       int64
 	members []int64 // sorted non-empty live bucket indexes inside the group
-	fp      uint64
+	stamp   uint64
 	part    *partial
 }
 
-// pickGroupLocked looks group g of tier t up under its members' current
-// fingerprint. Caller holds a.mu.
+// pickGroupLocked looks group g of tier t up under its current stamp.
+// Caller holds a.mu.
 func (a *Aggregator) pickGroupLocked(t *rollupTier, g int64, members []int64) groupPick {
-	h := fnv.New64a()
-	a.hashRevsLocked(h, members)
-	pk := groupPick{tier: t, g: g, members: members, fp: h.Sum64()}
-	if grp := t.groups[g]; grp != nil && grp.fp == pk.fp {
+	pk := groupPick{tier: t, g: g, members: members, stamp: t.revs[g]}
+	if grp := t.groups[g]; grp != nil && grp.stamp == pk.stamp {
 		t.hits.Add(1)
 		t.mHits.Inc()
 		pk.part = grp.part
@@ -100,17 +102,23 @@ func (a *Aggregator) pickGroupLocked(t *rollupTier, g int64, members []int64) gr
 	return pk
 }
 
-// pruneTiersLocked drops cached groups wholly below the eviction floor.
-// Caller holds a.mu.
+// pruneTiersLocked drops cached groups and stamps wholly below the
+// eviction floor. A group the floor cuts keeps its stamp although its
+// evicted members left without a touch, which is sound because no window
+// at or above the floor covers it whole. Caller holds a.mu.
 func (a *Aggregator) pruneTiersLocked() {
 	if !a.hasFloor {
 		return
 	}
 	for _, t := range a.tiers {
-		for g, grp := range t.groups {
+		// Every cached group has a stamp: its members were touched.
+		for g := range t.revs {
 			if (g+1)*t.factor <= a.floorIdx {
-				a.resRollups.Add(-grp.part.bytes())
-				delete(t.groups, g)
+				if grp := t.groups[g]; grp != nil {
+					a.resRollups.Add(-grp.part.bytes())
+					delete(t.groups, g)
+				}
+				delete(t.revs, g)
 			}
 		}
 	}

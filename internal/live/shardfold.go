@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
@@ -37,40 +38,59 @@ type UserTrajectory struct {
 	GyrationKM float64
 }
 
+// interleaveUsers merges user-disjoint runs, each ascending by id, into
+// one run ascending by id — the canonical stream order — pairwise, in
+// log2(runs) sequential passes, for a shard's slot rings and a
+// coordinator's shards alike; one run comes back as it is, none as nil.
+// A user id in two runs violates the partitioning contract: an error,
+// never a double count.
+func interleaveUsers(runs ...[]UserTrajectory) ([]UserTrajectory, error) {
+	for len(runs) > 1 {
+		if len(runs)%2 == 1 {
+			runs = append(runs, nil)
+		}
+		var next [][]UserTrajectory
+		for i := 0; i < len(runs); i += 2 {
+			a, b := runs[i], runs[i+1]
+			m := make([]UserTrajectory, 0, len(a)+len(b))
+			for len(a) > 0 && len(b) > 0 {
+				switch {
+				case a[0].ID < b[0].ID:
+					m, a = append(m, a[0]), a[1:]
+				case b[0].ID < a[0].ID:
+					m, b = append(m, b[0]), b[1:]
+				default:
+					return nil, fmt.Errorf("user %d present in two runs — partitioning contract violated", a[0].ID)
+				}
+			}
+			next = append(next, append(append(m, a...), b...))
+		}
+		runs = next
+	}
+	if len(runs) == 0 || len(runs[0]) == 0 {
+		return nil, nil
+	}
+	return runs[0], nil
+}
+
 // FlattenUsers interleaves user-disjoint runs of per-user rows, each
 // ascending by id, into the trajectory statistics of a pass that observed
 // tweets tweets: the integer totals add, and the per-user series are
-// emitted in ascending id — the canonical stream order — so the ordered
-// float reductions downstream (the mean radius) see one order on every
-// backend. A user id present in two runs violates the partitioning
-// contract and is reported as an error rather than double-counted.
+// emitted in ascending id so the ordered float reductions downstream (the
+// mean radius) see one order on every backend.
 func FlattenUsers(tweets int64, runs ...[]UserTrajectory) (*mobility.Stats, error) {
-	st := &mobility.Stats{Tweets: int(tweets)}
-	heads := make([]int, len(runs))
-	for {
-		best := -1
-		for ri, run := range runs {
-			if heads[ri] == len(run) {
-				continue
-			}
-			if best < 0 || run[heads[ri]].ID < runs[best][heads[best]].ID {
-				best = ri
-			} else if run[heads[ri]].ID == runs[best][heads[best]].ID {
-				return nil, fmt.Errorf("live: flatten: user %d present in runs %d and %d — partitioning contract violated",
-					run[heads[ri]].ID, best, ri)
-			}
-		}
-		if best < 0 {
-			return st, nil
-		}
-		u := &runs[best][heads[best]]
-		heads[best]++
-		st.Users++
+	users, err := interleaveUsers(runs...)
+	if err != nil {
+		return nil, fmt.Errorf("live: flatten: %w", err)
+	}
+	st := &mobility.Stats{Tweets: int(tweets), Users: len(users)}
+	for _, u := range users {
 		st.WaitMs += u.WaitMs
 		st.TweetsPerUser = append(st.TweetsPerUser, float64(u.Tweets))
 		st.CellsPerUser = append(st.CellsPerUser, float64(u.DistinctCells))
 		st.GyrationKM = append(st.GyrationKM, u.GyrationKM)
 	}
+	return st, nil
 }
 
 // ShardPartial is the scatter-gather unit of internal/cluster: the folded
@@ -107,24 +127,49 @@ type ShardPartial struct {
 // exactly. Shapes the aggregator does not materialise answer ErrNotCovered
 // and windows below the eviction floor ErrEvicted, exactly like Query.
 func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
-	info, err := core.PlanRequest(req)
+	return FoldRings(req, []*Aggregator{a})
+}
+
+// FoldRings is FoldPartial over the user-disjoint rings of one Shape — a
+// shard's slot rings — planned once and folded into one ShardPartial:
+// every ring folds with its own user cursor into one shared set of count
+// vectors and flow matrices, and the rings' user runs are interleaved
+// into one ascending run.
+func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
+	info, lo, hi, err := plan(req, rings...)
 	if err != nil {
 		return nil, err
 	}
-	if err := a.covers(info); err != nil {
-		return nil, err
+	acc := rings[0].newFold(info)
+	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
+	runs := make([][]UserTrajectory, len(rings))
+	for i, a := range rings {
+		parts, err := a.collectCov(lo, hi, &sp.Coverage, false)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = acc.add(parts)
 	}
-	lo, hi := window(info)
-	var cov FoldCoverage
-	parts, err := a.collectCov(lo, hi, &cov, false)
+	sp.FoldedPass = *acc.f
+	if sp.Users, err = interleaveUsers(runs...); err != nil {
+		return nil, fmt.Errorf("live: fold rings: %w", err)
+	}
+	return sp, nil
+}
+
+// CoverageKeyRings is CoverageKeyRequest over the rings of one Shape,
+// planned once: each ring's coverage is fed into one hash behind its tag
+// (a shard passes its slot indexes), so the key moves exactly when a
+// bucket any of the rings covers for req's window changes.
+func CoverageKeyRings(req core.Request, tags []int, rings []*Aggregator) (string, error) {
+	_, lo, hi, err := plan(req, rings...)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	fp, users := a.foldInto(info, parts)
-	return &ShardPartial{
-		FoldedPass: *fp,
-		Scales:     append([]census.Scale(nil), info.Scales...),
-		Users:      users,
-		Coverage:   cov,
-	}, nil
+	h := fnv.New64a()
+	for i, a := range rings {
+		fmt.Fprintf(h, "%d;", tags[i])
+		a.hashCoverage(h, lo, hi)
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

@@ -362,9 +362,7 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	}
 	bs.tweets, bs.assign, bs.vecs, bs.cells = nil, nil, nil, nil
 	b.sorted = fresh // the decoder checked the blob's canonical order
-	a.setPartLocked(b, nil)
-	a.rev++
-	b.rev = a.rev
+	a.touchLocked(bs.Idx, b)
 	if clean && fresh {
 		b.snapRev = b.rev
 	}

@@ -3,12 +3,15 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-func TestMergeExpositionsTwoNodes(t *testing.T) {
-	a := []byte(`# HELP geomob_store_tweets Tweets in the store.
+// Two members' bodies: a histogram, a counter and a gauge with HELP on
+// one, the gauge and the counter alone on the other.
+const fedNodeA = `# HELP geomob_store_tweets Tweets in the store.
 # TYPE geomob_store_tweets gauge
 geomob_store_tweets 100
 # TYPE geomob_shard_folds_total counter
@@ -18,12 +21,16 @@ geomob_query_duration_seconds_bucket{endpoint="/v1/stats",le="0.01"} 3
 geomob_query_duration_seconds_bucket{endpoint="/v1/stats",le="+Inf"} 4
 geomob_query_duration_seconds_sum{endpoint="/v1/stats"} 0.05
 geomob_query_duration_seconds_count{endpoint="/v1/stats"} 4
-`)
-	b := []byte(`# TYPE geomob_store_tweets gauge
+`
+
+const fedNodeB = `# TYPE geomob_store_tweets gauge
 geomob_store_tweets 250
 # TYPE geomob_shard_folds_total counter
 geomob_shard_folds_total 9
-`)
+`
+
+func TestMergeExpositionsTwoNodes(t *testing.T) {
+	a, b := []byte(fedNodeA), []byte(fedNodeB)
 	var buf bytes.Buffer
 	err := MergeExpositions(&buf, []ScrapeResult{
 		{Node: "member-000", Body: a},
@@ -131,9 +138,19 @@ func TestMergeExpositionsMalformed(t *testing.T) {
 	}
 }
 
+// exposition line grammar, independent of the merge's own parser: a
+// label is name="value" with only \\, \" and \n escaped; a sample is a
+// metric name, an optional label block, a value and an optional integer
+// timestamp.
+var (
+	labelRE  = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="(?:[^"\\]|\\[\\"n])*"`)
+	sampleRE = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(?:` + labelRE.String() + `(?:,` + labelRE.String() + `)*,?)?\})?[ \t]+(\S+)(?:[ \t]+-?[0-9]+)?$`)
+)
+
 // validateExposition enforces text-format invariants on the merged
-// output: every sample line parses, every series belongs to a family
-// whose TYPE header preceded it, and no family name is declared twice.
+// output: every sample line parses with distinct label names and a float
+// value, every series belongs to a family whose TYPE header preceded it,
+// and no family name is declared twice.
 func validateExposition(t *testing.T, doc string) {
 	t.Helper()
 	typed := map[string]string{}
@@ -143,8 +160,13 @@ func validateExposition(t *testing.T, doc string) {
 		}
 		if strings.HasPrefix(line, "# TYPE ") {
 			fields := strings.Fields(line)
-			if len(fields) != 4 {
+			if len(fields) != 4 || !sampleRE.MatchString(fields[2]+" 0") {
 				t.Fatalf("malformed TYPE line %q", line)
+			}
+			switch fields[3] {
+			case "counter", "gauge", "histogram", "summary", "untyped":
+			default:
+				t.Fatalf("unknown type in %q", line)
 			}
 			if _, dup := typed[fields[2]]; dup {
 				t.Fatalf("family %s declared twice", fields[2])
@@ -155,13 +177,23 @@ func validateExposition(t *testing.T, doc string) {
 		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		name, rest, ok := splitSample(line)
-		if !ok {
+		m := sampleRE.FindStringSubmatch(line)
+		if m == nil {
 			t.Fatalf("unparseable sample line %q", line)
 		}
-		base := name
+		names := map[string]bool{}
+		for _, l := range labelRE.FindAllStringSubmatch(m[2], -1) {
+			if names[l[1]] {
+				t.Fatalf("sample %q repeats label %s", line, l[1])
+			}
+			names[l[1]] = true
+		}
+		if _, err := strconv.ParseFloat(m[len(m)-1], 64); err != nil {
+			t.Fatalf("sample %q has no float value: %v", line, err)
+		}
+		base := m[1]
 		for _, suf := range []string{"_bucket", "_sum", "_count"} {
-			if cut, found := strings.CutSuffix(name, suf); found {
+			if cut, found := strings.CutSuffix(m[1], suf); found {
 				if typ, ok := typed[cut]; ok && (typ == "histogram" || typ == "summary") {
 					base = cut
 					break
@@ -171,12 +203,39 @@ func validateExposition(t *testing.T, doc string) {
 		if _, ok := typed[base]; !ok {
 			t.Fatalf("sample %q has no preceding TYPE header", line)
 		}
-		val := strings.TrimSpace(rest)
-		if i := strings.LastIndex(val, "}"); i >= 0 {
-			val = strings.TrimSpace(val[i+1:])
-		}
-		if val == "" {
-			t.Fatalf("sample %q has no value", line)
-		}
 	}
+}
+
+// FuzzMergeExpositions: whatever two members' bodies hold, federation
+// never panics, and whatever it merges is a valid exposition that merging
+// the same bodies again reproduces byte for byte.
+func FuzzMergeExpositions(f *testing.F) {
+	f.Add([]byte(fedNodeA), []byte(fedNodeB), false)
+	f.Add([]byte(fedNodeA), []byte(nil), true)
+	f.Add([]byte("geomob_untyped_thing 3\n"), []byte("{oops} 3\n"), false)
+	f.Add([]byte("# TYPE x counter\nx{node=\"n1\",a=\"q\\\"\"} 1 1700000000000\n"), []byte("# TYPE x gauge\nx 2\n"), false)
+	f.Add([]byte("# TYPE geomob_member_up gauge\ngeomob_member_up 1\n"), []byte("x{a=\"1\",a=\"2\"} 1\n"), false)
+	r := NewRegistry()
+	r.Gauge("app_depth", "Queue depth.", "node", `we"ird\`).Set(3)
+	r.Histogram("app_seconds", "Latency.", nil, "stage", "fold").Observe(0.25)
+	var reg bytes.Buffer
+	if err := r.WritePrometheus(&reg); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reg.Bytes(), []byte(fedNodeB), false)
+	f.Fuzz(func(t *testing.T, a, b []byte, bDown bool) {
+		results := []ScrapeResult{{Node: "member-000", Body: a}, {Node: "member-001", Body: b}}
+		if bDown {
+			results[1] = ScrapeResult{Node: "member-001", Err: errors.New("connection refused")}
+		}
+		var out bytes.Buffer
+		if err := MergeExpositions(&out, results); err != nil {
+			return
+		}
+		validateExposition(t, out.String())
+		var again bytes.Buffer
+		if err := MergeExpositions(&again, results); err != nil || !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("merging the same bodies again gives other bytes (err %v)", err)
+		}
+	})
 }
