@@ -417,8 +417,10 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("shard partials: %v%s", err, traceSuffix(tid)), foldStatus(err))
 		return
 	}
+	body := EncodePartials(ps)
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(EncodePartials(ps))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 func (n *Node) handleCoverage(w http.ResponseWriter, r *http.Request) {
@@ -710,11 +712,12 @@ func (s *HTTPShard) Partials(ctx context.Context, req core.Request, slots []int)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	// One buffer of the declared length (bounded), not one grown by doubling.
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 64<<20)+bytes.MinRead))
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, fmt.Errorf("%w: shard %s partials: %v", ErrUnavailable, s.base, err)
 	}
-	return DecodePartials(data)
+	return DecodePartials(buf.Bytes())
 }
 
 // Coverage implements Shard.

@@ -76,7 +76,7 @@ func (sh *Shape) newFold(info *core.PlanInfo) *foldAcc {
 // ascending by id (nil unless the plan wants stats), and FoldedPass.Stats
 // stays nil: a local query flattens its one run, a shard interleaves its
 // rings' user-disjoint runs and a cluster coordinator its shards', all
-// through interleaveUsers. The folded state is bit-identical to the
+// through mergeUsers. The folded state is bit-identical to the
 // merged observer set of a streaming pass over the same substream
 // (property-tested).
 func (acc *foldAcc) add(parts []*partial) []UserTrajectory {

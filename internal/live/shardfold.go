@@ -3,6 +3,7 @@ package live
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
@@ -38,57 +39,44 @@ type UserTrajectory struct {
 	GyrationKM float64
 }
 
-// interleaveUsers merges user-disjoint runs, each ascending by id, into
-// one run ascending by id — the canonical stream order — pairwise, in
-// log2(runs) sequential passes, for a shard's slot rings and a
-// coordinator's shards alike; one run comes back as it is, none as nil.
-// A user id in two runs violates the partitioning contract: an error,
-// never a double count.
-func interleaveUsers(runs ...[]UserTrajectory) ([]UserTrajectory, error) {
-	for len(runs) > 1 {
-		if len(runs)%2 == 1 {
-			runs = append(runs, nil)
-		}
-		var next [][]UserTrajectory
-		for i := 0; i < len(runs); i += 2 {
-			a, b := runs[i], runs[i+1]
-			m := make([]UserTrajectory, 0, len(a)+len(b))
-			for len(a) > 0 && len(b) > 0 {
-				switch {
-				case a[0].ID < b[0].ID:
-					m, a = append(m, a[0]), a[1:]
-				case b[0].ID < a[0].ID:
-					m, b = append(m, b[0]), b[1:]
-				default:
-					return nil, fmt.Errorf("user %d present in two runs — partitioning contract violated", a[0].ID)
-				}
+// mergeUsers hands emit the rows of user-disjoint runs, each ascending by
+// id, in ascending id — the canonical stream order — copying nothing, so
+// callers can size their output once. A user id in two runs breaks
+// the partitioning contract: an error, never a double count.
+func mergeUsers(runs [][]UserTrajectory, emit func(*UserTrajectory)) error {
+	for heads := slices.DeleteFunc(slices.Clone(runs), func(r []UserTrajectory) bool { return len(r) == 0 }); len(heads) > 0; {
+		best := 0
+		for i := 1; i < len(heads); i++ {
+			switch id := heads[i][0].ID; {
+			case id < heads[best][0].ID:
+				best = i
+			case id == heads[best][0].ID:
+				return fmt.Errorf("user %d present in two runs — partitioning contract violated", id)
 			}
-			next = append(next, append(append(m, a...), b...))
 		}
-		runs = next
+		emit(&heads[best][0])
+		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
+			heads = slices.Delete(heads, best, best+1)
+		}
 	}
-	if len(runs) == 0 || len(runs[0]) == 0 {
-		return nil, nil
-	}
-	return runs[0], nil
+	return nil
 }
 
 // FlattenUsers interleaves user-disjoint runs of per-user rows, each
 // ascending by id, into the trajectory statistics of a pass that observed
-// tweets tweets: the integer totals add, and the per-user series are
-// emitted in ascending id so the ordered float reductions downstream (the
-// mean radius) see one order on every backend.
+// tweets tweets: the integer totals add, and the per-user series come in
+// ascending id so the ordered float reductions downstream (the mean
+// radius) see one order on every backend.
 func FlattenUsers(tweets int64, runs ...[]UserTrajectory) (*mobility.Stats, error) {
-	users, err := interleaveUsers(runs...)
-	if err != nil {
-		return nil, fmt.Errorf("live: flatten: %w", err)
-	}
-	st := &mobility.Stats{Tweets: int(tweets), Users: len(users)}
-	for _, u := range users {
+	st := &mobility.Stats{Tweets: int(tweets)}
+	if err := mergeUsers(runs, func(u *UserTrajectory) {
+		st.Users++
 		st.WaitMs += u.WaitMs
 		st.TweetsPerUser = append(st.TweetsPerUser, float64(u.Tweets))
 		st.CellsPerUser = append(st.CellsPerUser, float64(u.DistinctCells))
 		st.GyrationKM = append(st.GyrationKM, u.GyrationKM)
+	}); err != nil {
+		return nil, fmt.Errorf("live: flatten: %w", err)
 	}
 	return st, nil
 }
@@ -134,7 +122,7 @@ func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
 // shard's slot rings — planned once and folded into one ShardPartial:
 // every ring folds with its own user cursor into one shared set of count
 // vectors and flow matrices, and the rings' user runs are interleaved
-// into one ascending run.
+// (mergeUsers) into one ascending run, allocated once.
 func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	info, lo, hi, err := plan(req, rings...)
 	if err != nil {
@@ -142,17 +130,21 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	}
 	acc := rings[0].newFold(info)
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
-	runs := make([][]UserTrajectory, len(rings))
+	runs, n := make([][]UserTrajectory, len(rings)), 0
 	for i, a := range rings {
 		parts, err := a.collectCov(lo, hi, &sp.Coverage, false)
 		if err != nil {
 			return nil, err
 		}
 		runs[i] = acc.add(parts)
+		n += len(runs[i])
 	}
 	sp.FoldedPass = *acc.f
-	if sp.Users, err = interleaveUsers(runs...); err != nil {
-		return nil, fmt.Errorf("live: fold rings: %w", err)
+	if n > 0 {
+		sp.Users = make([]UserTrajectory, 0, n)
+		if err := mergeUsers(runs, func(u *UserTrajectory) { sp.Users = append(sp.Users, *u) }); err != nil {
+			return nil, fmt.Errorf("live: fold rings: %w", err)
+		}
 	}
 	return sp, nil
 }
