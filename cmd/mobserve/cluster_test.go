@@ -286,13 +286,6 @@ func (d *downableShard) Coverage(ctx context.Context, req core.Request, slots []
 	return d.inner.Coverage(ctx, req, slots)
 }
 
-func (d *downableShard) Export(slot int, fn func(*tweet.Batch) error) error {
-	if d.down.Load() {
-		return d.err()
-	}
-	return d.inner.Export(slot, fn)
-}
-
 func (d *downableShard) Health() (cluster.ShardHealth, error) {
 	if d.down.Load() {
 		return cluster.ShardHealth{}, d.err()

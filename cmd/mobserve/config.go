@@ -9,6 +9,7 @@ import (
 
 	"geomob/internal/cluster"
 	"geomob/internal/obs"
+	"geomob/internal/wal"
 )
 
 // config is the validated command line. Three process shapes come out of
@@ -83,11 +84,14 @@ func parseConfig(args []string) (config, error) {
 		}
 	}
 
-	if c.partitions < 0 {
-		return config{}, fmt.Errorf("-partitions must be >= 0, got %d", c.partitions)
+	if c.partitions < 0 || c.partitions > wal.MaxNodes {
+		return config{}, fmt.Errorf("-partitions must be between 0 and %d, got %d", wal.MaxNodes, c.partitions)
 	}
 	if *coordsTo != "" && len(c.shardURLs) == 0 {
 		return config{}, errors.New("-cluster-coordinator lists no shard URLs")
+	}
+	if len(c.shardURLs) > wal.MaxNodes {
+		return config{}, fmt.Errorf("-cluster-coordinator lists %d shard URLs, more than the %d members a cluster can have", len(c.shardURLs), wal.MaxNodes)
 	}
 	modes := 0
 	for _, on := range []bool{c.shardNode, len(c.shardURLs) > 0, c.partitions > 0} {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,10 @@ func TestParseConfig(t *testing.T) {
 		{args: "-cluster-coordinator http://a -snapshot-dir /s", want: "-snapshot-dir needs a local store"},
 
 		{args: "-partitions -2 -db /d", want: "-partitions must be"},
+		{args: "-partitions 64 -db /d"},
+		{args: "-partitions 65 -db /d", want: "-partitions must be between 0 and 64"},
+		{args: "-cluster-coordinator " + shardList(64)},
+		{args: "-cluster-coordinator " + shardList(65), want: "lists 65 shard URLs"},
 		{args: "-cluster-coordinator http://a,http://b -replication 0", want: "-replication must be"},
 		{args: "-cluster-coordinator http://a,http://b -replication 5", want: "-replication must be"},
 		{args: "-partitions 2 -db /d -replication 3", want: "-replication must be"},
@@ -68,4 +73,14 @@ func TestParseConfig(t *testing.T) {
 	if cfg.coordinator() || cfg.shardNode || cfg.bucket != time.Hour || cfg.db != "/d/db" || cfg.snapDir != "/d/snap" || cfg.maxIngestBytes <= 0 {
 		t.Errorf("single-node command line parsed as %+v", cfg)
 	}
+}
+
+// shardList is a comma-separated -cluster-coordinator value naming n
+// distinct shard URLs.
+func shardList(n int) string {
+	urls := make([]string, n)
+	for i := range urls {
+		urls[i] = fmt.Sprintf("http://127.0.0.1:%d", 9000+i)
+	}
+	return strings.Join(urls, ",")
 }

@@ -40,10 +40,11 @@
 //     bucket-coverage keys — so a replicated cluster answer is
 //     bit-identical to a single-node Study.Execute rescan
 //     (property-tested, including under single-member crashes) and
-//     warm repeats do zero shard folds;
-//   - handoff (Coordinator.AddShard / RemoveShard): live membership
-//     changes that stream moved slots from settled replicas before the
-//     new ring version takes effect.
+//     warm repeats do zero shard folds.
+//
+// Membership is fixed when the coordinator starts. A member is replaced
+// by restarting it over its own store, after which its lane replays
+// whatever the spool still owes it.
 //
 // Partitioner remains as the PR 5 modulo-placement rule for the
 // in-process -partitions mode's store layout; ring placement supersedes

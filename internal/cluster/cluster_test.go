@@ -20,6 +20,7 @@ import (
 	"geomob/internal/synth"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
+	"geomob/internal/wal"
 )
 
 func TestPartitionerStability(t *testing.T) {
@@ -213,8 +214,8 @@ func TestShardRejectsBadSlotSets(t *testing.T) {
 }
 
 // TestCoverageFingerprintCoversEveryMember: a new coverage key at any
-// member index moves the coordinator's cache fingerprint — member indexes
-// only grow as members join, so none may fall outside it.
+// member index moves the coordinator's cache fingerprint, so no member
+// may fall outside it.
 func TestCoverageFingerprintCoversEveryMember(t *testing.T) {
 	members := []int{0, 63, 64, 70, 1000}
 	for _, nd := range members {
@@ -241,6 +242,54 @@ func TestCoverageFingerprintCoversEveryMember(t *testing.T) {
 		if coverageFingerprint(1, assign, moved) == base {
 			t.Errorf("member %d of %d: new data leaves the fingerprint unchanged", nd, len(members))
 		}
+	}
+}
+
+// TestCoordinatorRejectsTooManyMembers: a spooled frame names its
+// replicas in a 64-bit mask, so a coordinator takes at most wal.MaxNodes
+// members. At the bound the last member is still addressable: it owns
+// slot 8 at R=1, and a WAL-backed ingest reaches it and answers exactly.
+func TestCoordinatorRejectsTooManyMembers(t *testing.T) {
+	shards := make([]Shard, wal.MaxNodes+1)
+	for i := range shards {
+		s, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards[i] = s
+	}
+	if _, err := NewCoordinator(shards, CoordinatorOptions{}); err == nil {
+		t.Fatalf("coordinator over %d shards accepted", len(shards))
+	}
+	opts := fastRetry()
+	opts.WALDir = t.TempDir()
+	coord, err := NewCoordinator(shards[:wal.MaxNodes], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	last := wal.MaxNodes - 1
+	if owned := coord.ring.SlotsFor(last); len(owned) == 0 {
+		t.Fatalf("member %d owns no slot; the test needs it to", last)
+	}
+	all := failoverCorpus(t, 300, 11, 13)
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h, err := shards[last].Health()
+	if err != nil || h.Ingested == 0 || coord.sp.PendingRowsNode(last) != 0 {
+		t.Fatalf("member %d: ingested %d, pending %d, err %v", last, h.Ingested, coord.sp.PendingRowsNode(last), err)
+	}
+	req := core.Request{Analyses: []core.Analysis{core.AnalysisStats}}
+	res, _, err := coord.Query(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+		t.Fatal("64-member answer diverges from single-node execute")
 	}
 }
 

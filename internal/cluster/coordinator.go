@@ -124,17 +124,14 @@ type Coordinator struct {
 	cache     *svcache.Cache
 	sp        spool
 
-	// topoMu guards the (ring, shards, lanes) triple for readers.
-	// Membership writers additionally hold mu, so holding either locks
-	// the topology still.
-	topoMu sync.RWMutex
+	// ring, shards and lanes are set in NewCoordinator and never change:
+	// membership is static, so reading them takes no lock.
 	ring   *ring.Ring
 	shards []Shard
 	lanes  []*lane
 
 	// mu serialises ingest buffering (Add/Flush) exactly like
-	// live.Ingestor — and, because membership changes take it too, a
-	// ring change is write-quiesced by construction.
+	// live.Ingestor.
 	mu   sync.Mutex
 	bufs [ring.Slots]*tweet.Batch
 
@@ -151,14 +148,18 @@ type Coordinator struct {
 // ring.
 func memberName(i int) string { return fmt.Sprintf("member-%03d", i) }
 
-// NewCoordinator builds a coordinator over the shards. At least one
-// shard is required; member i of the ring is shards[i], so the shard
+// NewCoordinator builds a coordinator over the shards. Between one and
+// wal.MaxNodes shards are required — a spooled frame names its replicas
+// in a 64-bit mask; member i of the ring is shards[i], so the shard
 // order must be identical on every coordinator of the cluster (and
 // across restarts when WALDir is set, for spool replay to reach the
 // right nodes).
 func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator needs at least one shard")
+	}
+	if len(shards) > wal.MaxNodes {
+		return nil, fmt.Errorf("cluster: %d shards exceed the %d a spool destination mask can name", len(shards), wal.MaxNodes)
 	}
 	r := opts.Replication
 	if r <= 0 {
@@ -219,12 +220,8 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 	return c, nil
 }
 
-// Shards returns the number of live members.
-func (c *Coordinator) Shards() int {
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	return c.ring.Live()
-}
+// Shards returns the number of members.
+func (c *Coordinator) Shards() int { return len(c.shards) }
 
 // Ingested returns the number of records accepted (spooled) so far.
 func (c *Coordinator) Ingested() int64 { return c.ingested.Load() }
@@ -326,9 +323,6 @@ var allSlots = func() (ks [ring.Slots]int) {
 // the spool then lost would see that sequence reused for another
 // payload and silently deduplicated. Caller holds c.mu.
 func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
-	c.topoMu.RLock()
-	rg, lanes := c.ring, c.lanes
-	c.topoMu.RUnlock()
 	var group []wal.Entry
 	for _, k := range slots {
 		b := c.bufs[k]
@@ -340,7 +334,7 @@ func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
 			return fmt.Errorf("%w: %w", live.ErrBadInput, err)
 		}
 		var mask uint64
-		for _, nd := range rg.Replicas(k) {
+		for _, nd := range c.ring.Replicas(k) {
 			mask |= 1 << uint(nd)
 		}
 		group = append(group, wal.Entry{Slot: k, Dests: mask, Frame: frame})
@@ -354,12 +348,12 @@ func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
 	if err != nil {
 		return fmt.Errorf("cluster: spool append: %w", err)
 	}
-	shares := make([][]*laneEntry, len(lanes))
+	shares := make([][]*laneEntry, len(c.lanes))
 	var rows int64
 	for i, e := range group {
 		b := c.bufs[e.Slot]
 		ent := &laneEntry{seq: first + uint64(i), slot: e.Slot, rows: b.Len(), frame: e.Frame}
-		for _, nd := range rg.Replicas(e.Slot) {
+		for _, nd := range c.ring.Replicas(e.Slot) {
 			shares[nd] = append(shares[nd], ent)
 		}
 		rows += int64(b.Len())
@@ -367,7 +361,7 @@ func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
 	}
 	for nd, share := range shares {
 		if len(share) > 0 {
-			lanes[nd].enqueue(share)
+			c.lanes[nd].enqueue(share)
 		}
 	}
 	c.ingested.Add(rows)
@@ -388,15 +382,12 @@ func (c *Coordinator) flush(st *ingestStages) error {
 	c.mu.Lock()
 	err := c.shipLocked(st, allSlots[:]...)
 	st.routed(t0)
-	c.topoMu.RLock()
-	lanes := append([]*lane(nil), c.lanes...)
-	c.topoMu.RUnlock()
 	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	defer st.delivered(st.now())
-	for _, l := range lanes {
+	for _, l := range c.lanes {
 		l.waitSettled()
 	}
 	return nil
@@ -412,10 +403,7 @@ func (c *Coordinator) Close() error {
 	}
 	err := c.Flush()
 	c.closed.Store(true)
-	c.topoMu.RLock()
-	lanes := append([]*lane(nil), c.lanes...)
-	c.topoMu.RUnlock()
-	for _, l := range lanes {
+	for _, l := range c.lanes {
 		l.close()
 	}
 	c.wg.Wait()
@@ -540,12 +528,12 @@ func (e *UnavailableError) Error() string {
 // rows still owed for that slot — a replica mid-replay would answer
 // with stale buckets). Slots with no candidate come back as an
 // UnavailableError.
-func (c *Coordinator) assignSlots(rg *ring.Ring, banned map[int]bool) ([ring.Slots]int, *UnavailableError) {
+func (c *Coordinator) assignSlots(banned map[int]bool) ([ring.Slots]int, *UnavailableError) {
 	var assign [ring.Slots]int
 	var missing []int
 	for k := 0; k < ring.Slots; k++ {
 		chosen := -1
-		for _, nd := range rg.Replicas(k) {
+		for _, nd := range c.ring.Replicas(k) {
 			if banned[nd] || c.sp.PendingRowsSlotNode(nd, k) > 0 {
 				continue
 			}
@@ -601,10 +589,6 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	}
 	tr := obs.TraceFrom(ctx)
 	tid := obs.TraceID(ctx)
-	c.topoMu.RLock()
-	rg := c.ring
-	shards := append([]Shard(nil), c.shards...)
-	c.topoMu.RUnlock()
 
 	banned := map[int]bool{}
 	var assign [ring.Slots]int
@@ -612,14 +596,14 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	endScatter := tr.StartStage("scatter")
 	tScatter := time.Now()
 	for {
-		a, uerr := c.assignSlots(rg, banned)
+		a, uerr := c.assignSlots(banned)
 		if uerr != nil {
 			endScatter()
 			uerr.TraceID = tid
 			mClusterUnavail.Inc()
 			return nil, false, uerr
 		}
-		ks, failed, err := c.coverageScatter(ctx, shards, req, groupAssign(a, nil))
+		ks, failed, err := c.coverageScatter(ctx, req, groupAssign(a, nil))
 		if err != nil {
 			endScatter()
 			return nil, false, err
@@ -635,7 +619,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	mStageScatter.Observe(time.Since(tScatter).Seconds())
 	endScatter()
 
-	fp := coverageFingerprint(rg.Version(), assign, keys)
+	fp := coverageFingerprint(c.ring.Version(), assign, keys)
 	// Explain recording rides the triggering request's context only: a
 	// caller coalesced onto another request's compute (or served from
 	// cache) gets topology but no shard fragments.
@@ -643,7 +627,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	res, cached, err := c.cache.Get(req.Key()+"|cf="+fp, func() (*core.Result, error) {
 		endFold := tr.StartStage("fold")
 		tFold := time.Now()
-		parts, err := c.fetchPartials(ctx, shards, rg, req, assign, banned, rec)
+		parts, err := c.fetchPartials(ctx, req, assign, banned, rec)
 		endFold()
 		if err != nil {
 			return nil, err
@@ -683,9 +667,9 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	}
 	if ex := obs.ExplainFrom(ctx); ex != nil && err == nil {
 		ex.Set("cluster", ClusterExplain{
-			RingVersion: fmt.Sprintf("%016x", rg.Version()),
+			RingVersion: fmt.Sprintf("%016x", c.ring.Version()),
 			Fingerprint: fp,
-			Members:     len(shards),
+			Members:     len(c.shards),
 			Failovers:   len(banned),
 			Shards:      rec.fragments(),
 		})
@@ -697,7 +681,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 // concurrently. An unavailable node is reported back for failover;
 // sentinel fold errors propagate as-is (every replica would answer
 // identically, so failing over is pointless).
-func (c *Coordinator) coverageScatter(ctx context.Context, shards []Shard, req core.Request, groups map[int][]int) (map[int]string, int, error) {
+func (c *Coordinator) coverageScatter(ctx context.Context, req core.Request, groups map[int][]int) (map[int]string, int, error) {
 	type probe struct {
 		node int
 		key  string
@@ -708,7 +692,7 @@ func (c *Coordinator) coverageScatter(ctx context.Context, shards []Shard, req c
 		c.coverageProbes.Add(1)
 		mClusterProbes.Inc()
 		go func(nd int, slots []int) {
-			key, err := shards[nd].Coverage(ctx, req, slots)
+			key, err := c.shards[nd].Coverage(ctx, req, slots)
 			ch <- probe{nd, key, err}
 		}(nd, slots)
 	}
@@ -743,7 +727,7 @@ func (c *Coordinator) coverageScatter(ctx context.Context, shards []Shard, req c
 // slot set, ordered by node index, failing the slots of a node that drops
 // between the coverage probe and the fetch over to surviving replicas —
 // one more partial per node in the next round.
-func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *ring.Ring, req core.Request, assign [ring.Slots]int, banned map[int]bool, rec *shardExplainRecorder) ([]*live.ShardPartial, error) {
+func (c *Coordinator) fetchPartials(ctx context.Context, req core.Request, assign [ring.Slots]int, banned map[int]bool, rec *shardExplainRecorder) ([]*live.ShardPartial, error) {
 	var parts []*live.ShardPartial
 	done := map[int]bool{}
 	for len(done) < ring.Slots {
@@ -760,7 +744,7 @@ func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *rin
 			mClusterFetches.Inc()
 			go func(nd int, slots []int) {
 				t0 := time.Now()
-				ps, err := shards[nd].Partials(ctx, req, slots)
+				ps, err := c.shards[nd].Partials(ctx, req, slots)
 				if err == nil {
 					rec.add(nd, slots, ps, float64(time.Since(t0).Nanoseconds())/1e6)
 				}
@@ -795,7 +779,7 @@ func (c *Coordinator) fetchPartials(ctx context.Context, shards []Shard, rg *rin
 				mClusterFailovers.Inc()
 			}
 			// Reassign the slots still missing to surviving replicas.
-			a, uerr := c.assignSlots(rg, banned)
+			a, uerr := c.assignSlots(banned)
 			if uerr != nil {
 				var stuck []int
 				for _, k := range uerr.Slots {
@@ -838,7 +822,6 @@ func coverageFingerprint(version uint64, assign [ring.Slots]int, keys map[int]st
 type ShardStatus struct {
 	Index  int    `json:"index"`
 	Member string `json:"member"`
-	Gone   bool   `json:"gone,omitempty"`
 	// OK means the member answered its health probe. Degraded means it
 	// currently owes spooled deliveries or its last delivery failed —
 	// transient by design: it clears once the lane catches the member
@@ -867,7 +850,6 @@ type ShardStatus struct {
 type RingStatus struct {
 	Version     string    `json:"version"`
 	Members     int       `json:"members"`
-	Live        int       `json:"live"`
 	Replication int       `json:"replication"`
 	Slots       int       `json:"slots"`
 	Spool       wal.Stats `json:"spool"`
@@ -875,14 +857,10 @@ type RingStatus struct {
 
 // RingStatus reports the current ring configuration and spool state.
 func (c *Coordinator) RingStatus() RingStatus {
-	c.topoMu.RLock()
-	rg := c.ring
-	c.topoMu.RUnlock()
 	return RingStatus{
-		Version:     fmt.Sprintf("%016x", rg.Version()),
-		Members:     len(rg.Members()),
-		Live:        rg.Live(),
-		Replication: rg.Replication(),
+		Version:     fmt.Sprintf("%016x", c.ring.Version()),
+		Members:     len(c.shards),
+		Replication: c.ring.Replication(),
 		Slots:       ring.Slots,
 		Spool:       c.sp.Stats(),
 	}
@@ -893,20 +871,13 @@ func (c *Coordinator) RingStatus() RingStatus {
 // with undelivered spooled rows or a failing lane reports Degraded
 // rather than silently shedding its batches.
 func (c *Coordinator) Health() []ShardStatus {
-	c.topoMu.RLock()
-	rg := c.ring
-	shards := append([]Shard(nil), c.shards...)
-	lanes := append([]*lane(nil), c.lanes...)
-	c.topoMu.RUnlock()
-	members := rg.Members()
-	out := make([]ShardStatus, len(shards))
+	out := make([]ShardStatus, len(c.shards))
 	var wg sync.WaitGroup
-	for i := range shards {
+	for i := range c.shards {
 		st := &out[i]
 		st.Index = i
-		st.Member = members[i].Name
-		st.Gone = members[i].Gone
-		ls := lanes[i].status()
+		st.Member = memberName(i)
+		ls := c.lanes[i].status()
 		st.Pending = c.sp.PendingRowsNode(i)
 		st.Queue = ls.queued
 		st.Delivered = ls.delivered
@@ -919,14 +890,11 @@ func (c *Coordinator) Health() []ShardStatus {
 			st.LastErrorAt = ls.errAt.UTC().Format(time.RFC3339)
 		}
 		st.Degraded = ls.down || st.Pending > 0
-		st.Slots = rg.SlotsFor(i)
-		if members[i].Gone {
-			continue
-		}
+		st.Slots = c.ring.SlotsFor(i)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			h, err := shards[i].Health()
+			h, err := c.shards[i].Health()
 			if err != nil {
 				out[i].Degraded = true
 				if out[i].LastError == "" {

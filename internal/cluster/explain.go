@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 
@@ -92,24 +91,14 @@ type MetricsScraper interface {
 // /metrics/cluster. The result always has one entry per member, in
 // member order: a reachable scraper carries its exposition body, a
 // failed scrape its error (rendered as geomob_member_up 0 by
-// obs.MergeExpositions), a member marked gone an error without a probe,
-// and an in-process member an empty body — up, contributing no remote
-// series.
+// obs.MergeExpositions), and an in-process member an empty body — up,
+// contributing no remote series.
 func (c *Coordinator) Federate(ctx context.Context) []obs.ScrapeResult {
-	c.topoMu.RLock()
-	rg := c.ring
-	shards := append([]Shard(nil), c.shards...)
-	c.topoMu.RUnlock()
-	members := rg.Members()
-	out := make([]obs.ScrapeResult, len(shards))
+	out := make([]obs.ScrapeResult, len(c.shards))
 	var wg sync.WaitGroup
-	for i := range shards {
-		out[i].Node = members[i].Name
-		if members[i].Gone {
-			out[i].Err = errors.New("member marked gone")
-			continue
-		}
-		sc, ok := shards[i].(MetricsScraper)
+	for i := range c.shards {
+		out[i].Node = memberName(i)
+		sc, ok := c.shards[i].(MetricsScraper)
 		if !ok {
 			out[i].Body = []byte{}
 			continue

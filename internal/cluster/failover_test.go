@@ -107,14 +107,6 @@ func (c *chaosShard) Coverage(ctx context.Context, req core.Request, slots []int
 	return s.Coverage(ctx, req, slots)
 }
 
-func (c *chaosShard) Export(slot int, fn func(*tweet.Batch) error) error {
-	s, err := c.get()
-	if err != nil {
-		return err
-	}
-	return s.Export(slot, fn)
-}
-
 func (c *chaosShard) Health() (ShardHealth, error) {
 	s, err := c.get()
 	if err != nil {
@@ -553,109 +545,6 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	}
 	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
 		t.Fatal("post-restart recovered cluster diverges from single-node execute")
-	}
-}
-
-// TestHandoffJoinLeave: growing and shrinking the cluster preserves
-// exactness — moved slots stream to their new homes before the ring
-// version flips, and later ingest lands under the new placement.
-func TestHandoffJoinLeave(t *testing.T) {
-	all := failoverCorpus(t, 800, 37, 41)
-	half := len(all) / 2
-
-	newLocal := func() *LocalShard {
-		s, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	opts := fastRetry()
-	opts.Replication = 2
-	coord, err := NewCoordinator([]Shard{newLocal(), newLocal()}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	for _, tw := range all[:half] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := coord.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Join: the new member receives its slots' history before serving.
-	if err := coord.AddShard(newLocal()); err != nil {
-		t.Fatal(err)
-	}
-	if got := coord.Shards(); got != 3 {
-		t.Fatalf("after join: %d live members, want 3", got)
-	}
-	req := core.Request{}
-	res, _, err := coord.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all[:half], req)) {
-		t.Fatal("post-join answer diverges from single-node execute")
-	}
-
-	// Ingest the second half under the grown ring.
-	for _, tw := range all[half:] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := coord.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	res, _, err = coord.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := singleNodeRef(t, all, req)
-	if !testx.ResultsBitEqual(res, ref) {
-		t.Fatal("post-join ingest answer diverges from single-node execute")
-	}
-
-	// Leave: member 0 retires; its slots' data must survive on the
-	// members the ring promotes.
-	if err := coord.RemoveShard(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := coord.Shards(); got != 2 {
-		t.Fatalf("after leave: %d live members, want 2", got)
-	}
-	res, _, err = coord.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testx.ResultsBitEqual(res, ref) {
-		t.Fatal("post-leave answer diverges from single-node execute")
-	}
-
-	// A membership change is refused while a member is down with
-	// undelivered spool — it would hand off from an incomplete copy.
-	coord2, err := NewCoordinator([]Shard{newChaosShard(newLocal()), newChaosShard(newLocal())}, fastRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord2.Close()
-	coord2.shards[1].(*chaosShard).setDown(true)
-	for _, tw := range all[:100] {
-		if err := coord2.Add(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := coord2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if coord2.sp.PendingRowsNode(1) > 0 {
-		if err := coord2.AddShard(newLocal()); err == nil {
-			t.Fatal("AddShard succeeded while a member owes spooled rows")
-		}
 	}
 }
 

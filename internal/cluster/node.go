@@ -25,19 +25,16 @@ import (
 // core.Request (times RFC 3339, floats by shortest representation —
 // exact on round-trip) with the placement slots the coordinator wants
 // this member to serve; partials come back in the binary wire codec.
-// Replicated deliveries and handoff exports move whole binary batch
-// frames, never re-encoded. Error status codes carry the sentinel
-// semantics across the wire so a coordinator behaves identically over
-// LocalShard and HTTPShard:
+// Replicated deliveries move whole binary batch frames, never
+// re-encoded. Error status codes carry the sentinel semantics across
+// the wire so a coordinator behaves identically over LocalShard and
+// HTTPShard:
 //
 //	POST /shard/v1/ingest        NDJSON or binary batch → {"ingested": n}
 //	POST /shard/v1/deliver       ?sender=&seq=&slot=, binary frame body
 //	POST /shard/v1/deliver-batch ?sender=, enveloped frames body
 //	POST /shard/v1/partials      {"request":…,"slots":[…]} → binary partial list of one
 //	POST /shard/v1/coverage      {"request":…,"slots":[…]} → {"coverage": key}
-//	GET  /shard/v1/export        ?slot= → binary frame stream
-//	GET  /shard/v1/export-snap   ?slot= → length-prefixed snapshot blobs
-//	POST /shard/v1/deliver-snap  ?sender=&seq=&slot=, snapshot blob body
 //	GET  /shard/v1/health        ShardHealth
 //	GET  /healthz                liveness (boot-wait probes)
 //
@@ -53,9 +50,6 @@ const (
 	pathDeliverBatch = "/shard/v1/deliver-batch"
 	pathPartials     = "/shard/v1/partials"
 	pathCoverage     = "/shard/v1/coverage"
-	pathExport       = "/shard/v1/export"
-	pathExportSnap   = "/shard/v1/export-snap"
-	pathDeliverSnap  = "/shard/v1/deliver-snap"
 	pathHealth       = "/shard/v1/health"
 )
 
@@ -89,9 +83,6 @@ func NewNode(shard *LocalShard, opts NodeOptions) *Node {
 	mux.HandleFunc("POST "+pathDeliverBatch, n.handleDeliverBatch)
 	mux.HandleFunc("POST "+pathPartials, n.handlePartials)
 	mux.HandleFunc("POST "+pathCoverage, n.handleCoverage)
-	mux.HandleFunc("GET "+pathExport, n.handleExport)
-	mux.HandleFunc("GET "+pathExportSnap, n.handleExportSnap)
-	mux.HandleFunc("POST "+pathDeliverSnap, n.handleDeliverSnap)
 	mux.HandleFunc("GET "+pathHealth, n.handleHealth)
 	mux.HandleFunc("GET /healthz", n.handleHealth)
 	n.mux = mux
@@ -224,70 +215,6 @@ func (n *Node) handleDeliverBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]any{"applied": true, "frames": len(ds)})
-}
-
-// handleExportSnap streams one slot's ring as length-prefixed snapshot
-// blobs — the handoff source endpoint for a shape-matched receiver.
-func (n *Node) handleExportSnap(w http.ResponseWriter, r *http.Request) {
-	slot, err := strconv.Atoi(r.URL.Query().Get("slot"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard export-snap: bad slot: %v", err), http.StatusBadRequest)
-		return
-	}
-	wrote := false
-	err = n.shard.ExportSnap(slot, func(blob []byte) error {
-		if !wrote {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			wrote = true
-		}
-		var hdr [4]byte
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(blob)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := w.Write(blob)
-		return err
-	})
-	if err != nil {
-		if !wrote {
-			http.Error(w, fmt.Sprintf("shard export-snap: %v", err), http.StatusBadRequest)
-			return
-		}
-		// Mid-stream failure: abort so the client sees a decode error
-		// rather than a silently truncated stream.
-		panic(http.ErrAbortHandler)
-	}
-	if !wrote {
-		w.Header().Set("Content-Type", "application/octet-stream")
-	}
-}
-
-// handleDeliverSnap applies one handoff snapshot blob with deliver
-// semantics: a 200 means durable and merged (or deduplicated); a blob
-// failing validation answers 400 — permanent on the client side.
-func (n *Node) handleDeliverSnap(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sender := q.Get("sender")
-	seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver-snap: bad seq: %v", err), http.StatusBadRequest)
-		return
-	}
-	slot, err := strconv.Atoi(q.Get("slot"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver-snap: bad slot: %v", err), http.StatusBadRequest)
-		return
-	}
-	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.maxB))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver-snap: read blob: %v", err), IngestStatus(err))
-		return
-	}
-	if err := n.shard.DeliverSnap(sender, seq, slot, blob); err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver-snap: %v", err), IngestStatus(err))
-		return
-	}
-	writeJSON(w, map[string]any{"applied": true})
 }
 
 // ingestNDJSON drains an NDJSON stream into a shard in ring-sized
@@ -437,41 +364,6 @@ func (n *Node) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"coverage": key})
 }
 
-// handleExport streams one slot's canonical substream as consecutive
-// binary batch frames — the handoff source endpoint.
-func (n *Node) handleExport(w http.ResponseWriter, r *http.Request) {
-	slot, err := strconv.Atoi(r.URL.Query().Get("slot"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard export: bad slot: %v", err), http.StatusBadRequest)
-		return
-	}
-	wrote := false
-	err = n.shard.Export(slot, func(b *tweet.Batch) error {
-		frame, err := tweet.AppendFrame(nil, b)
-		if err != nil {
-			return err
-		}
-		if !wrote {
-			w.Header().Set("Content-Type", tweet.BatchContentType)
-			wrote = true
-		}
-		_, err = w.Write(frame)
-		return err
-	})
-	if err != nil {
-		if !wrote {
-			http.Error(w, fmt.Sprintf("shard export: %v", err), http.StatusBadRequest)
-			return
-		}
-		// Mid-stream failure: abort so the client sees a decode error
-		// rather than a silently truncated stream.
-		panic(http.ErrAbortHandler)
-	}
-	if !wrote {
-		w.Header().Set("Content-Type", tweet.BatchContentType)
-	}
-}
-
 func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	h, _ := n.shard.Health()
 	writeJSON(w, map[string]any{"status": "ok", "shard": h})
@@ -485,7 +377,7 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // transport-independent.
 type HTTPShard struct {
 	base string
-	hc   *http.Client // folds/exports: generous timeout, slow ≠ hung
+	hc   *http.Client // folds: generous timeout, slow ≠ hung
 	dc   *http.Client // deliveries: short timeout so retries engage fast
 }
 
@@ -601,61 +493,6 @@ func (s *HTTPShard) DeliverBatch(sender string, ds []Delivery) error {
 	return fmt.Errorf("%w: shard %s deliver-batch: http %d: %s", errPermanent, s.base, resp.StatusCode, detail)
 }
 
-// ExportSnap implements SnapshotExporter over the wire: length-prefixed
-// snapshot blobs stream straight into fn.
-func (s *HTTPShard) ExportSnap(slot int, fn func(blob []byte) error) error {
-	resp, err := s.hc.Get(s.base + pathExportSnap + "?slot=" + strconv.Itoa(slot))
-	if err != nil {
-		return fmt.Errorf("%w: shard %s export-snap: %v", ErrUnavailable, s.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s.statusError("export-snap", resp)
-	}
-	br := bufio.NewReader(resp.Body)
-	for {
-		var hdr [4]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			return fmt.Errorf("cluster: shard %s export-snap: %w", s.base, err)
-		}
-		blob := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return fmt.Errorf("cluster: shard %s export-snap: %w", s.base, err)
-		}
-		if err := fn(blob); err != nil {
-			return err
-		}
-	}
-}
-
-// DeliverSnap implements SnapshotReceiver over the wire; status
-// translation matches Deliver, so a validation rejection (400) is
-// permanent and a transport failure or 5xx stays retriable.
-func (s *HTTPShard) DeliverSnap(sender string, seq uint64, slot int, blob []byte) error {
-	q := url.Values{}
-	q.Set("sender", sender)
-	q.Set("seq", strconv.FormatUint(seq, 10))
-	q.Set("slot", strconv.Itoa(slot))
-	resp, err := s.dc.Post(s.base+pathDeliverSnap+"?"+q.Encode(), "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		return fmt.Errorf("%w: shard %s deliver-snap: %v", ErrUnavailable, s.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	detail := strings.TrimSpace(string(msg))
-	if resp.StatusCode >= 500 {
-		return fmt.Errorf("%w: shard %s deliver-snap: http %d: %s", ErrUnavailable, s.base, resp.StatusCode, detail)
-	}
-	return fmt.Errorf("%w: shard %s deliver-snap: http %d: %s", errPermanent, s.base, resp.StatusCode, detail)
-}
-
 // post sends a JSON slot request and returns the successful response.
 // The context's trace ID (if any) travels in the obs.TraceHeader header
 // so the remote node's logs and errors correlate with the
@@ -734,22 +571,6 @@ func (s *HTTPShard) Coverage(ctx context.Context, req core.Request, slots []int)
 		return "", fmt.Errorf("%w: shard %s coverage: %v", ErrUnavailable, s.base, err)
 	}
 	return out.Coverage, nil
-}
-
-// Export implements Shard: the slot's frames stream straight into fn.
-func (s *HTTPShard) Export(slot int, fn func(*tweet.Batch) error) error {
-	resp, err := s.hc.Get(s.base + pathExport + "?slot=" + strconv.Itoa(slot))
-	if err != nil {
-		return fmt.Errorf("%w: shard %s export: %v", ErrUnavailable, s.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s.statusError("export", resp)
-	}
-	if _, err := live.DrainBinary(resp.Body, 0, fn, func() error { return nil }); err != nil {
-		return fmt.Errorf("cluster: shard %s export: %w", s.base, err)
-	}
-	return nil
 }
 
 // Health implements Shard.

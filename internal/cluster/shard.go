@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -59,10 +58,6 @@ type Shard interface {
 	// over the requested slots — the coordinator's cache key component
 	// that moves exactly when an ingest lands in a covered bucket.
 	Coverage(ctx context.Context, req core.Request, slots []int) (string, error)
-	// Export streams slot's full substream in canonical (user, time)
-	// order as bounded batches — the handoff source when the slot moves
-	// to another member.
-	Export(slot int, fn func(*tweet.Batch) error) error
 	// Health reports the shard's liveness counters; an error marks the
 	// shard unreachable (degraded in the coordinator's /healthz).
 	Health() (ShardHealth, error)
@@ -87,24 +82,6 @@ type BatchDeliverer interface {
 	DeliverBatch(sender string, ds []Delivery) error
 }
 
-// SnapshotExporter streams a slot's ring content as encoded bucket
-// snapshot blobs — pre-resolved columns, not raw records — so a handoff
-// receiver with the same assignment shape skips re-resolving what the
-// sender already computed. The stream is deterministic over unchanged
-// ring content (ascending bucket order, content-addressed encoding).
-type SnapshotExporter interface {
-	ExportSnap(slot int, fn func(blob []byte) error) error
-}
-
-// SnapshotReceiver applies one handoff snapshot blob, with the same
-// (sender, seq) dedup and durability contract as Deliver. A blob whose
-// shape hash does not match the receiver's ring is rejected permanently
-// — the handoff driver only picks this path when both ends report the
-// same shape hash.
-type SnapshotReceiver interface {
-	DeliverSnap(sender string, seq uint64, slot int, blob []byte) error
-}
-
 // ShardHealth is one shard's liveness report.
 type ShardHealth struct {
 	// Tweets is the durable record count (0 without a store); Ingested
@@ -120,10 +97,6 @@ type ShardHealth struct {
 	Scans int64 `json:"scans"`
 	// Slots counts placement slots holding at least one record here.
 	Slots int `json:"slots"`
-	// ShapeHash fingerprints the assignment machinery (bucket width,
-	// scales, radii, area sets). Handoff streams snapshots — pre-resolved
-	// columns — only between shards reporting identical hashes.
-	ShapeHash string `json:"shape_hash,omitempty"`
 	// Snapshot and Recovery report the durable-snapshot state: what is
 	// on disk now, and what the last boot did (restored vs backfilled
 	// buckets, tail replay size). Nil on shards without a snapshot dir.
@@ -284,8 +257,7 @@ func (s *LocalShard) Store() *tweetdb.Store { return s.store }
 // Shape exposes the shared assignment machinery.
 func (s *LocalShard) Shape() *live.Shape { return s.shape }
 
-// SlotAggregator exposes one placement slot's bucket ring (tests and
-// handoff plumbing).
+// SlotAggregator exposes one placement slot's bucket ring (tests).
 func (s *LocalShard) SlotAggregator(slot int) *live.Aggregator { return s.aggs[slot] }
 
 // ResidentBytes sums the heap the slot rings hold, by kind.
@@ -474,79 +446,6 @@ func (s *LocalShard) Coverage(_ context.Context, req core.Request, slots []int) 
 	return live.CoverageKeyRings(req, slots, s.rings(slots))
 }
 
-// exportChunk bounds one handoff export batch.
-const exportChunk = 4096
-
-// Export implements Shard: the slot's complete substream in canonical
-// (user, time) order, chunked. The canonical order makes a handoff
-// stream deterministic, so re-running an interrupted handoff
-// regenerates identical frames and the receiver's (sender, seq) dedup
-// resumes cleanly.
-func (s *LocalShard) Export(slot int, fn func(*tweet.Batch) error) error {
-	if slot < 0 || slot >= ring.Slots {
-		return fmt.Errorf("cluster: slot %d out of range", slot)
-	}
-	rows, err := s.aggs[slot].WindowTweets(math.MinInt64, math.MaxInt64)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < len(rows); off += exportChunk {
-		end := off + exportChunk
-		if end > len(rows) {
-			end = len(rows)
-		}
-		if err := fn(tweet.BatchOf(rows[off:end])); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExportSnap implements SnapshotExporter: the slot's ring streamed as
-// encoded bucket snapshot blobs in ascending bucket order.
-func (s *LocalShard) ExportSnap(slot int, fn func(blob []byte) error) error {
-	if slot < 0 || slot >= ring.Slots {
-		return fmt.Errorf("cluster: slot %d out of range", slot)
-	}
-	return s.aggs[slot].ExportSnapshots(fn)
-}
-
-// DeliverSnap implements SnapshotReceiver. The blob is decoded and
-// fully validated against this shard's shape before anything commits —
-// a corrupt or foreign-shape blob is a permanent delivery error, never
-// a partial apply. An accepted blob's records land durably in the store
-// with the sender's advanced mark (the same atomic commit Deliver
-// uses), then the pre-resolved columns merge into the slot's ring
-// without re-resolving assignments.
-func (s *LocalShard) DeliverSnap(sender string, seq uint64, slot int, blob []byte) error {
-	if slot < 0 || slot >= ring.Slots {
-		return fmt.Errorf("%w: slot %d out of range", live.ErrBadInput, slot)
-	}
-	bs, err := s.shape.DecodeBucketSnapshot(blob)
-	if err != nil {
-		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sender != "" && seq <= s.hwm[sender] {
-		return nil
-	}
-	if s.store != nil {
-		var meta map[string]string
-		if sender != "" {
-			meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(seq, 10)}
-		}
-		if err := s.store.AppendBatchMeta(bs.Batch(), meta); err != nil {
-			return err
-		}
-	}
-	s.aggs[slot].InjectSnapshot(bs)
-	if sender != "" {
-		s.hwm[sender] = seq
-	}
-	return nil
-}
-
 // Snapshot commits every slot ring's dirty buckets to the shard's
 // snapshot directories. All captures and the covered-segment catalogue
 // are taken under the delivery lock, so each slot's manifest names
@@ -597,7 +496,7 @@ func (s *LocalShard) Recovery() live.RecoveryStats { return s.recovery }
 
 // Health implements Shard.
 func (s *LocalShard) Health() (ShardHealth, error) {
-	h := ShardHealth{ShapeHash: fmt.Sprintf("%016x", s.shape.Hash())}
+	var h ShardHealth
 	for _, a := range s.aggs {
 		h.Ingested += a.Ingested()
 		h.Builds += a.Builds()

@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"errors"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -173,7 +170,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Snapshot == nil || h.Recovery == nil || h.Snapshot.Buckets == 0 || h.ShapeHash == "" {
+	if h.Snapshot == nil || h.Recovery == nil || h.Snapshot.Buckets == 0 {
 		t.Fatalf("health misses snapshot state: %+v", h)
 	}
 
@@ -272,170 +269,5 @@ func TestDeliverBatchDedup(t *testing.T) {
 	}
 	if got := store2.Count(); got != 5 {
 		t.Fatalf("post-restart redelivery stored %d records, want 5", got)
-	}
-}
-
-// TestHandoffSnapshotStreaming: when both ends of a handoff share the
-// assignment shape, joining streams snapshot blobs (visible as the
-// receiver's durable handoffsnap sender marks) and the grown cluster
-// answers exactly; a source hidden behind a shape-blind wrapper falls
-// back to the record-export path under the classic handoff sender.
-func TestHandoffSnapshotStreaming(t *testing.T) {
-	all := failoverCorpus(t, 500, 61, 67)
-	opts := live.Options{BucketWidth: 7 * 24 * time.Hour}
-	newStored := func() *LocalShard {
-		st, err := tweetdb.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewLocalShard(st, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-
-	coord, err := NewCoordinator([]Shard{newStored(), newStored()}, fastRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := coord.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	joined := newStored()
-	if err := coord.AddShard(joined); err != nil {
-		t.Fatal(err)
-	}
-	req := core.Request{}
-	res, _, err := coord.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
-		t.Fatal("post-join answer diverges from single-node execute")
-	}
-	snapSenders, recSenders := 0, 0
-	for key := range joined.Store().MetaPrefix(hwmMetaPrefix) {
-		switch {
-		case strings.HasPrefix(key, hwmMetaPrefix+"handoffsnap:"):
-			snapSenders++
-		case strings.HasPrefix(key, hwmMetaPrefix+"handoff:"):
-			recSenders++
-		}
-	}
-	if snapSenders == 0 || recSenders != 0 {
-		t.Fatalf("shape-matched join should stream snapshots only: %d snapshot senders, %d record senders",
-			snapSenders, recSenders)
-	}
-
-	// Sources that don't export snapshots (the chaos wrapper only
-	// implements Shard) force the record-export path.
-	coord2, err := NewCoordinator([]Shard{newChaosShard(newStored()), newChaosShard(newStored())}, fastRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord2.Close()
-	for _, tw := range all[:200] {
-		if err := coord2.Add(tw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := coord2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	joined2 := newStored()
-	if err := coord2.AddShard(joined2); err != nil {
-		t.Fatal(err)
-	}
-	// Stats only: the 200-record subset is too sparse for the gravity
-	// fit the default request includes.
-	statsReq := core.Request{Analyses: []core.Analysis{core.AnalysisStats}}
-	res, _, err = coord2.Query(statsReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all[:200], statsReq)) {
-		t.Fatal("record-path join answer diverges from single-node execute")
-	}
-	snapSenders, recSenders = 0, 0
-	for key := range joined2.Store().MetaPrefix(hwmMetaPrefix) {
-		switch {
-		case strings.HasPrefix(key, hwmMetaPrefix+"handoffsnap:"):
-			snapSenders++
-		case strings.HasPrefix(key, hwmMetaPrefix+"handoff:"):
-			recSenders++
-		}
-	}
-	if recSenders == 0 || snapSenders != 0 {
-		t.Fatalf("snapshot-blind sources should stream records only: %d snapshot senders, %d record senders",
-			snapSenders, recSenders)
-	}
-}
-
-// TestDeliverSnapRejectsUnorderedBlob: a handoff blob whose checksums
-// hold but whose rows are not in canonical order would be folded as
-// sorted and answer wrongly. The receiver must refuse it as a corrupt
-// blob — a permanent delivery error in process, 400 over the wire —
-// before anything reaches its store or ring.
-func TestDeliverSnapRejectsUnorderedBlob(t *testing.T) {
-	opts := live.Options{BucketWidth: 7 * 24 * time.Hour}
-	src, err := NewLocalShard(nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Ingest(tweet.BatchOf(failoverCorpus(t, 200, 71, 73))); err != nil {
-		t.Fatal(err)
-	}
-	var blob []byte
-	slot := -1
-	for k := 0; k < ring.Slots && blob == nil; k++ {
-		slot = k
-		err := src.ExportSnap(k, func(b []byte) error {
-			// The row count is at byte 32 of the header; two rows are enough
-			// to be out of order.
-			if blob == nil && binary.LittleEndian.Uint32(b[32:]) >= 2 {
-				blob = b
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if blob == nil {
-		t.Fatal("no exported bucket holds two rows")
-	}
-	unordered := testx.SwapSnapshotRows(blob, 0, 1)
-
-	store, err := tweetdb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, err := NewLocalShard(store, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = dst.DeliverSnap("handoffsnap:test", 1, slot, unordered)
-	if !errors.Is(err, live.ErrBadInput) || !errors.Is(err, live.ErrSnapshotCorrupt) {
-		t.Fatalf("DeliverSnap of an unordered blob: %v, want ErrBadInput wrapping ErrSnapshotCorrupt", err)
-	}
-	srv := httptest.NewServer(NewNode(dst, NodeOptions{}))
-	defer srv.Close()
-	if err := NewHTTPShard(srv.URL, nil).DeliverSnap("handoffsnap:test", 1, slot, unordered); !errors.Is(err, errPermanent) {
-		t.Fatalf("DeliverSnap of an unordered blob over HTTP: %v, want a permanent (4xx) rejection", err)
-	}
-	if h, err := dst.Health(); err != nil || h.Tweets != 0 || h.Ingested != 0 {
-		t.Fatalf("rejected blob left state behind: health %+v, err %v", h, err)
-	}
-	// The blob as exported is accepted: the rejection was about the order.
-	if err := dst.DeliverSnap("handoffsnap:test", 1, slot, blob); err != nil {
-		t.Fatalf("DeliverSnap of the exported blob: %v", err)
 	}
 }

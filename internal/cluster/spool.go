@@ -17,7 +17,6 @@ type spool interface {
 	SenderID() string
 	AppendGroup(es []wal.Entry) (first uint64, err error)
 	AckBatch(seqs []uint64, node int) error
-	AckNode(node int) error
 	PendingForNode(node int, after uint64, max int) ([]wal.Record, error)
 	PendingRowsNode(node int) int64
 	PendingRowsSlotNode(node, slot int) int64
@@ -97,17 +96,6 @@ func (m *memSpool) AckBatch(seqs []uint64, node int) error {
 	defer m.mu.Unlock()
 	for _, seq := range seqs {
 		m.ackLocked(seq, node)
-	}
-	return nil
-}
-
-func (m *memSpool) AckNode(node int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for seq, rec := range m.recs {
-		if rec.Dests&(1<<uint(node)) != 0 {
-			m.ackLocked(seq, node)
-		}
 	}
 	return nil
 }

@@ -79,7 +79,7 @@ func captureRingState(a *Aggregator, windows [][2]int64) ringState {
 
 // TestCoverageKeyStampsMatchMemberWalk: over random schedules — in-order
 // appends at the edge, late appends into closed day and month groups,
-// injected snapshot buckets, a restart through Recover and MaxBuckets
+// a restart through Recover and MaxBuckets
 // eviction across group boundaries — and random windows — aligned,
 // unaligned, unbounded on either side — two states of one ring give the
 // same coverage key exactly when the member walk gives the same
@@ -181,24 +181,9 @@ func TestCoverageKeyStampsMatchMemberWalk(t *testing.T) {
 						op = "edge append"
 						edge += rng.Int63n(4)
 						ingest(records(edge, 1+rng.Intn(3)))
-					case r < 7:
+					case r < 8:
 						op = "late append"
 						ingest(records(late(), 1+rng.Intn(2)))
-					case r < 8:
-						op = "inject"
-						src := sh.NewAggregator()
-						if err := src.Ingest(records(late(), 2)); err != nil {
-							t.Fatal(err)
-						}
-						if err := src.ExportSnapshots(func(blob []byte) error {
-							bs, err := sh.DecodeBucketSnapshot(blob)
-							if err == nil {
-								agg.InjectSnapshot(bs)
-							}
-							return err
-						}); err != nil {
-							t.Fatal(err)
-						}
 					case r < 9:
 						op = "recover"
 						if _, err := ing.Snapshot(snaps); err != nil {

@@ -300,12 +300,6 @@ func NewShape(opts Options) (*Shape, error) {
 	return a, nil
 }
 
-// Hash fingerprints the shape's assignment configuration: bucket width,
-// scale slots, radii and per-slot area counts. Two shapes with equal
-// hashes resolve records identically, so pre-resolved snapshot columns
-// written under one can be restored under the other.
-func (sh *Shape) Hash() uint64 { return sh.hash }
-
 // Width returns the bucket width.
 func (a *Aggregator) Width() time.Duration { return time.Duration(a.width) * time.Millisecond }
 

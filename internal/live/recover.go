@@ -135,14 +135,14 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 	// Bucket files are read, checked and decoded on every processor (the
 	// decoder only reads the immutable shape) and installed in manifest
 	// order, so the ring's revisions do not depend on scheduling.
-	decoded := make([]*BucketSnapshot, len(man.Buckets))
+	decoded := make([]*bucketSnapshot, len(man.Buckets))
 	runTasks(len(man.Buckets), func(i int) {
 		bm := man.Buckets[i]
 		blob, err := os.ReadFile(filepath.Join(snaps.dir, bm.File))
 		if err != nil {
 			return
 		}
-		if bs, err := a.DecodeBucketSnapshot(blob); err == nil && bs.Idx == bm.Idx && bs.Count() == bm.Count {
+		if bs, err := a.decodeBucketSnapshot(blob); err == nil && bs.Idx == bm.Idx && bs.Count() == bm.Count {
 			decoded[i] = bs
 		}
 	})
@@ -153,7 +153,7 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 			st.SnapErrors++
 			continue
 		}
-		a.restoreBucket(decoded[i], true)
+		a.restoreBucket(decoded[i])
 		st.Restored++
 	}
 

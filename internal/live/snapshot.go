@@ -211,9 +211,9 @@ func encodeBucketBlob(shapeHash uint64, width int64, slots int, cb *capturedBuck
 	return out
 }
 
-// BucketSnapshot is one decoded, validated snapshot bucket: records plus
+// bucketSnapshot is one decoded, validated snapshot bucket: records plus
 // their pre-resolved columns, in canonical (user, time, id) order.
-type BucketSnapshot struct {
+type bucketSnapshot struct {
 	Idx    int64
 	tweets []tweet.Tweet
 	assign []int16
@@ -222,19 +222,16 @@ type BucketSnapshot struct {
 }
 
 // Count returns the number of records in the snapshot bucket.
-func (bs *BucketSnapshot) Count() int { return len(bs.tweets) }
+func (bs *bucketSnapshot) Count() int { return len(bs.tweets) }
 
-// Batch materialises the snapshot's records as a fresh column batch.
-func (bs *BucketSnapshot) Batch() *tweet.Batch { return tweet.BatchOf(bs.tweets) }
-
-// DecodeBucketSnapshot parses and fully validates a bucket blob against
+// decodeBucketSnapshot parses and fully validates a bucket blob against
 // this shape: magic, version, header CRC, shape hash, width, section
 // ids, lengths and CRCs, assignment bounds, that every record's
 // timestamp maps to the blob's bucket, and that the records are in
 // canonical (user, time, id) order. Any mismatch returns
 // ErrSnapshotCorrupt — callers degrade that bucket to a cold backfill.
-func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
-	fail := func(format string, args ...any) (*BucketSnapshot, error) {
+func (sh *Shape) decodeBucketSnapshot(blob []byte) (*bucketSnapshot, error) {
+	fail := func(format string, args ...any) (*bucketSnapshot, error) {
 		return nil, fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(blob) < snapHeader {
@@ -260,7 +257,7 @@ func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
 	}
 	idx := getI64(blob[16:])
 	n := int(getU32(blob[32:]))
-	bs := &BucketSnapshot{Idx: idx}
+	bs := &bucketSnapshot{Idx: idx}
 	off := snapHeader
 	var sections [snapSections][]byte
 	for id := 1; id <= snapSections; id++ {
@@ -335,11 +332,10 @@ func (sh *Shape) DecodeBucketSnapshot(blob []byte) (*BucketSnapshot, error) {
 
 // restoreBucket installs a decoded snapshot bucket into the ring and
 // consumes it: an empty slot takes the decoded columns as its own
-// instead of copying them. With clean set (boot restore into an empty
-// slot) the bucket is marked as already durable; otherwise (handoff
-// injection) the columns merge into any existing content and the bucket
-// goes dirty.
-func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
+// instead of copying them and is marked as already durable. A bucket
+// already holding records (a manifest naming one bucket twice) takes
+// the columns by merge and stays dirty.
+func (a *Aggregator) restoreBucket(bs *bucketSnapshot) {
 	n := len(bs.tweets)
 	if n == 0 {
 		return
@@ -363,18 +359,12 @@ func (a *Aggregator) restoreBucket(bs *BucketSnapshot, clean bool) {
 	bs.tweets, bs.assign, bs.vecs, bs.cells = nil, nil, nil, nil
 	b.sorted = fresh // the decoder checked the blob's canonical order
 	a.touchLocked(bs.Idx, b)
-	if clean && fresh {
+	if fresh {
 		b.snapRev = b.rev
 	}
 	a.acceptLocked(int64(n))
 	a.evictLocked()
 }
-
-// InjectSnapshot merges a decoded snapshot bucket into the ring as
-// freshly ingested (dirty) content — the receiving half of a
-// snapshot-streamed shard handoff, which skips re-resolving columns the
-// sender already computed. bs is consumed: it is empty afterwards.
-func (a *Aggregator) InjectSnapshot(bs *BucketSnapshot) { a.restoreBucket(bs, false) }
 
 // restoreFloor raises the ring's eviction floor to a recovered value.
 func (a *Aggregator) restoreFloor(hasFloor bool, floorIdx int64) {
@@ -386,37 +376,6 @@ func (a *Aggregator) restoreFloor(hasFloor bool, floorIdx int64) {
 	if !a.hasFloor || floorIdx > a.floorIdx {
 		a.hasFloor, a.floorIdx = true, floorIdx
 	}
-}
-
-// ExportSnapshots streams every live bucket as an encoded snapshot blob
-// in ascending bucket order. Over unchanged ring content the stream is
-// deterministic — same blobs, same order — so an interrupted handoff
-// re-run regenerates identical frames and the receiver's per-sender
-// dedup resumes cleanly.
-func (a *Aggregator) ExportSnapshots(fn func(blob []byte) error) error {
-	a.mu.Lock()
-	var caps []capturedBucket
-	for _, idx := range a.idxs {
-		b := a.buckets[idx]
-		if len(b.tweets) == 0 {
-			continue
-		}
-		ensureSortedLocked(b, a.slots)
-		caps = append(caps, capturedBucket{
-			idx: idx, rev: b.rev,
-			tweets: slices.Clone(b.tweets),
-			assign: slices.Clone(b.assign),
-			vecs:   slices.Clone(b.vecs),
-			cells:  slices.Clone(b.cells),
-		})
-	}
-	a.mu.Unlock()
-	for i := range caps {
-		if err := fn(encodeBucketBlob(a.hash, a.width, a.slots, &caps[i])); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // snapBucketMeta is one bucket file entry in the snapshot manifest.

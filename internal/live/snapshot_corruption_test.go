@@ -255,7 +255,7 @@ func TestSnapshotBucketDamageShapes(t *testing.T) {
 		"rows-swapped-valid-crcs": func() error {
 			n := int(binary.LittleEndian.Uint32(pristine[32:]))
 			damaged := testx.SwapSnapshotRows(pristine, 0, n-1)
-			if _, err := f.shape.DecodeBucketSnapshot(damaged); !errors.Is(err, ErrSnapshotCorrupt) {
+			if _, err := f.shape.decodeBucketSnapshot(damaged); !errors.Is(err, ErrSnapshotCorrupt) {
 				t.Errorf("decode of a blob with rows 0 and %d swapped: %v, want ErrSnapshotCorrupt", n-1, err)
 			}
 			return os.WriteFile(path, damaged, 0o644)
@@ -358,13 +358,13 @@ func TestSnapshotForeignShapeRejected(t *testing.T) {
 	}
 	// And a decoded blob from the foreign snapshot must not inject.
 	name, raw := f.bucketFile(t)
-	if _, err := other.DecodeBucketSnapshot(raw); err == nil {
+	if _, err := other.decodeBucketSnapshot(raw); err == nil {
 		t.Fatalf("decode of foreign-shape blob %s succeeded", name)
 	}
 }
 
 // FuzzDecodeBucketSnapshot fuzzes the one decoder that reads bucket blobs
-// back from disk and off the handoff wire — concurrently, at boot. Seeded
+// back from disk — concurrently, at boot. Seeded
 // with the damage the matrices above apply, it must never panic, never
 // allocate more than the blob's own size justifies (a header may claim
 // four billion rows), and accept only canonical blobs: whatever decodes
@@ -395,7 +395,7 @@ func FuzzDecodeBucketSnapshot(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		before := allocated()
-		bs, err := sh.DecodeBucketSnapshot(blob)
+		bs, err := sh.decodeBucketSnapshot(blob)
 		// A decoded bucket is as large as its blob (80 bytes a row at four
 		// slots); the slack covers the error message and the test runtime.
 		if got, limit := allocated()-before, uint64(4*len(blob)+1<<16); got > limit {

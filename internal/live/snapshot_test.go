@@ -342,11 +342,11 @@ func TestSnapshotIncrementalCommit(t *testing.T) {
 	}
 }
 
-// TestSnapshotExportInjectRoundTrip drives the handoff path: a full
-// export stream decoded and injected into an empty ring reproduces every
-// answer bit-identically, and re-running the export over unchanged ring
-// content yields byte-identical frames (the dedup-friendly determinism
-// an interrupted handoff retry relies on).
+// TestSnapshotExportInjectRoundTrip drives the bucket blob round trip:
+// every bucket a capture encodes decodes and restores into an empty ring
+// that reproduces every answer bit-identically, and encoding unchanged
+// ring content twice yields byte-identical blobs, so a commit over an
+// unchanged bucket rewrites the same file.
 func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	all, sorted := snapCorpus(t, 300, 41)
@@ -360,19 +360,15 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var stream1, stream2 [][]byte
-	collect := func(dst *[][]byte) func([]byte) error {
-		return func(blob []byte) error {
-			*dst = append(*dst, append([]byte(nil), blob...))
-			return nil
+	export := func() [][]byte {
+		c := agg.Capture()
+		var out [][]byte
+		for i := range c.dirty {
+			out = append(out, encodeBucketBlob(c.shapeHash, c.width, c.slots, &c.dirty[i]))
 		}
+		return out
 	}
-	if err := agg.ExportSnapshots(collect(&stream1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := agg.ExportSnapshots(collect(&stream2)); err != nil {
-		t.Fatal(err)
-	}
+	stream1, stream2 := export(), export()
 	if len(stream1) == 0 || len(stream1) != len(stream2) {
 		t.Fatalf("export streams differ in length: %d vs %d", len(stream1), len(stream2))
 	}
@@ -385,31 +381,31 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 	// own counters: /metrics and /healthz must agree after a restart.
 	dst := sh.NewAggregator()
 	for i, blob := range stream1 {
-		bs, err := sh.DecodeBucketSnapshot(blob)
+		bs, err := sh.decodeBucketSnapshot(blob)
 		if err != nil {
 			t.Fatalf("decode frame %d: %v", i, err)
 		}
 		n, before := int64(bs.Count()), mRingRecords.Value()
-		dst.InjectSnapshot(bs)
+		dst.restoreBucket(bs)
 		if got := mRingRecords.Value() - before; got != n {
 			t.Fatalf("frame %d: geomob_ring_records_total advanced by %d, blob holds %d", i, got, n)
 		}
 	}
 	floored := sh.NewAggregator()
 	floored.restoreFloor(true, math.MaxInt64)
-	bs, err := sh.DecodeBucketSnapshot(stream1[0])
+	bs, err := sh.decodeBucketSnapshot(stream1[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	n, before := int64(bs.Count()), mRingDropped.Value()
-	floored.InjectSnapshot(bs)
-	if got := mRingDropped.Value() - before; got != n || floored.Dropped() != n || floored.Ingested() != 0 {
-		t.Fatalf("restore below the floor: series advanced by %d, Dropped() %d, Ingested() %d, blob holds %d",
-			got, floored.Dropped(), floored.Ingested(), n)
+	floored.restoreBucket(bs)
+	if got := mRingDropped.Value() - before; got != n || floored.Dropped() != n || floored.Ingested() != 0 || floored.Buckets() != 0 {
+		t.Fatalf("restore below the floor: series advanced by %d, Dropped() %d, Ingested() %d, Buckets() %d, blob holds %d",
+			got, floored.Dropped(), floored.Ingested(), floored.Buckets(), n)
 	}
 	reqs := snapRequests(sorted)
-	assertAggMatchesRefs(t, dst, reqs, snapRefs(t, sorted, reqs), "injected ring")
+	assertAggMatchesRefs(t, dst, reqs, snapRefs(t, sorted, reqs), "restored ring")
 	if dst.Ingested() != int64(len(all)) {
-		t.Fatalf("injected ring ingested %d records, want %d", dst.Ingested(), len(all))
+		t.Fatalf("restored ring ingested %d records, want %d", dst.Ingested(), len(all))
 	}
 }

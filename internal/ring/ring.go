@@ -2,26 +2,20 @@
 // tier (DESIGN.md §10). The keyspace is the 64-bit SplitMix64 image of
 // the tweet user id — the same finalizer the PR 5 partitioner pinned —
 // carved into a fixed number of contiguous hash ranges called slots.
-// A slot is the unit of placement, replication, and handoff: every
-// user's whole trajectory hashes into exactly one slot, so any set of
-// slot-level partials can be merged into a bit-identical study result
-// no matter which replica served each slot.
+// A slot is the unit of placement and replication: every user's whole
+// trajectory hashes into exactly one slot, so any set of slot-level
+// partials can be merged into a bit-identical study result no matter
+// which replica served each slot.
 //
 // Members own slots through virtual nodes on a 64-bit circle. Each
-// live member projects a fixed number of points; a slot's replica set
-// is the first R distinct live members met walking clockwise from the
-// slot's own point, owner first. Placement is a pure function of the
-// ring configuration (member names, tombstones, replication factor) —
-// and therefore of the ring version, which hashes exactly that
-// configuration — so every coordinator restart recomputes the same
-// assignment without any coordination.
-//
-// Rings are immutable: Join and Leave return a new ring, and Diff
-// reports the minimal slot movement between two versions. The walk
-// construction gives the classic consistent-hashing guarantee: a join
-// only moves slots onto the joining member (never between two
-// pre-existing members), and a leave only moves the departed member's
-// slots onto survivors.
+// member projects a fixed number of points; a slot's replica set is the
+// first R distinct members met walking clockwise from the slot's own
+// point, owner first. Placement is a pure function of the ring
+// configuration (member names, replication factor) — and therefore of
+// the ring version, which hashes exactly that configuration — so every
+// coordinator restart recomputes the same assignment without any
+// coordination. Rings are immutable, and membership is fixed when the
+// coordinator builds its ring.
 package ring
 
 import (
@@ -32,9 +26,9 @@ import (
 
 const (
 	// Slots is the number of contiguous user-hash ranges the keyspace
-	// is carved into — the granularity of placement and handoff. It is
-	// a wire-level protocol constant: spool records, delivery frames,
-	// and shard aggregators are all slot-addressed, so changing it
+	// is carved into — the granularity of placement. It is a
+	// wire-level protocol constant: spool records, delivery frames, and
+	// shard aggregators are all slot-addressed, so changing it
 	// invalidates every spool and store layout.
 	Slots = 16
 
@@ -42,7 +36,7 @@ const (
 	// slot k covers the contiguous hash range [k<<60, (k+1)<<60).
 	slotShift = 64 - 4
 
-	// vnodes is the number of virtual points each live member projects
+	// vnodes is the number of virtual points each member projects
 	// onto the circle. With only Slots*R placements to balance the
 	// exact count matters little; 64 keeps the arc lengths reasonably
 	// even for small clusters.
@@ -78,20 +72,10 @@ func SlotRange(slot int) (lo, hi uint64) {
 	return lo, hi
 }
 
-// Member is one ring participant. Members are index-stable: leaving
-// tombstones the entry rather than renumbering survivors, so node
-// indexes remain valid across ring versions (spool destination masks
-// and lane indexes depend on this).
-type Member struct {
-	Name string
-	Gone bool
-}
-
 // Ring is an immutable placement table: replica sets for every slot at
 // one configuration version.
 type Ring struct {
 	r       int
-	members []Member
 	version uint64
 	owners  [Slots][]int
 }
@@ -103,7 +87,7 @@ type vpoint struct {
 }
 
 // New builds a ring over the named members with replication factor r.
-// The replica set of a slot has min(r, live members) distinct members.
+// The replica set of a slot has min(r, members) distinct members.
 func New(names []string, r int) (*Ring, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("ring: need at least one member")
@@ -111,9 +95,8 @@ func New(names []string, r int) (*Ring, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("ring: replication factor %d < 1", r)
 	}
-	members := make([]Member, len(names))
 	seen := make(map[string]bool, len(names))
-	for i, name := range names {
+	for _, name := range names {
 		if name == "" {
 			return nil, fmt.Errorf("ring: empty member name")
 		}
@@ -121,73 +104,24 @@ func New(names []string, r int) (*Ring, error) {
 			return nil, fmt.Errorf("ring: duplicate member %q", name)
 		}
 		seen[name] = true
-		members[i] = Member{Name: name}
 	}
-	return build(members, r)
-}
-
-// Join returns a new ring with name appended as a live member.
-func (g *Ring) Join(name string) (*Ring, error) {
-	if name == "" {
-		return nil, fmt.Errorf("ring: empty member name")
-	}
-	for _, m := range g.members {
-		if m.Name == name {
-			return nil, fmt.Errorf("ring: member %q already present", name)
-		}
-	}
-	members := append(append([]Member(nil), g.members...), Member{Name: name})
-	return build(members, g.r)
-}
-
-// Leave returns a new ring with the member at index tombstoned. The
-// index stays occupied so surviving node indexes do not shift.
-func (g *Ring) Leave(index int) (*Ring, error) {
-	if index < 0 || index >= len(g.members) {
-		return nil, fmt.Errorf("ring: member index %d out of range", index)
-	}
-	if g.members[index].Gone {
-		return nil, fmt.Errorf("ring: member %q already left", g.members[index].Name)
-	}
-	live := 0
-	for _, m := range g.members {
-		if !m.Gone {
-			live++
-		}
-	}
-	if live == 1 {
-		return nil, fmt.Errorf("ring: cannot remove the last live member")
-	}
-	members := append([]Member(nil), g.members...)
-	members[index].Gone = true
-	return build(members, g.r)
-}
-
-func build(members []Member, r int) (*Ring, error) {
-	g := &Ring{r: r, members: members}
-	var live []int
-	for i, m := range members {
-		if !m.Gone {
-			live = append(live, i)
-		}
-	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("ring: no live members")
-	}
+	g := &Ring{r: r}
 
 	// Version hashes the exact configuration placement depends on, so
-	// equal versions imply identical replica sets everywhere.
+	// equal versions imply identical replica sets everywhere. Each name
+	// still carries the ":false" departed flag rings once had, so the
+	// version /healthz and explain report keeps its value.
 	vh := fnv.New64a()
 	fmt.Fprintf(vh, "r=%d;", r)
-	for _, m := range members {
-		fmt.Fprintf(vh, "%q:%v;", m.Name, m.Gone)
+	for _, name := range names {
+		fmt.Fprintf(vh, "%q:false;", name)
 	}
 	g.version = vh.Sum64()
 
-	points := make([]vpoint, 0, len(live)*vnodes)
-	for _, i := range live {
+	points := make([]vpoint, 0, len(names)*vnodes)
+	for i, name := range names {
 		nh := fnv.New64a()
-		nh.Write([]byte(members[i].Name))
+		nh.Write([]byte(name))
 		base := nh.Sum64()
 		for v := 0; v < vnodes; v++ {
 			points = append(points, vpoint{
@@ -207,10 +141,7 @@ func build(members []Member, r int) (*Ring, error) {
 		return points[a].v < points[b].v
 	})
 
-	want := r
-	if want > len(live) {
-		want = len(live)
-	}
+	want := min(r, len(names))
 	for k := 0; k < Slots; k++ {
 		start := sort.Search(len(points), func(i int) bool {
 			return points[i].h >= slotPoint(k)
@@ -240,22 +171,8 @@ func slotPoint(k int) uint64 {
 func (g *Ring) Version() uint64 { return g.version }
 
 // Replication returns the configured replication factor R. Slots hold
-// min(R, live members) replicas.
+// min(R, members) replicas.
 func (g *Ring) Replication() int { return g.r }
-
-// Members returns the index-stable member table, tombstones included.
-func (g *Ring) Members() []Member { return append([]Member(nil), g.members...) }
-
-// Live returns the number of live members.
-func (g *Ring) Live() int {
-	n := 0
-	for _, m := range g.members {
-		if !m.Gone {
-			n++
-		}
-	}
-	return n
-}
 
 // Replicas returns the member indexes replicating slot, owner first.
 // The returned slice is shared; callers must not mutate it.
@@ -277,44 +194,4 @@ func (g *Ring) SlotsFor(node int) []int {
 		}
 	}
 	return slots
-}
-
-// Movement is one slot's replica-set change between two ring versions.
-type Movement struct {
-	Slot    int
-	Added   []int // member indexes that must receive the slot's data
-	Removed []int // member indexes no longer replicating the slot
-}
-
-// Diff returns the minimal movement set between two rings: for every
-// slot, which members joined and which left its replica set. Slots
-// with unchanged replica sets are omitted.
-func Diff(old, new *Ring) []Movement {
-	var moves []Movement
-	for k := 0; k < Slots; k++ {
-		oldSet := make(map[int]bool, len(old.owners[k]))
-		for _, m := range old.owners[k] {
-			oldSet[m] = true
-		}
-		newSet := make(map[int]bool, len(new.owners[k]))
-		for _, m := range new.owners[k] {
-			newSet[m] = true
-		}
-		var mv Movement
-		mv.Slot = k
-		for _, m := range new.owners[k] {
-			if !oldSet[m] {
-				mv.Added = append(mv.Added, m)
-			}
-		}
-		for _, m := range old.owners[k] {
-			if !newSet[m] {
-				mv.Removed = append(mv.Removed, m)
-			}
-		}
-		if len(mv.Added) > 0 || len(mv.Removed) > 0 {
-			moves = append(moves, mv)
-		}
-	}
-	return moves
 }

@@ -105,6 +105,41 @@ func TestPlacementPure(t *testing.T) {
 	}
 }
 
+// TestPlacementPinned pins Version and every slot's replica set for the
+// positional member names a coordinator gives its shards. A change here
+// silently reshuffles every shard store on restart.
+func TestPlacementPinned(t *testing.T) {
+	for _, tc := range []struct {
+		members  int
+		version  uint64
+		replicas string
+	}{
+		{2, 0xf4c03f62a6c78916, "[[1 0] [0 1] [0 1] [0 1] [0 1] [0 1] [1 0] [1 0] [1 0] [0 1] [1 0] [0 1] [0 1] [1 0] [0 1] [1 0]]"},
+		// The chaos smoke's configuration.
+		{3, 0xe18b8e0b75542dbd, "[[1 0] [0 2] [0 1] [0 1] [0 1] [2 0] [2 1] [2 1] [1 0] [0 1] [1 0] [0 1] [0 1] [1 0] [0 1] [1 2]]"},
+		{4, 0x158256c3e0e296b3, "[[1 3] [3 0] [0 1] [3 0] [0 1] [2 3] [2 3] [2 1] [1 0] [3 0] [1 0] [0 1] [0 1] [3 1] [0 1] [1 3]]"},
+	} {
+		ns := make([]string, tc.members)
+		for i := range ns {
+			ns[i] = fmt.Sprintf("member-%03d", i)
+		}
+		g, err := New(ns, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Version() != tc.version {
+			t.Errorf("%d members: Version() = %016x, want %016x", tc.members, g.Version(), tc.version)
+		}
+		var reps [Slots][]int
+		for k := range reps {
+			reps[k] = g.Replicas(k)
+		}
+		if got := fmt.Sprint(reps); got != tc.replicas {
+			t.Errorf("%d members: replica sets %s, want %s", tc.members, got, tc.replicas)
+		}
+	}
+}
+
 func TestReplicaSets(t *testing.T) {
 	for _, tc := range []struct{ n, r, want int }{
 		{1, 1, 1}, {1, 3, 1}, {3, 2, 2}, {3, 5, 3}, {5, 3, 3},
@@ -141,112 +176,6 @@ func TestReplicaSets(t *testing.T) {
 	}
 }
 
-func replicaSet(g *Ring, k int) map[int]bool {
-	s := map[int]bool{}
-	for _, m := range g.Replicas(k) {
-		s[m] = true
-	}
-	return s
-}
-
-// TestJoinMinimalMovement proves the consistent-hashing contract: a
-// join moves slots only onto the joining member — no slot ever moves
-// between two pre-existing members.
-func TestJoinMinimalMovement(t *testing.T) {
-	for n := 1; n <= 6; n++ {
-		for _, r := range []int{1, 2, 3} {
-			old, err := New(names(n), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			grown, err := old.Join("joiner")
-			if err != nil {
-				t.Fatal(err)
-			}
-			joiner := n
-			moved := 0
-			for k := 0; k < Slots; k++ {
-				oldSet, newSet := replicaSet(old, k), replicaSet(grown, k)
-				for m := range newSet {
-					if !oldSet[m] && m != joiner {
-						t.Fatalf("n=%d r=%d slot %d: member %d gained the slot on an unrelated join", n, r, k, m)
-					}
-				}
-				if newSet[joiner] {
-					moved++
-				}
-			}
-			if moved == 0 && n < 6 {
-				t.Errorf("n=%d r=%d: joiner received no slots", n, r)
-			}
-			if moved == Slots && n > 1 && r == 1 {
-				t.Errorf("n=%d r=1: join moved every slot; movement is not minimal", n)
-			}
-		}
-	}
-}
-
-// TestLeaveMinimalMovement: a leave keeps every surviving replica in
-// place — survivors only ever gain the departed member's slots.
-func TestLeaveMinimalMovement(t *testing.T) {
-	for n := 2; n <= 6; n++ {
-		for _, r := range []int{1, 2} {
-			old, err := New(names(n), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for leaver := 0; leaver < n; leaver++ {
-				shrunk, err := old.Leave(leaver)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := 0; k < Slots; k++ {
-					oldSet, newSet := replicaSet(old, k), replicaSet(shrunk, k)
-					for m := range oldSet {
-						if m != leaver && !newSet[m] {
-							t.Fatalf("n=%d r=%d leave(%d) slot %d: surviving replica %d was displaced", n, r, leaver, k, m)
-						}
-					}
-					if newSet[leaver] {
-						t.Fatalf("n=%d r=%d slot %d: departed member still a replica", n, r, k)
-					}
-				}
-				if len(shrunk.Members()) != n {
-					t.Fatalf("leave renumbered members: %d entries, want %d", len(shrunk.Members()), n)
-				}
-			}
-		}
-	}
-}
-
-func TestDiff(t *testing.T) {
-	old, err := New(names(3), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := Diff(old, old); len(d) != 0 {
-		t.Fatalf("Diff(g, g) = %v, want empty", d)
-	}
-	grown, err := old.Join("joiner")
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves := Diff(old, grown)
-	if len(moves) == 0 {
-		t.Fatal("join produced no movement")
-	}
-	for _, mv := range moves {
-		for _, m := range mv.Added {
-			if m != 3 {
-				t.Fatalf("slot %d: join added member %d, want only the joiner", mv.Slot, m)
-			}
-		}
-		if len(mv.Added) == 0 && len(mv.Removed) == 0 {
-			t.Fatalf("slot %d: empty movement reported", mv.Slot)
-		}
-	}
-}
-
 func TestConfigErrors(t *testing.T) {
 	if _, err := New(nil, 1); err == nil {
 		t.Error("New(nil) succeeded")
@@ -257,24 +186,7 @@ func TestConfigErrors(t *testing.T) {
 	if _, err := New([]string{"a"}, 0); err == nil {
 		t.Error("r=0 accepted")
 	}
-	g, err := New([]string{"a", "b"}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Join("a"); err == nil {
-		t.Error("re-join of existing member accepted")
-	}
-	if _, err := g.Leave(5); err == nil {
-		t.Error("out-of-range leave accepted")
-	}
-	shrunk, err := g.Leave(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := shrunk.Leave(0); err == nil {
-		t.Error("double leave accepted")
-	}
-	if _, err := shrunk.Leave(1); err == nil {
-		t.Error("removing the last live member accepted")
+	if _, err := New([]string{"a", ""}, 1); err == nil {
+		t.Error("empty member name accepted")
 	}
 }

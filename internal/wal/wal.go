@@ -96,6 +96,10 @@ const (
 	// 64 MiB, bounding both the recovery scan unit and how long a
 	// fully-acked range can pin disk space.
 	DefaultSegmentBytes = 64 << 20
+
+	// MaxNodes is how many destination nodes a record can name: one bit
+	// each of its uint64 destination mask.
+	MaxNodes = 64
 )
 
 // Options configures Open.
@@ -606,29 +610,11 @@ func (s *Spool) Ack(seq uint64, node int) error {
 // are logged but not fsynced: a lost ack is redelivered and
 // deduplicated by the shard.
 func (s *Spool) AckBatch(seqs []uint64, node int) error {
-	if node < 0 || node >= 64 {
+	if node < 0 || node >= MaxNodes {
 		return fmt.Errorf("wal: node %d out of range", node)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ackLocked(seqs, node)
-}
-
-// AckNode force-acks every pending record for node — used when a
-// member is removed from the ring and its deliveries become moot.
-func (s *Spool) AckNode(node int) error {
-	if node < 0 || node >= 64 {
-		return fmt.Errorf("wal: node %d out of range", node)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var seqs []uint64
-	for seq, rec := range s.index {
-		if rec.mask&(1<<uint(node)) != 0 {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 	return s.ackLocked(seqs, node)
 }
 

@@ -355,7 +355,7 @@ func TestSpoolRejectsBadArgs(t *testing.T) {
 	if _, err := s.Append(300, 1, testFrame(t, 0, 1)); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if err := s.Ack(1, 64); err == nil {
+	if err := s.Ack(1, MaxNodes); err == nil {
 		t.Error("out-of-range node accepted")
 	}
 	// One bad entry rejects its whole group before anything is written.
@@ -374,28 +374,6 @@ func TestSpoolRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := Open(Options{}); err == nil {
 		t.Error("empty dir accepted")
-	}
-}
-
-func TestSpoolAckNode(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := s.Append(i, 0b11, testFrame(t, int64(i), 2)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.AckNode(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.PendingRowsNode(1); got != 0 {
-		t.Fatalf("node 1 pending rows = %d after AckNode", got)
-	}
-	if got := len(pendingSeqs(t, s, 0)); got != 4 {
-		t.Fatalf("node 0 lost records to AckNode(1): %d pending, want 4", got)
 	}
 }
 

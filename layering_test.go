@@ -1,11 +1,14 @@
 package geomob
 
 import (
+	"go/ast"
 	"go/build"
 	"go/parser"
 	"go/token"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,6 +80,217 @@ func TestLayering(t *testing.T) {
 		}
 		if want := filepath.Base(file) == "engine.go"; opensStorage != want {
 			t.Errorf("%s imports internal/tweetdb: %v, want %v", file, opensStorage, want)
+		}
+	}
+}
+
+// interfaceMethods are method names the standard library calls through
+// its own interfaces; an exported method of that name is in use however
+// few callers name it.
+var interfaceMethods = map[string]bool{
+	"Error": true, "String": true, "GoString": true, "Format": true,
+	"ServeHTTP": true, "Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"Read": true, "Write": true, "Close": true, "Seek": true, "ReadAt": true, "WriteTo": true, "ReadFrom": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Is": true, "As": true, "Unwrap": true,
+}
+
+// unusedExports lists the exported functions, methods, variables and
+// constants declared under internal/ that no non-test file outside their
+// own package refers to. Callers are every other package of the module,
+// bench/, cmd/ and examples/ included; internal/testx, which exists for
+// tests, declares nothing here. References are matched by name, without
+// type checking: a package-level identifier by its qualified pkg.Name
+// selector, a method by any selector of its name, or by an interface
+// declaring a method of that name (the method may satisfy it). Entries
+// read "pkg.Name" or "pkg.Type.Method".
+func unusedExports(t *testing.T) map[string]bool {
+	t.Helper()
+	type decl struct{ pkg, name, method string }
+	var decls []decl
+	qualified := map[string]bool{}            // "pkg.Name" named from another package
+	selectors := map[string]map[string]bool{} // selector name -> packages using it
+	declared := map[string]bool{}             // method names some interface declares
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkg, inInternal := strings.CutPrefix(dir, "internal/")
+		imported := map[string]string{} // local name -> internal package
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(p, "geomob/internal/"); ok {
+				local := filepath.Base(rel)
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+				imported[local] = rel
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+					qualified[imported[x.Name]+"."+n.Sel.Name] = true
+				}
+				if selectors[n.Sel.Name] == nil {
+					selectors[n.Sel.Name] = map[string]bool{}
+				}
+				selectors[n.Sel.Name][dir] = true
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						declared[name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		if !inInternal || pkg == "testx" {
+			return nil
+		}
+		for _, dl := range f.Decls {
+			switch dl := dl.(type) {
+			case *ast.FuncDecl:
+				if !dl.Name.IsExported() {
+					continue
+				}
+				if dl.Recv == nil {
+					decls = append(decls, decl{pkg: pkg, name: dl.Name.Name})
+					continue
+				}
+				recv := dl.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.IsExported() {
+					decls = append(decls, decl{pkg: pkg, name: id.Name, method: dl.Name.Name})
+				}
+			case *ast.GenDecl:
+				for _, spec := range dl.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok {
+						for _, name := range vs.Names {
+							if name.IsExported() {
+								decls = append(decls, decl{pkg: pkg, name: name.Name})
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused := map[string]bool{}
+	for _, d := range decls {
+		if d.method == "" {
+			if !qualified[d.pkg+"."+d.name] {
+				unused[d.pkg+"."+d.name] = true
+			}
+			continue
+		}
+		if interfaceMethods[d.method] || declared[d.method] {
+			continue
+		}
+		used := false
+		for dir := range selectors[d.method] {
+			if dir != "internal/"+d.pkg {
+				used = true
+			}
+		}
+		if !used {
+			unused[d.pkg+"."+d.name+"."+d.method] = true
+		}
+	}
+	return unused
+}
+
+// unusedExportsPinned is the unused-export list as it stands. The list
+// only shrinks: each entry is a declaration to delete or unexport, with
+// its tests, unless a caller outside its package appears.
+var unusedExportsPinned = []string{
+	"census.Gazetteer.AllRegions", "census.RegionSet.Centers",
+	"census.RegionSet.MeanPairwiseDistance",
+	"census.RegionSet.TotalPopulation",
+	"cluster.Coordinator.CoverageProbes", "cluster.Coordinator.SpoolStats",
+	"cluster.DecodePartial", "cluster.DefaultQueueDepth",
+	"cluster.DefaultRetryBase", "cluster.DefaultRetryMax",
+	"cluster.EncodePartial", "cluster.ErrUnavailable",
+	"cluster.HTTPShard.Base", "cluster.LocalShard.SlotAggregator",
+	"cluster.Partitioner.Partition", "cluster.Partitioner.Partitions",
+	"core.Analyses",
+	"experiments.DefaultEnv", "experiments.DefaultEnvWithWorkers",
+	"experiments.NewEnv", "experiments.NewEnvContext",
+	"experiments.NewEnvWithOptions", "experiments.PopulationEstimates",
+	"geo.BoundAround", "geo.DecodeGeohash", "geo.Destination",
+	"geo.EncodeGeohash", "geo.ErrBadGeohash", "geo.GeohashCenter",
+	"geo.InitialBearing", "geo.Midpoint", "geo.NewBBox",
+	"index.Grid.CountRadius", "index.KDTree.Nearest",
+	"index.KDTree.NearestWithin", "index.NewGrid", "index.NewKDTree",
+	"index.Resolver.ResolvedCells", "index.Resolver.Tree",
+	"linalg.ErrSingular", "linalg.FromRows", "linalg.Identity",
+	"linalg.Matrix.At", "linalg.Matrix.MaxAbs", "linalg.Matrix.Mul",
+	"linalg.Matrix.MulVec", "linalg.Matrix.T", "linalg.New",
+	"linalg.SolveGauss", "linalg.SolveLeastSquares",
+	"live.Aggregator.BucketIndex", "live.Aggregator.CoverageKey",
+	"live.ErrSnapshotCorrupt", "live.IngestStages", "live.RingCapture.Dirty",
+	"mobility.AreaMapper.NumAreas", "mobility.DisplacementKM",
+	"mobility.MultiScaleMapper.Mapper", "mobility.WaitingSecs",
+	"models.ErrNotFitted",
+	"obs.Gauge.SetInt", "obs.Histogram.CountSum",
+	"obs.Histogram.ObserveSeconds", "obs.LatencyBuckets",
+	"obs.Registry.WritePrometheus",
+	"randx.DiscretePowerLaw", "randx.Exponential", "randx.Pareto",
+	"report.Table.WriteMarkdown",
+	"ring.HashUser", "ring.Mix", "ring.Ring.Owner",
+	"stats.CCDF", "stats.ErrEmpty", "stats.FitPowerLawAuto",
+	"stats.GeometricMean", "stats.Histogram", "stats.KSTwoSample",
+	"stats.MAE", "stats.MAPE", "stats.MinMax", "stats.NormalCDF",
+	"stats.Quantile", "stats.Ranks", "stats.RegIncompleteBeta",
+	"stats.Spearman", "stats.StudentTCDF", "stats.StudentTTwoTailedP",
+	"stats.Sum", "stats.Variance",
+	"svcache.DefaultMaxSnapshots",
+	"synth.Generator.GenerateRange", "synth.Generator.Sites",
+	"tweet.DefaultMaxFrameBytes", "tweet.MaxBatchLen",
+	"tweetdb.ColumnBlock.LatMicro", "tweetdb.ColumnBlock.LonMicro",
+	"tweetdb.Store.Meta", "tweetdb.Store.SegmentLoads",
+	"tweetdb.Store.SetSegmentRecords",
+	"wal.DefaultSegmentBytes", "wal.Spool.Ack",
+}
+
+// TestUnusedExports fails when an exported identifier under internal/
+// loses its last caller outside its package (unexport or delete it), and
+// when a pinned entry gains one or disappears (delete the entry).
+func TestUnusedExports(t *testing.T) {
+	pinned := map[string]bool{}
+	for _, id := range unusedExportsPinned {
+		pinned[id] = true
+	}
+	got := unusedExports(t)
+	for _, id := range slices.Sorted(maps.Keys(got)) {
+		if !pinned[id] {
+			t.Errorf("%s is exported, but no non-test code outside its package uses it: unexport or delete it", id)
+		}
+	}
+	for _, id := range unusedExportsPinned {
+		if !got[id] {
+			t.Errorf("%s is used outside its package now, or gone: delete it from unusedExportsPinned", id)
 		}
 	}
 }
