@@ -15,7 +15,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"io"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -27,7 +26,6 @@ import (
 	"geomob/internal/epidemic"
 	"geomob/internal/experiments"
 	"geomob/internal/geo"
-	"geomob/internal/heatmap"
 	"geomob/internal/index"
 	"geomob/internal/live"
 	"geomob/internal/mobility"
@@ -55,7 +53,7 @@ var (
 func env(b *testing.B) *experiments.Env {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchEnv, benchErr = experiments.DefaultEnv(benchUsers, 42, 43, "")
+		benchEnv, benchErr = experiments.NewEnv(context.Background(), benchUsers, 42, 43, "", 0)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -329,34 +327,9 @@ func BenchmarkHaversine(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkKDTreeNearest measures area assignment lookups.
-func BenchmarkKDTreeNearest(b *testing.B) {
-	rs, err := census.Australia().Regions(census.ScaleNational)
-	if err != nil {
-		b.Fatal(err)
-	}
-	entries := make([]index.Entry, rs.Len())
-	for i, a := range rs.Areas {
-		entries[i] = index.Entry{ID: int64(i), P: a.Center}
-	}
-	tree, err := index.NewKDTree(entries)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := randx.New(3, 4)
-	queries := make([]geo.Point, 1024)
-	for i := range queries {
-		queries[i] = geo.Point{Lat: -44 + rng.Float64()*30, Lon: 114 + rng.Float64()*40}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree.Nearest(queries[i%len(queries)])
-	}
-}
-
 // benchQueryPoints builds the shared query mix for the area-assignment
-// benchmarks: uniform points over the study region, as BenchmarkKDTreeNearest
-// uses, so the two benches are directly comparable.
+// benchmarks: uniform points over the study region, as
+// index.BenchmarkKDTreeNearest uses, so the benches are directly comparable.
 func benchQueryPoints() []geo.Point {
 	rng := randx.New(3, 4)
 	queries := make([]geo.Point, 1024)
@@ -368,7 +341,7 @@ func benchQueryPoints() []geo.Point {
 
 // BenchmarkAreaAssign measures the grid-resolved area assignment — the
 // per-tweet hot path of the study pipeline — on the same entry set and
-// query mix as BenchmarkKDTreeNearest, so the speedup of the precomputed
+// query mix as index.BenchmarkKDTreeNearest, so the speedup of the precomputed
 // resolver over the tree walk reads directly off the two numbers.
 func BenchmarkAreaAssign(b *testing.B) {
 	rs, err := census.Australia().Regions(census.ScaleNational)
@@ -1076,24 +1049,6 @@ func BenchmarkPearsonTest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := stats.PearsonTest(x, y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHeatmapRender measures Fig. 1 rendering.
-func BenchmarkHeatmapRender(b *testing.B) {
-	grid, err := heatmap.NewGrid(geo.AustraliaBBox, 360, 280)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := randx.New(9, 10)
-	for i := 0; i < 100000; i++ {
-		grid.Add(geo.Point{Lat: -34 + rng.NormFloat64(), Lon: 151 + rng.NormFloat64()})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := grid.WritePNG(io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

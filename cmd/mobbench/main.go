@@ -44,7 +44,7 @@ import (
 )
 
 // defaultBenchRegex selects the perf-trajectory benchmarks.
-const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkResolverBuild$|BenchmarkKDTreeNearest$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkLiveColdQuery$|BenchmarkShardResident$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
+const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkResolverBuild$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkLiveColdQuery$|BenchmarkShardResident$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
 
 // BenchResult is one benchmark's parsed measurements. Metric keys are the
 // benchmark units with "/op" trimmed and slashes made JSON-friendly:

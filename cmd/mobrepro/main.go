@@ -44,7 +44,7 @@ func main() {
 
 	started := time.Now()
 	fmt.Printf("mobrepro: generating %d-user corpus (seed %d/%d) and running the study...\n", *users, *seed1, *seed2)
-	env, err := experiments.DefaultEnvContext(ctx, *users, *seed1, *seed2, *outDir, *workers)
+	env, err := experiments.NewEnv(ctx, *users, *seed1, *seed2, *outDir, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -121,7 +120,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !testx.ResultsBitEqual(clusterRes, ref) {
+	if !testx.ValuesBitEqual(clusterRes, ref) {
 		t.Fatal("cluster /v1 result diverges from single-node execute")
 	}
 
@@ -240,58 +239,48 @@ func TestIngestBodyLimit(t *testing.T) {
 }
 
 // downableShard wraps a Shard with an injectable outage: while down,
-// every method answers cluster.ErrUnavailable, exactly like an HTTPShard
-// whose node is unreachable.
+// every method goes to an HTTPShard whose node has shut down, so it
+// answers exactly what an unreachable node does.
 type downableShard struct {
 	inner cluster.Shard
+	dead  cluster.Shard
 	down  atomic.Bool
 }
 
-func (d *downableShard) err() error {
-	return fmt.Errorf("%w: injected outage", cluster.ErrUnavailable)
+// newDownableShard wraps inner; its outage target is a node that has
+// already closed its listener.
+func newDownableShard(t *testing.T, inner cluster.Shard) *downableShard {
+	t.Helper()
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	return &downableShard{inner: inner, dead: cluster.NewHTTPShard(gone.URL, nil)}
+}
+
+// shard is the member currently answering: inner, or dead while down.
+func (d *downableShard) shard() cluster.Shard {
+	if d.down.Load() {
+		return d.dead
+	}
+	return d.inner
 }
 
 func (d *downableShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
-	if d.down.Load() {
-		return d.err()
-	}
-	return d.inner.Deliver(sender, seq, slot, frame)
+	return d.shard().Deliver(sender, seq, slot, frame)
 }
 
-func (d *downableShard) Ingest(b *tweet.Batch) error {
-	if d.down.Load() {
-		return d.err()
-	}
-	return d.inner.Ingest(b)
-}
+func (d *downableShard) Ingest(b *tweet.Batch) error { return d.shard().Ingest(b) }
 
-func (d *downableShard) Flush() error {
-	if d.down.Load() {
-		return d.err()
-	}
-	return d.inner.Flush()
-}
+func (d *downableShard) Flush() error { return d.shard().Flush() }
 
 func (d *downableShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
-	if d.down.Load() {
-		return nil, d.err()
-	}
-	return d.inner.Partials(ctx, req, slots)
+	return d.shard().Partials(ctx, req, slots)
 }
 
 func (d *downableShard) Coverage(ctx context.Context, req core.Request, slots []int) (string, error) {
-	if d.down.Load() {
-		return "", d.err()
-	}
-	return d.inner.Coverage(ctx, req, slots)
+	return d.shard().Coverage(ctx, req, slots)
 }
 
-func (d *downableShard) Health() (cluster.ShardHealth, error) {
-	if d.down.Load() {
-		return cluster.ShardHealth{}, d.err()
-	}
-	return d.inner.Health()
-}
+func (d *downableShard) Health() (cluster.ShardHealth, error) { return d.shard().Health() }
 
 // TestDegradedReadUnavailable is the degraded-read contract on the HTTP
 // surface: with a user-range's only replica down, /v1/population and
@@ -305,7 +294,7 @@ func TestDegradedReadUnavailable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := &downableShard{inner: inner}
+		d := newDownableShard(t, inner)
 		flaky = append(flaky, d)
 		shards = append(shards, d)
 	}

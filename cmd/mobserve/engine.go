@@ -293,8 +293,8 @@ func (e *ringEngine) cachedGet(ctx context.Context, key, source, ckey string, co
 
 // ingest commits durably to the store, resolves the records through the
 // assignment hot path and appends them to the ring. Cached results whose
-// windows do not cover the landed buckets stay warm. The
-// live.IngestStages land on ctx's trace.
+// windows do not cover the landed buckets stay warm. The live ingest
+// stages land on ctx's trace.
 func (e *ringEngine) ingest(ctx context.Context, body io.Reader, binary bool, maxFrame int64) (int, error) {
 	if binary {
 		return e.ing.IngestBinary(ctx, body, maxFrame)

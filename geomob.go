@@ -226,9 +226,6 @@ func NewLiveIngestor(store *Store, agg *LiveAggregator, batchSize int) (*LiveIng
 // answering Study requests by scatter-gather, bit-identical to a
 // single-node pass.
 type (
-	// ClusterPartitioner is the stable user-id hash → partition rule every
-	// node of a cluster must share.
-	ClusterPartitioner = cluster.Partitioner
 	// ClusterShard is one user partition behind a uniform interface
 	// (in-process or remote).
 	ClusterShard = cluster.Shard
@@ -248,9 +245,6 @@ type (
 	// observer state at per-user granularity.
 	ClusterShardPartial = live.ShardPartial
 )
-
-// NewClusterPartitioner builds the stable user→partition hash rule.
-func NewClusterPartitioner(n int) (ClusterPartitioner, error) { return cluster.NewPartitioner(n) }
 
 // NewClusterLocalShard builds an in-process partition over a store (nil
 // for a ring-only shard) with the given ring options.

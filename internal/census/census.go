@@ -185,38 +185,14 @@ func (g *Gazetteer) Regions(s Scale) (RegionSet, error) {
 	}
 }
 
-// AllRegions returns the three region sets in paper order (national, state,
-// metropolitan).
-func (g *Gazetteer) AllRegions() []RegionSet {
-	return []RegionSet{g.sets[0], g.sets[1], g.sets[2]}
-}
-
 // Len returns the number of areas in the set.
 func (rs RegionSet) Len() int { return len(rs.Areas) }
-
-// TotalPopulation returns the summed census population across the set.
-func (rs RegionSet) TotalPopulation() int {
-	var total int
-	for _, a := range rs.Areas {
-		total += a.Population
-	}
-	return total
-}
 
 // Populations returns the per-area populations as float64, in set order.
 func (rs RegionSet) Populations() []float64 {
 	out := make([]float64, len(rs.Areas))
 	for i, a := range rs.Areas {
 		out[i] = float64(a.Population)
-	}
-	return out
-}
-
-// Centers returns the per-area centre coordinates in set order.
-func (rs RegionSet) Centers() []geo.Point {
-	out := make([]geo.Point, len(rs.Areas))
-	for i, a := range rs.Areas {
-		out[i] = a.Center
 	}
 	return out
 }
@@ -229,25 +205,6 @@ func (rs RegionSet) Index(name string) int {
 		}
 	}
 	return -1
-}
-
-// MeanPairwiseDistance returns the mean great-circle distance in metres
-// over all unordered area pairs. The paper reports 1422 km, 341 km and
-// 7.5 km for the three scales.
-func (rs RegionSet) MeanPairwiseDistance() float64 {
-	n := len(rs.Areas)
-	if n < 2 {
-		return 0
-	}
-	var sum float64
-	var count int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sum += geo.Haversine(rs.Areas[i].Center, rs.Areas[j].Center)
-			count++
-		}
-	}
-	return sum / float64(count)
 }
 
 // Validate checks structural invariants: non-empty, valid coordinates,

@@ -46,45 +46,8 @@
 // by restarting it over its own store, after which its lane replays
 // whatever the spool still owes it.
 //
-// Partitioner remains as the PR 5 modulo-placement rule for the
-// in-process -partitions mode's store layout; ring placement supersedes
-// it for cluster routing.
+// Placement is ring slot placement everywhere, the in-process
+// -partitions mode included: ring.SlotOf mixes a user id through the
+// SplitMix64 finalizer and takes the top bits as one of
+// ring.Slots slots, and the ring maps each slot to its replicas.
 package cluster
-
-import "fmt"
-
-// Partitioner assigns users to partitions by a stable hash of the user
-// id. Every record of one user — and hence every consecutive-tweet
-// transition the mobility analyses depend on — lands on the same shard,
-// which is the entire exactness argument of the scatter-gather merge.
-// The hash is a fixed function of the user id alone (no seed, no
-// process state), so any node, in any process, on any day, routes a
-// user identically.
-type Partitioner struct {
-	n int
-}
-
-// NewPartitioner builds a partitioner over n partitions.
-func NewPartitioner(n int) (Partitioner, error) {
-	if n < 1 {
-		return Partitioner{}, fmt.Errorf("cluster: partition count must be positive, got %d", n)
-	}
-	return Partitioner{n: n}, nil
-}
-
-// Partitions returns the partition count.
-func (p Partitioner) Partitions() int { return p.n }
-
-// Partition maps a user id to its owning partition in [0, Partitions()).
-// User ids are assigned densely by upstream systems, so the id is mixed
-// through the SplitMix64 finalizer before the modulus — adjacent ids
-// spread uniformly instead of striping.
-func (p Partitioner) Partition(userID int64) int {
-	z := uint64(userID)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int(z % uint64(p.n))
-}

@@ -23,51 +23,6 @@ import (
 	"geomob/internal/wal"
 )
 
-func TestPartitionerStability(t *testing.T) {
-	if _, err := NewPartitioner(0); err == nil {
-		t.Fatal("zero partitions accepted")
-	}
-	p1, err := NewPartitioner(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p8, err := NewPartitioner(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, 8)
-	for id := int64(0); id < 100_000; id++ {
-		if got := p1.Partition(id); got != 0 {
-			t.Fatalf("1-way partition of %d = %d", id, got)
-		}
-		k := p8.Partition(id)
-		if k < 0 || k >= 8 {
-			t.Fatalf("8-way partition of %d = %d, out of range", id, k)
-		}
-		if k != p8.Partition(id) {
-			t.Fatalf("partition of %d is not deterministic", id)
-		}
-		counts[k]++
-	}
-	// Dense ids must spread, not stripe: every partition within 10% of
-	// uniform over 100k ids (binomial deviation is far below that).
-	for k, c := range counts {
-		if c < 11_250 || c > 13_750 {
-			t.Fatalf("partition %d holds %d of 100000 dense ids; want ~12500", k, c)
-		}
-	}
-	// The rule is a pure function of the id — pin a few values so an
-	// accidental hash change (which would strand every stored partition)
-	// fails loudly.
-	pinned := map[int64]int{0: p8.Partition(0), 1: p8.Partition(1), 1 << 40: p8.Partition(1 << 40)}
-	again, _ := NewPartitioner(8)
-	for id, want := range pinned {
-		if got := again.Partition(id); got != want {
-			t.Fatalf("partition of %d changed between instances: %d vs %d", id, got, want)
-		}
-	}
-}
-
 // TestHTTPClusterMatchesExecute drives the full wire path — coordinator →
 // HTTPShard → Node → LocalShard and back through the binary partial codec
 // — and checks the answer is still bit-identical to a single-node pass.
@@ -127,13 +82,13 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !testx.ResultsBitEqual(res, ref) {
+	if !testx.ValuesBitEqual(res, ref) {
 		t.Fatal("http scatter-gather diverges from single-node execute")
 	}
 
 	// Warm repeat across the wire: served from the coordinator cache.
 	res2, cached, err := coord.Query(req)
-	if err != nil || !cached || !testx.ResultsBitEqual(res2, ref) {
+	if err != nil || !cached || !testx.ValuesBitEqual(res2, ref) {
 		t.Fatalf("warm http repeat: cached=%v err=%v", cached, err)
 	}
 
@@ -288,7 +243,7 @@ func TestCoordinatorRejectsTooManyMembers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+	if !testx.ValuesBitEqual(res, singleNodeRef(t, all, req)) {
 		t.Fatal("64-member answer diverges from single-node execute")
 	}
 }

@@ -54,8 +54,8 @@ const (
 	flagMetro byte = 1 << 2
 )
 
-// EncodePartial renders p in the wire format.
-func EncodePartial(p *live.ShardPartial) []byte {
+// encodePartial renders p in the wire format.
+func encodePartial(p *live.ShardPartial) []byte {
 	var w wireWriter
 	w.u32(partialMagic)
 	w.u16(partialVersion)
@@ -130,9 +130,9 @@ func EncodePartial(p *live.ShardPartial) []byte {
 	return w.buf
 }
 
-// DecodePartial parses the wire format back into a ShardPartial,
+// decodePartial parses the wire format back into a ShardPartial,
 // re-attaching area metadata from the embedded gazetteer.
-func DecodePartial(data []byte) (*live.ShardPartial, error) {
+func decodePartial(data []byte) (*live.ShardPartial, error) {
 	r := wireReader{buf: data}
 	if m := r.u32(); m != partialMagic && r.err == nil {
 		return nil, fmt.Errorf("cluster: partial codec: bad magic %#x", m)
@@ -272,7 +272,7 @@ func EncodePartials(ps []*live.ShardPartial) []byte {
 	var w wireWriter
 	w.u32(uint32(len(ps)))
 	for _, p := range ps {
-		enc := EncodePartial(p)
+		enc := encodePartial(p)
 		w.u32(uint32(len(enc)))
 		w.buf = append(w.buf, enc...)
 	}
@@ -296,7 +296,7 @@ func DecodePartials(data []byte) ([]*live.ShardPartial, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		p, err := DecodePartial(blob)
+		p, err := decodePartial(blob)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: partial %d of %d: %w", i, n, err)
 		}

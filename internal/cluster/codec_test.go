@@ -68,8 +68,8 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("req %d (%s): fold partial: %v", ri, req.Key(), err)
 		}
-		data := EncodePartial(p)
-		q, err := DecodePartial(data)
+		data := encodePartial(p)
+		q, err := decodePartial(data)
 		if err != nil {
 			t.Fatalf("req %d (%s): decode: %v", ri, req.Key(), err)
 		}
@@ -89,28 +89,28 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := EncodePartial(p)
+	data := encodePartial(p)
 
-	if _, err := DecodePartial(data[:0]); err == nil {
+	if _, err := decodePartial(data[:0]); err == nil {
 		t.Fatal("empty buffer decoded")
 	}
 	for _, cut := range []int{1, 7, len(data) / 2, len(data) - 1} {
-		if _, err := DecodePartial(data[:cut]); err == nil {
+		if _, err := decodePartial(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded", cut)
 		}
 	}
-	if _, err := DecodePartial(append(append([]byte(nil), data...), 0)); err == nil {
+	if _, err := decodePartial(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	bad := append([]byte(nil), data...)
 	bad[0] ^= 0xff
-	if _, err := DecodePartial(bad); err == nil {
+	if _, err := decodePartial(bad); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	for _, ver := range []byte{1, 2, 9} {
 		bad := append([]byte(nil), data...)
 		bad[4], bad[5] = ver, 0
-		if _, err := DecodePartial(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		if _, err := decodePartial(bad); err == nil || !strings.Contains(err.Error(), "unsupported version") {
 			t.Fatalf("version %d: %v, want unsupported version", ver, err)
 		}
 	}
@@ -121,14 +121,14 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 	if p, err = agg.FoldPartial(core.Request{Analyses: []core.Analysis{core.AnalysisStats}}); err != nil {
 		t.Fatal(err)
 	}
-	data = EncodePartial(p)
+	data = encodePartial(p)
 	const userCountAt = 4 + 2 + 1 + 8 + 4*8 + 2*8 + 2
 	if got := binary.LittleEndian.Uint32(data[userCountAt:]); int(got) != len(p.Users) {
 		t.Fatalf("user count at byte %d reads %d, fold has %d users", userCountAt, got, len(p.Users))
 	}
 	claim := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint32(claim[userCountAt:], uint32((len(data)-userCountAt-4)/userWireBytes+1))
-	if _, err := DecodePartial(claim); err == nil || !strings.Contains(err.Error(), "user count") {
+	if _, err := decodePartial(claim); err == nil || !strings.Contains(err.Error(), "user count") {
 		t.Fatalf("over-claimed user count: %v", err)
 	}
 	list := EncodePartials([]*live.ShardPartial{p})
@@ -160,7 +160,7 @@ func TestPartialCodecRejectsCorruption(t *testing.T) {
 		q := *p
 		q.Users = append([]live.UserTrajectory(nil), p.Users...)
 		tc.damage(q.Users)
-		if _, err := DecodePartial(EncodePartial(&q)); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := decodePartial(encodePartial(&q)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}

@@ -73,12 +73,12 @@ type CoordinatorOptions struct {
 	// frame size, not the number of fsyncs a small request pays.
 	BatchSize int
 	// QueueDepth bounds each delivery lane's staged frames; zero means
-	// DefaultQueueDepth. Overflow is not lost and does not block the
+	// 4 × ring.Slots. Overflow is not lost and does not block the
 	// feed: it stays in the spool and the lane refills as it drains, so
 	// a dead shard costs bounded coordinator memory.
 	QueueDepth int
-	// CacheSize bounds the snapshot cache; zero means
-	// svcache.DefaultMaxSnapshots.
+	// CacheSize bounds the snapshot cache; zero means the svcache
+	// default (128 entries).
 	CacheSize int
 	// Replication is the ring's replica factor R: every placement slot
 	// is delivered to R members (clamped to the member count) and any
@@ -93,18 +93,18 @@ type CoordinatorOptions struct {
 	// durability.
 	WALDir string
 	// RetryBase/RetryMax bound the lanes' exponential delivery backoff;
-	// zero means DefaultRetryBase/DefaultRetryMax.
+	// zero means 100 ms and 5 s.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 }
 
 const (
-	// DefaultQueueDepth stages up to four full flush cycles of slot
+	// defaultQueueDepth stages up to four full flush cycles of slot
 	// frames per lane before spilling to the spool.
-	DefaultQueueDepth = 4 * ring.Slots
-	// DefaultRetryBase/DefaultRetryMax bound delivery backoff.
-	DefaultRetryBase = 100 * time.Millisecond
-	DefaultRetryMax  = 5 * time.Second
+	defaultQueueDepth = 4 * ring.Slots
+	// defaultRetryBase/defaultRetryMax bound delivery backoff.
+	defaultRetryBase = 100 * time.Millisecond
+	defaultRetryMax  = 5 * time.Second
 )
 
 // Coordinator is the cluster front door: it routes ingest records into
@@ -140,7 +140,6 @@ type Coordinator struct {
 
 	ingested       atomic.Int64 // records accepted (spooled)
 	partialFetches atomic.Int64 // shard fold RPCs issued
-	coverageProbes atomic.Int64 // shard coverage RPCs issued
 }
 
 // memberName names ring member i; names are positional so a WAL-backed
@@ -189,13 +188,13 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 		c.batch = 4096
 	}
 	if c.depth <= 0 {
-		c.depth = DefaultQueueDepth
+		c.depth = defaultQueueDepth
 	}
 	if c.retryBase <= 0 {
-		c.retryBase = DefaultRetryBase
+		c.retryBase = defaultRetryBase
 	}
 	if c.retryMax < c.retryBase {
-		c.retryMax = DefaultRetryMax
+		c.retryMax = defaultRetryMax
 	}
 	if opts.WALDir != "" {
 		sp, err := wal.Open(wal.Options{Dir: opts.WALDir})
@@ -231,17 +230,11 @@ func (c *Coordinator) Ingested() int64 { return c.ingested.Load() }
 // assertion).
 func (c *Coordinator) PartialFetches() int64 { return c.partialFetches.Load() }
 
-// CoverageProbes returns the number of shard coverage RPCs issued.
-func (c *Coordinator) CoverageProbes() int64 { return c.coverageProbes.Load() }
-
 // CacheStats exposes the snapshot cache counters.
 func (c *Coordinator) CacheStats() (hits, misses int64) { return c.cache.Stats() }
 
 // SenderID exposes the spool's delivery identity (tests).
 func (c *Coordinator) SenderID() string { return c.sp.SenderID() }
-
-// SpoolStats exposes the spool's pending counters.
-func (c *Coordinator) SpoolStats() wal.Stats { return c.sp.Stats() }
 
 // Add routes one record into its placement slot's buffer, shipping the
 // slot when the buffer fills. Safe for concurrent use. Acceptance (a
@@ -481,7 +474,7 @@ func (c *Coordinator) IngestNDJSON(ctx context.Context, r io.Reader) (int, error
 // IngestBinary drains a binary batch stream through the coordinator and
 // flushes at the end — the cluster-mode twin of
 // live.Ingestor.IngestBinary, with IngestNDJSON's trace stages. maxFrame
-// bounds one frame (0 selects tweet.DefaultMaxFrameBytes).
+// bounds one frame (0 selects the tweet package's 64 MiB default).
 func (c *Coordinator) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
 	st, t0 := &ingestStages{}, time.Now()
 	n, err := live.DrainBinary(r, maxFrame,
@@ -504,7 +497,7 @@ type UnavailableError struct {
 }
 
 // UserRanges renders the unavailable slots' contiguous user-hash
-// ranges (inclusive, over ring.HashUser space).
+// ranges (inclusive, over the ring's user-hash space).
 func (e *UnavailableError) UserRanges() []string {
 	out := make([]string, len(e.Slots))
 	for i, k := range e.Slots {
@@ -689,7 +682,6 @@ func (c *Coordinator) coverageScatter(ctx context.Context, req core.Request, gro
 	}
 	ch := make(chan probe, len(groups))
 	for nd, slots := range groups {
-		c.coverageProbes.Add(1)
 		mClusterProbes.Inc()
 		go func(nd int, slots []int) {
 			key, err := c.shards[nd].Coverage(ctx, req, slots)

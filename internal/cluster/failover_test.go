@@ -53,7 +53,7 @@ func (c *chaosShard) get() (Shard, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.down {
-		return nil, fmt.Errorf("%w: injected crash", ErrUnavailable)
+		return nil, fmt.Errorf("%w: injected crash", errUnavailable)
 	}
 	return c.inner, nil
 }
@@ -90,7 +90,7 @@ func (c *chaosShard) Partials(ctx context.Context, req core.Request, slots []int
 	}
 	c.mu.Unlock()
 	if fail {
-		return nil, fmt.Errorf("%w: injected crash mid-fetch", ErrUnavailable)
+		return nil, fmt.Errorf("%w: injected crash mid-fetch", errUnavailable)
 	}
 	s, err := c.get()
 	if err != nil {
@@ -250,7 +250,7 @@ func TestLaneRedeliveryAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+	if !testx.ValuesBitEqual(res, singleNodeRef(t, all, req)) {
 		t.Fatal("post-recovery scatter-gather diverges from single-node execute")
 	}
 }
@@ -303,7 +303,7 @@ func TestQueryFailoverReplicated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("kill %d req %d: %v", kill, i, err)
 			}
-			if !testx.ResultsBitEqual(res, refs[i]) {
+			if !testx.ValuesBitEqual(res, refs[i]) {
 				t.Fatalf("kill %d req %d: failover answer diverges", kill, i)
 			}
 		}
@@ -396,7 +396,7 @@ func TestFetchFailoverMidQuery(t *testing.T) {
 		if err != nil || cached {
 			t.Fatalf("kill %d: cached=%v err=%v", kill, cached, err)
 		}
-		if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+		if !testx.ValuesBitEqual(res, singleNodeRef(t, all, req)) {
 			t.Fatalf("kill %d: failover mid-fetch diverges from single-node execute", kill)
 		}
 		// One fetch per healthy first-round node, then one per node the
@@ -543,7 +543,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !testx.ResultsBitEqual(res, singleNodeRef(t, all, req)) {
+	if !testx.ValuesBitEqual(res, singleNodeRef(t, all, req)) {
 		t.Fatal("post-restart recovered cluster diverges from single-node execute")
 	}
 }
@@ -616,7 +616,7 @@ func TestClusterChaosProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("req %d during outage: %v", i, err)
 		}
-		if !testx.ResultsBitEqual(res, refs[i]) {
+		if !testx.ValuesBitEqual(res, refs[i]) {
 			t.Fatalf("req %d during outage diverges from single-node execute", i)
 		}
 	}
@@ -641,7 +641,7 @@ func TestClusterChaosProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("req %d with member %d down post-recovery: %v", i, kill, err)
 			}
-			if !testx.ResultsBitEqual(res, refs[i]) {
+			if !testx.ValuesBitEqual(res, refs[i]) {
 				t.Fatalf("req %d with member %d down post-recovery diverges", i, kill)
 			}
 		}

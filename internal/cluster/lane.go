@@ -9,20 +9,20 @@ import (
 	"geomob/internal/obs"
 )
 
-// ErrUnavailable marks a shard that cannot currently be reached — a
+// errUnavailable marks a shard that cannot currently be reached — a
 // transport failure or a 5xx from its node. The coordinator's query
 // path fails over to another replica on it; the delivery lanes retry
 // it with backoff. Sentinel fold errors (live.ErrNotCovered,
 // live.ErrEvicted) are deliberately NOT unavailability: every replica
 // would answer them identically, so failing over is pointless.
-var ErrUnavailable = errors.New("cluster: shard unavailable")
+var errUnavailable = errors.New("cluster: shard unavailable")
 
 // errPermanent marks a delivery the shard actively rejected (4xx): a
 // retry loop would never succeed, so the lane drops the frame, counts
 // it, and latches the error instead of wedging the queue forever.
 var errPermanent = errors.New("cluster: delivery permanently rejected")
 
-func isUnavailable(err error) bool { return errors.Is(err, ErrUnavailable) }
+func isUnavailable(err error) bool { return errors.Is(err, errUnavailable) }
 
 func permanentDeliveryError(err error) bool {
 	return errors.Is(err, errPermanent) || errors.Is(err, live.ErrBadInput)

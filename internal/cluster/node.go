@@ -41,7 +41,7 @@ import (
 //	400 caller's request/records   422 live.ErrNotCovered
 //	410 live.ErrEvicted            413 body or line too large
 //
-// Any transport failure or 5xx wraps ErrUnavailable on the client side
+// Any transport failure or 5xx wraps errUnavailable on the client side
 // — the coordinator's signal to fail a query over to another replica
 // and to keep a delivery spooled for retry.
 const (
@@ -372,7 +372,7 @@ func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // HTTPShard talks to a remote Node. It implements Shard, translating
 // the wire statuses back into the errors LocalShard reports — sentinel
 // fold errors stay sentinels, transport failures and 5xx wrap
-// ErrUnavailable, and a 4xx delivery rejection wraps errPermanent — so
+// errUnavailable, and a 4xx delivery rejection wraps errPermanent — so
 // the coordinator's failover and retry behaviour is
 // transport-independent.
 type HTTPShard struct {
@@ -397,9 +397,6 @@ func NewHTTPShard(base string, hc *http.Client) *HTTPShard {
 	}
 }
 
-// Base returns the shard node's base URL.
-func (s *HTTPShard) Base() string { return s.base }
-
 // ScrapeMetrics implements MetricsScraper: it fetches the member's raw
 // /metrics exposition for federation. The delivery client's short
 // timeout applies — a federated scrape must fail fast and render the
@@ -411,7 +408,7 @@ func (s *HTTPShard) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	}
 	resp, err := s.dc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: shard %s metrics: %v", ErrUnavailable, s.base, err)
+		return nil, fmt.Errorf("%w: shard %s metrics: %v", errUnavailable, s.base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -430,7 +427,7 @@ func (s *HTTPShard) Ingest(b *tweet.Batch) error {
 	}
 	resp, err := s.hc.Post(s.base+pathIngest, tweet.BatchContentType, bytes.NewReader(frame))
 	if err != nil {
-		return fmt.Errorf("%w: shard %s ingest: %v", ErrUnavailable, s.base, err)
+		return fmt.Errorf("%w: shard %s ingest: %v", errUnavailable, s.base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -445,7 +442,7 @@ func (s *HTTPShard) Flush() error { return nil }
 
 // Deliver implements Shard: the frame POSTs with its identity in the
 // query string. A transport failure or 5xx is retriable
-// (ErrUnavailable — the record stays spooled); any other rejection is
+// (errUnavailable — the record stays spooled); any other rejection is
 // permanent (errPermanent — the lane drops and counts it).
 func (s *HTTPShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
 	q := url.Values{}
@@ -454,7 +451,7 @@ func (s *HTTPShard) Deliver(sender string, seq uint64, slot int, frame []byte) e
 	q.Set("slot", strconv.Itoa(slot))
 	resp, err := s.dc.Post(s.base+pathDeliver+"?"+q.Encode(), tweet.BatchContentType, bytes.NewReader(frame))
 	if err != nil {
-		return fmt.Errorf("%w: shard %s deliver: %v", ErrUnavailable, s.base, err)
+		return fmt.Errorf("%w: shard %s deliver: %v", errUnavailable, s.base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
@@ -464,7 +461,7 @@ func (s *HTTPShard) Deliver(sender string, seq uint64, slot int, frame []byte) e
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	detail := strings.TrimSpace(string(msg))
 	if resp.StatusCode >= 500 {
-		return fmt.Errorf("%w: shard %s deliver: http %d: %s", ErrUnavailable, s.base, resp.StatusCode, detail)
+		return fmt.Errorf("%w: shard %s deliver: http %d: %s", errUnavailable, s.base, resp.StatusCode, detail)
 	}
 	return fmt.Errorf("%w: shard %s deliver: http %d: %s", errPermanent, s.base, resp.StatusCode, detail)
 }
@@ -478,7 +475,7 @@ func (s *HTTPShard) DeliverBatch(sender string, ds []Delivery) error {
 	body := appendDeliveries(nil, ds)
 	resp, err := s.dc.Post(s.base+pathDeliverBatch+"?"+q.Encode(), "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("%w: shard %s deliver-batch: %v", ErrUnavailable, s.base, err)
+		return fmt.Errorf("%w: shard %s deliver-batch: %v", errUnavailable, s.base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
@@ -488,7 +485,7 @@ func (s *HTTPShard) DeliverBatch(sender string, ds []Delivery) error {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	detail := strings.TrimSpace(string(msg))
 	if resp.StatusCode >= 500 {
-		return fmt.Errorf("%w: shard %s deliver-batch: http %d: %s", ErrUnavailable, s.base, resp.StatusCode, detail)
+		return fmt.Errorf("%w: shard %s deliver-batch: http %d: %s", errUnavailable, s.base, resp.StatusCode, detail)
 	}
 	return fmt.Errorf("%w: shard %s deliver-batch: http %d: %s", errPermanent, s.base, resp.StatusCode, detail)
 }
@@ -515,7 +512,7 @@ func (s *HTTPShard) post(ctx context.Context, path string, req core.Request, slo
 	}
 	resp, err := s.hc.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("%w: shard %s %s: %v", ErrUnavailable, s.base, path, err)
+		return nil, fmt.Errorf("%w: shard %s %s: %v", errUnavailable, s.base, path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
@@ -525,7 +522,7 @@ func (s *HTTPShard) post(ctx context.Context, path string, req core.Request, slo
 }
 
 // statusError reconstructs the sentinel for a non-200 response: fold
-// sentinels by status, 5xx as ErrUnavailable (the node is up enough to
+// sentinels by status, 5xx as errUnavailable (the node is up enough to
 // answer but failing — its replicas should serve), anything else as a
 // plain error.
 func (s *HTTPShard) statusError(what string, resp *http.Response) error {
@@ -537,7 +534,7 @@ func (s *HTTPShard) statusError(what string, resp *http.Response) error {
 	case resp.StatusCode == http.StatusGone:
 		return fmt.Errorf("%w (shard %s: %s)", live.ErrEvicted, s.base, detail)
 	case resp.StatusCode >= 500:
-		return fmt.Errorf("%w: shard %s %s: http %d: %s", ErrUnavailable, s.base, what, resp.StatusCode, detail)
+		return fmt.Errorf("%w: shard %s %s: http %d: %s", errUnavailable, s.base, what, resp.StatusCode, detail)
 	}
 	return fmt.Errorf("cluster: shard %s %s: http %d: %s", s.base, what, resp.StatusCode, detail)
 }
@@ -552,7 +549,7 @@ func (s *HTTPShard) Partials(ctx context.Context, req core.Request, slots []int)
 	// One buffer of the declared length (bounded), not one grown by doubling.
 	buf := bytes.NewBuffer(make([]byte, 0, min(max(resp.ContentLength, 0), 64<<20)+bytes.MinRead))
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		return nil, fmt.Errorf("%w: shard %s partials: %v", ErrUnavailable, s.base, err)
+		return nil, fmt.Errorf("%w: shard %s partials: %v", errUnavailable, s.base, err)
 	}
 	return DecodePartials(buf.Bytes())
 }
@@ -568,7 +565,7 @@ func (s *HTTPShard) Coverage(ctx context.Context, req core.Request, slots []int)
 		Coverage string `json:"coverage"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return "", fmt.Errorf("%w: shard %s coverage: %v", ErrUnavailable, s.base, err)
+		return "", fmt.Errorf("%w: shard %s coverage: %v", errUnavailable, s.base, err)
 	}
 	return out.Coverage, nil
 }
@@ -577,7 +574,7 @@ func (s *HTTPShard) Coverage(ctx context.Context, req core.Request, slots []int)
 func (s *HTTPShard) Health() (ShardHealth, error) {
 	resp, err := s.hc.Get(s.base + pathHealth)
 	if err != nil {
-		return ShardHealth{}, fmt.Errorf("%w: shard %s health: %v", ErrUnavailable, s.base, err)
+		return ShardHealth{}, fmt.Errorf("%w: shard %s health: %v", errUnavailable, s.base, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -587,7 +584,7 @@ func (s *HTTPShard) Health() (ShardHealth, error) {
 		Shard ShardHealth `json:"shard"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return ShardHealth{}, fmt.Errorf("%w: shard %s health: %v", ErrUnavailable, s.base, err)
+		return ShardHealth{}, fmt.Errorf("%w: shard %s health: %v", errUnavailable, s.base, err)
 	}
 	return out.Shard, nil
 }

@@ -85,7 +85,7 @@ func buildClusterProperty(t *testing.T) *clusterProperty {
 	}
 	for i := 0; i < 4; i++ {
 		from, to := randWindow()
-		an := core.Analyses()[rng.Intn(4)]
+		an := []core.Analysis{core.AnalysisStats, core.AnalysisPopulation, core.AnalysisMobility, core.AnalysisFlows}[rng.Intn(4)]
 		req := core.Request{Analyses: []core.Analysis{an}, From: from, To: to}
 		if rng.Intn(2) == 0 {
 			req.Scales = []census.Scale{census.Scales()[rng.Intn(3)]}
@@ -114,7 +114,7 @@ func buildClusterProperty(t *testing.T) *clusterProperty {
 		// worker count's.
 		if ri == 0 {
 			ref8, err8 := study8.Execute(context.Background(), req)
-			if err8 != nil || !testx.ResultsBitEqual(ref, ref8) {
+			if err8 != nil || !testx.ValuesBitEqual(ref, ref8) {
 				t.Fatalf("req 0: workers 1 and 8 diverge (err8=%v)", err8)
 			}
 		}
@@ -202,7 +202,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 				if cached {
 					t.Fatalf("req %d (%s): first query reported cached", ri, req.Key())
 				}
-				if !testx.ResultsBitEqual(res, prop.refs[ri]) {
+				if !testx.ValuesBitEqual(res, prop.refs[ri]) {
 					t.Fatalf("req %d (%s): %d-shard scatter-gather diverges from single-node execute", ri, req.Key(), n)
 				}
 			}
@@ -223,7 +223,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 				if err != nil || !cached {
 					t.Fatalf("req %d (%s): warm repeat cached=%v err=%v", ri, req.Key(), cached, err)
 				}
-				if !testx.ResultsBitEqual(res, prop.refs[ri]) {
+				if !testx.ValuesBitEqual(res, prop.refs[ri]) {
 					t.Fatalf("req %d (%s): warm repeat diverges", ri, req.Key())
 				}
 			}
@@ -260,7 +260,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !testx.ResultsBitEqual(res, ref) {
+			if !testx.ValuesBitEqual(res, ref) {
 				t.Fatal("post-append scatter-gather diverges from single-node execute")
 			}
 		})

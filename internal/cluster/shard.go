@@ -257,9 +257,6 @@ func (s *LocalShard) Store() *tweetdb.Store { return s.store }
 // Shape exposes the shared assignment machinery.
 func (s *LocalShard) Shape() *live.Shape { return s.shape }
 
-// SlotAggregator exposes one placement slot's bucket ring (tests).
-func (s *LocalShard) SlotAggregator(slot int) *live.Aggregator { return s.aggs[slot] }
-
 // ResidentBytes sums the heap the slot rings hold, by kind.
 func (s *LocalShard) ResidentBytes() live.ResidentBytes {
 	var sum live.ResidentBytes

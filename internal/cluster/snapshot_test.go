@@ -138,7 +138,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 		t.Fatalf("tail restart replayed %d records over %d segments, want %d records",
 			rec.TailRecords, rec.TailSegments, len(all)-cut)
 	}
-	if !testx.ResultsBitEqual(queryShard(t, s2, req), ref) {
+	if !testx.ValuesBitEqual(queryShard(t, s2, req), ref) {
 		t.Fatal("tail-restart answer diverges from single-node execute")
 	}
 
@@ -163,7 +163,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if got := store3.ScanCount(); got != 0 {
 		t.Fatalf("clean restart scanned the store %d times, want 0", got)
 	}
-	if !testx.ResultsBitEqual(queryShard(t, s3, req), ref) {
+	if !testx.ValuesBitEqual(queryShard(t, s3, req), ref) {
 		t.Fatal("clean-restart answer diverges from single-node execute")
 	}
 	h, err := s3.Health()
@@ -191,7 +191,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if rec.FullRescan || rec.SnapErrors != 1 || rec.Backfilled != 1 {
 		t.Fatalf("corrupt-blob recovery should degrade exactly one bucket: %+v", rec)
 	}
-	if !testx.ResultsBitEqual(queryShard(t, s4, req), ref) {
+	if !testx.ValuesBitEqual(queryShard(t, s4, req), ref) {
 		t.Fatal("corrupt-blob restart answer diverges from single-node execute")
 	}
 }

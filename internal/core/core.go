@@ -232,8 +232,8 @@ const (
 	AnalysisFlows Analysis = "flows"
 )
 
-// Analyses returns every analysis in canonical order.
-func Analyses() []Analysis {
+// analyses returns every analysis in canonical order.
+func analyses() []Analysis {
 	return []Analysis{AnalysisStats, AnalysisPopulation, AnalysisMobility, AnalysisFlows}
 }
 
@@ -269,7 +269,7 @@ type Request struct {
 func (r Request) Key() string {
 	want := analysisSet(r.Analyses)
 	var as []string
-	for _, a := range Analyses() {
+	for _, a := range analyses() {
 		if want[a] {
 			as = append(as, string(a))
 		}

@@ -25,7 +25,7 @@ import (
 type PlanInfo struct {
 	// Analyses is the canonical analysis set (empty input expands to the
 	// full study; flows are dropped when mobility subsumes them), in
-	// Analyses() order.
+	// analyses() order.
 	Analyses []Analysis
 	// Scales are the plan's scales in plan order (request order, deduped;
 	// all three when the request named none). Empty for stats-only plans,
@@ -64,7 +64,7 @@ func PlanRequest(req Request) (*PlanInfo, error) {
 		ToTS:     p.toTS,
 		HasTo:    p.hasTo,
 	}
-	for _, a := range Analyses() {
+	for _, a := range analyses() {
 		if p.want[a] {
 			info.Analyses = append(info.Analyses, a)
 		}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"geomob/internal/geo"
-	"geomob/internal/heatmap"
 	"geomob/internal/mobility"
 	"geomob/internal/report"
 	"geomob/internal/stats"
@@ -67,27 +66,27 @@ func heavyPaper(k int) string {
 
 // Figure1 regenerates the tweet-density map of Australia (Fig. 1) on a
 // 360×280 grid, writing figure1.png and figure1.txt when configured.
-func Figure1(env *Env) (*heatmap.Grid, error) {
-	grid, err := heatmap.NewGrid(geo.AustraliaBBox, 360, 280)
+func Figure1(env *Env) (*DensityGrid, error) {
+	grid, err := newDensityGrid(geo.AustraliaBBox, 360, 280)
 	if err != nil {
 		return nil, err
 	}
 	for _, tw := range env.Tweets {
-		grid.Add(tw.Point())
+		grid.add(tw.Point())
 	}
-	if err := env.writeArtefact("figure1.png", grid.WritePNG); err != nil {
+	if err := env.writeArtefact("figure1.png", grid.writePNG); err != nil {
 		return nil, err
 	}
 	if err := env.writeArtefact("figure1.txt", func(w io.Writer) error {
 		// A coarser companion grid keeps the ASCII render terminal-sized.
-		small, err := heatmap.NewGrid(geo.AustraliaBBox, 110, 42)
+		small, err := newDensityGrid(geo.AustraliaBBox, 110, 42)
 		if err != nil {
 			return err
 		}
 		for _, tw := range env.Tweets {
-			small.Add(tw.Point())
+			small.add(tw.Point())
 		}
-		return small.WriteASCII(w)
+		return small.writeASCII(w)
 	}); err != nil {
 		return nil, err
 	}

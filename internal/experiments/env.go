@@ -28,24 +28,17 @@ type Env struct {
 	OutDir string            // when non-empty, experiments write artefacts here
 }
 
-// NewEnv generates the corpus for cfg, runs the full study with default
-// options, and prepares outDir (which may be empty to skip writing
-// artefacts).
-func NewEnv(cfg synth.Config, outDir string) (*Env, error) {
-	return NewEnvWithOptions(cfg, outDir, core.StudyOptions{})
-}
-
-// NewEnvWithOptions is NewEnv with explicit study execution options, which
-// also apply to every study rerun the ablations perform.
-func NewEnvWithOptions(cfg synth.Config, outDir string, opts core.StudyOptions) (*Env, error) {
-	return NewEnvContext(context.Background(), cfg, outDir, opts)
-}
-
-// NewEnvContext is NewEnvWithOptions under a cancellation context: the
-// full-study pass aborts promptly (with an error wrapping ctx.Err()) when
-// ctx is cancelled, so an interrupted reproduction run stops mid-scan
-// instead of finishing a multi-minute pass nobody will read.
-func NewEnvContext(ctx context.Context, cfg synth.Config, outDir string, opts core.StudyOptions) (*Env, error) {
+// NewEnv generates the calibrated default corpus at the given scale
+// (number of users) and seeds, runs the full study with the given worker
+// count (0 means one worker per CPU; every rerun the ablations perform
+// uses it too), and prepares outDir (which may be empty to skip writing
+// artefacts). The full-study pass aborts promptly (with an error wrapping
+// ctx.Err()) when ctx is cancelled, so an interrupted reproduction run
+// stops mid-scan instead of finishing a multi-minute pass nobody will
+// read.
+func NewEnv(ctx context.Context, users int, seed1, seed2 uint64, outDir string, workers int) (*Env, error) {
+	cfg := synth.DefaultConfig(users, seed1, seed2)
+	opts := core.StudyOptions{Workers: workers}
 	gen, err := synth.NewGenerator(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
@@ -65,23 +58,6 @@ func NewEnvContext(ctx context.Context, cfg synth.Config, outDir string, opts co
 		}
 	}
 	return &Env{Config: cfg, Tweets: tweets, Study: study, Result: result, Opts: opts, OutDir: outDir}, nil
-}
-
-// DefaultEnv builds an Env with the calibrated default corpus at the given
-// scale (number of users) and seed.
-func DefaultEnv(users int, seed1, seed2 uint64, outDir string) (*Env, error) {
-	return NewEnv(synth.DefaultConfig(users, seed1, seed2), outDir)
-}
-
-// DefaultEnvWithWorkers is DefaultEnv with an explicit study worker count
-// (0 means one worker per CPU).
-func DefaultEnvWithWorkers(users int, seed1, seed2 uint64, outDir string, workers int) (*Env, error) {
-	return NewEnvWithOptions(synth.DefaultConfig(users, seed1, seed2), outDir, core.StudyOptions{Workers: workers})
-}
-
-// DefaultEnvContext is DefaultEnvWithWorkers under a cancellation context.
-func DefaultEnvContext(ctx context.Context, users int, seed1, seed2 uint64, outDir string, workers int) (*Env, error) {
-	return NewEnvContext(ctx, synth.DefaultConfig(users, seed1, seed2), outDir, core.StudyOptions{Workers: workers})
 }
 
 // writeArtefact writes one named artefact via the render callback when

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -18,7 +19,7 @@ var sharedEnv *Env
 func getEnv(t *testing.T) *Env {
 	t.Helper()
 	if sharedEnv == nil {
-		env, err := DefaultEnv(12000, 42, 43, "")
+		env, err := NewEnv(context.Background(), 12000, 42, 43, "", 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestEpidemicExperiment(t *testing.T) {
 
 func TestArtefactWriting(t *testing.T) {
 	dir := t.TempDir()
-	env, err := DefaultEnv(2000, 7, 9, dir)
+	env, err := NewEnv(context.Background(), 2000, 7, 9, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

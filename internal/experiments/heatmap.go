@@ -1,8 +1,8 @@
-// Package heatmap renders tweet-density maps (the paper's Fig. 1): points
-// are binned on a regular latitude/longitude grid and drawn with a
-// logarithmic colour scale, as PNG for inspection and as ASCII for
-// terminal-friendly experiment output.
-package heatmap
+package experiments
+
+// The tweet-density map of Fig. 1: points are binned on a regular
+// latitude/longitude grid and drawn with a logarithmic colour scale, as
+// PNG for inspection and as ASCII for terminal-friendly experiment output.
 
 import (
 	"fmt"
@@ -16,28 +16,28 @@ import (
 	"geomob/internal/geo"
 )
 
-// Grid is a density histogram over a bounding box.
-type Grid struct {
+// DensityGrid is a density histogram over a bounding box.
+type DensityGrid struct {
 	Box    geo.BBox
 	NX, NY int
 	Counts []float64 // row-major, NY rows of NX cells; row 0 is the north edge
 	total  float64
 }
 
-// NewGrid allocates an NX×NY density grid over the box.
-func NewGrid(box geo.BBox, nx, ny int) (*Grid, error) {
+// newDensityGrid allocates an NX×NY density grid over the box.
+func newDensityGrid(box geo.BBox, nx, ny int) (*DensityGrid, error) {
 	if box.IsEmpty() {
-		return nil, fmt.Errorf("heatmap: empty bounding box")
+		return nil, fmt.Errorf("experiments: heatmap: empty bounding box")
 	}
 	if nx < 1 || ny < 1 {
-		return nil, fmt.Errorf("heatmap: grid must be at least 1x1, got %dx%d", nx, ny)
+		return nil, fmt.Errorf("experiments: heatmap: grid must be at least 1x1, got %dx%d", nx, ny)
 	}
-	return &Grid{Box: box, NX: nx, NY: ny, Counts: make([]float64, nx*ny)}, nil
+	return &DensityGrid{Box: box, NX: nx, NY: ny, Counts: make([]float64, nx*ny)}, nil
 }
 
-// Add accumulates one point; points outside the box are ignored and
+// add accumulates one point; points outside the box are ignored and
 // reported by the return value.
-func (g *Grid) Add(p geo.Point) bool {
+func (g *DensityGrid) add(p geo.Point) bool {
 	if !g.Box.Contains(p) {
 		return false
 	}
@@ -57,10 +57,10 @@ func (g *Grid) Add(p geo.Point) bool {
 }
 
 // Total returns the number of accumulated points.
-func (g *Grid) Total() float64 { return g.total }
+func (g *DensityGrid) Total() float64 { return g.total }
 
-// Max returns the largest cell count.
-func (g *Grid) Max() float64 {
+// max returns the largest cell count.
+func (g *DensityGrid) max() float64 {
 	var max float64
 	for _, v := range g.Counts {
 		if v > max {
@@ -71,26 +71,26 @@ func (g *Grid) Max() float64 {
 }
 
 // logScale maps a count to [0, 1] on a log scale against the grid maximum.
-func (g *Grid) logScale(v, max float64) float64 {
+func (g *DensityGrid) logScale(v, max float64) float64 {
 	if v <= 0 || max <= 0 {
 		return 0
 	}
 	return math.Log1p(v) / math.Log1p(max)
 }
 
-// WritePNG renders the grid with the classic black→blue→red→yellow heat
+// writePNG renders the grid with the classic black→blue→red→yellow heat
 // palette on a log colour scale (the paper's Fig. 1 uses a log colourbar
 // spanning 10⁰..10⁵).
-func (g *Grid) WritePNG(w io.Writer) error {
+func (g *DensityGrid) writePNG(w io.Writer) error {
 	img := image.NewRGBA(image.Rect(0, 0, g.NX, g.NY))
-	max := g.Max()
+	max := g.max()
 	for y := 0; y < g.NY; y++ {
 		for x := 0; x < g.NX; x++ {
 			img.Set(x, y, heatColor(g.logScale(g.Counts[y*g.NX+x], max)))
 		}
 	}
 	if err := png.Encode(w, img); err != nil {
-		return fmt.Errorf("heatmap: encode png: %w", err)
+		return fmt.Errorf("experiments: heatmap: encode png: %w", err)
 	}
 	return nil
 }
@@ -119,10 +119,10 @@ func heatColor(t float64) color.RGBA {
 // asciiRamp orders glyphs from empty to dense.
 const asciiRamp = " .:-=+*#%@"
 
-// WriteASCII renders the grid as text, one glyph per cell, densest cells
+// writeASCII renders the grid as text, one glyph per cell, densest cells
 // darkest. Suitable for experiment logs.
-func (g *Grid) WriteASCII(w io.Writer) error {
-	max := g.Max()
+func (g *DensityGrid) writeASCII(w io.Writer) error {
+	max := g.max()
 	var sb strings.Builder
 	sb.Grow((g.NX + 1) * g.NY)
 	for y := 0; y < g.NY; y++ {
@@ -134,14 +134,14 @@ func (g *Grid) WriteASCII(w io.Writer) error {
 		sb.WriteByte('\n')
 	}
 	if _, err := io.WriteString(w, sb.String()); err != nil {
-		return fmt.Errorf("heatmap: write ascii: %w", err)
+		return fmt.Errorf("experiments: heatmap: write ascii: %w", err)
 	}
 	return nil
 }
 
 // DensityDecades returns how many powers of ten the non-zero cell counts
 // span — Fig. 1's colourbar covers five decades (10⁰..10⁵).
-func (g *Grid) DensityDecades() float64 {
+func (g *DensityGrid) DensityDecades() float64 {
 	min := math.Inf(1)
 	max := 0.0
 	for _, v := range g.Counts {

@@ -1,52 +1,54 @@
-package heatmap
+package experiments
 
 import (
 	"bytes"
 	"image/png"
+	"io"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"geomob/internal/geo"
+	"geomob/internal/randx"
 )
 
 func TestNewGridValidation(t *testing.T) {
-	if _, err := NewGrid(geo.EmptyBBox(), 10, 10); err == nil {
+	if _, err := newDensityGrid(geo.EmptyBBox(), 10, 10); err == nil {
 		t.Error("empty box should fail")
 	}
-	if _, err := NewGrid(geo.AustraliaBBox, 0, 10); err == nil {
+	if _, err := newDensityGrid(geo.AustraliaBBox, 0, 10); err == nil {
 		t.Error("zero width should fail")
 	}
-	if _, err := NewGrid(geo.AustraliaBBox, 10, -1); err == nil {
+	if _, err := newDensityGrid(geo.AustraliaBBox, 10, -1); err == nil {
 		t.Error("negative height should fail")
 	}
 }
 
 func TestGridAddAndCounts(t *testing.T) {
-	g, err := NewGrid(geo.AustraliaBBox, 100, 80)
+	g, err := newDensityGrid(geo.AustraliaBBox, 100, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sydney := geo.Point{Lat: -33.8688, Lon: 151.2093}
 	for i := 0; i < 50; i++ {
-		if !g.Add(sydney) {
+		if !g.add(sydney) {
 			t.Fatal("point inside box rejected")
 		}
 	}
-	if g.Add(geo.Point{Lat: 40, Lon: -74}) {
+	if g.add(geo.Point{Lat: 40, Lon: -74}) {
 		t.Error("point outside box accepted")
 	}
 	if g.Total() != 50 {
 		t.Errorf("Total = %v", g.Total())
 	}
-	if g.Max() != 50 {
-		t.Errorf("Max = %v, want all mass in one cell", g.Max())
+	if g.max() != 50 {
+		t.Errorf("Max = %v, want all mass in one cell", g.max())
 	}
 }
 
 func TestGridCornersLandInGrid(t *testing.T) {
 	box := geo.AustraliaBBox
-	g, _ := NewGrid(box, 10, 10)
+	g, _ := newDensityGrid(box, 10, 10)
 	corners := []geo.Point{
 		{Lat: box.MinLat, Lon: box.MinLon},
 		{Lat: box.MinLat, Lon: box.MaxLon},
@@ -54,7 +56,7 @@ func TestGridCornersLandInGrid(t *testing.T) {
 		{Lat: box.MaxLat, Lon: box.MaxLon},
 	}
 	for _, c := range corners {
-		if !g.Add(c) {
+		if !g.add(c) {
 			t.Errorf("corner %v rejected", c)
 		}
 	}
@@ -64,16 +66,16 @@ func TestGridCornersLandInGrid(t *testing.T) {
 }
 
 func TestWritePNG(t *testing.T) {
-	g, _ := NewGrid(geo.AustraliaBBox, 60, 48)
+	g, _ := newDensityGrid(geo.AustraliaBBox, 60, 48)
 	rng := rand.New(rand.NewPCG(1, 2))
 	for i := 0; i < 10000; i++ {
-		g.Add(geo.Point{
+		g.add(geo.Point{
 			Lat: -34 + rng.NormFloat64(),
 			Lon: 151 + rng.NormFloat64(),
 		})
 	}
 	var buf bytes.Buffer
-	if err := g.WritePNG(&buf); err != nil {
+	if err := g.writePNG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	img, err := png.Decode(&buf)
@@ -87,13 +89,13 @@ func TestWritePNG(t *testing.T) {
 }
 
 func TestWriteASCII(t *testing.T) {
-	g, _ := NewGrid(geo.AustraliaBBox, 40, 20)
+	g, _ := newDensityGrid(geo.AustraliaBBox, 40, 20)
 	sydney := geo.Point{Lat: -33.8688, Lon: 151.2093}
 	for i := 0; i < 1000; i++ {
-		g.Add(sydney)
+		g.add(sydney)
 	}
 	var buf bytes.Buffer
-	if err := g.WriteASCII(&buf); err != nil {
+	if err := g.writeASCII(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -112,24 +114,24 @@ func TestWriteASCII(t *testing.T) {
 }
 
 func TestDensityDecades(t *testing.T) {
-	g, _ := NewGrid(geo.AustraliaBBox, 50, 40)
+	g, _ := newDensityGrid(geo.AustraliaBBox, 50, 40)
 	sydney := geo.Point{Lat: -33.8688, Lon: 151.2093}
 	perth := geo.Point{Lat: -31.9523, Lon: 115.8613}
 	for i := 0; i < 100000; i++ {
-		g.Add(sydney)
+		g.add(sydney)
 	}
-	g.Add(perth) // single tweet far away
+	g.add(perth) // single tweet far away
 	if d := g.DensityDecades(); d < 4.9 || d > 5.1 {
 		t.Errorf("decades = %v, want ~5", d)
 	}
-	empty, _ := NewGrid(geo.AustraliaBBox, 5, 5)
+	empty, _ := newDensityGrid(geo.AustraliaBBox, 5, 5)
 	if d := empty.DensityDecades(); d != 0 {
 		t.Errorf("empty grid decades = %v", d)
 	}
 }
 
 func TestLogScaleMonotone(t *testing.T) {
-	g, _ := NewGrid(geo.AustraliaBBox, 2, 2)
+	g, _ := newDensityGrid(geo.AustraliaBBox, 2, 2)
 	prev := -1.0
 	for _, v := range []float64{0, 1, 10, 100, 1000} {
 		s := g.logScale(v, 1000)
@@ -140,5 +142,23 @@ func TestLogScaleMonotone(t *testing.T) {
 			t.Fatalf("logScale out of range: %v", s)
 		}
 		prev = s
+	}
+}
+
+// BenchmarkHeatmapRender measures Fig. 1 rendering.
+func BenchmarkHeatmapRender(b *testing.B) {
+	grid, err := newDensityGrid(geo.AustraliaBBox, 360, 280)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randx.New(9, 10)
+	for i := 0; i < 100000; i++ {
+		grid.add(geo.Point{Lat: -34 + rng.NormFloat64(), Lon: 151 + rng.NormFloat64()})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := grid.writePNG(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/core"
-	"geomob/internal/population"
 	"geomob/internal/report"
 	"geomob/internal/tweet"
 )
@@ -167,16 +166,6 @@ func subsampleUsers(tweets []tweet.Tweet, frac float64, seed uint64) []tweet.Twe
 		if keep[tw.UserID] {
 			out = append(out, tw)
 		}
-	}
-	return out
-}
-
-// PopulationEstimates returns the per-scale estimates in paper order —
-// convenience for examples.
-func PopulationEstimates(env *Env) []*population.Estimate {
-	var out []*population.Estimate
-	for _, scale := range census.Scales() {
-		out = append(out, env.Result.Population[scale])
 	}
 	return out
 }

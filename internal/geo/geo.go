@@ -59,59 +59,6 @@ func Haversine(a, b Point) float64 {
 	return 2 * EarthRadius * math.Asin(math.Sqrt(h))
 }
 
-// InitialBearing returns the initial great-circle bearing in degrees
-// (clockwise from true north, [0, 360)) when travelling from a to b.
-func InitialBearing(a, b Point) float64 {
-	lat1, lon1 := a.Radians()
-	lat2, lon2 := b.Radians()
-	dLon := lon2 - lon1
-	y := math.Sin(dLon) * math.Cos(lat2)
-	x := math.Cos(lat1)*math.Sin(lat2) - math.Sin(lat1)*math.Cos(lat2)*math.Cos(dLon)
-	deg := math.Atan2(y, x) * 180 / math.Pi
-	return math.Mod(deg+360, 360)
-}
-
-// Destination returns the point reached by travelling dist metres from p on
-// the initial bearing bearingDeg (degrees clockwise from north).
-func Destination(p Point, bearingDeg, dist float64) Point {
-	lat1, lon1 := p.Radians()
-	brg := bearingDeg * math.Pi / 180
-	ang := dist / EarthRadius
-	sinLat2 := math.Sin(lat1)*math.Cos(ang) + math.Cos(lat1)*math.Sin(ang)*math.Cos(brg)
-	lat2 := math.Asin(sinLat2)
-	y := math.Sin(brg) * math.Sin(ang) * math.Cos(lat1)
-	x := math.Cos(ang) - math.Sin(lat1)*sinLat2
-	lon2 := lon1 + math.Atan2(y, x)
-	return Point{
-		Lat: lat2 * 180 / math.Pi,
-		Lon: normalizeLon(lon2 * 180 / math.Pi),
-	}
-}
-
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	lat1, lon1 := a.Radians()
-	lat2, lon2 := b.Radians()
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	return Point{Lat: lat3 * 180 / math.Pi, Lon: normalizeLon(lon3 * 180 / math.Pi)}
-}
-
-// normalizeLon wraps a longitude in degrees into [-180, 180].
-func normalizeLon(lon float64) float64 {
-	for lon > 180 {
-		lon -= 360
-	}
-	for lon < -180 {
-		lon += 360
-	}
-	return lon
-}
-
 // MetersPerDegreeLat is the north–south extent of one degree of latitude.
 const MetersPerDegreeLat = EarthRadius * math.Pi / 180
 
@@ -126,16 +73,6 @@ func MetersPerDegreeLon(latDeg float64) float64 {
 // (Australia, the paper's study region, is safely clear of it).
 type BBox struct {
 	MinLat, MinLon, MaxLat, MaxLon float64
-}
-
-// NewBBox returns the box spanning the two corner points in either order.
-func NewBBox(a, b Point) BBox {
-	return BBox{
-		MinLat: math.Min(a.Lat, b.Lat),
-		MinLon: math.Min(a.Lon, b.Lon),
-		MaxLat: math.Max(a.Lat, b.Lat),
-		MaxLon: math.Max(a.Lon, b.Lon),
-	}
 }
 
 // EmptyBBox returns a degenerate box that contains nothing and expands to
@@ -197,39 +134,6 @@ func (b BBox) Intersects(o BBox) bool {
 // Center returns the centre point of the box.
 func (b BBox) Center() Point {
 	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lon: (b.MinLon + b.MaxLon) / 2}
-}
-
-// BoundAround returns a bounding box guaranteed to contain the disc of the
-// given radius (metres) centred at p. The box over-covers near the poles;
-// callers must still verify candidates with Haversine.
-func BoundAround(p Point, radius float64) BBox {
-	dLat := radius / MetersPerDegreeLat
-	mpl := MetersPerDegreeLon(p.Lat)
-	var dLon float64
-	if mpl < 1 { // polar degenerate case: cover all longitudes
-		dLon = 360
-	} else {
-		dLon = radius / mpl
-	}
-	b := BBox{
-		MinLat: p.Lat - dLat,
-		MinLon: p.Lon - dLon,
-		MaxLat: p.Lat + dLat,
-		MaxLon: p.Lon + dLon,
-	}
-	if b.MinLat < -90 {
-		b.MinLat = -90
-	}
-	if b.MaxLat > 90 {
-		b.MaxLat = 90
-	}
-	if b.MinLon < -180 {
-		b.MinLon = -180
-	}
-	if b.MaxLon > 180 {
-		b.MaxLon = 180
-	}
-	return b
 }
 
 // AustraliaBBox is the study region used throughout the paper (Table I):

@@ -1,78 +1,13 @@
 package geo
 
-import (
-	"errors"
-	"strings"
-)
-
-// geohash implements the standard base-32 geohash encoding. The tweet store
-// uses geohash prefixes as coarse spatial keys for segment pruning.
-
-const geohashBase32 = "0123456789bcdefghjkmnpqrstuvwxyz"
-
-var geohashDecodeTable = func() [256]int8 {
-	var t [256]int8
-	for i := range t {
-		t[i] = -1
-	}
-	for i, c := range geohashBase32 {
-		t[c] = int8(i)
-	}
-	return t
-}()
-
-// EncodeGeohash returns the geohash of p with the given precision
-// (number of base-32 characters, 1..12). Precision 12 resolves to ~37 mm.
-func EncodeGeohash(p Point, precision int) string {
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > 12 {
-		precision = 12
-	}
-	latMin, latMax := -90.0, 90.0
-	lonMin, lonMax := -180.0, 180.0
-	var sb strings.Builder
-	sb.Grow(precision)
-	evenBit := true // true: longitude bit next
-	var ch, bit int
-	for sb.Len() < precision {
-		if evenBit {
-			mid := (lonMin + lonMax) / 2
-			if p.Lon >= mid {
-				ch = ch<<1 | 1
-				lonMin = mid
-			} else {
-				ch <<= 1
-				lonMax = mid
-			}
-		} else {
-			mid := (latMin + latMax) / 2
-			if p.Lat >= mid {
-				ch = ch<<1 | 1
-				latMin = mid
-			} else {
-				ch <<= 1
-				latMax = mid
-			}
-		}
-		evenBit = !evenBit
-		bit++
-		if bit == 5 {
-			sb.WriteByte(geohashBase32[ch])
-			bit, ch = 0, 0
-		}
-	}
-	return sb.String()
-}
-
 // GeohashCellID returns the geohash cell of p at the given precision as an
-// integer: the same interleaved subdivision bits EncodeGeohash renders in
-// base-32, preceded by a sentinel 1 bit so identifiers of different
-// precisions never collide. Two points share a geohash string at some
-// precision exactly when they share the cell ID at that precision, so the
-// ID can stand in for the string wherever only cell identity matters —
-// without allocating. Precision is clamped to 1..12 like EncodeGeohash.
+// integer: the interleaved subdivision bits the standard geohash renders
+// in base-32 (5 bits a character, longitude first), preceded by a sentinel
+// 1 bit so identifiers of different precisions never collide. Two points
+// share a geohash string at some precision exactly when they share the
+// cell ID at that precision, so the ID stands in for the string — without
+// allocating — where only cell identity matters: the distinct-locations
+// count of Table I. Precision is clamped to 1..12.
 func GeohashCellID(p Point, precision int) uint64 {
 	if precision < 1 {
 		precision = 1
@@ -107,50 +42,4 @@ func GeohashCellID(p Point, precision int) uint64 {
 		evenBit = !evenBit
 	}
 	return id
-}
-
-// ErrBadGeohash is returned by DecodeGeohash for strings containing
-// characters outside the geohash base-32 alphabet.
-var ErrBadGeohash = errors.New("geo: invalid geohash character")
-
-// DecodeGeohash returns the bounding box represented by the geohash string.
-func DecodeGeohash(h string) (BBox, error) {
-	latMin, latMax := -90.0, 90.0
-	lonMin, lonMax := -180.0, 180.0
-	evenBit := true
-	for i := 0; i < len(h); i++ {
-		v := geohashDecodeTable[h[i]]
-		if v < 0 {
-			return BBox{}, ErrBadGeohash
-		}
-		for b := 4; b >= 0; b-- {
-			bit := (v >> uint(b)) & 1
-			if evenBit {
-				mid := (lonMin + lonMax) / 2
-				if bit == 1 {
-					lonMin = mid
-				} else {
-					lonMax = mid
-				}
-			} else {
-				mid := (latMin + latMax) / 2
-				if bit == 1 {
-					latMin = mid
-				} else {
-					latMax = mid
-				}
-			}
-			evenBit = !evenBit
-		}
-	}
-	return BBox{MinLat: latMin, MinLon: lonMin, MaxLat: latMax, MaxLon: lonMax}, nil
-}
-
-// GeohashCenter decodes h and returns the centre point of its cell.
-func GeohashCenter(h string) (Point, error) {
-	b, err := DecodeGeohash(h)
-	if err != nil {
-		return Point{}, err
-	}
-	return b.Center(), nil
 }

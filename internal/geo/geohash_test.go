@@ -8,6 +8,55 @@ import (
 	"testing/quick"
 )
 
+// encodeGeohash is the standard base-32 geohash string of p, the reference
+// GeohashCellID is checked against.
+func encodeGeohash(p Point, precision int) string {
+	const base32 = "0123456789bcdefghjkmnpqrstuvwxyz"
+	id := GeohashCellID(p, precision)
+	var sb strings.Builder
+	for shift := 5 * (bitLen(id) / 5); shift > 0; {
+		shift -= 5
+		sb.WriteByte(base32[id>>shift&31])
+	}
+	return sb.String()
+}
+
+// bitLen is the number of bits below the sentinel of a cell ID.
+func bitLen(id uint64) int {
+	n := 0
+	for id > 1 {
+		id >>= 1
+		n++
+	}
+	return n
+}
+
+// cellBox returns the bounding box of the cell an ID names, decoding its
+// bits independently of GeohashCellID's encoding loop.
+func cellBox(id uint64) BBox {
+	b := BBox{MinLat: -90, MinLon: -180, MaxLat: 90, MaxLon: 180}
+	n := bitLen(id)
+	for i := 0; i < n; i++ {
+		bit := id >> (n - 1 - i) & 1
+		if i%2 == 0 {
+			mid := (b.MinLon + b.MaxLon) / 2
+			if bit == 1 {
+				b.MinLon = mid
+			} else {
+				b.MaxLon = mid
+			}
+		} else {
+			mid := (b.MinLat + b.MaxLat) / 2
+			if bit == 1 {
+				b.MinLat = mid
+			} else {
+				b.MaxLat = mid
+			}
+		}
+	}
+	return b
+}
+
 func TestGeohashKnownValues(t *testing.T) {
 	cases := []struct {
 		p    Point
@@ -19,9 +68,9 @@ func TestGeohashKnownValues(t *testing.T) {
 		{Point{Lat: 0, Lon: 0}, "s0000"},
 	}
 	for _, c := range cases {
-		got := EncodeGeohash(c.p, len(c.hash))
+		got := encodeGeohash(c.p, len(c.hash))
 		if got != c.hash {
-			t.Errorf("EncodeGeohash(%v, %d) = %q, want %q", c.p, len(c.hash), got, c.hash)
+			t.Errorf("geohash(%v, %d) = %q, want %q", c.p, len(c.hash), got, c.hash)
 		}
 	}
 }
@@ -30,12 +79,8 @@ func TestGeohashRoundTrip(t *testing.T) {
 	f := func(latSeed, lonSeed float64) bool {
 		p := Point{clampLat(latSeed), wrapLon(lonSeed)}
 		for prec := 1; prec <= 12; prec++ {
-			h := EncodeGeohash(p, prec)
-			if len(h) != prec {
-				return false
-			}
-			box, err := DecodeGeohash(h)
-			if err != nil || !box.Contains(p) {
+			id := GeohashCellID(p, prec)
+			if bitLen(id) != 5*prec || !cellBox(id).Contains(p) {
 				return false
 			}
 		}
@@ -49,18 +94,12 @@ func TestGeohashRoundTrip(t *testing.T) {
 func TestGeohashPrefixNesting(t *testing.T) {
 	// The cell of a longer hash must be contained in the cell of its prefix.
 	p := Point{Lat: -27.4698, Lon: 153.0251}
-	h := EncodeGeohash(p, 9)
-	outer, err := DecodeGeohash(h[:4])
-	if err != nil {
-		t.Fatal(err)
+	inner := GeohashCellID(p, 9)
+	if outer := GeohashCellID(p, 4); inner>>25 != outer {
+		t.Fatalf("precision-4 cell %x is not the prefix of precision-9 cell %x", outer, inner)
 	}
-	inner, err := DecodeGeohash(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, corner := range []Point{
-		{inner.MinLat, inner.MinLon}, {inner.MaxLat, inner.MaxLon},
-	} {
+	outer, in := cellBox(inner>>25), cellBox(inner)
+	for _, corner := range []Point{{in.MinLat, in.MinLon}, {in.MaxLat, in.MaxLon}} {
 		if !outer.Contains(corner) {
 			t.Errorf("outer cell does not contain inner corner %v", corner)
 		}
@@ -69,31 +108,17 @@ func TestGeohashPrefixNesting(t *testing.T) {
 
 func TestGeohashPrecisionClamping(t *testing.T) {
 	p := Point{Lat: 10, Lon: 10}
-	if got := EncodeGeohash(p, 0); len(got) != 1 {
-		t.Errorf("precision 0 should clamp to 1, got %q", got)
+	if got := GeohashCellID(p, 0); got != GeohashCellID(p, 1) {
+		t.Errorf("precision 0 should clamp to 1, got %x", got)
 	}
-	if got := EncodeGeohash(p, 99); len(got) != 12 {
-		t.Errorf("precision 99 should clamp to 12, got %q", got)
-	}
-}
-
-func TestDecodeGeohashInvalid(t *testing.T) {
-	for _, bad := range []string{"a", "i", "l", "o", "Aa", "r3a!"} {
-		if !strings.ContainsAny(bad, "ailoAB!") {
-			continue
-		}
-		if _, err := DecodeGeohash(bad); err == nil {
-			t.Errorf("DecodeGeohash(%q) should fail", bad)
-		}
+	if got := GeohashCellID(p, 99); got != GeohashCellID(p, 12) {
+		t.Errorf("precision 99 should clamp to 12, got %x", got)
 	}
 }
 
 func TestGeohashCenterAccuracy(t *testing.T) {
 	p := Point{Lat: -33.8688, Lon: 151.2093}
-	c, err := GeohashCenter(EncodeGeohash(p, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cellBox(GeohashCellID(p, 8)).Center()
 	if d := Haversine(p, c); d > 40 { // 8 chars resolves to ~19 m x 19 m
 		t.Errorf("centre too far from original point: %.1f m", d)
 	}
@@ -103,10 +128,7 @@ func TestGeohashCellSizeShrinks(t *testing.T) {
 	p := Point{Lat: -37.8136, Lon: 144.9631}
 	prev := math.Inf(1)
 	for prec := 1; prec <= 10; prec++ {
-		box, err := DecodeGeohash(EncodeGeohash(p, prec))
-		if err != nil {
-			t.Fatal(err)
-		}
+		box := cellBox(GeohashCellID(p, prec))
 		size := (box.MaxLat - box.MinLat) * (box.MaxLon - box.MinLon)
 		if size >= prev {
 			t.Errorf("cell area did not shrink at precision %d: %v >= %v", prec, size, prev)
@@ -116,8 +138,8 @@ func TestGeohashCellSizeShrinks(t *testing.T) {
 }
 
 // TestGeohashCellIDMatchesString: the integer cell ID must induce exactly
-// the same partition of the plane as the base-32 string — two points share
-// a geohash string at a precision iff they share the cell ID — because the
+// the same partition of the plane as the cell box it names — two points
+// share an ID at a precision iff both lie in that ID's box — because the
 // mobility extractor counts distinct cells through the ID.
 func TestGeohashCellIDMatchesString(t *testing.T) {
 	rng := rand.New(rand.NewPCG(71, 72))
@@ -129,7 +151,7 @@ func TestGeohashCellIDMatchesString(t *testing.T) {
 		pts = append(pts, randPoint())
 	}
 	// Adversarial points on subdivision boundaries, where >= vs > would
-	// first disagree between the two implementations.
+	// first disagree between encoder and decoder.
 	for _, lat := range []float64{-90, -45, 0, 45, 90, -33.75, 11.25} {
 		for _, lon := range []float64{-180, -90, 0, 90, 180, 151.171875, -0.0000001} {
 			pts = append(pts, Point{Lat: lat, Lon: lon})
@@ -141,22 +163,16 @@ func TestGeohashCellIDMatchesString(t *testing.T) {
 		pts = append(pts, p, Point{Lat: math.Nextafter(p.Lat, 90), Lon: p.Lon})
 	}
 	for _, prec := range []int{1, 3, 5, 8, 12} {
-		byString := map[string]uint64{}
-		byID := map[uint64]string{}
 		for _, p := range pts {
-			s := EncodeGeohash(p, prec)
 			id := GeohashCellID(p, prec)
-			if prev, ok := byString[s]; ok && prev != id {
-				t.Fatalf("precision %d: string %q maps to IDs %d and %d", prec, s, prev, id)
+			b := cellBox(id)
+			// A point on a cell's low edge belongs to the cell; one on its
+			// high edge belongs to the next, except at the poles and ±180°.
+			inside := p.Lat >= b.MinLat && (p.Lat < b.MaxLat || b.MaxLat == 90) &&
+				p.Lon >= b.MinLon && (p.Lon < b.MaxLon || b.MaxLon == 180)
+			if !inside {
+				t.Fatalf("precision %d: %v not in the half-open box %+v of its cell %x", prec, p, b, id)
 			}
-			byString[s] = id
-			if prev, ok := byID[id]; ok && prev != s {
-				t.Fatalf("precision %d: ID %d maps to strings %q and %q", prec, id, prev, s)
-			}
-			byID[id] = s
-		}
-		if len(byString) != len(byID) {
-			t.Fatalf("precision %d: %d distinct strings vs %d distinct IDs", prec, len(byString), len(byID))
 		}
 	}
 	// IDs of different precisions never collide (sentinel bit).

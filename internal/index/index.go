@@ -1,8 +1,9 @@
-// Package index provides in-memory spatial indexes over geographic points:
-// a uniform grid hash for radius queries against large point sets, and a
-// k-d tree for nearest-neighbour lookups against small static sets (the
-// census areas). Both verify candidates with exact haversine distances, so
-// query results are exact; the structures only prune.
+// Package index answers the paper's area assignment: the census area whose
+// centre is nearest to a point within a search radius. A k-d tree over the
+// area centres is the exact oracle, and the Resolver precomputes a grid of
+// its answers for the per-tweet hot path. Both verify candidates with exact
+// haversine distances, so query results are exact; the structures only
+// prune.
 package index
 
 import (
@@ -17,125 +18,6 @@ import (
 type Entry struct {
 	ID int64
 	P  geo.Point
-}
-
-// Grid is a uniform latitude/longitude grid hash. Cell size is chosen from
-// the expected query radius: cells of roughly the query radius make a
-// radius query touch at most ~9 cells at mid latitudes.
-type Grid struct {
-	cellDeg float64
-	cells   map[[2]int32][]Entry
-	n       int
-}
-
-// NewGrid creates a grid whose cells are cellMeters wide in the north–south
-// direction (east–west width shrinks with latitude, which only makes
-// pruning finer).
-func NewGrid(cellMeters float64) (*Grid, error) {
-	if cellMeters <= 0 {
-		return nil, fmt.Errorf("index: grid cell size must be positive, got %v m", cellMeters)
-	}
-	return &Grid{
-		cellDeg: cellMeters / geo.MetersPerDegreeLat,
-		cells:   map[[2]int32][]Entry{},
-	}, nil
-}
-
-func (g *Grid) key(p geo.Point) [2]int32 {
-	return [2]int32{
-		int32(math.Floor(p.Lat / g.cellDeg)),
-		int32(math.Floor(p.Lon / g.cellDeg)),
-	}
-}
-
-// Insert adds an entry to the grid.
-func (g *Grid) Insert(e Entry) {
-	k := g.key(e.P)
-	g.cells[k] = append(g.cells[k], e)
-	g.n++
-}
-
-// Len returns the number of indexed entries.
-func (g *Grid) Len() int { return g.n }
-
-// lonSpans returns the longitude intervals (in degrees, within [-180, 180])
-// covering [p.Lon-dLon, p.Lon+dLon] with antimeridian wrap-around: a query
-// disc reaching past ±180° continues on the far side, so cell keys derived
-// from raw insert longitudes must be probed on both sides of the seam.
-func lonSpans(lon, dLon float64) [2][2]float64 {
-	if dLon >= 180 {
-		return [2][2]float64{{-180, 180}, {1, -1}} // full circle, second span empty
-	}
-	lo, hi := lon-dLon, lon+dLon
-	switch {
-	case lo < -180:
-		return [2][2]float64{{-180, hi}, {lo + 360, 180}}
-	case hi > 180:
-		return [2][2]float64{{lo, 180}, {-180, hi - 360}}
-	default:
-		return [2][2]float64{{lo, hi}, {1, -1}} // second span empty
-	}
-}
-
-// eachCandidate visits every entry in the grid cells that can intersect the
-// disc of the given radius around p, including cells reached by wrapping the
-// longitude range across the antimeridian.
-func (g *Grid) eachCandidate(p geo.Point, radius float64, fn func(Entry)) {
-	dLat := radius / geo.MetersPerDegreeLat
-	loLat := int32(math.Floor((p.Lat - dLat) / g.cellDeg))
-	hiLat := int32(math.Floor((p.Lat + dLat) / g.cellDeg))
-	mpl := geo.MetersPerDegreeLon(p.Lat)
-	var dLon float64
-	if mpl < 1 { // polar degenerate case: cover all longitudes
-		dLon = 360
-	} else {
-		dLon = radius / mpl
-	}
-	for _, span := range lonSpans(p.Lon, dLon) {
-		if span[0] > span[1] {
-			continue
-		}
-		loLon := int32(math.Floor(span[0] / g.cellDeg))
-		hiLon := int32(math.Floor(span[1] / g.cellDeg))
-		for la := loLat; la <= hiLat; la++ {
-			for lo := loLon; lo <= hiLon; lo++ {
-				for _, e := range g.cells[[2]int32{la, lo}] {
-					fn(e)
-				}
-			}
-		}
-	}
-}
-
-// Radius returns all entries within radius metres of p (inclusive), in
-// unspecified order. Queries whose bounding box crosses the antimeridian
-// wrap correctly.
-func (g *Grid) Radius(p geo.Point, radius float64) []Entry {
-	if radius < 0 {
-		return nil
-	}
-	var out []Entry
-	g.eachCandidate(p, radius, func(e Entry) {
-		if geo.Haversine(p, e.P) <= radius {
-			out = append(out, e)
-		}
-	})
-	return out
-}
-
-// CountRadius returns the number of entries within radius metres of p
-// without materialising them.
-func (g *Grid) CountRadius(p geo.Point, radius float64) int {
-	if radius < 0 {
-		return 0
-	}
-	count := 0
-	g.eachCandidate(p, radius, func(e Entry) {
-		if geo.Haversine(p, e.P) <= radius {
-			count++
-		}
-	})
-	return count
 }
 
 // KDTree is a static 2-d tree over entries, built once and queried for
@@ -154,9 +36,9 @@ type kdNode struct {
 	left, right int32
 }
 
-// NewKDTree builds a balanced k-d tree over the entries. It returns an
+// newKDTree builds a balanced k-d tree over the entries. It returns an
 // error for an empty input.
-func NewKDTree(entries []Entry) (*KDTree, error) {
+func newKDTree(entries []Entry) (*KDTree, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("index: kd-tree requires at least one entry")
 	}
@@ -211,19 +93,19 @@ type nearestFrame struct {
 	bound float64 // lower bound in metres on any entry in the subtree
 }
 
-// nearestStackSize bounds the deferred-subtree stack of Nearest. At most
+// nearestStackSize bounds the deferred-subtree stack of nearest. At most
 // one frame per tree level is live at any time (frames are pushed in
 // strictly increasing depth order and popped deepest-first), and the
 // median-split build keeps the tree balanced, so 64 levels cover any
 // conceivable entry count.
 const nearestStackSize = 64
 
-// Nearest returns the entry closest to p by great-circle distance and that
+// nearest returns the entry closest to p by great-circle distance and that
 // distance in metres. The walk ranks candidates with exact haversine
 // distances and prunes subtrees via splitLowerBound, so the result is
 // exact; the traversal is iterative over a fixed-size stack and performs
 // no heap allocations.
-func (t *KDTree) Nearest(p geo.Point) (Entry, float64) {
+func (t *KDTree) nearest(p geo.Point) (Entry, float64) {
 	var stack [nearestStackSize]nearestFrame
 	sp := 0
 	best := int32(-1)
@@ -302,11 +184,11 @@ func (t *KDTree) splitLowerBound(p geo.Point, split geo.Point, axis int) float64
 	return 2 * geo.EarthRadius * math.Asin(s)
 }
 
-// NearestWithin returns the closest entry to p if it lies within radius
+// nearestWithin returns the closest entry to p if it lies within radius
 // metres; ok is false when nothing is close enough. This is the primitive
 // behind the paper's "search radius ε" area assignment.
-func (t *KDTree) NearestWithin(p geo.Point, radius float64) (e Entry, dist float64, ok bool) {
-	e, dist = t.Nearest(p)
+func (t *KDTree) nearestWithin(p geo.Point, radius float64) (e Entry, dist float64, ok bool) {
+	e, dist = t.nearest(p)
 	if dist <= radius {
 		return e, dist, true
 	}

@@ -6,7 +6,10 @@ import (
 	"sort"
 	"testing"
 
+	"geomob/internal/census"
 	"geomob/internal/geo"
+	"geomob/internal/randx"
+	"geomob/internal/testx"
 )
 
 // randomAUPoint draws points within the paper's Australian study region,
@@ -38,80 +41,10 @@ func bruteRadius(entries []Entry, p geo.Point, radius float64) map[int64]bool {
 	return out
 }
 
-func TestGridRadiusMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	entries := makeEntries(rng, 2000)
-	g, err := NewGrid(50_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		g.Insert(e)
-	}
-	if g.Len() != len(entries) {
-		t.Fatalf("Len = %d, want %d", g.Len(), len(entries))
-	}
-	for trial := 0; trial < 50; trial++ {
-		p := randomAUPoint(rng)
-		radius := rng.Float64() * 300_000
-		want := bruteRadius(entries, p, radius)
-		got := g.Radius(p, radius)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d entries, want %d", trial, len(got), len(want))
-		}
-		for _, e := range got {
-			if !want[e.ID] {
-				t.Fatalf("trial %d: unexpected entry %d", trial, e.ID)
-			}
-		}
-		if cnt := g.CountRadius(p, radius); cnt != len(want) {
-			t.Fatalf("trial %d: CountRadius = %d, want %d", trial, cnt, len(want))
-		}
-	}
-}
-
-func TestGridEdgeCases(t *testing.T) {
-	g, err := NewGrid(10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.Radius(geo.Point{Lat: -33, Lon: 151}, 1000); len(got) != 0 {
-		t.Error("empty grid should return nothing")
-	}
-	p := geo.Point{Lat: -33.8688, Lon: 151.2093}
-	g.Insert(Entry{ID: 7, P: p})
-	if got := g.Radius(p, 0); len(got) != 1 {
-		t.Errorf("zero-radius self query returned %d", len(got))
-	}
-	if got := g.Radius(p, -5); got != nil {
-		t.Error("negative radius should return nil")
-	}
-	if _, err := NewGrid(0); err == nil {
-		t.Error("zero cell size should fail")
-	}
-	if _, err := NewGrid(-1); err == nil {
-		t.Error("negative cell size should fail")
-	}
-}
-
-func TestGridBoundaryInclusive(t *testing.T) {
-	g, _ := NewGrid(100_000)
-	center := geo.Point{Lat: -30, Lon: 140}
-	edge := geo.Destination(center, 90, 5_000)
-	g.Insert(Entry{ID: 1, P: edge})
-	d := geo.Haversine(center, edge)
-	if got := g.Radius(center, d); len(got) != 1 {
-		t.Errorf("entry exactly at radius should be included (d=%v)", d)
-	}
-	if got := g.Radius(center, d-1); len(got) != 0 {
-		t.Error("entry just beyond radius should be excluded")
-	}
-}
-
 func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	entries := makeEntries(rng, 500)
-	tree, err := NewKDTree(entries)
+	tree, err := newKDTree(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +53,7 @@ func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		p := randomAUPoint(rng)
-		_, gotDist := tree.Nearest(p)
+		_, gotDist := tree.nearest(p)
 		bestDist := math.Inf(1)
 		for _, e := range entries {
 			if d := geo.Haversine(p, e.P); d < bestDist {
@@ -137,7 +70,7 @@ func TestKDTreeNearestMatchesBruteForce(t *testing.T) {
 func TestKDTreeRadiusMatchesBruteForceAndSorted(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	entries := makeEntries(rng, 800)
-	tree, err := NewKDTree(entries)
+	tree, err := newKDTree(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,35 +98,35 @@ func TestKDTreeRadiusMatchesBruteForceAndSorted(t *testing.T) {
 func TestKDTreeNearestWithin(t *testing.T) {
 	sydney := geo.Point{Lat: -33.8688, Lon: 151.2093}
 	melbourne := geo.Point{Lat: -37.8136, Lon: 144.9631}
-	tree, err := NewKDTree([]Entry{{ID: 1, P: sydney}, {ID: 2, P: melbourne}})
+	tree, err := newKDTree([]Entry{{ID: 1, P: sydney}, {ID: 2, P: melbourne}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	near := geo.Destination(sydney, 45, 10_000)
-	e, d, ok := tree.NearestWithin(near, 50_000)
+	near := testx.Destination(sydney, 45, 10_000)
+	e, d, ok := tree.nearestWithin(near, 50_000)
 	if !ok || e.ID != 1 {
 		t.Fatalf("expected Sydney within 50km, got %+v ok=%v", e, ok)
 	}
 	if math.Abs(d-10_000) > 5 {
 		t.Errorf("distance = %v, want ~10000", d)
 	}
-	if _, _, ok := tree.NearestWithin(near, 5_000); ok {
+	if _, _, ok := tree.nearestWithin(near, 5_000); ok {
 		t.Error("5km radius should exclude Sydney at 10km")
 	}
 }
 
 func TestKDTreeSingleAndDuplicate(t *testing.T) {
 	p := geo.Point{Lat: -20, Lon: 130}
-	tree, err := NewKDTree([]Entry{{ID: 1, P: p}})
+	tree, err := newKDTree([]Entry{{ID: 1, P: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, d := tree.Nearest(geo.Point{Lat: -21, Lon: 131})
+	e, d := tree.nearest(geo.Point{Lat: -21, Lon: 131})
 	if e.ID != 1 || d <= 0 {
 		t.Errorf("single-node nearest: %+v %v", e, d)
 	}
 	// Duplicate positions must all be returned by a radius query.
-	dup, err := NewKDTree([]Entry{{ID: 1, P: p}, {ID: 2, P: p}, {ID: 3, P: p}})
+	dup, err := newKDTree([]Entry{{ID: 1, P: p}, {ID: 2, P: p}, {ID: 3, P: p}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +136,41 @@ func TestKDTreeSingleAndDuplicate(t *testing.T) {
 }
 
 func TestKDTreeEmpty(t *testing.T) {
-	if _, err := NewKDTree(nil); err == nil {
+	if _, err := newKDTree(nil); err == nil {
 		t.Error("empty tree should fail")
 	}
 }
 
 func TestKDTreeNegativeRadius(t *testing.T) {
-	tree, _ := NewKDTree([]Entry{{ID: 1, P: geo.Point{Lat: -20, Lon: 130}}})
+	tree, _ := newKDTree([]Entry{{ID: 1, P: geo.Point{Lat: -20, Lon: 130}}})
 	if got := tree.Radius(geo.Point{Lat: -20, Lon: 130}, -1); got != nil {
 		t.Error("negative radius should return nil")
+	}
+}
+
+// BenchmarkKDTreeNearest measures the exact tree walk the Resolver falls
+// back to, over the national areas; the root BenchmarkAreaAssign runs the
+// Resolver on the same entries and query mix.
+func BenchmarkKDTreeNearest(b *testing.B) {
+	rs, err := census.Australia().Regions(census.ScaleNational)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := make([]Entry, rs.Len())
+	for i, a := range rs.Areas {
+		entries[i] = Entry{ID: int64(i), P: a.Center}
+	}
+	tree, err := newKDTree(entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randx.New(3, 4)
+	queries := make([]geo.Point, 1024)
+	for i := range queries {
+		queries[i] = geo.Point{Lat: -44 + rng.Float64()*30, Lon: 114 + rng.Float64()*40}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree.nearest(queries[i%len(queries)])
 	}
 }

@@ -49,7 +49,7 @@ const (
 // everywhere in the cell (or that no entry is in reach), or a short
 // candidate list verified with exact haversine distances at query time.
 // Resolve is allocation-free and exact: it agrees with
-// KDTree.NearestWithin on every input.
+// KDTree.nearestWithin on every input.
 type Resolver struct {
 	tree   *KDTree
 	ids    []int64
@@ -69,8 +69,6 @@ type Resolver struct {
 	// made sound (polar bands, radii reaching around the globe, bands
 	// crossing the antimeridian): every query falls back to the exact tree.
 	degenerate bool
-
-	resolved int // cells proved single-answer, for instrumentation
 }
 
 // NewResolver precomputes the assignment grid for the entries at the given
@@ -84,7 +82,7 @@ func NewResolver(entries []Entry, radius float64) (*Resolver, error) {
 	if radius < 0 || math.IsNaN(radius) || math.IsInf(radius, 0) {
 		return nil, fmt.Errorf("index: resolver radius must be finite and non-negative, got %v", radius)
 	}
-	tree, err := NewKDTree(entries)
+	tree, err := newKDTree(entries)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +287,6 @@ func (r *Resolver) build(entBox geo.BBox) {
 			}
 		}
 	}
-	r.resolved = len(r.cells) - (len(r.candStart) - 1)
 }
 
 // bandCosFloor returns the minimum of cos(latitude) over [latLo, latHi]
@@ -359,19 +356,9 @@ func cellLowerBound(q geo.Point, latLo, latHi, lonLo, lonHi, cosCellFloor float6
 // Radius returns the search radius the resolver was built for.
 func (r *Resolver) Radius() float64 { return r.radius }
 
-// Tree returns the internal k-d tree over the same entries — the exact
-// oracle the resolver verifies against.
-func (r *Resolver) Tree() *KDTree { return r.tree }
-
-// ResolvedCells reports how many grid cells were proved single-answer at
-// construction (0 for degenerate resolvers), and the total cell count.
-func (r *Resolver) ResolvedCells() (resolved, total int) {
-	return r.resolved, len(r.cells)
-}
-
 // Resolve returns the ID of the entry nearest to p if it lies within the
 // search radius, and -1 when no entry is in reach. It is exact — identical
-// to Tree().NearestWithin — and performs no heap allocations: most points
+// to the tree's nearestWithin — and performs no heap allocations: most points
 // land in a resolved cell (one array load); the rest verify a short
 // candidate list with exact haversine distances. Exact distance ties are
 // delegated to the tree so the winner matches the oracle bit for bit.
@@ -439,7 +426,7 @@ func (r *Resolver) ResolveBatch(lats, lons []float64, out []int64) {
 
 // resolveTree answers through the exact k-d tree oracle.
 func (r *Resolver) resolveTree(p geo.Point) int64 {
-	e, _, ok := r.tree.NearestWithin(p, r.radius)
+	e, _, ok := r.tree.nearestWithin(p, r.radius)
 	if !ok {
 		return -1
 	}

@@ -9,6 +9,7 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/geo"
+	"geomob/internal/testx"
 )
 
 // resolverConfig mirrors the study's real assignment configurations: the
@@ -62,7 +63,7 @@ func resolverConfigs(rng *rand.Rand) []resolverConfig {
 // treeAssign is the exactness reference: the paper's nearest-within-ε rule
 // answered by the k-d tree oracle.
 func treeAssign(t *KDTree, p geo.Point, radius float64) int64 {
-	e, _, ok := t.NearestWithin(p, radius)
+	e, _, ok := t.nearestWithin(p, radius)
 	if !ok {
 		return -1
 	}
@@ -73,11 +74,11 @@ func treeAssign(t *KDTree, p geo.Point, radius float64) int64 {
 func checkPoint(t *testing.T, name string, r *Resolver, p geo.Point) {
 	t.Helper()
 	got := r.Resolve(p)
-	want := treeAssign(r.Tree(), p, r.Radius())
+	want := treeAssign(r.tree, p, r.Radius())
 	if got != want {
 		d := math.Inf(1)
 		if want >= 0 {
-			e, dd, _ := r.Tree().NearestWithin(p, r.Radius())
+			e, dd, _ := r.tree.nearestWithin(p, r.Radius())
 			_ = e
 			d = dd
 		}
@@ -99,7 +100,9 @@ func TestResolverMatchesTreeFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.name, err)
 		}
-		if resolved, total := r.ResolvedCells(); total > 0 && resolved == 0 {
+		// Cells listing candidates each close a candStart run; the rest
+		// were proved single-answer at construction.
+		if total := len(r.cells); total > 0 && total == len(r.candStart)-1 {
 			t.Errorf("%s: no cell resolved out of %d — dominance proof never fires", cfg.name, total)
 		}
 
@@ -122,7 +125,7 @@ func TestResolverMatchesTreeFuzz(t *testing.T) {
 		for _, e := range cfg.entries {
 			for _, f := range []float64{0.25, 0.999, 0.999999, 1, 1.000001, 1.001, 1.5, 2.2} {
 				brg := rng.Float64() * 360
-				checkPoint(t, cfg.name, r, geo.Destination(e.P, brg, cfg.radius*f))
+				checkPoint(t, cfg.name, r, testx.Destination(e.P, brg, cfg.radius*f))
 			}
 		}
 
@@ -252,7 +255,7 @@ func TestResolverNoAllocs(t *testing.T) {
 // call).
 func TestKDTreeNearestNoAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 18))
-	tree, err := NewKDTree(makeEntries(rng, 500))
+	tree, err := newKDTree(makeEntries(rng, 500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,52 +265,11 @@ func TestKDTreeNearestNoAllocs(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(2000, func() {
-		tree.Nearest(queries[i%len(queries)])
+		tree.nearest(queries[i%len(queries)])
 		i++
 	})
 	if allocs != 0 {
 		t.Errorf("Nearest allocated %v times per op, want 0", allocs)
-	}
-}
-
-// TestGridRadiusAntimeridianWrap is the regression test for the longitude
-// wrap fix: entries on both sides of ±180° must be found by queries whose
-// search disc crosses the seam.
-func TestGridRadiusAntimeridianWrap(t *testing.T) {
-	g, err := NewGrid(10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	east := Entry{ID: 1, P: geo.Point{Lat: -18, Lon: 179.9}}
-	west := Entry{ID: 2, P: geo.Point{Lat: -18, Lon: -179.9}}
-	far := Entry{ID: 3, P: geo.Point{Lat: -18, Lon: 178.0}}
-	for _, e := range []Entry{east, west, far} {
-		g.Insert(e)
-	}
-	// ~21 km separate the east and west entries across the seam.
-	for _, q := range []geo.Point{
-		{Lat: -18, Lon: 179.95},
-		{Lat: -18, Lon: -179.95},
-		{Lat: -18, Lon: 180},
-		{Lat: -18, Lon: -180},
-	} {
-		got := g.Radius(q, 30_000)
-		want := bruteRadius([]Entry{east, west, far}, q, 30_000)
-		if len(got) != len(want) {
-			t.Fatalf("query %v: got %d entries %v, want %d", q, len(got), got, len(want))
-		}
-		for _, e := range got {
-			if !want[e.ID] {
-				t.Fatalf("query %v: unexpected entry %d", q, e.ID)
-			}
-		}
-		if cnt := g.CountRadius(q, 30_000); cnt != len(want) {
-			t.Fatalf("query %v: CountRadius = %d, want %d", q, cnt, len(want))
-		}
-	}
-	// Both seam entries must see each other within 25 km.
-	if got := g.Radius(east.P, 25_000); len(got) != 2 {
-		t.Errorf("east seam query found %d entries, want 2 (east+west)", len(got))
 	}
 }
 
@@ -418,12 +380,10 @@ func (r *Resolver) buildExhaustive(entBox geo.BBox) {
 			switch {
 			case len(scratch) == 0:
 				r.cells[ci] = cellNoEntry
-				r.resolved++
 			case len(scratch) == 1 && ub[scratch[0]] <= r.radius:
 				// Single surviving entry, whole cell within its radius:
 				// every point in the cell resolves to it.
 				r.cells[ci] = scratch[0]
-				r.resolved++
 			default:
 				r.cells[ci] = cellListBase - int32(len(r.candStart)-1)
 				r.cands = append(r.cands, scratch...)
@@ -456,9 +416,9 @@ func checkBuildMatchesExhaustive(t *testing.T, name string, entries []Entry, rad
 		t.Fatalf("%s: %v", name, err)
 	}
 	want := exhaustiveResolver(entries, radius)
-	if got.degenerate != want.degenerate || got.nx != want.nx || got.ny != want.ny || got.resolved != want.resolved {
-		t.Fatalf("%s: degenerate/nx/ny/resolved = %v/%d/%d/%d, reference %v/%d/%d/%d", name,
-			got.degenerate, got.nx, got.ny, got.resolved, want.degenerate, want.nx, want.ny, want.resolved)
+	if got.degenerate != want.degenerate || got.nx != want.nx || got.ny != want.ny {
+		t.Fatalf("%s: degenerate/nx/ny = %v/%d/%d, reference %v/%d/%d", name,
+			got.degenerate, got.nx, got.ny, want.degenerate, want.nx, want.ny)
 	}
 	if !slices.Equal(got.cells, want.cells) {
 		t.Fatalf("%s: cells differ from the exhaustive reference (%d cells)", name, len(want.cells))

@@ -21,7 +21,7 @@ func TestKDTreeNearestAntimeridianFuzz(t *testing.T) {
 				Lon: -180 + rng.Float64()*360,
 			}}
 		}
-		tree, err := NewKDTree(entries)
+		tree, err := newKDTree(entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestKDTreeNearestAntimeridianFuzz(t *testing.T) {
 					p.Lon -= 360
 				}
 			}
-			_, got := tree.Nearest(p)
+			_, got := tree.nearest(p)
 			want := math.Inf(1)
 			for _, e := range entries {
 				if d := geo.Haversine(p, e.P); d < want {

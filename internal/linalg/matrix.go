@@ -1,6 +1,6 @@
 // Package linalg provides the small dense linear-algebra kernel used by the
-// model-fitting code: column-major-free dense matrices, Gaussian elimination
-// with partial pivoting, Householder QR, and ordinary least squares.
+// model-fitting code: ordinary least squares over a dense row-major matrix,
+// solved by Householder QR.
 //
 // The matrices involved in this project are tiny (design matrices of a few
 // hundred rows by ≤4 columns), so the implementation optimises for clarity
@@ -13,27 +13,27 @@ import (
 	"math"
 )
 
-// Matrix is a dense row-major matrix of float64.
-type Matrix struct {
+// matrix is a dense row-major matrix of float64.
+type matrix struct {
 	Rows, Cols int
 	Data       []float64 // len == Rows*Cols, row-major
 }
 
-// New returns a zeroed Rows×Cols matrix. It panics if either dimension is
+// newMatrix returns a zeroed Rows×Cols matrix. It panics if either dimension is
 // not positive, which always indicates a programming error.
-func New(rows, cols int) *Matrix {
+func newMatrix(rows, cols int) *matrix {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("linalg: invalid dimensions %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from a slice of equal-length rows.
-func FromRows(rows [][]float64) (*Matrix, error) {
+// fromRows builds a matrix from a slice of equal-length rows.
+func fromRows(rows [][]float64) (*matrix, error) {
 	if len(rows) == 0 || len(rows[0]) == 0 {
 		return nil, errors.New("linalg: FromRows requires a non-empty row set")
 	}
-	m := New(len(rows), len(rows[0]))
+	m := newMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != m.Cols {
 			return nil, fmt.Errorf("linalg: row %d has %d columns, want %d", i, len(r), m.Cols)
@@ -43,63 +43,21 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
+// at returns element (i, j). Bounds are checked by the slice access.
+func (m *matrix) at(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
-// At returns element (i, j). Bounds are checked by the slice access.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+// set assigns element (i, j).
+func (m *matrix) set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+// clone returns a deep copy of m.
+func (m *matrix) clone() *matrix {
+	c := newMatrix(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// Mul returns m·b. It returns an error when the inner dimensions disagree.
-func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
-	if m.Cols != b.Rows {
-		return nil, fmt.Errorf("linalg: cannot multiply %dx%d by %dx%d", m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := New(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
-			rowOut := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, v := range rowB {
-				rowOut[j] += a * v
-			}
-		}
-	}
-	return out, nil
-}
-
-// MulVec returns the matrix–vector product m·x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
+// mulVec returns the matrix–vector product m·x.
+func (m *matrix) mulVec(x []float64) ([]float64, error) {
 	if m.Cols != len(x) {
 		return nil, fmt.Errorf("linalg: cannot multiply %dx%d by vector of length %d", m.Rows, m.Cols, len(x))
 	}
@@ -115,103 +73,34 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// MaxAbs returns the largest absolute element value, used in tolerance
-// computations.
-func (m *Matrix) MaxAbs() float64 {
-	var max float64
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
-// ErrSingular is returned when a solve encounters a (numerically) singular
+// errSingular is returned when a solve encounters a (numerically) singular
 // system.
-var ErrSingular = errors.New("linalg: matrix is singular to working precision")
-
-// SolveGauss solves the square system A·x = b using Gaussian elimination
-// with partial pivoting. A and b are left unmodified.
-func SolveGauss(a *Matrix, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: SolveGauss requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if a.Rows != len(b) {
-		return nil, fmt.Errorf("linalg: dimension mismatch: %dx%d vs b of length %d", a.Rows, a.Cols, len(b))
-	}
-	n := a.Rows
-	// Working copies.
-	m := a.Clone()
-	x := make([]float64, n)
-	copy(x, b)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot: find the row with the largest magnitude in col.
-		pivot := col
-		maxAbs := math.Abs(m.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(m.At(r, col)); v > maxAbs {
-				maxAbs, pivot = v, r
-			}
-		}
-		if maxAbs < 1e-13*(1+m.MaxAbs()) {
-			return nil, ErrSingular
-		}
-		if pivot != col {
-			for j := 0; j < n; j++ {
-				m.Data[col*n+j], m.Data[pivot*n+j] = m.Data[pivot*n+j], m.Data[col*n+j]
-			}
-			x[col], x[pivot] = x[pivot], x[col]
-		}
-		inv := 1 / m.At(col, col)
-		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
-			if f == 0 {
-				continue
-			}
-			m.Set(r, col, 0)
-			for j := col + 1; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	// Back substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
-		}
-		x[i] = s / m.At(i, i)
-	}
-	return x, nil
-}
+var errSingular = errors.New("linalg: matrix is singular to working precision")
 
 // qr holds a packed Householder QR factorisation of an m×n matrix (m >= n),
 // following the LINPACK convention: the reflector vectors v_k live in column
 // k at rows k..m-1 (with v_k[k] stored on the diagonal), and the diagonal of
 // R is kept separately in rdiag. The strict upper triangle holds R.
 type qr struct {
-	a     *Matrix
+	a     *matrix
 	rdiag []float64
 	ncols int
 }
 
 // factorQR computes the Householder QR factorisation of a (copied, not
 // modified). It requires a.Rows >= a.Cols.
-func factorQR(a *Matrix) (*qr, error) {
+func factorQR(a *matrix) (*qr, error) {
 	if a.Rows < a.Cols {
 		return nil, fmt.Errorf("linalg: QR requires rows >= cols, got %dx%d", a.Rows, a.Cols)
 	}
-	m := a.Clone()
+	m := a.clone()
 	n := m.Cols
 	rdiag := make([]float64, n)
 	for k := 0; k < n; k++ {
 		// Norm of column k over rows k..m-1.
 		var norm float64
 		for i := k; i < m.Rows; i++ {
-			norm = math.Hypot(norm, m.At(i, k))
+			norm = math.Hypot(norm, m.at(i, k))
 		}
 		if norm == 0 {
 			rdiag[k] = 0
@@ -219,22 +108,22 @@ func factorQR(a *Matrix) (*qr, error) {
 		}
 		// Choose the sign so that v_k[k] = 1 + |x_k|/norm >= 1, which keeps
 		// the reflector application well conditioned.
-		if m.At(k, k) < 0 {
+		if m.at(k, k) < 0 {
 			norm = -norm
 		}
 		for i := k; i < m.Rows; i++ {
-			m.Set(i, k, m.At(i, k)/norm)
+			m.set(i, k, m.at(i, k)/norm)
 		}
-		m.Set(k, k, m.At(k, k)+1)
+		m.set(k, k, m.at(k, k)+1)
 		// Apply the reflector H_k = I − v vᵀ / v[k] to the remaining columns.
 		for j := k + 1; j < n; j++ {
 			var s float64
 			for i := k; i < m.Rows; i++ {
-				s += m.At(i, k) * m.At(i, j)
+				s += m.at(i, k) * m.at(i, j)
 			}
-			s = -s / m.At(k, k)
+			s = -s / m.at(k, k)
 			for i := k; i < m.Rows; i++ {
-				m.Set(i, j, m.At(i, j)+s*m.At(i, k))
+				m.set(i, j, m.at(i, j)+s*m.at(i, k))
 			}
 		}
 		rdiag[k] = -norm
@@ -255,16 +144,16 @@ func (f *qr) solve(b []float64) ([]float64, error) {
 	// Apply the reflectors in order: y = Qᵀ b.
 	for k := 0; k < n; k++ {
 		if f.rdiag[k] == 0 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
-		vk := m.At(k, k)
+		vk := m.at(k, k)
 		var s float64
 		for i := k; i < m.Rows; i++ {
-			s += m.At(i, k) * y[i]
+			s += m.at(i, k) * y[i]
 		}
 		s = -s / vk
 		for i := k; i < m.Rows; i++ {
-			y[i] += s * m.At(i, k)
+			y[i] += s * m.at(i, k)
 		}
 	}
 	// Back substitution against R (diagonal in rdiag, rest in the packed
@@ -273,20 +162,20 @@ func (f *qr) solve(b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		s := y[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= m.at(i, j) * x[j]
 		}
 		rkk := f.rdiag[i]
 		if math.Abs(rkk) < 1e-13 {
-			return nil, ErrSingular
+			return nil, errSingular
 		}
 		x[i] = s / rkk
 	}
 	return x, nil
 }
 
-// SolveLeastSquares returns the x minimising ‖A·x − b‖₂ via Householder QR.
+// solveLeastSquares returns the x minimising ‖A·x − b‖₂ via Householder QR.
 // It requires A.Rows >= A.Cols and full column rank.
-func SolveLeastSquares(a *Matrix, b []float64) ([]float64, error) {
+func solveLeastSquares(a *matrix, b []float64) ([]float64, error) {
 	f, err := factorQR(a)
 	if err != nil {
 		return nil, err

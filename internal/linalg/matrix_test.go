@@ -8,15 +8,15 @@ import (
 )
 
 func TestNewAndAccessors(t *testing.T) {
-	m := New(2, 3)
+	m := newMatrix(2, 3)
 	if m.Rows != 2 || m.Cols != 3 || len(m.Data) != 6 {
 		t.Fatalf("bad shape: %+v", m)
 	}
-	m.Set(1, 2, 7)
-	if m.At(1, 2) != 7 {
+	m.set(1, 2, 7)
+	if m.at(1, 2) != 7 {
 		t.Fatal("Set/At roundtrip failed")
 	}
-	if m.At(0, 0) != 0 {
+	if m.at(0, 0) != 0 {
 		t.Fatal("new matrix not zeroed")
 	}
 }
@@ -27,167 +27,44 @@ func TestNewPanicsOnBadDims(t *testing.T) {
 			t.Fatal("expected panic for 0x3 matrix")
 		}
 	}()
-	New(0, 3)
+	newMatrix(0, 3)
 }
 
 func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m, err := fromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows != 3 || m.Cols != 2 || m.At(2, 1) != 6 {
+	if m.Rows != 3 || m.Cols != 2 || m.at(2, 1) != 6 {
 		t.Fatalf("bad matrix: %+v", m)
 	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := fromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("expected error for ragged rows")
 	}
-	if _, err := FromRows(nil); err == nil {
+	if _, err := fromRows(nil); err == nil {
 		t.Fatal("expected error for empty input")
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
-	if tr.Rows != 3 || tr.Cols != 2 {
-		t.Fatalf("bad transpose shape %dx%d", tr.Rows, tr.Cols)
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			if m.At(i, j) != tr.At(j, i) {
-				t.Fatalf("transpose mismatch at %d,%d", i, j)
-			}
-		}
-	}
-}
-
-func TestMulIdentity(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	id := Identity(2)
-	got, err := m.Mul(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.Data {
-		if got.Data[i] != m.Data[i] {
-			t.Fatal("m * I != m")
-		}
-	}
-}
-
-func TestMulKnown(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b, _ := FromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
-	got, err := a.Mul(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{{58, 64}, {139, 154}}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if got.At(i, j) != want[i][j] {
-				t.Fatalf("at %d,%d: got %v want %v", i, j, got.At(i, j), want[i][j])
-			}
-		}
-	}
-	if _, err := a.Mul(a); err == nil {
-		t.Fatal("expected dimension mismatch error")
-	}
-}
-
 func TestMulVec(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {3, 4}})
-	got, err := a.MulVec([]float64{5, 6})
+	a, _ := fromRows([][]float64{{1, 2}, {3, 4}})
+	got, err := a.mulVec([]float64{5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 17 || got[1] != 39 {
 		t.Fatalf("MulVec wrong: %v", got)
 	}
-	if _, err := a.MulVec([]float64{1}); err == nil {
+	if _, err := a.mulVec([]float64{1}); err == nil {
 		t.Fatal("expected dimension mismatch error")
-	}
-}
-
-func TestSolveGaussKnown(t *testing.T) {
-	a, _ := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
-	b := []float64{8, -11, -3}
-	x, err := SolveGauss(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 3, -1}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-10 {
-			t.Fatalf("x[%d]: got %v want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSolveGaussSingular(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveGauss(a, []float64{1, 2}); err == nil {
-		t.Fatal("expected singular matrix error")
-	}
-}
-
-func TestSolveGaussDoesNotMutateInputs(t *testing.T) {
-	a, _ := FromRows([][]float64{{4, 1}, {1, 3}})
-	b := []float64{1, 2}
-	orig := a.Clone()
-	origB := []float64{1, 2}
-	if _, err := SolveGauss(a, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != orig.Data[i] {
-			t.Fatal("SolveGauss mutated A")
-		}
-	}
-	for i := range b {
-		if b[i] != origB[i] {
-			t.Fatal("SolveGauss mutated b")
-		}
-	}
-}
-
-func TestSolveGaussRandomRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 11))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.IntN(6)
-		a := New(n, n)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		// Diagonal dominance guarantees non-singularity.
-		for i := 0; i < n; i++ {
-			a.Set(i, i, a.At(i, i)+float64(n)*3)
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64() * 10
-		}
-		b, err := a.MulVec(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveGauss(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, got[i], want[i])
-			}
-		}
 	}
 }
 
 func TestSolveLeastSquaresExact(t *testing.T) {
 	// Square non-singular system: least squares must equal the exact solve.
-	a, _ := FromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
+	a, _ := fromRows([][]float64{{2, 1, -1}, {-3, -1, 2}, {-2, 1, 2}})
 	b := []float64{8, -11, -3}
-	x, err := SolveLeastSquares(a, b)
+	x, err := solveLeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +78,9 @@ func TestSolveLeastSquaresExact(t *testing.T) {
 
 func TestSolveLeastSquaresOverdetermined(t *testing.T) {
 	// y = 3 + 2x sampled with symmetric noise that cancels exactly.
-	a, _ := FromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
+	a, _ := fromRows([][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}})
 	b := []float64{3.1, 4.9, 7.1, 8.9}
-	x, err := SolveLeastSquares(a, b)
+	x, err := solveLeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,15 +90,15 @@ func TestSolveLeastSquaresOverdetermined(t *testing.T) {
 }
 
 func TestSolveLeastSquaresRankDeficient(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := SolveLeastSquares(a, []float64{1, 2, 3}); err == nil {
+	a, _ := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	if _, err := solveLeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("expected error for rank-deficient design")
 	}
 }
 
 func TestSolveLeastSquaresWideRejected(t *testing.T) {
-	a, _ := FromRows([][]float64{{1, 2, 3}})
-	if _, err := SolveLeastSquares(a, []float64{1}); err == nil {
+	a, _ := fromRows([][]float64{{1, 2, 3}})
+	if _, err := solveLeastSquares(a, []float64{1}); err == nil {
 		t.Fatal("expected error for wide matrix")
 	}
 }
@@ -233,7 +110,7 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 10 + rng.IntN(40)
 		p := 1 + rng.IntN(4)
-		a := New(n, p)
+		a := newMatrix(n, p)
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
 		}
@@ -241,17 +118,17 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64() * 5
 		}
-		x, err := SolveLeastSquares(a, y)
+		x, err := solveLeastSquares(a, y)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fitted, _ := a.MulVec(x)
+		fitted, _ := a.mulVec(x)
 		for j := 0; j < p; j++ {
 			var dot, norm float64
 			for i := 0; i < n; i++ {
 				r := y[i] - fitted[i]
-				dot += a.At(i, j) * r
-				norm += math.Abs(a.At(i, j))
+				dot += a.at(i, j) * r
+				norm += math.Abs(a.at(i, j))
 			}
 			if math.Abs(dot) > 1e-8*(1+norm) {
 				t.Fatalf("trial %d: residual not orthogonal to column %d: dot=%v", trial, j, dot)
@@ -260,23 +137,16 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 	}
 }
 
-func TestMaxAbs(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -5}, {3, 2}})
-	if m.MaxAbs() != 5 {
-		t.Fatalf("MaxAbs = %v, want 5", m.MaxAbs())
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	f := func(v float64) bool {
 		if math.IsNaN(v) {
 			v = 1
 		}
-		m := New(2, 2)
-		m.Set(0, 0, v)
-		c := m.Clone()
-		c.Set(0, 0, v+1)
-		return m.At(0, 0) == v
+		m := newMatrix(2, 2)
+		m.set(0, 0, v)
+		c := m.clone()
+		c.set(0, 0, v+1)
+		return m.at(0, 0) == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -28,18 +28,18 @@ func OLS(x [][]float64, y []float64) (*OLSResult, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("linalg: OLS design has %d rows but y has %d values", len(x), len(y))
 	}
-	a, err := FromRows(x)
+	a, err := fromRows(x)
 	if err != nil {
 		return nil, err
 	}
 	if a.Rows < a.Cols {
 		return nil, fmt.Errorf("linalg: OLS is underdetermined: %d observations for %d parameters", a.Rows, a.Cols)
 	}
-	coef, err := SolveLeastSquares(a, y)
+	coef, err := solveLeastSquares(a, y)
 	if err != nil {
 		return nil, err
 	}
-	fitted, err := a.MulVec(coef)
+	fitted, err := a.mulVec(coef)
 	if err != nil {
 		return nil, err
 	}

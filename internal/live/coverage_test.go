@@ -49,7 +49,7 @@ type ringState struct {
 func captureRingState(a *Aggregator, windows [][2]int64) ringState {
 	st := ringState{groups: map[[2]int64]groupState{}}
 	for _, w := range windows {
-		st.keys = append(st.keys, a.CoverageKey(w[0], w[1]))
+		st.keys = append(st.keys, a.coverageKey(w[0], w[1]))
 		st.walks = append(st.walks, memberWalkKey(a, w[0], w[1]))
 	}
 	a.mu.Lock()

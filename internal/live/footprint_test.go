@@ -289,7 +289,7 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 
 	var mu sync.Mutex
 	var folds atomic.Int64
-	prefixOf := map[string]int{agg.CoverageKey(lo, hi): 0} // coverage key → rounds ingested
+	prefixOf := map[string]int{agg.coverageKey(lo, hi): 0} // coverage key → rounds ingested
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	type sample struct {
@@ -307,14 +307,14 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 					stop = true // one last fold over the final state
 				default:
 				}
-				key := agg.CoverageKey(lo, hi)
+				key := agg.coverageKey(lo, hi)
 				res, err := agg.Query(req)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				folds.Add(1)
-				if agg.CoverageKey(lo, hi) != key {
+				if agg.coverageKey(lo, hi) != key {
 					continue // an append landed between the probes; the fold may be of either state
 				}
 				mu.Lock()
@@ -333,7 +333,7 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 		if err := agg.Ingest(feed[r*perRound : (r+1)*perRound]); err != nil {
 			t.Fatal(err)
 		}
-		prefixOf[agg.CoverageKey(lo, hi)] = r + 1
+		prefixOf[agg.coverageKey(lo, hi)] = r + 1
 		mu.Unlock()
 		// Let the readers fold this state before the next append.
 		for seen := folds.Load(); folds.Load() < seen+int64(len(samples)) && !t.Failed(); {

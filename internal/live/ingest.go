@@ -23,18 +23,18 @@ var (
 	mIngestFlush   = obs.Def.Histogram("geomob_ingest_flush_seconds", "Latency of one ingest batch flush.", nil)
 	mIngestBad     = obs.Def.Counter("geomob_ingest_bad_input_total", "Ingest streams rejected for malformed records or frames.")
 	mIngestStage   = func() (hs [4]*obs.Histogram) {
-		for k, name := range IngestStages {
+		for k, name := range ingestStageNames {
 			hs[k] = obs.Def.Histogram("geomob_ingest_stage_seconds", "Per-stage latency of a single-node ingest request: decode/store/resolve/ring.", nil, "stage", name)
 		}
 		return hs
 	}()
 )
 
-// IngestStages names where a request through an Ingestor spends its wall
+// ingestStageNames names where a request through an Ingestor spends its wall
 // time: decode (reading and buffering the body — what the rest leaves),
 // store (the durable commit), resolve (the resolve stage) and ring (the
 // appends).
-var IngestStages = [4]string{"decode", "store", "resolve", "ring"}
+var ingestStageNames = [4]string{"decode", "store", "resolve", "ring"}
 
 // ingestStages accumulates one request's share of the last three; the
 // plain Add/IngestBatch/Flush pass nil and record nothing.
@@ -44,7 +44,7 @@ type ingestStages struct{ store, resolve, ring time.Duration }
 func (st *ingestStages) record(ctx context.Context, total time.Duration) {
 	tr := obs.TraceFrom(ctx)
 	for k, d := range [4]time.Duration{total - st.store - st.resolve - st.ring, st.store, st.resolve, st.ring} {
-		tr.AddStage(IngestStages[k], d)
+		tr.AddStage(ingestStageNames[k], d)
 		mIngestStage[k].Observe(d.Seconds())
 	}
 }
@@ -297,7 +297,7 @@ func scanChunks(it *tweetdb.Iterator, sh *Shape, route func(user, ts int64) int,
 // at the end, returning how many records the stream contributed. On a
 // malformed record the error carries the line number and everything
 // before it is still flushed — the batch boundary the caller observes is
-// exactly what was accepted. The IngestStages land on ctx's trace.
+// exactly what was accepted. The ingest stages land on ctx's trace.
 func (i *Ingestor) IngestNDJSON(ctx context.Context, r io.Reader) (int, error) {
 	st, t0 := &ingestStages{}, time.Now()
 	n, err := DrainNDJSON(r,
@@ -344,8 +344,8 @@ func DrainNDJSON(r io.Reader, add func(tweet.Tweet) error, flush func() error) (
 // IngestBinary drains a length-prefixed binary batch stream (the
 // tweet.BatchReader wire format) through the ingestor and flushes at the
 // end, returning how many records the stream contributed; maxFrame bounds
-// one frame (0 selects tweet.DefaultMaxFrameBytes). The IngestStages land
-// on ctx's trace.
+// one frame (0 selects the tweet package's 64 MiB default). The ingest
+// stages land on ctx's trace.
 func (i *Ingestor) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
 	st, t0 := &ingestStages{}, time.Now()
 	n, err := DrainBinary(r, maxFrame,
@@ -357,8 +357,8 @@ func (i *Ingestor) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64
 
 // DrainBinary is DrainNDJSON for the binary batch wire format: frames
 // stream into add one whole batch at a time and flush runs at the end.
-// maxFrame bounds a single frame (0 selects tweet.DefaultMaxFrameBytes);
-// oversized frames surface tweet.ErrFrameTooLarge through the returned
+// maxFrame bounds a single frame (0 selects the tweet package's 64 MiB
+// default); oversized frames surface tweet.ErrFrameTooLarge through the returned
 // error chain so service layers can answer 413, exactly like
 // http.MaxBytesError on the NDJSON path. The returned count is in
 // records (not frames): all records of every frame add accepted before

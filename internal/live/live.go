@@ -380,10 +380,6 @@ func (a *Aggregator) bucketIdx(ts int64) int64 {
 	return idx
 }
 
-// BucketIndex is bucketIdx for callers outside the package — recovery
-// uses it to route tail-replay records around cold-backfilled buckets.
-func (a *Aggregator) BucketIndex(ts int64) int64 { return a.bucketIdx(ts) }
-
 // Ingest routes one batch into the ring: every record is validated,
 // resolved through the multi-scale assignment hot path exactly once, and
 // appended — with its cached assignments, cell id and unit vector — to
@@ -836,11 +832,11 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 	}
 }
 
-// CoverageKey fingerprints the bucket coverage of the record window
+// coverageKey fingerprints the bucket coverage of the record window
 // [lo, hi) (math.MinInt64/MaxInt64 for unbounded sides). A cached result
 // keyed on it stays valid exactly until an ingest lands in a bucket the
 // window touches — or, for unbounded windows, anywhere.
-func (a *Aggregator) CoverageKey(lo, hi int64) string {
+func (a *Aggregator) coverageKey(lo, hi int64) string {
 	h := fnv.New64a()
 	a.hashCoverage(h, lo, hi)
 	return fmt.Sprintf("%016x", h.Sum64())
@@ -890,14 +886,14 @@ func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
 	}
 }
 
-// CoverageKeyRequest is CoverageKey for a request's window, after
+// CoverageKeyRequest is coverageKey for a request's window, after
 // checking that the aggregator materialises the request's shape (plan).
 func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
 	_, lo, hi, err := plan(req, a)
 	if err != nil {
 		return "", err
 	}
-	return a.CoverageKey(lo, hi), nil
+	return a.coverageKey(lo, hi), nil
 }
 
 // plan plans req once for rings sharing one Shape, checks that the Shape

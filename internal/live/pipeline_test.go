@@ -251,7 +251,7 @@ func TestBackfillPipelineMatchesSerial(t *testing.T) {
 					name, k, p.Ingested(), p.Revision(), p.Buckets(), s.Ingested(), s.Revision(), s.Buckets())
 			}
 			// The coverage key hashes every bucket's (index, revision).
-			if p.CoverageKey(math.MinInt64, math.MaxInt64) != s.CoverageKey(math.MinInt64, math.MaxInt64) {
+			if p.coverageKey(math.MinInt64, math.MaxInt64) != s.coverageKey(math.MinInt64, math.MaxInt64) {
 				t.Fatalf("%s ring %d: per-bucket revisions differ", name, k)
 			}
 			if p.Ingested() == 0 {

@@ -94,7 +94,7 @@ func queryMatchesExecute(t *testing.T, width time.Duration, records []tweet.Twee
 		if liveErr != nil {
 			t.Fatalf("req %d (%s): live query: %v", ri, req.Key(), liveErr)
 		}
-		if !testx.ResultsBitEqual(liveRes, ref) {
+		if !testx.ValuesBitEqual(liveRes, ref) {
 			t.Fatalf("req %d (%s): folded result diverges from cold pass", ri, req.Key())
 		}
 	}

@@ -16,6 +16,7 @@ import (
 
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
+	"geomob/internal/tweetdb"
 )
 
 // Snapshot-commit metrics (DESIGN.md §12).
@@ -46,8 +47,8 @@ const (
 	snapSuffix       = ".gmsnap"
 )
 
-// ErrSnapshotCorrupt marks an unreadable or mismatched snapshot file.
-var ErrSnapshotCorrupt = errors.New("live: snapshot corrupt")
+// errSnapshotCorrupt marks an unreadable or mismatched snapshot file.
+var errSnapshotCorrupt = errors.New("live: snapshot corrupt")
 
 func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
 func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
@@ -89,10 +90,6 @@ type RingCapture struct {
 	live      []bucketRef
 	dirty     []capturedBucket
 }
-
-// Dirty reports how many buckets changed since the last committed
-// snapshot.
-func (c *RingCapture) Dirty() int { return len(c.dirty) }
 
 // Capture copies the ring's dirty buckets (canonically sorted) and the
 // identities of all live buckets. Callers that pair the capture with a
@@ -229,10 +226,10 @@ func (bs *bucketSnapshot) Count() int { return len(bs.tweets) }
 // ids, lengths and CRCs, assignment bounds, that every record's
 // timestamp maps to the blob's bucket, and that the records are in
 // canonical (user, time, id) order. Any mismatch returns
-// ErrSnapshotCorrupt — callers degrade that bucket to a cold backfill.
+// errSnapshotCorrupt — callers degrade that bucket to a cold backfill.
 func (sh *Shape) decodeBucketSnapshot(blob []byte) (*bucketSnapshot, error) {
 	fail := func(format string, args ...any) (*bucketSnapshot, error) {
-		return nil, fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
+		return nil, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(blob) < snapHeader {
 		return fail("short header (%d bytes)", len(blob))
@@ -469,22 +466,28 @@ func OpenSnapshotStore(dir string) (*SnapshotStore, error) {
 func (s *SnapshotStore) Dir() string { return s.dir }
 
 // loadManifest reads and validates the manifest. It returns an error
-// wrapping ErrSnapshotCorrupt for a missing, unparsable or
+// wrapping errSnapshotCorrupt for a missing, unparsable or
 // checksum-failing file.
 func (s *SnapshotStore) loadManifest() (*snapManifest, error) {
 	raw, err := os.ReadFile(filepath.Join(s.dir, snapManifestName))
 	if err != nil {
-		return nil, fmt.Errorf("%w: read manifest: %w", ErrSnapshotCorrupt, err)
+		return nil, fmt.Errorf("%w: read manifest: %w", errSnapshotCorrupt, err)
 	}
+	return parseManifest(raw)
+}
+
+// parseManifest decodes and validates a manifest file's bytes: JSON,
+// version 1, and a CRC over the rest of its fields.
+func parseManifest(raw []byte) (*snapManifest, error) {
 	man := &snapManifest{}
 	if err := json.Unmarshal(raw, man); err != nil {
-		return nil, fmt.Errorf("%w: parse manifest: %w", ErrSnapshotCorrupt, err)
+		return nil, fmt.Errorf("%w: parse manifest: %w", errSnapshotCorrupt, err)
 	}
 	if man.Version != 1 {
-		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrSnapshotCorrupt, man.Version)
+		return nil, fmt.Errorf("%w: unsupported manifest version %d", errSnapshotCorrupt, man.Version)
 	}
 	if man.CRC == "" || man.CRC != man.computeCRC() {
-		return nil, fmt.Errorf("%w: manifest checksum mismatch", ErrSnapshotCorrupt)
+		return nil, fmt.Errorf("%w: manifest checksum mismatch", errSnapshotCorrupt)
 	}
 	return man, nil
 }
@@ -554,7 +557,7 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 		if cb := dirty[ref.Idx]; cb != nil {
 			name := fmt.Sprintf("bk-%d-%016x%s", cb.idx, cb.rev, snapSuffix)
 			blob := encodeBucketBlob(c.shapeHash, c.width, c.slots, cb)
-			if err := atomicWriteFile(filepath.Join(s.dir, name), blob); err != nil {
+			if err := tweetdb.AtomicWriteFile(filepath.Join(s.dir, name), blob); err != nil {
 				return SnapshotStats{}, fmt.Errorf("live: write snapshot bucket %d: %w", cb.idx, err)
 			}
 			blobBytes += int64(len(blob))
@@ -573,7 +576,7 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 	if err != nil {
 		return SnapshotStats{}, fmt.Errorf("live: marshal snapshot manifest: %w", err)
 	}
-	if err := atomicWriteFile(filepath.Join(s.dir, snapManifestName), raw); err != nil {
+	if err := tweetdb.AtomicWriteFile(filepath.Join(s.dir, snapManifestName), raw); err != nil {
 		return SnapshotStats{}, fmt.Errorf("live: save snapshot manifest: %w", err)
 	}
 	referenced := map[string]bool{}
@@ -597,35 +600,4 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 	mSnapBytes.Add(blobBytes)
 	mSnapCommitSecs.Observe(time.Since(t0).Seconds())
 	return SnapshotStats{Buckets: len(man.Buckets), Bytes: s.bytes, Written: written, LastUnixMs: s.last}, nil
-}
-
-// atomicWriteFile writes data via a temp file, fsync and rename, so
-// readers — and the recovery path after a crash — never observe a
-// partially written file.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
 }

@@ -3,12 +3,14 @@ package live
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime/metrics"
 	"testing"
 	"time"
@@ -255,8 +257,8 @@ func TestSnapshotBucketDamageShapes(t *testing.T) {
 		"rows-swapped-valid-crcs": func() error {
 			n := int(binary.LittleEndian.Uint32(pristine[32:]))
 			damaged := testx.SwapSnapshotRows(pristine, 0, n-1)
-			if _, err := f.shape.decodeBucketSnapshot(damaged); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Errorf("decode of a blob with rows 0 and %d swapped: %v, want ErrSnapshotCorrupt", n-1, err)
+			if _, err := f.shape.decodeBucketSnapshot(damaged); !errors.Is(err, errSnapshotCorrupt) {
+				t.Errorf("decode of a blob with rows 0 and %d swapped: %v, want errSnapshotCorrupt", n-1, err)
 			}
 			return os.WriteFile(path, damaged, 0o644)
 		},
@@ -402,14 +404,74 @@ func FuzzDecodeBucketSnapshot(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(blob), got)
 		}
 		if err != nil {
-			if !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("decode error %v does not wrap ErrSnapshotCorrupt", err)
+			if !errors.Is(err, errSnapshotCorrupt) {
+				t.Fatalf("decode error %v does not wrap errSnapshotCorrupt", err)
 			}
 			return
 		}
 		cb := capturedBucket{idx: bs.Idx, tweets: bs.tweets, assign: bs.assign, vecs: bs.vecs, cells: bs.cells}
 		if again := encodeBucketBlob(sh.hash, sh.width, sh.slots, &cb); !bytes.Equal(again, blob) {
 			t.Fatal("an accepted blob does not re-encode to itself")
+		}
+	})
+}
+
+// FuzzSnapshotManifest runs the manifest parse — JSON, version and CRC —
+// over arbitrary file bytes, seeded with the flips of
+// TestSnapshotManifestCorruptionMatrix. It must never panic, never
+// allocate more than the bytes justify, reject anything with a wrapped
+// errSnapshotCorrupt, and whatever it accepts must survive the commit
+// path's own encoding: written as a commit writes it, it parses back to
+// the same manifest.
+func FuzzSnapshotManifest(f *testing.F) {
+	fx := newSnapFixture(f)
+	pristine := fx.files[snapManifestName]
+	f.Add(pristine)
+	for _, p := range []int{0, 1, 13, 29, 61, len(pristine) / 3, len(pristine) / 2, len(pristine) - 12, len(pristine) - 1} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[p] ^= 0xA5
+		f.Add(flipped)
+	}
+	f.Add(pristine[:len(pristine)/2])
+	f.Add([]byte(`{"version":1,"buckets":null,"crc":""}`))
+	f.Add([]byte{})
+
+	// The first parse in a process fills encoding/json's per-type caches;
+	// take that out of the measured calls.
+	if _, err := parseManifest(pristine); err != nil {
+		f.Fatal(err)
+	}
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(allocs)
+		return allocs[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		before := allocated()
+		man, err := parseManifest(raw)
+		// JSON carries no length prefixes to trust, so this bound only
+		// catches a blow-up; the slack covers invalid UTF-8 widening to
+		// U+FFFD, the error message and the fuzzing engine's own
+		// allocations in this process.
+		if got, limit := allocated()-before, uint64(64*len(raw)+1<<20); got > limit {
+			t.Fatalf("parsing %d bytes allocated %d", len(raw), got)
+		}
+		if err != nil {
+			if !errors.Is(err, errSnapshotCorrupt) {
+				t.Fatalf("parse error %v does not wrap errSnapshotCorrupt", err)
+			}
+			return
+		}
+		again, err := json.MarshalIndent(man, "", "  ")
+		if err != nil {
+			t.Fatalf("an accepted manifest does not marshal: %v", err)
+		}
+		back, err := parseManifest(again)
+		if err != nil {
+			t.Fatalf("an accepted manifest does not parse back: %v", err)
+		}
+		if !reflect.DeepEqual(back, man) {
+			t.Fatalf("manifest %+v parses back as %+v", man, back)
 		}
 	})
 }

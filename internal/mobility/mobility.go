@@ -53,8 +53,8 @@ func NewAreaMapper(rs census.RegionSet, radius float64) (*AreaMapper, error) {
 // Radius returns the mapper's search radius in metres.
 func (m *AreaMapper) Radius() float64 { return m.radius }
 
-// NumAreas returns the number of areas in the mapper.
-func (m *AreaMapper) NumAreas() int { return len(m.areas) }
+// numAreas returns the number of areas in the mapper.
+func (m *AreaMapper) numAreas() int { return len(m.areas) }
 
 // Area returns the i-th area.
 func (m *AreaMapper) Area(i int) census.Area { return m.areas[i] }
@@ -91,9 +91,6 @@ func NewMultiScaleMapper(mappers ...*AreaMapper) (*MultiScaleMapper, error) {
 
 // Len returns the number of bundled mappers.
 func (m *MultiScaleMapper) Len() int { return len(m.mappers) }
-
-// Mapper returns the i-th bundled mapper.
-func (m *MultiScaleMapper) Mapper(i int) *AreaMapper { return m.mappers[i] }
 
 // MapAll assigns p at every bundled scale, writing the area index (or -1)
 // for mapper i into out[i]. out must have at least Len() elements. The
@@ -320,26 +317,20 @@ func (e *Extractor) flushUser() {
 	}
 }
 
-// WaitingSecs is the waiting time between consecutive tweets of one user
-// (Fig. 2b), in seconds.
-func WaitingSecs(prevTS, ts int64) float64 { return float64(ts-prevTS) / 1000 }
-
-// DisplacementKM is the displacement between consecutive tweets of one
-// user, in kilometres (the Δr of Hawelka et al., the paper's ref. [9]).
-func DisplacementKM(prev, cur geo.Point) float64 { return geo.Haversine(prev, cur) / 1000 }
-
-// WaitingSeries returns the waiting time of every pair of consecutive
-// tweets of one user in a (user, time)-ordered stream — Fig. 2b's input.
+// WaitingSeries returns the waiting time in seconds of every pair of
+// consecutive tweets of one user in a (user, time)-ordered stream — Fig.
+// 2b's input.
 // The extractor keeps only their sum (Stats.WaitMs); a figure that wants
 // the distribution derives it from the tweets it holds.
 func WaitingSeries(tweets []tweet.Tweet) []float64 {
-	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return WaitingSecs(prev.TS, cur.TS) })
+	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return float64(cur.TS-prev.TS) / 1000 })
 }
 
-// DisplacementSeries is WaitingSeries for the displacements; zero-length
-// moves are included.
+// DisplacementSeries is WaitingSeries for the displacements in kilometres
+// (the Δr of Hawelka et al., the paper's ref. [9]); zero-length moves are
+// included.
 func DisplacementSeries(tweets []tweet.Tweet) []float64 {
-	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return DisplacementKM(prev.Point(), cur.Point()) })
+	return stepSeries(tweets, func(prev, cur *tweet.Tweet) float64 { return geo.Haversine(prev.Point(), cur.Point()) / 1000 })
 }
 
 func stepSeries(tweets []tweet.Tweet, step func(prev, cur *tweet.Tweet) float64) []float64 {
@@ -408,8 +399,8 @@ type UserCounter struct {
 func NewUserCounter(mapper *AreaMapper) *UserCounter {
 	return &UserCounter{
 		mapper: mapper,
-		counts: make([]float64, mapper.NumAreas()),
-		mark:   make([]int64, mapper.NumAreas()),
+		counts: make([]float64, mapper.numAreas()),
+		mark:   make([]int64, mapper.numAreas()),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/geo"
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
 
@@ -27,15 +28,15 @@ func TestAreaMapperDefaults(t *testing.T) {
 	if m.Radius() != 50_000 {
 		t.Errorf("national default radius = %v, want 50000", m.Radius())
 	}
-	if m.NumAreas() != 20 {
-		t.Errorf("NumAreas = %d", m.NumAreas())
+	if m.numAreas() != 20 {
+		t.Errorf("NumAreas = %d", m.numAreas())
 	}
 }
 
 func TestAreaMapperAssignment(t *testing.T) {
 	m := nationalMapper(t)
 	sydneyIdx := -1
-	for i := 0; i < m.NumAreas(); i++ {
+	for i := 0; i < m.numAreas(); i++ {
 		if m.Area(i).Name == "Sydney" {
 			sydneyIdx = i
 		}
@@ -48,7 +49,7 @@ func TestAreaMapperAssignment(t *testing.T) {
 		t.Errorf("CBD maps to %d, want %d", got, sydneyIdx)
 	}
 	// 30 km out is still within the 50 km radius.
-	if got := m.Map(geo.Destination(sydney, 90, 30_000)); got != sydneyIdx {
+	if got := m.Map(testx.Destination(sydney, 90, 30_000)); got != sydneyIdx {
 		t.Errorf("30km point maps to %d", got)
 	}
 	// Deep outback: no area within 50 km.
@@ -67,10 +68,10 @@ func TestAreaMapperCustomRadius(t *testing.T) {
 		t.Errorf("radius = %v", m.Radius())
 	}
 	center := m.Area(0).Center
-	if m.Map(geo.Destination(center, 0, 400)) != 0 {
+	if m.Map(testx.Destination(center, 0, 400)) != 0 {
 		t.Error("400 m point should map inside a 500 m radius")
 	}
-	if m.Map(geo.Destination(center, 0, 1500)) != -1 {
+	if m.Map(testx.Destination(center, 0, 1500)) != -1 {
 		t.Error("1.5 km point should not map inside a 500 m radius")
 	}
 }
@@ -293,7 +294,7 @@ func TestRadiusOfGyration(t *testing.T) {
 	// chord distance (~356 km for the ~713 km pair).
 	syd := m.Area(0).Center
 	var melIdx int
-	for i := 0; i < m.NumAreas(); i++ {
+	for i := 0; i < m.numAreas(); i++ {
 		if m.Area(i).Name == "Melbourne" {
 			melIdx = i
 		}

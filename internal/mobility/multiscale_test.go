@@ -7,6 +7,7 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/geo"
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
 
@@ -110,8 +111,8 @@ func syntheticStream(rng *rand.Rand, m *AreaMapper, users, perUser int) []tweet.
 			if rng.IntN(5) == 0 {
 				p = geo.Point{Lat: -25, Lon: 131} // deep outback, unmapped
 			} else {
-				c := m.Area(rng.IntN(m.NumAreas())).Center
-				p = geo.Destination(c, rng.Float64()*360, rng.Float64()*m.Radius()*1.2)
+				c := m.Area(rng.IntN(m.numAreas())).Center
+				p = testx.Destination(c, rng.Float64()*360, rng.Float64()*m.Radius()*1.2)
 			}
 			tweets = append(tweets, tweet.Tweet{
 				ID: id, UserID: int64(u), TS: ts, Lat: p.Lat, Lon: p.Lon,
@@ -205,7 +206,7 @@ func TestUserCounterMatchesBrute(t *testing.T) {
 			brute[[2]int64{tw.UserID, int64(a)}] = true
 		}
 	}
-	want := make([]float64, m.NumAreas())
+	want := make([]float64, m.numAreas())
 	for k := range brute {
 		want[k[1]]++
 	}

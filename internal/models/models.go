@@ -20,8 +20,8 @@ type Model interface {
 	Predict(od *OD, i, j int) (float64, error)
 }
 
-// ErrNotFitted is returned by Predict before a successful Fit.
-var ErrNotFitted = errors.New("models: model has not been fitted")
+// errNotFitted is returned by Predict before a successful Fit.
+var errNotFitted = errors.New("models: model has not been fitted")
 
 // ErrInsufficientData marks an estimate the data cannot define — a fit
 // with too few positive flow pairs, a rescaling over no users. It is the
@@ -77,7 +77,7 @@ func (g *Gravity4) Fit(od *OD) error {
 // Predict implements Model.
 func (g *Gravity4) Predict(od *OD, i, j int) (float64, error) {
 	if !g.fitted {
-		return 0, ErrNotFitted
+		return 0, errNotFitted
 	}
 	if i == j {
 		return 0, fmt.Errorf("models: gravity-4 predict: self-pair %d", i)
@@ -129,7 +129,7 @@ func (g *Gravity2) Fit(od *OD) error {
 // Predict implements Model.
 func (g *Gravity2) Predict(od *OD, i, j int) (float64, error) {
 	if !g.fitted {
-		return 0, ErrNotFitted
+		return 0, errNotFitted
 	}
 	if i == j {
 		return 0, fmt.Errorf("models: gravity-2 predict: self-pair %d", i)
@@ -199,7 +199,7 @@ func (r *Radiation) Fit(od *OD) error {
 // Predict implements Model.
 func (r *Radiation) Predict(od *OD, i, j int) (float64, error) {
 	if !r.fitted {
-		return 0, ErrNotFitted
+		return 0, errNotFitted
 	}
 	if i == j {
 		return 0, fmt.Errorf("models: radiation predict: self-pair %d", i)

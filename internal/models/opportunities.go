@@ -110,7 +110,7 @@ func (o *InterveningOpportunities) Fit(od *OD) error {
 // Predict implements Model.
 func (o *InterveningOpportunities) Predict(od *OD, i, j int) (float64, error) {
 	if !o.fitted {
-		return 0, ErrNotFitted
+		return 0, errNotFitted
 	}
 	if i == j {
 		return 0, fmt.Errorf("models: intervening opportunities predict: self-pair %d", i)

@@ -219,7 +219,7 @@ func FuzzMergeExpositions(f *testing.F) {
 	r.Gauge("app_depth", "Queue depth.", "node", `we"ird\`).Set(3)
 	r.Histogram("app_seconds", "Latency.", nil, "stage", "fold").Observe(0.25)
 	var reg bytes.Buffer
-	if err := r.WritePrometheus(&reg); err != nil {
+	if err := r.writePrometheus(&reg); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(reg.Bytes(), []byte(fedNodeB), false)

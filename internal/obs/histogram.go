@@ -5,12 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// LatencyBuckets is the shared bucket layout for every latency
+// latencyBuckets is the shared bucket layout for every latency
 // histogram (DESIGN.md §12): roughly ×3 steps from 100µs to 60s, wide
 // enough that a cold multi-second scan and a 3ms warm bucket fold land
 // in distinct buckets, small enough (18 buckets) that one histogram is
 // ~200 bytes of atomics.
-var LatencyBuckets = []float64{
+var latencyBuckets = []float64{
 	0.0001, 0.00025, 0.0005,
 	0.001, 0.0025, 0.005,
 	0.01, 0.025, 0.05,
@@ -32,7 +32,7 @@ type Histogram struct {
 
 func newHistogram(bounds []float64) *Histogram {
 	if bounds == nil {
-		bounds = LatencyBuckets
+		bounds = latencyBuckets
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -42,7 +42,7 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 }
 
-// Observe records v (in the bounds' unit — seconds for LatencyBuckets).
+// Observe records v (in the bounds' unit — seconds for latencyBuckets).
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
@@ -58,14 +58,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveSeconds records a duration given in nanoseconds. Callers hold
-// a time.Duration; d.Seconds() at the call site works equally — this
-// exists so hot paths can pass time.Since(t0) without a conversion
-// dance.
-func (h *Histogram) ObserveSeconds(nanos int64) { h.Observe(float64(nanos) / 1e9) }
-
-// CountSum returns the total observation count and value sum.
-func (h *Histogram) CountSum() (int64, float64) {
+// countSum returns the total observation count and value sum.
+func (h *Histogram) countSum() (int64, float64) {
 	return h.count.Load(), math.Float64frombits(h.sum.Load())
 }
 

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// WritePrometheus renders every family in the registry in the
+// writePrometheus renders every family in the registry in the
 // Prometheus text exposition format (version 0.0.4): sorted families,
 // each with # HELP / # TYPE headers; histograms as cumulative
 // `_bucket{le=…}` series plus `_sum` and `_count`.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
 		f.mu.Lock()
 		series := append([]*series(nil), f.series...)
@@ -95,7 +95,7 @@ func writeHistogram(w io.Writer, name string, s *series) error {
 	if _, err := fmt.Fprintf(w, "%s_bucket{%s} %d\n", name, ls, cum); err != nil {
 		return err
 	}
-	_, sum := h.CountSum()
+	_, sum := h.countSum()
 	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, braced(s.labels), strconv.FormatFloat(sum, 'g', -1, 64)); err != nil {
 		return err
 	}
@@ -119,7 +119,7 @@ func Handler(regs ...*Registry) http.Handler {
 			if r == nil {
 				continue
 			}
-			if err := r.WritePrometheus(w); err != nil {
+			if err := r.writePrometheus(w); err != nil {
 				return
 			}
 		}

@@ -77,7 +77,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	h.Observe(5)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	body := b.String()
@@ -150,7 +150,7 @@ func TestBuildMetrics(t *testing.T) {
 	RegisterBuildMetrics(r)
 	RegisterBuildMetrics(r) // idempotent
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	body := b.String()

@@ -56,9 +56,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt stores an integer value.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Add adjusts the gauge by d.
 func (g *Gauge) Add(d float64) {
 	for {
@@ -212,7 +209,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 
 // Histogram returns the histogram for name (+ optional label pairs),
 // creating it with the given upper bounds on first use (nil selects
-// LatencyBuckets). Bounds must be ascending; a +Inf overflow bucket is
+// latencyBuckets). Bounds must be ascending; a +Inf overflow bucket is
 // implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
 	f := r.familyFor(name, help, typeHistogram)
@@ -268,7 +265,7 @@ func (r *Registry) Snapshot() Snapshot {
 			case s.g != nil:
 				out[key] = s.g.Value()
 			case s.h != nil:
-				n, sum := s.h.CountSum()
+				n, sum := s.h.countSum()
 				out[key+"_count"] = float64(n)
 				out[key+"_sum"] = sum
 			}

@@ -25,7 +25,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 3 {
 		t.Fatalf("gauge = %v, want 3", got)
 	}
-	g.SetInt(7)
+	g.Set(7)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %v, want 7", got)
 	}
@@ -106,7 +106,7 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramOverflowBucket(t *testing.T) {
 	h := newHistogram([]float64{0.001, 0.01})
 	h.Observe(5) // beyond every bound -> +Inf bucket
-	n, sum := h.CountSum()
+	n, sum := h.countSum()
 	if n != 1 || sum != 5 {
 		t.Fatalf("count,sum = %d,%v want 1,5", n, sum)
 	}

@@ -1,6 +1,6 @@
 // Package randx provides the seeded random variate generators the synthetic
-// data pipeline relies on: Pareto and bounded Pareto tails, discrete power
-// laws, lognormal penetration bias, Poisson counts and weighted choices.
+// data pipeline relies on: bounded Pareto tails, discrete power laws,
+// lognormal penetration bias, Poisson counts and weighted choices.
 //
 // All generators draw from an explicit *rand.Rand (math/rand/v2, PCG), so
 // every experiment in the repository is reproducible from a pair of seeds.
@@ -16,18 +16,6 @@ import (
 // New returns a deterministic PCG-backed generator for the given seed pair.
 func New(seed1, seed2 uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed1, seed2))
-}
-
-// Pareto draws from the (continuous, unbounded) Pareto distribution with
-// density p(x) ∝ x^(−alpha) for x >= xmin. alpha must exceed 1 so that the
-// density normalises. It panics on invalid parameters, which always
-// indicates a programming error in experiment setup.
-func Pareto(rng *rand.Rand, alpha, xmin float64) float64 {
-	if alpha <= 1 || xmin <= 0 {
-		panic(fmt.Sprintf("randx: Pareto requires alpha > 1 and xmin > 0, got alpha=%v xmin=%v", alpha, xmin))
-	}
-	u := rng.Float64()
-	return xmin * math.Pow(1-u, -1/(alpha-1))
 }
 
 // BoundedPareto draws from the Pareto density truncated to [xmin, xmax] by
@@ -50,13 +38,6 @@ func BoundedPareto(rng *rand.Rand, alpha, xmin, xmax float64) float64 {
 	lo := math.Pow(xmin, a1)
 	hi := math.Pow(xmax, a1)
 	return math.Pow(lo+u*(hi-lo), 1/a1)
-}
-
-// DiscretePowerLaw draws an integer k in [kmin, kmax] with P(k) ∝ k^(−alpha)
-// using a precomputed sampler; see NewDiscretePowerLaw for repeated draws.
-func DiscretePowerLaw(rng *rand.Rand, alpha float64, kmin, kmax int) int {
-	s := NewDiscretePowerLaw(alpha, kmin, kmax)
-	return s.Sample(rng)
 }
 
 // DiscretePowerLawSampler samples integers k with P(k) ∝ k^(−alpha) on a
@@ -176,11 +157,3 @@ func (w *WeightedChoice) Sample(rng *rand.Rand) int {
 
 // Len returns the number of categories.
 func (w *WeightedChoice) Len() int { return len(w.cum) }
-
-// Exponential draws from the exponential distribution with the given mean.
-func Exponential(rng *rand.Rand, mean float64) float64 {
-	if mean <= 0 {
-		panic(fmt.Sprintf("randx: Exponential requires mean > 0, got %v", mean))
-	}
-	return rng.ExpFloat64() * mean
-}

@@ -1,6 +1,6 @@
 // Package report renders experiment outputs: aligned text tables (the
-// shape of the paper's Table I and Table II), CSV series files for the
-// figure data, and Markdown tables for EXPERIMENTS.md.
+// shape of the paper's Table I and Table II) and CSV files for the table
+// and figure data.
 package report
 
 import (
@@ -54,35 +54,6 @@ func (t *Table) WriteText(w io.Writer) error {
 	}
 	if err := tw.Flush(); err != nil {
 		return fmt.Errorf("report: flush table: %w", err)
-	}
-	return nil
-}
-
-// WriteMarkdown renders the table as GitHub-flavoured Markdown.
-func (t *Table) WriteMarkdown(w io.Writer) error {
-	if t.Title != "" {
-		if _, err := fmt.Fprintf(w, "### %s\n\n", t.Title); err != nil {
-			return fmt.Errorf("report: write title: %w", err)
-		}
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(t.Headers, " | ")); err != nil {
-		return fmt.Errorf("report: write header: %w", err)
-	}
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | ")); err != nil {
-		return fmt.Errorf("report: write separator: %w", err)
-	}
-	for _, row := range t.Rows {
-		escaped := make([]string, len(row))
-		for i, c := range row {
-			escaped[i] = strings.ReplaceAll(c, "|", "\\|")
-		}
-		if _, err := fmt.Fprintf(w, "| %s |\n", strings.Join(escaped, " | ")); err != nil {
-			return fmt.Errorf("report: write row: %w", err)
-		}
 	}
 	return nil
 }

@@ -31,35 +31,6 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
-func TestWriteMarkdown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sampleTable().WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "### Model Performance") {
-		t.Error("markdown title missing")
-	}
-	if !strings.Contains(out, "| Scale | Gravity | Radiation |") {
-		t.Error("markdown header missing")
-	}
-	if !strings.Contains(out, "| --- | --- | --- |") {
-		t.Error("markdown separator missing")
-	}
-}
-
-func TestMarkdownEscapesPipes(t *testing.T) {
-	tab := NewTable("", "A")
-	tab.AddRow("x|y")
-	var buf bytes.Buffer
-	if err := tab.WriteMarkdown(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `x\|y`) {
-		t.Errorf("pipe not escaped: %s", buf.String())
-	}
-}
-
 func TestWriteCSV(t *testing.T) {
 	tab := NewTable("", "name", "value")
 	tab.AddRow("plain", "1")

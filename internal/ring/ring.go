@@ -1,7 +1,6 @@
 // Package ring implements consistent-hash placement for the cluster
 // tier (DESIGN.md §10). The keyspace is the 64-bit SplitMix64 image of
-// the tweet user id — the same finalizer the PR 5 partitioner pinned —
-// carved into a fixed number of contiguous hash ranges called slots.
+// the tweet user id, carved into a fixed number of contiguous hash ranges called slots.
 // A slot is the unit of placement and replication: every user's whole
 // trajectory hashes into exactly one slot, so any set of slot-level
 // partials can be merged into a bit-identical study result no matter
@@ -43,10 +42,9 @@ const (
 	vnodes = 64
 )
 
-// Mix applies the SplitMix64 finalizer — the same bijection the PR 5
-// partitioner pinned, so slot placement and the legacy modulo
-// partitioner agree on the underlying hash.
-func Mix(x uint64) uint64 {
+// mix applies the SplitMix64 finalizer, a bijection on uint64 that
+// spreads dense user ids uniformly over the keyspace.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -55,14 +53,14 @@ func Mix(x uint64) uint64 {
 	return x
 }
 
-// HashUser maps a user id onto the 64-bit keyspace.
-func HashUser(userID int64) uint64 { return Mix(uint64(userID)) }
+// hashUser maps a user id onto the 64-bit keyspace.
+func hashUser(userID int64) uint64 { return mix(uint64(userID)) }
 
 // SlotOf returns the slot owning userID's entire trajectory. Using the
 // top bits of the mixed hash (rather than a modulo) makes each slot a
 // contiguous hash range, so degraded-read errors can name the exact
 // missing user-range.
-func SlotOf(userID int64) int { return int(HashUser(userID) >> slotShift) }
+func SlotOf(userID int64) int { return int(hashUser(userID) >> slotShift) }
 
 // SlotRange returns the inclusive user-hash range [lo, hi] covered by
 // slot.
@@ -125,7 +123,7 @@ func New(names []string, r int) (*Ring, error) {
 		base := nh.Sum64()
 		for v := 0; v < vnodes; v++ {
 			points = append(points, vpoint{
-				h:      Mix(base ^ Mix(uint64(v)+0x5851f42d4c957f2d)),
+				h:      mix(base ^ mix(uint64(v)+0x5851f42d4c957f2d)),
 				member: i,
 				v:      v,
 			})
@@ -163,7 +161,7 @@ func New(names []string, r int) (*Ring, error) {
 // slotPoint places slot k on the circle, mixed so consecutive slots do
 // not cluster on one arc.
 func slotPoint(k int) uint64 {
-	return Mix(uint64(k)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
+	return mix(uint64(k)*0x9e3779b97f4a7c15 + 0xd1b54a32d192ed03)
 }
 
 // Version identifies this ring's configuration. Placement is a pure
@@ -177,9 +175,6 @@ func (g *Ring) Replication() int { return g.r }
 // Replicas returns the member indexes replicating slot, owner first.
 // The returned slice is shared; callers must not mutate it.
 func (g *Ring) Replicas(slot int) []int { return g.owners[slot] }
-
-// Owner returns the member index owning slot.
-func (g *Ring) Owner(slot int) int { return g.owners[slot][0] }
 
 // SlotsFor returns the slots whose replica set includes member node,
 // in ascending slot order.

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Bin is one bin of a histogram or binned scatter series.
@@ -13,43 +12,6 @@ type Bin struct {
 	Count   int     // number of observations in the bin
 	Density float64 // probability density: share/width
 	MeanY   float64 // mean of the paired y values (binned scatter only)
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and returns
-// normalised densities (the integral over all bins is 1).
-func Histogram(xs []float64, nbins int) ([]Bin, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	if nbins < 1 {
-		return nil, fmt.Errorf("stats: histogram requires nbins >= 1, got %d", nbins)
-	}
-	min, max, _ := MinMax(xs)
-	if min == max {
-		max = min + 1 // degenerate: single spike
-	}
-	width := (max - min) / float64(nbins)
-	bins := make([]Bin, nbins)
-	for i := range bins {
-		bins[i].Lo = min + float64(i)*width
-		bins[i].Hi = bins[i].Lo + width
-		bins[i].Center = (bins[i].Lo + bins[i].Hi) / 2
-	}
-	for _, v := range xs {
-		i := int((v - min) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		bins[i].Count++
-	}
-	n := float64(len(xs))
-	for i := range bins {
-		bins[i].Density = float64(bins[i].Count) / (n * width)
-	}
-	return bins, nil
 }
 
 // LogHistogram bins the strictly positive values of xs into logarithmically
@@ -71,9 +33,9 @@ func LogHistogram(xs []float64, binsPerDecade int) (bins []Bin, skipped int, err
 		}
 	}
 	if len(pos) == 0 {
-		return nil, skipped, ErrEmpty
+		return nil, skipped, errEmpty
 	}
-	min, max, _ := MinMax(pos)
+	min, max, _ := minMax(pos)
 	loExp := math.Floor(math.Log10(min) * float64(binsPerDecade))
 	hiExp := math.Ceil(math.Log10(max) * float64(binsPerDecade))
 	nbins := int(hiExp-loExp) + 1
@@ -133,7 +95,7 @@ func LogBinScatter(x, y []float64, binsPerDecade int) ([]Bin, error) {
 		a.count++
 	}
 	if len(accs) == 0 {
-		return nil, ErrEmpty
+		return nil, errEmpty
 	}
 	keys := make([]int, 0, len(accs))
 	for k := range accs {
@@ -164,28 +126,4 @@ func sortInts(xs []int) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// CCDF returns the complementary cumulative distribution of xs as parallel
-// slices (values ascending, P(X >= value)). Useful for plotting heavy tails
-// without binning artefacts.
-func CCDF(xs []float64) (values, prob []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	values = make([]float64, 0, n)
-	prob = make([]float64, 0, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && sorted[j+1] == sorted[i] {
-			j++
-		}
-		values = append(values, sorted[i])
-		prob = append(prob, float64(n-i)/float64(n))
-		i = j + 1
-	}
-	return values, prob, nil
 }

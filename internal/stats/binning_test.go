@@ -6,52 +6,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBasic(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	bins, err := Histogram(xs, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bins) != 5 {
-		t.Fatalf("got %d bins", len(bins))
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != len(xs) {
-		t.Errorf("counts sum to %d, want %d", total, len(xs))
-	}
-	// Density must integrate to 1.
-	var integral float64
-	for _, b := range bins {
-		integral += b.Density * (b.Hi - b.Lo)
-	}
-	if !almost(integral, 1, 1e-9) {
-		t.Errorf("density integrates to %v", integral)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	bins, err := Histogram([]float64{3, 3, 3}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, b := range bins {
-		total += b.Count
-	}
-	if total != 3 {
-		t.Errorf("degenerate histogram lost observations: %d", total)
-	}
-	if _, err := Histogram(nil, 3); err == nil {
-		t.Error("empty input should fail")
-	}
-	if _, err := Histogram([]float64{1}, 0); err == nil {
-		t.Error("zero bins should fail")
-	}
-}
-
 func TestLogHistogramConservesAndNormalises(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 4))
 	xs := make([]float64, 5000)
@@ -147,45 +101,5 @@ func TestLogBinScatterSkipsBadPairs(t *testing.T) {
 	}
 	if _, err := LogBinScatter([]float64{1, 2}, []float64{1}, 2); err == nil {
 		t.Error("length mismatch should fail")
-	}
-}
-
-func TestCCDF(t *testing.T) {
-	values, prob, err := CCDF([]float64{1, 2, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV := []float64{1, 2, 3}
-	wantP := []float64{1, 0.75, 0.25}
-	if len(values) != 3 {
-		t.Fatalf("values = %v", values)
-	}
-	for i := range wantV {
-		if values[i] != wantV[i] || !almost(prob[i], wantP[i], 1e-12) {
-			t.Errorf("CCDF[%d] = (%v, %v), want (%v, %v)", i, values[i], prob[i], wantV[i], wantP[i])
-		}
-	}
-	if _, _, err := CCDF(nil); err == nil {
-		t.Error("empty CCDF should fail")
-	}
-}
-
-func TestCCDFMonotoneNonIncreasing(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 1))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.ExpFloat64() * 10
-	}
-	_, prob, err := CCDF(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(prob); i++ {
-		if prob[i] > prob[i-1] {
-			t.Fatalf("CCDF increased at %d", i)
-		}
-	}
-	if prob[0] != 1 {
-		t.Errorf("CCDF must start at 1, got %v", prob[0])
 	}
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Pearson returns the Pearson product-moment correlation coefficient between
@@ -69,7 +68,7 @@ func PearsonTest(x, y []float64) (*CorrelationTest, error) {
 		p = 0
 	} else {
 		t = r * math.Sqrt(df/(1-r*r))
-		p, err = StudentTTwoTailedP(t, df)
+		p, err = studentTTwoTailedP(t, df)
 		if err != nil {
 			return nil, err
 		}
@@ -82,41 +81,4 @@ func sign(v float64) int {
 		return -1
 	}
 	return 1
-}
-
-// Spearman returns Spearman's rank correlation coefficient, i.e. the Pearson
-// correlation of the rank-transformed data with mid-ranks for ties.
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: Spearman length mismatch: %d vs %d", len(x), len(y))
-	}
-	if len(x) < 2 {
-		return 0, fmt.Errorf("stats: Spearman requires at least 2 pairs, got %d", len(x))
-	}
-	return Pearson(Ranks(x), Ranks(y))
-}
-
-// Ranks returns the 1-based ranks of xs, assigning tied values the mean of
-// the ranks they span (mid-rank method).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		// Mid-rank for the tie group [i, j].
-		mid := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = mid
-		}
-		i = j + 1
-	}
-	return ranks
 }

@@ -112,7 +112,7 @@ func TestPearsonTestPValue(t *testing.T) {
 	if !almost(res.T, wantT, 1e-12) {
 		t.Errorf("t = %v, want %v", res.T, wantT)
 	}
-	wantP, _ := StudentTTwoTailedP(res.T, res.DF)
+	wantP, _ := studentTTwoTailedP(res.T, res.DF)
 	if !almost(res.P, wantP, 1e-12) {
 		t.Errorf("p = %v, want %v", res.P, wantP)
 	}
@@ -159,43 +159,5 @@ func TestPearsonTestPerfectCorrelation(t *testing.T) {
 func TestPearsonTestErrors(t *testing.T) {
 	if _, err := PearsonTest([]float64{1, 2}, []float64{1, 2}); err == nil {
 		t.Error("n=2 should fail (df=0)")
-	}
-}
-
-func TestRanks(t *testing.T) {
-	got := Ranks([]float64{10, 20, 20, 40})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", got, want)
-		}
-	}
-	got = Ranks([]float64{5, 5, 5})
-	for _, v := range got {
-		if v != 2 {
-			t.Fatalf("all-ties ranks = %v", got)
-		}
-	}
-}
-
-func TestSpearman(t *testing.T) {
-	// Monotone but non-linear relation: Spearman must be exactly 1.
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{1, 8, 27, 64, 125}
-	rho, err := Spearman(x, y)
-	if err != nil || !almost(rho, 1, 1e-12) {
-		t.Errorf("Spearman = %v, %v", rho, err)
-	}
-	// Reversed gives −1.
-	yRev := []float64{125, 64, 27, 8, 1}
-	rho, _ = Spearman(x, yRev)
-	if !almost(rho, -1, 1e-12) {
-		t.Errorf("Spearman reversed = %v", rho)
-	}
-	if _, err := Spearman([]float64{1}, []float64{1}); err == nil {
-		t.Error("n=1 should fail")
-	}
-	if _, err := Spearman([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }

@@ -16,11 +16,11 @@ import (
 	"sort"
 )
 
-// ErrEmpty is returned by functions that require at least one observation.
-var ErrEmpty = errors.New("stats: empty input")
+// errEmpty is returned by functions that require at least one observation.
+var errEmpty = errors.New("stats: empty input")
 
-// Sum returns the sum of xs (0 for empty input).
-func Sum(xs []float64) float64 {
+// sum returns the sum of xs (0 for empty input).
+func sum(xs []float64) float64 {
 	var s float64
 	for _, v := range xs {
 		s += v
@@ -31,13 +31,13 @@ func Sum(xs []float64) float64 {
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
-	return Sum(xs) / float64(len(xs)), nil
+	return sum(xs) / float64(len(xs)), nil
 }
 
-// Variance returns the unbiased (n−1) sample variance of xs.
-func Variance(xs []float64) (float64, error) {
+// variance returns the unbiased (n−1) sample variance of xs.
+func variance(xs []float64) (float64, error) {
 	if len(xs) < 2 {
 		return 0, fmt.Errorf("stats: variance requires at least 2 observations, got %d", len(xs))
 	}
@@ -52,17 +52,17 @@ func Variance(xs []float64) (float64, error) {
 
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
+	v, err := variance(xs)
 	if err != nil {
 		return 0, err
 	}
 	return math.Sqrt(v), nil
 }
 
-// MinMax returns the smallest and largest values in xs.
-func MinMax(xs []float64) (min, max float64, err error) {
+// minMax returns the smallest and largest values in xs.
+func minMax(xs []float64) (min, max float64, err error) {
 	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
+		return 0, 0, errEmpty
 	}
 	min, max = xs[0], xs[0]
 	for _, v := range xs[1:] {
@@ -78,15 +78,15 @@ func MinMax(xs []float64) (min, max float64, err error) {
 
 // Median returns the median of xs without modifying the input.
 func Median(xs []float64) (float64, error) {
-	return Quantile(xs, 0.5)
+	return quantile(xs, 0.5)
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
+// quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R default). The input
 // is not modified.
-func Quantile(xs []float64, q float64) (float64, error) {
+func quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
@@ -104,20 +104,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := h - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// GeometricMean returns the geometric mean of xs; every value must be
-// strictly positive.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var logSum float64
-	for _, v := range xs {
-		if v <= 0 {
-			return 0, fmt.Errorf("stats: geometric mean requires positive values, got %v", v)
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
 }

@@ -9,10 +9,10 @@ import (
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSumMean(t *testing.T) {
-	if Sum(nil) != 0 {
-		t.Error("Sum(nil) != 0")
+	if sum(nil) != 0 {
+		t.Error("sum(nil) != 0")
 	}
-	if Sum([]float64{1, 2, 3}) != 6 {
+	if sum([]float64{1, 2, 3}) != 6 {
 		t.Error("Sum wrong")
 	}
 	m, err := Mean([]float64{2, 4, 6})
@@ -25,7 +25,7 @@ func TestSumMean(t *testing.T) {
 }
 
 func TestVarianceStdDev(t *testing.T) {
-	v, err := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	v, err := variance([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,18 +37,18 @@ func TestVarianceStdDev(t *testing.T) {
 	if err != nil || !almost(sd, math.Sqrt(32.0/7.0), 1e-12) {
 		t.Errorf("StdDev = %v, %v", sd, err)
 	}
-	if _, err := Variance([]float64{1}); err == nil {
+	if _, err := variance([]float64{1}); err == nil {
 		t.Error("Variance of single value should fail")
 	}
 }
 
 func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -1, 4, 1, 5})
+	min, max, err := minMax([]float64{3, -1, 4, 1, 5})
 	if err != nil || min != -1 || max != 5 {
-		t.Errorf("MinMax = %v %v %v", min, max, err)
+		t.Errorf("minMax = %v %v %v", min, max, err)
 	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Error("MinMax(nil) should fail")
+	if _, _, err := minMax(nil); err == nil {
+		t.Error("minMax(nil) should fail")
 	}
 }
 
@@ -62,21 +62,21 @@ func TestMedianQuantile(t *testing.T) {
 		t.Errorf("Median even = %v, want 2.5", med)
 	}
 	// Quantile interpolation (type 7): q=0.25 of 1..5 is 2.
-	q, _ := Quantile([]float64{1, 2, 3, 4, 5}, 0.25)
+	q, _ := quantile([]float64{1, 2, 3, 4, 5}, 0.25)
 	if q != 2 {
 		t.Errorf("Q1 = %v, want 2", q)
 	}
-	q, _ = Quantile([]float64{1, 2, 3, 4}, 0.25)
+	q, _ = quantile([]float64{1, 2, 3, 4}, 0.25)
 	if !almost(q, 1.75, 1e-12) {
 		t.Errorf("Q1 of 1..4 = %v, want 1.75", q)
 	}
-	if v, _ := Quantile([]float64{7}, 0.9); v != 7 {
+	if v, _ := quantile([]float64{7}, 0.9); v != 7 {
 		t.Errorf("single-element quantile = %v", v)
 	}
-	if _, err := Quantile([]float64{1}, 1.5); err == nil {
+	if _, err := quantile([]float64{1}, 1.5); err == nil {
 		t.Error("quantile > 1 should fail")
 	}
-	if _, err := Quantile(nil, 0.5); err == nil {
+	if _, err := quantile(nil, 0.5); err == nil {
 		t.Error("quantile of empty should fail")
 	}
 }
@@ -96,7 +96,7 @@ func TestQuantileMonotonic(t *testing.T) {
 		xs := []float64{1, 5, 2, 8, 3, 9, 4, float64(seed % 100)}
 		prev := math.Inf(-1)
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1} {
-			v, err := Quantile(xs, q)
+			v, err := quantile(xs, q)
 			if err != nil || v < prev {
 				return false
 			}
@@ -106,19 +106,6 @@ func TestQuantileMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	g, err := GeometricMean([]float64{1, 10, 100})
-	if err != nil || !almost(g, 10, 1e-9) {
-		t.Errorf("GeometricMean = %v, %v", g, err)
-	}
-	if _, err := GeometricMean([]float64{1, 0}); err == nil {
-		t.Error("geometric mean with zero should fail")
-	}
-	if _, err := GeometricMean(nil); err == nil {
-		t.Error("geometric mean of empty should fail")
 	}
 }
 
@@ -137,7 +124,7 @@ func TestMeanBetweenMinMax(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		min, max, _ := MinMax(xs)
+		min, max, _ := minMax(xs)
 		return m >= min-1e-9 && m <= max+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

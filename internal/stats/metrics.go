@@ -12,7 +12,7 @@ func RMSE(pred, obs []float64) (float64, error) {
 		return 0, fmt.Errorf("stats: RMSE length mismatch: %d vs %d", len(pred), len(obs))
 	}
 	if len(pred) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	var ss float64
 	for i := range pred {
@@ -20,21 +20,6 @@ func RMSE(pred, obs []float64) (float64, error) {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(len(pred))), nil
-}
-
-// MAE returns the mean absolute error between predictions and observations.
-func MAE(pred, obs []float64) (float64, error) {
-	if len(pred) != len(obs) {
-		return 0, fmt.Errorf("stats: MAE length mismatch: %d vs %d", len(pred), len(obs))
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - obs[i])
-	}
-	return s / float64(len(pred)), nil
 }
 
 // HitRate returns the fraction of predictions whose relative error
@@ -62,27 +47,6 @@ func HitRate(pred, obs []float64, tol float64) (float64, error) {
 		return 0, fmt.Errorf("stats: HitRate has no pairs with nonzero observation")
 	}
 	return float64(hits) / float64(valid), nil
-}
-
-// MAPE returns the mean absolute percentage error over pairs with nonzero
-// observations.
-func MAPE(pred, obs []float64) (float64, error) {
-	if len(pred) != len(obs) {
-		return 0, fmt.Errorf("stats: MAPE length mismatch: %d vs %d", len(pred), len(obs))
-	}
-	var s float64
-	var valid int
-	for i := range pred {
-		if obs[i] == 0 {
-			continue
-		}
-		valid++
-		s += math.Abs(pred[i]-obs[i]) / math.Abs(obs[i])
-	}
-	if valid == 0 {
-		return 0, fmt.Errorf("stats: MAPE has no pairs with nonzero observation")
-	}
-	return s / float64(valid), nil
 }
 
 // Log10Positive returns parallel slices holding log10 of the entries where

@@ -22,16 +22,6 @@ func TestRMSE(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	v, err := MAE([]float64{1, -1}, []float64{0, 0})
-	if err != nil || v != 1 {
-		t.Errorf("MAE = %v, %v", v, err)
-	}
-	if _, err := MAE([]float64{1}, []float64{}); err == nil {
-		t.Error("length mismatch should fail")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	obs := []float64{100, 100, 100, 100}
 	pred := []float64{100, 149, 151, 40}
@@ -85,19 +75,6 @@ func TestHitRateMonotoneInTolerance(t *testing.T) {
 	}
 	if prev != 1 {
 		t.Errorf("HitRate at huge tolerance should be 1, got %v", prev)
-	}
-}
-
-func TestMAPE(t *testing.T) {
-	v, err := MAPE([]float64{110, 90}, []float64{100, 100})
-	if err != nil || !almost(v, 0.1, 1e-12) {
-		t.Errorf("MAPE = %v, %v", v, err)
-	}
-	if _, err := MAPE([]float64{1}, []float64{0}); err == nil {
-		t.Error("all-zero obs should fail")
-	}
-	if _, err := MAPE([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch should fail")
 	}
 }
 

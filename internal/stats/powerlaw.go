@@ -52,65 +52,6 @@ func FitPowerLaw(xs []float64, xmin float64, discrete bool) (*PowerLawFit, error
 	return fit, nil
 }
 
-// FitPowerLawAuto selects xmin by minimising the KS distance over the
-// candidate xmins (Clauset, Shalizi & Newman 2009) and returns the best fit.
-// Candidates are the distinct data values between the 1st and 90th
-// percentile, capped at maxCandidates evenly spread choices to bound cost.
-func FitPowerLawAuto(xs []float64, discrete bool, maxCandidates int) (*PowerLawFit, error) {
-	if len(xs) < 10 {
-		return nil, fmt.Errorf("stats: automatic power-law fit needs >= 10 observations, got %d", len(xs))
-	}
-	if maxCandidates < 1 {
-		maxCandidates = 20
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	lo := sorted[len(sorted)/100]
-	hi := sorted[len(sorted)*9/10]
-	if lo <= 0 {
-		lo = sorted[0]
-		for _, v := range sorted {
-			if v > 0 {
-				lo = v
-				break
-			}
-		}
-	}
-	// Distinct candidate xmins in [lo, hi].
-	var candidates []float64
-	prev := math.NaN()
-	for _, v := range sorted {
-		if v < lo || v > hi || v <= 0 {
-			continue
-		}
-		if v != prev {
-			candidates = append(candidates, v)
-			prev = v
-		}
-	}
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("stats: no valid xmin candidates in [%v, %v]", lo, hi)
-	}
-	stride := 1
-	if len(candidates) > maxCandidates {
-		stride = len(candidates) / maxCandidates
-	}
-	var best *PowerLawFit
-	for i := 0; i < len(candidates); i += stride {
-		fit, err := FitPowerLaw(xs, candidates[i], discrete)
-		if err != nil {
-			continue
-		}
-		if best == nil || fit.KS < best.KS {
-			best = fit
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("stats: power-law fit failed for all %d candidate xmins", len(candidates))
-	}
-	return best, nil
-}
-
 // powerLawKS returns the KS distance between the empirical CDF of the tail
 // and the fitted continuous power-law CDF 1 − (x/xmin)^(1−α).
 func powerLawKS(tail []float64, alpha, xmin float64) float64 {

@@ -92,28 +92,6 @@ func TestFitPowerLawDiscreteCorrection(t *testing.T) {
 	}
 }
 
-func TestFitPowerLawAuto(t *testing.T) {
-	rng := rand.New(rand.NewPCG(21, 22))
-	// True power law above xmin=3 with uniform noise below.
-	xs := samplePowerLaw(rng, 15000, 2.3, 3)
-	for i := 0; i < 5000; i++ {
-		xs = append(xs, rng.Float64()*3)
-	}
-	fit, err := FitPowerLawAuto(xs, false, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Alpha-2.3) > 0.15 {
-		t.Errorf("auto fit alpha = %v, want ~2.3", fit.Alpha)
-	}
-	if fit.XMin > 6 {
-		t.Errorf("auto fit xmin = %v, expected near 3", fit.XMin)
-	}
-	if _, err := FitPowerLawAuto([]float64{1, 2}, false, 10); err == nil {
-		t.Error("tiny input should fail")
-	}
-}
-
 func TestPowerLawKSDetectsMisfit(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 33))
 	// Exponential data is not a power law: the KS distance at any alpha

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 )
@@ -61,93 +60,13 @@ func BootstrapPearsonCI(x, y []float64, level float64, resamples int, seed1, see
 	}
 	sort.Float64s(rs)
 	alpha := 1 - level
-	lo, err := Quantile(rs, alpha/2)
+	lo, err := quantile(rs, alpha/2)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := Quantile(rs, 1-alpha/2)
+	hi, err := quantile(rs, 1-alpha/2)
 	if err != nil {
 		return nil, err
 	}
 	return &BootstrapCI{Lo: lo, Hi: hi, Level: level, Point: point, Resample: resamples}, nil
 }
-
-// KSTwoSample returns the two-sample Kolmogorov–Smirnov statistic D and an
-// asymptotic two-tailed p-value for the hypothesis that xs and ys are
-// drawn from the same distribution.
-func KSTwoSample(xs, ys []float64) (d, p float64, err error) {
-	if len(xs) == 0 || len(ys) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	a := append([]float64(nil), xs...)
-	b := append([]float64(nil), ys...)
-	sort.Float64s(a)
-	sort.Float64s(b)
-	na, nb := len(a), len(b)
-	var i, j int
-	for i < na && j < nb {
-		// Advance past ties on both sides together, so the empirical CDFs
-		// are compared only between jump points.
-		switch {
-		case a[i] < b[j]:
-			i++
-		case b[j] < a[i]:
-			j++
-		default:
-			v := a[i]
-			for i < na && a[i] == v {
-				i++
-			}
-			for j < nb && b[j] == v {
-				j++
-			}
-		}
-		fa := float64(i) / float64(na)
-		fb := float64(j) / float64(nb)
-		if diff := abs(fa - fb); diff > d {
-			d = diff
-		}
-	}
-	// Asymptotic Kolmogorov distribution (Smirnov's approximation).
-	ne := float64(na) * float64(nb) / float64(na+nb)
-	lambda := (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * d
-	p = kolmogorovQ(lambda)
-	return d, p, nil
-}
-
-// kolmogorovQ evaluates Q_KS(λ) = 2 Σ (−1)^{k−1} exp(−2k²λ²).
-func kolmogorovQ(lambda float64) float64 {
-	if lambda <= 0 {
-		return 1
-	}
-	var sum float64
-	sign := 1.0
-	for k := 1; k <= 100; k++ {
-		term := sign * exp(-2*float64(k)*float64(k)*lambda*lambda)
-		sum += term
-		if abs(term) < 1e-12 {
-			break
-		}
-		sign = -sign
-	}
-	q := 2 * sum
-	if q < 0 {
-		return 0
-	}
-	if q > 1 {
-		return 1
-	}
-	return q
-}
-
-// Small math helpers kept local so resample.go reads standalone.
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func sqrt(v float64) float64 { return math.Sqrt(v) }
-
-func exp(v float64) float64 { return math.Exp(v) }

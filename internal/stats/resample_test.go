@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand/v2"
 	"testing"
 )
@@ -86,83 +85,5 @@ func TestBootstrapDeterministic(t *testing.T) {
 	}
 	if a.Lo != b.Lo || a.Hi != b.Hi {
 		t.Errorf("same seed gave different intervals: %+v vs %+v", a, b)
-	}
-}
-
-func TestKSTwoSampleSameDistribution(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 10))
-	xs := make([]float64, 500)
-	ys := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = rng.NormFloat64()
-	}
-	d, p, err := KSTwoSample(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d > 0.1 {
-		t.Errorf("D = %v too large for identical distributions", d)
-	}
-	if p < 0.01 {
-		t.Errorf("p = %v rejects equal distributions", p)
-	}
-}
-
-func TestKSTwoSampleDifferentDistributions(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	xs := make([]float64, 500)
-	ys := make([]float64, 500)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-		ys[i] = rng.NormFloat64() + 1.5 // shifted
-	}
-	d, p, err := KSTwoSample(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d < 0.4 {
-		t.Errorf("D = %v too small for a 1.5σ shift", d)
-	}
-	if p > 1e-6 {
-		t.Errorf("p = %v fails to reject", p)
-	}
-}
-
-func TestKSTwoSampleIdenticalSamples(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	d, p, err := KSTwoSample(xs, xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 0 {
-		t.Errorf("identical samples: D = %v", d)
-	}
-	if p < 0.99 {
-		t.Errorf("identical samples: p = %v", p)
-	}
-	if _, _, err := KSTwoSample(nil, xs); err == nil {
-		t.Error("empty sample should fail")
-	}
-}
-
-func TestKolmogorovQBounds(t *testing.T) {
-	if q := kolmogorovQ(0); q != 1 {
-		t.Errorf("Q(0) = %v", q)
-	}
-	if q := kolmogorovQ(10); q > 1e-10 {
-		t.Errorf("Q(10) = %v, want ~0", q)
-	}
-	prev := 1.0
-	for _, l := range []float64{0.2, 0.5, 0.8, 1.2, 2.0} {
-		q := kolmogorovQ(l)
-		if q > prev || q < 0 || q > 1 {
-			t.Fatalf("Q not monotone in [0,1] at λ=%v: %v (prev %v)", l, q, prev)
-		}
-		prev = q
-	}
-	// Known value: Q(1.0) ≈ 0.27.
-	if q := kolmogorovQ(1.0); math.Abs(q-0.27) > 0.01 {
-		t.Errorf("Q(1.0) = %v, want ≈0.27", q)
 	}
 }

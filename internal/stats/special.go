@@ -10,9 +10,9 @@ import (
 // continued fraction for the incomplete beta), using math.Lgamma from the
 // standard library for the log-gamma terms.
 
-// RegIncompleteBeta returns the regularised incomplete beta function
+// regIncompleteBeta returns the regularised incomplete beta function
 // I_x(a, b) for a, b > 0 and x in [0, 1].
-func RegIncompleteBeta(a, b, x float64) (float64, error) {
+func regIncompleteBeta(a, b, x float64) (float64, error) {
 	if a <= 0 || b <= 0 {
 		return 0, fmt.Errorf("stats: incomplete beta requires a,b > 0, got a=%v b=%v", a, b)
 	}
@@ -99,35 +99,9 @@ func betaContinuedFraction(a, b, x float64) (float64, error) {
 	return 0, fmt.Errorf("stats: incomplete beta continued fraction failed to converge for a=%v b=%v x=%v", a, b, x)
 }
 
-// StudentTCDF returns P(T <= t) for Student's t distribution with df degrees
-// of freedom.
-func StudentTCDF(t, df float64) (float64, error) {
-	if df <= 0 {
-		return 0, fmt.Errorf("stats: Student-t requires df > 0, got %v", df)
-	}
-	if math.IsNaN(t) {
-		return 0, fmt.Errorf("stats: Student-t got NaN statistic")
-	}
-	if math.IsInf(t, 1) {
-		return 1, nil
-	}
-	if math.IsInf(t, -1) {
-		return 0, nil
-	}
-	x := df / (df + t*t)
-	ib, err := RegIncompleteBeta(df/2, 0.5, x)
-	if err != nil {
-		return 0, err
-	}
-	if t >= 0 {
-		return 1 - ib/2, nil
-	}
-	return ib / 2, nil
-}
-
-// StudentTTwoTailedP returns the two-tailed p-value P(|T| >= |t|) for
+// studentTTwoTailedP returns the two-tailed p-value P(|T| >= |t|) for
 // Student's t distribution with df degrees of freedom.
-func StudentTTwoTailedP(t, df float64) (float64, error) {
+func studentTTwoTailedP(t, df float64) (float64, error) {
 	if df <= 0 {
 		return 0, fmt.Errorf("stats: Student-t requires df > 0, got %v", df)
 	}
@@ -138,14 +112,9 @@ func StudentTTwoTailedP(t, df float64) (float64, error) {
 		return 0, nil
 	}
 	x := df / (df + t*t)
-	ib, err := RegIncompleteBeta(df/2, 0.5, x)
+	ib, err := regIncompleteBeta(df/2, 0.5, x)
 	if err != nil {
 		return 0, err
 	}
 	return ib, nil
-}
-
-// NormalCDF returns the standard normal cumulative distribution Φ(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }

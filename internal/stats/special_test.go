@@ -30,7 +30,7 @@ func TestRegIncompleteBetaKnownValues(t *testing.T) {
 		{14, 0.5, 0.9, 0.0886700064877, 1e-9},
 	}
 	for _, c := range cases {
-		got, err := RegIncompleteBeta(c.a, c.b, c.x)
+		got, err := regIncompleteBeta(c.a, c.b, c.x)
 		if err != nil {
 			t.Errorf("I_%v(%v,%v): %v", c.x, c.a, c.b, err)
 			continue
@@ -46,8 +46,8 @@ func TestRegIncompleteBetaSymmetry(t *testing.T) {
 	for _, a := range []float64{0.5, 1, 2.5, 10} {
 		for _, b := range []float64{0.5, 1, 3, 7.5} {
 			for _, x := range []float64{0.1, 0.3, 0.5, 0.8, 0.99} {
-				i1, err1 := RegIncompleteBeta(a, b, x)
-				i2, err2 := RegIncompleteBeta(b, a, 1-x)
+				i1, err1 := regIncompleteBeta(a, b, x)
+				i2, err2 := regIncompleteBeta(b, a, 1-x)
 				if err1 != nil || err2 != nil {
 					t.Fatalf("a=%v b=%v x=%v: %v %v", a, b, x, err1, err2)
 				}
@@ -62,7 +62,7 @@ func TestRegIncompleteBetaSymmetry(t *testing.T) {
 func TestRegIncompleteBetaMonotonic(t *testing.T) {
 	prev := -1.0
 	for x := 0.0; x <= 1.0; x += 0.01 {
-		v, err := RegIncompleteBeta(3, 2, x)
+		v, err := regIncompleteBeta(3, 2, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,113 +74,64 @@ func TestRegIncompleteBetaMonotonic(t *testing.T) {
 }
 
 func TestRegIncompleteBetaErrors(t *testing.T) {
-	if _, err := RegIncompleteBeta(0, 1, 0.5); err == nil {
+	if _, err := regIncompleteBeta(0, 1, 0.5); err == nil {
 		t.Error("a=0 should fail")
 	}
-	if _, err := RegIncompleteBeta(1, -1, 0.5); err == nil {
+	if _, err := regIncompleteBeta(1, -1, 0.5); err == nil {
 		t.Error("b<0 should fail")
 	}
-	if _, err := RegIncompleteBeta(1, 1, -0.1); err == nil {
+	if _, err := regIncompleteBeta(1, 1, -0.1); err == nil {
 		t.Error("x<0 should fail")
 	}
-	if _, err := RegIncompleteBeta(1, 1, 1.1); err == nil {
+	if _, err := regIncompleteBeta(1, 1, 1.1); err == nil {
 		t.Error("x>1 should fail")
 	}
-	if _, err := RegIncompleteBeta(1, 1, math.NaN()); err == nil {
+	if _, err := regIncompleteBeta(1, 1, math.NaN()); err == nil {
 		t.Error("NaN x should fail")
 	}
 }
 
-func TestStudentTCDFKnownValues(t *testing.T) {
-	cases := []struct {
-		t, df float64
-		want  float64
-		tol   float64
-	}{
-		// df=1 is the Cauchy distribution: CDF(t) = 1/2 + atan(t)/π.
-		{0, 1, 0.5, 1e-12},
-		{1, 1, 0.75, 1e-10},
-		{-1, 1, 0.25, 1e-10},
-		// df=2 closed form: CDF(t) = 1/2 + t / (2·sqrt(2+t²)).
-		{1, 2, 0.5 + 1/(2*math.Sqrt(3)), 1e-10},
-		// Large df approaches the normal distribution.
-		{1.959963985, 100000, 0.975, 1e-4},
-		// scipy.stats.t.cdf(2.0, 10) = 0.963306.
-		{2.0, 10, 0.9633059826, 1e-8},
-	}
-	for _, c := range cases {
-		got, err := StudentTCDF(c.t, c.df)
-		if err != nil {
-			t.Errorf("t=%v df=%v: %v", c.t, c.df, err)
-			continue
-		}
-		if !almost(got, c.want, c.tol) {
-			t.Errorf("StudentTCDF(%v, %v) = %.10f, want %.10f", c.t, c.df, got, c.want)
-		}
-	}
-}
-
-func TestStudentTCDFSymmetry(t *testing.T) {
-	for _, df := range []float64{1, 2, 5, 30, 58} {
-		for _, tv := range []float64{0.1, 0.5, 1, 2, 5, 10} {
-			up, err1 := StudentTCDF(tv, df)
-			down, err2 := StudentTCDF(-tv, df)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("df=%v t=%v: %v %v", df, tv, err1, err2)
-			}
-			if !almost(up+down, 1, 1e-10) {
-				t.Errorf("CDF symmetry violated at t=%v df=%v", tv, df)
-			}
-		}
-	}
-}
-
 func TestStudentTTwoTailedP(t *testing.T) {
-	// p must equal 2·(1 − CDF(|t|)).
-	for _, df := range []float64{3, 10, 58} {
-		for _, tv := range []float64{0.5, 1.5, 3, 8} {
-			p, err := StudentTTwoTailedP(tv, df)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cdf, _ := StudentTCDF(tv, df)
-			if !almost(p, 2*(1-cdf), 1e-9) {
-				t.Errorf("p mismatch at t=%v df=%v: %v vs %v", tv, df, p, 2*(1-cdf))
-			}
+	// Closed forms: df=1 is the Cauchy distribution, p = 1 − 2·atan(|t|)/π;
+	// df=2 gives p = 1 − |t|/sqrt(2+t²).
+	for _, tv := range []float64{0, 0.5, 1.5, 3, 8} {
+		p1, err := studentTTwoTailedP(tv, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if want := 1 - 2*math.Atan(tv)/math.Pi; !almost(p1, want, 1e-10) {
+			t.Errorf("p(%v, 1) = %v, want %v", tv, p1, want)
+		}
+		p2, err := studentTTwoTailedP(tv, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1 - tv/math.Sqrt(2+tv*tv); !almost(p2, want, 1e-10) {
+			t.Errorf("p(%v, 2) = %v, want %v", tv, p2, want)
+		}
+	}
+	// Large df approaches the normal distribution.
+	if p, _ := studentTTwoTailedP(1.959963985, 100000); !almost(p, 0.05, 1e-4) {
+		t.Errorf("p(1.96, 1e5) = %v, want 0.05", p)
 	}
 	// scipy.stats.t.sf(2.0, 10)*2 = 0.0733880348.
-	p, err := StudentTTwoTailedP(2.0, 10)
+	p, err := studentTTwoTailedP(2.0, 10)
 	if err != nil || !almost(p, 0.0733880348, 1e-8) {
 		t.Errorf("p(2.0, 10) = %.10f, %v", p, err)
 	}
-	if p2, _ := StudentTTwoTailedP(math.Inf(1), 5); p2 != 0 {
+	if p2, _ := studentTTwoTailedP(math.Inf(1), 5); p2 != 0 {
 		t.Errorf("p at +inf should be 0, got %v", p2)
 	}
 }
 
 func TestStudentTErrors(t *testing.T) {
-	if _, err := StudentTCDF(1, 0); err == nil {
+	if _, err := studentTTwoTailedP(1, 0); err == nil {
 		t.Error("df=0 should fail")
 	}
-	if _, err := StudentTCDF(math.NaN(), 5); err == nil {
+	if _, err := studentTTwoTailedP(math.NaN(), 5); err == nil {
 		t.Error("NaN t should fail")
 	}
-	if _, err := StudentTTwoTailedP(1, -1); err == nil {
+	if _, err := studentTTwoTailedP(1, -1); err == nil {
 		t.Error("negative df should fail")
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{0, 0.5},
-		{1.959963985, 0.975},
-		{-1.959963985, 0.025},
-		{3, 0.9986501},
-	}
-	for _, c := range cases {
-		if got := NormalCDF(c.x); !almost(got, c.want, 1e-6) {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.x, got, c.want)
-		}
 	}
 }

@@ -34,11 +34,11 @@ var (
 	mEvictions = obs.Def.Counter("geomob_cache_evictions_total", "Snapshot cache entries dropped by oldest-first eviction.")
 )
 
-// DefaultMaxSnapshots bounds the entry count when New is given zero.
+// defaultMaxSnapshots bounds the entry count when New is given zero.
 // Distinct windowed requests are unbounded, so the cache evicts
 // oldest-first when full: one burst of distinct windows ages out the
 // stalest entries instead of wiping every warm one at once.
-const DefaultMaxSnapshots = 128
+const defaultMaxSnapshots = 128
 
 // Cache memoises completed executions. Safe for concurrent use.
 type Cache struct {
@@ -65,10 +65,10 @@ type snapshot struct {
 }
 
 // New builds a cache bounded to max entries (0 means
-// DefaultMaxSnapshots).
+// defaultMaxSnapshots).
 func New(max int) *Cache {
 	if max <= 0 {
-		max = DefaultMaxSnapshots
+		max = defaultMaxSnapshots
 	}
 	return &Cache{max: max, entries: map[string]*snapshot{}}
 }

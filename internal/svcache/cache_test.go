@@ -72,7 +72,7 @@ func TestSnapshotCacheKeyedInvalidation(t *testing.T) {
 func TestSnapshotCacheOldestFirstEviction(t *testing.T) {
 	c := New(0)
 	mk := func(i int) string { return fmt.Sprintf("k%03d", i) }
-	for i := 0; i < DefaultMaxSnapshots; i++ {
+	for i := 0; i < defaultMaxSnapshots; i++ {
 		if _, cached, _ := c.Get(mk(i), func() (*core.Result, error) { return &core.Result{Observers: i}, nil }); cached {
 			t.Fatalf("fill %d reported cached", i)
 		}
@@ -86,7 +86,7 @@ func TestSnapshotCacheOldestFirstEviction(t *testing.T) {
 	}
 	// The youngest pre-overflow entries are still warm (the old code
 	// reset the whole map here).
-	for i := DefaultMaxSnapshots - 8; i < DefaultMaxSnapshots; i++ {
+	for i := defaultMaxSnapshots - 8; i < defaultMaxSnapshots; i++ {
 		res, cached, _ := c.Get(mk(i), func() (*core.Result, error) { return nil, errors.New("cold") })
 		if !cached || res == nil || res.Observers != i {
 			t.Fatalf("young entry %d was evicted by the burst", i)

@@ -17,7 +17,7 @@ func TestGenerateRangeConcatEqualsGenerate(t *testing.T) {
 	}
 	var concat []tweet.Tweet
 	for _, r := range [][2]int{{0, 100}, {100, 101}, {101, 350}, {350, 350}, {350, 500}} {
-		if _, err := g.GenerateRange(r[0], r[1], func(tw tweet.Tweet) error {
+		if _, err := g.generateRange(r[0], r[1], func(tw tweet.Tweet) error {
 			concat = append(concat, tw)
 			return nil
 		}); err != nil {
@@ -40,7 +40,7 @@ func TestGenerateRangeRejectsBadBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range [][2]int{{-1, 5}, {0, 11}, {7, 3}} {
-		if _, err := g.GenerateRange(r[0], r[1], func(tweet.Tweet) error { return nil }); err == nil {
+		if _, err := g.generateRange(r[0], r[1], func(tweet.Tweet) error { return nil }); err == nil {
 			t.Errorf("range [%d, %d) should be rejected", r[0], r[1])
 		}
 	}

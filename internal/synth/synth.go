@@ -200,9 +200,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Sites exposes the world model (read-only) for tests and documentation.
-func (g *Generator) Sites() []Site { return g.sites }
-
 // buildSites assembles the synthetic world from the census gazetteer:
 // every national city, every NSW city not already present, the 20 Sydney
 // suburbs, and a "Sydney (rest)" remainder so Sydney's total weight matches
@@ -318,7 +315,7 @@ func splitmix64(x uint64) uint64 {
 // userRNG returns the dedicated random stream of user u. Each user owns an
 // independent PCG stream derived from the config seeds, so generating a
 // user is a pure function of (config, u) — the property that makes
-// GenerateRange produce identical tweets regardless of how the user space
+// generateRange produce identical tweets regardless of how the user space
 // is partitioned across shards.
 func (g *Generator) userRNG(u int) *rand.Rand {
 	h := splitmix64(uint64(u))
@@ -328,15 +325,15 @@ func (g *Generator) userRNG(u int) *rand.Rand {
 // Generate streams the whole corpus to emit in (user, time) order and
 // returns the number of tweets produced.
 func (g *Generator) Generate(emit Emit) (int, error) {
-	return g.GenerateRange(0, g.cfg.NumUsers, emit)
+	return g.generateRange(0, g.cfg.NumUsers, emit)
 }
 
-// GenerateRange streams the tweets of users [lo, hi) to emit in
+// generateRange streams the tweets of users [lo, hi) to emit in
 // (user, time) order and returns the number of tweets produced. Because
 // every user draws from their own seeded random stream, the concatenation
-// of GenerateRange over any partition of [0, NumUsers) is byte-for-byte the
+// of generateRange over any partition of [0, NumUsers) is byte-for-byte the
 // full Generate stream — the per-user-block parallel generation primitive.
-func (g *Generator) GenerateRange(lo, hi int, emit Emit) (int, error) {
+func (g *Generator) generateRange(lo, hi int, emit Emit) (int, error) {
 	cfg := g.cfg
 	if lo < 0 || hi > cfg.NumUsers || lo > hi {
 		return 0, fmt.Errorf("synth: user range [%d, %d) outside [0, %d)", lo, hi, cfg.NumUsers)
@@ -498,13 +495,13 @@ type rangeSource struct {
 
 // Each implements tweet.Source over the block's user range.
 func (r rangeSource) Each(fn func(tweet.Tweet) error) error {
-	_, err := r.g.GenerateRange(r.lo, r.hi, fn)
+	_, err := r.g.generateRange(r.lo, r.hi, fn)
 	return err
 }
 
 // EachContext implements tweet.ContextSource over the block's user range.
 func (r rangeSource) EachContext(ctx context.Context, fn func(tweet.Tweet) error) error {
-	_, err := r.g.GenerateRange(r.lo, r.hi, ctxEmit(ctx, fn))
+	_, err := r.g.generateRange(r.lo, r.hi, ctxEmit(ctx, fn))
 	return err
 }
 

@@ -3,6 +3,7 @@ package synth
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -49,7 +50,7 @@ func TestWorldModelSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := g.Sites()
+	sites := g.sites
 	// 19 national (Sydney decomposed) + 16 extra NSW + 20 suburbs + rest.
 	if len(sites) < 50 {
 		t.Errorf("world has %d sites, expected >= 50", len(sites))
@@ -237,7 +238,7 @@ func TestWaitingTimesSpanDecades(t *testing.T) {
 	if len(gaps) < 1000 {
 		t.Fatalf("only %d gaps", len(gaps))
 	}
-	min, max, _ := stats.MinMax(gaps)
+	min, max := slices.Min(gaps), slices.Max(gaps)
 	if max/min < 1e4 {
 		t.Errorf("waiting times span only %.1f decades, want >= 4", math.Log10(max/min))
 	}

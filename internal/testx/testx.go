@@ -1,6 +1,8 @@
 // Package testx holds test-only helpers shared across packages. It is a
 // normal (non _test) package so several packages' tests can import it,
-// but it must only ever be imported from test files.
+// but it must only ever be imported from test files. It imports nothing
+// of the module but geo, so the tests of every package above geo can use
+// it.
 package testx
 
 import (
@@ -9,7 +11,7 @@ import (
 	"math"
 	"reflect"
 
-	"geomob/internal/core"
+	"geomob/internal/geo"
 )
 
 // BitEqual reports whether two values are bit-for-bit identical: floats
@@ -90,12 +92,6 @@ func ValuesBitEqual(a, b any) bool {
 	return BitEqual(reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
-// ResultsBitEqual is BitEqual over two study results — the comparison the
-// merge-contract property tests (DESIGN.md §4/§7/§8) are stated in.
-func ResultsBitEqual(a, b *core.Result) bool {
-	return BitEqual(reflect.ValueOf(a), reflect.ValueOf(b))
-}
-
 // SwapSnapshotRows returns a copy of a live bucket snapshot blob with
 // rows i and j exchanged in every column section and the section
 // checksums recomputed: a blob every CRC accepts whose records are out of
@@ -117,4 +113,51 @@ func SwapSnapshotRows(blob []byte, i, j int) []byte {
 		off += 12 + l
 	}
 	return out
+}
+
+// Destination returns the point reached by travelling dist metres from p on
+// the initial bearing bearingDeg (degrees clockwise from north). Tests use
+// it to place points at known distances from area centres.
+func Destination(p geo.Point, bearingDeg, dist float64) geo.Point {
+	lat1, lon1 := p.Radians()
+	brg := bearingDeg * math.Pi / 180
+	ang := dist / geo.EarthRadius
+	sinLat2 := math.Sin(lat1)*math.Cos(ang) + math.Cos(lat1)*math.Sin(ang)*math.Cos(brg)
+	lat2 := math.Asin(sinLat2)
+	y := math.Sin(brg) * math.Sin(ang) * math.Cos(lat1)
+	x := math.Cos(ang) - math.Sin(lat1)*sinLat2
+	lon := (lon1 + math.Atan2(y, x)) * 180 / math.Pi
+	for lon > 180 {
+		lon -= 360
+	}
+	for lon < -180 {
+		lon += 360
+	}
+	return geo.Point{Lat: lat2 * 180 / math.Pi, Lon: lon}
+}
+
+// NewBBox returns the box spanning the two corner points in either order.
+func NewBBox(a, b geo.Point) geo.BBox {
+	return geo.BBox{
+		MinLat: math.Min(a.Lat, b.Lat),
+		MinLon: math.Min(a.Lon, b.Lon),
+		MaxLat: math.Max(a.Lat, b.Lat),
+		MaxLon: math.Max(a.Lon, b.Lon),
+	}
+}
+
+// BoundAround returns a bounding box guaranteed to contain the disc of the
+// given radius (metres) centred at p. The box over-covers near the poles.
+func BoundAround(p geo.Point, radius float64) geo.BBox {
+	dLat := radius / geo.MetersPerDegreeLat
+	dLon := 360.0 // polar degenerate case: cover all longitudes
+	if mpl := geo.MetersPerDegreeLon(p.Lat); mpl >= 1 {
+		dLon = radius / mpl
+	}
+	return geo.BBox{
+		MinLat: math.Max(p.Lat-dLat, -90),
+		MinLon: math.Max(p.Lon-dLon, -180),
+		MaxLat: math.Min(p.Lat+dLat, 90),
+		MaxLon: math.Min(p.Lon+dLon, 180),
+	}
 }

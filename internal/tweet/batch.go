@@ -264,25 +264,25 @@ const (
 // content-negotiation key of POST /v1/ingest.
 const BatchContentType = "application/x-geomob-batch"
 
-// DefaultMaxFrameBytes bounds a single decoded frame when the reader is
+// defaultMaxFrameBytes bounds a single decoded frame when the reader is
 // given no explicit limit — matching the services' default request-body
 // bound, so a corrupt or hostile length prefix cannot trigger an
 // unbounded allocation.
-const DefaultMaxFrameBytes int64 = 64 << 20
+const defaultMaxFrameBytes int64 = 64 << 20
 
 // ErrFrameTooLarge marks a frame whose length prefix exceeds the reader's
 // limit. Service layers map it to 413, like the other size bounds.
 var ErrFrameTooLarge = errors.New("tweet: batch frame exceeds size limit")
 
-// MaxBatchLen is the largest record count a single frame may carry
+// maxBatchLen is the largest record count a single frame may carry
 // (bounded so count × 40 bytes stays within any sane frame limit).
-const MaxBatchLen = 1 << 26
+const maxBatchLen = 1 << 26
 
 // AppendFrame encodes b as one binary frame appended to dst.
 func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
 	n := b.Len()
-	if n > MaxBatchLen {
-		return dst, fmt.Errorf("tweet: batch of %d records exceeds the %d frame cap", n, MaxBatchLen)
+	if n > maxBatchLen {
+		return dst, fmt.Errorf("tweet: batch of %d records exceeds the %d frame cap", n, maxBatchLen)
 	}
 	frameLen := batchFixedLen + 5*8*n
 	need := 4 + frameLen
@@ -337,8 +337,8 @@ func decodeFrame(buf []byte, b *Batch) error {
 		return fmt.Errorf("tweet: unsupported batch frame version %d", v)
 	}
 	n := int(le.Uint32(buf[8:12]))
-	if n > MaxBatchLen {
-		return fmt.Errorf("tweet: batch frame count %d exceeds the %d cap", n, MaxBatchLen)
+	if n > maxBatchLen {
+		return fmt.Errorf("tweet: batch frame count %d exceeds the %d cap", n, maxBatchLen)
 	}
 	if want := batchFixedLen + 5*8*n; len(buf) != want {
 		return fmt.Errorf("tweet: batch frame of %d records has %d bytes, want %d", n, len(buf), want)
@@ -434,10 +434,10 @@ type BatchReader struct {
 }
 
 // NewBatchReader wraps r, bounding single frames at maxFrame bytes
-// (DefaultMaxFrameBytes when maxFrame <= 0).
+// (defaultMaxFrameBytes when maxFrame <= 0).
 func NewBatchReader(r io.Reader, maxFrame int64) *BatchReader {
 	if maxFrame <= 0 {
-		maxFrame = DefaultMaxFrameBytes
+		maxFrame = defaultMaxFrameBytes
 	}
 	return &BatchReader{r: r, maxFrame: maxFrame}
 }

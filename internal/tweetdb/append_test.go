@@ -88,9 +88,9 @@ func failWrites(t *testing.T, bad func(path string, call int) bool) (restore fun
 		if bad(path, calls) {
 			return errors.New("injected write failure")
 		}
-		return atomicWrite(path, data)
+		return AtomicWriteFile(path, data)
 	}
-	restore = func() { writeFile = atomicWrite }
+	restore = func() { writeFile = AtomicWriteFile }
 	t.Cleanup(restore)
 	return restore
 }
@@ -138,8 +138,8 @@ func TestAppendFailureRollsBack(t *testing.T) {
 				t.Fatal("append succeeded through a failing write")
 			}
 			restore()
-			if s.Count() != 4 || s.Generation() != gen || s.Meta("hwm:a") != "1" {
-				t.Fatalf("failed append left count %d, generation moved %v, meta %q", s.Count(), s.Generation() != gen, s.Meta("hwm:a"))
+			if s.Count() != 4 || s.Generation() != gen || s.MetaPrefix("hwm:a")["hwm:a"] != "1" {
+				t.Fatalf("failed append left count %d, generation moved %v, meta %q", s.Count(), s.Generation() != gen, s.MetaPrefix("hwm:a")["hwm:a"])
 			}
 			if got := segmentFiles(t, s); !slices.Equal(got, files) {
 				t.Fatalf("failed append left segment files %v, want %v", got, files)
@@ -155,8 +155,8 @@ func TestAppendFailureRollsBack(t *testing.T) {
 				if got := len(st.Segments()); got != 1+tc.segments {
 					t.Fatalf("after the retry the store has %d segments, want %d", got, 1+tc.segments)
 				}
-				if want := cmp.Or(tc.meta["hwm:a"], "1"); st.Meta("hwm:a") != want {
-					t.Fatalf("meta %q, want %q", st.Meta("hwm:a"), want)
+				if want := cmp.Or(tc.meta["hwm:a"], "1"); st.MetaPrefix("hwm:a")["hwm:a"] != want {
+					t.Fatalf("meta %q, want %q", st.MetaPrefix("hwm:a")["hwm:a"], want)
 				}
 				if err := st.Verify(); err != nil {
 					t.Fatal(err)

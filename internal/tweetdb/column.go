@@ -54,21 +54,21 @@ type ColumnBlock struct {
 // Len returns the number of records in the block.
 func (c *ColumnBlock) Len() int { return len(c.ID) }
 
-// LatMicro returns record i's latitude in microdegrees.
-func (c *ColumnBlock) LatMicro(i int) int32 {
+// latMicro returns record i's latitude in microdegrees.
+func (c *ColumnBlock) latMicro(i int) int32 {
 	return int32(binary.LittleEndian.Uint32(c.latRaw[4*i:]))
 }
 
-// LonMicro returns record i's longitude in microdegrees.
-func (c *ColumnBlock) LonMicro(i int) int32 {
+// lonMicro returns record i's longitude in microdegrees.
+func (c *ColumnBlock) lonMicro(i int) int32 {
 	return int32(binary.LittleEndian.Uint32(c.lonRaw[4*i:]))
 }
 
 // Lat returns record i's latitude in degrees.
-func (c *ColumnBlock) Lat(i int) float64 { return tweet.DegreesFromMicro(c.LatMicro(i)) }
+func (c *ColumnBlock) Lat(i int) float64 { return tweet.DegreesFromMicro(c.latMicro(i)) }
 
 // Lon returns record i's longitude in degrees.
-func (c *ColumnBlock) Lon(i int) float64 { return tweet.DegreesFromMicro(c.LonMicro(i)) }
+func (c *ColumnBlock) Lon(i int) float64 { return tweet.DegreesFromMicro(c.lonMicro(i)) }
 
 // Point returns record i's coordinate.
 func (c *ColumnBlock) Point(i int) geo.Point { return geo.Point{Lat: c.Lat(i), Lon: c.Lon(i)} }
@@ -97,9 +97,9 @@ func (c *ColumnBlock) appendRow(src *ColumnBlock, i int) {
 	c.UserID = append(c.UserID, src.UserID[i])
 	c.TS = append(c.TS, src.TS[i])
 	var raw [4]byte
-	binary.LittleEndian.PutUint32(raw[:], uint32(src.LatMicro(i)))
+	binary.LittleEndian.PutUint32(raw[:], uint32(src.latMicro(i)))
 	c.latRaw = append(c.latRaw, raw[:]...)
-	binary.LittleEndian.PutUint32(raw[:], uint32(src.LonMicro(i)))
+	binary.LittleEndian.PutUint32(raw[:], uint32(src.lonMicro(i)))
 	c.lonRaw = append(c.lonRaw, raw[:]...)
 }
 
@@ -175,8 +175,13 @@ func decodeColumnsV2(payload []byte, n int) (*ColumnBlock, error) {
 	}
 	blk := &ColumnBlock{}
 	deltaCol := func(c int) ([]int64, error) {
-		out := make([]int64, 0, n)
 		buf := cols[c]
+		// A varint takes at least one byte: a count the column cannot hold
+		// is rejected before it sizes an allocation.
+		if n > len(buf) {
+			return nil, fmt.Errorf("column %s: %d bytes cannot hold %d records", colNames[c], len(buf), n)
+		}
+		out := make([]int64, 0, n)
 		pos := 0
 		prev := int64(0)
 		for i := 0; i < n; i++ {

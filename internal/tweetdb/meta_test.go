@@ -22,10 +22,10 @@ func TestManifestMeta(t *testing.T) {
 	if err := s.AppendBatchMeta(b, map[string]string{"hwm:abc": "7"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Meta("hwm:abc"); got != "7" {
+	if got := s.MetaPrefix("hwm:abc")["hwm:abc"]; got != "7" {
 		t.Fatalf("Meta(hwm:abc) = %q, want 7", got)
 	}
-	if got := s.Meta("absent"); got != "" {
+	if got := s.MetaPrefix("absent")["absent"]; got != "" {
 		t.Fatalf("Meta(absent) = %q, want empty", got)
 	}
 
@@ -45,7 +45,7 @@ func TestManifestMeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Meta("hwm:abc"); got != "9" {
+	if got := s2.MetaPrefix("hwm:abc")["hwm:abc"]; got != "9" {
 		t.Fatalf("reopened Meta(hwm:abc) = %q, want 9", got)
 	}
 	all := s2.MetaPrefix("hwm:")

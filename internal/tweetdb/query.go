@@ -28,31 +28,8 @@ type Query struct {
 	Files []string
 }
 
-// matches reports whether a single record satisfies the query.
-func (q Query) matches(t tweet.Tweet) bool {
-	if t.TS < q.FromTS {
-		return false
-	}
-	if q.ToTS != 0 && t.TS >= q.ToTS {
-		return false
-	}
-	if q.UserID != nil && t.UserID != *q.UserID {
-		return false
-	}
-	if q.MinUserID != nil && t.UserID < *q.MinUserID {
-		return false
-	}
-	if q.MaxUserID != nil && t.UserID > *q.MaxUserID {
-		return false
-	}
-	if q.BBox != nil && !q.BBox.Contains(t.Point()) {
-		return false
-	}
-	return true
-}
-
-// matchesRow is matches over a column block row, without materialising
-// the record.
+// matchesRow reports whether row i of a column block satisfies the query,
+// without materialising the record.
 func (q Query) matchesRow(blk *ColumnBlock, i int) bool {
 	ts := blk.TS[i]
 	if ts < q.FromTS {

@@ -244,13 +244,6 @@ func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err err
 	return nil
 }
 
-// Meta returns the manifest meta value for key ("" when absent).
-func (s *Store) Meta(key string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.man.Meta[key]
-}
-
 // MetaPrefix returns a copy of every manifest meta entry whose key
 // starts with prefix.
 func (s *Store) MetaPrefix(prefix string) map[string]string {
@@ -334,11 +327,13 @@ func (s *Store) saveManifestLocked() error {
 
 // writeFile is how segments and the manifest reach the disk; the tests of
 // failed appends swap it for a write that fails on demand.
-var writeFile = atomicWrite
+var writeFile = AtomicWriteFile
 
-// atomicWrite writes data to path via a temp file and rename, so readers
-// never observe a partial file.
-func atomicWrite(path string, data []byte) error {
+// AtomicWriteFile writes data to path via a temp file, fsync and rename, so
+// readers — and the recovery path after a crash — never observe a
+// partially written file. The store and the live snapshot both write
+// through it.
+func AtomicWriteFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -376,22 +371,28 @@ func (s *Store) loadBlock(meta SegmentMeta) (*ColumnBlock, error) {
 	}
 	s.segLoads.Add(1)
 	mSegLoads.Inc()
-	h, err := unmarshalHeader(raw)
-	if err != nil {
-		return nil, fmt.Errorf("tweetdb: segment %s: %w", meta.File, err)
-	}
-	if int(h.payloadLen) != len(raw)-headerSize {
-		return nil, fmt.Errorf("tweetdb: segment %s: payload length %d does not match file size %d", meta.File, h.payloadLen, len(raw)-headerSize)
-	}
-	payload := raw[headerSize:]
-	if got := checksum(payload); got != h.crc {
-		return nil, fmt.Errorf("tweetdb: segment %s: checksum mismatch (stored %08x, computed %08x)", meta.File, h.crc, got)
-	}
-	blk, err := decodeColumnsV2(payload, int(h.count))
+	blk, err := decodeSegment(raw)
 	if err != nil {
 		return nil, fmt.Errorf("tweetdb: segment %s: %w", meta.File, err)
 	}
 	return blk, nil
+}
+
+// decodeSegment validates a segment file's header, payload length and
+// payload checksum, then decodes its columns. The block aliases raw.
+func decodeSegment(raw []byte) (*ColumnBlock, error) {
+	h, err := unmarshalHeader(raw)
+	if err != nil {
+		return nil, err
+	}
+	if int(h.payloadLen) != len(raw)-headerSize {
+		return nil, fmt.Errorf("payload length %d does not match file size %d", h.payloadLen, len(raw)-headerSize)
+	}
+	payload := raw[headerSize:]
+	if got := checksum(payload); got != h.crc {
+		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", h.crc, got)
+	}
+	return decodeColumnsV2(payload, int(h.count))
 }
 
 // dropGarbageLocked unlinks segment files retired by Compact once no

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"geomob/internal/geo"
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
 
@@ -156,7 +157,7 @@ func TestBBoxQueryAndPruning(t *testing.T) {
 	if err := s.Append(perthBatch); err != nil {
 		t.Fatal(err)
 	}
-	box := geo.BoundAround(geo.Point{Lat: -33.8, Lon: 151.2}, 100_000)
+	box := testx.BoundAround(geo.Point{Lat: -33.8, Lon: 151.2}, 100_000)
 	it := s.Scan(Query{BBox: &box})
 	got, err := it.ReadAll()
 	if err != nil {
@@ -403,7 +404,7 @@ func TestScanResultsSortedWithinSegment(t *testing.T) {
 
 func TestQueryMatchSemantics(t *testing.T) {
 	tw := tweet.Tweet{ID: 1, UserID: 5, TS: 100, Lat: -33, Lon: 151}
-	box := geo.NewBBox(geo.Point{Lat: -34, Lon: 150}, geo.Point{Lat: -32, Lon: 152})
+	box := testx.NewBBox(geo.Point{Lat: -34, Lon: 150}, geo.Point{Lat: -32, Lon: 152})
 	uid5, uid6 := int64(5), int64(6)
 	cases := []struct {
 		q    Query
@@ -418,13 +419,17 @@ func TestQueryMatchSemantics(t *testing.T) {
 		{Query{UserID: &uid6}, false},
 		{Query{BBox: &box}, true},
 	}
+	blk, err := decodeColumnsV2(encodeColumnsV2(nil, tweet.BatchOf([]tweet.Tweet{tw}), 0, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range cases {
-		if got := c.q.matches(tw); got != c.want {
-			t.Errorf("case %d: matches = %v, want %v", i, got, c.want)
+		if got := c.q.matchesRow(blk, 0); got != c.want {
+			t.Errorf("case %d: matchesRow = %v, want %v", i, got, c.want)
 		}
 	}
-	outside := geo.NewBBox(geo.Point{Lat: 0, Lon: 0}, geo.Point{Lat: 1, Lon: 1})
-	if (Query{BBox: &outside}).matches(tw) {
+	outside := testx.NewBBox(geo.Point{Lat: 0, Lon: 0}, geo.Point{Lat: 1, Lon: 1})
+	if (Query{BBox: &outside}).matchesRow(blk, 0) {
 		t.Error("point outside bbox should not match")
 	}
 }

@@ -1,7 +1,12 @@
 package tweetdb
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"runtime/metrics"
 	"testing"
 	"testing/quick"
 
@@ -61,7 +66,7 @@ func TestColumnPayloadRoundTrip(t *testing.T) {
 			if got, want := blk.Row(i), quantised(b.Row(i)); got != want {
 				t.Fatalf("n=%d row %d: %+v != %+v", n, i, got, want)
 			}
-			if blk.LatMicro(i) != tweet.Microdegrees(b.Lat[i]) || blk.LonMicro(i) != tweet.Microdegrees(b.Lon[i]) {
+			if blk.latMicro(i) != tweet.Microdegrees(b.Lat[i]) || blk.lonMicro(i) != tweet.Microdegrees(b.Lon[i]) {
 				t.Fatalf("n=%d row %d: microdegree mismatch", n, i)
 			}
 		}
@@ -134,4 +139,69 @@ func TestColumnPayloadCorruptionNoPanic(t *testing.T) {
 	if _, err := decodeColumnsV2(payload, 65); err == nil {
 		t.Error("over-claimed count accepted")
 	}
+}
+
+// FuzzDecodeSegment runs the segment read path — header, payload length
+// and checksum, then the column decode — over arbitrary file bytes. It
+// must never panic, never allocate more than the bytes justify (a header
+// may claim four billion records), and whatever it accepts must
+// re-encode to rows that decode to the same records.
+func FuzzDecodeSegment(f *testing.F) {
+	store, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(91, 92))
+	b := edgeBatch(rng, 64)
+	b.Sort()
+	if err := store.AppendBatch(b); err != nil {
+		f.Fatal(err)
+	}
+	pristine, err := os.ReadFile(filepath.Join(store.Dir(), store.Segments()[0].File))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pristine)
+	// The single-byte flips and truncations of the column corruption
+	// test, over the header and the payload.
+	for _, p := range []int{0, 9, 13, 81, 85, headerSize, headerSize + 3, headerSize + colDirSize, len(pristine) / 2, len(pristine) - 1} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[p] ^= 0x5a
+		f.Add(flipped)
+	}
+	f.Add(pristine[:headerSize])
+	f.Add(pristine[:len(pristine)/2])
+	claim := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(claim[12:], math.MaxUint32)
+	f.Add(claim)
+	f.Add([]byte{})
+
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(allocs)
+		return allocs[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		before := allocated()
+		blk, err := decodeSegment(raw)
+		// Three int64 columns of at most one record a byte; the slack
+		// covers the error message and the test runtime.
+		if got, limit := allocated()-before, uint64(24*len(raw)+1<<16); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d", len(raw), got)
+		}
+		if err != nil {
+			return
+		}
+		var rows tweet.Batch
+		blk.AppendTo(&rows, 0, blk.Len())
+		again, err := decodeColumnsV2(encodeColumnsV2(nil, &rows, 0, rows.Len()), rows.Len())
+		if err != nil {
+			t.Fatalf("an accepted segment does not re-encode: %v", err)
+		}
+		for i := 0; i < blk.Len(); i++ {
+			if again.Row(i) != blk.Row(i) {
+				t.Fatalf("row %d: %+v re-decodes as %+v", i, blk.Row(i), again.Row(i))
+			}
+		}
+	})
 }

@@ -189,7 +189,7 @@ func TestSpoolAckCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ack(seq, 0); err != nil {
+	if err := s.AckBatch([]uint64{seq}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

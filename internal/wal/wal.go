@@ -92,10 +92,10 @@ const (
 	// with a different payload would be silently deduplicated by shards.
 	seqSkipOnCorruption = 1 << 20
 
-	// DefaultSegmentBytes rolls the active segment once it crosses
+	// defaultSegmentBytes rolls the active segment once it crosses
 	// 64 MiB, bounding both the recovery scan unit and how long a
 	// fully-acked range can pin disk space.
-	DefaultSegmentBytes = 64 << 20
+	defaultSegmentBytes = 64 << 20
 
 	// MaxNodes is how many destination nodes a record can name: one bit
 	// each of its uint64 destination mask.
@@ -106,7 +106,7 @@ const (
 type Options struct {
 	// Dir is the spool directory; created if absent.
 	Dir string
-	// SegmentBytes overrides the roll threshold (DefaultSegmentBytes
+	// SegmentBytes overrides the roll threshold (defaultSegmentBytes
 	// when <= 0). Tests use tiny segments to exercise rolling.
 	SegmentBytes int64
 }
@@ -187,7 +187,7 @@ func Open(opts Options) (*Spool, error) {
 		syncIdx:    -1,
 	}
 	if s.segBytes <= 0 {
-		s.segBytes = DefaultSegmentBytes
+		s.segBytes = defaultSegmentBytes
 	}
 	if err := s.loadSender(); err != nil {
 		return nil, err
@@ -596,11 +596,6 @@ func (s *Spool) syncTo(f *os.File, fileIdx int, target int64) error {
 	mWalFsyncs.Inc()
 	s.syncIdx, s.syncOff = curIdx, curSize
 	return nil
-}
-
-// Ack marks seq delivered to node — AckBatch of one.
-func (s *Spool) Ack(seq uint64, node int) error {
-	return s.AckBatch([]uint64{seq}, node)
 }
 
 // AckBatch marks the sequences delivered to node — the lane's companion

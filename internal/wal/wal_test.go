@@ -72,7 +72,7 @@ func TestSpoolRoundtrip(t *testing.T) {
 
 	// Ack node 0 for everything; node 1 stays owed.
 	for _, seq := range seqs {
-		if err := s.Ack(seq, 0); err != nil {
+		if err := s.AckBatch([]uint64{seq}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -110,7 +110,7 @@ func TestSpoolRoundtrip(t *testing.T) {
 		}
 	}
 	for _, seq := range seqs {
-		if err := s2.Ack(seq, 1); err != nil {
+		if err := s2.AckBatch([]uint64{seq}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestSpoolSegmentReclaim(t *testing.T) {
 		t.Fatalf("expected multiple segments from 256-byte roll threshold, got %d", before)
 	}
 	for _, seq := range seqs {
-		if err := s.Ack(seq, 0); err != nil {
+		if err := s.AckBatch([]uint64{seq}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,7 +355,7 @@ func TestSpoolRejectsBadArgs(t *testing.T) {
 	if _, err := s.Append(300, 1, testFrame(t, 0, 1)); err == nil {
 		t.Error("out-of-range slot accepted")
 	}
-	if err := s.Ack(1, MaxNodes); err == nil {
+	if err := s.AckBatch([]uint64{1}, MaxNodes); err == nil {
 		t.Error("out-of-range node accepted")
 	}
 	// One bad entry rejects its whole group before anything is written.

@@ -221,57 +221,19 @@ func unusedExports(t *testing.T) map[string]bool {
 	return unused
 }
 
-// unusedExportsPinned is the unused-export list as it stands. The list
-// only shrinks: each entry is a declaration to delete or unexport, with
-// its tests, unless a caller outside its package appears.
+// unusedExportsPinned lists the exported identifiers under internal/ that
+// no non-test code outside their package uses and that stay exported on
+// purpose: test seams other packages' tests need. Anything else unused is
+// to be deleted or unexported, with its tests.
 var unusedExportsPinned = []string{
-	"census.Gazetteer.AllRegions", "census.RegionSet.Centers",
-	"census.RegionSet.MeanPairwiseDistance",
-	"census.RegionSet.TotalPopulation",
-	"cluster.Coordinator.CoverageProbes", "cluster.Coordinator.SpoolStats",
-	"cluster.DecodePartial", "cluster.DefaultQueueDepth",
-	"cluster.DefaultRetryBase", "cluster.DefaultRetryMax",
-	"cluster.EncodePartial", "cluster.ErrUnavailable",
-	"cluster.HTTPShard.Base", "cluster.LocalShard.SlotAggregator",
-	"cluster.Partitioner.Partition", "cluster.Partitioner.Partitions",
-	"core.Analyses",
-	"experiments.DefaultEnv", "experiments.DefaultEnvWithWorkers",
-	"experiments.NewEnv", "experiments.NewEnvContext",
-	"experiments.NewEnvWithOptions", "experiments.PopulationEstimates",
-	"geo.BoundAround", "geo.DecodeGeohash", "geo.Destination",
-	"geo.EncodeGeohash", "geo.ErrBadGeohash", "geo.GeohashCenter",
-	"geo.InitialBearing", "geo.Midpoint", "geo.NewBBox",
-	"index.Grid.CountRadius", "index.KDTree.Nearest",
-	"index.KDTree.NearestWithin", "index.NewGrid", "index.NewKDTree",
-	"index.Resolver.ResolvedCells", "index.Resolver.Tree",
-	"linalg.ErrSingular", "linalg.FromRows", "linalg.Identity",
-	"linalg.Matrix.At", "linalg.Matrix.MaxAbs", "linalg.Matrix.Mul",
-	"linalg.Matrix.MulVec", "linalg.Matrix.T", "linalg.New",
-	"linalg.SolveGauss", "linalg.SolveLeastSquares",
-	"live.Aggregator.BucketIndex", "live.Aggregator.CoverageKey",
-	"live.ErrSnapshotCorrupt", "live.IngestStages", "live.RingCapture.Dirty",
-	"mobility.AreaMapper.NumAreas", "mobility.DisplacementKM",
-	"mobility.MultiScaleMapper.Mapper", "mobility.WaitingSecs",
-	"models.ErrNotFitted",
-	"obs.Gauge.SetInt", "obs.Histogram.CountSum",
-	"obs.Histogram.ObserveSeconds", "obs.LatencyBuckets",
-	"obs.Registry.WritePrometheus",
-	"randx.DiscretePowerLaw", "randx.Exponential", "randx.Pareto",
-	"report.Table.WriteMarkdown",
-	"ring.HashUser", "ring.Mix", "ring.Ring.Owner",
-	"stats.CCDF", "stats.ErrEmpty", "stats.FitPowerLawAuto",
-	"stats.GeometricMean", "stats.Histogram", "stats.KSTwoSample",
-	"stats.MAE", "stats.MAPE", "stats.MinMax", "stats.NormalCDF",
-	"stats.Quantile", "stats.Ranks", "stats.RegIncompleteBeta",
-	"stats.Spearman", "stats.StudentTCDF", "stats.StudentTTwoTailedP",
-	"stats.Sum", "stats.Variance",
-	"svcache.DefaultMaxSnapshots",
-	"synth.Generator.GenerateRange", "synth.Generator.Sites",
-	"tweet.DefaultMaxFrameBytes", "tweet.MaxBatchLen",
-	"tweetdb.ColumnBlock.LatMicro", "tweetdb.ColumnBlock.LonMicro",
-	"tweetdb.Store.Meta", "tweetdb.Store.SegmentLoads",
+	// Forces multi-segment stores: TestBackfillPipelineMatchesSerial
+	// (live), TestExecuteWindowPushdownMatchesFilter and
+	// TestStoreShardedEquivalence (core).
 	"tweetdb.Store.SetSegmentRecords",
-	"wal.DefaultSegmentBytes", "wal.Spool.Ack",
+	// Proves a restart decodes only the snapshot tail:
+	// TestSnapshotRestartProperty and TestSnapshotCleanRestartZeroReplay
+	// (live).
+	"tweetdb.Store.SegmentLoads",
 }
 
 // TestUnusedExports fails when an exported identifier under internal/
@@ -292,5 +254,102 @@ func TestUnusedExports(t *testing.T) {
 		if !got[id] {
 			t.Errorf("%s is used outside its package now, or gone: delete it from unusedExportsPinned", id)
 		}
+	}
+}
+
+// unusedUnexported lists the unexported package-level functions and
+// methods declared under internal/ that no non-test file of their own
+// package refers to: code only tests reach, left behind when its last
+// caller went. References are matched by name, as unusedExports matches
+// them: a function by any identifier of its name, a method by any
+// selector of its name or an interface declaring it. Entries read
+// "pkg.name" or "pkg.Type.name".
+func unusedUnexported(t *testing.T) map[string]bool {
+	t.Helper()
+	type decl struct{ pkg, recv, name string }
+	var decls []decl
+	used := map[string]map[string]bool{} // package -> identifiers it names outside declarations
+	err := filepath.WalkDir("internal", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/")
+		if used[pkg] == nil {
+			used[pkg] = map[string]bool{}
+		}
+		declNames := map[*ast.Ident]bool{}
+		for _, dl := range f.Decls {
+			fd, ok := dl.(*ast.FuncDecl)
+			if !ok || fd.Name.IsExported() || fd.Name.Name == "init" || fd.Name.Name == "main" {
+				continue
+			}
+			declNames[fd.Name] = true
+			dc := decl{pkg: pkg, name: fd.Name.Name}
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					dc.recv = id.Name
+				}
+			}
+			decls = append(decls, dc)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if !declNames[n] {
+					used[pkg][n.Name] = true
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						used[pkg][name.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unused := map[string]bool{}
+	for _, d := range decls {
+		if !used[d.pkg][d.name] {
+			id := d.pkg + "." + d.name
+			if d.recv != "" {
+				id = d.pkg + "." + d.recv + "." + d.name
+			}
+			unused[id] = true
+		}
+	}
+	return unused
+}
+
+// TestUnusedUnexported fails when an unexported function or method under
+// internal/ has no caller left outside tests: delete it, and point its
+// tests at the code that replaced it.
+func TestUnusedUnexported(t *testing.T) {
+	for _, id := range slices.Sorted(maps.Keys(unusedUnexported(t))) {
+		t.Errorf("%s is unexported, and no non-test code of its package uses it: delete it", id)
 	}
 }
