@@ -423,10 +423,10 @@ func benchIngestEnv(b *testing.B) *live.Ingestor {
 
 // BenchmarkIngest measures the NDJSON ingest path end to end — the cost
 // of absorbing a POST /v1/ingest NDJSON body through live.Ingestor: one
-// JSON decode and one Add per record, then durable append into the store
-// plus routing through the multi-scale assignment hot path into the
-// bucket ring (DESIGN.md §7). tweets/sec is the headline row-at-a-time
-// ingest throughput the live service sustains.
+// JSON decode per record into column batches of up to 8 192 rows, then
+// durable append into the store plus routing through the multi-scale
+// assignment hot path into the bucket ring (DESIGN.md §7). tweets/sec is
+// the headline text ingest throughput the live service sustains.
 func BenchmarkIngest(b *testing.B) {
 	tweets := makeBenchTweets(50000)
 	var body bytes.Buffer
@@ -445,7 +445,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.StopTimer()
 		ing := benchIngestEnv(b)
 		b.StartTimer()
-		n, err := ing.IngestNDJSON(context.Background(), bytes.NewReader(body.Bytes()))
+		n, err := ing.Ingest(context.Background(), tweet.NewNDJSONReader(bytes.NewReader(body.Bytes())).ReadBatch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -460,7 +460,7 @@ func BenchmarkIngest(b *testing.B) {
 // BenchmarkIngestBatch measures the same end-to-end write path fed the
 // binary batch wire format instead (Content-Type
 // application/x-geomob-batch): frames decode straight into columns and
-// flow batch → appender columns → v2 segment without per-record structs
+// flow batch → ingestor columns → v2 segment without per-record structs
 // or JSON. The tweets/sec and allocs/op deltas against BenchmarkIngest
 // are the headline wins of the columnar hot path; mobbench -compare
 // gates them (>= 3x tweets/sec at <= 0.1x allocs/op).
@@ -482,7 +482,7 @@ func BenchmarkIngestBatch(b *testing.B) {
 		b.StopTimer()
 		ing := benchIngestEnv(b)
 		b.StartTimer()
-		n, err := ing.IngestBinary(context.Background(), bytes.NewReader(body.Bytes()), 0)
+		n, err := ing.Ingest(context.Background(), tweet.NewBatchReader(bytes.NewReader(body.Bytes()), 0).Read)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -528,7 +528,8 @@ func BenchmarkBackfill(b *testing.B) {
 }
 
 // BenchmarkClusterIngest measures the in-process multi-partition ingest
-// path end to end (DESIGN.md §8): the coordinator routes every record by
+// path end to end (DESIGN.md §8): 8 192-row batches (BenchmarkIngestBatch's
+// frame size) through AddBatch, the coordinator routing every record by
 // user hash into per-partition stores + bucket rings, with per-partition
 // lanes delivering concurrently — on a multi-core box the expensive
 // per-record work (grid assignment, trigonometry, cell hashing)
@@ -536,6 +537,8 @@ func BenchmarkBackfill(b *testing.B) {
 // is the headline cluster ingest throughput.
 func BenchmarkClusterIngest(b *testing.B) {
 	tweets := makeBenchTweets(50000)
+	all := tweet.BatchOf(tweets)
+	const frame = 8192
 	for _, parts := range []int{1, 4} {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
 			b.ReportAllocs()
@@ -559,8 +562,8 @@ func BenchmarkClusterIngest(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				for _, t := range tweets {
-					if err := coord.Add(t); err != nil {
+				for off := 0; off < all.Len(); off += frame {
+					if err := coord.AddBatch(all.Slice(off, min(off+frame, all.Len()))); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -609,12 +612,15 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkIngestReplicated measures what replication costs the cluster
-// ingest path: a 3-member coordinator routing the corpus into per-slot
-// frames and delivering each frame to r replicas through the per-member
-// lanes. r=1 is the PR 5 baseline; r=2 buys single-failure tolerance
-// for (ideally) one extra delivery, not a rerouted pipeline.
+// ingest path: a 3-member coordinator taking the corpus in 8 192-row
+// AddBatch slices, routing it into per-slot frames and delivering each
+// frame to r replicas through the per-member lanes. r=1 is the
+// unreplicated baseline; r=2 buys single-failure tolerance for (ideally)
+// one extra delivery, not a rerouted pipeline.
 func BenchmarkIngestReplicated(b *testing.B) {
 	tweets := makeBenchTweets(50000)
+	all := tweet.BatchOf(tweets)
+	const frame = 8192
 	for _, r := range []int{1, 2} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			b.ReportAllocs()
@@ -634,8 +640,8 @@ func BenchmarkIngestReplicated(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				for _, t := range tweets {
-					if err := coord.Add(t); err != nil {
+				for off := 0; off < all.Len(); off += frame {
+					if err := coord.AddBatch(all.Slice(off, min(off+frame, all.Len()))); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -662,7 +668,7 @@ func BenchmarkLiveQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := agg.Ingest(tweets); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(tweets)); err != nil {
 		b.Fatal(err)
 	}
 	req := StudyRequest{Analyses: []Analysis{AnalysisFlows}, Scales: []Scale{ScaleNational}}
@@ -815,7 +821,7 @@ func BenchmarkLiveEdgeRefresh(b *testing.B) {
 			b.Fatal(err)
 		}
 		next, edge = upTo(0, warm), warm
-		if err := agg.Ingest(feed[:next]); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(feed[:next])); err != nil {
 			b.Fatal(err)
 		}
 		panel(agg, edge)
@@ -830,7 +836,7 @@ func BenchmarkLiveEdgeRefresh(b *testing.B) {
 			b.StartTimer()
 		}
 		end := upTo(next, edge+1)
-		if err := agg.Ingest(feed[next:end]); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(feed[next:end])); err != nil {
 			b.Fatal(err)
 		}
 		next, edge = end, edge+1
@@ -921,7 +927,7 @@ func BenchmarkShardResident(b *testing.B) {
 		var aggs [ring.Slots]*live.Aggregator
 		for k := range aggs {
 			aggs[k] = sh.NewAggregator()
-			if err := aggs[k].Ingest(slotFeed[k]); err != nil {
+			if err := aggs[k].IngestBatch(tweet.BatchOf(slotFeed[k])); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -114,21 +114,30 @@ func main() {
 		}
 		// The generator emits in (user, time) order so segments stay
 		// internally sorted; the final compaction establishes the global
-		// order the analysis pipeline requires.
-		app, err := tweetdb.NewAppender(store, 200_000)
+		// order the analysis pipeline requires. Batches of 200 000 records
+		// bound memory on corpora far larger than RAM.
+		const segmentRecords = 200_000
+		b := &tweet.Batch{}
+		b.Grow(segmentRecords)
+		n, err := gen.Generate(func(t tweet.Tweet) error {
+			b.Append(t)
+			if b.Len() < segmentRecords {
+				return nil
+			}
+			err := store.AppendBatch(b)
+			b.Reset()
+			return err
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := gen.Generate(app.Add); err != nil {
-			log.Fatal(err)
-		}
-		if err := app.Close(); err != nil {
+		if err := store.AppendBatch(b); err != nil {
 			log.Fatal(err)
 		}
 		if err := store.Compact(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("mobgen: stored %d tweets in %s (%d segments)\n",
-			app.Total(), *dbDir, len(store.Segments()))
+			n, *dbDir, len(store.Segments()))
 	}
 }

@@ -264,13 +264,9 @@ func (d *downableShard) shard() cluster.Shard {
 	return d.inner
 }
 
-func (d *downableShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
-	return d.shard().Deliver(sender, seq, slot, frame)
+func (d *downableShard) DeliverBatch(sender string, ds []cluster.Delivery) error {
+	return d.shard().DeliverBatch(sender, ds)
 }
-
-func (d *downableShard) Ingest(b *tweet.Batch) error { return d.shard().Ingest(b) }
-
-func (d *downableShard) Flush() error { return d.shard().Flush() }
 
 func (d *downableShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
 	return d.shard().Partials(ctx, req, slots)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"path/filepath"
@@ -23,6 +22,7 @@ import (
 	"geomob/internal/live"
 	"geomob/internal/obs"
 	"geomob/internal/svcache"
+	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
@@ -35,10 +35,10 @@ type engine interface {
 	// the cache disposition. Computations run under the engine's
 	// lifetime, not the request's: several requests may wait on one.
 	query(ctx context.Context, req core.Request) (res *core.Result, cached bool, err error)
-	// ingest drains one POST /v1/ingest body — binary batch frames of at
-	// most maxFrame bytes, or NDJSON — and returns the records accepted,
-	// also on failure. ingestReply is the success status and body.
-	ingest(ctx context.Context, body io.Reader, binary bool, maxFrame int64) (int, error)
+	// ingest drains one POST /v1/ingest body, decoded into batches by
+	// read, and returns the records accepted, also on failure.
+	// ingestReply is the success status and body.
+	ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error)
 	ingestReply(accepted int) (status int, body map[string]any)
 	// snapshot commits one durable snapshot of every ring the process
 	// owns; it backs the periodic loop, the drain flush and POST
@@ -295,11 +295,8 @@ func (e *ringEngine) cachedGet(ctx context.Context, key, source, ckey string, co
 // assignment hot path and appends them to the ring. Cached results whose
 // windows do not cover the landed buckets stay warm. The live ingest
 // stages land on ctx's trace.
-func (e *ringEngine) ingest(ctx context.Context, body io.Reader, binary bool, maxFrame int64) (int, error) {
-	if binary {
-		return e.ing.IngestBinary(ctx, body, maxFrame)
-	}
-	return e.ing.IngestNDJSON(ctx, body)
+func (e *ringEngine) ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
+	return e.ing.Ingest(ctx, read)
 }
 
 func (e *ringEngine) ingestReply(accepted int) (int, map[string]any) {
@@ -427,11 +424,8 @@ func (e *coordEngine) query(ctx context.Context, req core.Request) (*core.Result
 	return res, hit, err
 }
 
-func (e *coordEngine) ingest(ctx context.Context, body io.Reader, binary bool, maxFrame int64) (int, error) {
-	if binary {
-		return e.coord.IngestBinary(ctx, body, maxFrame)
-	}
-	return e.coord.IngestNDJSON(ctx, body)
+func (e *coordEngine) ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
+	return e.coord.Ingest(ctx, read)
 }
 
 // ingestReply answers 202, not 200: the records are durably spooled (the

@@ -111,8 +111,13 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// bound, so one oversized upload cannot buffer the service out of
 	// memory; every such violation answers 413.
 	body := http.MaxBytesReader(w, r.Body, s.maxIngestBytes)
-	binary := r.Header.Get("Content-Type") == tweet.BatchContentType
-	n, err := s.eng.ingest(r.Context(), body, binary, s.maxIngestBytes)
+	var read func(*tweet.Batch) error
+	if r.Header.Get("Content-Type") == tweet.BatchContentType {
+		read = tweet.NewBatchReader(body, s.maxIngestBytes).Read
+	} else {
+		read = tweet.NewNDJSONReader(body).ReadBatch
+	}
+	n, err := s.eng.ingest(r.Context(), read)
 	if err != nil {
 		// The caller's records are a 400 (do not retry the payload) and
 		// size-limit violations a 413; internal storage or routing

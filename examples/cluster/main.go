@@ -61,10 +61,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, t := range tweets {
-		if err := coord.Add(t); err != nil {
-			log.Fatal(err)
-		}
+	if err := coord.AddBatch(geomob.NewTweetBatch(tweets)); err != nil {
+		log.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		log.Fatal(err)

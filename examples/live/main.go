@@ -58,10 +58,8 @@ func main() {
 		for end < len(tweets) && tweets[end].TS/day == dayIdx {
 			end++
 		}
-		for _, t := range tweets[off:end] {
-			if err := ing.Add(t); err != nil {
-				log.Fatal(err)
-			}
+		if err := ing.IngestBatch(geomob.NewTweetBatch(tweets[off:end])); err != nil {
+			log.Fatal(err)
 		}
 		if err := ing.Flush(); err != nil {
 			log.Fatal(err)

@@ -49,6 +49,9 @@ import (
 type (
 	// Tweet is one geo-tagged tweet record: (id, user, timestamp, lat, lon).
 	Tweet = tweet.Tweet
+	// TweetBatch is the column form of a tweet slice: the unit every
+	// write path (LiveIngestor, ClusterCoordinator) takes.
+	TweetBatch = tweet.Batch
 	// Point is a WGS-84 coordinate in decimal degrees.
 	Point = geo.Point
 	// BBox is an axis-aligned geographic bounding box.
@@ -70,6 +73,9 @@ const (
 
 // Scales returns the three scales in paper order.
 func Scales() []Scale { return census.Scales() }
+
+// NewTweetBatch converts a tweet slice into a fresh column batch.
+func NewTweetBatch(tweets []Tweet) *TweetBatch { return tweet.BatchOf(tweets) }
 
 // Gazetteer returns the embedded Australian census gazetteer.
 func Gazetteer() *census.Gazetteer { return census.Australia() }
@@ -216,8 +222,8 @@ func NewLiveAggregator(opts LiveOptions) (*LiveAggregator, error) {
 }
 
 // NewLiveIngestor builds the streaming write path over a store, routing
-// flushed batches into agg (nil for a durable-only ingest). batchSize 0
-// selects the store's default segment size.
+// flushed batches into agg (required). batchSize 0 selects the store's
+// default segment size.
 func NewLiveIngestor(store *Store, agg *LiveAggregator, batchSize int) (*LiveIngestor, error) {
 	return live.NewIngestor(store, agg, batchSize)
 }

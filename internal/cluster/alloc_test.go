@@ -37,7 +37,7 @@ func TestClusterIngestAllocBalance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow")
 	}
-	corpus := allocCorpus(20000)
+	corpus := tweet.BatchOf(allocCorpus(20000))
 	// One ingest pass, bytes allocated measured via memstats. A warm-up
 	// pass per configuration absorbs one-time lazy initialisation (grid
 	// resolvers, http transports) so the reps measure steady state; the
@@ -62,10 +62,8 @@ func TestClusterIngestAllocBalance(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		for _, tw := range corpus {
-			if err := coord.Add(tw); err != nil {
-				t.Fatal(err)
-			}
+		if err := coord.AddBatch(corpus); err != nil {
+			t.Fatal(err)
 		}
 		if err := coord.Flush(); err != nil {
 			t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,10 +50,8 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -130,9 +127,7 @@ func TestShardRejectsBadSlotSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := local.Ingest(tweet.BatchOf(all)); err != nil {
-		t.Fatal(err)
-	}
+	deliverAll(t, local, all)
 	srv := httptest.NewServer(NewNode(local, NodeOptions{}))
 	t.Cleanup(srv.Close)
 	req := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleNational}}
@@ -248,8 +243,9 @@ func TestCoordinatorRejectsTooManyMembers(t *testing.T) {
 	}
 }
 
-// TestNodeIngestLimits: the shard ingest endpoint rejects malformed
-// records with 400 and honours the body bound with 413.
+// TestNodeIngestLimits: the shard's delivery endpoint applies a valid
+// envelope, rejects a malformed envelope and a frame for a slot out of
+// range with 400, and honours the body bound with 413.
 func TestNodeIngestLimits(t *testing.T) {
 	local, err := NewLocalShard(nil, live.Options{BucketWidth: time.Hour})
 	if err != nil {
@@ -257,24 +253,95 @@ func TestNodeIngestLimits(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewNode(local, NodeOptions{MaxBodyBytes: 256}))
 	t.Cleanup(srv.Close)
+	frame := func(rows int) []byte {
+		b := &tweet.Batch{}
+		for i := 0; i < rows; i++ {
+			b.Append(tweet.Tweet{ID: int64(i), UserID: 1, TS: 1, Lat: -33.8, Lon: 151.2})
+		}
+		f, err := tweet.AppendFrame(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, c := range []struct {
+		name string
+		body []byte
+		want int
+	}{
+		{"valid", appendDeliveries(nil, []Delivery{{Seq: 1, Slot: ring.SlotOf(1), Frame: frame(1)}}), 200},
+		{"malformed envelope", []byte("truncated"), 400},
+		{"slot out of range", appendDeliveries(nil, []Delivery{{Seq: 2, Slot: ring.Slots, Frame: frame(1)}}), 400},
+		{"oversized body", appendDeliveries(nil, []Delivery{{Seq: 3, Slot: ring.SlotOf(1), Frame: frame(8)}}), 413},
+	} {
+		resp, err := srv.Client().Post(srv.URL+pathDeliverBatch+"?sender=s", "application/octet-stream", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+	}
+	if got := local.Ingested(); got != 1 {
+		t.Fatalf("shard ingested %d records, want the valid delivery's 1", got)
+	}
+}
 
-	resp, err := srv.Client().Post(srv.URL+pathIngest, "application/x-ndjson",
-		strings.NewReader(`{"id":1,"user":1,"ts":1,"lat":999,"lon":0}`+"\n"))
-	if err != nil {
-		t.Fatal(err)
+// FuzzDecodeDeliveries fuzzes the envelope a shard node decodes off every
+// deliver-batch request. Seeded with envelopes of 0, 1 and 16 real frames,
+// a truncated header and a truncated frame, it must never panic, and
+// whatever it accepts must re-encode to the same bytes.
+func FuzzDecodeDeliveries(f *testing.F) {
+	var ds []Delivery
+	for k := 0; k < ring.Slots; k++ {
+		b := &tweet.Batch{}
+		for i := 0; i <= k%3; i++ {
+			b.Append(tweet.Tweet{ID: int64(k*4 + i), UserID: int64(k), TS: 1378000000000 + int64(i), Lat: -33.87, Lon: 151.21})
+		}
+		frame, err := tweet.AppendFrame(nil, b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		ds = append(ds, Delivery{Seq: uint64(k + 1), Slot: k, Frame: frame})
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("invalid record: status %d, want 400", resp.StatusCode)
-	}
+	one, all := appendDeliveries(nil, ds[:1]), appendDeliveries(nil, ds)
+	f.Add([]byte{})
+	f.Add(one)
+	f.Add(all)
+	f.Add(all[:len(one)+10])   // truncated header of the second frame
+	f.Add(all[:len(one)+16+7]) // truncated second frame
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := decodeDeliveries(data)
+		if err != nil {
+			return
+		}
+		if again := appendDeliveries(nil, got); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
+}
 
-	big := strings.Repeat(`{"id":1,"user":1,"ts":1,"lat":-33.8,"lon":151.2}`+"\n", 64)
-	resp, err = srv.Client().Post(srv.URL+pathIngest, "application/x-ndjson", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+// deliverAll loads a shard as a coordinator's lane would: one frame per
+// placement slot, in one DeliverBatch without a sender.
+func deliverAll(t testing.TB, s Shard, tweets []tweet.Tweet) {
+	t.Helper()
+	var parts [ring.Slots]tweet.Batch
+	for _, tw := range tweets {
+		parts[ring.SlotOf(tw.UserID)].Append(tw)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != 413 {
-		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	var ds []Delivery
+	for k := range parts {
+		if parts[k].Len() == 0 {
+			continue
+		}
+		frame, err := tweet.AppendFrame(nil, &parts[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, Delivery{Seq: uint64(len(ds) + 1), Slot: k, Frame: frame})
+	}
+	if err := s.DeliverBatch("", ds); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -38,7 +38,7 @@ func codecAggregatorUsers(t testing.TB, users int) (*live.Aggregator, int64, int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Ingest(all); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(all)); err != nil {
 		t.Fatal(err)
 	}
 	minTS, maxTS := all[0].TS, all[0].TS
@@ -190,9 +190,7 @@ func FuzzDecodePartials(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := shard.Ingest(tweet.BatchOf(all)); err != nil {
-		f.Fatal(err)
-	}
+	deliverAll(f, shard, all)
 	minTS, maxTS := all[0].TS, all[0].TS
 	for _, tw := range all {
 		minTS, maxTS = min(minTS, tw.TS), max(maxTS, tw.TS)

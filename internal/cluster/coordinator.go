@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"maps"
 	"slices"
 	"strings"
@@ -130,7 +129,7 @@ type Coordinator struct {
 	shards []Shard
 	lanes  []*lane
 
-	// mu serialises ingest buffering (Add/Flush) exactly like
+	// mu serialises ingest buffering (AddBatch/Flush) exactly like
 	// live.Ingestor.
 	mu   sync.Mutex
 	bufs [ring.Slots]*tweet.Batch
@@ -236,44 +235,13 @@ func (c *Coordinator) CacheStats() (hits, misses int64) { return c.cache.Stats()
 // SenderID exposes the spool's delivery identity (tests).
 func (c *Coordinator) SenderID() string { return c.sp.SenderID() }
 
-// Add routes one record into its placement slot's buffer, shipping the
-// slot when the buffer fills. Safe for concurrent use. Acceptance (a
-// nil return from the enclosing Flush) means the record is spooled —
+// AddBatch routes a whole columnar batch row by row into its placement
+// slots' buffers by the UserID column, shipping a slot when its buffer
+// fills. The batch is validated once up front and only read; ownership
+// stays with the caller. Safe for concurrent use. Acceptance (a nil
+// return from the enclosing Flush) means the records are spooled —
 // durably under a WALDir — and owed to every replica, not that every
-// replica already holds it.
-func (c *Coordinator) Add(t tweet.Tweet) error { return c.add(t, nil) }
-
-func (c *Coordinator) add(t tweet.Tweet, st *ingestStages) error {
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
-	}
-	defer st.routed(st.now())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return fmt.Errorf("cluster: coordinator closed")
-	}
-	return c.addLocked(t, st)
-}
-
-func (c *Coordinator) addLocked(t tweet.Tweet, st *ingestStages) error {
-	k := ring.SlotOf(t.UserID)
-	b := c.bufs[k]
-	if b == nil {
-		b = &tweet.Batch{}
-		b.Grow(c.batch)
-		c.bufs[k] = b
-	}
-	b.Append(t)
-	if b.Len() >= c.batch {
-		return c.shipLocked(st, k)
-	}
-	return nil
-}
-
-// AddBatch routes a whole columnar batch, splitting it across placement
-// slots by the UserID column. The batch is validated once up front and
-// only read; ownership stays with the caller. Safe for concurrent use.
+// replica already holds them.
 func (c *Coordinator) AddBatch(b *tweet.Batch) error { return c.addBatch(b, nil) }
 
 func (c *Coordinator) addBatch(b *tweet.Batch, st *ingestStages) error {
@@ -289,9 +257,19 @@ func (c *Coordinator) addBatch(b *tweet.Batch, st *ingestStages) error {
 	if c.closed.Load() {
 		return fmt.Errorf("cluster: coordinator closed")
 	}
-	for r := 0; r < b.Len(); r++ {
-		if err := c.addLocked(b.Row(r), st); err != nil {
-			return err
+	for r, user := range b.UserID {
+		k := ring.SlotOf(user)
+		buf := c.bufs[k]
+		if buf == nil {
+			buf = &tweet.Batch{}
+			buf.Grow(c.batch)
+			c.bufs[k] = buf
+		}
+		buf.Append(b.Row(r))
+		if buf.Len() >= c.batch {
+			if err := c.shipLocked(st, k); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -411,8 +389,8 @@ func (c *Coordinator) Close() error {
 // (the group append: write plus fsync wait) and deliver (waiting for
 // healthy lanes to settle); decode is whatever remains of the request's
 // wall time — reading and parsing the body. A nil *ingestStages, which
-// is what the plain Add/AddBatch/Flush pass, records nothing and reads
-// no clock.
+// is what the plain AddBatch/Flush pass, records nothing and reads no
+// clock.
 type ingestStages struct {
 	route, spool, deliver time.Duration
 }
@@ -456,28 +434,15 @@ func (st *ingestStages) record(ctx context.Context, total time.Duration) {
 	}
 }
 
-// IngestNDJSON drains an NDJSON stream through the coordinator and
-// flushes at the end, returning how many records the stream contributed
-// — the cluster-mode twin of live.Ingestor.IngestNDJSON, riding the
-// same shared loop and error contract (live.ErrBadInput marks the
-// caller's records). The decode, route, spool and deliver stages land
-// on ctx's trace.
-func (c *Coordinator) IngestNDJSON(ctx context.Context, r io.Reader) (int, error) {
+// Ingest drains a stream of batches through the coordinator and flushes
+// at the end, returning how many records the stream contributed — the
+// cluster-mode twin of live.Ingestor.Ingest, riding the same loop and
+// error contract (live.Drain; live.ErrBadInput marks the caller's
+// records). The decode, route, spool and deliver stages land on ctx's
+// trace.
+func (c *Coordinator) Ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
 	st, t0 := &ingestStages{}, time.Now()
-	n, err := live.DrainNDJSON(r,
-		func(t tweet.Tweet) error { return c.add(t, st) },
-		func() error { return c.flush(st) })
-	st.record(ctx, time.Since(t0))
-	return n, err
-}
-
-// IngestBinary drains a binary batch stream through the coordinator and
-// flushes at the end — the cluster-mode twin of
-// live.Ingestor.IngestBinary, with IngestNDJSON's trace stages. maxFrame
-// bounds one frame (0 selects the tweet package's 64 MiB default).
-func (c *Coordinator) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
-	st, t0 := &ingestStages{}, time.Now()
-	n, err := live.DrainBinary(r, maxFrame,
+	n, err := live.Drain(read,
 		func(b *tweet.Batch) error { return c.addBatch(b, st) },
 		func() error { return c.flush(st) })
 	st.record(ctx, time.Since(t0))

@@ -58,28 +58,12 @@ func (c *chaosShard) get() (Shard, error) {
 	return c.inner, nil
 }
 
-func (c *chaosShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
+func (c *chaosShard) DeliverBatch(sender string, ds []Delivery) error {
 	s, err := c.get()
 	if err != nil {
 		return err
 	}
-	return s.Deliver(sender, seq, slot, frame)
-}
-
-func (c *chaosShard) Ingest(b *tweet.Batch) error {
-	s, err := c.get()
-	if err != nil {
-		return err
-	}
-	return s.Ingest(b)
-}
-
-func (c *chaosShard) Flush() error {
-	s, err := c.get()
-	if err != nil {
-		return err
-	}
-	return s.Flush()
+	return s.DeliverBatch(sender, ds)
 }
 
 func (c *chaosShard) Partials(ctx context.Context, req core.Request, slots []int) ([]*live.ShardPartial, error) {
@@ -200,10 +184,8 @@ func TestLaneRedeliveryAfterRecovery(t *testing.T) {
 	}
 	defer coord.Close()
 
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
 	}
 	// Flush must accept the ingest even though node 1 is down: the
 	// records are spooled, not dropped.
@@ -277,10 +259,8 @@ func TestQueryFailoverReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -369,10 +349,8 @@ func TestFetchFailoverMidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -433,7 +411,7 @@ func TestDeliverDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Deliver("sender-a", 7, slot, frame); err != nil {
+		if err := s.DeliverBatch("sender-a", []Delivery{{Seq: 7, Slot: slot, Frame: frame}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -444,7 +422,7 @@ func TestDeliverDedup(t *testing.T) {
 		t.Fatalf("triple delivery stored %d records, want 1", got)
 	}
 	// A different sender at the same seq is not a duplicate.
-	if err := s.Deliver("sender-b", 7, slot, frame); err != nil {
+	if err := s.DeliverBatch("sender-b", []Delivery{{Seq: 7, Slot: slot, Frame: frame}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Ingested(); got != 2 {
@@ -460,10 +438,10 @@ func TestDeliverDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Deliver("sender-a", 7, slot, frame); err != nil {
+	if err := s2.DeliverBatch("sender-a", []Delivery{{Seq: 7, Slot: slot, Frame: frame}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Deliver("sender-b", 6, slot, frame); err != nil {
+	if err := s2.DeliverBatch("sender-b", []Delivery{{Seq: 6, Slot: slot, Frame: frame}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Ingested(); got != 2 {
@@ -509,10 +487,8 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	}
 	sender := coord.SenderID()
 	chaos[1].setDown(true) // node 1 dies before anything delivers to it
-	for _, tw := range all {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -582,18 +558,14 @@ func TestClusterChaosProperty(t *testing.T) {
 	}
 	defer coord.Close()
 
-	for _, tw := range all[:half] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all[:half])); err != nil {
+		t.Fatal(err)
 	}
 	// kill -9 member 1 mid-ingest: its in-memory rings vanish, its
 	// store survives on disk.
 	chaos[1].setDown(true)
-	for _, tw := range all[half:] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all[half:])); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatalf("ingest must be accepted during the outage: %v", err)

@@ -46,7 +46,6 @@ type laneEntry struct {
 type lane struct {
 	node   int
 	shard  Shard
-	batch  BatchDeliverer // shard's batched fast path; nil when it has none
 	sp     spool
 	sender string
 	depth  int
@@ -86,7 +85,6 @@ func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration
 		depth: depth, base: base, max: max,
 		closeCh: make(chan struct{}),
 	}
-	l.batch, _ = shard.(BatchDeliverer)
 	l.cv = sync.NewCond(&l.mu)
 	nd := memberName(node)
 	l.mRows = obs.Def.Counter("geomob_lane_delivered_rows_total", "Rows delivered (and spool-acked) per shard lane.", "node", nd)
@@ -189,15 +187,11 @@ func (l *lane) run(wg *sync.WaitGroup) {
 				}
 			}
 		}
-		// Drain: a batch-capable shard takes the whole staged queue in
-		// one durable commit (one high-water-mark advance per drain);
-		// any other shard takes the head alone. The drained prefix is
-		// stable across the unlock — enqueue only appends, and only this
-		// goroutine removes.
-		ents := l.q[:1]
-		if l.batch != nil {
-			ents = l.q[:len(l.q):len(l.q)]
-		}
+		// Drain: the shard takes the whole staged queue in one durable
+		// commit (one high-water-mark advance per drain). The drained
+		// prefix is stable across the unlock — enqueue only appends, and
+		// only this goroutine removes.
+		ents := l.q[:len(l.q):len(l.q)]
 		l.attempting = true
 		l.mu.Unlock()
 
@@ -264,17 +258,13 @@ func (l *lane) run(wg *sync.WaitGroup) {
 	}
 }
 
-// deliver hands ents to the shard: one DeliverBatch when it takes
-// batches, else the single entry through Deliver.
+// deliver hands ents to the shard in one DeliverBatch.
 func (l *lane) deliver(ents []*laneEntry) error {
-	if l.batch == nil {
-		return l.shard.Deliver(l.sender, ents[0].seq, ents[0].slot, ents[0].frame)
-	}
 	ds := make([]Delivery, len(ents))
 	for i, e := range ents {
 		ds[i] = Delivery{Seq: e.seq, Slot: e.slot, Frame: e.frame}
 	}
-	return l.batch.DeliverBatch(l.sender, ds)
+	return l.shard.DeliverBatch(l.sender, ds)
 }
 
 func entrySeqs(ents []*laneEntry) []uint64 {

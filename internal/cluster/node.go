@@ -30,23 +30,19 @@ import (
 // the wire so a coordinator behaves identically over LocalShard and
 // HTTPShard:
 //
-//	POST /shard/v1/ingest        NDJSON or binary batch → {"ingested": n}
-//	POST /shard/v1/deliver       ?sender=&seq=&slot=, binary frame body
 //	POST /shard/v1/deliver-batch ?sender=, enveloped frames body
 //	POST /shard/v1/partials      {"request":…,"slots":[…]} → binary partial list of one
 //	POST /shard/v1/coverage      {"request":…,"slots":[…]} → {"coverage": key}
 //	GET  /shard/v1/health        ShardHealth
 //	GET  /healthz                liveness (boot-wait probes)
 //
-//	400 caller's request/records   422 live.ErrNotCovered
-//	410 live.ErrEvicted            413 body or line too large
+//	400 caller's request/frames    422 live.ErrNotCovered
+//	410 live.ErrEvicted            413 body too large
 //
 // Any transport failure or 5xx wraps errUnavailable on the client side
 // — the coordinator's signal to fail a query over to another replica
 // and to keep a delivery spooled for retry.
 const (
-	pathIngest       = "/shard/v1/ingest"
-	pathDeliver      = "/shard/v1/deliver"
 	pathDeliverBatch = "/shard/v1/deliver-batch"
 	pathPartials     = "/shard/v1/partials"
 	pathCoverage     = "/shard/v1/coverage"
@@ -78,8 +74,6 @@ func NewNode(shard *LocalShard, opts NodeOptions) *Node {
 		n.maxB = DefaultMaxBodyBytes
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+pathIngest, n.handleIngest)
-	mux.HandleFunc("POST "+pathDeliver, n.handleDeliver)
 	mux.HandleFunc("POST "+pathDeliverBatch, n.handleDeliverBatch)
 	mux.HandleFunc("POST "+pathPartials, n.handlePartials)
 	mux.HandleFunc("POST "+pathCoverage, n.handleCoverage)
@@ -97,12 +91,12 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// IngestStatus maps an ingest failure onto the HTTP status the public
-// and internal ingest endpoints share: the caller's malformed records
-// are a 400, size-limit violations (request body bound, NDJSON line
-// bound, binary frame bound) a 413, everything else a 500. The size
-// checks run first: an oversized input also wraps live.ErrBadInput, and
-// 413 is the more precise verdict.
+// IngestStatus maps an ingest or delivery failure onto the HTTP status
+// the public /v1/ingest and the shard's deliver-batch endpoint share: the
+// caller's malformed records or frames are a 400, size-limit violations
+// (request body bound, NDJSON line bound, binary frame bound) a 413,
+// everything else a 500. The size checks run first: an oversized input
+// also wraps live.ErrBadInput, and 413 is the more precise verdict.
 func IngestStatus(err error) int {
 	var mbe *http.MaxBytesError
 	switch {
@@ -112,51 +106,6 @@ func IngestStatus(err error) int {
 		return http.StatusBadRequest
 	}
 	return http.StatusInternalServerError
-}
-
-func (n *Node) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, n.maxB)
-	var count int
-	var err error
-	if r.Header.Get("Content-Type") == tweet.BatchContentType {
-		count, err = ingestBinary(n.shard, body, n.maxB)
-	} else {
-		count, err = ingestNDJSON(n.shard, body)
-	}
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard ingest: %v (accepted %d records)", err, count), IngestStatus(err))
-		return
-	}
-	h, _ := n.shard.Health()
-	writeJSON(w, map[string]any{"ingested": count, "tweets": h.Tweets, "buckets": h.Buckets})
-}
-
-// handleDeliver applies one replicated slot frame. Delivery is
-// synchronous: a 200 means the frame is durable (and deduplicated) on
-// this member, which is what lets the coordinator ack its spool.
-func (n *Node) handleDeliver(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sender := q.Get("sender")
-	seq, err := strconv.ParseUint(q.Get("seq"), 10, 64)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver: bad seq: %v", err), http.StatusBadRequest)
-		return
-	}
-	slot, err := strconv.Atoi(q.Get("slot"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver: bad slot: %v", err), http.StatusBadRequest)
-		return
-	}
-	frame, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.maxB))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver: read frame: %v", err), IngestStatus(err))
-		return
-	}
-	if err := n.shard.Deliver(sender, seq, slot, frame); err != nil {
-		http.Error(w, fmt.Sprintf("shard deliver: %v", err), IngestStatus(err))
-		return
-	}
-	writeJSON(w, map[string]any{"applied": true})
 }
 
 // appendDeliveries envelopes a drain's frames for the wire: per frame a
@@ -195,9 +144,10 @@ func decodeDeliveries(p []byte) ([]Delivery, error) {
 	return ds, nil
 }
 
-// handleDeliverBatch applies several replicated frames from one sender
-// in a single durable commit — the lane's whole-drain fast path. Like
-// handleDeliver, a 200 means every frame is durable (or deduplicated).
+// handleDeliverBatch applies a lane's drain — replicated frames from one
+// sender — in a single durable commit. Delivery is synchronous: a 200
+// means every frame is durable (or deduplicated) on this member, which
+// is what lets the coordinator ack its spool.
 func (n *Node) handleDeliverBatch(w http.ResponseWriter, r *http.Request) {
 	sender := r.URL.Query().Get("sender")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.maxB))
@@ -215,68 +165,6 @@ func (n *Node) handleDeliverBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, map[string]any{"applied": true, "frames": len(ds)})
-}
-
-// ingestNDJSON drains an NDJSON stream into a shard in ring-sized
-// batches and flushes at the end, through the shared live.DrainNDJSON
-// loop — one counting and error contract across every ingest front. A
-// record is counted only once its batch delivered, so the "accepted"
-// count a failure reports never includes records a failed delivery
-// dropped (clients resume from it).
-func ingestNDJSON(s Shard, r io.Reader) (int, error) {
-	const chunk = 1 << 13
-	batch := &tweet.Batch{}
-	batch.Grow(chunk)
-	delivered := 0
-	deliver := func() error {
-		n := batch.Len()
-		if n == 0 {
-			return nil
-		}
-		if err := s.Ingest(batch); err != nil {
-			return err
-		}
-		batch.Reset()
-		delivered += n
-		return nil
-	}
-	add := func(t tweet.Tweet) error {
-		batch.Append(t)
-		if batch.Len() >= chunk {
-			return deliver()
-		}
-		return nil
-	}
-	flush := func() error {
-		if err := deliver(); err != nil {
-			return err
-		}
-		return s.Flush()
-	}
-	if _, err := live.DrainNDJSON(r, add, flush); err != nil {
-		return delivered, err
-	}
-	return delivered, nil
-}
-
-// ingestBinary drains a binary batch stream into a shard frame by frame
-// and flushes at the end — the pre-encoded columns of every frame pass
-// straight through to the shard with no re-encoding. Counting matches
-// ingestNDJSON: a record counts only once its frame delivered.
-func ingestBinary(s Shard, r io.Reader, maxFrame int64) (int, error) {
-	delivered := 0
-	add := func(b *tweet.Batch) error {
-		n := b.Len()
-		if err := s.Ingest(b); err != nil {
-			return err
-		}
-		delivered += n
-		return nil
-	}
-	if _, err := live.DrainBinary(r, maxFrame, add, s.Flush); err != nil {
-		return delivered, err
-	}
-	return delivered, nil
 }
 
 // slotRequest is the JSON body of the partials and coverage endpoints.
@@ -417,58 +305,11 @@ func (s *HTTPShard) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 }
 
-// Ingest implements Shard: the batch travels as one binary frame POST —
-// the columns are framed directly, never re-encoded as text — flushed
-// server-side on arrival.
-func (s *HTTPShard) Ingest(b *tweet.Batch) error {
-	frame, err := tweet.AppendFrame(nil, b)
-	if err != nil {
-		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
-	}
-	resp, err := s.hc.Post(s.base+pathIngest, tweet.BatchContentType, bytes.NewReader(frame))
-	if err != nil {
-		return fmt.Errorf("%w: shard %s ingest: %v", errUnavailable, s.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s.statusError("ingest", resp)
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return nil
-}
-
-// Flush implements Shard; HTTP ingests flush per request.
-func (s *HTTPShard) Flush() error { return nil }
-
-// Deliver implements Shard: the frame POSTs with its identity in the
-// query string. A transport failure or 5xx is retriable
-// (errUnavailable — the record stays spooled); any other rejection is
-// permanent (errPermanent — the lane drops and counts it).
-func (s *HTTPShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
-	q := url.Values{}
-	q.Set("sender", sender)
-	q.Set("seq", strconv.FormatUint(seq, 10))
-	q.Set("slot", strconv.Itoa(slot))
-	resp, err := s.dc.Post(s.base+pathDeliver+"?"+q.Encode(), tweet.BatchContentType, bytes.NewReader(frame))
-	if err != nil {
-		return fmt.Errorf("%w: shard %s deliver: %v", errUnavailable, s.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-	detail := strings.TrimSpace(string(msg))
-	if resp.StatusCode >= 500 {
-		return fmt.Errorf("%w: shard %s deliver: http %d: %s", errUnavailable, s.base, resp.StatusCode, detail)
-	}
-	return fmt.Errorf("%w: shard %s deliver: http %d: %s", errPermanent, s.base, resp.StatusCode, detail)
-}
-
-// DeliverBatch implements BatchDeliverer: the drain's frames travel in
-// one enveloped POST, committed server-side as a single durable batch.
-// Status translation matches Deliver.
+// DeliverBatch implements Shard: the drain's frames travel in one
+// enveloped POST, committed server-side as a single durable batch. A
+// transport failure or 5xx is retriable (errUnavailable — the frames
+// stay spooled); any other rejection is permanent (errPermanent — the
+// lane drops and counts the frame).
 func (s *HTTPShard) DeliverBatch(sender string, ds []Delivery) error {
 	q := url.Values{}
 	q.Set("sender", sender)

@@ -154,10 +154,8 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			}
 			defer coord.Close()
 			for _, batch := range randomBatches(rng, prop.all, 6) {
-				for _, tw := range batch {
-					if err := coord.Add(tw); err != nil {
-						t.Fatal(err)
-					}
+				if err := coord.AddBatch(tweet.BatchOf(batch)); err != nil {
+					t.Fatal(err)
 				}
 			}
 			if err := coord.Flush(); err != nil {
@@ -243,7 +241,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			// and again matches a fresh single-node reference.
 			extra := tweet.Tweet{ID: 1 << 40, UserID: prop.all[0].UserID, TS: prop.all[0].TS + 1,
 				Lat: prop.all[0].Lat, Lon: prop.all[0].Lon}
-			if err := coord.Add(extra); err != nil {
+			if err := coord.AddBatch(tweet.BatchOf([]tweet.Tweet{extra})); err != nil {
 				t.Fatal(err)
 			}
 			if err := coord.Flush(); err != nil {

@@ -34,20 +34,16 @@ var (
 // member lives in-process (LocalShard) or behind the internal HTTP API
 // (HTTPShard → Node).
 type Shard interface {
-	// Deliver applies one replicated batch frame for slot, exactly
-	// once: frames whose (sender, seq) fall at or below the shard's
-	// durable high-water mark for that sender are acknowledged without
+	// DeliverBatch applies replicated batch frames from one sender, each
+	// for its placement slot, exactly once and in one durable commit. A
+	// lane hands over whatever it has staged, so the frames carry
+	// ascending sequence numbers; those at or below the shard's durable
+	// high-water mark for the sender are acknowledged without
 	// re-applying, which makes spool replay and redelivery after an
 	// ambiguous failure idempotent. An empty sender disables
-	// deduplication. Delivery is synchronous and durable on return.
-	Deliver(sender string, seq uint64, slot int, frame []byte) error
-	// Ingest absorbs one columnar batch directly (no replication, no
-	// dedup): rows are routed to their placement slots internally. The
-	// batch is only read; ownership stays with the caller.
-	Ingest(b *tweet.Batch) error
-	// Flush forces any buffered ingest out, so a subsequent Partials
-	// observes everything ingested so far.
-	Flush() error
+	// deduplication. Delivery is synchronous: success means every frame
+	// is durable.
+	DeliverBatch(sender string, ds []Delivery) error
 	// Partials folds the shard's materialised bucket partials covering
 	// req's window over the requested placement slots (non-empty,
 	// strictly ascending) into exactly one partial. ctx carries the
@@ -68,18 +64,6 @@ type Delivery struct {
 	Seq   uint64
 	Slot  int
 	Frame []byte
-}
-
-// BatchDeliverer is the optional batched-delivery fast path: a lane that
-// finds several frames queued for the same shard hands them over in one
-// call, and the shard folds them into a single durable commit — one
-// high-water-mark manifest write per drain instead of one per frame.
-// The contract matches Deliver exactly: frames carry ascending sequence
-// numbers from one sender, duplicates at or below the sender's mark are
-// acknowledged without re-applying, and success means every frame is
-// durable. Shards that don't implement it get per-frame Deliver.
-type BatchDeliverer interface {
-	DeliverBatch(sender string, ds []Delivery) error
 }
 
 // ShardHealth is one shard's liveness report.
@@ -232,25 +216,6 @@ func (s *LocalShard) backfillSlots(slots []int) error {
 	return err
 }
 
-// commitAndRoute appends all to the store durably (with meta in the same
-// manifest save), then ingests each of its per-slot parts into the slot's
-// ring. The parts are already validated, so only the commit can fail.
-func (s *LocalShard) commitAndRoute(parts *[ring.Slots]*tweet.Batch, all *tweet.Batch, meta map[string]string) error {
-	if s.store != nil && all.Len() > 0 {
-		if err := s.store.AppendBatchMeta(all, meta); err != nil {
-			return err
-		}
-	}
-	for k, p := range parts {
-		if p != nil {
-			if err := s.aggs[k].IngestBatch(p); err != nil {
-				return fmt.Errorf("slot %d: %w", k, err)
-			}
-		}
-	}
-	return nil
-}
-
 // Store exposes the shard's store (nil for ring-only shards).
 func (s *LocalShard) Store() *tweetdb.Store { return s.store }
 
@@ -293,22 +258,15 @@ func (s *LocalShard) Buckets() int {
 	return n
 }
 
-// Deliver implements Shard. The frame's batch is appended to the store
-// together with the sender's advanced high-water mark in one atomic
-// manifest commit, then resolved and appended to the slot's ring; a
-// crash between the two is healed by the boot backfill.
-// Duplicate (sender, seq) deliveries return success without re-applying.
-func (s *LocalShard) Deliver(sender string, seq uint64, slot int, frame []byte) error {
-	return s.DeliverBatch(sender, []Delivery{{Seq: seq, Slot: slot, Frame: frame}})
-}
-
-// DeliverBatch implements BatchDeliverer: several frames from one
-// sender land in a single atomic store commit whose meta advances the
-// sender's high-water mark to the batch's top sequence. That collapse
-// is sound because lanes are strict FIFO per sender — the sequences in
-// one drain are contiguous-from-pending and ascending, so acknowledging
-// the top acknowledges them all. Duplicate frames (at or below the
-// current mark) are dropped before the commit.
+// DeliverBatch implements Shard: the fresh frames' batches are appended
+// to the store together with the sender's advanced high-water mark in one
+// atomic manifest commit, then resolved and appended to their slots'
+// rings; a crash between the two is healed by the boot backfill. The
+// mark advances to the batch's top sequence, which is sound because
+// lanes are strict FIFO per sender — the sequences in one drain are
+// contiguous-from-pending and ascending, so acknowledging the top
+// acknowledges them all. Duplicate frames (at or below the current mark)
+// are dropped before the commit.
 func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	t0 := time.Now()
 	batches := make([]*tweet.Batch, len(ds))
@@ -330,65 +288,45 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	combined := &tweet.Batch{}
 	var parts [ring.Slots]*tweet.Batch
 	var maxSeq uint64
-	fresh := false
+	fresh := 0
 	for i, d := range ds {
 		if sender != "" && d.Seq <= s.hwm[sender] {
 			continue
 		}
-		fresh = true
-		if d.Seq > maxSeq {
-			maxSeq = d.Seq
+		fresh++
+		maxSeq = max(maxSeq, d.Seq)
+		if parts[d.Slot] == nil {
+			parts[d.Slot] = &tweet.Batch{}
 		}
-		b := batches[i]
-		p := parts[d.Slot]
-		if p == nil {
-			p = &tweet.Batch{}
-			parts[d.Slot] = p
-		}
-		combined.AppendBatch(b)
-		p.AppendBatch(b)
+		combined.AppendBatch(batches[i])
+		parts[d.Slot].AppendBatch(batches[i])
 	}
-	if !fresh {
+	if fresh == 0 {
 		return nil
 	}
-	var meta map[string]string
-	if sender != "" {
-		meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
+	if s.store != nil && combined.Len() > 0 {
+		var meta map[string]string
+		if sender != "" {
+			meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
+		}
+		if err := s.store.AppendBatchMeta(combined, meta); err != nil {
+			return err
+		}
 	}
-	if err := s.commitAndRoute(&parts, combined, meta); err != nil {
-		return err
+	for k, p := range parts {
+		if p != nil {
+			if err := s.aggs[k].IngestBatch(p); err != nil {
+				return fmt.Errorf("slot %d: %w", k, err)
+			}
+		}
 	}
 	if sender != "" {
 		s.hwm[sender] = maxSeq
 	}
-	mShardFrames.Add(int64(len(ds)))
+	mShardFrames.Add(int64(fresh))
 	mShardDeliverSecs.Observe(time.Since(t0).Seconds())
 	return nil
 }
-
-// Ingest implements Shard: a direct, non-replicated ingest used by the
-// node's public ingest endpoint and single-process setups. Rows are
-// routed to their placement slots, which they reach once the store,
-// if there is one, holds the batch durably.
-func (s *LocalShard) Ingest(b *tweet.Batch) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var parts [ring.Slots]*tweet.Batch
-	for i, user := range b.UserID {
-		k := ring.SlotOf(user)
-		if parts[k] == nil {
-			parts[k] = &tweet.Batch{}
-		}
-		parts[k].Append(b.Row(i))
-	}
-	return s.commitAndRoute(&parts, b, nil)
-}
-
-// Flush implements Shard; LocalShard applies synchronously.
-func (s *LocalShard) Flush() error { return nil }
 
 // validSlots checks a requested slot set: non-empty, in range and
 // strictly ascending, so no slot ring is folded or counted twice.

@@ -16,19 +16,11 @@ import (
 // which sequences — and holds nothing else. While gate is non-nil every
 // delivery blocks on it, which lets a test fill a lane queue.
 type countingShard struct {
-	Shard // queries and exports are never reached
+	Shard // queries are never reached
 
 	mu      sync.Mutex
 	batches [][]uint64 // sequences of each DeliverBatch call
-	singles int        // Deliver calls
 	gate    chan struct{}
-}
-
-func (s *countingShard) Deliver(string, uint64, int, []byte) error {
-	s.mu.Lock()
-	s.singles++
-	s.mu.Unlock()
-	return nil
 }
 
 func (s *countingShard) DeliverBatch(_ string, ds []Delivery) error {
@@ -51,12 +43,12 @@ func (s *countingShard) DeliverBatch(_ string, ds []Delivery) error {
 func (s *countingShard) Health() (ShardHealth, error) { return ShardHealth{}, nil }
 
 // seen returns the DeliverBatch calls so far and resets the record.
-func (s *countingShard) seen() (batches [][]uint64, singles int) {
+func (s *countingShard) seen() [][]uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	batches, singles = s.batches, s.singles
-	s.batches, s.singles = nil, 0
-	return batches, singles
+	batches := s.batches
+	s.batches = nil
+	return batches
 }
 
 // slotTweets returns perSlot valid tweets for every placement slot.
@@ -97,10 +89,7 @@ func contiguous(t *testing.T, who string, batches [][]uint64) (n int) {
 // TestFlushOneFsyncOneDelivery pins what one ingest request costs a
 // WAL-backed R=2 cluster: one spool fsync, and per shard one
 // DeliverBatch carrying all sixteen slot frames — whichever ingest path
-// the records arrive by. At the parent commit the same request made 16
-// fsyncs, each frame staged on its own: 16 single Deliver calls against
-// these instant shards, two drains (the head alone, then the other 15)
-// against one slow enough for frames to queue behind the first.
+// the records arrive by.
 func TestFlushOneFsyncOneDelivery(t *testing.T) {
 	shards := []*countingShard{{}, {}}
 	c, err := NewCoordinator([]Shard{shards[0], shards[1]}, CoordinatorOptions{Replication: 2, WALDir: t.TempDir()})
@@ -129,10 +118,7 @@ func TestFlushOneFsyncOneDelivery(t *testing.T) {
 		}
 		for nd, sh := range shards {
 			who := fmt.Sprintf("%s: shard %d", name, nd)
-			batches, singles := sh.seen()
-			if singles != 0 {
-				t.Errorf("%s saw %d single Deliver calls, want 0", who, singles)
-			}
+			batches := sh.seen()
 			if wantDrains > 0 && len(batches) != wantDrains {
 				t.Errorf("%s saw %d DeliverBatch calls %v, want %d", who, len(batches), batches, wantDrains)
 			}
@@ -151,20 +137,12 @@ func TestFlushOneFsyncOneDelivery(t *testing.T) {
 		}
 		return c.Flush()
 	})
-	request("Add", 1, 1, ring.Slots, func() error {
-		for _, tw := range body(5) {
-			if err := c.Add(tw); err != nil {
-				return err
-			}
-		}
-		return c.Flush()
-	})
-	request("IngestNDJSON", 1, 1, ring.Slots, func() error {
+	request("Ingest", 1, 1, ring.Slots, func() error {
 		var buf bytes.Buffer
 		for _, tw := range body(3) {
 			fmt.Fprintf(&buf, `{"id":%d,"user":%d,"ts":%d,"lat":%g,"lon":%g}`+"\n", tw.ID, tw.UserID, tw.TS, tw.Lat, tw.Lon)
 		}
-		_, err := c.IngestNDJSON(context.Background(), &buf)
+		_, err := c.Ingest(context.Background(), tweet.NewNDJSONReader(&buf).ReadBatch)
 		return err
 	})
 
@@ -202,12 +180,10 @@ func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	defer c.Close()
 	l := c.lanes[0]
 
-	c.mu.Lock()
-	for _, tw := range slotTweets(1) {
-		if err := c.addLocked(tw, nil); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.AddBatch(tweet.BatchOf(slotTweets(1))); err != nil {
+		t.Fatal(err)
 	}
+	c.mu.Lock()
 	if err := c.shipLocked(nil, allSlots[:]...); err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +207,7 @@ func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	batches, singles := sh.seen()
-	if singles != 0 {
-		t.Fatalf("%d single Deliver calls, want 0", singles)
-	}
+	batches := sh.seen()
 	if got := contiguous(t, "shard 0", batches); got != ring.Slots {
 		t.Fatalf("delivered %d frames in %v, want each of %d once", got, batches, ring.Slots)
 	}

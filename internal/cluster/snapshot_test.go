@@ -9,6 +9,7 @@ import (
 
 	"geomob/internal/core"
 	"geomob/internal/live"
+	"geomob/internal/obs"
 	"geomob/internal/ring"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
@@ -87,10 +88,8 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tw := range all[:cut] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all[:cut])); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -104,10 +103,8 @@ func TestShardSnapshotRestart(t *testing.T) {
 		t.Fatalf("snapshot wrote nothing: %+v", snapSt)
 	}
 	// The tail: records delivered after the snapshot commit.
-	for _, tw := range all[cut:] {
-		if err := coord.Add(tw); err != nil {
-			t.Fatal(err)
-		}
+	if err := coord.AddBatch(tweet.BatchOf(all[cut:])); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Flush(); err != nil {
 		t.Fatal(err)
@@ -238,21 +235,26 @@ func TestDeliverBatchDedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range ds {
-		if err := s.Deliver("sender-a", d.Seq, d.Slot, d.Frame); err != nil {
+		if err := s.DeliverBatch("sender-a", []Delivery{d}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := s.Ingested(); got != 4 {
 		t.Fatalf("redelivery re-applied: ingested %d, want 4", got)
 	}
-	// A partially duplicate batch applies only the fresh tail.
+	// A partially duplicate batch applies only the fresh tail, and the
+	// delivered-frames counter counts only that.
 	slot5, frame5 := mkFrame(5)
 	mixed := append(append([]Delivery(nil), ds[2:]...), Delivery{Seq: 5, Slot: slot5, Frame: frame5})
+	framesBefore := deliveredFrames()
 	if err := s.DeliverBatch("sender-a", mixed); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Ingested(); got != 5 {
 		t.Fatalf("mixed batch ingested %d records, want 5", got)
+	}
+	if got := deliveredFrames() - framesBefore; got != 1 {
+		t.Fatalf("mixed batch counted %d delivered frames, want the 1 fresh one", got)
 	}
 	// The advanced mark is durable: a rebuilt shard over the same store
 	// still drops everything at or below it.
@@ -270,4 +272,8 @@ func TestDeliverBatchDedup(t *testing.T) {
 	if got := store2.Count(); got != 5 {
 		t.Fatalf("post-restart redelivery stored %d records, want 5", got)
 	}
+}
+
+func deliveredFrames() int64 {
+	return obs.Def.Snapshot().Int("geomob_shard_delivered_frames_total")
 }

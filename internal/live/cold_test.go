@@ -10,6 +10,7 @@ import (
 
 	"geomob/internal/core"
 	"geomob/internal/testx"
+	"geomob/internal/tweet"
 )
 
 // The cold path runs on every processor (DESIGN.md §11). What it builds
@@ -39,7 +40,7 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 	}
 	cold := func(procs int) outcome {
 		agg := sh.NewAggregator()
-		if err := agg.Ingest(all); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(all)); err != nil {
 			t.Fatal(err)
 		}
 		var out outcome

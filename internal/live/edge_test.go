@@ -67,7 +67,7 @@ func edgeRing(t *testing.T, from, to int64) (*Aggregator, []tweet.Tweet) {
 	for idx := from; idx < to; idx++ {
 		batch := edgeHour(idx)
 		all = append(all, batch...)
-		if err := agg.Ingest(batch); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestEdgeAppendRebuildsNoClosedGroup(t *testing.T) {
 		idx := first + step
 		batch := edgeHour(idx)
 		all = append(all, batch...)
-		if err := agg.Ingest(batch); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 			t.Fatal(err)
 		}
 		askPanel(t, agg, idx+1)
@@ -165,7 +165,7 @@ func TestLateAppendRemergesOnlyItsGroups(t *testing.T) {
 	before := counts(agg)
 	tw := edgeHour(late)[0]
 	tw.ID, tw.TS = 1<<40, tw.TS+1
-	if err := agg.Ingest([]tweet.Tweet{tw}); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw})); err != nil {
 		t.Fatal(err)
 	}
 	ask()

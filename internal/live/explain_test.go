@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"geomob/internal/tweet"
 )
 
 // TestExplainCoverageMatchesFold pins the dry span selection against
@@ -17,7 +19,7 @@ func TestExplainCoverageMatchesFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Ingest(sorted); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(sorted)); err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range snapRequests(sorted) {
@@ -57,7 +59,7 @@ func TestExplainCoverageReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Ingest(sorted); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(sorted)); err != nil {
 		t.Fatal(err)
 	}
 	for _, req := range snapRequests(sorted) {

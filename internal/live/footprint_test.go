@@ -84,7 +84,7 @@ func checkCells(t *testing.T, a *Aggregator, p *partial, want []float64, label s
 func TestFlowCellsMatchDenseReference(t *testing.T) {
 	all, sorted := snapCorpus(t, 400, 23)
 	agg := hourlyAgg(t, Options{})
-	if err := agg.Ingest(all); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(all)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := agg.Query(core.Request{}); err != nil { // materialises every bucket and closed group
@@ -159,7 +159,7 @@ func TestResidentBytesMatchRecount(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0, 1: // the feed moves on
 				n := min(1+rng.Intn(400), len(all)-next)
-				if err := agg.Ingest(all[next : next+n]); err != nil {
+				if err := agg.IngestBatch(tweet.BatchOf(all[next : next+n])); err != nil {
 					t.Fatal(err)
 				}
 				next += n
@@ -173,7 +173,7 @@ func TestResidentBytesMatchRecount(t *testing.T) {
 				for i := range late {
 					late[i].ID += 1 << 40
 				}
-				if err := agg.Ingest(late); err != nil {
+				if err := agg.IngestBatch(tweet.BatchOf(late)); err != nil {
 					t.Fatal(err)
 				}
 				check("late append")
@@ -228,7 +228,7 @@ func TestPartialFootprint(t *testing.T) {
 	partials, rows := 0, 0
 	for _, feed := range slotFeed {
 		agg := sh.NewAggregator()
-		if err := agg.Ingest(feed); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(feed)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := agg.Query(core.Request{}); err != nil {
@@ -283,7 +283,7 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 		}
 	}
 	seed := append(edgeHour(h0), edgeHour(h0+2)...)
-	if err := agg.Ingest(seed); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(seed)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -330,7 +330,7 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		mu.Lock()
-		if err := agg.Ingest(feed[r*perRound : (r+1)*perRound]); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(feed[r*perRound : (r+1)*perRound])); err != nil {
 			t.Fatal(err)
 		}
 		prefixOf[agg.coverageKey(lo, hi)] = r + 1
@@ -380,7 +380,7 @@ func TestScratchReuseAcrossShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Ingest(all); err != nil {
+		if err := a.IngestBatch(tweet.BatchOf(all)); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range a.buckets {

@@ -37,7 +37,7 @@ var (
 var ingestStageNames = [4]string{"decode", "store", "resolve", "ring"}
 
 // ingestStages accumulates one request's share of the last three; the
-// plain Add/IngestBatch/Flush pass nil and record nothing.
+// plain IngestBatch/Flush pass nil and record nothing.
 type ingestStages struct{ store, resolve, ring time.Duration }
 
 // record books the request's four stages, summing to total, on ctx's trace and the histograms.
@@ -58,7 +58,7 @@ func (st *ingestStages) record(ctx context.Context, total time.Duration) {
 type Ingestor struct {
 	mu    sync.Mutex
 	store *tweetdb.Store
-	agg   *Aggregator // nil disables ring routing (durable-only ingest)
+	agg   *Aggregator
 	// batch buffers the in-progress flush column-wise. A failed flush
 	// leaves it alone (the store rolled back, the ring saw nothing), so a
 	// retried Flush commits it exactly once.
@@ -73,11 +73,10 @@ type Ingestor struct {
 var ErrBadInput = errors.New("live: bad ingest input")
 
 // NewIngestor builds an ingestor over the store, routing flushed batches
-// into agg (which may be nil for a durable-only ingest path). batchSize 0
-// selects tweetdb.DefaultSegmentRecords.
+// into agg. batchSize 0 selects tweetdb.DefaultSegmentRecords.
 func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingestor, error) {
-	if store == nil {
-		return nil, fmt.Errorf("live: ingestor requires a store")
+	if store == nil || agg == nil {
+		return nil, fmt.Errorf("live: ingestor requires a store and a ring")
 	}
 	if batchSize == 0 {
 		batchSize = tweetdb.DefaultSegmentRecords
@@ -95,9 +94,6 @@ func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingesto
 // the capture to snaps. On success the captured buckets go clean, so
 // the next snapshot writes only what changed since.
 func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
-	if i.agg == nil {
-		return SnapshotStats{}, fmt.Errorf("live: snapshot: ingestor has no ring")
-	}
 	i.mu.Lock()
 	c := i.agg.Capture()
 	var covered []string
@@ -112,24 +108,7 @@ func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 	return st, err
 }
 
-// Add buffers one record, flushing on a full batch.
-func (i *Ingestor) Add(t tweet.Tweet) error { return i.add(t, nil) }
-
-func (i *Ingestor) add(t tweet.Tweet, st *ingestStages) error {
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrBadInput, err)
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.batch.Append(t)
-	if i.batch.Len() >= i.limit {
-		return i.flushLocked(st)
-	}
-	return nil
-}
-
-// IngestBatch buffers a whole batch, flushing when the buffer fills —
-// the column-wise counterpart of Add used by the binary ingest path.
+// IngestBatch buffers a whole batch, flushing when the buffer fills.
 // Invalid records reject the entire batch before any is buffered. The
 // batch is copied in; the caller keeps ownership.
 func (i *Ingestor) IngestBatch(b *tweet.Batch) error { return i.addBatch(b, nil) }
@@ -170,13 +149,10 @@ func (i *Ingestor) flushLocked(st *ingestStages) error {
 		return err
 	}
 	t1 := time.Now()
-	t2 := t1
-	if i.agg != nil {
-		r := i.agg.Resolve(i.batch)
-		t2 = time.Now()
-		i.agg.appendResolved(i.batch, r)
-		r.release()
-	}
+	r := i.agg.Resolve(i.batch)
+	t2 := time.Now()
+	i.agg.appendResolved(i.batch, r)
+	r.release()
 	t3 := time.Now()
 	if st != nil {
 		st.store, st.resolve, st.ring = st.store+t1.Sub(t0), st.resolve+t2.Sub(t1), st.ring+t3.Sub(t2)
@@ -293,84 +269,35 @@ func scanChunks(it *tweetdb.Iterator, sh *Shape, route func(user, ts int64) int,
 	return send()
 }
 
-// IngestNDJSON drains an NDJSON stream through the ingestor and flushes
-// at the end, returning how many records the stream contributed. On a
-// malformed record the error carries the line number and everything
-// before it is still flushed — the batch boundary the caller observes is
-// exactly what was accepted. The ingest stages land on ctx's trace.
-func (i *Ingestor) IngestNDJSON(ctx context.Context, r io.Reader) (int, error) {
+// Ingest drains a stream of batches through the ingestor and flushes at
+// the end, returning how many records the stream contributed; read is a
+// decoder's batch method (tweet.NDJSONReader.ReadBatch or
+// tweet.BatchReader.Read). The ingest stages land on ctx's trace.
+func (i *Ingestor) Ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
 	st, t0 := &ingestStages{}, time.Now()
-	n, err := DrainNDJSON(r,
-		func(t tweet.Tweet) error { return i.add(t, st) },
-		func() error { return i.flush(st) })
-	st.record(ctx, time.Since(t0))
-	return n, err
-}
-
-// DrainNDJSON is the single NDJSON ingest loop every write front shares
-// (Ingestor, cluster coordinator, cluster shard node): records stream
-// into add one by one and flush runs at the end. The returned count is
-// the records add accepted before the first failure — the resume point
-// the at-least-once contract hands back to clients; a record whose add
-// failed is never counted. On a malformed record (or a failed
-// transport: the reader surfaces stream errors such as request-body
-// bounds) everything accepted so far is still flushed, and the error
-// wraps ErrBadInput plus the cause with %w on both sides so service
-// layers can map it by walking the chain (400 for the caller's records,
-// 413 for bufio.ErrTooLong / http.MaxBytesError size violations).
-func DrainNDJSON(r io.Reader, add func(tweet.Tweet) error, flush func() error) (int, error) {
-	rd := tweet.NewNDJSONReader(r)
-	n := 0
-	for {
-		t, err := rd.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			mIngestBad.Inc()
-			if ferr := flush(); ferr != nil {
-				return n, ferr
-			}
-			return n, fmt.Errorf("%w: %w", ErrBadInput, err)
-		}
-		if err := add(t); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, flush()
-}
-
-// IngestBinary drains a length-prefixed binary batch stream (the
-// tweet.BatchReader wire format) through the ingestor and flushes at the
-// end, returning how many records the stream contributed; maxFrame bounds
-// one frame (0 selects the tweet package's 64 MiB default). The ingest
-// stages land on ctx's trace.
-func (i *Ingestor) IngestBinary(ctx context.Context, r io.Reader, maxFrame int64) (int, error) {
-	st, t0 := &ingestStages{}, time.Now()
-	n, err := DrainBinary(r, maxFrame,
+	n, err := Drain(read,
 		func(b *tweet.Batch) error { return i.addBatch(b, st) },
 		func() error { return i.flush(st) })
 	st.record(ctx, time.Since(t0))
 	return n, err
 }
 
-// DrainBinary is DrainNDJSON for the binary batch wire format: frames
-// stream into add one whole batch at a time and flush runs at the end.
-// maxFrame bounds a single frame (0 selects the tweet package's 64 MiB
-// default); oversized frames surface tweet.ErrFrameTooLarge through the returned
-// error chain so service layers can answer 413, exactly like
-// http.MaxBytesError on the NDJSON path. The returned count is in
-// records (not frames): all records of every frame add accepted before
-// the first failure — a frame whose add failed contributes none. On a
-// corrupt frame everything accepted so far is still flushed and the
-// error wraps ErrBadInput plus the cause.
-func DrainBinary(r io.Reader, maxFrame int64, add func(*tweet.Batch) error, flush func() error) (int, error) {
-	rd := tweet.NewBatchReader(r, maxFrame)
+// Drain is the one ingest loop every write front shares (Ingestor and
+// cluster coordinator): read fills a batch, add takes it, and flush runs
+// at the end. The returned count is in records: every record of each
+// batch add accepted before the first failure — the resume point the
+// at-least-once contract hands back to clients; a batch whose add failed
+// contributes none. On a decode failure (a malformed record, a corrupt
+// frame, or a failed transport such as a request-body bound) everything
+// accepted so far is still flushed, and the error wraps ErrBadInput plus
+// the cause with %w on both sides, so service layers map it by walking
+// the chain (400 for the caller's records, 413 for size violations:
+// http.MaxBytesError, bufio.ErrTooLong, tweet.ErrFrameTooLarge).
+func Drain(read func(*tweet.Batch) error, add func(*tweet.Batch) error, flush func() error) (int, error) {
 	b := &tweet.Batch{}
 	n := 0
 	for {
-		err := rd.Read(b)
+		err := read(b)
 		if errors.Is(err, io.EOF) {
 			break
 		}

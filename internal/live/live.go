@@ -380,22 +380,13 @@ func (a *Aggregator) bucketIdx(ts int64) int64 {
 	return idx
 }
 
-// Ingest routes one batch into the ring: every record is validated,
+// IngestBatch routes one batch into the ring: every record is validated,
 // resolved through the multi-scale assignment hot path exactly once, and
 // appended — with its cached assignments, cell id and unit vector — to
 // its time bucket. Each touched bucket's revision advances once per
 // batch and its materialised partial is invalidated; untouched buckets
-// (and every cached result derived from them alone) stay warm.
-func (a *Aggregator) Ingest(batch []tweet.Tweet) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	return a.IngestBatch(tweet.BatchOf(batch))
-}
-
-// IngestBatch is Ingest over columns — the hot path behind binary batch
-// ingest: validate, Resolve, appendResolved. The batch is only read,
-// never retained.
+// (and every cached result derived from them alone) stay warm. The batch
+// is only read, never retained.
 func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 	if b.Len() == 0 {
 		return nil

@@ -66,7 +66,7 @@ func fourBuckets(t *testing.T, a *Aggregator) {
 		tw(4, 20, 0*hourMS+10, melbourne),
 		tw(5, 20, 3*hourMS+10, sydneyPt),
 	}
-	if err := a.Ingest(batch); err != nil {
+	if err := a.IngestBatch(tweet.BatchOf(batch)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +92,7 @@ func TestIngestInvalidatesOnlyLandedBuckets(t *testing.T) {
 		t.Fatalf("builds after repeat query = %d, want 4", got)
 	}
 	// An ingest landing in bucket 1 invalidates exactly that bucket.
-	if err := a.Ingest([]tweet.Tweet{tw(6, 30, 1*hourMS+30, sydneyPt)}); err != nil {
+	if err := a.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw(6, 30, 1*hourMS+30, sydneyPt)})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.Query(full); err != nil {
@@ -127,7 +127,7 @@ func TestCoverageKeyMovesOnlyForTouchedWindows(t *testing.T) {
 	// Ingest into hour 3: the late window's key must move, the early one
 	// must not — this is what lets a service cache reuse unchanged
 	// buckets across store generations.
-	if err := a.Ingest([]tweet.Tweet{tw(7, 40, 3*hourMS+40, melbourne)}); err != nil {
+	if err := a.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw(7, 40, 3*hourMS+40, melbourne)})); err != nil {
 		t.Fatal(err)
 	}
 	kEarly2, _ := a.CoverageKeyRequest(early)
@@ -140,7 +140,7 @@ func TestCoverageKeyMovesOnlyForTouchedWindows(t *testing.T) {
 	}
 	// An unbounded window covers every bucket: any ingest moves it.
 	kAll1, _ := a.CoverageKeyRequest(core.Request{Analyses: []core.Analysis{core.AnalysisStats}})
-	if err := a.Ingest([]tweet.Tweet{tw(8, 50, 0*hourMS+50, sydneyPt)}); err != nil {
+	if err := a.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw(8, 50, 0*hourMS+50, sydneyPt)})); err != nil {
 		t.Fatal(err)
 	}
 	kAll2, _ := a.CoverageKeyRequest(core.Request{Analyses: []core.Analysis{core.AnalysisStats}})
@@ -193,7 +193,7 @@ func TestEvictionFloor(t *testing.T) {
 		t.Errorf("surviving window tweets = %d, want 2", res.Stats.Tweets)
 	}
 	// Late records below the floor are dropped, not misfiled.
-	if err := a.Ingest([]tweet.Tweet{tw(9, 60, 0*hourMS+1, sydneyPt)}); err != nil {
+	if err := a.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw(9, 60, 0*hourMS+1, sydneyPt)})); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Dropped(); got != 1 {
@@ -217,7 +217,7 @@ func TestQueryNeverScansStore(t *testing.T) {
 		tw(3, 20, 0*hourMS+10, melbourne),
 		tw(4, 20, 2*hourMS+10, sydneyPt),
 	} {
-		if err := ing.Add(x); err != nil {
+		if err := ing.IngestBatch(tweet.BatchOf([]tweet.Tweet{x})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +263,7 @@ func TestIngestNDJSON(t *testing.T) {
 	body := `{"id":1,"user":5,"ts":3600100,"lat":-33.8688,"lon":151.2093}
 {"id":2,"user":5,"ts":7200100,"lat":-37.8136,"lon":144.9631}
 `
-	n, err := ing.IngestNDJSON(context.Background(), strings.NewReader(body))
+	n, err := ing.Ingest(context.Background(), tweet.NewNDJSONReader(strings.NewReader(body)).ReadBatch)
 	if err != nil || n != 2 {
 		t.Fatalf("ingest: n=%d err=%v", n, err)
 	}
@@ -272,8 +272,8 @@ func TestIngestNDJSON(t *testing.T) {
 	}
 	// A malformed line errors with its line number; prior records are
 	// still flushed durably and into the ring.
-	n, err = ing.IngestNDJSON(context.Background(), strings.NewReader(`{"id":3,"user":6,"ts":3600200,"lat":-33.86,"lon":151.20}
-{"id":4,"user":6,"lat":999`))
+	n, err = ing.Ingest(context.Background(), tweet.NewNDJSONReader(strings.NewReader(`{"id":3,"user":6,"ts":3600200,"lat":-33.86,"lon":151.20}
+{"id":4,"user":6,"lat":999`)).ReadBatch)
 	if err == nil || n != 1 {
 		t.Fatalf("malformed ingest: n=%d err=%v, want n=1 and an error", n, err)
 	}

@@ -125,7 +125,7 @@ func TestIngestCommitProperty(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0:
 				for _, tw := range frame {
-					err = errors.Join(err, ing.Add(tw))
+					err = errors.Join(err, ing.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw})))
 				}
 			case 1:
 				err = ing.IngestBatch(tweet.BatchOf(frame))

@@ -71,7 +71,7 @@ func TestBucketFoldMatchesExecuteProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, batch := range randomBatches(rng, all, 7) {
-				if err := agg.Ingest(batch); err != nil {
+				if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -69,7 +69,7 @@ func queryMatchesExecute(t *testing.T, width time.Duration, records []tweet.Twee
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agg.Ingest(records); err != nil {
+	if err := agg.IngestBatch(tweet.BatchOf(records)); err != nil {
 		t.Fatal(err)
 	}
 	sorted := append([]tweet.Tweet(nil), records...)

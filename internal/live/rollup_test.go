@@ -57,7 +57,7 @@ func TestRollupTierExactness(t *testing.T) {
 	batches := randomBatches(rng, all, 7)
 	half := len(batches) / 2
 	for _, batch := range batches[:half] {
-		if err := agg.Ingest(batch); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestRollupTierExactness(t *testing.T) {
 	// More ingest dirties member buckets; stale groups must rebuild and
 	// answers must track the grown corpus exactly.
 	for _, batch := range batches[half:] {
-		if err := agg.Ingest(batch); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 			t.Fatal(err)
 		}
 	}

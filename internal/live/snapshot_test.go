@@ -356,7 +356,7 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 	}
 	agg := sh.NewAggregator()
 	for _, batch := range randomBatches(rng, all, 6) {
-		if err := agg.Ingest(batch); err != nil {
+		if err := agg.IngestBatch(tweet.BatchOf(batch)); err != nil {
 			t.Fatal(err)
 		}
 	}

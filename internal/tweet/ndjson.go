@@ -49,7 +49,11 @@ func (w *NDJSONWriter) Flush() error {
 type NDJSONReader struct {
 	sc   *bufio.Scanner
 	line int
+	err  error // the failure ReadBatch holds back behind a valid prefix
 }
+
+// ndjsonBatchRows bounds the records one ReadBatch decodes.
+const ndjsonBatchRows = 1 << 13
 
 // NewNDJSONReader wraps r. Lines up to 1 MiB are accepted.
 func NewNDJSONReader(r io.Reader) *NDJSONReader {
@@ -81,6 +85,26 @@ func (r *NDJSONReader) Read() (Tweet, error) {
 		return Tweet{}, fmt.Errorf("ndjson line %d: %w", r.line, err)
 	}
 	return Tweet{}, io.EOF
+}
+
+// ReadBatch decodes up to 8 192 of the next records into b, replacing its
+// contents — NDJSON as column batches, the unit every write path takes.
+// It returns io.EOF once the stream is drained. A failure Read would
+// report ends the batch early: b comes back holding the valid records
+// before it with a nil error, and the failure comes back from the next
+// call with b empty, so a caller commits the valid prefix first.
+func (r *NDJSONReader) ReadBatch(b *Batch) error {
+	b.Reset()
+	for r.err == nil && b.Len() < ndjsonBatchRows {
+		var t Tweet
+		if t, r.err = r.Read(); r.err == nil {
+			b.Append(t)
+		}
+	}
+	if b.Len() > 0 {
+		return nil
+	}
+	return r.err
 }
 
 // lineErr wraps a per-record failure, preferring a pending stream error:

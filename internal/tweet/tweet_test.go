@@ -3,6 +3,7 @@ package tweet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -141,6 +142,38 @@ func TestNDJSONReaderErrors(t *testing.T) {
 	_, err = r.Read()
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("want line-2 error, got %v", err)
+	}
+}
+
+// TestNDJSONReadBatch: ReadBatch fills batches of at most 8 192 rows, and
+// a malformed line ends one early — the valid prefix comes back first,
+// the line's error on the next call and every call after it.
+func TestNDJSONReadBatch(t *testing.T) {
+	var body strings.Builder
+	for i := 1; i <= ndjsonBatchRows+3; i++ {
+		fmt.Fprintf(&body, `{"id":%d,"user":1,"ts":%d,"lat":0,"lon":0}`+"\n", i, i)
+	}
+	body.WriteString("not json\n")
+	fmt.Fprintf(&body, `{"id":%d,"user":1,"ts":1,"lat":0,"lon":0}`+"\n", ndjsonBatchRows+5)
+	r := NewNDJSONReader(strings.NewReader(body.String()))
+	b := &Batch{}
+	for _, want := range []int{ndjsonBatchRows, 3} {
+		if err := r.ReadBatch(b); err != nil || b.Len() != want {
+			t.Fatalf("ReadBatch = %d rows, %v; want %d rows", b.Len(), err, want)
+		}
+	}
+	if b.ID[2] != ndjsonBatchRows+3 {
+		t.Fatalf("second batch ends at id %d, want %d", b.ID[2], ndjsonBatchRows+3)
+	}
+	for i := 0; i < 2; i++ {
+		err := r.ReadBatch(b)
+		if err == nil || errors.Is(err, io.EOF) || b.Len() != 0 || !strings.Contains(err.Error(), fmt.Sprintf("line %d", ndjsonBatchRows+4)) {
+			t.Fatalf("after the valid prefix: %d rows, %v; want the malformed line's error and no rows", b.Len(), err)
+		}
+	}
+	r = NewNDJSONReader(strings.NewReader(""))
+	if err := r.ReadBatch(b); !errors.Is(err, io.EOF) || b.Len() != 0 {
+		t.Fatalf("empty stream: %d rows, %v; want io.EOF", b.Len(), err)
 	}
 }
 

@@ -114,9 +114,9 @@ func TestIteratorCloseReclaimsGarbage(t *testing.T) {
 	}
 }
 
-// TestFlushConcurrentWithScanAndCompact drives an appender's flushes
-// against concurrent full scans and compactions (run under -race in CI):
-// every flush must land, every scan must decode cleanly from whatever
+// TestFlushConcurrentWithScanAndCompact drives batch appends against
+// concurrent full scans and compactions (run under -race in CI): every
+// append must land, every scan must decode cleanly from whatever
 // catalogue snapshot it took, and the final store must verify.
 func TestFlushConcurrentWithScanAndCompact(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -126,10 +126,6 @@ func TestFlushConcurrentWithScanAndCompact(t *testing.T) {
 	if err := s.SetSegmentRecords(8); err != nil {
 		t.Fatal(err)
 	}
-	app, err := NewAppender(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const batches, perBatch = 24, 8
 	var wg sync.WaitGroup
@@ -137,19 +133,17 @@ func TestFlushConcurrentWithScanAndCompact(t *testing.T) {
 	done := make(chan struct{})
 
 	wg.Add(1)
-	go func() { // writer: one flush per batch
+	go func() { // writer: one append per batch
 		defer wg.Done()
 		defer close(done)
 		id := int64(0)
 		for b := 0; b < batches; b++ {
+			batch := &tweet.Batch{}
 			for i := 0; i < perBatch; i++ {
-				if err := app.Add(mkTweet(id, id%11, id*500)); err != nil {
-					errs <- err
-					return
-				}
+				batch.Append(mkTweet(id, id%11, id*500))
 				id++
 			}
-			if err := app.Flush(); err != nil {
+			if err := s.AppendBatch(batch); err != nil {
 				errs <- err
 				return
 			}
@@ -203,15 +197,12 @@ func TestFlushConcurrentWithScanAndCompact(t *testing.T) {
 	}
 }
 
-// TestGenerationBumpsOncePerFlush: every non-empty Flush changes the
-// store generation exactly once (one new segment per flush at this batch
-// size), and an empty Flush changes nothing.
+// TestGenerationBumpsOncePerFlush: every non-empty batch append changes
+// the store generation exactly once (one new segment per append at this
+// batch size), and an empty append or one holding an invalid record
+// changes nothing.
 func TestGenerationBumpsOncePerFlush(t *testing.T) {
 	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := NewAppender(s, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +210,12 @@ func TestGenerationBumpsOncePerFlush(t *testing.T) {
 	id := int64(0)
 	for flush := 0; flush < 5; flush++ {
 		segsBefore := len(s.Segments())
+		batch := &tweet.Batch{}
 		for i := 0; i < 10; i++ {
-			if err := app.Add(mkTweet(id, id%3, id*1000)); err != nil {
-				t.Fatal(err)
-			}
+			batch.Append(mkTweet(id, id%3, id*1000))
 			id++
 		}
-		if err := app.Flush(); err != nil {
+		if err := s.AppendBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		if got := len(s.Segments()); got != segsBefore+1 {
@@ -243,10 +233,16 @@ func TestGenerationBumpsOncePerFlush(t *testing.T) {
 		}
 	}
 	g := s.Generation()
-	if err := app.Flush(); err != nil { // empty flush: no-op
+	if err := s.AppendBatch(&tweet.Batch{}); err != nil { // empty append: no-op
 		t.Fatal(err)
 	}
 	if s.Generation() != g {
 		t.Fatal("empty flush changed the generation")
+	}
+	if err := s.AppendBatch(tweet.BatchOf([]tweet.Tweet{{ID: id, UserID: 1, Lat: 999}})); err == nil {
+		t.Fatal("an invalid record was appended")
+	}
+	if s.Generation() != g || s.Count() != id {
+		t.Fatalf("rejected append changed the store: count %d, want %d", s.Count(), id)
 	}
 }
