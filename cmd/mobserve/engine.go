@@ -318,20 +318,21 @@ func (e *ringEngine) snapshot() (live.SnapshotStats, error) {
 }
 
 func (e *ringEngine) health(snap obs.Snapshot) map[string]any {
+	hits, misses := e.cache.Stats()
 	resp := map[string]any{
 		"status":     "ok",
 		"tweets":     snap.Int("geomob_store_tweets"),
 		"generation": strconv.FormatUint(e.store.Generation(), 16),
-		"scans":      snap.Int("geomob_store_scans"),
+		"scans":      e.store.ScanCount(),
 		"cache": map[string]int64{
-			"hits":   snap.Int("geomob_cache_hits"),
-			"misses": snap.Int("geomob_cache_misses"),
+			"hits":   hits,
+			"misses": misses,
 		},
 		"live": map[string]any{
 			"buckets":  snap.Int("geomob_live_buckets"),
 			"width":    e.agg.Width().String(),
-			"ingested": snap.Int("geomob_live_ingested_rows"),
-			"builds":   snap.Int("geomob_live_builds"),
+			"ingested": e.agg.Ingested(),
+			"builds":   e.agg.Builds(),
 			"rollups":  e.agg.RollupStats(),
 			// What the ring holds on the heap, by kind.
 			"resident_bytes": e.agg.ResidentBytes(),
@@ -356,18 +357,8 @@ func (e *ringEngine) health(snap obs.Snapshot) map[string]any {
 func (e *ringEngine) registerMetrics(r *obs.Registry) {
 	r.GaugeFunc("geomob_store_tweets", "Durable records in this instance's store.",
 		func() float64 { return float64(e.store.Count()) })
-	r.GaugeFunc("geomob_store_scans", "Segment scans served by this instance's store.",
-		func() float64 { return float64(e.store.ScanCount()) })
-	r.GaugeFunc("geomob_cache_hits", "Snapshot-cache hits on this instance.",
-		func() float64 { h, _ := e.cache.Stats(); return float64(h) })
-	r.GaugeFunc("geomob_cache_misses", "Snapshot-cache misses on this instance.",
-		func() float64 { _, m := e.cache.Stats(); return float64(m) })
 	r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
 		func() float64 { return float64(e.agg.Buckets()) })
-	r.GaugeFunc("geomob_live_ingested_rows", "Records routed into the bucket ring since boot.",
-		func() float64 { return float64(e.agg.Ingested()) })
-	r.GaugeFunc("geomob_live_builds", "Bucket partial materialisations performed.",
-		func() float64 { return float64(e.agg.Builds()) })
 	registerResidentMetrics(r, e.agg.ResidentBytes)
 	if e.snaps != nil {
 		r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
@@ -474,15 +465,16 @@ func (e *coordEngine) health(snap obs.Snapshot) map[string]any {
 			status = "degraded"
 		}
 	}
+	hits, misses := e.coord.CacheStats()
 	resp := map[string]any{
 		"status":          status,
 		"ring":            e.coord.RingStatus(),
 		"shards":          shards,
-		"ingested":        snap.Int("geomob_coord_ingested_rows"),
-		"partial_fetches": snap.Int("geomob_coord_partial_fetches"),
+		"ingested":        e.coord.Ingested(),
+		"partial_fetches": e.coord.PartialFetches(),
 		"cache": map[string]int64{
-			"hits":   snap.Int("geomob_coord_cache_hits"),
-			"misses": snap.Int("geomob_coord_cache_misses"),
+			"hits":   hits,
+			"misses": misses,
 		},
 	}
 	if len(e.locals) > 0 {
@@ -492,14 +484,6 @@ func (e *coordEngine) health(snap obs.Snapshot) map[string]any {
 }
 
 func (e *coordEngine) registerMetrics(r *obs.Registry) {
-	r.GaugeFunc("geomob_coord_ingested_rows", "Rows accepted by this coordinator since boot.",
-		func() float64 { return float64(e.coord.Ingested()) })
-	r.GaugeFunc("geomob_coord_partial_fetches", "Shard fold RPCs issued by this coordinator.",
-		func() float64 { return float64(e.coord.PartialFetches()) })
-	r.GaugeFunc("geomob_coord_cache_hits", "Coordinator snapshot-cache hits.",
-		func() float64 { h, _ := e.coord.CacheStats(); return float64(h) })
-	r.GaugeFunc("geomob_coord_cache_misses", "Coordinator snapshot-cache misses.",
-		func() float64 { _, m := e.coord.CacheStats(); return float64(m) })
 	if len(e.locals) > 0 {
 		registerResidentMetrics(r, e.residentBytes)
 	}

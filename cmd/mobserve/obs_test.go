@@ -321,8 +321,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if !found {
 		t.Error("no geomob_query_duration_seconds_bucket series for /v1/population")
 	}
-	if after["geomob_cache_hits"] < 1 {
-		t.Errorf("geomob_cache_hits = %g, want >= 1", after["geomob_cache_hits"])
+	if got := after["geomob_cache_hits_total"] - before["geomob_cache_hits_total"]; got < 1 {
+		t.Errorf("geomob_cache_hits_total moved by %g, want >= 1", got)
 	}
 	checkBucketsMonotone(t, after, "geomob_query_duration_seconds")
 	checkBucketsMonotone(t, after, "geomob_ingest_flush_seconds")

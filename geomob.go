@@ -200,23 +200,21 @@ type (
 	// windowed StudyRequests by folding materialised per-bucket partials
 	// — bit-identical to a cold full pass, with zero storage scans.
 	LiveAggregator = live.Aggregator
-	// LiveOptions configure the ring (bucket width, scales, radius,
-	// eviction bound).
+	// LiveOptions configure the ring: its bucket width. Every ring
+	// materialises the paper's three scales at their paper radii plus
+	// the metro 0.5 km variant, and keeps its whole history.
 	LiveOptions = live.Options
 	// LiveIngestor is the streaming write path: batches are durably
 	// appended to a Store and routed into the ring in lockstep.
 	LiveIngestor = live.Ingestor
 )
 
-// Errors a LiveAggregator query can report: a request shape the ring does
-// not materialise, and a window reaching below the eviction floor.
-var (
-	ErrLiveNotCovered = live.ErrNotCovered
-	ErrLiveEvicted    = live.ErrEvicted
-)
+// ErrLiveNotCovered is what a LiveAggregator query reports for a request
+// shape the ring does not materialise (a custom radius).
+var ErrLiveNotCovered = live.ErrNotCovered
 
 // NewLiveAggregator builds a bucket ring materialising the paper-default
-// request shape (all configured scales and analyses).
+// request shape (all three scales and analyses).
 func NewLiveAggregator(opts LiveOptions) (*LiveAggregator, error) {
 	return live.NewAggregator(opts)
 }

@@ -76,9 +76,6 @@ type CoordinatorOptions struct {
 	// feed: it stays in the spool and the lane refills as it drains, so
 	// a dead shard costs bounded coordinator memory.
 	QueueDepth int
-	// CacheSize bounds the snapshot cache; zero means the svcache
-	// default (128 entries).
-	CacheSize int
 	// Replication is the ring's replica factor R: every placement slot
 	// is delivered to R members (clamped to the member count) and any
 	// one of them can serve it. Zero means 1 — no redundancy, the PR 5
@@ -179,7 +176,7 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 		depth:     opts.QueueDepth,
 		retryBase: opts.RetryBase,
 		retryMax:  opts.RetryMax,
-		cache:     svcache.New(opts.CacheSize),
+		cache:     svcache.New(0),
 		ring:      rg,
 		shards:    append([]Shard(nil), shards...),
 	}

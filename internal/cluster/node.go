@@ -37,7 +37,7 @@ import (
 //	GET  /healthz                liveness (boot-wait probes)
 //
 //	400 caller's request/frames    422 live.ErrNotCovered
-//	410 live.ErrEvicted            413 body too large
+//	413 body too large
 //
 // Any transport failure or 5xx wraps errUnavailable on the client side
 // — the coordinator's signal to fail a query over to another replica
@@ -191,11 +191,8 @@ func (n *Node) decodeSlotRequest(w http.ResponseWriter, r *http.Request) (slotRe
 
 // foldStatus maps a fold/coverage failure onto its wire status.
 func foldStatus(err error) int {
-	switch {
-	case errors.Is(err, live.ErrNotCovered):
+	if errors.Is(err, live.ErrNotCovered) {
 		return http.StatusUnprocessableEntity
-	case errors.Is(err, live.ErrEvicted):
-		return http.StatusGone
 	}
 	return http.StatusBadRequest
 }
@@ -372,8 +369,6 @@ func (s *HTTPShard) statusError(what string, resp *http.Response) error {
 	switch {
 	case resp.StatusCode == http.StatusUnprocessableEntity:
 		return fmt.Errorf("%w (shard %s: %s)", live.ErrNotCovered, s.base, detail)
-	case resp.StatusCode == http.StatusGone:
-		return fmt.Errorf("%w (shard %s: %s)", live.ErrEvicted, s.base, detail)
 	case resp.StatusCode >= 500:
 		return fmt.Errorf("%w: shard %s %s: http %d: %s", errUnavailable, s.base, what, resp.StatusCode, detail)
 	}

@@ -47,11 +47,7 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 		atProcs(procs, func() {
 			// The unbounded window first: it is the one that finds every
 			// bucket partial and every closed rollup group missing.
-			parts, err := agg.collectCov(math.MinInt64, math.MaxInt64, nil, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.parts = parts
+			out.parts = agg.collectCov(math.MinInt64, math.MaxInt64, nil, false)
 			for i, req := range reqs {
 				res, err := agg.Query(req)
 				if err != nil {

@@ -9,19 +9,18 @@ import (
 	"testing"
 	"time"
 
-	"geomob/internal/census"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
 // memberWalkKey is the coverage key as it was computed before rollup
-// stamps: the ring shape plus the (index, revision) pair of every live
+// stamps: the bucket width plus the (index, revision) pair of every live
 // bucket the window touches, one map lookup each.
 func memberWalkKey(a *Aggregator, lo, hi int64) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "w=%d;f=%v:%d;", a.width, a.hasFloor, a.floorIdx)
+	fmt.Fprintf(h, "w=%d;", a.width)
 	var kb [16]byte
 	for _, idx := range a.rangeLocked(lo, hi) {
 		putI64(kb[:8], idx)
@@ -39,8 +38,8 @@ type groupState struct {
 }
 
 // ringState is what one ring state answers: per window the stamped key
-// and the member-walk key, and per rollup group at or above the eviction
-// floor its stamp and member walk.
+// and the member-walk key, and per rollup group its stamp and member
+// walk.
 type ringState struct {
 	keys, walks []string
 	groups      map[[2]int64]groupState
@@ -61,12 +60,6 @@ func captureRingState(a *Aggregator, windows [][2]int64) ringState {
 			members[g] = append(members[g], idx)
 		}
 		for g, idxs := range members {
-			// A group the floor cuts lost members without a touch; no
-			// window at or above the floor takes it whole, so its stamp
-			// no longer has to follow its members.
-			if a.hasFloor && g*t.factor < a.floorIdx {
-				continue
-			}
 			h := fnv.New64a()
 			for _, idx := range idxs {
 				fmt.Fprintf(h, "%d:%d;", idx, a.buckets[idx].rev)
@@ -78,9 +71,9 @@ func captureRingState(a *Aggregator, windows [][2]int64) ringState {
 }
 
 // TestCoverageKeyStampsMatchMemberWalk: over random schedules — in-order
-// appends at the edge, late appends into closed day and month groups,
-// a restart through Recover and MaxBuckets
-// eviction across group boundaries — and random windows — aligned,
+// appends at the edge, late appends into closed day and month groups
+// and a restart through Recover that injects the snapshot's buckets —
+// and random windows — aligned,
 // unaligned, unbounded on either side — two states of one ring give the
 // same coverage key exactly when the member walk gives the same
 // fingerprint, and a rollup group keeps its stamp exactly while its
@@ -88,126 +81,117 @@ func captureRingState(a *Aggregator, windows [][2]int64) ringState {
 func TestCoverageKeyStampsMatchMemberWalk(t *testing.T) {
 	const width = 6 * hourMS // rollup tiers of 4 (a day) and 120 (a month) buckets
 	cities := [][2]float64{sydneyPt, melbourne}
-	for _, maxBuckets := range []int{0, 40} {
-		sh, err := NewShape(Options{BucketWidth: 6 * time.Hour, Scales: []census.Scale{census.ScaleNational}, MaxBuckets: maxBuckets})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("max=%d/seed=%d", maxBuckets, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				dir := t.TempDir()
-				store, err := tweetdb.Open(filepath.Join(dir, "store"))
-				if err != nil {
+	sh, err := NewShape(Options{BucketWidth: 6 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		// max=0 names the unbounded ring; the prefix keeps the subtest
+		// ids stable for tools that track them.
+		t.Run(fmt.Sprintf("max=0/seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			store, err := tweetdb.Open(filepath.Join(dir, "store"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps, err := OpenSnapshotStore(filepath.Join(dir, "snap"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := sh.NewAggregator()
+			ing, err := NewIngestor(store, agg, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nextID := int64(1)
+			records := func(idx int64, n int) []tweet.Tweet {
+				out := make([]tweet.Tweet, n)
+				for i := range out {
+					out[i] = tw(nextID, 1+rng.Int63n(12), idx*width+rng.Int63n(width), cities[rng.Intn(2)])
+					nextID++
+				}
+				return out
+			}
+			ingest := func(recs []tweet.Tweet) {
+				if err := ing.IngestBatch(tweet.BatchOf(recs)); err != nil {
 					t.Fatal(err)
 				}
-				snaps, err := OpenSnapshotStore(filepath.Join(dir, "snap"))
-				if err != nil {
+				if err := ing.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				agg := sh.NewAggregator()
-				ing, err := NewIngestor(store, agg, 1<<20)
-				if err != nil {
-					t.Fatal(err)
+			}
+			base := int64(240 + rng.Intn(240)) // month groups start at multiples of 120
+			edge := base
+			windows := [][2]int64{{math.MinInt64, math.MaxInt64}}
+			for len(windows) < 20 {
+				a := base + rng.Int63n(200) - 20
+				b := a + 1 + rng.Int63n(150)
+				lo, hi := a*width, b*width // aligned
+				if rng.Intn(2) == 0 {
+					lo += rng.Int63n(width)
+					hi -= rng.Int63n(width)
 				}
-				nextID := int64(1)
-				records := func(idx int64, n int) []tweet.Tweet {
-					out := make([]tweet.Tweet, n)
-					for i := range out {
-						out[i] = tw(nextID, 1+rng.Int63n(12), idx*width+rng.Int63n(width), cities[rng.Intn(2)])
-						nextID++
+				switch rng.Intn(4) {
+				case 0:
+					lo = math.MinInt64
+				case 1:
+					hi = math.MaxInt64
+				}
+				windows = append(windows, [2]int64{lo, hi})
+			}
+			// late picks a bucket between the first and the edge.
+			late := func() int64 { return base + rng.Int63n(edge-base+1) }
+			var history []ringState
+			check := func(step int, op string) {
+				cur := captureRingState(agg, windows)
+				for si, prev := range history {
+					for w := range windows {
+						if (cur.keys[w] == prev.keys[w]) != (cur.walks[w] == prev.walks[w]) {
+							t.Fatalf("step %d (%s) vs state %d, window %v: stamped keys equal=%v, member walks equal=%v",
+								step, op, si, windows[w], cur.keys[w] == prev.keys[w], cur.walks[w] == prev.walks[w])
+						}
 					}
-					return out
+					for g, gs := range cur.groups {
+						if ps, ok := prev.groups[g]; ok && (gs.stamp == ps.stamp) != (gs.walk == ps.walk) {
+							t.Fatalf("step %d (%s) vs state %d, group %v: stamps equal=%v, member walks equal=%v",
+								step, op, si, g, gs.stamp == ps.stamp, gs.walk == ps.walk)
+						}
+					}
 				}
-				ingest := func(recs []tweet.Tweet) {
-					if err := ing.IngestBatch(tweet.BatchOf(recs)); err != nil {
+				history = append(history, cur)
+			}
+			check(0, "empty")
+			for step := 1; step <= 150; step++ {
+				var op string
+				switch r := rng.Intn(10); {
+				case r < 5:
+					op = "edge append"
+					edge += rng.Int63n(4)
+					ingest(records(edge, 1+rng.Intn(3)))
+				case r < 8:
+					op = "late append"
+					ingest(records(late(), 1+rng.Intn(2)))
+				case r < 9:
+					op = "recover"
+					if _, err := ing.Snapshot(snaps); err != nil {
 						t.Fatal(err)
 					}
-					if err := ing.Flush(); err != nil {
+					agg = sh.NewAggregator()
+					if _, err := Recover(agg, store, snaps, RecoverOpts{}); err != nil {
 						t.Fatal(err)
 					}
-				}
-				base := int64(240 + rng.Intn(240)) // month groups start at multiples of 120
-				edge := base
-				windows := [][2]int64{{math.MinInt64, math.MaxInt64}}
-				for len(windows) < 20 {
-					a := base + rng.Int63n(200) - 20
-					b := a + 1 + rng.Int63n(150)
-					lo, hi := a*width, b*width // aligned
-					if rng.Intn(2) == 0 {
-						lo += rng.Int63n(width)
-						hi -= rng.Int63n(width)
+					if ing, err = NewIngestor(store, agg, 1<<20); err != nil {
+						t.Fatal(err)
 					}
-					switch rng.Intn(4) {
-					case 0:
-						lo = math.MinInt64
-					case 1:
-						hi = math.MaxInt64
-					}
-					windows = append(windows, [2]int64{lo, hi})
+					// A new ring issues its own revisions: compare it
+					// with its own states only.
+					history = nil
+				default:
+					op = "no-op"
 				}
-				// late picks a bucket between the eviction floor and the edge.
-				late := func() int64 {
-					lo := base
-					if agg.hasFloor && agg.floorIdx > lo {
-						lo = agg.floorIdx
-					}
-					return lo + rng.Int63n(edge-lo+1)
-				}
-				var history []ringState
-				check := func(step int, op string) {
-					cur := captureRingState(agg, windows)
-					for si, prev := range history {
-						for w := range windows {
-							if (cur.keys[w] == prev.keys[w]) != (cur.walks[w] == prev.walks[w]) {
-								t.Fatalf("step %d (%s) vs state %d, window %v: stamped keys equal=%v, member walks equal=%v",
-									step, op, si, windows[w], cur.keys[w] == prev.keys[w], cur.walks[w] == prev.walks[w])
-							}
-						}
-						for g, gs := range cur.groups {
-							if ps, ok := prev.groups[g]; ok && (gs.stamp == ps.stamp) != (gs.walk == ps.walk) {
-								t.Fatalf("step %d (%s) vs state %d, group %v: stamps equal=%v, member walks equal=%v",
-									step, op, si, g, gs.stamp == ps.stamp, gs.walk == ps.walk)
-							}
-						}
-					}
-					history = append(history, cur)
-				}
-				check(0, "empty")
-				for step := 1; step <= 150; step++ {
-					var op string
-					switch r := rng.Intn(10); {
-					case r < 5:
-						op = "edge append"
-						edge += rng.Int63n(4)
-						ingest(records(edge, 1+rng.Intn(3)))
-					case r < 8:
-						op = "late append"
-						ingest(records(late(), 1+rng.Intn(2)))
-					case r < 9:
-						op = "recover"
-						if _, err := ing.Snapshot(snaps); err != nil {
-							t.Fatal(err)
-						}
-						agg = sh.NewAggregator()
-						if _, err := Recover(agg, store, snaps, RecoverOpts{}); err != nil {
-							t.Fatal(err)
-						}
-						if ing, err = NewIngestor(store, agg, 1<<20); err != nil {
-							t.Fatal(err)
-						}
-						// A new ring issues its own revisions: compare it
-						// with its own states only.
-						history = nil
-					default:
-						op = "no-op"
-					}
-					check(step, op)
-				}
-				if maxBuckets > 0 && !agg.hasFloor {
-					t.Fatalf("ring of %d buckets over %d never evicted", maxBuckets, edge-base+1)
-				}
-			})
-		}
+				check(step, op)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -146,58 +145,52 @@ func recount(a *Aggregator) ResidentBytes {
 func TestResidentBytesMatchRecount(t *testing.T) {
 	all, _ := snapCorpus(t, 1500, 5)
 	sort.Sort(tweet.ByTime(all))
-	for _, maxBuckets := range []int{0, 900} {
-		agg := hourlyAgg(t, Options{MaxBuckets: maxBuckets})
-		rng := rand.New(rand.NewSource(int64(17 + maxBuckets)))
-		check := func(step string) {
-			t.Helper()
-			if got, want := agg.ResidentBytes(), recount(agg); got != want {
-				t.Fatalf("max=%d, after %s: ResidentBytes %+v, recount %+v", maxBuckets, step, got, want)
+	agg := hourlyAgg(t, Options{})
+	rng := rand.New(rand.NewSource(17))
+	check := func(step string) {
+		t.Helper()
+		if got, want := agg.ResidentBytes(), recount(agg); got != want {
+			t.Fatalf("after %s: ResidentBytes %+v, recount %+v", step, got, want)
+		}
+	}
+	for next := 0; next < len(all); {
+		switch rng.Intn(4) {
+		case 0, 1: // the feed moves on
+			n := min(1+rng.Intn(400), len(all)-next)
+			if err := agg.IngestBatch(tweet.BatchOf(all[next : next+n])); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for next := 0; next < len(all); {
-			switch rng.Intn(4) {
-			case 0, 1: // the feed moves on
-				n := min(1+rng.Intn(400), len(all)-next)
-				if err := agg.IngestBatch(tweet.BatchOf(all[next : next+n])); err != nil {
-					t.Fatal(err)
-				}
-				next += n
-				check("append")
-			case 2: // a late batch lands in already materialised buckets
-				if next == 0 {
-					continue
-				}
-				late := slices.Clone(all[rng.Intn(next):next])
-				late = late[:min(len(late), 1+rng.Intn(20))]
-				for i := range late {
-					late[i].ID += 1 << 40
-				}
-				if err := agg.IngestBatch(tweet.BatchOf(late)); err != nil {
-					t.Fatal(err)
-				}
-				check("late append")
-			default:
-				edge := agg.bucketIdx(all[max(next-1, 0)].TS)
-				req := core.Request{To: time.UnixMilli((edge + 1) * hourMs).UTC()}
-				if rng.Intn(2) == 0 {
-					req.From = time.UnixMilli((edge - int64(rng.Intn(24*40))) * hourMs).UTC()
-				}
-				// FoldPartial materialises what Query would and stops before
-				// the model fits, which thin windows cannot support.
-				if _, err := agg.FoldPartial(req); err != nil && !errors.Is(err, ErrEvicted) {
-					t.Fatal(err)
-				}
-				check("query")
+			next += n
+			check("append")
+		case 2: // a late batch lands in already materialised buckets
+			if next == 0 {
+				continue
 			}
+			late := slices.Clone(all[rng.Intn(next):next])
+			late = late[:min(len(late), 1+rng.Intn(20))]
+			for i := range late {
+				late[i].ID += 1 << 40
+			}
+			if err := agg.IngestBatch(tweet.BatchOf(late)); err != nil {
+				t.Fatal(err)
+			}
+			check("late append")
+		default:
+			edge := agg.bucketIdx(all[max(next-1, 0)].TS)
+			req := core.Request{To: time.UnixMilli((edge + 1) * hourMs).UTC()}
+			if rng.Intn(2) == 0 {
+				req.From = time.UnixMilli((edge - int64(rng.Intn(24*40))) * hourMs).UTC()
+			}
+			// FoldPartial materialises what Query would and stops before
+			// the model fits, which thin windows cannot support.
+			if _, err := agg.FoldPartial(req); err != nil {
+				t.Fatal(err)
+			}
+			check("query")
 		}
-		rb := agg.ResidentBytes()
-		if rb.Records == 0 || rb.Partials == 0 || rb.Rollups == 0 {
-			t.Fatalf("max=%d: schedule left a kind empty: %+v", maxBuckets, rb)
-		}
-		if maxBuckets > 0 && !agg.hasFloor {
-			t.Fatalf("max=%d: eviction never ran (%d buckets)", maxBuckets, agg.Buckets())
-		}
+	}
+	if rb := agg.ResidentBytes(); rb.Records == 0 || rb.Partials == 0 || rb.Rollups == 0 {
+		t.Fatalf("schedule left a kind empty: %+v", rb)
 	}
 }
 
@@ -364,72 +357,5 @@ func TestSharedVecsSurviveIngest(t *testing.T) {
 	}
 	if checked == 0 || refs[rounds] == nil {
 		t.Fatalf("%d folds checked, final state seen: %v", checked, refs[rounds] != nil)
-	}
-}
-
-// TestScratchReuseAcrossShapes: shapes with different scale sets share
-// the process-wide build scratch, whose dense accumulator is laid out by
-// the area counts of whoever used it last. Builds and merges alternating
-// between a 3-scale and a 1-scale shape must equal those out of a fresh
-// pool.
-func TestScratchReuseAcrossShapes(t *testing.T) {
-	all, _ := snapCorpus(t, 120, 9)
-	var aggs []*Aggregator
-	for _, scales := range [][]census.Scale{nil, {census.ScaleState}} {
-		a, err := NewAggregator(Options{BucketWidth: 24 * time.Hour, Scales: scales})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.IngestBatch(tweet.BatchOf(all)); err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range a.buckets {
-			ensureSortedLocked(b, a.slots)
-		}
-		aggs = append(aggs, a)
-	}
-	days := len(aggs[0].idxs) // the same feed at the same width: the same buckets
-	// step builds aggregator i's partial of day k, and a merge of the week
-	// that day completes.
-	step := func(out [][]*partial, i, k int) {
-		a := aggs[i]
-		out[i] = append(out[i], a.buildRange(a.buckets[a.idxs[k]], math.MinInt64, math.MaxInt64))
-		if k%7 == 6 {
-			out[i] = append(out[i], a.mergePartials(out[i][len(out[i])-7:]))
-		}
-	}
-	shared := func() [][]*partial { // the shapes take turns on one pool
-		out := make([][]*partial, len(aggs))
-		for k := 0; k < days; k++ {
-			for i := range aggs {
-				step(out, i, k)
-			}
-		}
-		return out
-	}
-	fresh := func() [][]*partial { // each shape on a pool no other has touched
-		out := make([][]*partial, len(aggs))
-		for i := range aggs {
-			partialScratch = sync.Pool{New: func() any { return new(partialBuild) }}
-			for k := 0; k < days; k++ {
-				step(out, i, k)
-			}
-		}
-		return out
-	}
-	want := fresh()
-	cells := 0
-	for _, ps := range want {
-		for _, p := range ps {
-			cells += len(p.flows)
-		}
-	}
-	if cells == 0 {
-		t.Fatal("corpus books no interior transition")
-	}
-	for round := 0; round < 2; round++ {
-		if !reflect.DeepEqual(shared(), want) {
-			t.Fatalf("round %d: partials built out of a scratch shared across shapes differ from a fresh pool's", round)
-		}
 	}
 }

@@ -58,42 +58,24 @@ import (
 // batch, not per record.
 var (
 	mRingRecords = obs.Def.Counter("geomob_ring_records_total", "Records routed into the bucket ring.")
-	mRingDropped = obs.Def.Counter("geomob_ring_dropped_total", "Records dropped below the ring's eviction floor.")
 	mRingBuilds  = obs.Def.Counter("geomob_ring_builds_total", "Full-bucket partial materialisations.")
 	mRingFold    = obs.Def.Histogram("geomob_ring_fold_seconds", "Latency of a windowed bucket-fold query (collect + fold + assemble).", nil)
 )
 
-// ErrNotCovered reports that a request's shape (scales or radius) is not
-// materialised by this aggregator; callers fall back to a streaming pass.
+// ErrNotCovered reports that a request's radius is not the paper's, so
+// the ring does not materialise it; callers fall back to a streaming pass.
 var ErrNotCovered = errors.New("live: request shape not materialized by this aggregator")
 
-// ErrEvicted reports that the request window reaches below the ring's
-// eviction floor: the buckets that held the data were dropped under
-// MaxBuckets pressure, so only the backing store can answer.
-var ErrEvicted = errors.New("live: request window reaches below the ring's eviction floor")
-
-// Options configure an Aggregator.
+// Options configure an Aggregator. Scales and radii are not options:
+// every ring materialises the paper's shape.
 type Options struct {
 	// BucketWidth is the fixed time-bucket width. Zero means one hour.
 	BucketWidth time.Duration
-	// Scales are the geographic scales to materialise. Empty means all
-	// three paper scales.
-	Scales []census.Scale
-	// Radius overrides the area-search radius ε in metres at every
-	// materialised scale, exactly like core.Request.Radius: zero keeps
-	// each scale's paper default and additionally materialises the fixed
-	// 0.5 km metropolitan variant (Fig. 3b) when the metropolitan scale
-	// is included.
-	Radius float64
-	// MaxBuckets bounds the ring; zero means unbounded. When exceeded,
-	// the oldest buckets are evicted and the eviction floor rises —
-	// windows reaching below it answer ErrEvicted.
-	MaxBuckets int
 }
 
 // Aggregator is the bucket ring: per fixed time bucket, the pre-resolved
 // records and a lazily materialised partial covering the full default
-// request shape (stats + population + mobility at every configured scale,
+// request shape (stats + population + mobility at every paper scale,
 // plus the metro 0.5 km variant), which subsumes every analysis subset.
 // It is safe for concurrent use.
 // Shape is the immutable assignment machinery an Aggregator runs on:
@@ -107,13 +89,13 @@ type Shape struct {
 	width  int64 // bucket width in ms
 	scales []census.Scale
 	// regions[s] is the region set of scale slot s; slot layout is the
-	// configured scales in order, then (optionally) the metro 0.5 km
+	// paper scales in order at their paper radii, then the metro 0.5 km
 	// variant at metroSlot.
 	regions    []census.RegionSet
 	msm        *mobility.MultiScaleMapper
 	slotRadius []float64
 	slotOf     map[census.Scale]int
-	metroSlot  int // -1 when not materialised
+	metroSlot  int
 	slots      int
 	// Per-user area bitsets are flat: wordOff[s] is slot s's word offset
 	// within a user's totalWords-word row.
@@ -124,9 +106,8 @@ type Shape struct {
 	// A build's dense interior-transition accumulator (partialBuild.acc)
 	// gives scale slot s the len(areas)² cells from accOff[s], accLen in
 	// all.
-	accOff     []int
-	accLen     int
-	maxBuckets int
+	accOff []int
+	accLen int
 	// hash fingerprints the assignment configuration (width, scales,
 	// radii, area counts). Snapshot files record it so a restore never
 	// injects pre-resolved columns into a ring with different machinery.
@@ -141,19 +122,16 @@ type Aggregator struct {
 
 	builds   atomic.Int64 // full-bucket partial materialisations
 	ingested atomic.Int64 // records accepted into the ring
-	dropped  atomic.Int64 // late records below the eviction floor
 	// Resident heap by kind (ResidentBytes), moved with every append,
-	// publish, invalidation and eviction so a scrape never walks the ring.
+	// publish and invalidation so a scrape never walks the ring.
 	resRecords, resPartials, resRollups atomic.Int64
 
 	mu      sync.Mutex
 	buckets map[int64]*bucket
 	// idxs are the live bucket indexes in ascending order, so every
 	// window probe is a binary search instead of a map walk and a sort.
-	idxs     []int64
-	rev      uint64
-	floorIdx int64 // buckets below this index were evicted
-	hasFloor bool
+	idxs []int64
+	rev  uint64
 	// tiers are the rollup caches, one per grouping factor (finest
 	// first): lazily merged multi-bucket partials that let a wide window
 	// fold dozens of partials instead of thousands (DESIGN.md §11).
@@ -199,9 +177,10 @@ func (sh *Shape) NewAggregator() *Aggregator {
 	return a
 }
 
-// NewShape resolves opts into the immutable assignment machinery (one
-// grid resolver per scale slot). The Shape can back any number of
-// aggregators.
+// NewShape builds the immutable assignment machinery for opts' bucket
+// width (one grid resolver per scale slot). The slots are always the
+// paper's: census.Scales() at their paper radii, then the metro 0.5 km
+// variant (Fig. 3b). The Shape can back any number of aggregators.
 func NewShape(opts Options) (*Shape, error) {
 	width := opts.BucketWidth
 	if width == 0 {
@@ -210,61 +189,27 @@ func NewShape(opts Options) (*Shape, error) {
 	if width < time.Millisecond {
 		return nil, fmt.Errorf("live: bucket width must be at least 1ms, got %v", width)
 	}
-	if opts.Radius < 0 || math.IsNaN(opts.Radius) || math.IsInf(opts.Radius, 0) {
-		return nil, fmt.Errorf("live: radius must be finite and non-negative, got %v", opts.Radius)
-	}
-	if opts.MaxBuckets < 0 {
-		return nil, fmt.Errorf("live: max buckets must be non-negative, got %d", opts.MaxBuckets)
-	}
-	scales := opts.Scales
-	if len(scales) == 0 {
-		scales = census.Scales()
-	}
-	a := &Shape{
-		width:      width.Milliseconds(),
-		metroSlot:  -1,
-		slotOf:     map[census.Scale]int{},
-		maxBuckets: opts.MaxBuckets,
-	}
+	a := &Shape{width: width.Milliseconds(), scales: census.Scales(), slotOf: map[census.Scale]int{}}
+	a.metroSlot = len(a.scales)
 	gaz := census.Australia()
-	// Slot layout: the configured scales in order, then the metro 0.5 km
-	// variant; radii[s] is the radius slot s's mapper is asked for.
-	var radii []float64
-	addSlot := func(sc census.Scale, radius float64) error {
+	mappers := make([]*mobility.AreaMapper, a.metroSlot+1)
+	for s := range mappers {
+		sc, radius := census.ScaleMetropolitan, 500.0
+		if s < a.metroSlot {
+			sc, radius = a.scales[s], 0 // zero: the scale's paper radius
+			a.slotOf[sc] = s
+		}
 		rs, err := gaz.Regions(sc)
 		if err != nil {
-			return fmt.Errorf("live: regions for %s: %w", sc, err)
+			return nil, fmt.Errorf("live: regions for %s: %w", sc, err)
+		}
+		m, err := mobility.NewAreaMapper(rs, radius)
+		if err != nil {
+			return nil, fmt.Errorf("live: mapper for %s at radius %g: %w", sc, radius, err)
 		}
 		a.regions = append(a.regions, rs)
-		radii = append(radii, radius)
-		return nil
-	}
-	hasMetro := false
-	for _, sc := range scales {
-		if _, dup := a.slotOf[sc]; dup {
-			continue
-		}
-		a.slotOf[sc] = len(radii)
-		a.scales = append(a.scales, sc)
-		if err := addSlot(sc, opts.Radius); err != nil {
-			return nil, err
-		}
-		hasMetro = hasMetro || sc == census.ScaleMetropolitan
-	}
-	if opts.Radius == 0 && hasMetro {
-		a.metroSlot = len(radii)
-		if err := addSlot(census.ScaleMetropolitan, 500); err != nil {
-			return nil, err
-		}
-	}
-	mappers := make([]*mobility.AreaMapper, len(radii))
-	for s := range radii {
-		m, err := mobility.NewAreaMapper(a.regions[s], radii[s])
-		if err != nil {
-			return nil, fmt.Errorf("live: mapper for %s at radius %g: %w", a.regions[s].Scale, radii[s], err)
-		}
-		mappers[s] = m
 		a.slotRadius = append(a.slotRadius, m.Radius())
+		mappers[s] = m
 	}
 	msm, err := mobility.NewMultiScaleMapper(mappers...)
 	if err != nil {
@@ -305,10 +250,6 @@ func (a *Aggregator) Width() time.Duration { return time.Duration(a.width) * tim
 
 // Ingested returns the number of records accepted into the ring.
 func (a *Aggregator) Ingested() int64 { return a.ingested.Load() }
-
-// Dropped returns the number of late records rejected because they fall
-// below the eviction floor.
-func (a *Aggregator) Dropped() int64 { return a.dropped.Load() }
 
 // Builds returns the number of full-bucket partial materialisations — the
 // observable cost of invalidation: an ingest into bucket b forces at most
@@ -455,11 +396,6 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 		for j < n && a.bucketIdx(b.TS[j]) == idx {
 			j++
 		}
-		if a.hasFloor && idx < a.floorIdx {
-			a.dropLocked(j - i)
-			i = j
-			continue
-		}
 		bk := a.bucketLocked(idx)
 		touched = append(touched, idx)
 		bk.assign = append(bk.assign, r.assign[i*slots:j*slots]...)
@@ -481,7 +417,6 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 		a.touchLocked(idx, bk)
 	}
 	a.acceptLocked(accepted)
-	a.evictLocked()
 }
 
 // touchLocked is the one place a bucket revision is assigned: bucket idx
@@ -497,18 +432,13 @@ func (a *Aggregator) touchLocked(idx int64, b *bucket) {
 	}
 }
 
-// acceptLocked counts n records appended to the ring, dropLocked n
-// rejected below the eviction floor; each moves the aggregator's own
-// counter and the process-wide series together. Caller holds a.mu.
+// acceptLocked counts n records appended to the ring, moving the
+// aggregator's own counter and the process-wide series together. Caller
+// holds a.mu.
 func (a *Aggregator) acceptLocked(n int64) {
 	a.ingested.Add(n)
 	mRingRecords.Add(n)
 	a.resRecords.Add(a.recordBytes(int(n)))
-}
-
-func (a *Aggregator) dropLocked(n int) {
-	a.dropped.Add(int64(n))
-	mRingDropped.Add(int64(n))
 }
 
 // bucketLocked returns bucket idx, adding an empty one to the ring when
@@ -522,28 +452,6 @@ func (a *Aggregator) bucketLocked(idx int64) *bucket {
 		a.idxs = slices.Insert(a.idxs, at, idx)
 	}
 	return b
-}
-
-// evictLocked drops the oldest buckets until the ring fits MaxBuckets,
-// raising the eviction floor past them.
-func (a *Aggregator) evictLocked() {
-	if a.maxBuckets <= 0 {
-		return
-	}
-	if n := len(a.idxs) - a.maxBuckets; n > 0 {
-		for _, idx := range a.idxs[:n] {
-			b := a.buckets[idx]
-			a.resRecords.Add(-a.recordBytes(len(b.tweets)))
-			a.setPartLocked(b, nil)
-			delete(a.buckets, idx)
-		}
-		if floor := a.idxs[n-1] + 1; !a.hasFloor || floor > a.floorIdx {
-			a.floorIdx = floor
-			a.hasFloor = true
-		}
-		a.idxs = slices.Delete(a.idxs, 0, n)
-	}
-	a.pruneTiersLocked()
 }
 
 // ensureSortedLocked establishes the canonical (user, time, id) order of
@@ -620,17 +528,6 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 	return a.idxs[i:j]
 }
 
-// checkFloorLocked rejects windows that reach below the eviction floor.
-func (a *Aggregator) checkFloorLocked(lo int64) error {
-	if !a.hasFloor {
-		return nil
-	}
-	if lo == math.MinInt64 || a.bucketIdx(lo) < a.floorIdx {
-		return ErrEvicted
-	}
-	return nil
-}
-
 // collectCov gathers, under the lock, the chronological partials covering
 // [lo, hi): cached rollup-tier partials for every aligned group of
 // buckets the window fully covers (coarsest tier first), the
@@ -647,15 +544,12 @@ func (a *Aggregator) checkFloorLocked(lo int64) error {
 // everything lacking at once, so a cold ring is materialised on every
 // processor and a warm one — nothing lacking, or the one edge bucket —
 // pays nothing for it.
-func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*partial, error) {
+func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) []*partial {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkFloorLocked(lo); err != nil {
-		return nil, err
-	}
 	idxs := a.rangeLocked(lo, hi)
 	if len(idxs) == 0 {
-		return nil, nil
+		return nil
 	}
 	loIdx, hiIdx, edgeIdx := idxs[0], idxs[len(idxs)-1], a.idxs[len(a.idxs)-1]
 	type span struct {
@@ -771,7 +665,7 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*p
 	for i, sp := range spans {
 		parts[i] = sp.p
 	}
-	return parts, nil
+	return parts
 }
 
 // materialiseLocked builds what one window's selection lacks: the
@@ -833,18 +727,18 @@ func (a *Aggregator) coverageKey(lo, hi int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// hashCoverage feeds h the ring shape and eviction floor, then walks the
-// live buckets the window touches in ascending order, coarsest tier
-// first: one (tier, group, stamp) entry per rollup group lying wholly
-// between the first and the last of them, and (index, revision) only for
-// the remaining buckets. A touch gives its bucket and its groups a
+// hashCoverage feeds h the bucket width, then walks the live buckets the
+// window touches in ascending order, coarsest tier first: one (tier,
+// group, stamp) entry per rollup group lying wholly between the first
+// and the last of them, and (index, revision) only for the remaining
+// buckets. A touch gives its bucket and its groups a
 // revision the ring never issued before, so the entries change exactly
 // when a bucket in the window is created or changed — at a cost of
 // O(groups), not O(buckets), for a wide window.
 func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	fmt.Fprintf(h, "w=%d;f=%v:%d;", a.width, a.hasFloor, a.floorIdx)
+	fmt.Fprintf(h, "w=%d;", a.width)
 	idxs := a.rangeLocked(lo, hi)
 	if len(idxs) == 0 {
 		return
@@ -889,9 +783,8 @@ func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
 
 // plan plans req once for rings sharing one Shape, checks that the Shape
 // materialises the plan — every plan scale at the plan's resolved
-// radius, plus the metro 0.5 km variant when the plan runs it — and
-// resolves its record window. The error is ErrNotCovered for foreign
-// shapes, or the request's own validation error.
+// radius — and resolves its record window. The error is ErrNotCovered
+// for a custom radius, or the request's own validation error.
 func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi int64, err error) {
 	if info, err = core.PlanRequest(req); err != nil {
 		return nil, 0, 0, err
@@ -906,17 +799,10 @@ func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi i
 		}
 	}
 	for i, sc := range info.Scales {
-		slot, ok := sh.slotOf[sc]
-		if !ok {
-			return nil, 0, 0, fmt.Errorf("%w: scale %s", ErrNotCovered, sc)
-		}
-		if info.ScaleRadius[i] != sh.slotRadius[slot] {
+		if slot := sh.slotOf[sc]; info.ScaleRadius[i] != sh.slotRadius[slot] {
 			return nil, 0, 0, fmt.Errorf("%w: radius %g at %s (materialized %g)",
 				ErrNotCovered, info.ScaleRadius[i], sc, sh.slotRadius[slot])
 		}
-	}
-	if info.Metro500 && sh.metroSlot < 0 {
-		return nil, 0, 0, fmt.Errorf("%w: metro 0.5 km variant", ErrNotCovered)
 	}
 	lo, hi = window(info)
 	return info, lo, hi, nil
@@ -932,12 +818,8 @@ func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	parts, err := a.collectCov(lo, hi, nil, false)
-	if err != nil {
-		return nil, err
-	}
 	acc := a.newFold(info)
-	users := acc.add(parts)
+	users := acc.add(a.collectCov(lo, hi, nil, false))
 	if info.Stats {
 		// One ascending-id run cannot collide with itself.
 		acc.f.Stats, _ = FlattenUsers(acc.f.Tweets, users)
@@ -958,7 +840,7 @@ func (a *Aggregator) WindowTweetsRequest(req core.Request) ([]tweet.Tweet, error
 		return nil, err
 	}
 	lo, hi := window(info)
-	return a.WindowTweets(lo, hi)
+	return a.WindowTweets(lo, hi), nil
 }
 
 // WindowTweets copies the ring's records in [lo, hi) (unbounded sides as
@@ -966,12 +848,9 @@ func (a *Aggregator) WindowTweetsRequest(req core.Request) ([]tweet.Tweet, error
 // order — the exact substream a compacted store scan would yield. It
 // backs streaming fallbacks for request shapes the aggregator does not
 // materialise; like Query it never touches the store.
-func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
+func (a *Aggregator) WindowTweets(lo, hi int64) []tweet.Tweet {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if err := a.checkFloorLocked(lo); err != nil {
-		return nil, err
-	}
 	var out []tweet.Tweet
 	for _, idx := range a.rangeLocked(lo, hi) {
 		b := a.buckets[idx]
@@ -982,5 +861,5 @@ func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 		}
 	}
 	sort.Sort(tweet.ByUserTime(out))
-	return out, nil
+	return out
 }

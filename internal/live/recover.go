@@ -40,9 +40,10 @@ type RecoveryStats struct {
 	// Restored counts buckets loaded intact from snapshot files;
 	// Backfilled counts buckets degraded to a windowed cold store scan
 	// by a missing/corrupt/mismatched file; SnapErrors counts those
-	// files. FullRescan reports the whole snapshot was unusable (no/
-	// corrupt manifest, foreign shape, or covered segments missing from
-	// the store) and the ring was hydrated by a full store scan.
+	// files. FullRescan reports the whole snapshot was unusable (no,
+	// corrupt or older-version manifest, foreign shape, or covered
+	// segments missing from the store) and the ring was hydrated by a
+	// full store scan.
 	Restored   int  `json:"restored"`
 	Backfilled int  `json:"backfilled"`
 	SnapErrors int  `json:"snapshot_errors"`
@@ -67,13 +68,12 @@ func (s *RecoveryStats) Merge(o RecoveryStats) {
 // Recover hydrates an empty ring from its snapshot directory and store
 // (DESIGN.md §11). The state machine per boot:
 //
-//  1. Load the snapshot manifest. Missing/corrupt/foreign-shape
-//     manifest, or covered segments absent from the store catalogue
-//     (a compaction ran) → full cold backfill, exactly like a node
-//     that never snapshotted.
-//  2. Restore the eviction floor, then every bucket file that decodes
-//     and validates; any failure marks just that bucket for cold
-//     backfill.
+//  1. Load the snapshot manifest. Missing/corrupt/older-version/
+//     foreign-shape manifest, or covered segments absent from the store
+//     catalogue (a compaction ran) → full cold backfill, exactly like a
+//     node that never snapshotted.
+//  2. Restore every bucket file that decodes and validates; any
+//     failure marks just that bucket for cold backfill.
 //  3. Replay the tail — store segments not covered by the manifest —
 //     routing records around the failed buckets.
 //  4. Cold-backfill each failed bucket with a windowed, segment-pruned
@@ -127,7 +127,6 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 		return st, err
 	}
 
-	a.restoreFloor(man.HasFloor, man.FloorIdx)
 	covered := make(map[string]bool, len(man.Covered))
 	for _, f := range man.Covered {
 		covered[f] = true

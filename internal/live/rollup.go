@@ -102,28 +102,6 @@ func (a *Aggregator) pickGroupLocked(t *rollupTier, g int64, members []int64) gr
 	return pk
 }
 
-// pruneTiersLocked drops cached groups and stamps wholly below the
-// eviction floor. A group the floor cuts keeps its stamp although its
-// evicted members left without a touch, which is sound because no window
-// at or above the floor covers it whole. Caller holds a.mu.
-func (a *Aggregator) pruneTiersLocked() {
-	if !a.hasFloor {
-		return
-	}
-	for _, t := range a.tiers {
-		// Every cached group has a stamp: its members were touched.
-		for g := range t.revs {
-			if (g+1)*t.factor <= a.floorIdx {
-				if grp := t.groups[g]; grp != nil {
-					a.resRollups.Add(-grp.part.bytes())
-					delete(t.groups, g)
-				}
-				delete(t.revs, g)
-			}
-		}
-	}
-}
-
 // RollupTierStats is one tier's health snapshot.
 type RollupTierStats struct {
 	// Factor is the group size in base buckets; Groups the cached

@@ -40,8 +40,7 @@ func TestRollupFactors(t *testing.T) {
 // 6-hour ring (tiers [4, 120]) over a 7-month corpus: full-window
 // queries must hit the tiers — building groups first, then serving from
 // cache — and stay bit-identical to a cold rescan before and after the
-// caches exist, across new ingest that invalidates groups, and after
-// eviction prunes them. The bit-identity of folding tier partials in
+// caches exist, and across new ingest that invalidates groups. The bit-identity of folding tier partials in
 // place of their member buckets is the merge-associativity contract
 // mergePartials carries (DESIGN.md §11).
 func TestRollupTierExactness(t *testing.T) {
@@ -102,18 +101,6 @@ func TestRollupTierExactness(t *testing.T) {
 	}
 	reqs = snapRequests(sorted)
 	assertAggMatchesRefs(t, agg, reqs, snapRefs(t, sorted, reqs), "full corpus, stale tiers")
-
-	// Eviction prunes groups wholly below the floor.
-	before := agg.RollupStats()
-	live := agg.Buckets()
-	agg.mu.Lock()
-	agg.maxBuckets = live / 2
-	agg.evictLocked()
-	agg.mu.Unlock()
-	after := agg.RollupStats()
-	if after[0].Groups >= before[0].Groups {
-		t.Fatalf("eviction kept all %d day groups (was %d)", after[0].Groups, before[0].Groups)
-	}
 }
 
 // sortedCopy returns the slice and a canonically sorted copy.

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -54,51 +55,36 @@ func TestShapeSharedAggregators(t *testing.T) {
 	}
 
 	lo, hi := base-1, base+600000
-	got, err := a.WindowTweets(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := standalone.WindowTweets(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testx.ValuesBitEqual(got, want) {
+	if !testx.ValuesBitEqual(a.WindowTweets(lo, hi), standalone.WindowTweets(lo, hi)) {
 		t.Fatal("shared-shape aggregator diverges from standalone over identical input")
 	}
 	// b never saw batchA's users.
-	bRows, err := b.WindowTweets(lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range bRows {
+	for _, row := range b.WindowTweets(lo, hi) {
 		if row.UserID != 200 {
 			t.Fatalf("aggregator b leaked user %d from aggregator a", row.UserID)
 		}
 	}
 }
 
-// TestShapeSlotOrder: slots follow the configured scales in order
-// (duplicates dropped), then the metro 0.5 km variant; a custom radius
-// applies to every slot and drops the variant.
+// TestShapeSlotOrder pins the one slot layout every ring has: the paper
+// scales in order at their paper radii, then the metro 0.5 km variant.
+// The shape hash is pinned too: snapshot directories written by an
+// earlier build name it, and must keep restoring.
 func TestShapeSlotOrder(t *testing.T) {
-	sh, err := NewShape(Options{Scales: []census.Scale{census.ScaleMetropolitan, census.ScaleNational, census.ScaleMetropolitan}})
+	sh, err := NewShape(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(sh.scales, []census.Scale{census.ScaleMetropolitan, census.ScaleNational}) ||
-		!slices.Equal(sh.slotRadius, []float64{2_000, 50_000, 500}) || sh.metroSlot != 2 || sh.slots != 3 {
+	if !slices.Equal(sh.scales, census.Scales()) ||
+		!slices.Equal(sh.slotRadius, []float64{50_000, 25_000, 2_000, 500}) || sh.metroSlot != 3 || sh.slots != 4 {
 		t.Fatalf("scales %v, radii %v, metro slot %d of %d", sh.scales, sh.slotRadius, sh.metroSlot, sh.slots)
 	}
-	for s, want := range []census.Scale{census.ScaleMetropolitan, census.ScaleNational, census.ScaleMetropolitan} {
+	for s, want := range append(census.Scales(), census.ScaleMetropolitan) {
 		if got := sh.regions[s].Scale; got != want {
 			t.Errorf("slot %d resolves %v regions, want %v", s, got, want)
 		}
 	}
-	custom, err := NewShape(Options{Radius: 7_500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(custom.slotRadius, []float64{7_500, 7_500, 7_500}) || custom.metroSlot != -1 {
-		t.Fatalf("custom radius: radii %v, metro slot %d", custom.slotRadius, custom.metroSlot)
+	if got, want := fmt.Sprintf("%016x", sh.hash), "58b186a9e004d9bc"; got != want {
+		t.Errorf("hourly shape hash %s, want %s", got, want)
 	}
 }

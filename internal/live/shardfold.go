@@ -112,8 +112,7 @@ type ShardPartial struct {
 // storage and reuses every covered bucket's materialised partial; unlike
 // Query it stops before assembly, leaving the trajectory statistics at
 // per-user granularity so user-disjoint shard partials can be interleaved
-// exactly. Shapes the aggregator does not materialise answer ErrNotCovered
-// and windows below the eviction floor ErrEvicted, exactly like Query.
+// exactly. A custom radius answers ErrNotCovered, exactly like Query.
 func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
 	return FoldRings(req, []*Aggregator{a})
 }
@@ -132,11 +131,7 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
 	runs, n := make([][]UserTrajectory, len(rings)), 0
 	for i, a := range rings {
-		parts, err := a.collectCov(lo, hi, &sp.Coverage, false)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = acc.add(parts)
+		runs[i] = acc.add(a.collectCov(lo, hi, &sp.Coverage, false))
 		n += len(runs[i])
 	}
 	sp.FoldedPass = *acc.f

@@ -41,6 +41,7 @@ var (
 const (
 	snapMagic        = uint32(0x4e534d47) // "GMSN"
 	snapVersion      = uint16(1)
+	manifestVersion  = 2
 	snapSections     = 8
 	snapHeader       = 40
 	snapManifestName = "SNAPSHOT.json"
@@ -85,8 +86,6 @@ type RingCapture struct {
 	shapeHash uint64
 	width     int64
 	slots     int
-	hasFloor  bool
-	floorIdx  int64
 	live      []bucketRef
 	dirty     []capturedBucket
 }
@@ -98,10 +97,7 @@ type RingCapture struct {
 func (a *Aggregator) Capture() *RingCapture {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	c := &RingCapture{
-		shapeHash: a.hash, width: a.width, slots: a.slots,
-		hasFloor: a.hasFloor, floorIdx: a.floorIdx,
-	}
+	c := &RingCapture{shapeHash: a.hash, width: a.width, slots: a.slots}
 	for _, idx := range a.idxs { // ascending, so live and dirty are too
 		b := a.buckets[idx]
 		if len(b.tweets) == 0 {
@@ -339,10 +335,6 @@ func (a *Aggregator) restoreBucket(bs *bucketSnapshot) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.hasFloor && bs.Idx < a.floorIdx {
-		a.dropLocked(n)
-		return
-	}
 	b := a.bucketLocked(bs.Idx)
 	fresh := len(b.tweets) == 0
 	if fresh {
@@ -360,19 +352,6 @@ func (a *Aggregator) restoreBucket(bs *bucketSnapshot) {
 		b.snapRev = b.rev
 	}
 	a.acceptLocked(int64(n))
-	a.evictLocked()
-}
-
-// restoreFloor raises the ring's eviction floor to a recovered value.
-func (a *Aggregator) restoreFloor(hasFloor bool, floorIdx int64) {
-	if !hasFloor {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.hasFloor || floorIdx > a.floorIdx {
-		a.hasFloor, a.floorIdx = true, floorIdx
-	}
 }
 
 // snapBucketMeta is one bucket file entry in the snapshot manifest.
@@ -391,8 +370,6 @@ type snapManifest struct {
 	Version   int              `json:"version"`
 	ShapeHash string           `json:"shape_hash"`
 	Width     int64            `json:"width_ms"`
-	HasFloor  bool             `json:"has_floor"`
-	FloorIdx  int64            `json:"floor_idx"`
 	Covered   []string         `json:"covered_segments,omitempty"`
 	Buckets   []snapBucketMeta `json:"buckets"`
 	CRC       string           `json:"crc"`
@@ -477,13 +454,15 @@ func (s *SnapshotStore) loadManifest() (*snapManifest, error) {
 }
 
 // parseManifest decodes and validates a manifest file's bytes: JSON,
-// version 1, and a CRC over the rest of its fields.
+// manifestVersion, and a CRC over the rest of its fields. An older
+// version is rejected like a corrupt file: a snapshot is a cache, so its
+// directory degrades to a full rescan.
 func parseManifest(raw []byte) (*snapManifest, error) {
 	man := &snapManifest{}
 	if err := json.Unmarshal(raw, man); err != nil {
 		return nil, fmt.Errorf("%w: parse manifest: %w", errSnapshotCorrupt, err)
 	}
-	if man.Version != 1 {
+	if man.Version != manifestVersion {
 		return nil, fmt.Errorf("%w: unsupported manifest version %d", errSnapshotCorrupt, man.Version)
 	}
 	if man.CRC == "" || man.CRC != man.computeCRC() {
@@ -528,7 +507,6 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(c.dirty) == 0 && s.man != nil &&
-		s.man.HasFloor == c.hasFloor && s.man.FloorIdx == c.floorIdx &&
 		len(s.man.Buckets) == len(c.live) && slices.Equal(s.man.Covered, covered) {
 		st := SnapshotStats{Buckets: len(s.man.Buckets), Bytes: s.bytes, Written: 0, LastUnixMs: s.last}
 		return st, nil
@@ -544,11 +522,9 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 		dirty[c.dirty[i].idx] = &c.dirty[i]
 	}
 	man := &snapManifest{
-		Version:   1,
+		Version:   manifestVersion,
 		ShapeHash: fmt.Sprintf("%016x", c.shapeHash),
 		Width:     c.width,
-		HasFloor:  c.hasFloor,
-		FloorIdx:  c.floorIdx,
 		Covered:   covered,
 	}
 	written := 0

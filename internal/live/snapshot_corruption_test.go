@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/metrics"
+	"strings"
 	"testing"
 	"time"
 
@@ -307,17 +309,57 @@ func TestSnapshotManifestCorruptionMatrix(t *testing.T) {
 }
 
 // TestSnapshotManifestMissing treats an absent manifest as "never
-// snapshotted": full cold backfill, identical answers.
+// snapshotted": full cold backfill, identical answers. A version-1
+// manifest — valid CRC, every bucket file intact, and the has_floor and
+// floor_idx fields that version carried — takes the same path: a
+// snapshot is a cache, so an older format costs a rescan, never a
+// wrong answer.
 func TestSnapshotManifestMissing(t *testing.T) {
 	f := newSnapFixture(t)
-	if err := os.Remove(filepath.Join(f.dir, snapManifestName)); err != nil {
+	path := filepath.Join(f.dir, snapManifestName)
+	cur, err := parseManifest(f.files[snapManifestName])
+	if err != nil {
 		t.Fatal(err)
 	}
-	agg, st := f.recoverFresh(t, "missing manifest")
-	if !st.FullRescan {
-		t.Fatalf("missing manifest did not trigger a full rescan: %+v", st)
+	v1 := struct {
+		Version   int              `json:"version"`
+		ShapeHash string           `json:"shape_hash"`
+		Width     int64            `json:"width_ms"`
+		Floored   bool             `json:"has_floor"`
+		Floor     int64            `json:"floor_idx"`
+		Covered   []string         `json:"covered_segments,omitempty"`
+		Buckets   []snapBucketMeta `json:"buckets"`
+		CRC       string           `json:"crc"`
+	}{Version: 1, ShapeHash: cur.ShapeHash, Width: cur.Width, Covered: cur.Covered, Buckets: cur.Buckets}
+	unsigned, err := json.Marshal(&v1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	f.assertHealed(t, agg, "missing manifest")
+	v1.CRC = fmt.Sprintf("%08x", crc32.ChecksumIEEE(unsigned))
+	v1Raw, err := json.MarshalIndent(&v1, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseManifest(v1Raw); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("parse of a version-1 manifest: %v, want an error naming version 1", err)
+	}
+	for _, in := range []struct {
+		label  string
+		damage func() error
+	}{
+		{"missing manifest", func() error { return os.Remove(path) }},
+		{"version-1 manifest", func() error { return os.WriteFile(path, v1Raw, 0o644) }},
+	} {
+		f.restore(t)
+		if err := in.damage(); err != nil {
+			t.Fatalf("%s: apply: %v", in.label, err)
+		}
+		agg, st := f.recoverFresh(t, in.label)
+		if !st.FullRescan {
+			t.Fatalf("%s did not trigger a full rescan: %+v", in.label, st)
+		}
+		f.assertHealed(t, agg, in.label)
+	}
 }
 
 // TestSnapshotStaleAfterCompaction: a store compaction rewrites the

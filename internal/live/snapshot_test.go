@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -390,18 +389,6 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 		if got := mRingRecords.Value() - before; got != n {
 			t.Fatalf("frame %d: geomob_ring_records_total advanced by %d, blob holds %d", i, got, n)
 		}
-	}
-	floored := sh.NewAggregator()
-	floored.restoreFloor(true, math.MaxInt64)
-	bs, err := sh.decodeBucketSnapshot(stream1[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, before := int64(bs.Count()), mRingDropped.Value()
-	floored.restoreBucket(bs)
-	if got := mRingDropped.Value() - before; got != n || floored.Dropped() != n || floored.Ingested() != 0 || floored.Buckets() != 0 {
-		t.Fatalf("restore below the floor: series advanced by %d, Dropped() %d, Ingested() %d, Buckets() %d, blob holds %d",
-			got, floored.Dropped(), floored.Ingested(), floored.Buckets(), n)
 	}
 	reqs := snapRequests(sorted)
 	assertAggMatchesRefs(t, dst, reqs, snapRefs(t, sorted, reqs), "restored ring")
