@@ -336,6 +336,8 @@ func (e *ringEngine) health(snap obs.Snapshot) map[string]any {
 			"rollups":  e.agg.RollupStats(),
 			// What the ring holds on the heap, by kind.
 			"resident_bytes": e.agg.ResidentBytes(),
+			// Restored buckets whose records are still only in the store.
+			"store_only_buckets": e.agg.StoreOnlyBuckets(),
 		},
 	}
 	if e.snaps != nil {

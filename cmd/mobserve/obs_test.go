@@ -206,10 +206,14 @@ func TestHealthzShape(t *testing.T) {
 	if !ok {
 		t.Fatalf("live block: %v", body["live"])
 	}
-	for _, k := range []string{"buckets", "width", "ingested", "builds", "rollups", "resident_bytes"} {
+	for _, k := range []string{"buckets", "width", "ingested", "builds", "rollups", "resident_bytes", "store_only_buckets"} {
 		if _, ok := lv[k]; !ok {
 			t.Errorf("live block missing %q", k)
 		}
+	}
+	// Nothing was restored from a snapshot, so nothing is store-only.
+	if v := lv["store_only_buckets"]; v != float64(0) {
+		t.Errorf("live.store_only_buckets = %v without a restore, want 0", v)
 	}
 	// The /v1/stats query above materialised the ring, so every kind of
 	// resident heap is held — at the very least the raw columns' 80 B a
@@ -353,6 +357,13 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if _, ok := after["geomob_go_gc_pause_p99_seconds"]; !ok {
 		t.Error("no geomob_go_gc_pause_p99_seconds series")
+	}
+	// Reloads of restored buckets are exported before any happens
+	// (TestSnapshotDrainRestartZeroReplay moves them).
+	for _, k := range []string{"geomob_ring_reloads_total", "geomob_ring_reload_seconds_count"} {
+		if _, ok := after[k]; !ok {
+			t.Errorf("no %s series", k)
+		}
 	}
 	// The boot clock marked the phases the ring engine's hydration ran.
 	for _, phase := range []string{"shape", "recover"} {

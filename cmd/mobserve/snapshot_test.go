@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
@@ -135,5 +136,31 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	}
 	if _, ok := lv["rollups"].([]any); !ok {
 		t.Errorf("healthz live block lacks rollup tiers: %v", lv["rollups"])
+	}
+
+	// A window whose edges cut restored buckets reads those two back from
+	// the store, once: one scan, two reloads, two fewer store-only buckets.
+	storeOnly, _ := lv["store_only_buckets"].(float64)
+	if storeOnly <= 0 {
+		t.Fatalf("healthz live.store_only_buckets = %v after a restore", lv["store_only_buckets"])
+	}
+	before, _ := scrapeMetrics(t, ts2.URL)
+	from := time.UnixMilli(tweets[len(tweets)/3].TS).UTC().Add(17 * time.Second).Truncate(time.Second)
+	window := "/v1/stats?from=" + from.Format(time.RFC3339) + "&to=" + from.Add(49*time.Hour+7*time.Minute).Format(time.RFC3339)
+	fetchJSON(t, ts2.URL+window)
+	fetchJSON(t, ts2.URL+window)
+	after, _ := scrapeMetrics(t, ts2.URL)
+	if got := after["geomob_ring_reloads_total"] - before["geomob_ring_reloads_total"]; got != 2 {
+		t.Errorf("geomob_ring_reloads_total moved by %g, want the 2 edge buckets", got)
+	}
+	if got := after["geomob_ring_reload_seconds_count"] - before["geomob_ring_reload_seconds_count"]; got != 1 {
+		t.Errorf("geomob_ring_reload_seconds_count moved by %g, want 1 scan", got)
+	}
+	if got := store2.ScanCount(); got != 1 {
+		t.Errorf("an unaligned window over a restored ring scanned %d times, want 1", got)
+	}
+	lv, _ = fetchJSON(t, ts2.URL+"/healthz")["live"].(map[string]any)
+	if got := lv["store_only_buckets"]; got != storeOnly-2 {
+		t.Errorf("healthz live.store_only_buckets = %v after reading 2 of %v back", got, storeOnly)
 	}
 }

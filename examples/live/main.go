@@ -95,7 +95,10 @@ func main() {
 	// The fold is exact: a cold full pass over the same records gives the
 	// same numbers (the property tests assert bit-identity; here we spot
 	// check the headline).
-	window := agg.WindowTweets(math.MinInt64, math.MaxInt64)
+	window, err := agg.WindowTweets(math.MinInt64, math.MaxInt64)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ref, err := geomob.NewStudy(geomob.SliceSource(window)).Execute(context.Background(), req)
 	if err != nil {
 		log.Fatal(err)

@@ -381,7 +381,7 @@ func (s *LocalShard) Coverage(_ context.Context, req core.Request, slots []int) 
 	return live.CoverageKeyRings(req, slots, s.rings(slots))
 }
 
-// Snapshot commits every slot ring's dirty buckets to the shard's
+// Snapshot commits every slot ring's changed file groups to the shard's
 // snapshot directories. All captures and the covered-segment catalogue
 // are taken under the delivery lock, so each slot's manifest names
 // exactly the segments whose records its ring reflects. Returns the
@@ -393,7 +393,12 @@ func (s *LocalShard) Snapshot() (live.SnapshotStats, error) {
 	s.mu.Lock()
 	var caps [ring.Slots]*live.RingCapture
 	for k := range s.aggs {
-		caps[k] = s.aggs[k].Capture()
+		c, err := s.aggs[k].Capture()
+		if err != nil {
+			s.mu.Unlock()
+			return live.SnapshotStats{}, fmt.Errorf("cluster: snapshot slot %d: %w", k, err)
+		}
+		caps[k] = c
 	}
 	var covered []string
 	for _, m := range s.store.Segments() {

@@ -4,9 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/live"
 	"geomob/internal/obs"
@@ -16,7 +18,7 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// corruptOneSnapBlob flips a byte in the largest bucket blob under any
+// corruptOneSnapBlob flips a byte in the largest snapshot file under any
 // slot directory and returns how many files it damaged (0 or 1).
 func corruptOneSnapBlob(t *testing.T, snapDir string) int {
 	t.Helper()
@@ -138,6 +140,8 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if !testx.ValuesBitEqual(queryShard(t, s2, req), ref) {
 		t.Fatal("tail-restart answer diverges from single-node execute")
 	}
+	all = assertShardHostile(t, s2, store2, all)
+	ref = singleNodeRef(t, all, req)
 
 	// A fresh snapshot covering everything makes the next restart free:
 	// no scans, no segment loads, no replay of any kind.
@@ -171,8 +175,9 @@ func TestShardSnapshotRestart(t *testing.T) {
 		t.Fatalf("health misses snapshot state: %+v", h)
 	}
 
-	// Corrupt one bucket file: only that bucket degrades to a windowed
-	// cold backfill; the answer does not move.
+	// Corrupt one snapshot file: only its bucket (one a file at this
+	// width) degrades to a windowed cold backfill; the answer does not
+	// move.
 	if corruptOneSnapBlob(t, snapDir) != 1 {
 		t.Fatal("no snapshot blob found to corrupt")
 	}
@@ -191,6 +196,111 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if !testx.ValuesBitEqual(queryShard(t, s4, req), ref) {
 		t.Fatal("corrupt-blob restart answer diverges from single-node execute")
 	}
+}
+
+// assertShardHostile drives a restored shard's slot rings through every
+// reader of restored buckets' records — a late append into one, window
+// edges inside them, a custom radius, a dry coverage walk — with
+// deliveries landing beside them, each answer compared with a
+// single-node execute over the same records. all is what the store
+// holds; it returns what the store holds after.
+func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all []tweet.Tweet) []tweet.Tweet {
+	t.Helper()
+	minTS, maxTS := all[0].TS, all[0].TS
+	for _, tw := range all {
+		minTS, maxTS = min(minTS, tw.TS), max(maxTS, tw.TS)
+	}
+	deliver := func(tw tweet.Tweet) error {
+		frame, err := tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{tw}))
+		if err != nil {
+			return err
+		}
+		return s.DeliverBatch("", []Delivery{{Slot: ring.SlotOf(tw.UserID), Frame: frame}})
+	}
+	// Deliveries a year past the corpus run beside everything below.
+	base := all
+	future := func(k int) tweet.Tweet {
+		tw := base[k%len(base)]
+		tw.ID, tw.TS = 1<<40+int64(k), maxTS+365*24*3600*1000+int64(k)*61_000
+		return tw
+	}
+	var (
+		wg      sync.WaitGroup
+		stop    = make(chan struct{})
+		landed  []tweet.Tweet
+		stopped bool
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; ; k++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := deliver(future(k)); err != nil {
+				t.Error(err)
+				return
+			}
+			landed = append(landed, future(k))
+		}
+	}()
+	halt := func() {
+		if !stopped {
+			stopped = true
+			close(stop)
+			wg.Wait()
+		}
+	}
+	defer halt()
+
+	at := func(ms int64) time.Time { return time.UnixMilli(ms).UTC() }
+	span := maxTS - minTS
+	windows := []core.Request{
+		{Analyses: []core.Analysis{core.AnalysisStats}, From: at(minTS + span/3 + 3_600_017), To: at(maxTS - span/3 - 7_200_029)},
+		{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleNational}, From: at(minTS + span/7 + 17), To: at(maxTS - span/7 - 29)},
+	}
+	// A dry coverage walk reads nothing back.
+	scans := store.ScanCount()
+	for _, req := range windows {
+		for _, a := range s.aggs {
+			if _, err := a.ExplainCoverage(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := store.ScanCount(); got != scans {
+		t.Fatalf("dry coverage walks moved the scan count %d -> %d", scans, got)
+	}
+	// A late record lands in a restored bucket.
+	late := all[len(all)/2]
+	late.ID = 1 << 41
+	if err := deliver(late); err != nil {
+		t.Fatal(err)
+	}
+	all = append(all, late)
+	for i, req := range windows {
+		if !testx.ValuesBitEqual(queryShard(t, s, req), singleNodeRef(t, all, req)) {
+			t.Fatalf("window %d over the restored shard diverges from single-node execute", i)
+		}
+	}
+	// A custom radius streams each slot ring's window, read back from the
+	// store through the ring's own slot filter.
+	custom := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleState}, Radius: 30_000, From: at(minTS), To: at(maxTS + 1)}
+	var rows []tweet.Tweet
+	for _, a := range s.aggs {
+		tws, err := a.WindowTweetsRequest(custom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, tws...)
+	}
+	if !testx.ValuesBitEqual(singleNodeRef(t, rows, custom), singleNodeRef(t, all, custom)) {
+		t.Fatal("custom-radius stream of the restored shard diverges from single-node execute")
+	}
+	halt()
+	return append(all, landed...)
 }
 
 // TestDeliverBatchDedup pins the batched fast path's contract: one

@@ -47,7 +47,11 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 		atProcs(procs, func() {
 			// The unbounded window first: it is the one that finds every
 			// bucket partial and every closed rollup group missing.
-			out.parts = agg.collectCov(math.MinInt64, math.MaxInt64, nil, false)
+			parts, err := agg.collectCov(math.MinInt64, math.MaxInt64, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.parts = parts
 			for i, req := range reqs {
 				res, err := agg.Query(req)
 				if err != nil {
@@ -81,21 +85,14 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 }
 
 func TestRecoverParallelMatchesSerial(t *testing.T) {
-	f := newSnapFixtureWidth(t, 24*time.Hour)
-	snaps, err := OpenSnapshotStore(f.dir)
-	if err != nil {
-		t.Fatal(err)
+	f := newSnapFixtureSpan(t, time.Hour, 24, 200)
+	if len(f.man.Files) < 16 {
+		t.Fatalf("fixture committed %d files, too few to interleave", len(f.man.Files))
 	}
-	man, err := snaps.loadManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Buckets) < 16 {
-		t.Fatalf("fixture committed %d bucket files, too few to interleave", len(man.Buckets))
-	}
-	// One corrupt file in the middle: its neighbours restore, it alone is
-	// backfilled, after them, whatever order the files were decoded in.
-	mid := man.Buckets[len(man.Buckets)/2]
+	// One corrupt file in the middle: its neighbours restore, its day
+	// alone is backfilled, after them, whatever order the files were
+	// decoded in.
+	mid := f.man.Files[len(f.man.Files)/2]
 	damaged := append([]byte(nil), f.files[mid.File]...)
 	damaged[len(damaged)/2] ^= 0xA5
 	if err := os.WriteFile(filepath.Join(f.dir, mid.File), damaged, 0o644); err != nil {
@@ -123,14 +120,19 @@ func TestRecoverParallelMatchesSerial(t *testing.T) {
 	if st1 != st8 {
 		t.Fatalf("recovery stats differ: GOMAXPROCS 1 %+v, GOMAXPROCS 8 %+v", st1, st8)
 	}
-	if want := (RecoveryStats{Restored: len(man.Buckets) - 1, Backfilled: 1, SnapErrors: 1}); st8 != want {
+	total := manifestBuckets(f.man)
+	if want := (RecoveryStats{Restored: total - mid.Buckets, Backfilled: mid.Buckets, SnapErrors: 1}); st8 != want {
 		t.Fatalf("recovery stats %+v, want %+v", st8, want)
 	}
 	if !testx.ValuesBitEqual(revs1, revs8) {
 		t.Fatal("bucket revisions after a restore at GOMAXPROCS 8 differ from those at 1")
 	}
-	if n := len(revs8.revs); revs8.revs[len(man.Buckets)/2] != uint64(n) {
-		t.Fatalf("the backfilled bucket holds revision %d of %d, want the last", revs8.revs[len(man.Buckets)/2], n)
+	// The backfilled day's buckets took the last revisions.
+	n := uint64(len(revs8.revs))
+	for i, idx := range revs8.idxs {
+		if floorDiv(idx, 24) == mid.Group && revs8.revs[i] <= n-uint64(mid.Buckets) {
+			t.Fatalf("backfilled bucket %d holds revision %d of %d, want one of the last %d", idx, revs8.revs[i], n, mid.Buckets)
+		}
 	}
 	f.assertHealed(t, agg8, "parallel restore")
 }

@@ -96,14 +96,15 @@ func (c *FoldCoverage) Merge(o FoldCoverage) {
 // counts. Because it is called on the explain path of requests whose
 // answer may come from the snapshot cache, it must stay observably
 // read-only — no partials are built, no rollups merged, no build
-// counters moved; residual records are counted by scanning bucket
-// timestamps directly.
+// counters moved, no store-only bucket read back; residual records are
+// counted from bucket timestamps directly, and a store-only bucket's
+// from its restored rows' times.
 func (a *Aggregator) ExplainCoverage(req core.Request) (FoldCoverage, error) {
 	var cov FoldCoverage
 	_, lo, hi, err := plan(req, a)
 	if err != nil {
 		return cov, err
 	}
-	a.collectCov(lo, hi, &cov, true)
-	return cov, nil
+	_, err = a.collectCov(lo, hi, &cov, true)
+	return cov, err
 }

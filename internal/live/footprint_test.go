@@ -18,6 +18,7 @@ import (
 	"geomob/internal/core"
 	"geomob/internal/ring"
 	"geomob/internal/tweet"
+	"geomob/internal/tweetdb"
 )
 
 // What a published partial costs (DESIGN.md §7, §11): interior
@@ -133,6 +134,14 @@ func recount(a *Aggregator) ResidentBytes {
 	for _, b := range a.buckets {
 		rb.Records += a.recordBytes(len(b.tweets))
 		rb.Partials += b.part.bytes()
+		if s := b.stored; s != nil {
+			// A store-only bucket keeps its restored partial for counting
+			// after an append invalidated it, and the interior times.
+			rb.Partials += 8 * int64(len(s.mids))
+			if s.part != b.part {
+				rb.Partials += s.part.bytes()
+			}
+		}
 	}
 	for _, t := range a.tiers {
 		for _, grp := range t.groups {
@@ -191,6 +200,68 @@ func TestResidentBytesMatchRecount(t *testing.T) {
 	}
 	if rb := agg.ResidentBytes(); rb.Records == 0 || rb.Partials == 0 || rb.Rollups == 0 {
 		t.Fatalf("schedule left a kind empty: %+v", rb)
+	}
+
+	// Restored, the ring holds partials and merges and no records; reads
+	// that need records bring them back, and appends land beside them.
+	store, err := tweetdb.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(mustWindow(t, agg, math.MinInt64, math.MaxInt64)); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := OpenSnapshotStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := agg.Capture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var covered []string
+	for _, m := range store.Segments() {
+		covered = append(covered, m.File)
+	}
+	if _, err := snaps.Commit(c, covered); err != nil {
+		t.Fatal(err)
+	}
+	agg = hourlyAgg(t, Options{})
+	if _, err := Recover(agg, store, snaps, RecoverOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	check("restore")
+	if rb := agg.ResidentBytes(); rb.Records != 0 || agg.StoreOnlyBuckets() == 0 {
+		t.Fatalf("restored ring holds %+v with %d store-only buckets, want no records", rb, agg.StoreOnlyBuckets())
+	}
+	first, last := all[0].TS, all[len(all)-1].TS
+	at := func() int64 { return first + rng.Int63n(last-first) }
+	for step := 0; step < 60; step++ {
+		switch rng.Intn(3) {
+		case 0: // an unaligned window reads its edge buckets back
+			lo := at()
+			if _, err := agg.FoldPartial(core.Request{From: time.UnixMilli(lo).UTC(), To: time.UnixMilli(lo + rng.Int63n(48*hourMs)).UTC()}); err != nil {
+				t.Fatal(err)
+			}
+			check("unaligned query")
+		case 1: // a late record lands in a restored bucket
+			late := all[rng.Intn(len(all))]
+			late.ID += 2 << 40
+			if err := agg.IngestBatch(tweet.BatchOf([]tweet.Tweet{late})); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Append([]tweet.Tweet{late}); err != nil {
+				t.Fatal(err)
+			}
+			check("late append")
+		default: // a custom radius streams a window's records
+			lo := at()
+			mustWindow(t, agg, lo, lo+rng.Int63n(24*hourMs))
+			check("window")
+		}
+	}
+	if rb := agg.ResidentBytes(); rb.Records == 0 {
+		t.Fatalf("no bucket was read back: %+v", rb)
 	}
 }
 

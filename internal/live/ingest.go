@@ -90,17 +90,20 @@ func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingesto
 // Snapshot captures the ring and the store's segment catalogue under
 // the ingest lock — the lock that orders every store append before its
 // ring route, which is exactly what makes "these segment files are
-// fully reflected in these bucket files" a true statement — and commits
-// the capture to snaps. On success the captured buckets go clean, so
-// the next snapshot writes only what changed since.
+// fully reflected in these snapshot files" a true statement — and
+// commits the capture to snaps. On success the captured groups go clean,
+// so the next snapshot writes only what changed since.
 func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 	i.mu.Lock()
-	c := i.agg.Capture()
+	c, err := i.agg.Capture()
 	var covered []string
 	for _, m := range i.store.Segments() {
 		covered = append(covered, m.File)
 	}
 	i.mu.Unlock()
+	if err != nil {
+		return SnapshotStats{}, err
+	}
 	st, err := snaps.Commit(c, covered)
 	if err == nil {
 		i.agg.MarkSnapshotted(c)

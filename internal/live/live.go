@@ -27,8 +27,11 @@
 //
 // Requests whose window edges are not bucket-aligned fold the covered
 // buckets plus freshly built residual partials over the two partial edge
-// buckets; no path touches the backing store, so repeated windowed
-// queries leave tweetdb.Store.ScanCount unchanged.
+// buckets. No path touches the backing store but one: a bucket restored
+// from a snapshot holds its partial and not its records, and the first
+// reader that needs them reads them back once from the restore's covered
+// segments (DESIGN.md §11). Otherwise repeated windowed queries leave
+// tweetdb.Store.ScanCount unchanged.
 package live
 
 import (
@@ -51,15 +54,18 @@ import (
 	"geomob/internal/mobility"
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
+	"geomob/internal/tweetdb"
 )
 
 // Bucket-ring metrics (DESIGN.md §12). Ring counters are per-batch
 // (one add per IngestBatch) so the hot path cost stays one atomic per
 // batch, not per record.
 var (
-	mRingRecords = obs.Def.Counter("geomob_ring_records_total", "Records routed into the bucket ring.")
-	mRingBuilds  = obs.Def.Counter("geomob_ring_builds_total", "Full-bucket partial materialisations.")
-	mRingFold    = obs.Def.Histogram("geomob_ring_fold_seconds", "Latency of a windowed bucket-fold query (collect + fold + assemble).", nil)
+	mRingRecords    = obs.Def.Counter("geomob_ring_records_total", "Records routed into the bucket ring.")
+	mRingBuilds     = obs.Def.Counter("geomob_ring_builds_total", "Full-bucket partial materialisations.")
+	mRingFold       = obs.Def.Histogram("geomob_ring_fold_seconds", "Latency of a windowed bucket-fold query (collect + fold + assemble).", nil)
+	mRingReloads    = obs.Def.Counter("geomob_ring_reloads_total", "Restored store-only buckets whose records were read back from the store.")
+	mRingReloadSecs = obs.Def.Histogram("geomob_ring_reload_seconds", "Latency of one reload scan of store-only buckets.", nil)
 )
 
 // ErrNotCovered reports that a request's radius is not the paper's, so
@@ -125,6 +131,7 @@ type Aggregator struct {
 	// Resident heap by kind (ResidentBytes), moved with every append,
 	// publish and invalidation so a scrape never walks the ring.
 	resRecords, resPartials, resRollups atomic.Int64
+	storeOnly                           atomic.Int64 // buckets holding stored rows
 
 	mu      sync.Mutex
 	buckets map[int64]*bucket
@@ -136,6 +143,18 @@ type Aggregator struct {
 	// first): lazily merged multi-bucket partials that let a wide window
 	// fold dozens of partials instead of thousands (DESIGN.md §11).
 	tiers []*rollupTier
+	// origin is where restored buckets read their records back from; nil
+	// unless Recover restored partials.
+	origin *restoreOrigin
+}
+
+// restoreOrigin is the store a restored ring came from: the restore
+// manifest's covered segments, which hold exactly the records of the
+// restored partials, and the ring's author filter over them.
+type restoreOrigin struct {
+	store *tweetdb.Store
+	files []string
+	keep  func(userID int64) bool
 }
 
 // bucket holds one time bucket's raw pre-resolved records plus the
@@ -150,10 +169,61 @@ type bucket struct {
 	cells  []uint64
 	sorted bool
 	part   *partial
+	// stored is non-nil while the bucket is store-only: restored from a
+	// snapshot, its partial came from the file and the records it was
+	// built from are still only in the store. tweets then holds just the
+	// rows routed since the restore.
+	stored *storedRows
 	// snapRev is the revision last committed to a durable snapshot; the
 	// bucket is dirty — and will be rewritten by the next snapshot
 	// commit — exactly while rev != snapRev.
 	snapRev uint64
+}
+
+// storedRows is what a restored bucket knows of the records it has not
+// read back: the restored partial — their count and each user's first
+// and last time — and the times between (snapPart.mids), which together
+// count any window of them exactly without the store.
+type storedRows struct {
+	part *partial
+	mids []int64
+}
+
+// count returns how many stored records have times in [lo, hi).
+func (s *storedRows) count(lo, hi int64) int64 {
+	in := func(ts int64) int64 {
+		if ts >= lo && ts < hi {
+			return 1
+		}
+		return 0
+	}
+	n, k := int64(0), 0
+	for r := range s.part.users {
+		u, c := &s.part.users[r], s.part.recCount(r)
+		n += in(u.firstTS)
+		if c >= 2 {
+			n += in(u.lastTS)
+		}
+		for ; c > 2; c-- {
+			n += in(s.mids[k])
+			k++
+		}
+	}
+	return n
+}
+
+// partialBytes is the partial heap b holds: its partial, plus a restored
+// partial it keeps for counting after an append invalidated it, plus the
+// interior times.
+func (b *bucket) partialBytes() int64 {
+	n := b.part.bytes()
+	if s := b.stored; s != nil {
+		n += 8 * int64(len(s.mids))
+		if s.part != b.part {
+			n += s.part.bytes()
+		}
+	}
+	return n
 }
 
 // NewAggregator builds the ring and its assignment machinery (one grid
@@ -285,12 +355,90 @@ func (sh *Shape) recordBytes(n int) int64 {
 	return int64(n) * int64(int(unsafe.Sizeof(tweet.Tweet{}))+2*sh.slots+3*8+8)
 }
 
+// StoreOnlyBuckets returns the number of restored buckets whose records
+// have not been read back from the store.
+func (a *Aggregator) StoreOnlyBuckets() int64 { return a.storeOnly.Load() }
+
 // setPartLocked replaces b's materialised partial (nil invalidates it).
 // Caller holds a.mu; beyond b it touches only an atomic, so builds of
 // different buckets may call it side by side.
 func (a *Aggregator) setPartLocked(b *bucket, p *partial) {
-	a.resPartials.Add(p.bytes() - b.part.bytes())
+	before := b.partialBytes()
 	b.part = p
+	a.resPartials.Add(b.partialBytes() - before)
+}
+
+// reloadLocked reads the records of the store-only buckets in lists
+// back in one windowed, Keep-filtered scan of the restore's covered
+// segments, resolves them and appends them beside the rows routed since
+// the restore. No reader can tell: they are the records the restored
+// partial was built from, so revisions, stamps and partials stay, and
+// Ingested already counts them. The covered segments do not change while
+// the ring lives, so the scan counts every record exactly once; a count
+// that disagrees with the partial's is an error, never a changed answer.
+// Caller holds a.mu.
+func (a *Aggregator) reloadLocked(lists ...[]int64) error {
+	var need []int64
+	for _, idxs := range lists {
+		for _, idx := range idxs {
+			if a.buckets[idx].stored != nil {
+				need = append(need, idx)
+			}
+		}
+	}
+	if len(need) == 0 {
+		return nil
+	}
+	t0 := time.Now()
+	slices.Sort(need)
+	need = slices.Compact(need)
+	want := make(map[int64]int64, len(need))
+	for _, idx := range need {
+		want[idx] = 0
+	}
+	o := a.origin
+	q := tweetdb.Query{Files: o.files, FromTS: need[0] * a.width, ToTS: (need[len(need)-1] + 1) * a.width}
+	var batch tweet.Batch
+	it := o.store.Scan(q)
+	defer it.Close()
+	for {
+		blk, ok := it.NextBlock()
+		if !ok {
+			break
+		}
+		for i := 0; i < blk.Len(); i++ {
+			idx := a.bucketIdx(blk.TS[i])
+			if n, ok := want[idx]; ok && (o.keep == nil || o.keep(blk.UserID[i])) {
+				want[idx] = n + 1
+				batch.Append(blk.Row(i))
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return fmt.Errorf("live: reload buckets from the store: %w", err)
+	}
+	for _, idx := range need {
+		if got, n := want[idx], a.buckets[idx].stored.part.tweets; got != n {
+			return fmt.Errorf("live: reload bucket %d: the covered segments hold %d records, the snapshot %d", idx, got, n)
+		}
+	}
+	if err := batch.Validate(); err != nil {
+		return fmt.Errorf("live: reload: %w", err)
+	}
+	r := a.Resolve(&batch)
+	a.appendRowsLocked(&batch, r)
+	r.release()
+	for _, idx := range need {
+		b := a.buckets[idx]
+		before := b.partialBytes()
+		b.stored, b.sorted = nil, false
+		a.resPartials.Add(b.partialBytes() - before)
+	}
+	a.resRecords.Add(a.recordBytes(batch.Len()))
+	a.storeOnly.Add(-int64(len(need)))
+	mRingReloads.Add(int64(len(need)))
+	mRingReloadSecs.Observe(time.Since(t0).Seconds())
+	return nil
 }
 
 // Revision returns the ring's global revision — advanced once per
@@ -377,19 +525,32 @@ func (sh *Shape) Resolve(b *tweet.Batch) *resolved {
 
 // appendResolved is where a record goes: b's records, with what Resolve
 // made of them, land in their time buckets under a.mu — pure appends and
-// revision bumps, with a one-entry bucket memo, so a time-clustered batch
-// costs one map lookup per bucket run. Each touched bucket's revision
-// advances once and its partial is invalidated. b must be valid and r,
-// which is only read, resolved from it under a's Shape.
+// revision bumps. Each touched bucket's revision advances once and its
+// partial is invalidated. b must be valid and r, which is only read,
+// resolved from it under a's Shape.
 func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
-	n, slots := b.Len(), a.slots
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	var touched []int64 // one bucket index per run
-	accepted := int64(0)
-	// Append run-wise: records land in bucket-contiguous runs (time-ordered
-	// feeds put whole batches in one or two buckets), so each run costs one
-	// map lookup and four bulk appends instead of per-record slice growth.
+	touched := a.appendRowsLocked(b, r)
+	// In bucket order: the revisions left depend on ring and batch alone.
+	slices.Sort(touched)
+	for _, idx := range slices.Compact(touched) {
+		bk := a.buckets[idx]
+		bk.sorted = false
+		a.touchLocked(idx, bk)
+	}
+	a.acceptLocked(int64(b.Len()))
+}
+
+// appendRowsLocked appends b's rows and r's columns for them to their
+// buckets, adding buckets that are new, and returns the bucket of each
+// run. Records land in bucket-contiguous runs (time-ordered feeds put
+// whole batches in one or two buckets), so each run costs one map lookup
+// and four bulk appends instead of per-record slice growth. Caller holds
+// a.mu.
+func (a *Aggregator) appendRowsLocked(b *tweet.Batch, r *resolved) []int64 {
+	n, slots := b.Len(), a.slots
+	var runs []int64
 	for i := 0; i < n; {
 		idx := a.bucketIdx(b.TS[i])
 		j := i + 1
@@ -397,7 +558,7 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 			j++
 		}
 		bk := a.bucketLocked(idx)
-		touched = append(touched, idx)
+		runs = append(runs, idx)
 		bk.assign = append(bk.assign, r.assign[i*slots:j*slots]...)
 		bk.vecs = append(bk.vecs, r.vecs[3*i:3*j]...)
 		bk.cells = append(bk.cells, r.cells[i:j]...)
@@ -406,17 +567,9 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 		for k := i; k < j; k++ {
 			bk.tweets[off+k-i] = b.Row(k)
 		}
-		accepted += int64(j - i)
 		i = j
 	}
-	// In bucket order: the revisions left depend on ring and batch alone.
-	slices.Sort(touched)
-	for _, idx := range slices.Compact(touched) {
-		bk := a.buckets[idx]
-		bk.sorted = false
-		a.touchLocked(idx, bk)
-	}
-	a.acceptLocked(accepted)
+	return runs
 }
 
 // touchLocked is the one place a bucket revision is assigned: bucket idx
@@ -536,20 +689,22 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 // partially covered edge buckets. A non-nil cov records which spans
 // served the window (FoldCoverage). With dry
 // set the same span selection runs in counting-only mode — no partials
-// are built, merged, or returned and no build caches or counters are
-// touched — which is what keeps EXPLAIN ANALYZE side-effect-free.
+// are built, merged, reloaded or returned and no build caches or
+// counters are touched — which is what keeps EXPLAIN ANALYZE
+// side-effect-free.
 //
-// The selection only gathers: which groups and buckets the window takes
-// and which of them lack their partial. materialiseLocked then builds
+// The selection only gathers: which groups and buckets the window takes,
+// which of them lack their partial, and which edges need records.
+// materialiseLocked then reads back what is store-only and builds
 // everything lacking at once, so a cold ring is materialised on every
 // processor and a warm one — nothing lacking, or the one edge bucket —
 // pays nothing for it.
-func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) []*partial {
+func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*partial, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	idxs := a.rangeLocked(lo, hi)
 	if len(idxs) == 0 {
-		return nil
+		return nil, nil
 	}
 	loIdx, hiIdx, edgeIdx := idxs[0], idxs[len(idxs)-1], a.idxs[len(a.idxs)-1]
 	type span struct {
@@ -557,10 +712,11 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) []*pa
 		p     *partial
 	}
 	var (
-		spans   []span      // residuals here; groups and full buckets once built
+		spans   []span      // groups and full buckets once built, then residuals
 		groups  []groupPick // the rollup groups taken, coarsest tier first
 		full    []int64     // the fully covered buckets taken one by one
-		missing []*bucket   // those of full whose partial is not materialised
+		missing []int64     // those of full whose partial is not materialised
+		edges   []int64     // the partially covered edge buckets
 	)
 	used := make([]bool, len(idxs)) // parallel to idxs
 	// Coarsest tier first. A group is usable only when the window covers
@@ -602,52 +758,34 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) []*pa
 			continue
 		}
 		b := a.buckets[idx]
-		if len(b.tweets) == 0 {
-			continue
-		}
-		start, end := idx*a.width, (idx+1)*a.width
-		if lo > start || hi < end {
+		if start, end := idx*a.width, (idx+1)*a.width; lo > start || hi < end {
 			// Partially covered edge bucket: residual partial over the
 			// in-window slice, built fresh (it depends on the request
 			// window, not just the bucket).
-			rLo, rHi := start, end
-			if lo > rLo {
-				rLo = lo
-			}
-			if hi < rHi {
-				rHi = hi
-			}
-			if dry {
-				var n int64
-				for i := range b.tweets {
-					if ts := b.tweets[i].TS; ts >= rLo && ts < rHi {
-						n++
-					}
-				}
-				if n > 0 {
-					cov.addResidual(n)
-				}
-				continue
-			}
-			ensureSortedLocked(b, a.slots)
-			if p := a.buildRange(b, rLo, rHi); p.seen {
-				spans = append(spans, span{start: idx, p: p})
-				cov.addResidual(p.tweets)
+			if !dry {
+				edges = append(edges, idx)
+			} else if n := a.countLocked(b, max(lo, start), min(hi, end)); n > 0 {
+				cov.addResidual(n)
 			}
 			continue
 		}
 		if dry {
-			// len(b.tweets) > 0 was gated above, so the full bucket
-			// partial is necessarily seen.
+			// Every bucket holds records, so the full bucket partial is
+			// necessarily seen.
 			cov.addFull()
 			continue
 		}
 		full = append(full, idx)
 		if b.part == nil {
-			missing = append(missing, b)
+			missing = append(missing, idx)
 		}
 	}
-	a.materialiseLocked(groups, missing)
+	if dry {
+		return nil, nil
+	}
+	if err := a.materialiseLocked(groups, missing, edges); err != nil {
+		return nil, err
+	}
 	for _, pk := range groups {
 		if pk.part.seen {
 			spans = append(spans, span{start: pk.g * pk.tier.factor, p: pk.part})
@@ -660,37 +798,66 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) []*pa
 			cov.addFull()
 		}
 	}
+	for _, idx := range edges {
+		b := a.buckets[idx]
+		ensureSortedLocked(b, a.slots)
+		if p := a.buildRange(b, max(lo, idx*a.width), min(hi, (idx+1)*a.width)); p.seen {
+			spans = append(spans, span{start: idx, p: p})
+			cov.addResidual(p.tweets)
+		}
+	}
 	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.start, y.start) })
 	parts := make([]*partial, len(spans))
 	for i, sp := range spans {
 		parts[i] = sp.p
 	}
-	return parts
+	return parts, nil
+}
+
+// countLocked counts b's records with times in [lo, hi) — resident rows
+// and stored ones alike — without building or reading anything back.
+// Caller holds a.mu.
+func (a *Aggregator) countLocked(b *bucket, lo, hi int64) int64 {
+	var n int64
+	for i := range b.tweets {
+		if ts := b.tweets[i].TS; ts >= lo && ts < hi {
+			n++
+		}
+	}
+	if b.stored != nil {
+		n += b.stored.count(lo, hi)
+	}
+	return n
 }
 
 // materialiseLocked builds what one window's selection lacks: the
 // partial of every bucket in missing and of every member of a stale
 // group, then the stale groups' merges — each batch on every processor.
+// The store-only buckets among them and among edges (which the caller
+// builds residuals over) are read back first, in one scan.
 // The caller holds a.mu throughout, so nothing else touches the ring; the
 // groups one window takes are disjoint in buckets, a bucket build sorts
 // and reads only its own bucket, a merge only reads finished partials,
 // and both write fresh memory. The cache maps and counters are updated
 // serially afterwards. One missing bucket — the steady edge step — is
 // built inline.
-func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
+func (a *Aggregator) materialiseLocked(groups []groupPick, missing, edges []int64) error {
 	var stale []*groupPick
 	for i := range groups {
 		if pk := &groups[i]; pk.part == nil {
 			stale = append(stale, pk)
 			for _, idx := range pk.members {
-				if b := a.buckets[idx]; b.part == nil {
-					missing = append(missing, b)
+				if a.buckets[idx].part == nil {
+					missing = append(missing, idx)
 				}
 			}
 		}
 	}
+	if err := a.reloadLocked(missing, edges); err != nil {
+		return err
+	}
 	runTasks(len(missing), func(i int) {
-		b := missing[i]
+		b := a.buckets[missing[i]]
 		ensureSortedLocked(b, a.slots)
 		a.setPartLocked(b, a.buildRange(b, math.MinInt64, math.MaxInt64))
 	})
@@ -707,14 +874,20 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing []*bucket) {
 		pk.part = a.mergePartials(parts)
 	})
 	for _, pk := range stale {
-		if old := pk.tier.groups[pk.g]; old != nil {
-			a.resRollups.Add(-old.part.bytes())
-		}
-		a.resRollups.Add(pk.part.bytes())
-		pk.tier.groups[pk.g] = &rollupGroup{stamp: pk.stamp, part: pk.part}
+		a.setGroupLocked(pk.tier, pk.g, &rollupGroup{stamp: pk.stamp, part: pk.part})
 		pk.tier.builds.Add(1)
 		pk.tier.mBuilds.Inc()
 	}
+	return nil
+}
+
+// setGroupLocked caches group g's merge in tier t. Caller holds a.mu.
+func (a *Aggregator) setGroupLocked(t *rollupTier, g int64, grp *rollupGroup) {
+	if old := t.groups[g]; old != nil {
+		a.resRollups.Add(-old.part.bytes())
+	}
+	a.resRollups.Add(grp.part.bytes())
+	t.groups[g] = grp
 }
 
 // coverageKey fingerprints the bucket coverage of the record window
@@ -818,8 +991,12 @@ func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
+	parts, err := a.collectCov(lo, hi, nil, false)
+	if err != nil {
+		return nil, err
+	}
 	acc := a.newFold(info)
-	users := acc.add(a.collectCov(lo, hi, nil, false))
+	users := acc.add(parts)
 	if info.Stats {
 		// One ascending-id run cannot collide with itself.
 		acc.f.Stats, _ = FlattenUsers(acc.f.Tweets, users)
@@ -840,19 +1017,24 @@ func (a *Aggregator) WindowTweetsRequest(req core.Request) ([]tweet.Tweet, error
 		return nil, err
 	}
 	lo, hi := window(info)
-	return a.WindowTweets(lo, hi), nil
+	return a.WindowTweets(lo, hi)
 }
 
 // WindowTweets copies the ring's records in [lo, hi) (unbounded sides as
 // math.MinInt64/MaxInt64) into a fresh slice in canonical (user, time)
 // order — the exact substream a compacted store scan would yield. It
 // backs streaming fallbacks for request shapes the aggregator does not
-// materialise; like Query it never touches the store.
-func (a *Aggregator) WindowTweets(lo, hi int64) []tweet.Tweet {
+// materialise; like Query it touches the store only to read store-only
+// buckets back, once.
+func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	idxs := a.rangeLocked(lo, hi)
+	if err := a.reloadLocked(idxs); err != nil {
+		return nil, err
+	}
 	var out []tweet.Tweet
-	for _, idx := range a.rangeLocked(lo, hi) {
+	for _, idx := range idxs {
 		b := a.buckets[idx]
 		for i := range b.tweets {
 			if ts := b.tweets[i].TS; ts >= lo && (hi == math.MaxInt64 || ts < hi) {
@@ -861,5 +1043,5 @@ func (a *Aggregator) WindowTweets(lo, hi int64) []tweet.Tweet {
 		}
 	}
 	sort.Sort(tweet.ByUserTime(out))
-	return out
+	return out, nil
 }

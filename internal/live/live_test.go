@@ -44,6 +44,16 @@ func tw(id, user, ts int64, at [2]float64) tweet.Tweet {
 
 const hourMS = int64(time.Hour / time.Millisecond)
 
+// mustWindow is WindowTweets on a ring whose reads cannot fail.
+func mustWindow(t testing.TB, a *Aggregator, lo, hi int64) []tweet.Tweet {
+	t.Helper()
+	out, err := a.WindowTweets(lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // hourlyAgg builds an aggregator with 1-hour buckets.
 func hourlyAgg(t *testing.T, opts Options) *Aggregator {
 	t.Helper()
@@ -210,7 +220,7 @@ func TestQueryNeverScansStore(t *testing.T) {
 			t.Fatalf("Query(%s): %v", req.Key(), err)
 		}
 	}
-	a.WindowTweets(math.MinInt64, math.MaxInt64)
+	mustWindow(t, a, math.MinInt64, math.MaxInt64)
 	if got := store.ScanCount(); got != before {
 		t.Fatalf("store scans moved %d -> %d during live queries; want unchanged", before, got)
 	}
@@ -251,7 +261,7 @@ func TestIngestNDJSON(t *testing.T) {
 func TestWindowTweetsCanonicalOrder(t *testing.T) {
 	a := hourlyAgg(t, Options{})
 	fourBuckets(t, a)
-	got := a.WindowTweets(math.MinInt64, math.MaxInt64)
+	got := mustWindow(t, a, math.MinInt64, math.MaxInt64)
 	if len(got) != 5 {
 		t.Fatalf("window tweets = %d, want 5", len(got))
 	}
@@ -261,7 +271,7 @@ func TestWindowTweetsCanonicalOrder(t *testing.T) {
 			t.Fatalf("window tweets out of (user, time) order at %d", i)
 		}
 	}
-	half := a.WindowTweets(0, 2*hourMS)
+	half := mustWindow(t, a, 0, 2*hourMS)
 	if len(half) != 3 {
 		t.Fatalf("half-window tweets = %d, want 3", len(half))
 	}

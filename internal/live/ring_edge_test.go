@@ -190,7 +190,7 @@ func TestRingWindowOutsideCoverage(t *testing.T) {
 	agg := queryMatchesExecute(t, time.Hour, records, reqs)
 
 	// WindowTweets agrees: nothing materialises outside coverage.
-	if tws := agg.WindowTweets(0, 9*w); len(tws) != 0 {
+	if tws := mustWindow(t, agg, 0, 9*w); len(tws) != 0 {
 		t.Fatalf("WindowTweets outside coverage: %d records", len(tws))
 	}
 }

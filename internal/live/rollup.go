@@ -39,15 +39,18 @@ func rollupFactors(width int64) []int64 {
 // rollupTier caches the merged partials of one grouping factor. revs
 // stamps every group holding a live bucket with the ring revision of its
 // latest member touch (touchLocked): ring revisions only grow, so a stamp
-// moves exactly when a member bucket is created or changed. builds and
-// hits are this ring's lifetime counters (RollupStats); mBuilds and mHits
-// the process-wide series of the same events, labelled by factor.
+// moves exactly when a member bucket is created or changed. snapped holds
+// the stamp of each group's merge in the last snapshot commit (absent:
+// none). builds and hits are this ring's lifetime counters
+// (RollupStats); mBuilds and mHits the process-wide series of the same
+// events, labelled by factor.
 type rollupTier struct {
-	factor int64
-	groups map[int64]*rollupGroup
-	revs   map[int64]uint64
-	builds atomic.Int64
-	hits   atomic.Int64
+	factor  int64
+	groups  map[int64]*rollupGroup
+	revs    map[int64]uint64
+	snapped map[int64]uint64
+	builds  atomic.Int64
+	hits    atomic.Int64
 
 	mBuilds, mHits *obs.Counter
 }
@@ -58,6 +61,7 @@ func newRollupTier(factor int64) *rollupTier {
 		factor:  factor,
 		groups:  map[int64]*rollupGroup{},
 		revs:    map[int64]uint64{},
+		snapped: map[int64]uint64{},
 		mBuilds: obs.Def.Counter("geomob_ring_rollup_builds_total", "Rollup group merges materialised, by tier (group size in base buckets).", "tier", tier),
 		mHits:   obs.Def.Counter("geomob_ring_rollup_hits_total", "Rollup groups served from their cached merge, by tier (group size in base buckets).", "tier", tier),
 	}
@@ -68,6 +72,14 @@ func newRollupTier(factor int64) *rollupTier {
 type rollupGroup struct {
 	stamp uint64
 	part  *partial
+}
+
+// current returns group g's cached merge while its stamp holds, else nil.
+func (t *rollupTier) current(g int64) *rollupGroup {
+	if grp := t.groups[g]; grp != nil && grp.stamp == t.revs[g] {
+		return grp
+	}
+	return nil
 }
 
 // floorDiv is exact floor division for possibly negative bucket indexes.
@@ -94,7 +106,7 @@ type groupPick struct {
 // Caller holds a.mu.
 func (a *Aggregator) pickGroupLocked(t *rollupTier, g int64, members []int64) groupPick {
 	pk := groupPick{tier: t, g: g, members: members, stamp: t.revs[g]}
-	if grp := t.groups[g]; grp != nil && grp.stamp == pk.stamp {
+	if grp := t.current(g); grp != nil {
 		t.hits.Add(1)
 		t.mHits.Inc()
 		pk.part = grp.part

@@ -55,11 +55,11 @@ func TestShapeSharedAggregators(t *testing.T) {
 	}
 
 	lo, hi := base-1, base+600000
-	if !testx.ValuesBitEqual(a.WindowTweets(lo, hi), standalone.WindowTweets(lo, hi)) {
+	if !testx.ValuesBitEqual(mustWindow(t, a, lo, hi), mustWindow(t, standalone, lo, hi)) {
 		t.Fatal("shared-shape aggregator diverges from standalone over identical input")
 	}
 	// b never saw batchA's users.
-	for _, row := range b.WindowTweets(lo, hi) {
+	for _, row := range mustWindow(t, b, lo, hi) {
 		if row.UserID != 200 {
 			t.Fatalf("aggregator b leaked user %d from aggregator a", row.UserID)
 		}

@@ -108,8 +108,8 @@ type ShardPartial struct {
 }
 
 // FoldPartial folds the materialised partials covering req's window into
-// the shard partial a cluster coordinator merges. Like Query it touches no
-// storage and reuses every covered bucket's materialised partial; unlike
+// the shard partial a cluster coordinator merges. Like Query it touches
+// storage only to read store-only buckets back, and reuses every covered bucket's materialised partial; unlike
 // Query it stops before assembly, leaving the trajectory statistics at
 // per-user granularity so user-disjoint shard partials can be interleaved
 // exactly. A custom radius answers ErrNotCovered, exactly like Query.
@@ -131,7 +131,11 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
 	runs, n := make([][]UserTrajectory, len(rings)), 0
 	for i, a := range rings {
-		runs[i] = acc.add(a.collectCov(lo, hi, &sp.Coverage, false))
+		parts, err := a.collectCov(lo, hi, &sp.Coverage, false)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = acc.add(parts)
 		n += len(runs[i])
 	}
 	sp.FoldedPass = *acc.f

@@ -14,36 +14,41 @@ import (
 	"sync"
 	"time"
 
+	"geomob/internal/geo"
+	"geomob/internal/mobility"
 	"geomob/internal/obs"
-	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 )
 
 // Snapshot-commit metrics (DESIGN.md §12).
 var (
 	mSnapCommits    = obs.Def.Counter("geomob_snapshot_commits_total", "Snapshot manifest commits that wrote at least the manifest.")
-	mSnapFiles      = obs.Def.Counter("geomob_snapshot_files_written_total", "Bucket blob files written by snapshot commits.")
-	mSnapBytes      = obs.Def.Counter("geomob_snapshot_bytes_written_total", "Bucket blob bytes written by snapshot commits.")
+	mSnapFiles      = obs.Def.Counter("geomob_snapshot_files_written_total", "Snapshot files written by snapshot commits.")
+	mSnapBytes      = obs.Def.Counter("geomob_snapshot_bytes_written_total", "Snapshot file bytes written by snapshot commits.")
 	mSnapCommitSecs = obs.Def.Histogram("geomob_snapshot_commit_seconds", "Latency of one snapshot commit.", nil)
 )
 
-// Durable bucket snapshots (DESIGN.md §11): each bucket's pre-resolved
-// columns — records plus the cached assignments, unit vectors and cell
-// ids the ingest hot path computed — serialised to a versioned,
-// per-section CRC'd, atomically renamed file beside the store. Floats
-// travel as raw IEEE-754 bits, so a restored ring folds bit-identically
-// to a cold Study.Execute rescan. A snapshot manifest records which
-// store segments the bucket files collectively reflect; restart loads
-// intact files, replays only the segment tail, and falls back to a
-// windowed cold backfill per bucket on any missing, corrupt or
-// version-mismatched file — never a panic, never a changed answer.
+// Durable ring snapshots (DESIGN.md §11). A snapshot is the ring's
+// published partials, not its records: one file per file group — a day
+// of hour buckets at the default width — holding each live bucket's
+// partial and every closed rollup merge homed in that group whose cached
+// stamp was current at capture, each partial as individually CRC'd
+// sections of its own columns. The fixed-point vector sums and the
+// bounding boxes travel as raw bits, so a restored ring folds
+// bit-identically to the ring that wrote it. A manifest names the files
+// and the store segments they reflect; restart installs the partials of
+// every intact file without building anything, replays only the segment
+// tail, and degrades each missing, corrupt or version-mismatched file to
+// a windowed cold backfill of its group — never a panic, never a changed
+// answer.
 
 const (
 	snapMagic        = uint32(0x4e534d47) // "GMSN"
-	snapVersion      = uint16(1)
-	manifestVersion  = 2
-	snapSections     = 8
-	snapHeader       = 40
+	snapVersion      = uint16(2)
+	manifestVersion  = 3
+	snapHeader       = 40 // magic, version, reserved, shape hash, width, group, part count, CRC
+	snapPartHeader   = 60 // factor, index, bbox, user rows, flow cells, CRC
+	snapSections     = 7  // users, areas, marks, cells, sums, flows, mids
 	snapManifestName = "SNAPSHOT.json"
 	snapSuffix       = ".gmsnap"
 )
@@ -60,171 +65,383 @@ func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
 func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
 func getI64(b []byte) int64     { return int64(binary.LittleEndian.Uint64(b)) }
 
-// bucketRef identifies one live bucket at capture time.
-type bucketRef struct {
-	Idx   int64
-	Rev   uint64
-	Count int
+// fileSpan is how many base buckets share one snapshot file: the finest
+// rollup group (a day at the default hourly width), else one. Every
+// coarser tier nests it, so a merge's home — the file of its group's
+// first bucket — is always a whole file group.
+func (sh *Shape) fileSpan() int64 {
+	if len(sh.rollups) > 0 {
+		return sh.rollups[0]
+	}
+	return 1
 }
 
-// capturedBucket is one dirty bucket's columns, copied out of the ring
-// in canonical order under the lock.
-type capturedBucket struct {
-	idx    int64
-	rev    uint64
-	tweets []tweet.Tweet
-	assign []int16
-	vecs   []float64
-	cells  []uint64
+// snapPart is one partial a snapshot file carries: a bucket's (factor 1),
+// with the interior record times a dry coverage count reads, or a closed
+// rollup group's merge (factor = the tier's), which carries none.
+type snapPart struct {
+	factor, idx int64
+	rev         uint64 // the bucket revision or group stamp at capture
+	part        *partial
+	mids        []int64
 }
 
-// RingCapture is a consistent snapshot of ring state: every live
-// bucket's identity plus full column copies of the dirty ones. Taken
-// under the ingest lock, it lines up exactly with a store segment
-// catalogue read at the same moment.
-type RingCapture struct {
-	shapeHash uint64
-	width     int64
-	slots     int
-	live      []bucketRef
-	dirty     []capturedBucket
+// snapFile is one file group's content: its buckets ascending, then its
+// merges finest tier first.
+type snapFile struct {
+	group int64
+	parts []snapPart
 }
 
-// Capture copies the ring's dirty buckets (canonically sorted) and the
-// identities of all live buckets. Callers that pair the capture with a
-// store catalogue must hold the lock that orders store appends before
-// ring routes (the Ingestor's, or a cluster shard's).
-func (a *Aggregator) Capture() *RingCapture {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	c := &RingCapture{shapeHash: a.hash, width: a.width, slots: a.slots}
-	for _, idx := range a.idxs { // ascending, so live and dirty are too
-		b := a.buckets[idx]
-		if len(b.tweets) == 0 {
-			continue
-		}
-		c.live = append(c.live, bucketRef{Idx: idx, Rev: b.rev, Count: len(b.tweets)})
-		if b.rev != b.snapRev {
-			ensureSortedLocked(b, a.slots)
-			c.dirty = append(c.dirty, capturedBucket{
-				idx: idx, rev: b.rev,
-				tweets: slices.Clone(b.tweets),
-				assign: slices.Clone(b.assign),
-				vecs:   slices.Clone(b.vecs),
-				cells:  slices.Clone(b.cells),
-			})
+// buckets and records count the file's bucket partials and their records.
+func (f *snapFile) buckets() (n int, records int64) {
+	for i := range f.parts {
+		if f.parts[i].factor == 1 {
+			n++
+			records += f.parts[i].part.tweets
 		}
 	}
-	return c
+	return n, records
+}
+
+// homeMark is what a captured file holds of one rollup group homed in
+// it: the stamp of the merge it carries, 0 for none.
+type homeMark struct {
+	tier  *rollupTier
+	g     int64
+	stamp uint64
+}
+
+// capturedFile is one file group at capture and, when it changed since
+// the last commit, its new content and the merges that content holds.
+type capturedFile struct {
+	group int64
+	dirty *snapFile // nil: the last commit's file still holds it
+	homes []homeMark
+}
+
+// RingCapture is a consistent snapshot of ring state: every file group
+// holding a live bucket or a rollup merge, and for those that changed
+// since the last commit, pointers to their published partials — which
+// are immutable, so nothing is copied. Taken under the ingest lock, it
+// lines up exactly with a store segment catalogue read at the same
+// moment.
+type RingCapture struct {
+	sh    *Shape
+	files []capturedFile
+}
+
+// Capture takes the ring's file groups and the partials of the changed
+// ones. A changed group's bucket that lacks its partial is built first,
+// in one batch on every processor, and read back from the store first
+// if it is store-only. Callers that pair the capture with a store
+// catalogue must hold the lock that orders store appends before ring
+// routes (the Ingestor's, or a cluster shard's).
+func (a *Aggregator) Capture() (*RingCapture, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	span := a.fileSpan()
+	var groups []int64
+	for _, idx := range a.idxs {
+		if g, n := floorDiv(idx, span), len(groups); n == 0 || groups[n-1] != g {
+			groups = append(groups, g)
+		}
+	}
+	for _, t := range a.tiers[min(1, len(a.tiers)):] { // the finest tier is homed in its own group
+		for g := range t.revs {
+			if t.snapped[g] != 0 || t.current(g) != nil {
+				groups = append(groups, g*t.factor/span)
+			}
+		}
+	}
+	slices.Sort(groups)
+	c := &RingCapture{sh: a.Shape}
+	var missing []int64
+	for _, fg := range slices.Compact(groups) {
+		lo, _ := slices.BinarySearch(a.idxs, fg*span)
+		hi, _ := slices.BinarySearch(a.idxs, (fg+1)*span)
+		cf := capturedFile{group: fg}
+		dirty := false
+		for _, idx := range a.idxs[lo:hi] {
+			if b := a.buckets[idx]; b.rev != b.snapRev {
+				dirty = true
+			}
+		}
+		for _, t := range a.tiers {
+			if start := fg * span; start%t.factor == 0 {
+				g := start / t.factor
+				hm := homeMark{tier: t, g: g}
+				if grp := t.current(g); grp != nil {
+					hm.stamp = grp.stamp
+				}
+				if hm.stamp != 0 || t.snapped[g] != 0 {
+					cf.homes = append(cf.homes, hm)
+					dirty = dirty || hm.stamp != t.snapped[g]
+				}
+			}
+		}
+		if dirty {
+			cf.dirty = &snapFile{group: fg}
+			for _, idx := range a.idxs[lo:hi] {
+				if a.buckets[idx].part == nil {
+					missing = append(missing, idx)
+				}
+			}
+		}
+		c.files = append(c.files, cf)
+	}
+	if err := a.materialiseLocked(nil, missing, nil); err != nil {
+		return nil, err
+	}
+	for i := range c.files {
+		cf := &c.files[i]
+		if cf.dirty == nil {
+			continue
+		}
+		lo, _ := slices.BinarySearch(a.idxs, cf.group*span)
+		hi, _ := slices.BinarySearch(a.idxs, (cf.group+1)*span)
+		for _, idx := range a.idxs[lo:hi] {
+			b := a.buckets[idx]
+			cf.dirty.parts = append(cf.dirty.parts, snapPart{factor: 1, idx: idx, rev: b.rev, part: b.part, mids: a.midsLocked(b)})
+		}
+		for _, hm := range cf.homes {
+			if hm.stamp != 0 {
+				cf.dirty.parts = append(cf.dirty.parts, snapPart{factor: hm.tier.factor, idx: hm.g, rev: hm.stamp, part: hm.tier.groups[hm.g].part})
+			}
+		}
+	}
+	return c, nil
+}
+
+// midsLocked returns the interior record times of b's partial rows — for
+// each user row of three or more records, the times between its first
+// and last — which a dry coverage count of a store-only bucket needs.
+// Caller holds a.mu; b's partial is built.
+func (a *Aggregator) midsLocked(b *bucket) []int64 {
+	if b.stored != nil {
+		return b.stored.mids
+	}
+	ensureSortedLocked(b, a.slots)
+	var mids []int64
+	for i := 0; i < len(b.tweets); {
+		j := i + 1
+		for j < len(b.tweets) && b.tweets[j].UserID == b.tweets[i].UserID {
+			j++
+		}
+		for k := i + 1; k < j-1; k++ {
+			mids = append(mids, b.tweets[k].TS)
+		}
+		i = j
+	}
+	return mids
 }
 
 // MarkSnapshotted records, after a successful commit, that the captured
-// revisions are durable: a bucket untouched since capture goes clean; a
-// bucket that advanced stays dirty for the next round.
+// revisions and stamps are durable: a bucket or merge untouched since
+// capture goes clean; one that advanced stays dirty for the next round.
 func (a *Aggregator) MarkSnapshotted(c *RingCapture) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := range c.dirty {
-		if b := a.buckets[c.dirty[i].idx]; b != nil {
-			b.snapRev = c.dirty[i].rev
+	for _, cf := range c.files {
+		if cf.dirty == nil {
+			continue
+		}
+		for _, sp := range cf.dirty.parts {
+			if b := a.buckets[sp.idx]; sp.factor == 1 && b != nil {
+				b.snapRev = sp.rev
+			}
+		}
+		for _, hm := range cf.homes {
+			if hm.stamp == 0 {
+				delete(hm.tier.snapped, hm.g)
+			} else {
+				hm.tier.snapped[hm.g] = hm.stamp
+			}
 		}
 	}
 }
 
-// encodeBucketBlob serialises one captured bucket: a CRC'd fixed header
-// (magic, version, shape hash, bucket index, width, count) followed by
-// eight individually CRC'd sections — ids, users, timestamps, raw
-// latitude/longitude bits, assignments, unit-vector bits, cell ids.
-func encodeBucketBlob(shapeHash uint64, width int64, slots int, cb *capturedBucket) []byte {
-	n := len(cb.tweets)
-	total := snapHeader
-	lens := [snapSections]int{8 * n, 8 * n, 8 * n, 8 * n, 8 * n, 2 * n * slots, 8 * 3 * n, 8 * len(cb.cells)}
-	for _, l := range lens {
-		total += 12 + l
+// midBytes is the width of one interior record time in a file: an offset
+// from its row's first time, four bytes whenever a bucket fits them.
+func (sh *Shape) midBytes() int {
+	if sh.width <= 1<<32 {
+		return 4
 	}
-	out := make([]byte, total)
+	return 8
+}
+
+// encodeSnapFile serialises one file group: a CRC'd fixed header (magic,
+// version, shape hash, width, group, part count), then per partial a
+// CRC'd part header (factor, index, bounding-box bits, row and flow
+// counts) and seven individually CRC'd sections of its columns:
+//
+//  1. users — per row the id (eight bytes, so rows out of order show),
+//     then as uvarints the first time as an offset into the part's span,
+//     last minus first time, records less one, cells less one;
+//  2. areas — per row and slot the first record's area plus one as a
+//     uvarint, then for rows of two or more records the last record's;
+//  3. marks — the area bitset words of rows of three or more records
+//     (a smaller row's marks are its first and last areas);
+//  4. cells — each row's sorted distinct cell ids, four bytes each;
+//  5. sums — per row the three low words of the vector sum, plus the
+//     three high words for rows of eight or more records (fewer cannot
+//     leave the low word's sign range);
+//  6. flows — the interior transition cells: slot, from, to (two bytes
+//     each) and the count (four bytes);
+//  7. mids — a bucket's interior record times (midsLocked) as offsets
+//     from their row's first time; empty for a merge.
+//
+// Everything else a partial holds follows from these. The encoding is
+// canonical: decodeSnapFile accepts only what this function writes.
+func (sh *Shape) encodeSnapFile(f *snapFile) []byte {
+	out := make([]byte, snapHeader, 1<<12)
 	putU32(out[0:], snapMagic)
 	putU16(out[4:], snapVersion)
-	putU16(out[6:], snapSections)
-	putU64(out[8:], shapeHash)
-	putI64(out[16:], cb.idx)
-	putI64(out[24:], width)
-	putU32(out[32:], uint32(n))
+	putU64(out[8:], sh.hash)
+	putI64(out[16:], sh.width)
+	putI64(out[24:], f.group)
+	putU32(out[32:], uint32(len(f.parts)))
 	putU32(out[36:], crc32.ChecksumIEEE(out[:36]))
-	off := snapHeader
-	writeSection := func(id uint32, fill func(p []byte)) {
-		l := lens[id-1]
-		putU32(out[off:], id)
-		putU32(out[off+4:], uint32(l))
-		p := out[off+12 : off+12+l]
-		fill(p)
-		putU32(out[off+8:], crc32.ChecksumIEEE(p))
-		off += 12 + l
+	for i := range f.parts {
+		out = sh.appendSnapPart(out, &f.parts[i])
 	}
-	writeSection(1, func(p []byte) {
-		for i := range cb.tweets {
-			putI64(p[8*i:], cb.tweets[i].ID)
+	return out
+}
+
+func (sh *Shape) appendSnapPart(out []byte, sp *snapPart) []byte {
+	p, slots, tw := sp.part, sh.slots, sh.totalWords
+	h := len(out)
+	out = append(out, make([]byte, snapPartHeader)...)
+	putI64(out[h:], sp.factor)
+	putI64(out[h+8:], sp.idx)
+	for k, v := range [4]float64{p.bbox.MinLat, p.bbox.MinLon, p.bbox.MaxLat, p.bbox.MaxLon} {
+		putU64(out[h+16+8*k:], math.Float64bits(v))
+	}
+	putU32(out[h+48:], uint32(len(p.users)))
+	putU32(out[h+52:], uint32(len(p.flows)))
+	putU32(out[h+56:], crc32.ChecksumIEEE(out[h:h+56]))
+	section := func(fill func([]byte) []byte) {
+		at := len(out)
+		out = fill(append(out, make([]byte, 8)...))
+		putU32(out[at:], uint32(len(out)-at-8))
+		putU32(out[at+4:], crc32.ChecksumIEEE(out[at+8:]))
+	}
+	base := sp.idx * sp.factor * sh.width
+	section(func(b []byte) []byte {
+		for r := range p.users {
+			u := &p.users[r]
+			b = binary.LittleEndian.AppendUint64(b, uint64(u.id))
+			b = binary.AppendUvarint(b, uint64(u.firstTS-base))
+			b = binary.AppendUvarint(b, uint64(u.lastTS-u.firstTS))
+			b = binary.AppendUvarint(b, uint64(p.recCount(r)-1))
+			b = binary.AppendUvarint(b, uint64(len(p.userCells(r))-1))
 		}
+		return b
 	})
-	writeSection(2, func(p []byte) {
-		for i := range cb.tweets {
-			putI64(p[8*i:], cb.tweets[i].UserID)
+	section(func(b []byte) []byte {
+		for r := range p.users {
+			for _, v := range p.firstArea[r*slots : (r+1)*slots] {
+				b = binary.AppendUvarint(b, uint64(v+1))
+			}
+			if p.recCount(r) >= 2 {
+				for _, v := range p.lastArea[r*slots : (r+1)*slots] {
+					b = binary.AppendUvarint(b, uint64(v+1))
+				}
+			}
 		}
+		return b
 	})
-	writeSection(3, func(p []byte) {
-		for i := range cb.tweets {
-			putI64(p[8*i:], cb.tweets[i].TS)
+	section(func(b []byte) []byte {
+		for r := range p.users {
+			if p.recCount(r) >= 3 {
+				for _, w := range p.marks[r*tw : (r+1)*tw] {
+					b = binary.LittleEndian.AppendUint64(b, w)
+				}
+			}
 		}
+		return b
 	})
-	writeSection(4, func(p []byte) {
-		for i := range cb.tweets {
-			putU64(p[8*i:], math.Float64bits(cb.tweets[i].Lat))
+	section(func(b []byte) []byte {
+		// Cell ids are geohash-5 cells: 26 bits with the leading marker.
+		for _, c := range p.cells {
+			b = binary.LittleEndian.AppendUint32(b, uint32(c))
 		}
+		return b
 	})
-	writeSection(5, func(p []byte) {
-		for i := range cb.tweets {
-			putU64(p[8*i:], math.Float64bits(cb.tweets[i].Lon))
+	section(func(b []byte) []byte {
+		for r := range p.users {
+			w := p.sums[r].Words()
+			b = binary.LittleEndian.AppendUint64(b, w[1])
+			b = binary.LittleEndian.AppendUint64(b, w[3])
+			b = binary.LittleEndian.AppendUint64(b, w[5])
+			if p.recCount(r) >= 8 {
+				b = binary.LittleEndian.AppendUint64(b, w[0])
+				b = binary.LittleEndian.AppendUint64(b, w[2])
+				b = binary.LittleEndian.AppendUint64(b, w[4])
+			}
 		}
+		return b
 	})
-	writeSection(6, func(p []byte) {
-		for i, v := range cb.assign {
-			putU16(p[2*i:], uint16(v))
+	section(func(b []byte) []byte {
+		for _, c := range p.flows {
+			b = binary.LittleEndian.AppendUint16(b, uint16(c.slot))
+			b = binary.LittleEndian.AppendUint16(b, uint16(c.from))
+			b = binary.LittleEndian.AppendUint16(b, uint16(c.to))
+			b = binary.LittleEndian.AppendUint32(b, uint32(c.n))
 		}
+		return b
 	})
-	writeSection(7, func(p []byte) {
-		for i, v := range cb.vecs {
-			putU64(p[8*i:], math.Float64bits(v))
+	section(func(b []byte) []byte {
+		if sp.factor != 1 {
+			return b
 		}
-	})
-	writeSection(8, func(p []byte) {
-		for i, v := range cb.cells {
-			putU64(p[8*i:], v)
+		k := 0
+		for r := range p.users {
+			for n := p.recCount(r) - 2; n > 0; n-- {
+				off := uint64(sp.mids[k] - p.users[r].firstTS)
+				if sh.midBytes() == 4 {
+					b = binary.LittleEndian.AppendUint32(b, uint32(off))
+				} else {
+					b = binary.LittleEndian.AppendUint64(b, off)
+				}
+				k++
+			}
 		}
+		return b
 	})
 	return out
 }
 
-// bucketSnapshot is one decoded, validated snapshot bucket: records plus
-// their pre-resolved columns, in canonical (user, time, id) order.
-type bucketSnapshot struct {
-	Idx    int64
-	tweets []tweet.Tweet
-	assign []int16
-	vecs   []float64
-	cells  []uint64
+// snapReader walks a section's uvarints, rejecting any that is not the
+// shortest encoding of its value (so an accepted file re-encodes to
+// itself); a failed read sets bad and yields zeros from then on.
+type snapReader struct {
+	p   []byte
+	bad bool
 }
 
-// Count returns the number of records in the snapshot bucket.
-func (bs *bucketSnapshot) Count() int { return len(bs.tweets) }
+func (r *snapReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.p)
+	if n <= 0 || n > 1 && r.p[n-1] == 0 {
+		r.bad, r.p = true, nil
+		return 0
+	}
+	r.p = r.p[n:]
+	return v
+}
 
-// decodeBucketSnapshot parses and fully validates a bucket blob against
-// this shape: magic, version, header CRC, shape hash, width, section
-// ids, lengths and CRCs, assignment bounds, that every record's
-// timestamp maps to the blob's bucket, and that the records are in
-// canonical (user, time, id) order. Any mismatch returns
-// errSnapshotCorrupt — callers degrade that bucket to a cold backfill.
-func (sh *Shape) decodeBucketSnapshot(blob []byte) (*bucketSnapshot, error) {
-	fail := func(format string, args ...any) (*bucketSnapshot, error) {
+// decodeSnapFile parses and fully validates one snapshot file against
+// this shape: magic, version, header and section CRCs, shape hash,
+// width, the file group, every count against the bytes that back it
+// (before anything is allocated), part order and homes, and per partial
+// every invariant the fold relies on — user ids strictly ascending,
+// record and cell counts, times inside the part's span, areas and flow
+// cells inside their slot's region set, mark bits inside it too, cells
+// strictly ascending per row, flow cells strictly ascending, interior
+// times ordered inside their row. Any mismatch returns
+// errSnapshotCorrupt — callers degrade that file to a cold backfill.
+func (sh *Shape) decodeSnapFile(blob []byte) (*snapFile, error) {
+	fail := func(format string, args ...any) (*snapFile, error) {
 		return nil, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
 	if len(blob) < snapHeader {
@@ -239,140 +456,322 @@ func (sh *Shape) decodeBucketSnapshot(blob []byte) (*bucketSnapshot, error) {
 	if v := getU16(blob[4:]); v != snapVersion {
 		return fail("unsupported version %d", v)
 	}
-	if s := getU16(blob[6:]); s != snapSections {
-		return fail("unexpected section count %d", s)
+	if getU16(blob[6:]) != 0 {
+		return fail("reserved header bytes set")
 	}
 	if h := getU64(blob[8:]); h != sh.hash {
 		return fail("shape hash %016x does not match ring %016x", h, sh.hash)
 	}
-	if w := getI64(blob[24:]); w != sh.width {
+	if w := getI64(blob[16:]); w != sh.width {
 		return fail("bucket width %d does not match ring %d", w, sh.width)
 	}
-	idx := getI64(blob[16:])
+	f := &snapFile{group: getI64(blob[24:])}
 	n := int(getU32(blob[32:]))
-	bs := &bucketSnapshot{Idx: idx}
+	if n == 0 || n > (len(blob)-snapHeader)/(snapPartHeader+8*snapSections) {
+		return fail("%d parts in %d bytes", n, len(blob))
+	}
+	f.parts = make([]snapPart, 0, n)
 	off := snapHeader
-	var sections [snapSections][]byte
-	for id := 1; id <= snapSections; id++ {
-		if off+12 > len(blob) {
-			return fail("truncated at section %d", id)
+	for k := 0; k < n; k++ {
+		sp, next, err := sh.decodeSnapPart(blob, off)
+		if err != nil {
+			return nil, err
 		}
-		gotID, l := getU32(blob[off:]), int(getU32(blob[off+4:]))
-		crc := getU32(blob[off+8:])
-		if gotID != uint32(id) {
-			return fail("section id %d, want %d", gotID, id)
+		// The part's index is range-checked, so its first bucket is exact.
+		if at := sp.idx * sp.factor; floorDiv(at, sh.fileSpan()) != f.group || sp.factor > 1 && at%sh.fileSpan() != 0 {
+			return fail("part %d (factor %d, index %d) is not homed in group %d", k, sp.factor, sp.idx, f.group)
 		}
-		if off+12+l > len(blob) {
-			return fail("section %d payload truncated", id)
+		if k > 0 {
+			if prev := &f.parts[k-1]; sp.factor < prev.factor || sp.factor == prev.factor && sp.idx <= prev.idx {
+				return fail("part %d out of order", k)
+			}
 		}
-		p := blob[off+12 : off+12+l]
-		if crc32.ChecksumIEEE(p) != crc {
-			return fail("section %d checksum mismatch", id)
-		}
-		sections[id-1] = p
-		off += 12 + l
+		f.parts = append(f.parts, sp)
+		off = next
 	}
 	if off != len(blob) {
 		return fail("%d trailing bytes", len(blob)-off)
 	}
-	for id, want := range [snapSections]int{8 * n, 8 * n, 8 * n, 8 * n, 8 * n, 2 * n * sh.slots, 8 * 3 * n, len(sections[7])} {
-		if len(sections[id]) != want {
-			return fail("section %d length %d, want %d", id+1, len(sections[id]), want)
-		}
-	}
-	if len(sections[7])%8 != 0 {
-		return fail("cells section length %d not 8-aligned", len(sections[7]))
-	}
-	bs.tweets = make([]tweet.Tweet, n)
-	for i := 0; i < n; i++ {
-		bs.tweets[i] = tweet.Tweet{
-			ID:     getI64(sections[0][8*i:]),
-			UserID: getI64(sections[1][8*i:]),
-			TS:     getI64(sections[2][8*i:]),
-			Lat:    math.Float64frombits(getU64(sections[3][8*i:])),
-			Lon:    math.Float64frombits(getU64(sections[4][8*i:])),
-		}
-		if got := floorDiv(bs.tweets[i].TS, sh.width); got != idx {
-			return fail("record %d timestamp maps to bucket %d, not %d", i, got, idx)
-		}
-		// A restored bucket is folded as already sorted, so the order is
-		// part of the blob's validity, not an assumption about its writer.
-		if i > 0 && canonicalLess(&bs.tweets[i], &bs.tweets[i-1]) {
-			return fail("record %d breaks the (user, time, id) order", i)
-		}
-	}
-	bs.assign = make([]int16, n*sh.slots)
-	for i := range bs.assign {
-		v := int16(getU16(sections[5][2*i:]))
-		if v < -1 || int(v) >= len(sh.regions[i%sh.slots].Areas) {
-			return fail("assignment %d out of range at row %d", v, i/sh.slots)
-		}
-		bs.assign[i] = v
-	}
-	bs.vecs = make([]float64, 3*n)
-	for i := range bs.vecs {
-		bs.vecs[i] = math.Float64frombits(getU64(sections[6][8*i:]))
-	}
-	bs.cells = make([]uint64, len(sections[7])/8)
-	if len(bs.cells) != n {
-		return fail("cells count %d, want %d", len(bs.cells), n)
-	}
-	for i := range bs.cells {
-		bs.cells[i] = getU64(sections[7][8*i:])
-	}
-	return bs, nil
+	return f, nil
 }
 
-// restoreBucket installs a decoded snapshot bucket into the ring and
-// consumes it: an empty slot takes the decoded columns as its own
-// instead of copying them and is marked as already durable. A bucket
-// already holding records (a manifest naming one bucket twice) takes
-// the columns by merge and stays dirty.
-func (a *Aggregator) restoreBucket(bs *bucketSnapshot) {
-	n := len(bs.tweets)
-	if n == 0 {
-		return
+// decodeSnapPart decodes the partial at blob[off:] and returns the
+// offset just past it.
+func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
+	fail := func(format string, args ...any) (snapPart, int, error) {
+		return snapPart{}, 0, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b := a.bucketLocked(bs.Idx)
-	fresh := len(b.tweets) == 0
-	if fresh {
-		b.tweets, b.assign, b.vecs, b.cells = bs.tweets, bs.assign, bs.vecs, bs.cells
-	} else {
-		b.tweets = append(b.tweets, bs.tweets...)
-		b.assign = append(b.assign, bs.assign...)
-		b.vecs = append(b.vecs, bs.vecs...)
-		b.cells = append(b.cells, bs.cells...)
+	if off+snapPartHeader > len(blob) {
+		return fail("truncated part header at %d", off)
 	}
-	bs.tweets, bs.assign, bs.vecs, bs.cells = nil, nil, nil, nil
-	b.sorted = fresh // the decoder checked the blob's canonical order
-	a.touchLocked(bs.Idx, b)
-	if fresh {
-		b.snapRev = b.rev
+	hdr := blob[off : off+snapPartHeader]
+	if crc32.ChecksumIEEE(hdr[:56]) != getU32(hdr[56:]) {
+		return fail("part header checksum mismatch at %d", off)
 	}
-	a.acceptLocked(int64(n))
+	sp := snapPart{factor: getI64(hdr), idx: getI64(hdr[8:])}
+	if sp.factor != 1 && !slices.Contains(sh.rollups, sp.factor) {
+		return fail("factor %d is not a tier of this shape", sp.factor)
+	}
+	// The part's span in buckets must sit inside the int64 millisecond range.
+	limit := math.MaxInt64/sh.width/sp.factor - 1
+	if sp.idx > limit || sp.idx < -limit {
+		return fail("index %d out of range", sp.idx)
+	}
+	spanMs := sp.factor * sh.width
+	base := sp.idx * spanMs
+	nUsers, nFlows := int(getU32(hdr[48:])), int(getU32(hdr[52:]))
+	off += snapPartHeader
+	var sec [snapSections][]byte
+	for id := range sec {
+		if off+8 > len(blob) {
+			return fail("truncated at section %d", id+1)
+		}
+		l := int(getU32(blob[off:]))
+		if l > len(blob)-off-8 {
+			return fail("section %d payload truncated", id+1)
+		}
+		sec[id] = blob[off+8 : off+8+l]
+		if crc32.ChecksumIEEE(sec[id]) != getU32(blob[off+4:]) {
+			return fail("section %d checksum mismatch", id+1)
+		}
+		off += 8 + l
+	}
+	users, areas, marks, cells, sums, flows, mids := sec[0], sec[1], sec[2], sec[3], sec[4], sec[5], sec[6]
+	slots, tw, mb := sh.slots, sh.totalWords, sh.midBytes()
+	// Every row takes at least twelve bytes of users, a byte per slot of
+	// areas, four of cells and 24 of sums: bound the counts by the bytes
+	// before allocating for them.
+	if nUsers == 0 || 12*nUsers > len(users) || slots*nUsers > len(areas) || 4*nUsers > len(cells) || 24*nUsers > len(sums) {
+		return fail("%d user rows do not fit their sections", nUsers)
+	}
+	if len(flows) != 10*nFlows || len(cells)%4 != 0 || len(marks)%(8*tw) != 0 || len(mids)%mb != 0 {
+		return fail("section lengths do not match their counts")
+	}
+	if sp.factor > 1 && len(mids) > 0 {
+		return fail("a merge carries interior times")
+	}
+	p := &partial{
+		seen:      true,
+		bbox:      bboxFromBits(hdr[16:48]),
+		users:     make([]userPart, nUsers),
+		firstArea: make([]int16, nUsers*slots),
+		lastArea:  make([]int16, nUsers*slots),
+		marks:     make([]uint64, nUsers*tw),
+		cells:     make([]uint64, len(cells)/4),
+		sums:      make([]mobility.VecSum, nUsers),
+	}
+	if b := p.bbox; !(b.MinLat <= b.MaxLat && b.MinLon <= b.MaxLon) {
+		return fail("bounding box %+v", b)
+	}
+	r := snapReader{p: users}
+	recs, ncells := uint64(0), uint64(0)
+	for row := range p.users {
+		u := &p.users[row]
+		if len(r.p) < 8 {
+			return fail("users section short at row %d", row)
+		}
+		u.id, r.p = int64(getU64(r.p)), r.p[8:]
+		if row > 0 && u.id <= p.users[row-1].id {
+			return fail("user row %d breaks the ascending id order", row)
+		}
+		first, spread := r.uvarint(), r.uvarint()
+		n, c := r.uvarint()+1, r.uvarint()+1
+		if r.bad || first >= uint64(spanMs) || spread >= uint64(spanMs)-first || n == 0 || c == 0 || c > n || n == 1 && spread != 0 {
+			return fail("user row %d malformed", row)
+		}
+		if n > math.MaxUint32-recs || c > uint64(len(p.cells))-ncells {
+			return fail("user row %d overflows its columns", row)
+		}
+		u.firstTS = base + int64(first)
+		u.lastTS = u.firstTS + int64(spread)
+		u.rec0, u.c0 = uint32(recs), uint32(ncells)
+		recs, ncells = recs+n, ncells+c
+		if row == 0 || u.firstTS < p.firstTS {
+			p.firstTS = u.firstTS
+		}
+		if row == 0 || u.lastTS > p.lastTS {
+			p.lastTS = u.lastTS
+		}
+	}
+	if len(r.p) != 0 || ncells != uint64(len(p.cells)) {
+		return fail("users section does not match its cells")
+	}
+	p.tweets = int64(recs)
+	r = snapReader{p: areas}
+	area := func(s int) int16 {
+		v := r.uvarint()
+		if v > uint64(len(sh.regions[s].Areas)) {
+			r.bad = true
+		}
+		return int16(v) - 1
+	}
+	for row := range p.users {
+		first, last := p.firstArea[row*slots:(row+1)*slots], p.lastArea[row*slots:(row+1)*slots]
+		for s := range first {
+			first[s] = area(s)
+		}
+		if p.recCount(row) >= 2 {
+			for s := range last {
+				last[s] = area(s)
+			}
+		} else {
+			copy(last, first)
+		}
+	}
+	if r.bad || len(r.p) != 0 {
+		return fail("areas section malformed")
+	}
+	for row := range p.users {
+		m := p.marks[row*tw : (row+1)*tw]
+		if p.recCount(row) < 3 {
+			for s := 0; s < slots; s++ {
+				for _, ar := range [2]int16{p.firstArea[row*slots+s], p.lastArea[row*slots+s]} {
+					if ar >= 0 {
+						m[sh.wordOff[s]+int(ar)>>6] |= 1 << (uint(ar) & 63)
+					}
+				}
+			}
+			continue
+		}
+		if len(marks) < 8*tw {
+			return fail("marks section short at row %d", row)
+		}
+		for w := range m {
+			m[w] = getU64(marks[8*w:])
+		}
+		marks = marks[8*tw:]
+		for s := 0; s < slots; s++ {
+			if n := len(sh.regions[s].Areas); n%64 != 0 && m[sh.wordOff[s]+sh.wordsPerSlot[s]-1]>>(n%64) != 0 {
+				return fail("row %d marks an area beyond slot %d", row, s)
+			}
+		}
+	}
+	if len(marks) != 0 {
+		return fail("marks section has %d extra bytes", len(marks))
+	}
+	for row := range p.users {
+		own := p.userCells(row)
+		for i := range own {
+			k := int(p.users[row].c0) + i
+			own[i] = uint64(getU32(cells[4*k:]))
+			if i > 0 && own[i] <= own[i-1] {
+				return fail("row %d cells out of order", row)
+			}
+		}
+	}
+	for row := range p.users {
+		wide := p.recCount(row) >= 8
+		if need := 24 + 24*btoi(wide); len(sums) < need {
+			return fail("sums section short at row %d", row)
+		}
+		var w [6]uint64
+		w[1], w[3], w[5] = getU64(sums), getU64(sums[8:]), getU64(sums[16:])
+		if wide {
+			w[0], w[2], w[4] = getU64(sums[24:]), getU64(sums[32:]), getU64(sums[40:])
+		} else {
+			w[0], w[2], w[4] = uint64(int64(w[1])>>63), uint64(int64(w[3])>>63), uint64(int64(w[5])>>63)
+		}
+		p.sums[row] = mobility.VecSumFromWords(w)
+		sums = sums[24+24*btoi(wide):]
+	}
+	if len(sums) != 0 {
+		return fail("sums section has %d extra bytes", len(sums))
+	}
+	if nFlows > 0 {
+		p.flows = make([]flowCell, nFlows)
+	}
+	for i := range p.flows {
+		q := flows[10*i:]
+		c := flowCell{slot: int16(getU16(q)), from: int16(getU16(q[2:])), to: int16(getU16(q[4:])), n: float64(getU32(q[6:]))}
+		if c.slot < 0 || int(c.slot) >= len(sh.scales) || c.n == 0 {
+			return fail("flow cell %d out of range", i)
+		}
+		if na := int16(len(sh.regions[c.slot].Areas)); c.from < 0 || c.from >= na || c.to < 0 || c.to >= na {
+			return fail("flow cell %d out of range", i)
+		}
+		if i > 0 {
+			if o := p.flows[i-1]; c.slot < o.slot || c.slot == o.slot && (c.from < o.from || c.from == o.from && c.to <= o.to) {
+				return fail("flow cell %d out of order", i)
+			}
+		}
+		p.flows[i] = c
+	}
+	if sp.factor == 1 {
+		want := 0
+		for row := range p.users {
+			want += max(0, p.recCount(row)-2)
+		}
+		if len(mids) != want*mb {
+			return fail("%d bytes of interior times, want %d", len(mids), want*mb)
+		}
+		if want > 0 {
+			sp.mids = make([]int64, 0, want)
+		}
+		for row := range p.users {
+			u := &p.users[row]
+			prev := uint64(0)
+			for n := p.recCount(row) - 2; n > 0; n-- {
+				var o uint64
+				if mb == 4 {
+					o = uint64(getU32(mids))
+				} else {
+					o = getU64(mids)
+				}
+				mids = mids[mb:]
+				if o < prev || o > uint64(u.lastTS-u.firstTS) {
+					return fail("row %d interior times out of order", row)
+				}
+				sp.mids = append(sp.mids, u.firstTS+int64(o))
+				prev = o
+			}
+		}
+	}
+	sp.part = p
+	return sp, off, nil
 }
 
-// snapBucketMeta is one bucket file entry in the snapshot manifest.
-type snapBucketMeta struct {
-	Idx   int64  `json:"idx"`
-	Rev   uint64 `json:"rev"`
-	Count int    `json:"count"`
-	File  string `json:"file"`
+// bboxFromBits reads the four raw float64 bounds appendSnapPart wrote.
+func bboxFromBits(b []byte) geo.BBox {
+	return geo.BBox{
+		MinLat: math.Float64frombits(getU64(b)),
+		MinLon: math.Float64frombits(getU64(b[8:])),
+		MaxLat: math.Float64frombits(getU64(b[16:])),
+		MaxLon: math.Float64frombits(getU64(b[24:])),
+	}
 }
 
-// snapManifest is the atomically renamed catalogue tying bucket files to
-// the store segments they reflect. Covered lists the segment files whose
-// records are fully contained in the bucket files; everything else in
-// the store catalogue at boot is the tail to replay.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// snapFileMeta is one file entry in the snapshot manifest. Bytes is the
+// file's size, so the directory's footprint is known without a stat.
+type snapFileMeta struct {
+	Group   int64  `json:"group"`
+	Buckets int    `json:"buckets"`
+	Records int64  `json:"records"`
+	File    string `json:"file"`
+	Bytes   int64  `json:"bytes"`
+}
+
+// snapManifest is the atomically renamed catalogue tying snapshot files
+// to the store segments they reflect. Covered lists the segment files
+// whose records are fully contained in the files' partials — the
+// segments a restored bucket reads its records back from; everything
+// else in the store catalogue at boot is the tail to replay. Gen numbers
+// the commits, so a commit never writes over a file the manifest on disk
+// still names.
 type snapManifest struct {
-	Version   int              `json:"version"`
-	ShapeHash string           `json:"shape_hash"`
-	Width     int64            `json:"width_ms"`
-	Covered   []string         `json:"covered_segments,omitempty"`
-	Buckets   []snapBucketMeta `json:"buckets"`
-	CRC       string           `json:"crc"`
+	Version   int            `json:"version"`
+	ShapeHash string         `json:"shape_hash"`
+	Width     int64          `json:"width_ms"`
+	Gen       uint64         `json:"gen"`
+	Covered   []string       `json:"covered_segments,omitempty"`
+	Files     []snapFileMeta `json:"files"`
+	CRC       string         `json:"crc"`
 }
 
 func (m *snapManifest) computeCRC() string {
@@ -387,10 +786,12 @@ func (m *snapManifest) computeCRC() string {
 
 // SnapshotStats is a snapshot directory's health block.
 type SnapshotStats struct {
-	// Buckets and Bytes describe the last committed manifest's files on
-	// disk; Written counts bucket files written by the last commit;
+	// Buckets, Files and Bytes describe the last committed manifest: the
+	// buckets its files hold, the files, and their bytes on disk with the
+	// manifest's own; Written counts files written by the last commit;
 	// LastUnixMs is the wall-clock commit time (0 before the first).
 	Buckets    int   `json:"buckets"`
+	Files      int   `json:"files"`
 	Bytes      int64 `json:"bytes"`
 	Written    int   `json:"written"`
 	LastUnixMs int64 `json:"last_unix_ms"`
@@ -401,12 +802,13 @@ type SnapshotStats struct {
 // commit time is the latest.
 func (s *SnapshotStats) Merge(o SnapshotStats) {
 	s.Buckets += o.Buckets
+	s.Files += o.Files
 	s.Bytes += o.Bytes
 	s.Written += o.Written
 	s.LastUnixMs = max(s.LastUnixMs, o.LastUnixMs)
 }
 
-// SnapshotStore owns one snapshot directory: bucket blob files plus the
+// SnapshotStore owns one snapshot directory: file-group files plus the
 // manifest, every write temp-file-fsync-renamed so a crash at any byte
 // leaves either the old snapshot or the new one, never a torn hybrid.
 type SnapshotStore struct {
@@ -429,14 +831,23 @@ func OpenSnapshotStore(dir string) (*SnapshotStore, error) {
 	s := &SnapshotStore{dir: dir}
 	if man, err := s.loadManifest(); err == nil {
 		s.man = man
-		s.bytes = s.manifestBytes(man)
 		// The manifest rename is the commit point, so its mtime is the
 		// last commit time — surviving restarts for health reporting.
 		if info, err := os.Stat(filepath.Join(dir, snapManifestName)); err == nil {
 			s.last = info.ModTime().UnixMilli()
+			s.bytes = info.Size() + man.fileBytes()
 		}
 	}
 	return s, nil
+}
+
+// fileBytes sums the sizes the manifest records for its files.
+func (m *snapManifest) fileBytes() int64 {
+	var total int64
+	for _, fm := range m.Files {
+		total += fm.Bytes
+	}
+	return total
 }
 
 // Dir returns the snapshot directory.
@@ -454,7 +865,8 @@ func (s *SnapshotStore) loadManifest() (*snapManifest, error) {
 }
 
 // parseManifest decodes and validates a manifest file's bytes: JSON,
-// manifestVersion, and a CRC over the rest of its fields. An older
+// manifestVersion, a CRC over the rest of its fields, and one file per
+// group. An older
 // version is rejected like a corrupt file: a snapshot is a cache, so its
 // directory degrades to a full rescan.
 func parseManifest(raw []byte) (*snapManifest, error) {
@@ -468,84 +880,104 @@ func parseManifest(raw []byte) (*snapManifest, error) {
 	if man.CRC == "" || man.CRC != man.computeCRC() {
 		return nil, fmt.Errorf("%w: manifest checksum mismatch", errSnapshotCorrupt)
 	}
+	// A commit writes each group once, ascending; a group named twice
+	// would restore its buckets twice.
+	for i := 1; i < len(man.Files); i++ {
+		if man.Files[i].Group <= man.Files[i-1].Group {
+			return nil, fmt.Errorf("%w: manifest names group %d out of order", errSnapshotCorrupt, man.Files[i].Group)
+		}
+	}
 	return man, nil
 }
 
-// manifestBytes sums the on-disk size of the manifest and its files.
-func (s *SnapshotStore) manifestBytes(man *snapManifest) int64 {
-	var total int64
-	if info, err := os.Stat(filepath.Join(s.dir, snapManifestName)); err == nil {
-		total += info.Size()
-	}
-	for _, bm := range man.Buckets {
-		if info, err := os.Stat(filepath.Join(s.dir, bm.File)); err == nil {
-			total += info.Size()
+// statsLocked reports the committed state. Caller holds s.mu.
+func (s *SnapshotStore) statsLocked() SnapshotStats {
+	st := SnapshotStats{Bytes: s.bytes, Written: s.written, LastUnixMs: s.last}
+	if s.man != nil {
+		st.Files = len(s.man.Files)
+		for _, fm := range s.man.Files {
+			st.Buckets += fm.Buckets
 		}
 	}
-	return total
+	return st
 }
 
 // Stats reports the committed snapshot state.
 func (s *SnapshotStore) Stats() SnapshotStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := SnapshotStats{Bytes: s.bytes, Written: s.written, LastUnixMs: s.last}
-	if s.man != nil {
-		st.Buckets = len(s.man.Buckets)
-	}
-	return st
+	return s.statsLocked()
 }
 
-// Commit durably persists a ring capture: every dirty bucket becomes a
-// fresh blob file, clean buckets keep their files from the previous
-// manifest, and the new manifest — naming covered as the segment files
-// it reflects — lands with one atomic rename. Files no longer referenced
-// are deleted afterwards. On success the caller marks the capture's
-// revisions snapshotted.
+// Commit durably persists a ring capture: every changed file group is
+// encoded (on every processor) into a fresh file, unchanged groups keep
+// their files from the previous manifest by reference, and the new
+// manifest — naming covered as the segment files it reflects — lands
+// with one atomic rename. Files no longer referenced are deleted
+// afterwards. On success the caller marks the capture snapshotted.
 func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats, error) {
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(c.dirty) == 0 && s.man != nil &&
-		len(s.man.Buckets) == len(c.live) && slices.Equal(s.man.Covered, covered) {
-		st := SnapshotStats{Buckets: len(s.man.Buckets), Bytes: s.bytes, Written: 0, LastUnixMs: s.last}
-		return st, nil
-	}
-	prev := map[int64]snapBucketMeta{}
+	prev := map[int64]snapFileMeta{}
+	var gen uint64 = 1
 	if s.man != nil {
-		for _, bm := range s.man.Buckets {
-			prev[bm.Idx] = bm
+		for _, fm := range s.man.Files {
+			prev[fm.Group] = fm
+		}
+		gen = s.man.Gen + 1
+	}
+	var dirty []int
+	for i := range c.files {
+		if c.files[i].dirty != nil {
+			dirty = append(dirty, i)
 		}
 	}
-	dirty := map[int64]*capturedBucket{}
-	for i := range c.dirty {
-		dirty[c.dirty[i].idx] = &c.dirty[i]
+	if len(dirty) == 0 && s.man != nil && len(s.man.Files) == len(c.files) && slices.Equal(s.man.Covered, covered) {
+		s.written = 0
+		return s.statsLocked(), nil
 	}
+	metas := make([]snapFileMeta, len(c.files))
+	errs := make([]error, len(c.files))
+	runTasks(len(dirty), func(k int) {
+		cf := &c.files[dirty[k]]
+		if len(cf.dirty.parts) == 0 {
+			return // a group whose only merge went stale: no file
+		}
+		name := fmt.Sprintf("g%d-%d%s", cf.group, gen, snapSuffix)
+		blob := c.sh.encodeSnapFile(cf.dirty)
+		if err := tweetdb.AtomicWriteFile(filepath.Join(s.dir, name), blob); err != nil {
+			errs[dirty[k]] = fmt.Errorf("live: write snapshot group %d: %w", cf.group, err)
+			return
+		}
+		n, records := cf.dirty.buckets()
+		metas[dirty[k]] = snapFileMeta{Group: cf.group, Buckets: n, Records: records, File: name, Bytes: int64(len(blob))}
+	})
 	man := &snapManifest{
 		Version:   manifestVersion,
-		ShapeHash: fmt.Sprintf("%016x", c.shapeHash),
-		Width:     c.width,
+		ShapeHash: fmt.Sprintf("%016x", c.sh.hash),
+		Width:     c.sh.width,
+		Gen:       gen,
 		Covered:   covered,
 	}
-	written := 0
-	var blobBytes int64
-	for _, ref := range c.live {
-		if cb := dirty[ref.Idx]; cb != nil {
-			name := fmt.Sprintf("bk-%d-%016x%s", cb.idx, cb.rev, snapSuffix)
-			blob := encodeBucketBlob(c.shapeHash, c.width, c.slots, cb)
-			if err := tweetdb.AtomicWriteFile(filepath.Join(s.dir, name), blob); err != nil {
-				return SnapshotStats{}, fmt.Errorf("live: write snapshot bucket %d: %w", cb.idx, err)
+	written, fileBytes := 0, int64(0)
+	for i, cf := range c.files {
+		if errs[i] != nil {
+			return SnapshotStats{}, errs[i]
+		}
+		if cf.dirty == nil {
+			pm, ok := prev[cf.group]
+			if !ok {
+				return SnapshotStats{}, fmt.Errorf("live: snapshot commit: clean group %d has no prior file", cf.group)
 			}
-			blobBytes += int64(len(blob))
-			man.Buckets = append(man.Buckets, snapBucketMeta{Idx: cb.idx, Rev: cb.rev, Count: len(cb.tweets), File: name})
-			written++
+			metas[i] = pm
+		} else if metas[i].File == "" {
 			continue
+		} else {
+			written++
+			fileBytes += metas[i].Bytes
 		}
-		pm, ok := prev[ref.Idx]
-		if !ok {
-			return SnapshotStats{}, fmt.Errorf("live: snapshot commit: clean bucket %d has no prior file", ref.Idx)
-		}
-		man.Buckets = append(man.Buckets, pm)
+		man.Files = append(man.Files, metas[i])
 	}
 	man.CRC = man.computeCRC()
 	raw, err := json.MarshalIndent(man, "", "  ")
@@ -556,8 +988,8 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 		return SnapshotStats{}, fmt.Errorf("live: save snapshot manifest: %w", err)
 	}
 	referenced := map[string]bool{}
-	for _, bm := range man.Buckets {
-		referenced[bm.File] = true
+	for _, fm := range man.Files {
+		referenced[fm.File] = true
 	}
 	if entries, err := os.ReadDir(s.dir); err == nil {
 		for _, e := range entries {
@@ -568,12 +1000,12 @@ func (s *SnapshotStore) Commit(c *RingCapture, covered []string) (SnapshotStats,
 		}
 	}
 	s.man = man
-	s.bytes = s.manifestBytes(man)
+	s.bytes = int64(len(raw)) + man.fileBytes()
 	s.written = written
 	s.last = time.Now().UnixMilli()
 	mSnapCommits.Inc()
 	mSnapFiles.Add(int64(written))
-	mSnapBytes.Add(blobBytes)
+	mSnapBytes.Add(fileBytes)
 	mSnapCommitSecs.Observe(time.Since(t0).Seconds())
-	return SnapshotStats{Buckets: len(man.Buckets), Bytes: s.bytes, Written: written, LastUnixMs: s.last}, nil
+	return s.statsLocked(), nil
 }

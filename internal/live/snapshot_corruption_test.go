@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -24,31 +25,38 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// snapCorruptionFixture builds a store + committed snapshot over a small
-// corpus and returns everything a damage matrix needs: the shared shape
-// (ring construction per trial is then cheap), the store, the snapshot
-// directory, the pristine bytes of every snapshot file, and the cold
-// reference results. The same contract as the WAL and store corruption
-// matrices: damage anywhere must never panic and never change a /v1
-// answer — corruption only ever costs recovery time.
+// snapFixture is a store + committed snapshot over a small corpus and
+// everything a damage matrix needs: the shared shape (ring construction
+// per trial is then cheap), the store, the snapshot directory, the
+// pristine bytes of every snapshot file, and the cold reference
+// results. The same contract as the WAL and store corruption matrices:
+// damage anywhere must never panic and never change a /v1 answer —
+// corruption only ever costs recovery time.
 type snapFixture struct {
 	shape *Shape
 	store *tweetdb.Store
 	dir   string
 	files map[string][]byte // pristine content of every snapshot file
+	man   *snapManifest
 	reqs  []core.Request
 	refs  []*core.Result
 }
 
+// newSnapFixture is the default fixture: hourly buckets over ten days,
+// so the snapshot is ten day files of hour partials and day merges.
 func newSnapFixture(t testing.TB) *snapFixture {
 	t.Helper()
-	return newSnapFixtureWidth(t, 31*24*time.Hour)
+	return newSnapFixtureSpan(t, time.Hour, 10, 40)
 }
 
-func newSnapFixtureWidth(t testing.TB, width time.Duration) *snapFixture {
+// newSnapFixtureSpan builds a fixture at one bucket width over the users'
+// records in the first days of the collection window. A stats query
+// before the commit merges every closed rollup group, so the files carry
+// merges.
+func newSnapFixtureSpan(t testing.TB, width time.Duration, days, users int) *snapFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1234))
-	all, sorted := snapCorpus(t, 120, 77)
+	all, sorted := snapCorpusDays(t, users, 77, days)
 	root := t.TempDir()
 	store, err := tweetdb.Open(filepath.Join(root, "store"))
 	if err != nil {
@@ -76,6 +84,9 @@ func newSnapFixtureWidth(t testing.TB, width time.Duration) *snapFixture {
 	if err := ing.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := agg.Query(core.Request{Analyses: []core.Analysis{core.AnalysisStats}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := ing.Snapshot(snaps); err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +101,9 @@ func newSnapFixtureWidth(t testing.TB, width time.Duration) *snapFixture {
 			t.Fatal(err)
 		}
 		f.files[e.Name()] = raw
+	}
+	if f.man, err = parseManifest(f.files[snapManifestName]); err != nil {
+		t.Fatal(err)
 	}
 	// Per-analysis requests: the tiny corpus can't support the full
 	// study's model fits, but stats + population + national flows touch
@@ -138,23 +152,100 @@ func (f *snapFixture) recoverFresh(t *testing.T, label string) (*Aggregator, Rec
 	return agg, st
 }
 
-// bucketFile picks the smallest bucket blob — the densest damage matrix
-// for the fewest recovery runs.
-func (f *snapFixture) bucketFile(t testing.TB) (string, []byte) {
+// dayFile picks the smallest file holding at least two hour partials and
+// a day merge with flow cells and two users — the densest damage matrix for the fewest
+// recovery runs — and returns its name, bytes, decoded content and
+// manifest entry.
+func (f *snapFixture) dayFile(t testing.TB) (string, []byte, *snapFile, snapFileMeta) {
 	t.Helper()
-	name, size := "", 0
-	for n, raw := range f.files {
-		if n == snapManifestName {
+	var best snapFileMeta
+	var bestFile *snapFile
+	for _, fm := range f.man.Files {
+		sf, err := f.shape.decodeSnapFile(f.files[fm.File])
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := sf.parts[len(sf.parts)-1]
+		if fm.Buckets < 2 || last.factor == 1 || len(last.part.flows) == 0 || len(last.part.users) < 2 {
 			continue
 		}
-		if name == "" || len(raw) < size {
-			name, size = n, len(raw)
+		if bestFile == nil || fm.Bytes < best.Bytes {
+			best, bestFile = fm, sf
 		}
 	}
-	if name == "" {
-		t.Fatal("fixture has no bucket files")
+	if bestFile == nil {
+		t.Fatal("fixture has no day file with a merge")
 	}
-	return name, f.files[name]
+	return best.File, f.files[best.File], bestFile, best
+}
+
+// patchSection returns a copy of a snapshot file with section sec of its
+// part-th partial passed through fn and that section's CRC recomputed.
+func patchSection(blob []byte, part, sec int, fn func(p []byte)) []byte {
+	out := append([]byte(nil), blob...)
+	off := snapHeader
+	for k := 0; ; k++ {
+		off += snapPartHeader
+		for s := 0; s < snapSections; s++ {
+			l := int(getU32(out[off:]))
+			if k == part && s == sec {
+				p := out[off+8 : off+8+l]
+				fn(p)
+				putU32(out[off+4:], crc32.ChecksumIEEE(p))
+				return out
+			}
+			off += 8 + l
+		}
+	}
+}
+
+// damagedShapes are the structured failure shapes a byte matrix can
+// miss, each a whole file to put in place of a day file: a zeroed header,
+// a version bump with a valid header CRC (forward-compatibility gate), a
+// v1 bucket blob's magic and version, trailing garbage, and three files
+// every CRC accepts — user rows out of order, an area id beyond its
+// region set, a flow cell beyond it.
+func (f *snapFixture) damagedShapes(t testing.TB, pristine []byte, sf *snapFile) map[string][]byte {
+	t.Helper()
+	merge := len(sf.parts) - 1
+	shapes := map[string][]byte{}
+	zeroed := append([]byte(nil), pristine...)
+	clear(zeroed[:snapHeader])
+	shapes["zeroed-header"] = zeroed
+	for label, v := range map[string]uint16{"version-bump-valid-crc": snapVersion + 1, "v1-blob-valid-crc": 1} {
+		d := append([]byte(nil), pristine...)
+		binary.LittleEndian.PutUint16(d[4:], v)
+		binary.LittleEndian.PutUint32(d[36:], crc32.ChecksumIEEE(d[:36]))
+		shapes[label] = d
+	}
+	shapes["trailing-garbage"] = append(append([]byte(nil), pristine...), 0xDE, 0xAD)
+	widest := 0
+	for k := range sf.parts {
+		if len(sf.parts[k].part.users) > len(sf.parts[widest].part.users) {
+			widest = k
+		}
+	}
+	if len(sf.parts[widest].part.users) < 2 {
+		t.Fatal("no partial of the day file has two user rows")
+	}
+	shapes["rows-swapped-valid-crcs"] = testx.SwapSnapshotRows(pristine, widest, 0, len(sf.parts[widest].part.users)-1)
+	shapes["area-out-of-range-valid-crcs"] = patchSection(pristine, 0, 1, func(p []byte) { p[0] = 0x7f })
+	shapes["flow-out-of-range-valid-crcs"] = patchSection(pristine, merge, 5, func(p []byte) { binary.LittleEndian.PutUint16(p[2:], 0x7fff) })
+	for label, d := range shapes {
+		if _, err := f.shape.decodeSnapFile(d); !errors.Is(err, errSnapshotCorrupt) {
+			t.Errorf("decode of %s: %v, want errSnapshotCorrupt", label, err)
+		}
+	}
+	return shapes
+}
+
+// manifestBuckets sums the buckets a manifest's files hold.
+func manifestBuckets(man *snapManifest) int {
+	n := 0
+	for _, fm := range man.Files {
+		n += fm.Buckets
+	}
+	return n
 }
 
 // assertHealed requires the recovered ring to answer bit-identically to
@@ -164,13 +255,23 @@ func (f *snapFixture) assertHealed(t *testing.T, agg *Aggregator, label string) 
 	assertAggMatchesRefs(t, agg, f.reqs, f.refs, label)
 }
 
-// TestSnapshotBucketCorruptionMatrix flips every byte of a bucket blob
-// in turn: recovery must degrade exactly that bucket to a windowed cold
-// backfill — never panic, never change an answer. The mirror of the WAL
-// spool and store segment corruption matrices.
+// assertOneDayDegraded requires a recovery to have degraded exactly the
+// damaged day file's buckets to a backfill.
+func assertOneDayDegraded(t *testing.T, st RecoveryStats, fm snapFileMeta, total int, label string) {
+	t.Helper()
+	if st.FullRescan || st.SnapErrors != 1 || st.Backfilled != fm.Buckets || st.Restored != total-fm.Buckets {
+		t.Fatalf("%s: stats %+v, want exactly the %d buckets of group %d degraded", label, st, fm.Buckets, fm.Group)
+	}
+}
+
+// TestSnapshotBucketCorruptionMatrix flips every byte of a day file in
+// turn: recovery must degrade exactly that day's buckets to a windowed
+// cold backfill — never panic, never change an answer. The mirror of the
+// WAL spool and store segment corruption matrices.
 func TestSnapshotBucketCorruptionMatrix(t *testing.T) {
 	f := newSnapFixture(t)
-	name, pristine := f.bucketFile(t)
+	name, pristine, _, fm := f.dayFile(t)
+	total := manifestBuckets(f.man)
 	path := filepath.Join(f.dir, name)
 	stride := 1
 	if testing.Short() {
@@ -183,26 +284,22 @@ func TestSnapshotBucketCorruptionMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg, st := f.recoverFresh(t, "flip")
-		if st.FullRescan {
-			t.Fatalf("flip at byte %d: one damaged bucket caused a full rescan", p)
-		}
-		if st.SnapErrors != 1 || st.Backfilled != 1 {
-			t.Fatalf("flip at byte %d: stats %+v, want exactly one bucket degraded", p, st)
-		}
+		assertOneDayDegraded(t, st, fm, total, fmt.Sprintf("flip at byte %d", p))
 		// Answers are compared on a sample — the decode+backfill path runs
 		// for every flip, the fold comparison is the expensive part.
 		if p%13 == 0 {
-			f.assertHealed(t, agg, "flipped bucket")
+			f.assertHealed(t, agg, "flipped day file")
 		}
 	}
 	f.restore(t)
 }
 
-// TestSnapshotBucketTruncationMatrix truncates the blob at every length
-// (the torn-write shape): same contract as the flip matrix.
+// TestSnapshotBucketTruncationMatrix truncates a day file at every
+// length (the torn-write shape): same contract as the flip matrix.
 func TestSnapshotBucketTruncationMatrix(t *testing.T) {
 	f := newSnapFixture(t)
-	name, pristine := f.bucketFile(t)
+	name, pristine, _, fm := f.dayFile(t)
+	total := manifestBuckets(f.man)
 	path := filepath.Join(f.dir, name)
 	stride := 1
 	if testing.Short() {
@@ -213,57 +310,27 @@ func TestSnapshotBucketTruncationMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg, st := f.recoverFresh(t, "truncate")
-		if st.FullRescan || st.SnapErrors != 1 || st.Backfilled != 1 {
-			t.Fatalf("truncate at %d: stats %+v, want exactly one bucket degraded", cut, st)
-		}
+		assertOneDayDegraded(t, st, fm, total, fmt.Sprintf("truncate at %d", cut))
 		if cut%13 == 0 {
-			f.assertHealed(t, agg, "truncated bucket")
+			f.assertHealed(t, agg, "truncated day file")
 		}
 	}
 	f.restore(t)
 }
 
 // TestSnapshotBucketDamageShapes covers the structured failure shapes a
-// byte matrix can miss: a zeroed header, a version bump with a *valid*
-// header CRC (forward-compatibility gate), a missing file (torn rename),
-// trailing garbage, and rows out of canonical order under valid CRCs.
+// byte matrix can miss (damagedShapes) plus a missing file (a torn
+// rename): each degrades exactly its day.
 func TestSnapshotBucketDamageShapes(t *testing.T) {
 	f := newSnapFixture(t)
-	name, pristine := f.bucketFile(t)
+	name, pristine, sf, fm := f.dayFile(t)
+	total := manifestBuckets(f.man)
 	path := filepath.Join(f.dir, name)
-
 	shapes := map[string]func() error{
-		"zeroed-header": func() error {
-			damaged := append([]byte(nil), pristine...)
-			for i := 0; i < snapHeader; i++ {
-				damaged[i] = 0
-			}
-			return os.WriteFile(path, damaged, 0o644)
-		},
-		"version-bump-valid-crc": func() error {
-			damaged := append([]byte(nil), pristine...)
-			binary.LittleEndian.PutUint16(damaged[4:], snapVersion+1)
-			binary.LittleEndian.PutUint32(damaged[36:], crc32.ChecksumIEEE(damaged[:36]))
-			return os.WriteFile(path, damaged, 0o644)
-		},
-		"missing-file": func() error {
-			return os.Remove(path)
-		},
-		"trailing-garbage": func() error {
-			damaged := append(append([]byte(nil), pristine...), 0xDE, 0xAD)
-			return os.WriteFile(path, damaged, 0o644)
-		},
-		// Every CRC holds, every row is in bounds, but the rows are not in
-		// the order a restored bucket is folded in: the decoder must check
-		// it, because nothing after it does.
-		"rows-swapped-valid-crcs": func() error {
-			n := int(binary.LittleEndian.Uint32(pristine[32:]))
-			damaged := testx.SwapSnapshotRows(pristine, 0, n-1)
-			if _, err := f.shape.decodeBucketSnapshot(damaged); !errors.Is(err, errSnapshotCorrupt) {
-				t.Errorf("decode of a blob with rows 0 and %d swapped: %v, want errSnapshotCorrupt", n-1, err)
-			}
-			return os.WriteFile(path, damaged, 0o644)
-		},
+		"missing-file": func() error { return os.Remove(path) },
+	}
+	for label, d := range f.damagedShapes(t, pristine, sf) {
+		shapes[label] = func() error { return os.WriteFile(path, d, 0o644) }
 	}
 	for label, damage := range shapes {
 		f.restore(t)
@@ -271,9 +338,7 @@ func TestSnapshotBucketDamageShapes(t *testing.T) {
 			t.Fatalf("%s: apply: %v", label, err)
 		}
 		agg, st := f.recoverFresh(t, label)
-		if st.FullRescan || st.SnapErrors != 1 || st.Backfilled != 1 {
-			t.Fatalf("%s: stats %+v, want exactly one bucket degraded", label, st)
-		}
+		assertOneDayDegraded(t, st, fm, total, label)
 		f.assertHealed(t, agg, label)
 	}
 }
@@ -309,46 +374,48 @@ func TestSnapshotManifestCorruptionMatrix(t *testing.T) {
 }
 
 // TestSnapshotManifestMissing treats an absent manifest as "never
-// snapshotted": full cold backfill, identical answers. A version-1
-// manifest — valid CRC, every bucket file intact, and the has_floor and
-// floor_idx fields that version carried — takes the same path: a
-// snapshot is a cache, so an older format costs a rescan, never a
-// wrong answer.
+// snapshotted": full cold backfill, identical answers. A version-2
+// manifest — valid CRC, naming per-bucket blob files in the format that
+// version carried, each present — takes the same path: a snapshot is a
+// cache, so an older format costs a rescan, never a wrong answer.
 func TestSnapshotManifestMissing(t *testing.T) {
 	f := newSnapFixture(t)
 	path := filepath.Join(f.dir, snapManifestName)
-	cur, err := parseManifest(f.files[snapManifestName])
+	type bucketMeta struct {
+		Idx   int64  `json:"idx"`
+		Rev   uint64 `json:"rev"`
+		Count int    `json:"count"`
+		File  string `json:"file"`
+	}
+	v2 := struct {
+		Version   int          `json:"version"`
+		ShapeHash string       `json:"shape_hash"`
+		Width     int64        `json:"width_ms"`
+		Covered   []string     `json:"covered_segments,omitempty"`
+		Buckets   []bucketMeta `json:"buckets"`
+		CRC       string       `json:"crc"`
+	}{Version: 2, ShapeHash: f.man.ShapeHash, Width: f.man.Width, Covered: f.man.Covered}
+	for _, fm := range f.man.Files {
+		v2.Buckets = append(v2.Buckets, bucketMeta{Idx: fm.Group, Rev: 1, Count: int(fm.Records), File: fm.File})
+	}
+	unsigned, err := json.Marshal(&v2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := struct {
-		Version   int              `json:"version"`
-		ShapeHash string           `json:"shape_hash"`
-		Width     int64            `json:"width_ms"`
-		Floored   bool             `json:"has_floor"`
-		Floor     int64            `json:"floor_idx"`
-		Covered   []string         `json:"covered_segments,omitempty"`
-		Buckets   []snapBucketMeta `json:"buckets"`
-		CRC       string           `json:"crc"`
-	}{Version: 1, ShapeHash: cur.ShapeHash, Width: cur.Width, Covered: cur.Covered, Buckets: cur.Buckets}
-	unsigned, err := json.Marshal(&v1)
+	v2.CRC = fmt.Sprintf("%08x", crc32.ChecksumIEEE(unsigned))
+	v2Raw, err := json.MarshalIndent(&v2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1.CRC = fmt.Sprintf("%08x", crc32.ChecksumIEEE(unsigned))
-	v1Raw, err := json.MarshalIndent(&v1, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := parseManifest(v1Raw); err == nil || !strings.Contains(err.Error(), "version 1") {
-		t.Fatalf("parse of a version-1 manifest: %v, want an error naming version 1", err)
+	if _, err := parseManifest(v2Raw); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("parse of a version-2 manifest: %v, want an error naming version 2", err)
 	}
 	for _, in := range []struct {
 		label  string
 		damage func() error
 	}{
 		{"missing manifest", func() error { return os.Remove(path) }},
-		{"version-1 manifest", func() error { return os.WriteFile(path, v1Raw, 0o644) }},
+		{"version-2 manifest", func() error { return os.WriteFile(path, v2Raw, 0o644) }},
 	} {
 		f.restore(t)
 		if err := in.damage(); err != nil {
@@ -400,35 +467,47 @@ func TestSnapshotForeignShapeRejected(t *testing.T) {
 	if !st.FullRescan {
 		t.Fatalf("foreign-shape snapshot was accepted: %+v", st)
 	}
-	// And a decoded blob from the foreign snapshot must not inject.
-	name, raw := f.bucketFile(t)
-	if _, err := other.decodeBucketSnapshot(raw); err == nil {
-		t.Fatalf("decode of foreign-shape blob %s succeeded", name)
+	// And a decoded file from the foreign snapshot must not inject.
+	name, raw, _, _ := f.dayFile(t)
+	if _, err := other.decodeSnapFile(raw); err == nil {
+		t.Fatalf("decode of foreign-shape file %s succeeded", name)
 	}
 }
 
-// FuzzDecodeBucketSnapshot fuzzes the one decoder that reads bucket blobs
-// back from disk — concurrently, at boot. Seeded
-// with the damage the matrices above apply, it must never panic, never
-// allocate more than the blob's own size justifies (a header may claim
-// four billion rows), and accept only canonical blobs: whatever decodes
-// re-encodes to the very bytes it was decoded from.
+// FuzzDecodeBucketSnapshot fuzzes the one decoder that reads snapshot
+// files back from disk — concurrently, at boot — over one day file of
+// hour partials and a day merge. Seeded with the damage the matrices
+// above apply, it must never panic, never allocate more than the file's
+// own size justifies (a header may claim four billion rows), and accept
+// only canonical files: whatever decodes re-encodes to the very bytes it
+// was decoded from.
 func FuzzDecodeBucketSnapshot(f *testing.F) {
 	fx := newSnapFixture(f)
-	_, pristine := fx.bucketFile(f)
+	_, pristine, sf, _ := fx.dayFile(f)
 	f.Add(pristine)
-	for _, p := range []int{0, 5, 17, 33, 37, snapHeader + 2, snapHeader + 9, snapHeader + 40, len(pristine) / 2, len(pristine) - 1} {
-		flipped := append([]byte(nil), pristine...)
-		flipped[p] ^= 0xA5
-		f.Add(flipped)
-	}
-	f.Add(pristine[:snapHeader])
 	f.Add(pristine[:len(pristine)/2])
-	f.Add(testx.SwapSnapshotRows(pristine, 0, 1))
+	f.Add(pristine[:snapHeader])
+	// A flipped CRC: the first part's users section checksum.
+	crcFlip := append([]byte(nil), pristine...)
+	crcFlip[snapHeader+snapPartHeader+4] ^= 0xA5
+	f.Add(crcFlip)
+	shapes := fx.damagedShapes(f, pristine, sf)
+	for _, label := range []string{"zeroed-header", "v1-blob-valid-crc", "rows-swapped-valid-crcs", "area-out-of-range-valid-crcs", "flow-out-of-range-valid-crcs", "version-bump-valid-crc", "trailing-garbage"} {
+		f.Add(shapes[label])
+	}
 	claim := append([]byte(nil), pristine...)
 	binary.LittleEndian.PutUint32(claim[32:], math.MaxUint32)
 	binary.LittleEndian.PutUint32(claim[36:], crc32.ChecksumIEEE(claim[:36]))
 	f.Add(claim)
+	rows := append([]byte(nil), pristine...)
+	binary.LittleEndian.PutUint32(rows[snapHeader+48:], math.MaxUint32)
+	binary.LittleEndian.PutUint32(rows[snapHeader+56:], crc32.ChecksumIEEE(rows[snapHeader:snapHeader+56]))
+	f.Add(rows)
+	for _, p := range []int{5, 29, len(pristine) - 1} {
+		flipped := append([]byte(nil), pristine...)
+		flipped[p] ^= 0xA5
+		f.Add(flipped)
+	}
 	f.Add([]byte{})
 
 	sh := fx.shape
@@ -438,12 +517,23 @@ func FuzzDecodeBucketSnapshot(f *testing.F) {
 		return allocs[0].Value.Uint64()
 	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		// A decoded partial holds at most four times its file bytes (136
+		// heap bytes a user row at four slots, a row at least 44 file
+		// bytes); the slack covers the error message and the test runtime.
+		limit := uint64(4*len(blob) + 1<<16)
 		before := allocated()
-		bs, err := sh.decodeBucketSnapshot(blob)
-		// A decoded bucket is as large as its blob (80 bytes a row at four
-		// slots); the slack covers the error message and the test runtime.
-		if got, limit := allocated()-before, uint64(4*len(blob)+1<<16); got > limit {
-			t.Fatalf("decoding %d bytes allocated %d", len(blob), got)
+		got, err := sh.decodeSnapFile(blob)
+		if used := allocated() - before; used > limit {
+			// The runtime books small allocations when a cached span is
+			// swapped out, so one decode can be charged for what earlier
+			// code left in the span. A real excess repeats once a GC has
+			// flushed every cache.
+			runtime.GC()
+			before = allocated()
+			sh.decodeSnapFile(blob)
+			if used = allocated() - before; used > limit {
+				t.Fatalf("decoding %d bytes allocated %d", len(blob), used)
+			}
 		}
 		if err != nil {
 			if !errors.Is(err, errSnapshotCorrupt) {
@@ -451,9 +541,8 @@ func FuzzDecodeBucketSnapshot(f *testing.F) {
 			}
 			return
 		}
-		cb := capturedBucket{idx: bs.Idx, tweets: bs.tweets, assign: bs.assign, vecs: bs.vecs, cells: bs.cells}
-		if again := encodeBucketBlob(sh.hash, sh.width, sh.slots, &cb); !bytes.Equal(again, blob) {
-			t.Fatal("an accepted blob does not re-encode to itself")
+		if again := sh.encodeSnapFile(got); !bytes.Equal(again, blob) {
+			t.Fatal("an accepted file does not re-encode to itself")
 		}
 	})
 }

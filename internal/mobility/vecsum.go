@@ -82,3 +82,18 @@ func GyrationRadiusKM(s VecSum, n int) float64 {
 	}
 	return geo.EarthRadius / 1000 * math.Sqrt(1-norm2)
 }
+
+// Words returns the sum's six 64-bit words — x, y and z, each high word
+// first — for codecs that must carry it bit for bit.
+func (s VecSum) Words() [6]uint64 {
+	return [6]uint64{uint64(s.x.hi), s.x.lo, uint64(s.y.hi), s.y.lo, uint64(s.z.hi), s.z.lo}
+}
+
+// VecSumFromWords is the inverse of Words.
+func VecSumFromWords(w [6]uint64) VecSum {
+	return VecSum{
+		x: fix128{hi: int64(w[0]), lo: w[1]},
+		y: fix128{hi: int64(w[2]), lo: w[3]},
+		z: fix128{hi: int64(w[4]), lo: w[5]},
+	}
+}

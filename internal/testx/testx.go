@@ -6,6 +6,7 @@
 package testx
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -92,26 +93,39 @@ func ValuesBitEqual(a, b any) bool {
 	return BitEqual(reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
-// SwapSnapshotRows returns a copy of a live bucket snapshot blob with
-// rows i and j exchanged in every column section and the section
-// checksums recomputed: a blob every CRC accepts whose records are out of
-// canonical order. It knows only the blob's framing (DESIGN.md §11): a
-// 40-byte header with the row count at byte 32, then sections of id,
-// payload length, CRC-32 and payload, each payload a whole number of
-// equal-width rows.
-func SwapSnapshotRows(blob []byte, i, j int) []byte {
+// SwapSnapshotRows returns a copy of a live snapshot file with user rows
+// i and j of its part-th partial exchanged in the users section and that
+// section's checksum recomputed: a file every CRC accepts whose user ids
+// are out of ascending order. It knows only the file's framing
+// (DESIGN.md §11): a 40-byte header, then per partial a 60-byte header
+// and seven sections of payload length, CRC-32 and payload, the first
+// section's rows an eight-byte id followed by four uvarints.
+func SwapSnapshotRows(blob []byte, part, i, j int) []byte {
 	out := append([]byte(nil), blob...)
-	n := int(binary.LittleEndian.Uint32(out[32:]))
-	for off := 40; off < len(out); {
-		l := int(binary.LittleEndian.Uint32(out[off+4:]))
-		p := out[off+12 : off+12+l]
-		w := l / n
-		tmp := append([]byte(nil), p[i*w:(i+1)*w]...)
-		copy(p[i*w:(i+1)*w], p[j*w:(j+1)*w])
-		copy(p[j*w:(j+1)*w], tmp)
-		binary.LittleEndian.PutUint32(out[off+8:], crc32.ChecksumIEEE(p))
-		off += 12 + l
+	off := 40
+	for k := 0; ; k++ {
+		off += 60
+		if k == part {
+			break
+		}
+		for s := 0; s < 7; s++ {
+			off += 8 + int(binary.LittleEndian.Uint32(out[off:]))
+		}
 	}
+	p := out[off+8 : off+8+int(binary.LittleEndian.Uint32(out[off:]))]
+	var rows [][]byte
+	for at := 0; at < len(p); {
+		start := at
+		at += 8
+		for v := 0; v < 4; v++ {
+			_, n := binary.Uvarint(p[at:])
+			at += n
+		}
+		rows = append(rows, append([]byte(nil), p[start:at]...))
+	}
+	rows[i], rows[j] = rows[j], rows[i]
+	copy(p, bytes.Join(rows, nil))
+	binary.LittleEndian.PutUint32(out[off+4:], crc32.ChecksumIEEE(p))
 	return out
 }
 

@@ -12,7 +12,8 @@
 # SIGKILL — no drain, no warning. The restarted server must hydrate
 # from the snapshot files alone: /healthz proves zero store scans and a
 # recovery that restored every bucket with no full rescan and no tail
-# replay, and the /v1 answers are byte-identical to the pre-crash ones
+# replay, the snapshot directory holds at most one file per day group,
+# and the /v1 answers are byte-identical to the pre-crash ones
 # (DESIGN.md §11).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -188,6 +189,24 @@ jsonget live.rollups <"$WORK/health.json" >/dev/null || { echo "smoke: healthz l
 [ "$RESCAN" = "False" ] || { echo "smoke: restart fell back to a full rescan"; exit 1; }
 [ "$TAIL" = "0" ] || { echo "smoke: restart replayed a tail after a covering snapshot"; exit 1; }
 [ "$SCANS" = "0" ] || { echo "smoke: restart scanned the store $SCANS times, want 0"; exit 1; }
+
+# The snapshot is one file per day group — a day holding records, or the
+# first day of a 30-day rollup group, which homes that group's merge —
+# plus the manifest, and costs about what the store does per tweet.
+python3 - "$WORK/batch.ndjson" "$WORK/snaps" "$WORK/store" "$SNAP_BYTES" <<'PY' || exit 1
+import json, os, sys
+batch, snaps, store, snap_bytes = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+days = {json.loads(line)["ts"] // 86_400_000 for line in open(batch) if line.strip()}
+groups = days | {d // 30 * 30 for d in days}
+names = os.listdir(snaps)
+files = [n for n in names if n.endswith(".gmsnap")]
+if sorted(set(names) - set(files)) != ["SNAPSHOT.json"] or len(files) > len(groups):
+    sys.exit(f"smoke: snapshot dir holds {len(files)} .gmsnap files for {len(groups)} day groups, and {sorted(set(names) - set(files))}")
+store_bytes = sum(os.path.getsize(os.path.join(store, n)) for n in os.listdir(store))
+tweets = sum(1 for line in open(batch) if line.strip())
+print(f"smoke: snapshot {len(files)} files for {len(groups)} day groups, "
+      f"{snap_bytes / tweets:.1f} B/tweet beside the store's {store_bytes / tweets:.1f} B/tweet")
+PY
 
 # The restarted process accounts for its own boot: every phase of the
 # boot clock is a geomob_boot_seconds series, the recover phase took
