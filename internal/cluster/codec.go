@@ -1,14 +1,14 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 
 	"geomob/internal/census"
 	"geomob/internal/geo"
 	"geomob/internal/live"
 	"geomob/internal/mobility"
+	"geomob/internal/wire"
 )
 
 // The shard partial wire codec: a versioned little-endian binary format
@@ -56,9 +56,9 @@ const (
 
 // encodePartial renders p in the wire format.
 func encodePartial(p *live.ShardPartial) []byte {
-	var w wireWriter
-	w.u32(partialMagic)
-	w.u16(partialVersion)
+	var w wire.Writer
+	w.U32(partialMagic)
+	w.U16(partialVersion)
 	flags := byte(0)
 	if p.Seen {
 		flags |= flagSeen
@@ -69,88 +69,92 @@ func encodePartial(p *live.ShardPartial) []byte {
 	if p.Metro500 != nil {
 		flags |= flagMetro
 	}
-	w.u8(flags)
-	w.i64(p.Tweets)
-	w.f64(p.BBox.MinLat)
-	w.f64(p.BBox.MinLon)
-	w.f64(p.BBox.MaxLat)
-	w.f64(p.BBox.MaxLon)
-	w.i64(p.FirstTS)
-	w.i64(p.LastTS)
-	w.u16(uint16(len(p.Scales)))
+	w.U8(flags)
+	w.I64(p.Tweets)
+	w.F64(p.BBox.MinLat)
+	w.F64(p.BBox.MinLon)
+	w.F64(p.BBox.MaxLat)
+	w.F64(p.BBox.MaxLon)
+	w.I64(p.FirstTS)
+	w.I64(p.LastTS)
+	w.U16(uint16(len(p.Scales)))
 	for _, sc := range p.Scales {
-		w.u8(byte(sc))
+		w.U8(byte(sc))
 	}
 	for _, sc := range p.Scales {
 		c, ok := p.Counts[sc]
-		w.bool(ok)
+		w.Bool(ok)
 		if ok {
-			w.f64s(c)
+			putF64s(&w, c)
 		}
 	}
 	for _, sc := range p.Scales {
 		fm := p.Flows[sc]
-		w.bool(fm != nil)
+		w.Bool(fm != nil)
 		if fm != nil {
-			w.u32(uint32(len(fm.Flows)))
+			w.U32(uint32(len(fm.Flows)))
 			for _, row := range fm.Flows {
 				for _, v := range row {
-					w.f64(v)
+					w.F64(v)
 				}
 			}
 			for _, v := range fm.Stays {
-				w.f64(v)
+				w.F64(v)
 			}
 		}
 	}
 	if p.Metro500 != nil {
-		w.f64s(p.Metro500)
+		putF64s(&w, p.Metro500)
 	}
 	if p.Users != nil {
-		w.u32(uint32(len(p.Users)))
+		w.U32(uint32(len(p.Users)))
 		for i := range p.Users {
 			u := &p.Users[i]
-			w.i64(u.ID)
-			w.i64(u.Tweets)
-			w.i64(u.DistinctCells)
-			w.i64(u.WaitMs)
-			w.f64(u.GyrationKM)
+			w.I64(u.ID)
+			w.I64(u.Tweets)
+			w.I64(u.DistinctCells)
+			w.I64(u.WaitMs)
+			w.F64(u.GyrationKM)
 		}
 	}
-	w.u8(byte(len(p.Coverage.TierFolds)))
+	w.U8(byte(len(p.Coverage.TierFolds)))
 	for _, tf := range p.Coverage.TierFolds {
-		w.i64(tf.Factor)
-		w.u32(uint32(tf.Groups))
-		w.u32(uint32(tf.Buckets))
+		w.I64(tf.Factor)
+		w.U32(uint32(tf.Groups))
+		w.U32(uint32(tf.Buckets))
 	}
-	w.u32(uint32(p.Coverage.Buckets))
-	w.u32(uint32(p.Coverage.FullBuckets))
-	w.u32(uint32(p.Coverage.ResidualBuckets))
-	w.i64(p.Coverage.ResidualRecords)
-	return w.buf
+	w.U32(uint32(p.Coverage.Buckets))
+	w.U32(uint32(p.Coverage.FullBuckets))
+	w.U32(uint32(p.Coverage.ResidualBuckets))
+	w.I64(p.Coverage.ResidualRecords)
+	return w.Bytes()
 }
 
 // decodePartial parses the wire format back into a ShardPartial,
-// re-attaching area metadata from the embedded gazetteer.
+// re-attaching area metadata from the embedded gazetteer. It accepts
+// only what encodePartial writes: no unknown flag bit, no bool byte but
+// 0 or 1, no scale twice, no empty metro column.
 func decodePartial(data []byte) (*live.ShardPartial, error) {
-	r := wireReader{buf: data}
-	if m := r.u32(); m != partialMagic && r.err == nil {
+	r := wire.NewReader(data)
+	if m := r.U32(); m != partialMagic && r.Err() == nil {
 		return nil, fmt.Errorf("cluster: partial codec: bad magic %#x", m)
 	}
-	if ver := r.u16(); ver != partialVersion && r.err == nil {
+	if ver := r.U16(); ver != partialVersion && r.Err() == nil {
 		return nil, fmt.Errorf("cluster: partial codec: unsupported version %d", ver)
 	}
-	flags := r.u8()
+	flags := r.U8()
+	if flags&^(flagSeen|flagUsers|flagMetro) != 0 {
+		return nil, fmt.Errorf("cluster: partial codec: unknown flag bits %#x", flags)
+	}
 	p := &live.ShardPartial{}
 	p.Seen = flags&flagSeen != 0
-	p.Tweets = r.i64()
-	p.BBox = geo.BBox{MinLat: r.f64(), MinLon: r.f64(), MaxLat: r.f64(), MaxLon: r.f64()}
-	p.FirstTS = r.i64()
-	p.LastTS = r.i64()
-	nscales := int(r.u16())
-	if r.err != nil {
-		return nil, r.err
-	}
+	p.Tweets = r.I64()
+	p.BBox = geo.BBox{MinLat: r.F64(), MinLon: r.F64(), MaxLat: r.F64(), MaxLon: r.F64()}
+	p.FirstTS = r.I64()
+	p.LastTS = r.I64()
+	// A failed read leaves zeros behind it (no scales, no sections), and
+	// End below reports it.
+	nscales := int(r.U16())
 	if nscales > 16 {
 		return nil, fmt.Errorf("cluster: partial codec: implausible scale count %d", nscales)
 	}
@@ -159,43 +163,43 @@ func decodePartial(data []byte) (*live.ShardPartial, error) {
 		p.Scales = make([]census.Scale, nscales)
 	}
 	for i := range p.Scales {
-		p.Scales[i] = census.Scale(r.u8())
+		p.Scales[i] = census.Scale(r.U8())
+		if slices.Contains(p.Scales[:i], p.Scales[i]) && r.Err() == nil {
+			return nil, fmt.Errorf("cluster: partial codec: scale %s listed twice", p.Scales[i])
+		}
 	}
 	for _, sc := range p.Scales {
-		if r.bool() {
+		if r.Bool() {
 			if p.Counts == nil {
 				p.Counts = map[census.Scale][]float64{}
 			}
-			p.Counts[sc] = r.f64s()
+			p.Counts[sc] = getF64s(&r)
 		}
 	}
 	for _, sc := range p.Scales {
-		if !r.bool() {
+		if !r.Bool() {
 			continue
-		}
-		n := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
 		}
 		rs, err := gaz.Regions(sc)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: partial codec: regions for %s: %w", sc, err)
 		}
-		if n != len(rs.Areas) {
-			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix over %d areas, gazetteer has %d",
-				sc, n, len(rs.Areas))
+		n := len(rs.Areas)
+		if got := int(r.U32()); got != n && r.Err() == nil {
+			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix over %d areas, gazetteer has %d", sc, got, n)
 		}
-		if (n*n+n)*8 > len(r.buf)-r.off {
-			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix exceeds remaining %d bytes", sc, len(r.buf)-r.off)
+		r.Count(uint64(n*n+n), 8)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: partial codec: %s flow matrix: %w", sc, err)
 		}
 		fm := mobility.NewFlowMatrix(rs.Areas)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				fm.Flows[i][j] = r.f64()
+				fm.Flows[i][j] = r.F64()
 			}
 		}
 		for i := 0; i < n; i++ {
-			fm.Stays[i] = r.f64()
+			fm.Stays[i] = r.F64()
 		}
 		if p.Flows == nil {
 			p.Flows = map[census.Scale]*mobility.FlowMatrix{}
@@ -203,23 +207,19 @@ func decodePartial(data []byte) (*live.ShardPartial, error) {
 		p.Flows[sc] = fm
 	}
 	if flags&flagMetro != 0 {
-		p.Metro500 = r.f64s()
+		if p.Metro500 = getF64s(&r); p.Metro500 == nil && r.Err() == nil {
+			return nil, fmt.Errorf("cluster: partial codec: metro flag over no values")
+		}
 	}
 	if flags&flagUsers != 0 {
-		n := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if n > (len(r.buf)-r.off)/userWireBytes {
-			return nil, fmt.Errorf("cluster: partial codec: user count %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
+		n := r.Count(uint64(r.U32()), userWireBytes)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: partial codec: user count: %w", err)
 		}
 		p.Users = make([]live.UserTrajectory, n)
 		for i := range p.Users {
 			u := &p.Users[i]
-			*u = live.UserTrajectory{ID: r.i64(), Tweets: r.i64(), DistinctCells: r.i64(), WaitMs: r.i64(), GyrationKM: r.f64()}
-			if r.err != nil {
-				return nil, r.err
-			}
+			*u = live.UserTrajectory{ID: r.I64(), Tweets: r.I64(), DistinctCells: r.I64(), WaitMs: r.I64(), GyrationKM: r.F64()}
 			// The coordinator interleaves shards by ascending id and detects
 			// a user on two shards by equal heads, so order is part of the
 			// format; the rest are values no fold can produce.
@@ -237,29 +237,23 @@ func decodePartial(data []byte) (*live.ShardPartial, error) {
 			}
 		}
 	}
-	ntiers := int(r.u8())
-	if r.err != nil {
-		return nil, r.err
-	}
+	ntiers := int(r.U8())
 	if ntiers > 8 {
 		return nil, fmt.Errorf("cluster: partial codec: implausible tier count %d", ntiers)
 	}
 	for i := 0; i < ntiers; i++ {
 		p.Coverage.TierFolds = append(p.Coverage.TierFolds, live.TierFold{
-			Factor:  r.i64(),
-			Groups:  int(r.u32()),
-			Buckets: int(r.u32()),
+			Factor:  r.I64(),
+			Groups:  int(r.U32()),
+			Buckets: int(r.U32()),
 		})
 	}
-	p.Coverage.Buckets = int(r.u32())
-	p.Coverage.FullBuckets = int(r.u32())
-	p.Coverage.ResidualBuckets = int(r.u32())
-	p.Coverage.ResidualRecords = r.i64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("cluster: partial codec: %d trailing bytes", len(r.buf)-r.off)
+	p.Coverage.Buckets = int(r.U32())
+	p.Coverage.FullBuckets = int(r.U32())
+	p.Coverage.ResidualBuckets = int(r.U32())
+	p.Coverage.ResidualRecords = r.I64()
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("cluster: partial codec: %w", err)
 	}
 	return p, nil
 }
@@ -269,32 +263,28 @@ func decodePartial(data []byte) (*live.ShardPartial, error) {
 // nesting keeps the exactness property — every float still travels as
 // its raw bit pattern.
 func EncodePartials(ps []*live.ShardPartial) []byte {
-	var w wireWriter
-	w.u32(uint32(len(ps)))
+	var w wire.Writer
+	w.U32(uint32(len(ps)))
 	for _, p := range ps {
 		enc := encodePartial(p)
-		w.u32(uint32(len(enc)))
-		w.buf = append(w.buf, enc...)
+		w.U32(uint32(len(enc)))
+		w.Raw(enc)
 	}
-	return w.buf
+	return w.Bytes()
 }
 
 // DecodePartials parses an EncodePartials payload.
 func DecodePartials(data []byte) ([]*live.ShardPartial, error) {
-	r := wireReader{buf: data}
-	n := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
-	}
-	if n > (len(r.buf)-r.off)/lenPrefixBytes {
-		return nil, fmt.Errorf("cluster: partial codec: partial count %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
+	r := wire.NewReader(data)
+	n := r.Count(uint64(r.U32()), lenPrefixBytes)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: partial codec: partial count: %w", err)
 	}
 	out := make([]*live.ShardPartial, 0, n)
 	for i := 0; i < n; i++ {
-		ln := int(r.u32())
-		blob := r.take(ln)
-		if r.err != nil {
-			return nil, r.err
+		blob := r.Take(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("cluster: partial %d of %d: %w", i, n, err)
 		}
 		p, err := decodePartial(blob)
 		if err != nil {
@@ -302,116 +292,29 @@ func DecodePartials(data []byte) ([]*live.ShardPartial, error) {
 		}
 		out = append(out, p)
 	}
-	if len(r.buf) != r.off {
-		return nil, fmt.Errorf("cluster: partial codec: %d trailing bytes", len(r.buf)-r.off)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("cluster: partial codec: %w", err)
 	}
 	return out, nil
 }
 
-// wireWriter appends fixed-width little-endian fields to a buffer.
-type wireWriter struct{ buf []byte }
-
-func (w *wireWriter) u8(v byte)    { w.buf = append(w.buf, v) }
-func (w *wireWriter) u16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-func (w *wireWriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *wireWriter) i64(v int64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v)) }
-func (w *wireWriter) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-func (w *wireWriter) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-
-// f64s writes a length-prefixed float slice. Nil and empty encode
-// identically (length 0) and decode to nil.
-func (w *wireWriter) f64s(vs []float64) {
-	w.u32(uint32(len(vs)))
+// putF64s writes a length-prefixed float slice. Nil and empty encode
+// identically (length 0) and getF64s decodes both to nil.
+func putF64s(w *wire.Writer, vs []float64) {
+	w.U32(uint32(len(vs)))
 	for _, v := range vs {
-		w.f64(v)
+		w.F64(v)
 	}
 }
 
-// wireReader consumes the writer's format, latching the first error.
-type wireReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+n > len(r.buf) {
-		r.err = fmt.Errorf("cluster: partial codec: truncated at byte %d (need %d more)", r.off, n)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *wireReader) u8() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *wireReader) u16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *wireReader) u32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *wireReader) i64() int64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(b))
-}
-
-func (r *wireReader) f64() float64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
-}
-
-func (r *wireReader) bool() bool { return r.u8() != 0 }
-
-func (r *wireReader) f64s() []float64 {
-	n := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
+func getF64s(r *wire.Reader) []float64 {
+	n := r.Count(uint64(r.U32()), 8)
 	if n == 0 {
-		return nil
-	}
-	if n*8 > len(r.buf)-r.off {
-		r.err = fmt.Errorf("cluster: partial codec: float slice of %d exceeds remaining %d bytes", n, len(r.buf)-r.off)
 		return nil
 	}
 	vs := make([]float64, n)
 	for i := range vs {
-		vs[i] = r.f64()
+		vs[i] = r.F64()
 	}
 	return vs
 }

@@ -1,45 +1,30 @@
 package cluster
 
 import (
-	"bytes"
-	"os"
 	"testing"
+
+	"geomob/internal/testx"
 )
 
-// TestGoldenRoundTrip decodes each committed wire payload — written by
-// the encoders before the codecs moved onto internal/wire, and never to
-// be regenerated — and re-encodes it: the bytes must come back
-// identical, so neither format can drift unnoticed.
+// TestGoldenRoundTrip pins the two shard wire formats: the committed
+// partials reply and deliveries envelope, written by the encoders before
+// the codecs moved onto internal/wire and never to be regenerated, must
+// decode and re-encode byte-identically.
 func TestGoldenRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		file      string
-		roundTrip func([]byte) ([]byte, error)
-	}{
-		{"testdata/golden/partials.gmcp", func(raw []byte) ([]byte, error) {
+	testx.RoundTripGolden(t, map[string]func([]byte) ([]byte, error){
+		"testdata/golden/partials.gmcp": func(raw []byte) ([]byte, error) {
 			ps, err := DecodePartials(raw)
 			if err != nil {
 				return nil, err
 			}
 			return EncodePartials(ps), nil
-		}},
-		{"testdata/golden/deliveries.bin", func(raw []byte) ([]byte, error) {
+		},
+		"testdata/golden/deliveries.bin": func(raw []byte) ([]byte, error) {
 			ds, err := decodeDeliveries(raw)
 			if err != nil {
 				return nil, err
 			}
 			return appendDeliveries(nil, ds), nil
-		}},
-	} {
-		raw, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := tc.roundTrip(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if !bytes.Equal(again, raw) {
-			t.Errorf("%s: %d bytes re-encode to %d different bytes", tc.file, len(raw), len(again))
-		}
-	}
+		},
+	})
 }

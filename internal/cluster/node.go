@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +18,7 @@ import (
 	"geomob/internal/live"
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
+	"geomob/internal/wire"
 )
 
 // The internal shard API. Fold requests travel as JSON bodies pairing a
@@ -113,33 +113,27 @@ func IngestStatus(err error) int {
 // followed by the frame bytes, concatenated. The frames themselves are
 // the CRC'd binary batch codec, never re-encoded.
 func appendDeliveries(dst []byte, ds []Delivery) []byte {
+	w := wire.NewWriter(dst)
 	for _, d := range ds {
-		var hdr [16]byte
-		binary.LittleEndian.PutUint64(hdr[0:], d.Seq)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(d.Slot))
-		binary.LittleEndian.PutUint32(hdr[12:], uint32(len(d.Frame)))
-		dst = append(dst, hdr[:]...)
-		dst = append(dst, d.Frame...)
+		w.U64(d.Seq)
+		w.U32(uint32(d.Slot))
+		w.U32(uint32(len(d.Frame)))
+		w.Raw(d.Frame)
 	}
-	return dst
+	return w.Bytes()
 }
 
 // decodeDeliveries parses an appendDeliveries envelope.
 func decodeDeliveries(p []byte) ([]Delivery, error) {
 	var ds []Delivery
-	for len(p) > 0 {
-		if len(p) < 16 {
-			return nil, fmt.Errorf("truncated delivery header (%d bytes)", len(p))
+	r := wire.NewReader(p)
+	for r.Len() > 0 {
+		d := Delivery{Seq: r.U64(), Slot: int(int32(r.U32()))}
+		d.Frame = r.Take(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("delivery %d: %w", len(ds), err)
 		}
-		seq := binary.LittleEndian.Uint64(p[0:])
-		slot := int(int32(binary.LittleEndian.Uint32(p[8:])))
-		flen := int(binary.LittleEndian.Uint32(p[12:]))
-		p = p[16:]
-		if flen > len(p) {
-			return nil, fmt.Errorf("truncated delivery frame (want %d, have %d bytes)", flen, len(p))
-		}
-		ds = append(ds, Delivery{Seq: seq, Slot: slot, Frame: p[:flen:flen]})
-		p = p[flen:]
+		ds = append(ds, d)
 	}
 	return ds, nil
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"geomob/internal/tweet"
 	"geomob/internal/wal"
 )
 
@@ -54,7 +55,7 @@ func (m *memSpool) AppendGroup(es []wal.Entry) (uint64, error) {
 	defer m.mu.Unlock()
 	first := m.nextSeq
 	for _, e := range es {
-		rows := wal.FrameRows(e.Frame)
+		rows := tweet.FrameRows(e.Frame)
 		m.recs[m.nextSeq] = &wal.Record{Seq: m.nextSeq, Slot: e.Slot, Dests: e.Dests, Rows: rows, Frame: e.Frame}
 		m.nextSeq++
 		for node, mask := 0, e.Dests; mask != 0; node, mask = node+1, mask>>1 {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -23,8 +24,8 @@ func memberWalkKey(a *Aggregator, lo, hi int64) string {
 	fmt.Fprintf(h, "w=%d;", a.width)
 	var kb [16]byte
 	for _, idx := range a.rangeLocked(lo, hi) {
-		putI64(kb[:8], idx)
-		putU64(kb[8:], a.buckets[idx].rev)
+		binary.LittleEndian.PutUint64(kb[:8], uint64(idx))
+		binary.LittleEndian.PutUint64(kb[8:], a.buckets[idx].rev)
 		h.Write(kb[:])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

@@ -1,52 +1,36 @@
 package live
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"testing"
 	"time"
+
+	"geomob/internal/testx"
 )
 
-// TestGoldenRoundTrip decodes the committed snapshot day file and its
-// manifest — written by the snapshot encoders before the codecs moved
-// onto internal/wire, and never to be regenerated — and re-encodes
-// them: the bytes must come back identical, so neither format can drift
-// unnoticed.
+// TestGoldenRoundTrip pins the snapshot formats: the committed day file
+// of hour partials and a day merge, and its manifest, written by the
+// encoders before the codecs moved onto internal/wire and never to be
+// regenerated, must decode and re-encode byte-identically.
 func TestGoldenRoundTrip(t *testing.T) {
 	sh, err := NewShape(Options{BucketWidth: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		file      string
-		roundTrip func([]byte) ([]byte, error)
-	}{
-		{"testdata/golden/day.gmsnap", func(raw []byte) ([]byte, error) {
+	testx.RoundTripGolden(t, map[string]func([]byte) ([]byte, error){
+		"testdata/golden/day.gmsnap": func(raw []byte) ([]byte, error) {
 			f, err := sh.decodeSnapFile(raw)
 			if err != nil {
 				return nil, err
 			}
 			return sh.encodeSnapFile(f), nil
-		}},
-		{"testdata/golden/" + snapManifestName, func(raw []byte) ([]byte, error) {
+		},
+		"testdata/golden/" + snapManifestName: func(raw []byte) ([]byte, error) {
 			man, err := parseManifest(raw)
 			if err != nil {
 				return nil, err
 			}
 			return json.MarshalIndent(man, "", "  ")
-		}},
-	} {
-		raw, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := tc.roundTrip(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if !bytes.Equal(again, raw) {
-			t.Errorf("%s: %d bytes re-encode to %d different bytes", tc.file, len(raw), len(again))
-		}
-	}
+		},
+	})
 }

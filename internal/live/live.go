@@ -55,6 +55,7 @@ import (
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
+	"geomob/internal/wire"
 )
 
 // Bucket-ring metrics (DESIGN.md §12). Ring counters are per-batch
@@ -936,10 +937,11 @@ func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
 				break
 			}
 		}
-		putU64(kb[0:], tag)
-		putI64(kb[8:], id)
-		putU64(kb[16:], rev)
-		h.Write(kb[:])
+		w := wire.NewWriter(kb[:0])
+		w.U64(tag)
+		w.I64(id)
+		w.U64(rev)
+		h.Write(w.Bytes())
 		i = next
 	}
 }

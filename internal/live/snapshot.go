@@ -1,7 +1,6 @@
 package live
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +17,7 @@ import (
 	"geomob/internal/mobility"
 	"geomob/internal/obs"
 	"geomob/internal/tweetdb"
+	"geomob/internal/wire"
 )
 
 // Snapshot-commit metrics (DESIGN.md §12).
@@ -55,15 +55,6 @@ const (
 
 // errSnapshotCorrupt marks an unreadable or mismatched snapshot file.
 var errSnapshotCorrupt = errors.New("live: snapshot corrupt")
-
-func putU16(b []byte, v uint16) { binary.LittleEndian.PutUint16(b, v) }
-func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-func putU64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-func putI64(b []byte, v int64)  { binary.LittleEndian.PutUint64(b, uint64(v)) }
-func getU16(b []byte) uint16    { return binary.LittleEndian.Uint16(b) }
-func getU32(b []byte) uint32    { return binary.LittleEndian.Uint32(b) }
-func getU64(b []byte) uint64    { return binary.LittleEndian.Uint64(b) }
-func getI64(b []byte) int64     { return int64(binary.LittleEndian.Uint64(b)) }
 
 // fileSpan is how many base buckets share one snapshot file: the finest
 // rollup group (a day at the default hourly width), else one. Every
@@ -294,140 +285,107 @@ func (sh *Shape) midBytes() int {
 // Everything else a partial holds follows from these. The encoding is
 // canonical: decodeSnapFile accepts only what this function writes.
 func (sh *Shape) encodeSnapFile(f *snapFile) []byte {
-	out := make([]byte, snapHeader, 1<<12)
-	putU32(out[0:], snapMagic)
-	putU16(out[4:], snapVersion)
-	putU64(out[8:], sh.hash)
-	putI64(out[16:], sh.width)
-	putI64(out[24:], f.group)
-	putU32(out[32:], uint32(len(f.parts)))
-	putU32(out[36:], crc32.ChecksumIEEE(out[:36]))
+	w := wire.NewWriter(make([]byte, 0, 1<<12))
+	w.U32(snapMagic)
+	w.U16(snapVersion)
+	w.Zero(2)
+	w.U64(sh.hash)
+	w.I64(sh.width)
+	w.I64(f.group)
+	w.U32(uint32(len(f.parts)))
+	w.CRC(0)
 	for i := range f.parts {
-		out = sh.appendSnapPart(out, &f.parts[i])
+		sh.appendSnapPart(&w, &f.parts[i])
 	}
-	return out
+	return w.Bytes()
 }
 
-func (sh *Shape) appendSnapPart(out []byte, sp *snapPart) []byte {
+func (sh *Shape) appendSnapPart(w *wire.Writer, sp *snapPart) {
 	p, slots, tw := sp.part, sh.slots, sh.totalWords
-	h := len(out)
-	out = append(out, make([]byte, snapPartHeader)...)
-	putI64(out[h:], sp.factor)
-	putI64(out[h+8:], sp.idx)
-	for k, v := range [4]float64{p.bbox.MinLat, p.bbox.MinLon, p.bbox.MaxLat, p.bbox.MaxLon} {
-		putU64(out[h+16+8*k:], math.Float64bits(v))
+	h := w.Len()
+	w.I64(sp.factor)
+	w.I64(sp.idx)
+	for _, v := range [4]float64{p.bbox.MinLat, p.bbox.MinLon, p.bbox.MaxLat, p.bbox.MaxLon} {
+		w.F64(v)
 	}
-	putU32(out[h+48:], uint32(len(p.users)))
-	putU32(out[h+52:], uint32(len(p.flows)))
-	putU32(out[h+56:], crc32.ChecksumIEEE(out[h:h+56]))
-	section := func(fill func([]byte) []byte) {
-		at := len(out)
-		out = fill(append(out, make([]byte, 8)...))
-		putU32(out[at:], uint32(len(out)-at-8))
-		putU32(out[at+4:], crc32.ChecksumIEEE(out[at+8:]))
-	}
+	w.U32(uint32(len(p.users)))
+	w.U32(uint32(len(p.flows)))
+	w.CRC(h)
 	base := sp.idx * sp.factor * sh.width
-	section(func(b []byte) []byte {
-		for r := range p.users {
-			u := &p.users[r]
-			b = binary.LittleEndian.AppendUint64(b, uint64(u.id))
-			b = binary.AppendUvarint(b, uint64(u.firstTS-base))
-			b = binary.AppendUvarint(b, uint64(u.lastTS-u.firstTS))
-			b = binary.AppendUvarint(b, uint64(p.recCount(r)-1))
-			b = binary.AppendUvarint(b, uint64(len(p.userCells(r))-1))
+	sec := w.BeginSection()
+	for r := range p.users {
+		u := &p.users[r]
+		w.I64(u.id)
+		w.Uvarint(uint64(u.firstTS - base))
+		w.Uvarint(uint64(u.lastTS - u.firstTS))
+		w.Uvarint(uint64(p.recCount(r) - 1))
+		w.Uvarint(uint64(len(p.userCells(r)) - 1))
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	for r := range p.users {
+		for _, v := range p.firstArea[r*slots : (r+1)*slots] {
+			w.Uvarint(uint64(v + 1))
 		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		for r := range p.users {
-			for _, v := range p.firstArea[r*slots : (r+1)*slots] {
-				b = binary.AppendUvarint(b, uint64(v+1))
-			}
-			if p.recCount(r) >= 2 {
-				for _, v := range p.lastArea[r*slots : (r+1)*slots] {
-					b = binary.AppendUvarint(b, uint64(v+1))
-				}
+		if p.recCount(r) >= 2 {
+			for _, v := range p.lastArea[r*slots : (r+1)*slots] {
+				w.Uvarint(uint64(v + 1))
 			}
 		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		for r := range p.users {
-			if p.recCount(r) >= 3 {
-				for _, w := range p.marks[r*tw : (r+1)*tw] {
-					b = binary.LittleEndian.AppendUint64(b, w)
-				}
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	for r := range p.users {
+		if p.recCount(r) >= 3 {
+			for _, m := range p.marks[r*tw : (r+1)*tw] {
+				w.U64(m)
 			}
 		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		// Cell ids are geohash-5 cells: 26 bits with the leading marker.
-		for _, c := range p.cells {
-			b = binary.LittleEndian.AppendUint32(b, uint32(c))
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	// Cell ids are geohash-5 cells: 26 bits with the leading marker.
+	for _, c := range p.cells {
+		w.U32(uint32(c))
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	for r := range p.users {
+		s := p.sums[r].Words()
+		w.U64(s[1])
+		w.U64(s[3])
+		w.U64(s[5])
+		if p.recCount(r) >= 8 {
+			w.U64(s[0])
+			w.U64(s[2])
+			w.U64(s[4])
 		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		for r := range p.users {
-			w := p.sums[r].Words()
-			b = binary.LittleEndian.AppendUint64(b, w[1])
-			b = binary.LittleEndian.AppendUint64(b, w[3])
-			b = binary.LittleEndian.AppendUint64(b, w[5])
-			if p.recCount(r) >= 8 {
-				b = binary.LittleEndian.AppendUint64(b, w[0])
-				b = binary.LittleEndian.AppendUint64(b, w[2])
-				b = binary.LittleEndian.AppendUint64(b, w[4])
-			}
-		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		for _, c := range p.flows {
-			b = binary.LittleEndian.AppendUint16(b, uint16(c.slot))
-			b = binary.LittleEndian.AppendUint16(b, uint16(c.from))
-			b = binary.LittleEndian.AppendUint16(b, uint16(c.to))
-			b = binary.LittleEndian.AppendUint32(b, uint32(c.n))
-		}
-		return b
-	})
-	section(func(b []byte) []byte {
-		if sp.factor != 1 {
-			return b
-		}
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	for _, c := range p.flows {
+		w.U16(uint16(c.slot))
+		w.U16(uint16(c.from))
+		w.U16(uint16(c.to))
+		w.U32(uint32(c.n))
+	}
+	w.EndSection(sec)
+	sec = w.BeginSection()
+	if sp.factor == 1 {
 		k := 0
 		for r := range p.users {
 			for n := p.recCount(r) - 2; n > 0; n-- {
 				off := uint64(sp.mids[k] - p.users[r].firstTS)
 				if sh.midBytes() == 4 {
-					b = binary.LittleEndian.AppendUint32(b, uint32(off))
+					w.U32(uint32(off))
 				} else {
-					b = binary.LittleEndian.AppendUint64(b, off)
+					w.U64(off)
 				}
 				k++
 			}
 		}
-		return b
-	})
-	return out
-}
-
-// snapReader walks a section's uvarints, rejecting any that is not the
-// shortest encoding of its value (so an accepted file re-encodes to
-// itself); a failed read sets bad and yields zeros from then on.
-type snapReader struct {
-	p   []byte
-	bad bool
-}
-
-func (r *snapReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.p)
-	if n <= 0 || n > 1 && r.p[n-1] == 0 {
-		r.bad, r.p = true, nil
-		return 0
 	}
-	r.p = r.p[n:]
-	return v
+	w.EndSection(sec)
 }
 
 // decodeSnapFile parses and fully validates one snapshot file against
@@ -444,36 +402,31 @@ func (sh *Shape) decodeSnapFile(blob []byte) (*snapFile, error) {
 	fail := func(format string, args ...any) (*snapFile, error) {
 		return nil, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
-	if len(blob) < snapHeader {
-		return fail("short header (%d bytes)", len(blob))
-	}
-	if getU32(blob) != snapMagic {
-		return fail("bad magic %08x", getU32(blob))
-	}
-	if crc32.ChecksumIEEE(blob[:36]) != getU32(blob[36:]) {
-		return fail("header checksum mismatch")
-	}
-	if v := getU16(blob[4:]); v != snapVersion {
-		return fail("unsupported version %d", v)
-	}
-	if getU16(blob[6:]) != 0 {
-		return fail("reserved header bytes set")
-	}
-	if h := getU64(blob[8:]); h != sh.hash {
-		return fail("shape hash %016x does not match ring %016x", h, sh.hash)
-	}
-	if w := getI64(blob[16:]); w != sh.width {
-		return fail("bucket width %d does not match ring %d", w, sh.width)
-	}
-	f := &snapFile{group: getI64(blob[24:])}
-	n := int(getU32(blob[32:]))
-	if n == 0 || n > (len(blob)-snapHeader)/(snapPartHeader+8*snapSections) {
-		return fail("%d parts in %d bytes", n, len(blob))
+	r := wire.NewReader(blob)
+	magic, version := r.U32(), r.U16()
+	r.Zero(2)
+	hash, width := r.U64(), r.I64()
+	f := &snapFile{group: r.I64()}
+	claim := r.U32()
+	r.CRC(0)
+	n := r.Count(uint64(claim), snapPartHeader+8*snapSections)
+	switch {
+	case magic != snapMagic:
+		return fail("bad magic %08x", magic)
+	case r.Err() != nil:
+		return fail("header: %v", r.Err())
+	case version != snapVersion:
+		return fail("unsupported version %d", version)
+	case hash != sh.hash:
+		return fail("shape hash %016x does not match ring %016x", hash, sh.hash)
+	case width != sh.width:
+		return fail("bucket width %d does not match ring %d", width, sh.width)
+	case n == 0:
+		return fail("no parts")
 	}
 	f.parts = make([]snapPart, 0, n)
-	off := snapHeader
 	for k := 0; k < n; k++ {
-		sp, next, err := sh.decodeSnapPart(blob, off)
+		sp, err := sh.decodeSnapPart(&r)
 		if err != nil {
 			return nil, err
 		}
@@ -487,28 +440,27 @@ func (sh *Shape) decodeSnapFile(blob []byte) (*snapFile, error) {
 			}
 		}
 		f.parts = append(f.parts, sp)
-		off = next
 	}
-	if off != len(blob) {
-		return fail("%d trailing bytes", len(blob)-off)
+	if err := r.End(); err != nil {
+		return fail("%v", err)
 	}
 	return f, nil
 }
 
-// decodeSnapPart decodes the partial at blob[off:] and returns the
-// offset just past it.
-func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
-	fail := func(format string, args ...any) (snapPart, int, error) {
-		return snapPart{}, 0, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
+// decodeSnapPart decodes the partial at r's position and leaves r just
+// past it.
+func (sh *Shape) decodeSnapPart(r *wire.Reader) (snapPart, error) {
+	fail := func(format string, args ...any) (snapPart, error) {
+		return snapPart{}, fmt.Errorf("%w: %s", errSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
-	if off+snapPartHeader > len(blob) {
-		return fail("truncated part header at %d", off)
+	at := r.Off()
+	sp := snapPart{factor: r.I64(), idx: r.I64()}
+	bbox := geo.BBox{MinLat: r.F64(), MinLon: r.F64(), MaxLat: r.F64(), MaxLon: r.F64()}
+	nUsers, nFlows := r.U32(), r.U32()
+	r.CRC(at)
+	if err := r.Err(); err != nil {
+		return fail("part header at %d: %v", at, err)
 	}
-	hdr := blob[off : off+snapPartHeader]
-	if crc32.ChecksumIEEE(hdr[:56]) != getU32(hdr[56:]) {
-		return fail("part header checksum mismatch at %d", off)
-	}
-	sp := snapPart{factor: getI64(hdr), idx: getI64(hdr[8:])}
 	if sp.factor != 1 && !slices.Contains(sh.rollups, sp.factor) {
 		return fail("factor %d is not a tier of this shape", sp.factor)
 	}
@@ -519,64 +471,55 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 	}
 	spanMs := sp.factor * sh.width
 	base := sp.idx * spanMs
-	nUsers, nFlows := int(getU32(hdr[48:])), int(getU32(hdr[52:]))
-	off += snapPartHeader
-	var sec [snapSections][]byte
+	var sec [snapSections]wire.Reader
 	for id := range sec {
-		if off+8 > len(blob) {
-			return fail("truncated at section %d", id+1)
+		if sec[id] = wire.NewReader(r.Section()); r.Err() != nil {
+			return fail("section %d: %v", id+1, r.Err())
 		}
-		l := int(getU32(blob[off:]))
-		if l > len(blob)-off-8 {
-			return fail("section %d payload truncated", id+1)
-		}
-		sec[id] = blob[off+8 : off+8+l]
-		if crc32.ChecksumIEEE(sec[id]) != getU32(blob[off+4:]) {
-			return fail("section %d checksum mismatch", id+1)
-		}
-		off += 8 + l
 	}
-	users, areas, marks, cells, sums, flows, mids := sec[0], sec[1], sec[2], sec[3], sec[4], sec[5], sec[6]
+	users, areas, marks, cells, sums, flows, mids := &sec[0], &sec[1], &sec[2], &sec[3], &sec[4], &sec[5], &sec[6]
 	slots, tw, mb := sh.slots, sh.totalWords, sh.midBytes()
 	// Every row takes at least twelve bytes of users, a byte per slot of
-	// areas, four of cells and 24 of sums: bound the counts by the bytes
-	// before allocating for them.
-	if nUsers == 0 || 12*nUsers > len(users) || slots*nUsers > len(areas) || 4*nUsers > len(cells) || 24*nUsers > len(sums) {
-		return fail("%d user rows do not fit their sections", nUsers)
+	// areas, four of cells and 24 of sums, and a flow cell ten bytes:
+	// bound the counts by the bytes before allocating for them.
+	nu := users.Count(uint64(nUsers), 12)
+	areas.Count(uint64(nu), slots)
+	cells.Count(uint64(nu), 4)
+	sums.Count(uint64(nu), 24)
+	nf := flows.Count(uint64(nFlows), 10)
+	for id := range sec {
+		if err := sec[id].Err(); err != nil {
+			return fail("section %d: %v", id+1, err)
+		}
 	}
-	if len(flows) != 10*nFlows || len(cells)%4 != 0 || len(marks)%(8*tw) != 0 || len(mids)%mb != 0 {
-		return fail("section lengths do not match their counts")
+	if nu == 0 {
+		return fail("no user rows")
 	}
-	if sp.factor > 1 && len(mids) > 0 {
+	if sp.factor > 1 && mids.Len() > 0 {
 		return fail("a merge carries interior times")
 	}
 	p := &partial{
 		seen:      true,
-		bbox:      bboxFromBits(hdr[16:48]),
-		users:     make([]userPart, nUsers),
-		firstArea: make([]int16, nUsers*slots),
-		lastArea:  make([]int16, nUsers*slots),
-		marks:     make([]uint64, nUsers*tw),
-		cells:     make([]uint64, len(cells)/4),
-		sums:      make([]mobility.VecSum, nUsers),
+		bbox:      bbox,
+		users:     make([]userPart, nu),
+		firstArea: make([]int16, nu*slots),
+		lastArea:  make([]int16, nu*slots),
+		marks:     make([]uint64, nu*tw),
+		cells:     make([]uint64, cells.Len()/4),
+		sums:      make([]mobility.VecSum, nu),
 	}
 	if b := p.bbox; !(b.MinLat <= b.MaxLat && b.MinLon <= b.MaxLon) {
 		return fail("bounding box %+v", b)
 	}
-	r := snapReader{p: users}
 	recs, ncells := uint64(0), uint64(0)
 	for row := range p.users {
 		u := &p.users[row]
-		if len(r.p) < 8 {
-			return fail("users section short at row %d", row)
-		}
-		u.id, r.p = int64(getU64(r.p)), r.p[8:]
-		if row > 0 && u.id <= p.users[row-1].id {
+		if u.id = users.I64(); row > 0 && u.id <= p.users[row-1].id && users.Err() == nil {
 			return fail("user row %d breaks the ascending id order", row)
 		}
-		first, spread := r.uvarint(), r.uvarint()
-		n, c := r.uvarint()+1, r.uvarint()+1
-		if r.bad || first >= uint64(spanMs) || spread >= uint64(spanMs)-first || n == 0 || c == 0 || c > n || n == 1 && spread != 0 {
+		first, spread := users.Uvarint(), users.Uvarint()
+		n, c := users.Uvarint()+1, users.Uvarint()+1
+		if users.Err() != nil || first >= uint64(spanMs) || spread >= uint64(spanMs)-first || n == 0 || c == 0 || c > n || n == 1 && spread != 0 {
 			return fail("user row %d malformed", row)
 		}
 		if n > math.MaxUint32-recs || c > uint64(len(p.cells))-ncells {
@@ -593,16 +536,14 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 			p.lastTS = u.lastTS
 		}
 	}
-	if len(r.p) != 0 || ncells != uint64(len(p.cells)) {
+	if users.End() != nil || ncells != uint64(len(p.cells)) {
 		return fail("users section does not match its cells")
 	}
 	p.tweets = int64(recs)
-	r = snapReader{p: areas}
+	badArea := false
 	area := func(s int) int16 {
-		v := r.uvarint()
-		if v > uint64(len(sh.regions[s].Areas)) {
-			r.bad = true
-		}
+		v := areas.Uvarint()
+		badArea = badArea || v > uint64(len(sh.regions[s].Areas))
 		return int16(v) - 1
 	}
 	for row := range p.users {
@@ -618,7 +559,7 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 			copy(last, first)
 		}
 	}
-	if r.bad || len(r.p) != 0 {
+	if badArea || areas.End() != nil {
 		return fail("areas section malformed")
 	}
 	for row := range p.users {
@@ -633,56 +574,48 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 			}
 			continue
 		}
-		if len(marks) < 8*tw {
-			return fail("marks section short at row %d", row)
-		}
 		for w := range m {
-			m[w] = getU64(marks[8*w:])
+			m[w] = marks.U64()
 		}
-		marks = marks[8*tw:]
 		for s := 0; s < slots; s++ {
 			if n := len(sh.regions[s].Areas); n%64 != 0 && m[sh.wordOff[s]+sh.wordsPerSlot[s]-1]>>(n%64) != 0 {
 				return fail("row %d marks an area beyond slot %d", row, s)
 			}
 		}
 	}
-	if len(marks) != 0 {
-		return fail("marks section has %d extra bytes", len(marks))
+	if err := marks.End(); err != nil {
+		return fail("marks section: %v", err)
 	}
 	for row := range p.users {
 		own := p.userCells(row)
 		for i := range own {
-			k := int(p.users[row].c0) + i
-			own[i] = uint64(getU32(cells[4*k:]))
+			own[i] = uint64(cells.U32())
 			if i > 0 && own[i] <= own[i-1] {
 				return fail("row %d cells out of order", row)
 			}
 		}
 	}
+	if err := cells.End(); err != nil {
+		return fail("cells section: %v", err)
+	}
 	for row := range p.users {
-		wide := p.recCount(row) >= 8
-		if need := 24 + 24*btoi(wide); len(sums) < need {
-			return fail("sums section short at row %d", row)
-		}
 		var w [6]uint64
-		w[1], w[3], w[5] = getU64(sums), getU64(sums[8:]), getU64(sums[16:])
-		if wide {
-			w[0], w[2], w[4] = getU64(sums[24:]), getU64(sums[32:]), getU64(sums[40:])
+		w[1], w[3], w[5] = sums.U64(), sums.U64(), sums.U64()
+		if p.recCount(row) >= 8 {
+			w[0], w[2], w[4] = sums.U64(), sums.U64(), sums.U64()
 		} else {
 			w[0], w[2], w[4] = uint64(int64(w[1])>>63), uint64(int64(w[3])>>63), uint64(int64(w[5])>>63)
 		}
 		p.sums[row] = mobility.VecSumFromWords(w)
-		sums = sums[24+24*btoi(wide):]
 	}
-	if len(sums) != 0 {
-		return fail("sums section has %d extra bytes", len(sums))
+	if err := sums.End(); err != nil {
+		return fail("sums section: %v", err)
 	}
-	if nFlows > 0 {
-		p.flows = make([]flowCell, nFlows)
+	if nf > 0 {
+		p.flows = make([]flowCell, nf)
 	}
 	for i := range p.flows {
-		q := flows[10*i:]
-		c := flowCell{slot: int16(getU16(q)), from: int16(getU16(q[2:])), to: int16(getU16(q[4:])), n: float64(getU32(q[6:]))}
+		c := flowCell{slot: int16(flows.U16()), from: int16(flows.U16()), to: int16(flows.U16()), n: float64(flows.U32())}
 		if c.slot < 0 || int(c.slot) >= len(sh.scales) || c.n == 0 {
 			return fail("flow cell %d out of range", i)
 		}
@@ -696,13 +629,16 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 		}
 		p.flows[i] = c
 	}
+	if err := flows.End(); err != nil {
+		return fail("flows section: %v", err)
+	}
 	if sp.factor == 1 {
 		want := 0
 		for row := range p.users {
 			want += max(0, p.recCount(row)-2)
 		}
-		if len(mids) != want*mb {
-			return fail("%d bytes of interior times, want %d", len(mids), want*mb)
+		if mids.Len() != want*mb {
+			return fail("%d bytes of interior times, want %d", mids.Len(), want*mb)
 		}
 		if want > 0 {
 			sp.mids = make([]int64, 0, want)
@@ -713,11 +649,10 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 			for n := p.recCount(row) - 2; n > 0; n-- {
 				var o uint64
 				if mb == 4 {
-					o = uint64(getU32(mids))
+					o = uint64(mids.U32())
 				} else {
-					o = getU64(mids)
+					o = mids.U64()
 				}
-				mids = mids[mb:]
 				if o < prev || o > uint64(u.lastTS-u.firstTS) {
 					return fail("row %d interior times out of order", row)
 				}
@@ -726,25 +661,11 @@ func (sh *Shape) decodeSnapPart(blob []byte, off int) (snapPart, int, error) {
 			}
 		}
 	}
+	if err := mids.End(); err != nil {
+		return fail("mids section: %v", err)
+	}
 	sp.part = p
-	return sp, off, nil
-}
-
-// bboxFromBits reads the four raw float64 bounds appendSnapPart wrote.
-func bboxFromBits(b []byte) geo.BBox {
-	return geo.BBox{
-		MinLat: math.Float64frombits(getU64(b)),
-		MinLon: math.Float64frombits(getU64(b[8:])),
-		MaxLat: math.Float64frombits(getU64(b[16:])),
-		MaxLon: math.Float64frombits(getU64(b[24:])),
-	}
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	return sp, nil
 }
 
 // snapFileMeta is one file entry in the snapshot manifest. Bytes is the

@@ -187,11 +187,11 @@ func patchSection(blob []byte, part, sec int, fn func(p []byte)) []byte {
 	for k := 0; ; k++ {
 		off += snapPartHeader
 		for s := 0; s < snapSections; s++ {
-			l := int(getU32(out[off:]))
+			l := int(binary.LittleEndian.Uint32(out[off:]))
 			if k == part && s == sec {
 				p := out[off+8 : off+8+l]
 				fn(p)
-				putU32(out[off+4:], crc32.ChecksumIEEE(p))
+				binary.LittleEndian.PutUint32(out[off+4:], crc32.ChecksumIEEE(p))
 				return out
 			}
 			off += 8 + l

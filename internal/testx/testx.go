@@ -10,7 +10,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"os"
 	"reflect"
+	"testing"
 
 	"geomob/internal/geo"
 )
@@ -127,6 +129,26 @@ func SwapSnapshotRows(blob []byte, part, i, j int) []byte {
 	copy(p, bytes.Join(rows, nil))
 	binary.LittleEndian.PutUint32(out[off+4:], crc32.ChecksumIEEE(p))
 	return out
+}
+
+// RoundTripGolden passes each golden file — bytes a format's encoder
+// wrote once, committed so that the format cannot drift unnoticed —
+// through its round trip (decode, then encode again) and fails the test
+// unless the bytes come back identical.
+func RoundTripGolden(t testing.TB, goldens map[string]func(raw []byte) ([]byte, error)) {
+	t.Helper()
+	for file, roundTrip := range goldens {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := roundTrip(raw)
+		if err != nil {
+			t.Errorf("%s: %v", file, err)
+		} else if !bytes.Equal(again, raw) {
+			t.Errorf("%s: %d bytes re-encode to %d different bytes", file, len(raw), len(again))
+		}
+	}
 }
 
 // Destination returns the point reached by travelling dist metres from p on

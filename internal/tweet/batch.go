@@ -2,10 +2,8 @@ package tweet
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -13,6 +11,7 @@ import (
 	"sync"
 
 	"geomob/internal/geo"
+	"geomob/internal/wire"
 )
 
 // Batch is the struct-of-arrays form of a tweet slice: one column per
@@ -285,117 +284,83 @@ func AppendFrame(dst []byte, b *Batch) ([]byte, error) {
 		return dst, fmt.Errorf("tweet: batch of %d records exceeds the %d frame cap", n, maxBatchLen)
 	}
 	frameLen := batchFixedLen + 5*8*n
-	need := 4 + frameLen
-	off := len(dst)
-	dst = append(dst, make([]byte, need)...)
-	buf := dst[off:]
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:4], uint32(frameLen))
-	le.PutUint32(buf[4:8], batchMagic)
-	le.PutUint16(buf[8:10], batchVersion)
-	le.PutUint16(buf[10:12], 0)
-	le.PutUint32(buf[12:16], uint32(n))
-	p := 16
-	putInts := func(col []int64) {
-		le.PutUint32(buf[p:], uint32(8*n))
-		body := buf[p+8 : p+8+8*n]
-		for i, v := range col {
-			le.PutUint64(body[8*i:], uint64(v))
+	w := wire.NewWriter(dst)
+	w.Grow(4 + frameLen)
+	w.U32(uint32(frameLen))
+	w.U32(batchMagic)
+	w.U16(batchVersion)
+	w.Zero(2)
+	w.U32(uint32(n))
+	for _, col := range [][]int64{b.ID, b.UserID, b.TS} {
+		at := w.BeginSection()
+		for _, v := range col {
+			w.I64(v)
 		}
-		le.PutUint32(buf[p+4:], crc32.ChecksumIEEE(body))
-		p += 8 + 8*n
+		w.EndSection(at)
 	}
-	putFloats := func(col []float64) {
-		le.PutUint32(buf[p:], uint32(8*n))
-		body := buf[p+8 : p+8+8*n]
-		for i, v := range col {
-			le.PutUint64(body[8*i:], math.Float64bits(v))
+	for _, col := range [][]float64{b.Lat, b.Lon} {
+		at := w.BeginSection()
+		for _, v := range col {
+			w.F64(v)
 		}
-		le.PutUint32(buf[p+4:], crc32.ChecksumIEEE(body))
-		p += 8 + 8*n
+		w.EndSection(at)
 	}
-	putInts(b.ID)
-	putInts(b.UserID)
-	putInts(b.TS)
-	putFloats(b.Lat)
-	putFloats(b.Lon)
-	return dst, nil
+	return w.Bytes(), nil
+}
+
+// FrameRows peeks the record count out of an encoded frame (length
+// prefix included) without decoding it; 0 if the frame is too short.
+func FrameRows(frame []byte) int {
+	r := wire.NewReader(frame)
+	r.Take(12)
+	return int(r.U32())
 }
 
 // decodeFrame decodes one frame body (everything after the length prefix)
 // into b, replacing its contents. Structural errors (magic, version,
-// lengths, CRC) are reported without panicking on any input.
+// reserved bytes, lengths, CRC) are reported without panicking on any
+// input.
 func decodeFrame(buf []byte, b *Batch) error {
-	if len(buf) < batchFixedLen {
-		return fmt.Errorf("tweet: batch frame truncated: %d bytes", len(buf))
+	r := wire.NewReader(buf)
+	magic, version := r.U32(), r.U16()
+	r.Zero(2)
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("tweet: batch frame header: %w", err)
 	}
-	le := binary.LittleEndian
-	if m := le.Uint32(buf[0:4]); m != batchMagic {
-		return fmt.Errorf("tweet: bad batch frame magic %08x", m)
+	if magic != batchMagic {
+		return fmt.Errorf("tweet: bad batch frame magic %08x", magic)
 	}
-	if v := le.Uint16(buf[4:6]); v != batchVersion {
-		return fmt.Errorf("tweet: unsupported batch frame version %d", v)
+	if version != batchVersion {
+		return fmt.Errorf("tweet: unsupported batch frame version %d", version)
 	}
-	n := int(le.Uint32(buf[8:12]))
 	if n > maxBatchLen {
 		return fmt.Errorf("tweet: batch frame count %d exceeds the %d cap", n, maxBatchLen)
 	}
 	if want := batchFixedLen + 5*8*n; len(buf) != want {
 		return fmt.Errorf("tweet: batch frame of %d records has %d bytes, want %d", n, len(buf), want)
 	}
+	var cols [5][]byte
+	for c, name := range [...]string{"id", "user", "ts", "lat", "lon"} {
+		if cols[c] = r.Section(); r.Err() != nil {
+			return fmt.Errorf("tweet: batch frame column %s: %w", name, r.Err())
+		}
+		if len(cols[c]) != 8*n {
+			return fmt.Errorf("tweet: batch frame column %s: length %d, want %d", name, len(cols[c]), 8*n)
+		}
+	}
+	// Every column is 8n bytes now, so the bodies decode in direct loops.
 	b.Reset()
 	b.Grow(n)
-	p := 12
-	col := func(name string) ([]byte, error) {
-		colLen := int(le.Uint32(buf[p:]))
-		crc := le.Uint32(buf[p+4:])
-		if colLen != 8*n {
-			return nil, fmt.Errorf("tweet: batch frame column %s: length %d, want %d", name, colLen, 8*n)
-		}
-		body := buf[p+8 : p+8+colLen]
-		if got := crc32.ChecksumIEEE(body); got != crc {
-			return nil, fmt.Errorf("tweet: batch frame column %s: checksum mismatch (stored %08x, computed %08x)", name, crc, got)
-		}
-		p += 8 + colLen
-		return body, nil
+	b.ID, b.UserID, b.TS, b.Lat, b.Lon = b.ID[:n], b.UserID[:n], b.TS[:n], b.Lat[:n], b.Lon[:n]
+	for i := range n {
+		b.ID[i] = int64(wire.U64(cols[0][8*i:]))
+		b.UserID[i] = int64(wire.U64(cols[1][8*i:]))
+		b.TS[i] = int64(wire.U64(cols[2][8*i:]))
+		b.Lat[i] = math.Float64frombits(wire.U64(cols[3][8*i:]))
+		b.Lon[i] = math.Float64frombits(wire.U64(cols[4][8*i:]))
 	}
-	ints := func(name string, dst *[]int64) error {
-		body, err := col(name)
-		if err != nil {
-			return err
-		}
-		out := (*dst)[:0]
-		for i := 0; i < n; i++ {
-			out = append(out, int64(le.Uint64(body[8*i:])))
-		}
-		*dst = out
-		return nil
-	}
-	floats := func(name string, dst *[]float64) error {
-		body, err := col(name)
-		if err != nil {
-			return err
-		}
-		out := (*dst)[:0]
-		for i := 0; i < n; i++ {
-			out = append(out, math.Float64frombits(le.Uint64(body[8*i:])))
-		}
-		*dst = out
-		return nil
-	}
-	if err := ints("id", &b.ID); err != nil {
-		return err
-	}
-	if err := ints("user", &b.UserID); err != nil {
-		return err
-	}
-	if err := ints("ts", &b.TS); err != nil {
-		return err
-	}
-	if err := floats("lat", &b.Lat); err != nil {
-		return err
-	}
-	return floats("lon", &b.Lon)
+	return nil
 }
 
 // BatchWriter streams batches as binary frames onto w.
@@ -462,7 +427,7 @@ func (r *BatchReader) Read(b *Batch) error {
 		r.err = r.streamErr(err, "frame length")
 		return r.err
 	}
-	frameLen := int64(binary.LittleEndian.Uint32(pfx[:]))
+	frameLen := int64(wire.U32(pfx[:]))
 	if frameLen > r.maxFrame {
 		r.err = fmt.Errorf("%w: frame of %d bytes, limit %d", ErrFrameTooLarge, frameLen, r.maxFrame)
 		return r.err

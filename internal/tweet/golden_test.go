@@ -2,37 +2,22 @@ package tweet
 
 import (
 	"bytes"
-	"os"
 	"testing"
+
+	"geomob/internal/testx"
 )
 
-// TestGoldenRoundTrip decodes the committed batch frame — written by the
-// frame encoder before the codecs moved onto internal/wire, and never to
-// be regenerated — and re-encodes it: the bytes must come back
-// identical, so the frame format cannot drift unnoticed.
+// TestGoldenRoundTrip pins the batch frame format: the committed frame,
+// written by the encoder before the codecs moved onto internal/wire and
+// never to be regenerated, must decode and re-encode byte-identically.
 func TestGoldenRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		file      string
-		roundTrip func([]byte) ([]byte, error)
-	}{
-		{"testdata/golden/frame.gmtb", func(raw []byte) ([]byte, error) {
+	testx.RoundTripGolden(t, map[string]func([]byte) ([]byte, error){
+		"testdata/golden/frame.gmtb": func(raw []byte) ([]byte, error) {
 			var b Batch
 			if err := NewBatchReader(bytes.NewReader(raw), 0).Read(&b); err != nil {
 				return nil, err
 			}
 			return AppendFrame(nil, &b)
-		}},
-	} {
-		raw, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := tc.roundTrip(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if !bytes.Equal(again, raw) {
-			t.Errorf("%s: %d bytes re-encode to %d different bytes", tc.file, len(raw), len(again))
-		}
-	}
+		},
+	})
 }

@@ -13,12 +13,11 @@ package tweetdb
 // Coordinates are quantised by tweet.Microdegrees.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"geomob/internal/geo"
 	"geomob/internal/tweet"
+	"geomob/internal/wire"
 )
 
 // v2 column directory: five (u32 length, u32 crc) entries, in column
@@ -56,12 +55,12 @@ func (c *ColumnBlock) Len() int { return len(c.ID) }
 
 // latMicro returns record i's latitude in microdegrees.
 func (c *ColumnBlock) latMicro(i int) int32 {
-	return int32(binary.LittleEndian.Uint32(c.latRaw[4*i:]))
+	return int32(wire.U32(c.latRaw[4*i:]))
 }
 
 // lonMicro returns record i's longitude in microdegrees.
 func (c *ColumnBlock) lonMicro(i int) int32 {
-	return int32(binary.LittleEndian.Uint32(c.lonRaw[4*i:]))
+	return int32(wire.U32(c.lonRaw[4*i:]))
 }
 
 // Lat returns record i's latitude in degrees.
@@ -96,106 +95,79 @@ func (c *ColumnBlock) appendRow(src *ColumnBlock, i int) {
 	c.ID = append(c.ID, src.ID[i])
 	c.UserID = append(c.UserID, src.UserID[i])
 	c.TS = append(c.TS, src.TS[i])
-	var raw [4]byte
-	binary.LittleEndian.PutUint32(raw[:], uint32(src.latMicro(i)))
-	c.latRaw = append(c.latRaw, raw[:]...)
-	binary.LittleEndian.PutUint32(raw[:], uint32(src.lonMicro(i)))
-	c.lonRaw = append(c.lonRaw, raw[:]...)
+	c.latRaw = append(c.latRaw, src.latRaw[4*i:4*i+4]...)
+	c.lonRaw = append(c.lonRaw, src.lonRaw[4*i:4*i+4]...)
 }
 
 // encodeColumnsV2 serialises records [from, to) of the batch as a v2
 // payload appended to dst: the column directory, then each column. dst
 // is grown once, to the payload's worst case (three columns of 10-byte
-// varints, two of 4-byte coordinates), and written by offset.
+// varints, two of 4-byte coordinates), and each directory entry is
+// filled in once its column is written.
 func encodeColumnsV2(dst []byte, b *tweet.Batch, from, to int) []byte {
-	n := to - from
-	le := binary.LittleEndian
-	dirOff := len(dst)
-	dst = slices.Grow(dst, colDirSize+(3*binary.MaxVarintLen64+2*4)*n)
-	dst = dst[:cap(dst)]
-	p := dirOff + colDirSize
-	putDir := func(col, length int, crc uint32) {
-		le.PutUint32(dst[dirOff+8*col:], uint32(length))
-		le.PutUint32(dst[dirOff+8*col+4:], crc)
+	w := wire.NewWriter(dst)
+	w.Grow(colDirSize + (3*10+2*4)*(to-from))
+	dir := w.Len()
+	w.Zero(colDirSize)
+	start := w.Len()
+	endCol := func(col int) {
+		w.SetU32(dir+8*col, uint32(w.Len()-start))
+		w.SetU32(dir+8*col+4, checksum(w.Bytes()[start:]))
+		start = w.Len()
 	}
-	deltaCol := func(col int, vals []int64) {
-		start := p
+	for col, vals := range [][]int64{colID: b.ID[from:to], colUser: b.UserID[from:to], colTS: b.TS[from:to]} {
 		prev := int64(0)
 		for _, v := range vals {
-			p += binary.PutVarint(dst[p:], v-prev)
+			w.Varint(v - prev)
 			prev = v
 		}
-		putDir(col, p-start, checksum(dst[start:p]))
+		endCol(col)
 	}
-	deltaCol(colID, b.ID[from:to])
-	deltaCol(colUser, b.UserID[from:to])
-	deltaCol(colTS, b.TS[from:to])
-	microCol := func(col int, vals []float64) {
-		body := dst[p : p+4*n]
-		for i, v := range vals {
-			le.PutUint32(body[4*i:], uint32(tweet.Microdegrees(v)))
+	for k, vals := range [][]float64{b.Lat[from:to], b.Lon[from:to]} {
+		for _, v := range vals {
+			w.U32(uint32(tweet.Microdegrees(v)))
 		}
-		putDir(col, 4*n, checksum(body))
-		p += 4 * n
+		endCol(colLat + k)
 	}
-	microCol(colLat, b.Lat[from:to])
-	microCol(colLon, b.Lon[from:to])
-	return dst[:p]
+	return w.Bytes()
 }
 
 // decodeColumnsV2 parses a v2 payload of n records into a block. The
 // coordinate columns alias payload; the caller must keep it alive (and
 // immutable) for the block's lifetime. Every structural defect — bad
-// directory, short columns, CRC mismatch — is a clean error, never a
-// panic.
+// directory, short columns, CRC mismatch, a varint that is not the
+// shortest — is a clean error, never a panic.
 func decodeColumnsV2(payload []byte, n int) (*ColumnBlock, error) {
-	if len(payload) < colDirSize {
-		return nil, fmt.Errorf("column directory truncated: %d bytes", len(payload))
+	r := wire.NewReader(payload)
+	var lens, crcs [numCols]uint32
+	for c := range lens {
+		lens[c], crcs[c] = r.U32(), r.U32()
 	}
-	le := binary.LittleEndian
-	var cols [numCols][]byte
-	off := colDirSize
-	for c := 0; c < numCols; c++ {
-		length := int(le.Uint32(payload[8*c:]))
-		crc := le.Uint32(payload[8*c+4:])
-		if length < 0 || off+length > len(payload) {
-			return nil, fmt.Errorf("column %s: length %d overruns payload (%d of %d bytes used)",
-				colNames[c], length, off, len(payload))
-		}
-		body := payload[off : off+length]
-		if got := checksum(body); got != crc {
-			return nil, fmt.Errorf("column %s: checksum mismatch (stored %08x, computed %08x)",
-				colNames[c], crc, got)
-		}
-		cols[c] = body
-		off += length
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("column directory: %w", err)
 	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("payload has %d trailing bytes after columns", len(payload)-off)
+	var cols [numCols]wire.Reader
+	for c := range cols {
+		if cols[c] = wire.NewReader(r.Checked(int(lens[c]), crcs[c])); r.Err() != nil {
+			return nil, fmt.Errorf("column %s: %w", colNames[c], r.Err())
+		}
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("payload after columns: %w", err)
 	}
 	blk := &ColumnBlock{}
 	deltaCol := func(c int) ([]int64, error) {
-		buf := cols[c]
+		cr := &cols[c]
 		// A varint takes at least one byte: a count the column cannot hold
 		// is rejected before it sizes an allocation.
-		if n > len(buf) {
-			return nil, fmt.Errorf("column %s: %d bytes cannot hold %d records", colNames[c], len(buf), n)
-		}
-		out := make([]int64, 0, n)
-		pos := 0
+		out := make([]int64, cr.Count(uint64(n), 1))
 		prev := int64(0)
-		for i := 0; i < n; i++ {
-			v, k := binary.Varint(buf[pos:])
-			if k <= 0 {
-				return nil, fmt.Errorf("column %s: truncated varint at offset %d (record %d of %d)",
-					colNames[c], pos, i, n)
-			}
-			pos += k
-			prev += v
-			out = append(out, prev)
+		for i := range out {
+			prev += cr.Varint()
+			out[i] = prev
 		}
-		if pos != len(buf) {
-			return nil, fmt.Errorf("column %s: %d trailing bytes after %d records", colNames[c], len(buf)-pos, n)
+		if err := cr.End(); err != nil {
+			return nil, fmt.Errorf("column %s of %d records: %w", colNames[c], n, err)
 		}
 		return out, nil
 	}
@@ -210,12 +182,12 @@ func decodeColumnsV2(payload []byte, n int) (*ColumnBlock, error) {
 		return nil, err
 	}
 	for _, c := range []int{colLat, colLon} {
-		if len(cols[c]) != 4*n {
+		if cols[c].Len() != 4*n {
 			return nil, fmt.Errorf("column %s: %d bytes for %d records, want %d",
-				colNames[c], len(cols[c]), n, 4*n)
+				colNames[c], cols[c].Len(), n, 4*n)
 		}
 	}
-	blk.latRaw = cols[colLat]
-	blk.lonRaw = cols[colLon]
+	blk.latRaw = cols[colLat].Take(4 * n)
+	blk.lonRaw = cols[colLon].Take(4 * n)
 	return blk, nil
 }

@@ -13,12 +13,11 @@
 package tweetdb
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"geomob/internal/geo"
+	"geomob/internal/wire"
 )
 
 // File format constants. A segment is the magic, a fixed header and the
@@ -67,45 +66,42 @@ type header struct {
 
 // putHeader encodes the header over buf[:headerSize].
 func putHeader(buf []byte, h header) {
-	copy(buf[0:8], segMagic)
-	binary.LittleEndian.PutUint16(buf[8:10], h.version)
-	binary.LittleEndian.PutUint16(buf[10:12], 0) // reserved flags
-	binary.LittleEndian.PutUint32(buf[12:16], h.count)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(h.minTS))
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(h.maxTS))
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(h.minUser))
-	binary.LittleEndian.PutUint64(buf[40:48], uint64(h.maxUser))
-	binary.LittleEndian.PutUint64(buf[48:56], math.Float64bits(h.bbox.MinLat))
-	binary.LittleEndian.PutUint64(buf[56:64], math.Float64bits(h.bbox.MinLon))
-	binary.LittleEndian.PutUint64(buf[64:72], math.Float64bits(h.bbox.MaxLat))
-	binary.LittleEndian.PutUint64(buf[72:80], math.Float64bits(h.bbox.MaxLon))
-	binary.LittleEndian.PutUint32(buf[80:84], h.payloadLen)
-	binary.LittleEndian.PutUint32(buf[84:88], h.crc)
+	w := wire.NewWriter(buf[:0]) // appends within buf, over its header bytes
+	w.Raw([]byte(segMagic))
+	w.U16(h.version)
+	w.Zero(2) // reserved flags
+	w.U32(h.count)
+	w.I64(h.minTS)
+	w.I64(h.maxTS)
+	w.I64(h.minUser)
+	w.I64(h.maxUser)
+	w.F64(h.bbox.MinLat)
+	w.F64(h.bbox.MinLon)
+	w.F64(h.bbox.MaxLat)
+	w.F64(h.bbox.MaxLon)
+	w.U32(h.payloadLen)
+	w.U32(h.crc)
 }
 
 // unmarshalHeader decodes and validates the fixed-size header.
 func unmarshalHeader(buf []byte) (header, error) {
-	var h header
-	if len(buf) < headerSize {
-		return h, fmt.Errorf("tweetdb: segment header truncated: %d bytes", len(buf))
-	}
-	if string(buf[0:8]) != segMagic {
-		return h, fmt.Errorf("tweetdb: bad segment magic %q", buf[0:8])
-	}
-	if h.version = binary.LittleEndian.Uint16(buf[8:10]); h.version != segVersion {
+	r := wire.NewReader(buf)
+	magic := r.Take(8)
+	h := header{version: r.U16()}
+	r.Zero(2) // reserved flags
+	h.count = r.U32()
+	h.minTS, h.maxTS = r.I64(), r.I64()
+	h.minUser, h.maxUser = r.I64(), r.I64()
+	h.bbox = geo.BBox{MinLat: r.F64(), MinLon: r.F64(), MaxLat: r.F64(), MaxLon: r.F64()}
+	h.payloadLen, h.crc = r.U32(), r.U32()
+	switch {
+	case magic != nil && string(magic) != segMagic:
+		return h, fmt.Errorf("tweetdb: bad segment magic %q", magic)
+	case r.Err() != nil:
+		return h, fmt.Errorf("tweetdb: segment header: %w", r.Err())
+	case h.version != segVersion:
 		return h, fmt.Errorf("tweetdb: unsupported segment version %d", h.version)
 	}
-	h.count = binary.LittleEndian.Uint32(buf[12:16])
-	h.minTS = int64(binary.LittleEndian.Uint64(buf[16:24]))
-	h.maxTS = int64(binary.LittleEndian.Uint64(buf[24:32]))
-	h.minUser = int64(binary.LittleEndian.Uint64(buf[32:40]))
-	h.maxUser = int64(binary.LittleEndian.Uint64(buf[40:48]))
-	h.bbox.MinLat = math.Float64frombits(binary.LittleEndian.Uint64(buf[48:56]))
-	h.bbox.MinLon = math.Float64frombits(binary.LittleEndian.Uint64(buf[56:64]))
-	h.bbox.MaxLat = math.Float64frombits(binary.LittleEndian.Uint64(buf[64:72]))
-	h.bbox.MaxLon = math.Float64frombits(binary.LittleEndian.Uint64(buf[72:80]))
-	h.payloadLen = binary.LittleEndian.Uint32(buf[80:84])
-	h.crc = binary.LittleEndian.Uint32(buf[84:88])
 	return h, nil
 }
 

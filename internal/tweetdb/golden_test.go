@@ -1,26 +1,23 @@
 package tweetdb
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
 
-// TestGoldenRoundTrip decodes the committed segment file — written by the
-// segment encoder before the codecs moved onto internal/wire, and never
-// to be regenerated — and re-encodes its records through a fresh store:
-// the segment must come back byte-identical, so the format cannot drift
-// unnoticed. Its coordinates lie on the microdegree grid, so the header's
-// bounding box is the one the decoded records give.
+// TestGoldenRoundTrip pins the segment format: the committed segment,
+// written by the encoder before the codecs moved onto internal/wire and
+// never to be regenerated, must decode, and its records re-encode
+// through a fresh store, byte-identically. Its coordinates lie on the
+// microdegree grid, so the header's bounding box is the one the decoded
+// records give.
 func TestGoldenRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		file      string
-		roundTrip func([]byte) ([]byte, error)
-	}{
-		{"testdata/golden/segment.gmseg", func(raw []byte) ([]byte, error) {
+	testx.RoundTripGolden(t, map[string]func([]byte) ([]byte, error){
+		"testdata/golden/segment.gmseg": func(raw []byte) ([]byte, error) {
 			blk, err := decodeSegment(raw)
 			if err != nil {
 				return nil, err
@@ -35,18 +32,6 @@ func TestGoldenRoundTrip(t *testing.T) {
 				return nil, err
 			}
 			return os.ReadFile(filepath.Join(store.Dir(), store.Segments()[0].File))
-		}},
-	} {
-		raw, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatal(err)
-		}
-		again, err := tc.roundTrip(raw)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if !bytes.Equal(again, raw) {
-			t.Errorf("%s: %d bytes re-encode to %d different bytes", tc.file, len(raw), len(again))
-		}
-	}
+		},
+	})
 }

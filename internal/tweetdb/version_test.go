@@ -174,6 +174,14 @@ func FuzzDecodeSegment(f *testing.F) {
 	claim := append([]byte(nil), pristine...)
 	binary.LittleEndian.PutUint32(claim[12:], math.MaxUint32)
 	f.Add(claim)
+	// The reserved flags set: the file CRC covers the payload only, so
+	// only the reserved-bytes rule refuses it.
+	flags := append([]byte(nil), pristine...)
+	flags[10] = 1
+	if _, err := decodeSegment(flags); err == nil {
+		f.Fatal("a segment with its reserved flags set was accepted")
+	}
+	f.Add(flags)
 	f.Add([]byte{})
 
 	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}

@@ -281,13 +281,13 @@ func TestSpoolTornGroup(t *testing.T) {
 }
 
 // refRecover is the fuzz oracle: an independent walk of one segment's
-// bytes under the documented format and the intact-prefix rule,
-// returning each record still pending (seq → destination mask) and
-// whether the whole file parsed.
+// bytes under the documented format (reserved bytes zero) and the
+// intact-prefix rule, returning each record still pending (seq →
+// destination mask) and whether the whole file parsed.
 func refRecover(raw []byte) (pending map[uint64]uint64, clean bool) {
 	le := binary.LittleEndian
 	pending = map[uint64]uint64{}
-	if len(raw) < segHeader || le.Uint32(raw[0:4]) != segMagic || le.Uint16(raw[4:6]) != segVersion ||
+	if len(raw) < segHeader || le.Uint32(raw[0:4]) != segMagic || le.Uint16(raw[4:6]) != segVersion || le.Uint16(raw[6:8]) != 0 ||
 		crc32.ChecksumIEEE(raw[0:16]) != le.Uint32(raw[16:20]) {
 		return pending, false
 	}
@@ -302,11 +302,11 @@ func refRecover(raw []byte) (pending map[uint64]uint64, clean bool) {
 			return pending, false
 		}
 		switch {
-		case payload[0] == kindData && plen >= dataHeader:
+		case payload[0] == kindData && plen >= dataHeader && le.Uint16(payload[2:4]) == 0:
 			if mask := le.Uint64(payload[16:24]); mask != 0 {
 				pending[le.Uint64(payload[8:16])] = mask
 			}
-		case payload[0] == kindAck && plen == ackLen:
+		case payload[0] == kindAck && plen == ackLen && payload[1] == 0 && le.Uint16(payload[2:4]) == 0:
 			seq, node := le.Uint64(payload[8:16]), le.Uint32(payload[4:8])
 			if node < 64 && pending[seq]&(1<<node) != 0 {
 				if pending[seq] &^= 1 << node; pending[seq] == 0 {
@@ -353,6 +353,11 @@ func FuzzSpoolRecover(f *testing.F) {
 	}
 	f.Add(raw)
 	f.Add([]byte{})
+	// The first record's reserved bytes set under a valid record CRC.
+	reserved := append([]byte(nil), raw...)
+	reserved[segHeader+recHeader+2] = 1
+	binary.LittleEndian.PutUint32(reserved[segHeader+4:], crc32.ChecksumIEEE(reserved[segHeader+recHeader:segHeader+recHeader+int(binary.LittleEndian.Uint32(reserved[segHeader:]))]))
+	f.Add(reserved)
 	for i := 1; i < 12; i++ {
 		p := len(raw) * i / 12
 		f.Add(raw[:p])

@@ -36,11 +36,9 @@ package wal
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,6 +48,8 @@ import (
 	"time"
 
 	"geomob/internal/obs"
+	"geomob/internal/tweet"
+	"geomob/internal/wire"
 )
 
 // Spool metrics (DESIGN.md §12). Appends count frames and fsyncs count
@@ -294,68 +294,57 @@ func (s *Spool) scanSegment(idx int) (floor uint64, clean bool) {
 	if err != nil {
 		return 0, false
 	}
-	if len(raw) < segHeader {
+	r := wire.NewReader(raw)
+	magic, version := r.U32(), r.U16()
+	r.Zero(2)
+	floor = r.U64()
+	r.CRC(0)
+	if r.Err() != nil || magic != segMagic || version != segVersion {
 		return 0, false
 	}
-	le := binary.LittleEndian
-	if le.Uint32(raw[0:4]) != segMagic || le.Uint16(raw[4:6]) != segVersion {
-		return 0, false
-	}
-	if crc32.ChecksumIEEE(raw[0:16]) != le.Uint32(raw[16:20]) {
-		return 0, false
-	}
-	floor = le.Uint64(raw[8:16])
-	off := int64(segHeader)
-	for int(off)+recHeader <= len(raw) {
-		plen := int64(le.Uint32(raw[off : off+4]))
-		crc := le.Uint32(raw[off+4 : off+8])
-		if plen <= 0 || plen > maxPayloadBytes || off+recHeader+plen > int64(len(raw)) {
+	for r.Len() >= recHeader {
+		off := int64(r.Off())
+		plen, crc := r.U32(), r.U32()
+		if plen == 0 || plen > maxPayloadBytes {
 			return floor, false
 		}
-		payload := raw[off+recHeader : off+recHeader+plen]
-		if crc32.ChecksumIEEE(payload) != crc {
+		payload := r.Checked(int(plen), crc)
+		if r.Err() != nil {
 			return floor, false
 		}
-		switch payload[0] {
+		p := wire.NewReader(payload)
+		switch p.U8() {
 		case kindData:
-			if plen < dataHeader {
+			rec := &prec{slot: p.U8(), seg: idx, off: off, n: int32(recHeader + plen)}
+			p.Zero(2)
+			rec.rows = int32(p.U32())
+			rec.seq, rec.mask = p.U64(), p.U64()
+			if p.Err() != nil {
 				return floor, false
 			}
-			seq := le.Uint64(payload[8:16])
-			mask := le.Uint64(payload[16:24])
-			rec := &prec{
-				seq:  seq,
-				slot: payload[1],
-				mask: mask,
-				rows: int32(le.Uint32(payload[4:8])),
-				seg:  idx,
-				off:  off,
-				n:    int32(recHeader + plen),
+			if rec.seq >= floor {
+				floor = rec.seq + 1
 			}
-			if seq >= floor {
-				floor = seq + 1
-			}
-			if mask != 0 {
-				s.index[seq] = rec
+			if rec.mask != 0 {
+				s.index[rec.seq] = rec
 				s.segPending[idx]++
-				s.addPending(rec, mask)
+				s.addPending(rec, rec.mask)
 				mWalReplayed.Inc()
 			}
 		case kindAck:
-			if plen != ackLen {
+			p.Zero(3)
+			node, seq := int(p.U32()), p.U64()
+			if plen != ackLen || p.Err() != nil {
 				return floor, false
 			}
-			node := int(le.Uint32(payload[4:8]))
-			seq := le.Uint64(payload[8:16])
 			s.clearPendingLocked(seq, node)
 		default:
 			return floor, false
 		}
-		off += recHeader + plen
 	}
 	// Trailing bytes shorter than a record header are a torn final
 	// write: the prefix stands but the segment is not clean.
-	return floor, int(off) == len(raw)
+	return floor, r.Len() == 0
 }
 
 func (s *Spool) addPending(rec *prec, mask uint64) {
@@ -417,13 +406,13 @@ func (s *Spool) ensureActiveLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [segHeader]byte
-	le := binary.LittleEndian
-	le.PutUint32(hdr[0:4], segMagic)
-	le.PutUint16(hdr[4:6], segVersion)
-	le.PutUint64(hdr[8:16], s.nextSeq)
-	le.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[0:16]))
-	if _, err := f.Write(hdr[:]); err != nil {
+	hdr := wire.NewWriter(make([]byte, 0, segHeader))
+	hdr.U32(segMagic)
+	hdr.U16(segVersion)
+	hdr.Zero(2)
+	hdr.U64(s.nextSeq)
+	hdr.CRC(0)
+	if _, err := f.Write(hdr.Bytes()); err != nil {
 		f.Close()
 		return err
 	}
@@ -453,24 +442,6 @@ func (s *Spool) writeLocked(recs []byte) (seg int, off int64, err error) {
 	off = s.fSize
 	s.fSize += int64(len(recs))
 	return s.fIdx, off, nil
-}
-
-// sealRecord fills the 8-byte record header (payload length, payload
-// CRC) of the record occupying buf[start:].
-func sealRecord(buf []byte, start int) {
-	le := binary.LittleEndian
-	payload := buf[start+recHeader:]
-	le.PutUint32(buf[start:], uint32(len(payload)))
-	le.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
-}
-
-// FrameRows peeks the record count out of a PR 6 binary batch frame
-// without decoding it (count lives at bytes [12:16] of the frame).
-func FrameRows(frame []byte) int {
-	if len(frame) < 16 {
-		return 0
-	}
-	return int(binary.LittleEndian.Uint32(frame[12:16]))
 }
 
 // Entry is one frame of a group append: the placement slot it belongs
@@ -509,34 +480,32 @@ func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 		size += recHeader + dataHeader + len(e.Frame)
 	}
 	t0 := time.Now()
-	le := binary.LittleEndian
 
 	s.mu.Lock()
 	first = s.nextSeq
-	buf := make([]byte, 0, size)
+	w := wire.NewWriter(make([]byte, 0, size))
 	recs := make([]prec, len(es))
 	for i, e := range es {
-		start := len(buf)
-		rows := FrameRows(e.Frame)
-		var hdr [recHeader + dataHeader]byte
-		p := hdr[recHeader:]
-		p[0] = kindData
-		p[1] = byte(e.Slot)
-		le.PutUint32(p[4:8], uint32(rows))
-		le.PutUint64(p[8:16], first+uint64(i))
-		le.PutUint64(p[16:24], e.Dests)
-		buf = append(append(buf, hdr[:]...), e.Frame...)
-		sealRecord(buf, start)
+		start := w.BeginSection()
+		rows := tweet.FrameRows(e.Frame)
+		w.U8(kindData)
+		w.U8(byte(e.Slot))
+		w.Zero(2)
+		w.U32(uint32(rows))
+		w.U64(first + uint64(i))
+		w.U64(e.Dests)
+		w.Raw(e.Frame)
+		w.EndSection(start)
 		recs[i] = prec{
 			seq:  first + uint64(i),
 			slot: uint8(e.Slot),
 			mask: e.Dests,
 			rows: int32(rows),
 			off:  int64(start),
-			n:    int32(len(buf) - start),
+			n:    int32(w.Len() - start),
 		}
 	}
-	seg, base, err := s.writeLocked(buf)
+	seg, base, err := s.writeLocked(w.Bytes())
 	// The range is burned even when the write failed: a group that fails
 	// part-way may have left whole records on disk, and a sequence
 	// recovered from there must never also name a later payload.
@@ -616,26 +585,23 @@ func (s *Spool) AckBatch(seqs []uint64, node int) error {
 // ackLocked clears node's claim on each still-pending sequence and logs
 // the acks as one write. Caller holds mu.
 func (s *Spool) ackLocked(seqs []uint64, node int) error {
-	le := binary.LittleEndian
-	buf := make([]byte, 0, len(seqs)*(recHeader+ackLen))
+	w := wire.NewWriter(make([]byte, 0, len(seqs)*(recHeader+ackLen)))
 	for _, seq := range seqs {
 		if !s.clearPendingLocked(seq, node) {
 			continue
 		}
 		mWalAcks.Inc()
-		var rec [recHeader + ackLen]byte
-		p := rec[recHeader:]
-		p[0] = kindAck
-		le.PutUint32(p[4:8], uint32(node))
-		le.PutUint64(p[8:16], seq)
-		start := len(buf)
-		buf = append(buf, rec[:]...)
-		sealRecord(buf, start)
+		at := w.BeginSection()
+		w.U8(kindAck)
+		w.Zero(3)
+		w.U32(uint32(node))
+		w.U64(seq)
+		w.EndSection(at)
 	}
-	if len(buf) == 0 {
+	if w.Len() == 0 {
 		return nil
 	}
-	_, _, err := s.writeLocked(buf)
+	_, _, err := s.writeLocked(w.Bytes())
 	return err
 }
 
@@ -694,14 +660,10 @@ func (s *Spool) load(rec *prec) ([]byte, error) {
 	if _, err := f.ReadAt(buf, rec.off); err != nil {
 		return nil, fmt.Errorf("wal: reload seq %d: %w", rec.seq, err)
 	}
-	le := binary.LittleEndian
-	plen := int(le.Uint32(buf[0:4]))
-	if plen != int(rec.n)-recHeader {
-		return nil, fmt.Errorf("wal: reload seq %d: length mismatch", rec.seq)
-	}
-	payload := buf[recHeader:]
-	if crc32.ChecksumIEEE(payload) != le.Uint32(buf[4:8]) {
-		return nil, fmt.Errorf("wal: reload seq %d: checksum mismatch", rec.seq)
+	r := wire.NewReader(buf)
+	payload := r.Section()
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("wal: reload seq %d: %w", rec.seq, err)
 	}
 	return payload[dataHeader:], nil
 }

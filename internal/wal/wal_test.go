@@ -105,8 +105,8 @@ func TestSpoolRoundtrip(t *testing.T) {
 		if r.Seq != seqs[i] || r.Slot != i || r.Rows != 4 {
 			t.Fatalf("recovered record %d = %+v, want seq %d slot %d rows 4", i, r, seqs[i], i)
 		}
-		if FrameRows(r.Frame) != 4 {
-			t.Fatalf("recovered frame %d has %d rows", i, FrameRows(r.Frame))
+		if tweet.FrameRows(r.Frame) != 4 {
+			t.Fatalf("recovered frame %d has %d rows", i, tweet.FrameRows(r.Frame))
 		}
 	}
 	for _, seq := range seqs {
@@ -331,15 +331,6 @@ func TestSpoolAppendGroup(t *testing.T) {
 	}
 	if st := s.Stats(); st.PendingRecords != 0 || st.NextSeq != first+16 {
 		t.Fatalf("after acking both nodes: %d pending, NextSeq %d, want 0 and %d", st.PendingRecords, st.NextSeq, first+16)
-	}
-}
-
-func TestFrameRows(t *testing.T) {
-	if got := FrameRows(testFrame(t, 0, 7)); got != 7 {
-		t.Fatalf("FrameRows = %d, want 7", got)
-	}
-	if got := FrameRows(nil); got != 0 {
-		t.Fatalf("FrameRows(nil) = %d, want 0", got)
 	}
 }
 

@@ -84,6 +84,42 @@ func TestLayering(t *testing.T) {
 	}
 }
 
+// TestBinaryOnlyThroughWire pins the byte layer (DESIGN.md §9): no
+// non-test file under internal/ or cmd/ imports encoding/binary except
+// internal/wire, whose bounded Reader every decoder reads through, and
+// internal/testx, whose helpers forge damaged inputs for tests.
+func TestBinaryOnlyThroughWire(t *testing.T) {
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if dir := filepath.ToSlash(path); dir == "internal/wire" || dir == "internal/testx" || d.Name() == "testdata" {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/binary" {
+					t.Errorf("%s imports encoding/binary: read and write bytes through internal/wire", path)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // interfaceMethods are method names the standard library calls through
 // its own interfaces; an exported method of that name is in use however
 // few callers name it.
