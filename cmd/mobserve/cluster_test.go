@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"geomob/internal/census"
 	"geomob/internal/cluster"
 	"geomob/internal/core"
 	"geomob/internal/live"
@@ -146,15 +147,22 @@ func TestClusterModeEndToEnd(t *testing.T) {
 		t.Fatalf("healthz lists %d shards, want 3", n)
 	}
 
-	// Custom radii are not materialised by shard rings: a stated
-	// capability gap (501), not a server fault (500).
-	resp, err = http.Get(ts.URL + "/v1/population?scale=national&radius=30000")
-	if err != nil {
+	// A custom radius folds on the shards like any shape: the /v1 answer
+	// is the coordinator's cached Result, bit-identical to a single-node
+	// pass.
+	if got := fetchJSON(t, ts.URL+"/v1/population?scale=national&radius=30000")["radius"].(float64); got != 30000 {
+		t.Fatalf("custom radius in cluster mode: radius %v", got)
+	}
+	custom := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleNational}, Radius: 30000}
+	clusterRes, cached, err = coord.Query(custom)
+	if err != nil || !cached {
+		t.Fatalf("custom radius: cached=%v err=%v, want the entry the GET computed", cached, err)
+	}
+	if ref, err = study.Execute(context.Background(), custom); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Fatalf("custom radius in cluster mode: status %d, want 501", resp.StatusCode)
+	if !testx.ValuesBitEqual(clusterRes, ref) {
+		t.Fatal("custom-radius cluster result diverges from single-node execute")
 	}
 }
 
@@ -168,7 +176,7 @@ func TestPartitionsResidentBytes(t *testing.T) {
 	for _, snapDir := range []string{"", t.TempDir()} {
 		cfg := testConfig()
 		cfg.db, cfg.snapDir, cfg.partitions, cfg.replication = t.TempDir(), snapDir, 2, 1
-		eng, err := openEngine(context.Background(), cfg, newBootClock())
+		eng, err := openEngine(cfg, newBootClock())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,10 @@ import (
 // (-partitions over -db, or -cluster-coordinator over remote nodes), and
 // a shard node (-cluster-shard) serving the internal shard API.
 type config struct {
-	db      string
-	addr    string
-	workers int
-	drain   time.Duration
-	bucket  time.Duration
+	db     string
+	addr   string
+	drain  time.Duration
+	bucket time.Duration
 
 	maxIngestBytes int64
 
@@ -50,28 +49,7 @@ func (c config) coordinator() bool { return len(c.shardURLs) > 0 || c.partitions
 // command line that would be silently altered is refused here instead.
 func parseConfig(args []string) (config, error) {
 	var c config
-	fs := flag.NewFlagSet("mobserve", flag.ContinueOnError)
-	fs.StringVar(&c.db, "db", "", "tweetdb store directory (required except with -cluster-coordinator)")
-	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&c.workers, "workers", 0, "parallel workers of the exact in-memory pass that answers custom radii (0 = one per CPU)")
-	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
-	fs.Bool("live", false, "no effect: the bucket ring always serves /v1. Accepted only because the frozen bench/ harness and the smoke scripts pass it; goes once they stop")
-	fs.DurationVar(&c.bucket, "bucket", time.Hour, "bucket width of the ring (single node, -cluster-shard and -partitions)")
-	fs.Int64Var(&c.maxIngestBytes, "max-ingest-bytes", cluster.DefaultMaxBodyBytes, "maximum POST /v1/ingest request body in bytes (oversized uploads answer 413)")
-
-	coordsTo := fs.String("cluster-coordinator", "", "comma-separated shard node base URLs; serve /v1 by scatter-gather across them (no local -db)")
-	fs.BoolVar(&c.shardNode, "cluster-shard", false, "serve the internal shard API (/shard/v1/*) over -db instead of the public endpoints")
-	fs.IntVar(&c.partitions, "partitions", 0, "in-process user partitions under -db (per-partition ingest parallelism without the network hop)")
-	fs.IntVar(&c.replication, "replication", 1, "copies of every user-range slot across the cluster (with -cluster-coordinator or -partitions)")
-	fs.StringVar(&c.walDir, "wal-dir", "", "durable ingest spool directory: /v1/ingest acks only after the write-ahead append, and unacknowledged deliveries replay across coordinator restarts")
-
-	fs.StringVar(&c.snapDir, "snapshot-dir", "", "durable bucket-partial snapshot directory (any mode with a local -db): restart restores intact buckets and replays only the store tail")
-	fs.DurationVar(&c.snapEvery, "snapshot-interval", 0, "periodic snapshot commit interval (0 disables; needs -snapshot-dir); a final snapshot is always flushed on graceful drain")
-
-	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log /v1 queries slower than this as one structured line with trace ID and per-stage timings (0 disables)")
-	fs.IntVar(&c.traceRetain, "trace-retain", obs.DefaultTraceCapacity, "completed request traces retained for GET /debug/traces (slow and error traces kept preferentially)")
-	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra address (empty disables)")
-	fs.BoolVar(&c.showVersion, "version", false, "print build information and exit")
+	fs, coordsTo := newFlagSet(&c)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err // the flag package has already reported it, with the usage
 	}
@@ -131,4 +109,31 @@ func parseConfig(args []string) (config, error) {
 		return config{}, errors.New("-snapshot-dir needs a local store; the remote shard nodes own their own snapshot dirs")
 	}
 	return c, nil
+}
+
+// newFlagSet registers the command line's flags, bound to c. The string
+// is -cluster-coordinator's raw list, which parseConfig splits.
+func newFlagSet(c *config) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet("mobserve", flag.ContinueOnError)
+	fs.StringVar(&c.db, "db", "", "tweetdb store directory (required except with -cluster-coordinator)")
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&c.drain, "drain", 10*time.Second, "graceful shutdown drain timeout")
+	fs.Bool("live", false, "no effect: the bucket ring always serves /v1. Accepted only because the frozen bench/ harness passes it; goes once it stops")
+	fs.DurationVar(&c.bucket, "bucket", time.Hour, "bucket width of the ring (single node, -cluster-shard and -partitions)")
+	fs.Int64Var(&c.maxIngestBytes, "max-ingest-bytes", cluster.DefaultMaxBodyBytes, "maximum POST /v1/ingest request body in bytes (oversized uploads answer 413)")
+
+	coordsTo := fs.String("cluster-coordinator", "", "comma-separated shard node base URLs; serve /v1 by scatter-gather across them (no local -db)")
+	fs.BoolVar(&c.shardNode, "cluster-shard", false, "serve the internal shard API (/shard/v1/*) over -db instead of the public endpoints")
+	fs.IntVar(&c.partitions, "partitions", 0, "in-process user partitions under -db (per-partition ingest parallelism without the network hop)")
+	fs.IntVar(&c.replication, "replication", 1, "copies of every user-range slot across the cluster (with -cluster-coordinator or -partitions)")
+	fs.StringVar(&c.walDir, "wal-dir", "", "durable ingest spool directory: /v1/ingest acks only after the write-ahead append, and unacknowledged deliveries replay across coordinator restarts")
+
+	fs.StringVar(&c.snapDir, "snapshot-dir", "", "durable bucket-partial snapshot directory (any mode with a local -db): restart restores intact buckets and replays only the store tail")
+	fs.DurationVar(&c.snapEvery, "snapshot-interval", 0, "periodic snapshot commit interval (0 disables; needs -snapshot-dir); a final snapshot is always flushed on graceful drain")
+
+	fs.DurationVar(&c.slowQuery, "slow-query", 0, "log /v1 queries slower than this as one structured line with trace ID and per-stage timings (0 disables)")
+	fs.IntVar(&c.traceRetain, "trace-retain", obs.DefaultTraceCapacity, "completed request traces retained for GET /debug/traces (slow and error traces kept preferentially)")
+	fs.StringVar(&c.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra address (empty disables)")
+	fs.BoolVar(&c.showVersion, "version", false, "print build information and exit")
+	return fs, coordsTo
 }

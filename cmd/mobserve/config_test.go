@@ -1,7 +1,11 @@
 package main
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -72,6 +76,50 @@ func TestParseConfig(t *testing.T) {
 	}
 	if cfg.coordinator() || cfg.shardNode || cfg.bucket != time.Hour || cfg.db != "/d/db" || cfg.snapDir != "/d/snap" || cfg.maxIngestBytes <= 0 {
 		t.Errorf("single-node command line parsed as %+v", cfg)
+	}
+}
+
+// TestFlagsDocumented is the flag drift gate: every flag parseConfig
+// registers is named as -flag in README.md or DESIGN.md, and every
+// `go run ./cmd/mobserve …` line of README.md, with its \ continuations
+// joined, parses.
+func TestFlagsDocumented(t *testing.T) {
+	var docs []byte
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, b...)
+	}
+	fs, _ := newFlagSet(&config{})
+	fs.VisitAll(func(f *flag.Flag) {
+		if !regexp.MustCompile(`(^|[^\w-])-` + regexp.QuoteMeta(f.Name) + `([^\w-]|$)`).Match(docs) {
+			t.Errorf("-%s is registered but named in neither README.md nor DESIGN.md", f.Name)
+		}
+	})
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.ReplaceAll(string(readme), "\\\n", " ")
+	const cmd = "go run ./cmd/mobserve "
+	lines := 0
+	for _, line := range strings.Split(joined, "\n") {
+		line, ok := strings.CutPrefix(strings.TrimSpace(line), cmd)
+		if !ok {
+			continue
+		}
+		lines++
+		line, _, _ = strings.Cut(line, "#")
+		args := strings.Fields(strings.TrimSuffix(strings.TrimSpace(line), "&"))
+		if _, err := parseConfig(args); err != nil {
+			t.Errorf("README command line %q: %v", cmd+line, err)
+		}
+	}
+	if lines == 0 {
+		t.Errorf("README.md has no %q line", cmd)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -58,15 +57,15 @@ type engine interface {
 }
 
 // openEngine builds the engine the command line asks for, charging its
-// phases to the boot clock. ctx bounds the engine's computations.
-func openEngine(ctx context.Context, cfg config, boot *bootClock) (engine, error) {
+// phases to the boot clock.
+func openEngine(cfg config, boot *bootClock) (engine, error) {
 	if !cfg.coordinator() {
 		store, err := tweetdb.Open(cfg.db)
 		if err != nil {
 			return nil, err
 		}
 		boot.mark("store_open")
-		e, err := newRingEngine(ctx, store, cfg, boot)
+		e, err := newRingEngine(store, cfg, boot)
 		if err != nil {
 			return nil, err
 		}
@@ -186,10 +185,6 @@ type ringEngine struct {
 	// -snapshot-dir); recovery records what boot did with it.
 	snaps    *live.SnapshotStore
 	recovery recoveryReport
-	// workers and baseCtx parameterise the exact in-memory pass behind
-	// shapes the ring does not materialise.
-	workers int
-	baseCtx context.Context
 }
 
 // recoveryReport is the /healthz recovery block: what boot recovery did,
@@ -206,13 +201,13 @@ type recoveryReport struct {
 // bucket to a windowed cold backfill on any missing or corrupt file
 // (DESIGN.md §11). Never a scan again: every later record arrives
 // through ingest and is resolved exactly once on its way in.
-func newRingEngine(ctx context.Context, store *tweetdb.Store, cfg config, boot *bootClock) (*ringEngine, error) {
+func newRingEngine(store *tweetdb.Store, cfg config, boot *bootClock) (*ringEngine, error) {
 	sh, err := live.NewShape(live.Options{BucketWidth: cfg.bucket})
 	if err != nil {
 		return nil, err
 	}
 	boot.mark("shape")
-	e := &ringEngine{store: store, agg: sh.NewAggregator(), cache: svcache.New(0), workers: cfg.workers, baseCtx: ctx}
+	e := &ringEngine{store: store, agg: sh.NewAggregator(), cache: svcache.New(0)}
 	if cfg.snapDir == "" {
 		if _, err := live.Backfill(e.agg, store); err != nil {
 			return nil, err
@@ -234,59 +229,26 @@ func newRingEngine(ctx context.Context, store *tweetdb.Store, cfg config, boot *
 
 // query folds materialised partials: an append invalidates only the
 // entries whose window covers the buckets it landed in, and repeat
-// queries over unchanged coverage do zero segment scans. Shapes the ring
-// does not materialise (custom radii) fall back to an exact streaming
-// pass over the ring's records, still without touching the store. The
-// cache-key construction is the trace's cache_lookup stage, the compute
-// callback (a miss only) its fold or ring_scan stage.
+// queries over unchanged coverage do zero segment scans. Every request
+// shape folds, a custom radius included (live.FoldRings). The cache-key
+// construction is the trace's cache_lookup stage, the compute callback
+// (a miss only) its fold stage. The cache disposition (source, hit/miss,
+// coverage key) goes into any explain carrier on ctx; the key and the
+// computation are exactly what the unexplained path uses.
 func (e *ringEngine) query(ctx context.Context, req core.Request) (*core.Result, bool, error) {
 	tr := obs.TraceFrom(ctx)
 	endKey := tr.StartStage("cache_lookup")
 	ckey, err := e.agg.CoverageKeyRequest(req)
 	endKey()
-	switch {
-	case err == nil:
-		return e.cachedGet(ctx, req.Key()+"|b="+ckey, "bucket_fold", ckey, func() (*core.Result, error) {
-			defer tr.StartStage("fold")()
-			return e.agg.Query(req)
-		})
-	case errors.Is(err, live.ErrNotCovered):
-		// Key the fallback on the ring's own revision, not the store
-		// generation: the computation reads the ring, and during an
-		// ingest the store becomes durable momentarily before the ring
-		// routes the batch — a generation key taken in that gap would
-		// cache ring-stale data under a store-fresh key.
-		rev := strconv.FormatUint(e.agg.Revision(), 16)
-		return e.cachedGet(ctx, req.Key()+"|rr="+rev, "ring_scan", "", func() (*core.Result, error) {
-			defer tr.StartStage("ring_scan")()
-			tweets, err := e.agg.WindowTweetsRequest(req)
-			if err != nil {
-				return nil, err
-			}
-			workers := e.workers
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			study := core.NewStudyWithOptions(core.SliceSource(tweets), core.StudyOptions{Workers: workers})
-			return study.Execute(e.baseCtx, req)
-		})
-	default:
+	if err != nil {
 		return nil, false, err
 	}
-}
-
-// cachedGet is the snapshot-cache lookup of one query path, recording
-// the cache disposition (source, hit/miss, coverage key) into any
-// explain carrier on ctx. The key and the computation are exactly what
-// the unexplained path uses — recording happens after the fact.
-func (e *ringEngine) cachedGet(ctx context.Context, key, source, ckey string, compute func() (*core.Result, error)) (*core.Result, bool, error) {
-	res, hit, err := e.cache.Get(key, compute)
+	res, hit, err := e.cache.Get(req.Key()+"|b="+ckey, func() (*core.Result, error) {
+		defer tr.StartStage("fold")()
+		return e.agg.Query(req)
+	})
 	if err == nil {
-		disp := map[string]any{"source": source, "hit": hit}
-		if ckey != "" {
-			disp["coverage_key"] = ckey
-		}
-		obs.ExplainFrom(ctx).Set("cache", disp)
+		obs.ExplainFrom(ctx).Set("cache", map[string]any{"source": "bucket_fold", "hit": hit, "coverage_key": ckey})
 	}
 	return res, hit, err
 }
@@ -376,8 +338,7 @@ func (e *ringEngine) registerMetrics(r *obs.Registry) {
 
 // explain adds the ring's dry coverage walk, which answers for hits and
 // misses alike: the coverage key in the cache key pins the served entry
-// to exactly the bucket revisions the walk sees now. Ring-scan shapes
-// have no bucket coverage; their cache section already says ring_scan.
+// to exactly the bucket revisions the walk sees now.
 func (e *ringEngine) explain(req core.Request, _, blk map[string]any) {
 	if cov, err := e.agg.ExplainCoverage(req); err == nil {
 		blk["coverage"] = cov

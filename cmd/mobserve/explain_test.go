@@ -43,71 +43,78 @@ func TestExplainSideEffectFree(t *testing.T) {
 	e := s.eng.(*ringEngine)
 	ingestNDJSON(t, ts.URL, genTweets(t, 300, 21, 22))
 
-	const q = "/v1/stats"
-	_ = fetchBytes(t, ts.URL+q)      // cold miss computes the entry
-	plain := fetchBytes(t, ts.URL+q) // warm hit pins the cached bytes
-	hits0, misses0 := e.cache.Stats()
-	scans0 := e.store.ScanCount()
-	builds0 := e.agg.Builds()
+	// A custom radius folds like every shape: same cache source, same
+	// coverage block.
+	for _, q := range []string{"/v1/stats", "/v1/flows?scale=state&radius=30000"} {
+		sep := "?"
+		if strings.Contains(q, "?") {
+			sep = "&"
+		}
+		_ = fetchBytes(t, ts.URL+q)      // cold miss computes the entry
+		plain := fetchBytes(t, ts.URL+q) // warm hit pins the cached bytes
+		hits0, misses0 := e.cache.Stats()
+		scans0 := e.store.ScanCount()
+		builds0 := e.agg.Builds()
 
-	explained := fetchBytes(t, ts.URL+q+"?explain=1")
+		explained := fetchBytes(t, ts.URL+q+sep+"explain=1")
 
-	hits1, misses1 := e.cache.Stats()
-	if hits1 != hits0+1 || misses1 != misses0 {
-		t.Errorf("explain moved cache counters hits %d->%d misses %d->%d; want exactly one hit", hits0, hits1, misses0, misses1)
-	}
-	if got := e.store.ScanCount(); got != scans0 {
-		t.Errorf("explain caused %d store scans", got-scans0)
-	}
-	if got := e.agg.Builds(); got != builds0 {
-		t.Errorf("explain caused %d bucket builds", got-builds0)
-	}
+		hits1, misses1 := e.cache.Stats()
+		if hits1 != hits0+1 || misses1 != misses0 {
+			t.Errorf("%s: explain moved cache counters hits %d->%d misses %d->%d; want exactly one hit", q, hits0, hits1, misses0, misses1)
+		}
+		if got := e.store.ScanCount(); got != scans0 {
+			t.Errorf("%s: explain caused %d store scans", q, got-scans0)
+		}
+		if got := e.agg.Builds(); got != builds0 {
+			t.Errorf("%s: explain caused %d bucket builds", q, got-builds0)
+		}
 
-	var pm, em map[string]any
-	if err := json.Unmarshal(plain, &pm); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(explained, &em); err != nil {
-		t.Fatal(err)
-	}
-	ex, ok := em["explain"].(map[string]any)
-	if !ok {
-		t.Fatalf("no explain block in %s", explained)
-	}
-	delete(em, "explain")
-	if !reflect.DeepEqual(pm, em) {
-		t.Errorf("explain response differs from plain beyond the explain key:\nplain: %s\nexplained: %s", plain, explained)
-	}
+		var pm, em map[string]any
+		if err := json.Unmarshal(plain, &pm); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(explained, &em); err != nil {
+			t.Fatal(err)
+		}
+		ex, ok := em["explain"].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: no explain block in %s", q, explained)
+		}
+		delete(em, "explain")
+		if !reflect.DeepEqual(pm, em) {
+			t.Errorf("%s: explain response differs from plain beyond the explain key:\nplain: %s\nexplained: %s", q, plain, explained)
+		}
 
-	cov, ok := ex["coverage"].(map[string]any)
-	if !ok {
-		t.Fatalf("explain block has no coverage: %v", ex)
-	}
-	if b, _ := cov["buckets"].(float64); b < 1 {
-		t.Errorf("coverage.buckets = %v, want >= 1", cov["buckets"])
-	}
-	cache, ok := ex["cache"].(map[string]any)
-	if !ok {
-		t.Fatalf("explain block has no cache section: %v", ex)
-	}
-	if cache["source"] != "bucket_fold" || cache["hit"] != true {
-		t.Errorf("cache disposition = %v, want bucket_fold hit", cache)
-	}
-	if _, ok := cache["coverage_key"].(string); !ok {
-		t.Errorf("cache disposition missing coverage_key: %v", cache)
-	}
-	if tid, _ := ex["trace_id"].(string); tid == "" {
-		t.Errorf("explain block missing trace_id: %v", ex)
-	}
-	if _, ok := ex["plan"].(map[string]any); !ok {
-		t.Errorf("explain block missing plan: %v", ex)
-	}
+		cov, ok := ex["coverage"].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: explain block has no coverage: %v", q, ex)
+		}
+		if b, _ := cov["buckets"].(float64); b < 1 {
+			t.Errorf("%s: coverage.buckets = %v, want >= 1", q, cov["buckets"])
+		}
+		cache, ok := ex["cache"].(map[string]any)
+		if !ok {
+			t.Fatalf("%s: explain block has no cache section: %v", q, ex)
+		}
+		if cache["source"] != "bucket_fold" || cache["hit"] != true {
+			t.Errorf("%s: cache disposition = %v, want bucket_fold hit", q, cache)
+		}
+		if _, ok := cache["coverage_key"].(string); !ok {
+			t.Errorf("%s: cache disposition missing coverage_key: %v", q, cache)
+		}
+		if tid, _ := ex["trace_id"].(string); tid == "" {
+			t.Errorf("%s: explain block missing trace_id: %v", q, ex)
+		}
+		if _, ok := ex["plan"].(map[string]any); !ok {
+			t.Errorf("%s: explain block missing plan: %v", q, ex)
+		}
 
-	// And the explain'd request left no residue: the next plain fetch is
-	// byte-identical to the one before it.
-	again := fetchBytes(t, ts.URL+q)
-	if string(again) != string(plain) {
-		t.Errorf("plain response changed after an explain'd request:\nbefore: %s\nafter: %s", plain, again)
+		// And the explain'd request left no residue: the next plain fetch is
+		// byte-identical to the one before it.
+		again := fetchBytes(t, ts.URL+q)
+		if string(again) != string(plain) {
+			t.Errorf("%s: plain response changed after an explain'd request:\nbefore: %s\nafter: %s", q, plain, again)
+		}
 	}
 }
 

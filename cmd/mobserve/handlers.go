@@ -16,7 +16,6 @@ import (
 	"geomob/internal/census"
 	"geomob/internal/cluster"
 	"geomob/internal/core"
-	"geomob/internal/live"
 	"geomob/internal/models"
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
@@ -207,11 +206,7 @@ func parseV1Request(r *http.Request, analysis core.Analysis, scaled bool) (core.
 // writeExecuteError maps an Execute failure onto a response: an empty
 // window is the caller's (absent) data, not a server fault; a cancelled
 // context can only be the server shutting down (computations are bound
-// to the server lifetime, not to any request), which is a 503. A shape
-// the cluster's shard rings do not materialise (custom radii — the
-// single-node ring falls back to an exact in-memory pass, the cluster
-// does not yet; see ROADMAP) is a stated capability gap, 501, not a
-// server fault.
+// to the server lifetime, not to any request), which is a 503.
 func writeExecuteError(w http.ResponseWriter, err error) {
 	var unavail *cluster.UnavailableError
 	switch {
@@ -235,9 +230,6 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 		writeJSONStatus(w, http.StatusServiceUnavailable, body)
 	case errors.Is(err, core.ErrEmptyDataset):
 		httpError(w, http.StatusNotFound, "no tweets in the requested window")
-	case errors.Is(err, live.ErrNotCovered):
-		httpError(w, http.StatusNotImplemented,
-			"this request shape is not materialized by the cluster's shard rings (custom radii need a single-node deployment): %v", err)
 	case errors.Is(err, models.ErrInsufficientData):
 		// The window holds too little data to define the estimate (a
 		// model fit with too few positive flow pairs, a rescaling over

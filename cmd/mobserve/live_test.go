@@ -116,14 +116,13 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if got := e.store.ScanCount(); got != scans {
 		t.Fatalf("live /v1 queries scanned the store: %d -> %d", scans, got)
 	}
-	// A radius-override request is not materialised: it falls back to a
-	// streaming pass over the ring — correct, and still zero scans.
+	// A custom radius folds like every shape, still with zero scans.
 	over := fetchJSON(t, ts.URL+"/v1/population?scale=national&radius=30000")
 	if over["radius"].(float64) != 30000 {
 		t.Fatalf("override radius = %v", over["radius"])
 	}
 	if got := e.store.ScanCount(); got != scans {
-		t.Fatalf("radius fallback scanned the store: %d -> %d", scans, got)
+		t.Fatalf("custom radius scanned the store: %d -> %d", scans, got)
 	}
 	health := fetchJSON(t, ts.URL+"/healthz")
 	if _, ok := health["live"]; !ok {

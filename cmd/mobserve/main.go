@@ -90,8 +90,7 @@ func main() {
 	}
 
 	// SIGINT/SIGTERM cancel ctx; it is also the base context of every
-	// request and of the engine's computations, so an in-flight pass
-	// aborts instead of holding the drain hostage.
+	// request.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -104,7 +103,7 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		eng, err := openEngine(ctx, cfg, boot)
+		eng, err := openEngine(cfg, boot)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -27,7 +26,7 @@ func newRingTestServer(t *testing.T, store *tweetdb.Store, snapDir string) (*ser
 	t.Helper()
 	cfg := testConfig()
 	cfg.snapDir = snapDir
-	e, err := newRingEngine(context.Background(), store, cfg, newBootClock())
+	e, err := newRingEngine(store, cfg, newBootClock())
 	if err != nil {
 		t.Fatal(err)
 	}

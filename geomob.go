@@ -209,10 +209,6 @@ type (
 	LiveIngestor = live.Ingestor
 )
 
-// ErrLiveNotCovered is what a LiveAggregator query reports for a request
-// shape the ring does not materialise (a custom radius).
-var ErrLiveNotCovered = live.ErrNotCovered
-
 // NewLiveAggregator builds a bucket ring materialising the paper-default
 // request shape (all three scales and analyses).
 func NewLiveAggregator(opts LiveOptions) (*LiveAggregator, error) {

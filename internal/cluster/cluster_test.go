@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -89,14 +88,19 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 		t.Fatalf("warm http repeat: cached=%v err=%v", cached, err)
 	}
 
-	// Sentinel errors survive the wire: a shape the shard rings do not
-	// materialise reports ErrNotCovered through HTTP status mapping.
-	_, _, err = coord.Query(core.Request{
-		Analyses: []core.Analysis{core.AnalysisPopulation},
-		Radius:   123,
-	})
-	if !errors.Is(err, live.ErrNotCovered) {
-		t.Fatalf("custom radius over http: err = %v, want ErrNotCovered", err)
+	// A custom radius folds on the shards like any shape: the partials
+	// that cross the wire carry its counts and flows, and no record.
+	custom := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation, core.AnalysisFlows}, Radius: 30_000}
+	res, _, err = coord.Query(custom)
+	if err != nil {
+		t.Fatalf("custom radius over http: %v", err)
+	}
+	ref, err = study.Execute(context.Background(), custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !testx.ValuesBitEqual(res, ref) {
+		t.Fatal("custom-radius http scatter-gather diverges from single-node execute")
 	}
 
 	// Shard health flows back through the coordinator.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/live"
 	"geomob/internal/ring"
@@ -270,6 +271,7 @@ func TestQueryFailoverReplicated(t *testing.T) {
 		{},
 		{Analyses: []core.Analysis{core.AnalysisPopulation}},
 		{Analyses: []core.Analysis{core.AnalysisFlows}},
+		{Analyses: []core.Analysis{core.AnalysisPopulation, core.AnalysisFlows}, Scales: []census.Scale{census.ScaleState}, Radius: 30_000},
 	}
 	refs := make([]*core.Result, len(reqs))
 	for i, req := range reqs {

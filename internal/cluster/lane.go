@@ -12,9 +12,9 @@ import (
 // errUnavailable marks a shard that cannot currently be reached — a
 // transport failure or a 5xx from its node. The coordinator's query
 // path fails over to another replica on it; the delivery lanes retry
-// it with backoff. The sentinel fold error live.ErrNotCovered is
-// deliberately NOT unavailability: every replica would answer it
-// identically, so failing over is pointless.
+// it with backoff. A 4xx fold error is deliberately NOT unavailability:
+// every replica would answer it identically, so failing over is
+// pointless.
 var errUnavailable = errors.New("cluster: shard unavailable")
 
 // errPermanent marks a delivery the shard actively rejected (4xx): a

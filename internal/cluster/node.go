@@ -36,8 +36,7 @@ import (
 //	GET  /shard/v1/health        ShardHealth
 //	GET  /healthz                liveness (boot-wait probes)
 //
-//	400 caller's request/frames    422 live.ErrNotCovered
-//	413 body too large
+//	400 caller's request/frames    413 body too large
 //
 // Any transport failure or 5xx wraps errUnavailable on the client side
 // — the coordinator's signal to fail a query over to another replica
@@ -183,14 +182,6 @@ func (n *Node) decodeSlotRequest(w http.ResponseWriter, r *http.Request) (slotRe
 	return req, true
 }
 
-// foldStatus maps a fold/coverage failure onto its wire status.
-func foldStatus(err error) int {
-	if errors.Is(err, live.ErrNotCovered) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
-}
-
 // traceCtx lifts the propagated obs.TraceHeader into the request
 // context (so shard folds record against the coordinator's trace) and
 // echoes it on the response for end-to-end correlation.
@@ -220,7 +211,7 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, err := n.shard.Partials(ctx, req.Request, req.Slots)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("shard partials: %v%s", err, traceSuffix(tid)), foldStatus(err))
+		http.Error(w, fmt.Sprintf("shard partials: %v%s", err, traceSuffix(tid)), http.StatusBadRequest)
 		return
 	}
 	body := EncodePartials(ps)
@@ -237,7 +228,7 @@ func (n *Node) handleCoverage(w http.ResponseWriter, r *http.Request) {
 	}
 	key, err := n.shard.Coverage(ctx, req.Request, req.Slots)
 	if err != nil {
-		http.Error(w, fmt.Sprintf("shard coverage: %v%s", err, traceSuffix(tid)), foldStatus(err))
+		http.Error(w, fmt.Sprintf("shard coverage: %v%s", err, traceSuffix(tid)), http.StatusBadRequest)
 		return
 	}
 	writeJSON(w, map[string]string{"coverage": key})
@@ -353,17 +344,13 @@ func (s *HTTPShard) post(ctx context.Context, path string, req core.Request, slo
 	return resp, nil
 }
 
-// statusError reconstructs the sentinel for a non-200 response: fold
-// sentinels by status, 5xx as errUnavailable (the node is up enough to
-// answer but failing — its replicas should serve), anything else as a
-// plain error.
+// statusError reconstructs the sentinel for a non-200 response: 5xx as
+// errUnavailable (the node is up enough to answer but failing — its
+// replicas should serve), anything else as a plain error.
 func (s *HTTPShard) statusError(what string, resp *http.Response) error {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 	detail := strings.TrimSpace(string(msg))
-	switch {
-	case resp.StatusCode == http.StatusUnprocessableEntity:
-		return fmt.Errorf("%w (shard %s: %s)", live.ErrNotCovered, s.base, detail)
-	case resp.StatusCode >= 500:
+	if resp.StatusCode >= 500 {
 		return fmt.Errorf("%w: shard %s %s: http %d: %s", errUnavailable, s.base, what, resp.StatusCode, detail)
 	}
 	return fmt.Errorf("cluster: shard %s %s: http %d: %s", s.base, what, resp.StatusCode, detail)

@@ -285,19 +285,11 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 			t.Fatalf("window %d over the restored shard diverges from single-node execute", i)
 		}
 	}
-	// A custom radius streams each slot ring's window, read back from the
-	// store through the ring's own slot filter.
+	// A custom radius folds over each slot ring's window, read back from
+	// the store through the ring's own slot filter.
 	custom := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleState}, Radius: 30_000, From: at(minTS), To: at(maxTS + 1)}
-	var rows []tweet.Tweet
-	for _, a := range s.aggs {
-		tws, err := a.WindowTweetsRequest(custom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows = append(rows, tws...)
-	}
-	if !testx.ValuesBitEqual(singleNodeRef(t, rows, custom), singleNodeRef(t, all, custom)) {
-		t.Fatal("custom-radius stream of the restored shard diverges from single-node execute")
+	if !testx.ValuesBitEqual(queryShard(t, s, custom), singleNodeRef(t, all, custom)) {
+		t.Fatal("custom-radius fold of the restored shard diverges from single-node execute")
 	}
 	halt()
 	return append(all, landed...)

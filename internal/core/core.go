@@ -693,49 +693,38 @@ func newObserverSet(p *requestPlan) *observerSet {
 	return o
 }
 
-// passOutputs are the finalised products of one completed pass — whether
-// merged from worker shards (Execute) or folded from materialised bucket
-// partials (AssembleFolded). Slices are parallel to the plan's scales;
-// slots the plan does not need stay nil.
-type passOutputs struct {
-	tweets int64
-	stats  *mobility.Stats // nil unless the plan wants stats
-	span   spanAcc
-	counts [][]float64
-	flows  []*mobility.FlowMatrix
-	metro  []float64
-}
-
-// outputs extracts the final observer products of a completed (merged)
-// observer set — the values an external bucket fold reproduces.
-func (o *observerSet) outputs() *passOutputs {
+// fold extracts the final observer products of a completed (merged)
+// observer set as the FoldedPass AssembleFolded consumes — the values an
+// external bucket fold reproduces.
+func (o *observerSet) fold() *FoldedPass {
 	p := o.plan
-	outs := &passOutputs{
-		tweets: o.tweets,
-		span:   o.span,
-		counts: make([][]float64, len(p.scales)),
-		flows:  make([]*mobility.FlowMatrix, len(p.scales)),
-	}
+	f := &FoldedPass{Tweets: o.tweets, BBox: o.span.bbox, FirstTS: o.span.first, LastTS: o.span.last, Seen: o.span.seen}
 	if p.wants(AnalysisStats) {
 		statsExt := o.statsExt
 		if p.statsIdx >= 0 {
 			statsExt = o.extractors[p.statsIdx]
 		}
 		st := statsExt.Stats()
-		outs.stats = &st
+		f.Stats = &st
 	}
-	for i := range p.scales {
+	for i, sc := range p.scales {
 		if o.counters[i] != nil {
-			outs.counts[i] = o.counters[i].Counts()
+			if f.Counts == nil {
+				f.Counts = map[census.Scale][]float64{}
+			}
+			f.Counts[sc.scale] = o.counters[i].Counts()
 		}
 		if o.extractors[i] != nil {
-			outs.flows[i] = o.extractors[i].Flows()
+			if f.Flows == nil {
+				f.Flows = map[census.Scale]*mobility.FlowMatrix{}
+			}
+			f.Flows[sc.scale] = o.extractors[i].Flows()
 		}
 	}
 	if o.metro500 != nil {
-		outs.metro = o.metro500.Counts()
+		f.Metro500 = o.metro500.Counts()
 	}
-	return outs
+	return f
 }
 
 // observe feeds one tweet to every live observer, applying the request
@@ -909,6 +898,19 @@ func (s *Study) Run() (*Result, error) {
 // Cancelling ctx aborts the pass promptly and returns an error wrapping
 // ctx.Err().
 func (s *Study) Execute(ctx context.Context, req Request) (*Result, error) {
+	f, err := s.Fold(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleFolded(req, f)
+}
+
+// Fold runs Execute's pass and stops before assembly, returning the
+// observer outputs AssembleFolded turns into Execute's Result. An empty
+// window is not an error here: its pass has zero tweets and all-zero
+// counts and flows, which still add exactly to the passes over other
+// user partitions.
+func (s *Study) Fold(ctx context.Context, req Request) (*FoldedPass, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -943,20 +945,14 @@ func (s *Study) Execute(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: stream pass: %w", err)
 	}
-	return assemble(p, merged.outputs())
+	return merged.fold(), nil
 }
 
-// assemble turns the finalised pass outputs into the requested parts of
-// Result. It is shared by the streaming pass and by AssembleFolded, so
-// every downstream fit and correlation runs the identical float pipeline
+// assemble turns a validated folded pass into the requested parts of
+// Result. Every pass reaches it through AssembleFolded, so every
+// downstream fit and correlation runs the identical float pipeline
 // regardless of how the observer state was produced.
-func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
-	// Every analysis is undefined over nothing: an empty source (or a
-	// window matching no tweets) is reported uniformly, not as whatever
-	// downstream fit happens to fail first.
-	if outs.tweets == 0 {
-		return nil, ErrEmptyDataset
-	}
+func assemble(p *requestPlan, f *FoldedPass) (*Result, error) {
 	res := &Result{Observers: p.observerCount()}
 	var err error
 
@@ -964,7 +960,7 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 	// trajectory statistics are mapper-independent) — or the dedicated
 	// mapper-less one — plus the span accumulator from the same pass.
 	if p.wants(AnalysisStats) {
-		res.Stats, err = buildStats(*outs.stats, &outs.span)
+		res.Stats, err = buildStats(f)
 		if err != nil {
 			return nil, err
 		}
@@ -977,11 +973,11 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 	// variant are population-only extras.
 	estByScale := map[census.Scale]*population.Estimate{}
 	var estimates []*population.Estimate
-	for i, sc := range p.scales {
+	for _, sc := range p.scales {
 		if !sc.count {
 			continue
 		}
-		est, err := population.NewEstimate(sc.regions, sc.radius, outs.counts[i])
+		est, err := population.NewEstimate(sc.regions, sc.radius, f.Counts[sc.scale])
 		if err != nil {
 			return nil, fmt.Errorf("core: population estimate for %s: %w", sc.scale, err)
 		}
@@ -996,8 +992,8 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 				return nil, fmt.Errorf("core: pooled correlation: %w", err)
 			}
 		}
-		if outs.metro != nil {
-			res.PopulationMetro500m, err = population.NewEstimate(p.metroRS, 500, outs.metro)
+		if p.metro {
+			res.PopulationMetro500m, err = population.NewEstimate(p.metroRS, 500, f.Metro500)
 			if err != nil {
 				return nil, fmt.Errorf("core: metro 0.5 km estimate: %w", err)
 			}
@@ -1009,11 +1005,11 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 	// requests, just the extracted matrices.
 	if p.wants(AnalysisMobility) || p.wants(AnalysisFlows) {
 		res.Mobility = map[census.Scale]*MobilityResult{}
-		for i, sc := range p.scales {
+		for _, sc := range p.scales {
 			if !sc.extract {
 				continue
 			}
-			flows := outs.flows[i]
+			flows := f.Flows[sc.scale]
 			if p.wants(AnalysisMobility) {
 				mr, err := buildMobility(sc.scale, flows, estByScale[sc.scale].TwitterUsers)
 				if err != nil {
@@ -1032,10 +1028,11 @@ func assemble(p *requestPlan, outs *passOutputs) (*Result, error) {
 }
 
 // buildStats assembles Table I from the pass's trajectory statistics and
-// span accumulator.
-func buildStats(st mobility.Stats, span *spanAcc) (*DatasetStats, error) {
+// span.
+func buildStats(f *FoldedPass) (*DatasetStats, error) {
+	st := *f.Stats
 	ds := &DatasetStats{
-		BBox:          span.bbox,
+		BBox:          f.BBox,
 		Tweets:        int64(st.Tweets),
 		Users:         int64(st.Users),
 		TweetsPerUser: st.TweetsPerUser,
@@ -1054,7 +1051,7 @@ func buildStats(st mobility.Stats, span *spanAcc) (*DatasetStats, error) {
 		}
 		ds.MeanGyrationKM = mean
 	}
-	if st.Users == 0 || !span.seen {
+	if st.Users == 0 || !f.Seen {
 		return nil, ErrEmptyDataset
 	}
 	mean, err := stats.Mean(st.TweetsPerUser)
@@ -1081,8 +1078,8 @@ func buildStats(st mobility.Stats, span *spanAcc) (*DatasetStats, error) {
 		}
 		ds.HeavyUsers[threshold] = count
 	}
-	ds.First = time.UnixMilli(span.first).UTC()
-	ds.Last = time.UnixMilli(span.last).UTC()
+	ds.First = time.UnixMilli(f.FirstTS).UTC()
+	ds.Last = time.UnixMilli(f.LastTS).UTC()
 	return ds, nil
 }
 

@@ -3,11 +3,11 @@ package core
 // This file is the bridge between the streaming Study pipeline and
 // external incremental aggregation layers (internal/live): PlanRequest
 // exposes the execution plan a Request resolves to without building any
-// spatial machinery, and AssembleFolded turns externally folded observer
-// outputs into a Result through the exact assembly path Execute uses —
-// same fits, same correlations, same float pipeline — so a fold that
-// reproduces the observer state bit-for-bit yields a bit-identical
-// Result. See DESIGN.md §7 for the bucket-merge contract built on top.
+// spatial machinery, and AssembleFolded turns folded observer outputs
+// into a Result through the one assembly path — Execute is Study.Fold
+// then AssembleFolded — so a fold that reproduces the observer state
+// bit-for-bit yields a bit-identical Result. See DESIGN.md §7 for the
+// bucket-merge contract built on top.
 
 import (
 	"fmt"
@@ -76,9 +76,10 @@ func PlanRequest(req Request) (*PlanInfo, error) {
 	return info, nil
 }
 
-// FoldedPass carries externally reconstructed observer outputs for one
-// request — the exact values the streaming pass's merged observer set
-// would have produced over the same in-window substream. Only the fields
+// FoldedPass carries the observer outputs for one request — a pass's
+// own (Study.Fold) or reconstructed by an external fold, exactly the
+// values the streaming pass's merged observer set would have produced
+// over the same in-window substream. Only the fields
 // the request's plan needs are consulted; see PlanRequest for which.
 type FoldedPass struct {
 	// Tweets is the number of in-window tweets observed; zero folds to
@@ -104,53 +105,36 @@ type FoldedPass struct {
 	Metro500 []float64
 }
 
-// AssembleFolded builds the Result for req from a folded pass, through
-// the same assembly code path Execute uses. A fold that reproduces the
-// observer state exactly therefore yields a Result bit-identical to a
-// cold full pass over the same substream.
+// AssembleFolded builds the Result for req from a folded pass — Execute's
+// own assembly. A fold that reproduces the observer state exactly
+// therefore yields a Result bit-identical to a cold full pass over the
+// same substream.
 func AssembleFolded(req Request, f *FoldedPass) (*Result, error) {
 	p, err := buildPlan(census.Australia(), req, false)
 	if err != nil {
 		return nil, err
 	}
-	outs := &passOutputs{
-		tweets: f.Tweets,
-		span:   spanAcc{bbox: f.BBox, first: f.FirstTS, last: f.LastTS, seen: f.Seen},
-		counts: make([][]float64, len(p.scales)),
-		flows:  make([]*mobility.FlowMatrix, len(p.scales)),
-	}
+	// Every analysis is undefined over nothing: an empty source (or a
+	// window matching no tweets) is reported uniformly, not as whatever
+	// downstream fit happens to fail first.
 	if f.Tweets == 0 {
 		return nil, ErrEmptyDataset
 	}
-	if p.wants(AnalysisStats) {
-		if f.Stats == nil {
-			return nil, fmt.Errorf("core: folded pass missing trajectory statistics")
-		}
-		outs.stats = f.Stats
+	if p.wants(AnalysisStats) && f.Stats == nil {
+		return nil, fmt.Errorf("core: folded pass missing trajectory statistics")
 	}
-	for i, sc := range p.scales {
-		if sc.count {
-			c := f.Counts[sc.scale]
-			if len(c) != len(sc.regions.Areas) {
-				return nil, fmt.Errorf("core: folded counts for %s: got %d areas, want %d",
-					sc.scale, len(c), len(sc.regions.Areas))
-			}
-			outs.counts[i] = c
+	for _, sc := range p.scales {
+		if c := f.Counts[sc.scale]; sc.count && len(c) != len(sc.regions.Areas) {
+			return nil, fmt.Errorf("core: folded counts for %s: got %d areas, want %d",
+				sc.scale, len(c), len(sc.regions.Areas))
 		}
-		if sc.extract {
-			fm := f.Flows[sc.scale]
-			if fm == nil || len(fm.Flows) != len(sc.regions.Areas) {
-				return nil, fmt.Errorf("core: folded flow matrix for %s missing or mis-sized", sc.scale)
-			}
-			outs.flows[i] = fm
+		if fm := f.Flows[sc.scale]; sc.extract && (fm == nil || len(fm.Flows) != len(sc.regions.Areas)) {
+			return nil, fmt.Errorf("core: folded flow matrix for %s missing or mis-sized", sc.scale)
 		}
 	}
-	if p.metro {
-		if len(f.Metro500) != len(p.metroRS.Areas) {
-			return nil, fmt.Errorf("core: folded metro 0.5 km counts: got %d areas, want %d",
-				len(f.Metro500), len(p.metroRS.Areas))
-		}
-		outs.metro = f.Metro500
+	if p.metro && len(f.Metro500) != len(p.metroRS.Areas) {
+		return nil, fmt.Errorf("core: folded metro 0.5 km counts: got %d areas, want %d",
+			len(f.Metro500), len(p.metroRS.Areas))
 	}
-	return assemble(p, outs)
+	return assemble(p, f)
 }

@@ -91,9 +91,8 @@ func (c *FoldCoverage) Merge(o FoldCoverage) {
 }
 
 // ExplainCoverage reports the span selection the fold for req uses,
-// without folding: the same planning and coverage check as
-// Query/FoldPartial, then a dry run of the span selection that only
-// counts. Because it is called on the explain path of requests whose
+// without folding: the same planning as Query/FoldPartial, then a dry
+// run of the span selection that only counts. Because it is called on the explain path of requests whose
 // answer may come from the snapshot cache, it must stay observably
 // read-only — no partials are built, no rollups merged, no build
 // counters moved, no store-only bucket read back; residual records are
@@ -105,6 +104,6 @@ func (a *Aggregator) ExplainCoverage(req core.Request) (FoldCoverage, error) {
 	if err != nil {
 		return cov, err
 	}
-	_, err = a.collectCov(lo, hi, &cov, true)
+	_, err = a.collectCov(lo, hi, &cov, true, nil)
 	return cov, err
 }

@@ -36,7 +36,6 @@ package live
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -68,10 +67,6 @@ var (
 	mRingReloads    = obs.Def.Counter("geomob_ring_reloads_total", "Restored store-only buckets whose records were read back from the store.")
 	mRingReloadSecs = obs.Def.Histogram("geomob_ring_reload_seconds", "Latency of one reload scan of store-only buckets.", nil)
 )
-
-// ErrNotCovered reports that a request's radius is not the paper's, so
-// the ring does not materialise it; callers fall back to a streaming pass.
-var ErrNotCovered = errors.New("live: request shape not materialized by this aggregator")
 
 // Options configure an Aggregator. Scales and radii are not options:
 // every ring materialises the paper's shape.
@@ -442,17 +437,6 @@ func (a *Aggregator) reloadLocked(lists ...[]int64) error {
 	return nil
 }
 
-// Revision returns the ring's global revision — advanced once per
-// (batch, touched bucket) pair. Cache layers key ring-wide fallback
-// computations on it so the key and the computed data share one source
-// of truth: a compute may observe a ring fresher than its key (which
-// self-heals at the next lookup), never staler.
-func (a *Aggregator) Revision() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.rev
-}
-
 // Buckets returns the number of live buckets in the ring.
 func (a *Aggregator) Buckets() int {
 	a.mu.Lock()
@@ -688,7 +672,9 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 // materialised partial of every remaining fully covered bucket (built on
 // demand), plus freshly built residual partials for the at most two
 // partially covered edge buckets. A non-nil cov records which spans
-// served the window (FoldCoverage). With dry
+// served the window (FoldCoverage). A non-nil recs gets the window's
+// records appended under the same lock, so they are the records the
+// partials were folded from. With dry
 // set the same span selection runs in counting-only mode — no partials
 // are built, merged, reloaded or returned and no build caches or
 // counters are touched — which is what keeps EXPLAIN ANALYZE
@@ -700,12 +686,20 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 // everything lacking at once, so a cold ring is materialised on every
 // processor and a warm one — nothing lacking, or the one edge bucket —
 // pays nothing for it.
-func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool) ([]*partial, error) {
+func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool, recs *[]tweet.Tweet) ([]*partial, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	idxs := a.rangeLocked(lo, hi)
 	if len(idxs) == 0 {
 		return nil, nil
+	}
+	if recs != nil {
+		// One scan reads back every store-only bucket of the window, so
+		// materialiseLocked finds none left to read.
+		if err := a.reloadLocked(idxs); err != nil {
+			return nil, err
+		}
+		*recs = a.appendWindowLocked(*recs, idxs, lo, hi)
 	}
 	loIdx, hiIdx, edgeIdx := idxs[0], idxs[len(idxs)-1], a.idxs[len(a.idxs)-1]
 	type span struct {
@@ -946,8 +940,7 @@ func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
 	}
 }
 
-// CoverageKeyRequest is coverageKey for a request's window, after
-// checking that the aggregator materialises the request's shape (plan).
+// CoverageKeyRequest is coverageKey for a request's window.
 func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
 	_, lo, hi, err := plan(req, a)
 	if err != nil {
@@ -956,10 +949,8 @@ func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
 	return a.coverageKey(lo, hi), nil
 }
 
-// plan plans req once for rings sharing one Shape, checks that the Shape
-// materialises the plan — every plan scale at the plan's resolved
-// radius — and resolves its record window. The error is ErrNotCovered
-// for a custom radius, or the request's own validation error.
+// plan plans req once for rings sharing one Shape and resolves its record
+// window. The error is the request's own validation error.
 func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi int64, err error) {
 	if info, err = core.PlanRequest(req); err != nil {
 		return nil, 0, 0, err
@@ -973,61 +964,33 @@ func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi i
 			return nil, 0, 0, fmt.Errorf("live: rings of different shapes")
 		}
 	}
-	for i, sc := range info.Scales {
-		if slot := sh.slotOf[sc]; info.ScaleRadius[i] != sh.slotRadius[slot] {
-			return nil, 0, 0, fmt.Errorf("%w: radius %g at %s (materialized %g)",
-				ErrNotCovered, info.ScaleRadius[i], sc, sh.slotRadius[slot])
-		}
-	}
 	lo, hi = window(info)
 	return info, lo, hi, nil
 }
 
 // Query answers req by folding the materialised partials covering its
-// window — no storage scan, no spatial lookup — and assembling the
-// Result through core.AssembleFolded. The result is bit-identical to
-// Study.Execute over the same records (see the property tests).
+// window and assembling the Result through core.AssembleFolded. The
+// result is bit-identical to Study.Execute over the same records (see
+// the property tests), at a custom radius too (FoldRings).
 func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
-	info, lo, hi, err := plan(req, a)
-	if err != nil {
-		return nil, err
-	}
 	t0 := time.Now()
-	parts, err := a.collectCov(lo, hi, nil, false)
+	sp, err := a.FoldPartial(req)
 	if err != nil {
 		return nil, err
 	}
-	acc := a.newFold(info)
-	users := acc.add(parts)
-	if info.Stats {
-		// One ascending-id run cannot collide with itself.
-		acc.f.Stats, _ = FlattenUsers(acc.f.Tweets, users)
-	}
-	res, err := core.AssembleFolded(req, acc.f)
+	// One ascending-id run cannot collide with itself.
+	sp.Stats, _ = FlattenUsers(sp.Tweets, sp.Users)
+	res, err := core.AssembleFolded(req, &sp.FoldedPass)
 	if err == nil {
 		mRingFold.Observe(time.Since(t0).Seconds())
 	}
 	return res, err
 }
 
-// WindowTweetsRequest is WindowTweets for a request's window — the
-// streaming-fallback substream for request shapes the aggregator does
-// not materialise (custom radii).
-func (a *Aggregator) WindowTweetsRequest(req core.Request) ([]tweet.Tweet, error) {
-	info, err := core.PlanRequest(req)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := window(info)
-	return a.WindowTweets(lo, hi)
-}
-
 // WindowTweets copies the ring's records in [lo, hi) (unbounded sides as
 // math.MinInt64/MaxInt64) into a fresh slice in canonical (user, time)
-// order — the exact substream a compacted store scan would yield. It
-// backs streaming fallbacks for request shapes the aggregator does not
-// materialise; like Query it touches the store only to read store-only
-// buckets back, once.
+// order — the exact substream a compacted store scan would yield. Like
+// Query it touches the store only to read store-only buckets back, once.
 func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -1035,7 +998,15 @@ func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 	if err := a.reloadLocked(idxs); err != nil {
 		return nil, err
 	}
-	var out []tweet.Tweet
+	out := a.appendWindowLocked(nil, idxs, lo, hi)
+	sort.Sort(tweet.ByUserTime(out))
+	return out, nil
+}
+
+// appendWindowLocked appends the records of buckets idxs with times in
+// [lo, hi) to out, in bucket order. The buckets hold their records:
+// caller read any store-only one back and holds a.mu.
+func (a *Aggregator) appendWindowLocked(out []tweet.Tweet, idxs []int64, lo, hi int64) []tweet.Tweet {
 	for _, idx := range idxs {
 		b := a.buckets[idx]
 		for i := range b.tweets {
@@ -1044,6 +1015,5 @@ func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 			}
 		}
 	}
-	sort.Sort(tweet.ByUserTime(out))
-	return out, nil
+	return out
 }

@@ -2,7 +2,6 @@ package live
 
 import (
 	"context"
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -157,25 +156,26 @@ func TestCoverageKeyMovesOnlyForTouchedWindows(t *testing.T) {
 	if kAll1 == kAll2 {
 		t.Errorf("unbounded window key did not move on ingest")
 	}
-}
-
-func TestShapeNotCovered(t *testing.T) {
-	a := hourlyAgg(t, Options{})
-	fourBuckets(t, a)
-	cases := []core.Request{
-		{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleNational}, Radius: 1234},
+	// A custom radius is keyed like every shape: a late append into any
+	// bucket its window covers moves the key.
+	custom := core.Request{
+		Analyses: []core.Analysis{core.AnalysisFlows},
+		Scales:   []census.Scale{census.ScaleNational},
+		Radius:   1234,
+		From:     time.UnixMilli(1).UTC(),
+		To:       time.UnixMilli(4 * hourMS).UTC(),
 	}
-	for _, req := range cases {
-		if _, err := a.Query(req); !errors.Is(err, ErrNotCovered) {
-			t.Errorf("Query(%s) err = %v, want ErrNotCovered", req.Key(), err)
+	for h := int64(0); h < 4; h++ {
+		k1, err := a.CoverageKeyRequest(custom)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := a.CoverageKeyRequest(req); !errors.Is(err, ErrNotCovered) {
-			t.Errorf("CoverageKeyRequest(%s) err = %v, want ErrNotCovered", req.Key(), err)
+		if err := a.IngestBatch(tweet.BatchOf([]tweet.Tweet{tw(100+h, 50, h*hourMS+55, sydneyPt)})); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The paper-default shape is covered.
-	if _, err := a.Query(core.Request{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleNational}}); err != nil {
-		t.Fatalf("default shape: %v", err)
+		if k2, _ := a.CoverageKeyRequest(custom); k2 == k1 {
+			t.Errorf("custom-radius key did not move on a late append into hour %d", h)
+		}
 	}
 }
 

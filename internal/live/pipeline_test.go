@@ -246,9 +246,9 @@ func TestBackfillPipelineMatchesSerial(t *testing.T) {
 		}
 		for k := range piped {
 			p, s := piped[k], serial[k]
-			if p.Ingested() != s.Ingested() || p.Revision() != s.Revision() || p.Buckets() != s.Buckets() {
+			if p.Ingested() != s.Ingested() || p.rev != s.rev || p.Buckets() != s.Buckets() {
 				t.Fatalf("%s ring %d: pipeline left %d records / revision %d / %d buckets, serial %d / %d / %d",
-					name, k, p.Ingested(), p.Revision(), p.Buckets(), s.Ingested(), s.Revision(), s.Buckets())
+					name, k, p.Ingested(), p.rev, p.Buckets(), s.Ingested(), s.rev, s.Buckets())
 			}
 			// The coverage key hashes every bucket's (index, revision).
 			if p.coverageKey(math.MinInt64, math.MaxInt64) != s.coverageKey(math.MinInt64, math.MaxInt64) {

@@ -110,6 +110,15 @@ func TestBucketFoldMatchesExecuteProperty(t *testing.T) {
 				}
 				reqs = append(reqs, req)
 			}
+			// Custom radii: the full study over the full stream, and flows
+			// over a random window at one scale.
+			from, to := randWindow()
+			reqs = append(reqs, core.Request{Radius: 30_000}, core.Request{
+				Analyses: []core.Analysis{core.AnalysisFlows},
+				Scales:   []census.Scale{census.Scales()[rng.Intn(3)]},
+				Radius:   []float64{750, 30_000}[rng.Intn(2)],
+				From:     from, To: to,
+			})
 			// A window guaranteed to match nothing: both sides must agree
 			// on ErrEmptyDataset.
 			reqs = append(reqs, core.Request{

@@ -1,13 +1,16 @@
 package live
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sort"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/mobility"
+	"geomob/internal/tweet"
 )
 
 // This file is the live subsystem's contribution to the cluster scale-out
@@ -109,10 +112,10 @@ type ShardPartial struct {
 
 // FoldPartial folds the materialised partials covering req's window into
 // the shard partial a cluster coordinator merges. Like Query it touches
-// storage only to read store-only buckets back, and reuses every covered bucket's materialised partial; unlike
-// Query it stops before assembly, leaving the trajectory statistics at
-// per-user granularity so user-disjoint shard partials can be interleaved
-// exactly. A custom radius answers ErrNotCovered, exactly like Query.
+// storage only to read store-only buckets back, and reuses every covered
+// bucket's materialised partial; unlike Query it stops before assembly,
+// leaving the trajectory statistics at per-user granularity so
+// user-disjoint shard partials can be interleaved exactly.
 func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
 	return FoldRings(req, []*Aggregator{a})
 }
@@ -122,16 +125,31 @@ func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
 // every ring folds with its own user cursor into one shared set of count
 // vectors and flow matrices, and the rings' user runs are interleaved
 // (mergeUsers) into one ascending run, allocated once.
+//
+// A plan scale whose radius is not the one its slot materialises takes
+// its counts and flows from radiusPass instead; everything else the
+// partials fold does not depend on the radius.
 func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	info, lo, hi, err := plan(req, rings...)
 	if err != nil {
 		return nil, err
 	}
-	acc := rings[0].newFold(info)
+	sh := rings[0].Shape
+	var off []census.Scale // plan scales at a radius the ring does not materialise
+	for i, sc := range info.Scales {
+		if info.ScaleRadius[i] != sh.slotRadius[sh.slotOf[sc]] {
+			off = append(off, sc)
+		}
+	}
+	var recs *[]tweet.Tweet
+	if len(off) > 0 {
+		recs = new([]tweet.Tweet)
+	}
+	acc := sh.newFold(info)
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
 	runs, n := make([][]UserTrajectory, len(rings)), 0
 	for i, a := range rings {
-		parts, err := a.collectCov(lo, hi, &sp.Coverage, false)
+		parts, err := a.collectCov(lo, hi, &sp.Coverage, false, recs)
 		if err != nil {
 			return nil, err
 		}
@@ -139,13 +157,48 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 		n += len(runs[i])
 	}
 	sp.FoldedPass = *acc.f
-	if n > 0 {
+	if recs != nil {
+		if err := radiusPass(req, info, off, *recs, &sp.FoldedPass); err != nil {
+			return nil, err
+		}
+	}
+	switch {
+	case len(runs) == 1:
+		sp.Users = runs[0]
+	case n > 0:
 		sp.Users = make([]UserTrajectory, 0, n)
 		if err := mergeUsers(runs, func(u *UserTrajectory) { sp.Users = append(sp.Users, *u) }); err != nil {
 			return nil, fmt.Errorf("live: fold rings: %w", err)
 		}
 	}
 	return sp, nil
+}
+
+// radiusPass sets f's counts and flows at scales — plan scales whose
+// request radius the ring does not materialise — from an exact core
+// observer pass at the request's radius over recs, the folded rings'
+// in-window records. Per-area unique-user counts and flow cells are
+// integer sums over users, so the pass over one user partition adds
+// exactly to the passes over the others, as the partials' counts do.
+func radiusPass(req core.Request, info *core.PlanInfo, scales []census.Scale, recs []tweet.Tweet, f *core.FoldedPass) error {
+	sort.Sort(tweet.ByUserTime(recs))
+	sub := req
+	sub.Scales = scales
+	// The trajectory statistics and span come from the partials.
+	sub.Analyses = slices.DeleteFunc(slices.Clone(info.Analyses), func(a core.Analysis) bool { return a == core.AnalysisStats })
+	pass, err := core.NewStudy(core.SliceSource(recs)).Fold(context.TODO(), sub)
+	if err != nil {
+		return fmt.Errorf("live: pass at radius %g: %w", req.Radius, err)
+	}
+	for _, sc := range scales {
+		if info.Count {
+			f.Counts[sc] = pass.Counts[sc]
+		}
+		if info.Extract {
+			f.Flows[sc] = pass.Flows[sc]
+		}
+	}
+	return nil
 }
 
 // CoverageKeyRings is CoverageKeyRequest over the rings of one Shape,

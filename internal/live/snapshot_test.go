@@ -153,16 +153,15 @@ func unalignedWindow(sorted []tweet.Tweet, cut int) (from, to int64) {
 	return ts[len(ts)/cut] + 1, ts[len(ts)-len(ts)/cut] + 1
 }
 
-// assertCustomRadius answers a custom-radius request the way the service
-// does — a streaming pass over the ring's window — and compares it with
-// the same request over the reference records.
+// assertCustomRadius queries the ring at a custom radius — a fold whose
+// counts come from an exact pass over the window's records — and
+// compares it with the same request over the reference records.
 func assertCustomRadius(t *testing.T, a *Aggregator, req core.Request, sorted []tweet.Tweet, label string) {
 	t.Helper()
-	tweets, err := a.WindowTweetsRequest(req)
+	got, err := a.Query(req)
 	if err != nil {
-		t.Fatalf("%s: window tweets: %v", label, err)
+		t.Fatalf("%s: custom-radius query: %v", label, err)
 	}
-	got := snapRefs(t, tweets, []core.Request{req})[0]
 	if want := snapRefs(t, sorted, []core.Request{req})[0]; !resultsBitEqual(got, want) {
 		t.Fatalf("%s: custom-radius answer diverges from cold rescan", label)
 	}

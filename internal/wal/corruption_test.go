@@ -281,8 +281,8 @@ func TestSpoolTornGroup(t *testing.T) {
 }
 
 // refRecover is the fuzz oracle: an independent walk of one segment's
-// bytes under the documented format (reserved bytes zero) and the
-// intact-prefix rule, returning each record still pending (seq →
+// bytes under the documented format (reserved bytes zero, a data
+// record's rows equal to its frame's) and the intact-prefix rule, returning each record still pending (seq →
 // destination mask) and whether the whole file parsed.
 func refRecover(raw []byte) (pending map[uint64]uint64, clean bool) {
 	le := binary.LittleEndian
@@ -303,6 +303,14 @@ func refRecover(raw []byte) (pending map[uint64]uint64, clean bool) {
 		}
 		switch {
 		case payload[0] == kindData && plen >= dataHeader && le.Uint16(payload[2:4]) == 0:
+			// rows is the frame's own row count, at byte 12 of the frame.
+			var frameRows uint32
+			if frame := payload[dataHeader:]; len(frame) >= 16 {
+				frameRows = le.Uint32(frame[12:16])
+			}
+			if le.Uint32(payload[4:8]) != frameRows {
+				return pending, false
+			}
 			if mask := le.Uint64(payload[16:24]); mask != 0 {
 				pending[le.Uint64(payload[8:16])] = mask
 			}
@@ -358,6 +366,17 @@ func FuzzSpoolRecover(f *testing.F) {
 	reserved[segHeader+recHeader+2] = 1
 	binary.LittleEndian.PutUint32(reserved[segHeader+4:], crc32.ChecksumIEEE(reserved[segHeader+recHeader:segHeader+recHeader+int(binary.LittleEndian.Uint32(reserved[segHeader:]))]))
 	f.Add(reserved)
+	// The first record's rows off by one under a valid record CRC: a
+	// record that under-reports its rows would hide what a replica is owed.
+	rowsOff := append([]byte(nil), raw...)
+	plen := int(binary.LittleEndian.Uint32(rowsOff[segHeader:]))
+	payload := rowsOff[segHeader+recHeader : segHeader+recHeader+plen]
+	binary.LittleEndian.PutUint32(payload[4:], binary.LittleEndian.Uint32(payload[4:])+1)
+	binary.LittleEndian.PutUint32(rowsOff[segHeader+4:], crc32.ChecksumIEEE(payload))
+	if _, clean := refRecover(rowsOff); clean {
+		f.Fatal("oracle accepts a data record whose rows disagree with its frame")
+	}
+	f.Add(rowsOff)
 	for i := 1; i < 12; i++ {
 		p := len(raw) * i / 12
 		f.Add(raw[:p])

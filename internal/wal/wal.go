@@ -317,9 +317,13 @@ func (s *Spool) scanSegment(idx int) (floor uint64, clean bool) {
 		case kindData:
 			rec := &prec{slot: p.U8(), seg: idx, off: off, n: int32(recHeader + plen)}
 			p.Zero(2)
-			rec.rows = int32(p.U32())
+			rows := p.U32()
+			rec.rows = int32(rows)
 			rec.seq, rec.mask = p.U64(), p.U64()
-			if p.Err() != nil {
+			// rows feeds the per-node pending counts that steer reads away
+			// from a replica still owed the frame, so it must be the
+			// frame's own count.
+			if p.Err() != nil || rows != uint32(tweet.FrameRows(payload[dataHeader:])) {
 				return floor, false
 			}
 			if rec.seq >= floor {

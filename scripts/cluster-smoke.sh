@@ -67,7 +67,8 @@ json.dump(d,sys.stdout,indent=2,sort_keys=True)'; }
 mval() { awk -v n="$2" '$0 !~ /^#/ && index($0, n) == 1 { print $NF; exit }' "$1"; }
 
 compare_endpoints() { # label
-  for ep in "v1/population?scale=national" "v1/flows?scale=national" "v1/stats" "v1/population?scale=metro"; do
+  for ep in "v1/population?scale=national" "v1/flows?scale=national" "v1/stats" "v1/population?scale=metro" \
+    "v1/population?scale=state&radius=30000" "v1/flows?scale=national&radius=30000"; do
     curl -fsS "http://127.0.0.1:$P_COORD/$ep" | strip_cached >"$WORK/cluster.json"
     curl -fsS "http://127.0.0.1:$P_SINGLE/$ep" | strip_cached >"$WORK/single.json"
     if ! cmp -s "$WORK/cluster.json" "$WORK/single.json"; then
@@ -100,7 +101,7 @@ if [ "$CHAOS" = 0 ]; then
   "$WORK/mobserve" -cluster-coordinator "http://127.0.0.1:$P_SHARD0,http://127.0.0.1:$P_SHARD1" \
     -addr "127.0.0.1:$P_COORD" >"$WORK/coord.log" 2>&1 &
   PIDS+=($!)
-  "$WORK/mobserve" -live -db "$WORK/single" -addr "127.0.0.1:$P_SINGLE" >"$WORK/single.log" 2>&1 &
+  "$WORK/mobserve" -db "$WORK/single" -addr "127.0.0.1:$P_SINGLE" >"$WORK/single.log" 2>&1 &
   PIDS+=($!)
   wait_up "$P_SHARD0" shard0
   wait_up "$P_SHARD1" shard1
@@ -177,7 +178,7 @@ start_shard "$P_SHARD2" "$WORK/shard2" shard2
   -replication 2 -wal-dir "$WORK/wal" \
   -addr "127.0.0.1:$P_COORD" >"$WORK/coord.log" 2>&1 &
 PIDS+=($!)
-"$WORK/mobserve" -live -db "$WORK/single" -addr "127.0.0.1:$P_SINGLE" >"$WORK/single.log" 2>&1 &
+"$WORK/mobserve" -db "$WORK/single" -addr "127.0.0.1:$P_SINGLE" >"$WORK/single.log" 2>&1 &
 PIDS+=($!)
 wait_up "$P_SHARD0" shard0
 wait_up "$P_SHARD1" shard1

@@ -35,7 +35,7 @@ go build -o "$WORK/mobgen" ./cmd/mobgen
 start_server() {
   local flags=()
   [ "$RESTART" = 1 ] && flags=(-snapshot-dir "$WORK/snaps")
-  "$WORK/mobserve" -db "$WORK/store" -addr "127.0.0.1:$PORT" -live -bucket 1h \
+  "$WORK/mobserve" -db "$WORK/store" -addr "127.0.0.1:$PORT" -bucket 1h \
     ${flags[@]+"${flags[@]}"} >>"$WORK/server.log" 2>&1 &
   SERVER_PID=$!
 }
