@@ -32,7 +32,6 @@ import (
 	"geomob/internal/models"
 	"geomob/internal/obs"
 	"geomob/internal/randx"
-	"geomob/internal/ring"
 	"geomob/internal/stats"
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
@@ -902,44 +901,32 @@ func BenchmarkLiveColdQuery(b *testing.B) {
 
 // BenchmarkShardResident measures what a cluster shard keeps on the heap
 // and what filling it costs (DESIGN.md §11): 120 warm days of the
-// 50k-user feed are spread over the 16 placement-slot rings of one Shape
-// (untimed), and the timed part is one full-shape fold per ring — the
-// cold build of ~80k sparse hour partials and their rollups. B/record is
-// the rings' ResidentBytes over the records they hold, partials the hour
-// partials materialised.
+// 50k-user feed go into the shard's one ring (untimed), as a shard
+// holding every placement slot keeps them, and the timed part is one
+// full-shape fold — the cold build of its sparse hour partials and their
+// rollups. B/record is the ring's ResidentBytes over the records it
+// holds, partials the hour partials materialised.
 func BenchmarkShardResident(b *testing.B) {
 	feed, warm, upTo := edgeFeed(b)
 	feed = feed[:upTo(0, warm)]
-	sh, err := live.NewShape(live.Options{BucketWidth: time.Hour})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var slotFeed [ring.Slots][]Tweet
-	for _, tw := range feed {
-		k := ring.SlotOf(tw.UserID)
-		slotFeed[k] = append(slotFeed[k], tw)
-	}
 	var resident, partials int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		var aggs [ring.Slots]*live.Aggregator
-		for k := range aggs {
-			aggs[k] = sh.NewAggregator()
-			if err := aggs[k].IngestBatch(tweet.BatchOf(slotFeed[k])); err != nil {
-				b.Fatal(err)
-			}
+		shard, err := cluster.NewLocalShard(nil, live.Options{BucketWidth: time.Hour})
+		if err != nil {
+			b.Fatal(err)
+		}
+		agg := shard.Ring()
+		if err := agg.IngestBatch(tweet.BatchOf(feed)); err != nil {
+			b.Fatal(err)
 		}
 		b.StartTimer()
-		resident, partials = 0, 0
-		for _, agg := range aggs {
-			if _, err := agg.FoldPartial(StudyRequest{}); err != nil {
-				b.Fatal(err)
-			}
-			resident += agg.ResidentBytes().Total()
-			partials += agg.Builds()
+		if _, err := agg.FoldPartial(StudyRequest{}); err != nil {
+			b.Fatal(err)
 		}
+		resident, partials = agg.ResidentBytes().Total(), agg.Builds()
 	}
 	b.ReportMetric(float64(resident)/float64(len(feed)), "B/record")
 	b.ReportMetric(float64(partials), "partials")

@@ -190,7 +190,7 @@ func TestPartitionsResidentBytes(t *testing.T) {
 		var want live.ResidentBytes
 		locals := eng.(*coordEngine).locals
 		for _, sh := range locals {
-			want.Add(sh.ResidentBytes())
+			want.Add(sh.Ring().ResidentBytes())
 		}
 		if len(locals) != 2 || want.Records <= 0 || want.Partials <= 0 || want.Rollups <= 0 {
 			t.Fatalf("snapshots %q: %d shards hold %+v, want every kind > 0", snapDir, len(locals), want)

@@ -131,19 +131,20 @@ func openShardNode(cfg config, boot *bootClock) (http.Handler, func() (live.Snap
 	if err != nil {
 		return nil, nil, err
 	}
-	boot.mark("recover") // the shard builds its shape and hydrates its slot rings in one call
+	boot.mark("recover") // the shard builds its ring and hydrates it in one call
+	agg := shard.Ring()
 	if cfg.snapDir == "" {
 		log.Printf("shard node: %d records backfilled into %d buckets of %v (boot: %v)",
-			shard.Ingested(), shard.Buckets(), cfg.bucket, boot)
+			agg.Ingested(), agg.Buckets(), cfg.bucket, boot)
 	} else {
 		rec := shard.Recovery()
 		log.Printf("shard node: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) into %d buckets of %v (boot: %v)",
-			rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, shard.Buckets(), cfg.bucket, boot)
+			rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, agg.Buckets(), cfg.bucket, boot)
 	}
 	obs.RegisterBuildMetrics(obs.Def)
 	reg := obs.NewRegistry()
 	registerRuntimeMetrics(reg)
-	registerResidentMetrics(reg, shard.ResidentBytes)
+	registerResidentMetrics(reg, agg.ResidentBytes)
 	mux := http.NewServeMux()
 	mux.Handle("/", cluster.NewNode(shard, cluster.NodeOptions{MaxBodyBytes: cfg.maxIngestBytes}))
 	mux.Handle("GET /metrics", obs.Handler(obs.Def, reg))
@@ -230,7 +231,7 @@ func newRingEngine(store *tweetdb.Store, cfg config, boot *bootClock) (*ringEngi
 // query folds materialised partials: an append invalidates only the
 // entries whose window covers the buckets it landed in, and repeat
 // queries over unchanged coverage do zero segment scans. Every request
-// shape folds, a custom radius included (live.FoldRings). The cache-key
+// shape folds, a custom radius included (live.FoldSlots). The cache-key
 // construction is the trace's cache_lookup stage, the compute callback
 // (a miss only) its fold stage. The cache disposition (source, hit/miss,
 // coverage key) goes into any explain carrier on ctx; the key and the
@@ -415,7 +416,7 @@ func (e *coordEngine) snapshot() (live.SnapshotStats, error) {
 func (e *coordEngine) residentBytes() live.ResidentBytes {
 	var sum live.ResidentBytes
 	for _, sh := range e.locals {
-		sum.Add(sh.ResidentBytes())
+		sum.Add(sh.Ring().ResidentBytes())
 	}
 	return sum
 }

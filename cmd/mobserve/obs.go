@@ -39,9 +39,8 @@ func (s *server) registerInstanceMetrics() {
 }
 
 // registerResidentMetrics publishes what this process's rings hold on
-// the heap, by kind: one ring's ResidentBytes on a single node, the sum
-// over the slot rings on a shard node, the sum over the in-process
-// shards under -partitions.
+// the heap, by kind: one ring's ResidentBytes on a single node or a
+// shard node, the sum over the in-process shards under -partitions.
 func registerResidentMetrics(r *obs.Registry, resident func() live.ResidentBytes) {
 	const name, help = "geomob_ring_resident_bytes", "Heap bytes held by the bucket rings, by kind (raw record columns, bucket partials, rollup merges)."
 	r.GaugeFunc(name, help, func() float64 { return float64(resident().Records) }, "kind", "records")

@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("ingested %d tweets across %d partitions:\n", len(tweets), partitions)
 	for i, l := range locals {
 		fmt.Printf("  partition %d: %7d durable records, %3d ring buckets\n",
-			i, l.Store().Count(), l.Buckets())
+			i, l.Store().Count(), l.Ring().Buckets())
 	}
 	scansAfterBoot := storeScans(locals)
 

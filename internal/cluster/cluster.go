@@ -26,7 +26,9 @@
 //   - internal/ring: the versioned consistent-hash placement rule — a
 //     pure function of (ring version, user id) every node agrees on;
 //   - Shard: one member behind a uniform interface — LocalShard runs
-//     in-process with one bucket ring per slot, HTTPShard talks to a
+//     in-process with one bucket ring over the slots delivered to it,
+//     and folds any subset of them by skipping the other slots' users;
+//     HTTPShard talks to a
 //     remote member over the internal /shard/v1 API served by Node;
 //   - spool (internal/wal behind CoordinatorOptions.WALDir): the ingest
 //     acknowledgement point — frames are acked to the client once

@@ -248,8 +248,9 @@ func TestCoordinatorRejectsTooManyMembers(t *testing.T) {
 }
 
 // TestNodeIngestLimits: the shard's delivery endpoint applies a valid
-// envelope, rejects a malformed envelope and a frame for a slot out of
-// range with 400, and honours the body bound with 413.
+// envelope, rejects a malformed envelope, a frame for a slot out of range
+// and a frame holding a user of another slot with 400, and honours the
+// body bound with 413.
 func TestNodeIngestLimits(t *testing.T) {
 	local, err := NewLocalShard(nil, live.Options{BucketWidth: time.Hour})
 	if err != nil {
@@ -276,6 +277,7 @@ func TestNodeIngestLimits(t *testing.T) {
 		{"valid", appendDeliveries(nil, []Delivery{{Seq: 1, Slot: ring.SlotOf(1), Frame: frame(1)}}), 200},
 		{"malformed envelope", []byte("truncated"), 400},
 		{"slot out of range", appendDeliveries(nil, []Delivery{{Seq: 2, Slot: ring.Slots, Frame: frame(1)}}), 400},
+		{"slot mislabelled", appendDeliveries(nil, []Delivery{{Seq: 4, Slot: (ring.SlotOf(1) + 1) % ring.Slots, Frame: frame(1)}}), 400},
 		{"oversized body", appendDeliveries(nil, []Delivery{{Seq: 3, Slot: ring.SlotOf(1), Frame: frame(8)}}), 413},
 	} {
 		resp, err := srv.Client().Post(srv.URL+pathDeliverBatch+"?sender=s", "application/octet-stream", bytes.NewReader(c.body))
@@ -287,7 +289,7 @@ func TestNodeIngestLimits(t *testing.T) {
 			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
 	}
-	if got := local.Ingested(); got != 1 {
+	if got := local.Ring().Ingested(); got != 1 {
 		t.Fatalf("shard ingested %d records, want the valid delivery's 1", got)
 	}
 }

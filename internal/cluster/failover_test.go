@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -219,7 +220,7 @@ func TestLaneRedeliveryAfterRecovery(t *testing.T) {
 	// ingest calls from the client.
 	down.Store(false)
 	waitNodeDrained(t, coord, 1, 10*time.Second)
-	if got := flakyLocal.Ingested() + healthy.Ingested(); got != int64(len(all)) {
+	if got := flakyLocal.Ring().Ingested() + healthy.Ring().Ingested(); got != int64(len(all)) {
 		t.Fatalf("recovered cluster holds %d of %d records", got, len(all))
 	}
 	sts := coord.Health()
@@ -240,16 +241,21 @@ func TestLaneRedeliveryAfterRecovery(t *testing.T) {
 
 // TestQueryFailoverReplicated: with R=2 over 3 members, killing any
 // single member mid-query costs nothing — every slot fails over to its
-// surviving replica and the answer stays bit-identical.
+// surviving replica and the answer stays bit-identical. Each member's
+// ring holds about two thirds of the slots and serves a strict subset of
+// them, more after a failover; hourly buckets put closed day and month
+// rollups under the windows, whose flows cross partials.
 func TestQueryFailoverReplicated(t *testing.T) {
 	all := failoverCorpus(t, 400, 17, 19)
 	chaos := make([]*chaosShard, 3)
 	shards := make([]Shard, 3)
+	locals := make([]*LocalShard, 3)
 	for i := range shards {
-		local, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
+		local, err := NewLocalShard(nil, live.Options{BucketWidth: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
+		locals[i] = local
 		chaos[i] = newChaosShard(local)
 		shards[i] = chaos[i]
 	}
@@ -267,11 +273,19 @@ func TestQueryFailoverReplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	minTS, maxTS := all[0].TS, all[0].TS
+	for _, tw := range all {
+		minTS, maxTS = min(minTS, tw.TS), max(maxTS, tw.TS)
+	}
+	// Windows of about five months, their edges inside hour buckets.
+	from, to := time.UnixMilli(minTS+(maxTS-minTS)/7+17).UTC(), time.UnixMilli(maxTS-(maxTS-minTS)/7-29).UTC()
 	reqs := []core.Request{
 		{},
 		{Analyses: []core.Analysis{core.AnalysisPopulation}},
 		{Analyses: []core.Analysis{core.AnalysisFlows}},
 		{Analyses: []core.Analysis{core.AnalysisPopulation, core.AnalysisFlows}, Scales: []census.Scale{census.ScaleState}, Radius: 30_000},
+		{Analyses: []core.Analysis{core.AnalysisStats, core.AnalysisFlows}, From: from, To: to},
+		{Analyses: []core.Analysis{core.AnalysisFlows}, Scales: []census.Scale{census.ScaleNational}, Radius: 750, From: from, To: to},
 	}
 	refs := make([]*core.Result, len(reqs))
 	for i, req := range reqs {
@@ -290,6 +304,28 @@ func TestQueryFailoverReplicated(t *testing.T) {
 			}
 		}
 		chaos[kill].setDown(false)
+	}
+	for _, l := range locals {
+		if st := l.Ring().RollupStats(); len(st) != 2 || st[0].Builds == 0 || st[1].Builds == 0 {
+			t.Fatalf("the windows took no closed day or month rollup: %+v", st)
+		}
+	}
+	// Member 0 folds a strict subset of the slots it holds and the rest
+	// of them, as a failover splits them.
+	var held []int
+	for k := 0; k < ring.Slots; k++ {
+		if slices.Contains(coord.ring.Replicas(k), 0) {
+			held = append(held, k)
+		}
+	}
+	var mine []tweet.Tweet
+	for _, tw := range all {
+		if slices.Contains(held, ring.SlotOf(tw.UserID)) {
+			mine = append(mine, tw)
+		}
+	}
+	for _, req := range reqs {
+		assertSlotHalves(t, locals[0], mine, req, held[:len(held)/2])
 	}
 
 	// Two members down: some slot loses both replicas, and the failure
@@ -417,7 +453,7 @@ func TestDeliverDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Ingested(); got != 1 {
+	if got := s.Ring().Ingested(); got != 1 {
 		t.Fatalf("triple delivery ingested %d records, want 1", got)
 	}
 	if got := store.Count(); got != 1 {
@@ -427,7 +463,7 @@ func TestDeliverDedup(t *testing.T) {
 	if err := s.DeliverBatch("sender-b", []Delivery{{Seq: 7, Slot: slot, Frame: frame}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Ingested(); got != 2 {
+	if got := s.Ring().Ingested(); got != 2 {
 		t.Fatalf("distinct sender deduplicated: ingested %d, want 2", got)
 	}
 	// Restart: the high-water marks come back from the manifest, so a
@@ -446,8 +482,29 @@ func TestDeliverDedup(t *testing.T) {
 	if err := s2.DeliverBatch("sender-b", []Delivery{{Seq: 6, Slot: slot, Frame: frame}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.Ingested(); got != 2 {
+	if got := s2.Ring().Ingested(); got != 2 {
 		t.Fatalf("post-restart redelivery not deduplicated: ingested %d, want 2 (backfill only)", got)
+	}
+	// A frame whose user hashes to another slot than the one it claims is
+	// refused whole, and its sequence stays unapplied.
+	later := tw
+	later.ID, later.TS = 2, tw.TS+1
+	laterFrame, err := tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{later}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s2.DeliverBatch("sender-a", []Delivery{{Seq: 8, Slot: (slot + 1) % ring.Slots, Frame: laterFrame}})
+	if !errors.Is(err, live.ErrBadInput) {
+		t.Fatalf("mislabelled frame: %v, want ErrBadInput", err)
+	}
+	if got, n := s2.Ring().Ingested(), store2.Count(); got != 2 || n != 2 {
+		t.Fatalf("mislabelled frame applied: ingested %d, stored %d, want 2 and 2", got, n)
+	}
+	if err := s2.DeliverBatch("sender-a", []Delivery{{Seq: 8, Slot: slot, Frame: laterFrame}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Ring().Ingested(); got != 3 {
+		t.Fatalf("the frame under its own slot ingested %d records in all, want 3", got)
 	}
 }
 

@@ -137,27 +137,39 @@ func buildClusterProperty(t *testing.T) *clusterProperty {
 // scatter-gather answer is bit-for-bit identical (IEEE-754 bits, NaN
 // included) to a cold single-node Study.Execute over the same records —
 // across all analyses — and a warm cache repeat issues zero shard folds.
+// At R=2 over two members each member holds every slot and serves about
+// half, so every fold is over a strict slot subset of its ring; hourly
+// buckets there put closed day and month rollups under the random
+// windows, and each request is also folded over a random strict slot
+// subset and its complement (assertSlotHalves).
 func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 	prop := buildClusterProperty(t)
-	for _, n := range []int{1, 2, 3, 8} {
-		n := n
-		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+	for _, tc := range []struct {
+		n, replication int
+		width          time.Duration
+	}{{1, 1, 7 * 24 * time.Hour}, {2, 1, 7 * 24 * time.Hour}, {3, 1, 7 * 24 * time.Hour}, {8, 1, 7 * 24 * time.Hour}, {2, 2, time.Hour}} {
+		n := tc.n
+		name := fmt.Sprintf("shards=%d", n)
+		if tc.replication > 1 {
+			name += fmt.Sprintf(",replication=%d,width=%v", tc.replication, tc.width)
+		}
+		t.Run(name, func(t *testing.T) {
 			if testing.Short() && n > 2 {
 				t.Skip("short mode runs shard counts 1 and 2 only")
 			}
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(1000 + n)))
+			rng := rand.New(rand.NewSource(int64(1000 + n + 100*tc.replication)))
 			shards := make([]Shard, n)
 			locals := make([]*LocalShard, n)
 			for i := range shards {
-				s, err := NewLocalShard(nil, live.Options{BucketWidth: 7 * 24 * time.Hour})
+				s, err := NewLocalShard(nil, live.Options{BucketWidth: tc.width})
 				if err != nil {
 					t.Fatal(err)
 				}
 				shards[i] = s
 				locals[i] = s
 			}
-			coord, err := NewCoordinator(shards, CoordinatorOptions{BatchSize: 173, QueueDepth: 2})
+			coord, err := NewCoordinator(shards, CoordinatorOptions{BatchSize: 173, QueueDepth: 2, Replication: tc.replication})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,10 +184,10 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			}
 			var routed int64
 			for _, l := range locals {
-				routed += l.Ingested()
+				routed += l.Ring().Ingested()
 			}
-			if routed != int64(len(prop.all)) {
-				t.Fatalf("routed %d of %d records into shard rings", routed, len(prop.all))
+			if want := int64(tc.replication * len(prop.all)); routed != want {
+				t.Fatalf("routed %d records into shard rings, want %d", routed, want)
 			}
 
 			// Every node owning a slot answers each fold with one partial
@@ -220,7 +232,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			fetches := coord.PartialFetches()
 			builds := int64(0)
 			for _, l := range locals {
-				builds += l.Builds()
+				builds += l.Ring().Builds()
 			}
 			for ri, req := range prop.reqs {
 				if prop.refErr[ri] != nil {
@@ -239,10 +251,24 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 			}
 			var builds2 int64
 			for _, l := range locals {
-				builds2 += l.Builds()
+				builds2 += l.Ring().Builds()
 			}
 			if builds2 != builds {
 				t.Fatalf("warm repeats rebuilt %d bucket partials, want 0", builds2-builds)
+			}
+			if tc.replication > 1 {
+				// R = n: every member holds every slot.
+				for _, req := range prop.reqs {
+					subset := randomSlotSubset(rng)
+					for _, l := range locals {
+						assertSlotHalves(t, l, prop.all, req, subset)
+					}
+				}
+				for _, l := range locals {
+					if st := l.Ring().RollupStats(); len(st) != 2 || st[0].Builds == 0 || st[1].Builds == 0 {
+						t.Fatalf("the windows took no closed day or month rollup: %+v", st)
+					}
+				}
 			}
 
 			// An ingest that lands in covered buckets moves the coverage
@@ -271,5 +297,89 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 				t.Fatal("post-append scatter-gather diverges from single-node execute")
 			}
 		})
+	}
+}
+
+// randomSlotSubset draws a non-empty strict subset of the placement
+// slots, ascending.
+func randomSlotSubset(rng *rand.Rand) []int {
+	for {
+		var subset []int
+		for k := 0; k < ring.Slots; k++ {
+			if rng.Intn(2) == 0 {
+				subset = append(subset, k)
+			}
+		}
+		if len(subset) > 0 && len(subset) < ring.Slots {
+			return subset
+		}
+	}
+}
+
+// assertSlotHalves folds req on s over a strict placement-slot subset
+// and over its complement — the split a failover makes of one member's
+// slots — where held are the records s holds. Each half must assemble to
+// the single-node answer over its own users' records, and the halves
+// must merge to the single-node answer over all of them. One field of a
+// half is wider by design: its span box covers every user of the folded
+// partials (the merge unions the boxes back to the exact one), so each
+// half's box must contain its users' box and is then assembled with it.
+func assertSlotHalves(t *testing.T, s Shard, held []tweet.Tweet, req core.Request, subset []int) {
+	t.Helper()
+	var in [ring.Slots]bool
+	for _, k := range subset {
+		in[k] = true
+	}
+	var rest []int
+	for k := 0; k < ring.Slots; k++ {
+		if !in[k] {
+			rest = append(rest, k)
+		}
+	}
+	sameErr := func(got, want error) bool {
+		return (got == nil) == (want == nil) && (got == nil || got.Error() == want.Error())
+	}
+	var parts []*live.ShardPartial
+	for h, half := range [][]int{subset, rest} {
+		ps, err := s.Partials(context.Background(), req, half)
+		if err != nil {
+			t.Fatalf("%s over slots %v: %v", req.Key(), half, err)
+		}
+		parts = append(parts, ps...)
+		var own []tweet.Tweet
+		for _, tw := range held {
+			if in[ring.SlotOf(tw.UserID)] == (h == 0) {
+				own = append(own, tw)
+			}
+		}
+		sort.Sort(tweet.ByUserTime(own))
+		want, err := core.NewStudyWithOptions(core.SliceSource(own), core.StudyOptions{Workers: 1}).Fold(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ps[0].FoldedPass
+		if got.Stats, err = live.FlattenUsers(got.Tweets, ps[0].Users); err != nil {
+			t.Fatal(err)
+		}
+		if b, w := got.BBox, want.BBox; want.Seen && !(b.MinLat <= w.MinLat && b.MinLon <= w.MinLon && b.MaxLat >= w.MaxLat && b.MaxLon >= w.MaxLon) {
+			t.Fatalf("%s over slots %v: box %+v does not hold its users' box %+v", req.Key(), half, b, w)
+		}
+		got.BBox = want.BBox
+		res, err := core.AssembleFolded(req, &got)
+		ref, refErr := core.AssembleFolded(req, want)
+		if !sameErr(err, refErr) || err == nil && !testx.ValuesBitEqual(res, ref) {
+			t.Fatalf("%s over slots %v diverges from single-node execute over its users (err %v, want %v)", req.Key(), half, err, refErr)
+		}
+	}
+	merged, err := MergePartials(req, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.AssembleFolded(req, merged)
+	sorted := append([]tweet.Tweet(nil), held...)
+	sort.Sort(tweet.ByUserTime(sorted))
+	ref, refErr := core.NewStudyWithOptions(core.SliceSource(sorted), core.StudyOptions{Workers: 1}).Execute(context.Background(), req)
+	if !sameErr(err, refErr) || err == nil && !testx.ValuesBitEqual(res, ref) {
+		t.Fatalf("%s: slot halves %v and %v merge to something else than single-node execute (err %v, want %v)", req.Key(), subset, rest, err, refErr)
 	}
 }

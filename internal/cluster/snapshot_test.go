@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,8 +19,8 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// corruptOneSnapBlob flips a byte in the largest snapshot file under any
-// slot directory and returns how many files it damaged (0 or 1).
+// corruptOneSnapBlob flips a byte in the largest snapshot file under the
+// snapshot directory and returns how many files it damaged (0 or 1).
 func corruptOneSnapBlob(t *testing.T, snapDir string) int {
 	t.Helper()
 	var target string
@@ -66,12 +67,13 @@ func queryShard(t *testing.T, s Shard, req core.Request) *core.Result {
 	return res
 }
 
-// TestShardSnapshotRestart is the tentpole's cluster-restart contract:
-// a store-backed member with a snapshot directory comes back from a
-// kill by restoring its per-slot bucket files — zero store scans after
-// a clean snapshot, tail-only replay otherwise, per-bucket cold
-// backfill when a file is corrupt — and every recovered state answers
-// bit-identically to a single-node cold execute.
+// TestShardSnapshotRestart is the cluster-restart contract: a
+// store-backed member with a snapshot directory comes back from a kill
+// by restoring its ring's bucket files — zero store scans after a clean
+// snapshot, slot-subset folds included, tail-only replay otherwise,
+// per-bucket cold backfill when a file is corrupt, a full rescan over a
+// directory in the older per-slot layout — and every recovered state
+// answers bit-identically to a single-node cold execute.
 func TestShardSnapshotRestart(t *testing.T) {
 	all := failoverCorpus(t, 400, 53, 59)
 	cut := len(all) * 3 / 4
@@ -167,6 +169,12 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if !testx.ValuesBitEqual(queryShard(t, s3, req), ref) {
 		t.Fatal("clean-restart answer diverges from single-node execute")
 	}
+	// A strict slot subset and the rest fold from the restored partials
+	// alone, each matching single-node execute over its own users.
+	assertSlotHalves(t, s3, all, req, []int{1, 2, 3, 5, 8, 13})
+	if got := store3.ScanCount(); got != 0 {
+		t.Fatalf("slot-subset folds of restored buckets scanned the store %d times, want 0", got)
+	}
 	h, err := s3.Health()
 	if err != nil {
 		t.Fatal(err)
@@ -196,9 +204,47 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if !testx.ValuesBitEqual(queryShard(t, s4, req), ref) {
 		t.Fatal("corrupt-blob restart answer diverges from single-node execute")
 	}
+
+	// A directory in an older layout — one snapshot directory per
+	// placement slot, nothing at its root — is no snapshot: the shard
+	// rescans its store and answers the same.
+	oldDir := t.TempDir()
+	entries, err := os.ReadDir(snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < ring.Slots; k++ {
+		sub := filepath.Join(oldDir, fmt.Sprintf("slot-%02d", k))
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			raw, err := os.ReadFile(filepath.Join(snapDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(sub, e.Name()), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	store5, err := tweetdb.Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s5, err := NewLocalShardSnap(store5, opts, oldDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := s5.Recovery(); !rec.FullRescan || rec.Restored != 0 || rec.TailRecords != int64(len(all)) {
+		t.Fatalf("a directory of slot subdirectories recovered as %+v, want a full rescan of %d records", rec, len(all))
+	}
+	if !testx.ValuesBitEqual(queryShard(t, s5, req), ref) {
+		t.Fatal("full-rescan answer over an older snapshot layout diverges from single-node execute")
+	}
 }
 
-// assertShardHostile drives a restored shard's slot rings through every
+// assertShardHostile drives a restored shard's ring through every
 // reader of restored buckets' records — a late append into one, window
 // edges inside them, a custom radius, a dry coverage walk — with
 // deliveries landing beside them, each answer compared with a
@@ -264,10 +310,8 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 	// A dry coverage walk reads nothing back.
 	scans := store.ScanCount()
 	for _, req := range windows {
-		for _, a := range s.aggs {
-			if _, err := a.ExplainCoverage(req); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := s.agg.ExplainCoverage(req); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if got := store.ScanCount(); got != scans {
@@ -285,8 +329,8 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 			t.Fatalf("window %d over the restored shard diverges from single-node execute", i)
 		}
 	}
-	// A custom radius folds over each slot ring's window, read back from
-	// the store through the ring's own slot filter.
+	// A custom radius folds over the ring's window, read back from the
+	// store.
 	custom := core.Request{Analyses: []core.Analysis{core.AnalysisPopulation}, Scales: []census.Scale{census.ScaleState}, Radius: 30_000, From: at(minTS), To: at(maxTS + 1)}
 	if !testx.ValuesBitEqual(queryShard(t, s, custom), singleNodeRef(t, all, custom)) {
 		t.Fatal("custom-radius fold of the restored shard diverges from single-node execute")
@@ -326,7 +370,7 @@ func TestDeliverBatchDedup(t *testing.T) {
 	if err := s.DeliverBatch("sender-a", ds); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Ingested(); got != 4 {
+	if got := s.Ring().Ingested(); got != 4 {
 		t.Fatalf("batch ingested %d records, want 4", got)
 	}
 	if got := len(store.Segments()) - segsBefore; got != 1 {
@@ -341,7 +385,7 @@ func TestDeliverBatchDedup(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Ingested(); got != 4 {
+	if got := s.Ring().Ingested(); got != 4 {
 		t.Fatalf("redelivery re-applied: ingested %d, want 4", got)
 	}
 	// A partially duplicate batch applies only the fresh tail, and the
@@ -352,7 +396,7 @@ func TestDeliverBatchDedup(t *testing.T) {
 	if err := s.DeliverBatch("sender-a", mixed); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Ingested(); got != 5 {
+	if got := s.Ring().Ingested(); got != 5 {
 		t.Fatalf("mixed batch ingested %d records, want 5", got)
 	}
 	if got := deliveredFrames() - framesBefore; got != 1 {

@@ -100,7 +100,7 @@ func (c *FoldCoverage) Merge(o FoldCoverage) {
 // from its restored rows' times.
 func (a *Aggregator) ExplainCoverage(req core.Request) (FoldCoverage, error) {
 	var cov FoldCoverage
-	_, lo, hi, err := plan(req, a)
+	_, lo, hi, err := plan(req)
 	if err != nil {
 		return cov, err
 	}

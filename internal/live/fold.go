@@ -8,95 +8,80 @@ import (
 	"geomob/internal/core"
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
+	"geomob/internal/ring"
 )
 
-// foldAcc is one request's folded pass under construction: the span, the
-// count vectors and the flow matrices the plan wants. Every ring of one
-// Shape can fold into the same foldAcc, so a shard's slot rings fill one
-// set of vectors and matrices, not one per slot.
-type foldAcc struct {
-	sh   *Shape
-	info *core.PlanInfo
-	f    *core.FoldedPass
-	// slots are the request's scale slots in plan order; countTargets the
-	// per-scale counts and the metro variant to fill; flowOf maps a scale
-	// slot to the result matrix the request wants for it (nil when none).
-	slots        []int
-	countTargets []countTarget
-	flowOf       []*mobility.FlowMatrix
-}
+// allSlots is the placement-slot mask of a fold over every user.
+const allSlots = uint16(1<<ring.Slots - 1)
 
 type countTarget struct {
 	slot   int
 	counts []float64
 }
 
-// newFold allocates the empty folded pass info asks for.
-func (sh *Shape) newFold(info *core.PlanInfo) *foldAcc {
-	acc := &foldAcc{sh: sh, info: info, f: &core.FoldedPass{BBox: geo.EmptyBBox()}}
-	f := acc.f
-	acc.slots = make([]int, len(info.Scales))
+// fold folds a ring's chronological partials into the pass info asks for,
+// over the users whose placement slot (ring.SlotOf) is in the mask keep.
+// It walks users in ascending id — the canonical stream order — and, per
+// user, that user's rows partial by partial in time order:
+//
+//   - tweet counts, span times, unique-user bitsets, distinct cells, the
+//     telescoped waiting time (last − first tweet time) and the
+//     fixed-point unit-vector sums add or union exactly, in any order;
+//   - interior flow cells add, and the flow transition between a user's
+//     last tweet in one partial and first tweet in the next is booked
+//     with the extractor's own rule.
+//
+// A user of a slot outside keep is skipped whole, and a flow cell of one
+// books nothing; with every slot kept no slot is computed. The span's box
+// is the union of the partials' boxes, which holds the records of every
+// user in them: exact over all slots, and over some a box that the boxes
+// of the other slots' folds union to the exact one (DESIGN.md §8).
+//
+// The trajectory statistics leave as one UserTrajectory per user,
+// ascending by id (nil unless the plan wants stats), and the pass's Stats
+// stays nil: a local query flattens its one run and a cluster coordinator
+// interleaves its shards', both through FlattenUsers. The folded state is
+// bit-identical to the merged observer set of a streaming pass over the
+// same users' substream (property-tested).
+func (sh *Shape) fold(info *core.PlanInfo, parts []*partial, keep uint16) (*core.FoldedPass, []UserTrajectory) {
+	f := &core.FoldedPass{BBox: geo.EmptyBBox()}
+	// slots are the request's scale slots in plan order; countTargets the
+	// per-scale counts and the metro variant to fill; flowOf maps a scale
+	// slot to the result matrix the request wants for it (nil when none).
+	slots := make([]int, len(info.Scales))
 	for i, sc := range info.Scales {
-		acc.slots[i] = sh.slotOf[sc]
+		slots[i] = sh.slotOf[sc]
 	}
+	var countTargets []countTarget
 	if info.Count {
 		f.Counts = map[census.Scale][]float64{}
 		for i, sc := range info.Scales {
-			c := make([]float64, len(sh.regions[acc.slots[i]].Areas))
+			c := make([]float64, len(sh.regions[slots[i]].Areas))
 			f.Counts[sc] = c
-			acc.countTargets = append(acc.countTargets, countTarget{slot: acc.slots[i], counts: c})
+			countTargets = append(countTargets, countTarget{slot: slots[i], counts: c})
 		}
 	}
 	if info.Metro500 {
 		f.Metro500 = make([]float64, len(sh.regions[sh.metroSlot].Areas))
-		acc.countTargets = append(acc.countTargets, countTarget{slot: sh.metroSlot, counts: f.Metro500})
+		countTargets = append(countTargets, countTarget{slot: sh.metroSlot, counts: f.Metro500})
 	}
+	var flowOf []*mobility.FlowMatrix
 	if info.Extract {
 		f.Flows = map[census.Scale]*mobility.FlowMatrix{}
-		acc.flowOf = make([]*mobility.FlowMatrix, len(sh.scales))
+		flowOf = make([]*mobility.FlowMatrix, len(sh.scales))
 		for i, sc := range info.Scales {
-			acc.flowOf[acc.slots[i]] = mobility.NewFlowMatrix(sh.regions[acc.slots[i]].Areas)
-			f.Flows[sc] = acc.flowOf[acc.slots[i]]
+			flowOf[slots[i]] = mobility.NewFlowMatrix(sh.regions[slots[i]].Areas)
+			f.Flows[sc] = flowOf[slots[i]]
 		}
 	}
-	return acc
-}
 
-// add folds one ring's chronological partials into the pass. It walks
-// users in ascending id — the canonical stream order — and, per user,
-// that user's rows partial by partial in time order:
-//
-//   - tweet counts, flow cells, unique-user bitsets, distinct cells, the
-//     telescoped waiting time (last − first tweet time) and the
-//     fixed-point unit-vector sums add or union exactly, in any order;
-//   - the flow transition between a user's last tweet in one partial and
-//     first tweet in the next is booked with the extractor's own rule.
-//
-// The ring's trajectory statistics leave as one UserTrajectory per user,
-// ascending by id (nil unless the plan wants stats), and FoldedPass.Stats
-// stays nil: a local query flattens its one run, a shard interleaves its
-// rings' user-disjoint runs and a cluster coordinator its shards', all
-// through mergeUsers. The folded state is bit-identical to the
-// merged observer set of a streaming pass over the same substream
-// (property-tested).
-func (acc *foldAcc) add(parts []*partial) []UserTrajectory {
-	sh, f, info := acc.sh, acc.f, acc.info
-	slots, countTargets, flowOf := acc.slots, acc.countTargets, acc.flowOf
 	for _, p := range parts {
-		f.Tweets += p.tweets
 		if p.seen {
 			f.BBox = f.BBox.Union(p.bbox)
-			if !f.Seen || p.firstTS < f.FirstTS {
-				f.FirstTS = p.firstTS
-			}
-			if !f.Seen || p.lastTS > f.LastTS {
-				f.LastTS = p.lastTS
-			}
-			f.Seen = true
 		}
 		if info.Extract {
 			for _, c := range p.flows {
-				if fm := flowOf[c.slot]; fm != nil {
+				if fm := flowOf[c.slot]; fm != nil && keep&(1<<c.pslot) != 0 {
 					bookFlow(fm, c.from, c.to, c.n)
 				}
 			}
@@ -110,22 +95,36 @@ func (acc *foldAcc) add(parts []*partial) []UserTrajectory {
 		if !ok {
 			break
 		}
+		if keep != allSlots && keep&(1<<ring.SlotOf(u)) == 0 {
+			continue
+		}
+		first, last := recs[0], recs[len(recs)-1]
+		firstTS, lastTS := first.p.users[first.row].firstTS, last.p.users[last.row].lastTS
+		if !f.Seen || firstTS < f.FirstTS {
+			f.FirstTS = firstTS
+		}
+		if !f.Seen || lastTS > f.LastTS {
+			f.LastTS = lastTS
+		}
+		f.Seen = true
+		n := 0
+		for _, rc := range recs {
+			n += rc.p.recCount(rc.row)
+		}
+		f.Tweets += int64(n)
 		if info.Stats {
 			var sum mobility.VecSum
-			n := 0
 			cells = cells[:0]
 			for _, rc := range recs {
-				n += rc.p.recCount(rc.row)
 				sum.Merge(rc.p.sums[rc.row])
 				cells = append(cells, rc.p.userCells(rc.row)...)
 			}
 			slices.Sort(cells)
-			first, last := recs[0], recs[len(recs)-1]
 			users = append(users, UserTrajectory{
 				ID:            u,
 				Tweets:        int64(n),
 				DistinctCells: int64(len(slices.Compact(cells))),
-				WaitMs:        last.p.users[last.row].lastTS - first.p.users[first.row].firstTS,
+				WaitMs:        lastTS - firstTS,
 				GyrationKM:    mobility.GyrationRadiusKM(sum, n),
 			})
 		}
@@ -155,5 +154,8 @@ func (acc *foldAcc) add(parts []*partial) []UserTrajectory {
 			}
 		}
 	}
-	return users
+	if !f.Seen {
+		f.BBox = geo.EmptyBBox()
+	}
+	return f, users
 }

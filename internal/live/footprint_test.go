@@ -28,8 +28,8 @@ import (
 
 // denseInterior accumulates, straight from the records, the interior
 // transition counts of every aligned group of `factor` hourly buckets:
-// one dense areas×areas matrix per scale slot (stays on the diagonal),
-// laid out like a build's accumulator. A transition is interior to a
+// one dense areas×areas matrix per placement slot of the user and scale
+// slot (stays on the diagonal), laid out like a build's accumulator. A transition is interior to a
 // group when both of a user's consecutive records fall inside it.
 func denseInterior(a *Aggregator, sorted []tweet.Tweet, factor int64) map[int64][]float64 {
 	b := tweet.BatchOf(sorted)
@@ -48,9 +48,9 @@ func denseInterior(a *Aggregator, sorted []tweet.Tweet, factor int64) map[int64]
 				continue
 			}
 			if out[g] == nil {
-				out[g] = make([]float64, a.accLen)
+				out[g] = make([]float64, ring.Slots*a.accLen)
 			}
-			out[g][a.accOff[s]+int(from)*len(a.regions[s].Areas)+int(to)]++
+			out[g][ring.SlotOf(cur.UserID)*a.accLen+a.accOff[s]+int(from)*len(a.regions[s].Areas)+int(to)]++
 		}
 	}
 	return out
@@ -63,18 +63,19 @@ func checkCells(t *testing.T, a *Aggregator, p *partial, want []float64, label s
 	if want == nil && p.flows != nil {
 		t.Fatalf("%s: %d cells where the records hold no interior transition", label, len(p.flows))
 	}
-	got := make([]float64, a.accLen)
+	got := make([]float64, ring.Slots*a.accLen)
 	for k, c := range p.flows {
 		if c.n <= 0 || c.n != math.Trunc(c.n) {
 			t.Fatalf("%s: cell %+v is not a positive count", label, c)
 		}
+		at := int(c.pslot)*a.accLen + a.accOff[c.slot] + int(c.from)*len(a.regions[c.slot].Areas) + int(c.to)
 		if k > 0 {
 			q := p.flows[k-1]
-			if !(q.slot < c.slot || q.slot == c.slot && (q.from < c.from || q.from == c.from && q.to < c.to)) {
-				t.Fatalf("%s: cells %+v, %+v out of (slot, from, to) order", label, q, c)
+			if int(q.pslot)*a.accLen+a.accOff[q.slot]+int(q.from)*len(a.regions[q.slot].Areas)+int(q.to) >= at {
+				t.Fatalf("%s: cells %+v, %+v out of (pslot, slot, from, to) order", label, q, c)
 			}
 		}
-		got[a.accOff[c.slot]+int(c.from)*len(a.regions[c.slot].Areas)+int(c.to)] = c.n
+		got[at] = c.n
 	}
 	if want != nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: cell list differs from the dense matrix accumulated from the records", label)
@@ -266,9 +267,10 @@ func TestResidentBytesMatchRecount(t *testing.T) {
 }
 
 // TestPartialFootprint pins the two numbers the layout was designed to:
-// a user row is one cache line, and a shard's worth of sparse hour
-// partials — 16 slot rings over one shape, hourly buckets, a couple of
-// user rows each — holds a bounded number of bytes per record.
+// a user row is one cache line, and very sparse hour partials — 16 rings
+// over one shape, each holding one placement slot's users, hourly
+// buckets, a couple of user rows each — hold a bounded number of bytes
+// per record.
 func TestPartialFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(userPart{}); sz > 64 {
 		t.Fatalf("userPart is %d bytes, want <= 64", sz)
@@ -312,7 +314,7 @@ func TestPartialFootprint(t *testing.T) {
 	t.Logf("%d records in %d hour partials (%.1f user rows each): %+v = %.0f B/record",
 		records, partials, float64(rows)/float64(partials), total, perRecord)
 	if perRecord > 450 {
-		t.Fatalf("shard-shaped ring holds %.0f B per record, want <= 450", perRecord)
+		t.Fatalf("sparse rings hold %.0f B per record, want <= 450", perRecord)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // TestGoldenRoundTrip pins the snapshot formats: the committed day file
-// of hour partials and a day merge, and its manifest, written by the
-// encoders before the codecs moved onto internal/wire and never to be
-// regenerated, must decode and re-encode byte-identically.
+// of hour partials and a day merge, and its manifest, must decode and
+// re-encode byte-identically. They were last written at day-file version
+// 3, whose flow cells carry their users' placement slot; regenerate them
+// only with a version bump.
 func TestGoldenRoundTrip(t *testing.T) {
 	sh, err := NewShape(Options{BucketWidth: time.Hour})
 	if err != nil {

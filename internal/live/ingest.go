@@ -174,71 +174,62 @@ func (i *Ingestor) Total() int64 { return i.total.Load() }
 // Backfill routes every record of the store into the aggregator's ring in
 // one scan — the boot-time hydration of a live (or cluster shard) node:
 // one scan now, then never again, because every later record arrives
-// through an Ingestor and is resolved exactly once on its way in. It
-// returns the number of records backfilled.
+// through an Ingestor or a delivery and is resolved exactly once on its
+// way in. It returns the number of records backfilled.
 func Backfill(a *Aggregator, store *tweetdb.Store) (int64, error) {
-	return BackfillRouted(store, tweetdb.Query{}, []*Aggregator{a}, nil)
+	return backfill(a, store, tweetdb.Query{}, nil)
 }
 
-// backfillChunk bounds the records one backfill chunk carries over all
-// rings; a backfillPart is what one ring takes of it.
+// backfillChunk bounds the records one backfill chunk carries.
 const backfillChunk = 1 << 14
 
-type backfillPart struct {
+// chunk is one backfill chunk: records and what Resolve made of them.
+type chunk struct {
 	b tweet.Batch
 	r *resolved
 }
 
-// BackfillRouted is the one store-to-ring replay behind every boot path,
-// a two-stage pipeline: one goroutine scans q, decodes, routes and
+// backfill is the one store-to-ring replay behind every boot path, a
+// two-stage pipeline: one goroutine scans q, decodes, filters and
 // resolves chunk k+1 while the caller's appends chunk k, in scan order, so
-// the rings end up as a one-goroutine replay leaves them. route names the
-// ring (an index into rings, which share one Shape) that takes a record,
-// negative to drop it; nil sends all to rings[0]. It returns the number of
-// records appended.
-func BackfillRouted(store *tweetdb.Store, q tweetdb.Query, rings []*Aggregator, route func(user, ts int64) int) (int64, error) {
+// the ring ends up as a one-goroutine replay leaves it. keep, when
+// non-nil, drops the records whose time it refuses. It returns the
+// number of records appended.
+func backfill(a *Aggregator, store *tweetdb.Store, q tweetdb.Query, keep func(ts int64) bool) (int64, error) {
 	// One chunk being filled, one waiting, one being appended; every chunk
 	// received from out returns to free, so neither side blocks for good.
-	free, out := make(chan []backfillPart, 3), make(chan []backfillPart, 1)
+	free, out := make(chan *chunk, 3), make(chan *chunk, 1)
 	for k := 0; k < cap(free); k++ {
-		free <- make([]backfillPart, len(rings))
+		free <- new(chunk)
 	}
 	var scanErr error
 	go func() {
 		defer close(out)
-		scanErr = scanChunks(store.Scan(q), rings[0].Shape, route, free, out)
+		scanErr = scanChunks(store.Scan(q), a.Shape, keep, free, out)
 	}()
 	total := int64(0)
-	for parts := range out {
-		for k := range parts {
-			if p := &parts[k]; p.b.Len() > 0 {
-				rings[k].appendResolved(&p.b, p.r)
-				p.r.release()
-				total += int64(p.b.Len())
-				p.b.Reset()
-			}
-		}
-		free <- parts
+	for c := range out {
+		a.appendResolved(&c.b, c.r)
+		c.r.release()
+		total += int64(c.b.Len())
+		c.b.Reset()
+		free <- c
 	}
 	return total, scanErr
 }
 
-// scanChunks is BackfillRouted's first stage: it fills chunks from free
-// with the scan's routed, validated, resolved records and sends them on out.
-func scanChunks(it *tweetdb.Iterator, sh *Shape, route func(user, ts int64) int, free <-chan []backfillPart, out chan<- []backfillPart) error {
+// scanChunks is backfill's first stage: it fills chunks from free with
+// the scan's kept, validated, resolved records and sends them on out.
+func scanChunks(it *tweetdb.Iterator, sh *Shape, keep func(ts int64) bool, free <-chan *chunk, out chan<- *chunk) error {
 	defer it.Close()
-	parts, n := <-free, 0
+	c := <-free
 	send := func() error {
-		for k := range parts {
-			if p := &parts[k]; p.b.Len() > 0 {
-				if err := p.b.Validate(); err != nil {
-					return fmt.Errorf("live: backfill: %w", err)
-				}
-				p.r = sh.Resolve(&p.b)
-			}
+		if err := c.b.Validate(); err != nil {
+			return fmt.Errorf("live: backfill: %w", err)
 		}
-		out <- parts
-		parts, n = <-free, 0
+		c.r = sh.Resolve(&c.b)
+		out <- c
+		c = <-free
 		return nil
 	}
 	for {
@@ -248,25 +239,24 @@ func scanChunks(it *tweetdb.Iterator, sh *Shape, route func(user, ts int64) int,
 		}
 		// The block aliases the file bytes; records leave it in column chunks.
 		for off := 0; off < blk.Len(); {
-			if route == nil {
-				end := min(blk.Len(), off+backfillChunk-n)
-				blk.AppendTo(&parts[0].b, off, end)
-				n, off = n+end-off, end
+			if keep == nil {
+				end := min(blk.Len(), off+backfillChunk-c.b.Len())
+				blk.AppendTo(&c.b, off, end)
+				off = end
 			} else {
-				if k := route(blk.UserID[off], blk.TS[off]); k >= 0 {
-					parts[k].b.Append(blk.Row(off))
-					n++
+				if keep(blk.TS[off]) {
+					c.b.Append(blk.Row(off))
 				}
 				off++
 			}
-			if n == backfillChunk {
+			if c.b.Len() == backfillChunk {
 				if err := send(); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	if err := it.Err(); err != nil || n == 0 {
+	if err := it.Err(); err != nil || c.b.Len() == 0 {
 		return err
 	}
 	return send()

@@ -52,6 +52,7 @@ import (
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
 	"geomob/internal/obs"
+	"geomob/internal/ring"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
 	"geomob/internal/wire"
@@ -84,9 +85,8 @@ type Options struct {
 // the resolved region sets, the multi-scale grid resolvers, and the
 // flat bitset layout. Building one is the expensive part of aggregator
 // construction (every grid resolver is materialised), so callers that
-// need many aggregators over the same configuration — the cluster tier
-// keeps one per placement slot — build one Shape and stamp aggregators
-// out of it with Shape.NewAggregator.
+// need several aggregators over the same configuration build one Shape
+// and stamp aggregators out of it with Shape.NewAggregator.
 type Shape struct {
 	width  int64 // bucket width in ms
 	scales []census.Scale
@@ -106,8 +106,8 @@ type Shape struct {
 	totalWords   int
 	zeroWords    []uint64
 	// A build's dense interior-transition accumulator (partialBuild.acc)
-	// gives scale slot s the len(areas)² cells from accOff[s], accLen in
-	// all.
+	// gives each placement slot accLen cells and, within them, scale slot
+	// s the len(areas)² cells from accOff[s].
 	accOff []int
 	accLen int
 	// hash fingerprints the assignment configuration (width, scales,
@@ -128,6 +128,9 @@ type Aggregator struct {
 	// publish and invalidation so a scrape never walks the ring.
 	resRecords, resPartials, resRollups atomic.Int64
 	storeOnly                           atomic.Int64 // buckets holding stored rows
+	// held has bit k set once a user of placement slot k (ring.SlotOf)
+	// has a record in the ring.
+	held atomic.Uint32
 
 	mu      sync.Mutex
 	buckets map[int64]*bucket
@@ -144,13 +147,12 @@ type Aggregator struct {
 	origin *restoreOrigin
 }
 
-// restoreOrigin is the store a restored ring came from: the restore
+// restoreOrigin is the store a restored ring came from and the restore
 // manifest's covered segments, which hold exactly the records of the
-// restored partials, and the ring's author filter over them.
+// restored partials.
 type restoreOrigin struct {
 	store *tweetdb.Store
 	files []string
-	keep  func(userID int64) bool
 }
 
 // bucket holds one time bucket's raw pre-resolved records plus the
@@ -351,6 +353,10 @@ func (sh *Shape) recordBytes(n int) int64 {
 	return int64(n) * int64(int(unsafe.Sizeof(tweet.Tweet{}))+2*sh.slots+3*8+8)
 }
 
+// HeldSlots returns the placement slots (ring.SlotOf) whose users have
+// records in the ring, bit k for slot k.
+func (a *Aggregator) HeldSlots() uint16 { return uint16(a.held.Load()) }
+
 // StoreOnlyBuckets returns the number of restored buckets whose records
 // have not been read back from the store.
 func (a *Aggregator) StoreOnlyBuckets() int64 { return a.storeOnly.Load() }
@@ -365,7 +371,7 @@ func (a *Aggregator) setPartLocked(b *bucket, p *partial) {
 }
 
 // reloadLocked reads the records of the store-only buckets in lists
-// back in one windowed, Keep-filtered scan of the restore's covered
+// back in one windowed scan of the restore's covered
 // segments, resolves them and appends them beside the rows routed since
 // the restore. No reader can tell: they are the records the restored
 // partial was built from, so revisions, stamps and partials stay, and
@@ -404,7 +410,7 @@ func (a *Aggregator) reloadLocked(lists ...[]int64) error {
 		}
 		for i := 0; i < blk.Len(); i++ {
 			idx := a.bucketIdx(blk.TS[i])
-			if n, ok := want[idx]; ok && (o.keep == nil || o.keep(blk.UserID[i])) {
+			if n, ok := want[idx]; ok {
 				want[idx] = n + 1
 				batch.Append(blk.Row(i))
 			}
@@ -476,7 +482,8 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 
 // resolved is what a batch's records are, wherever they end up: per
 // record the area assignment at every scale slot, the unit sphere vector
-// and the geohash cell, parallel to the batch with strides slots/3/1.
+// and the geohash cell, parallel to the batch with strides slots/3/1,
+// and the mask of the authors' placement slots.
 // Computing it is the expensive half of a ring write and reads only the
 // immutable Shape, so it runs off every lock; appendResolved is the other
 // half.
@@ -484,6 +491,7 @@ type resolved struct {
 	assign []int16
 	vecs   []float64
 	cells  []uint64
+	slots  uint16
 }
 
 // resolvedPool recycles Resolve's columns, so a steady feed allocates
@@ -499,11 +507,13 @@ func (sh *Shape) Resolve(b *tweet.Batch) *resolved {
 	r.assign = slices.Grow(r.assign[:0], n*slots)[:n*slots]
 	r.vecs = slices.Grow(r.vecs[:0], 3*n)[:3*n]
 	r.cells = slices.Grow(r.cells[:0], n)[:n]
+	r.slots = 0
 	sh.msm.MapAllBatch(b.Lat, b.Lon, r.assign, slots)
 	for i := range r.cells {
 		pt := geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]}
 		r.vecs[3*i], r.vecs[3*i+1], r.vecs[3*i+2] = mobility.UnitVec(pt)
 		r.cells[i] = geo5(pt)
+		r.slots |= 1 << ring.SlotOf(b.UserID[i])
 	}
 	return r
 }
@@ -535,6 +545,7 @@ func (a *Aggregator) appendResolved(b *tweet.Batch, r *resolved) {
 // a.mu.
 func (a *Aggregator) appendRowsLocked(b *tweet.Batch, r *resolved) []int64 {
 	n, slots := b.Len(), a.slots
+	a.held.Or(uint32(r.slots))
 	var runs []int64
 	for i := 0; i < n; {
 		idx := a.bucketIdx(b.TS[i])
@@ -593,47 +604,101 @@ func (a *Aggregator) bucketLocked(idx int64) *bucket {
 }
 
 // ensureSortedLocked establishes the canonical (user, time, id) order of
-// the bucket's parallel arrays. Caller holds a.mu.
+// the bucket's parallel arrays, records equal in all three in arrival
+// order. It sorts positions, not records (sortByUser, then each user's
+// positions by time where arrival order was not already that), and then
+// moves each record once, along the permutation's cycles. Caller holds
+// a.mu.
 func ensureSortedLocked(b *bucket, slots int) {
-	if !b.sorted {
-		sort.Sort(&bucketOrder{b: b, slots: slots})
-		b.sorted = true
+	if b.sorted {
+		return
+	}
+	b.sorted = true
+	n := len(b.tweets)
+	keys := make([]userKey, n)
+	for i := range b.tweets {
+		keys[i] = userKey{user: uint64(b.tweets[i].UserID) ^ 1<<63, at: int32(i)}
+	}
+	keys = sortByUser(keys, make([]userKey, n))
+	byTime := func(x, y userKey) int {
+		if c := cmp.Compare(b.tweets[x.at].TS, b.tweets[y.at].TS); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.tweets[x.at].ID, b.tweets[y.at].ID)
+	}
+	for lo, hi := 0, 0; lo < n; lo = hi {
+		for hi = lo + 1; hi < n && keys[hi].user == keys[lo].user; hi++ {
+		}
+		if !slices.IsSortedFunc(keys[lo:hi], byTime) {
+			slices.SortStableFunc(keys[lo:hi], byTime)
+		}
+	}
+	// keys[j].at is the record that belongs at j; a visited j is marked -1.
+	var assign [8]int16
+	for start := range keys {
+		if from := keys[start].at; from < 0 || int(from) == start {
+			continue
+		}
+		tw, cell, vec := b.tweets[start], b.cells[start], [3]float64(b.vecs[3*start:])
+		copy(assign[:slots], b.assign[start*slots:])
+		j := start
+		for {
+			k := int(keys[j].at)
+			keys[j].at = -1
+			if k == start {
+				break
+			}
+			b.tweets[j], b.cells[j] = b.tweets[k], b.cells[k]
+			copy(b.vecs[3*j:3*j+3], b.vecs[3*k:])
+			copy(b.assign[j*slots:(j+1)*slots], b.assign[k*slots:])
+			j = k
+		}
+		b.tweets[j], b.cells[j] = tw, cell
+		copy(b.vecs[3*j:], vec[:])
+		copy(b.assign[j*slots:], assign[:slots])
 	}
 }
 
-// bucketOrder co-sorts a bucket's parallel arrays by tweet.ByUserTime.
-type bucketOrder struct {
-	b     *bucket
-	slots int
-	tmp   [8]int16
+// userKey is a record position (or a partial row, with its part) keyed
+// by its user id, the sign bit flipped so that ids order unsigned.
+type userKey struct {
+	user     uint64
+	at, part int32
 }
 
-func (s *bucketOrder) Len() int { return len(s.b.tweets) }
-func (s *bucketOrder) Less(i, j int) bool {
-	return canonicalLess(&s.b.tweets[i], &s.b.tweets[j])
-}
-
-// canonicalLess is the (user, time, id) order of tweet.ByUserTime.
-func canonicalLess(a, b *tweet.Tweet) bool {
-	if a.UserID != b.UserID {
-		return a.UserID < b.UserID
+// sortByUser sorts keys by user, equal users keeping their order: a
+// byte-wise radix sort that skips the bytes all users share, with tmp (as
+// long as keys) as scratch, or an insertion-friendly stable sort for a
+// handful. It returns the sorted slice, which is keys or tmp.
+func sortByUser(keys, tmp []userKey) []userKey {
+	if len(keys) < 64 {
+		slices.SortStableFunc(keys, func(x, y userKey) int { return cmp.Compare(x.user, y.user) })
+		return keys
 	}
-	if a.TS != b.TS {
-		return a.TS < b.TS
+	or, and := uint64(0), ^uint64(0)
+	for _, k := range keys {
+		or, and = or|k.user, and&k.user
 	}
-	return a.ID < b.ID
-}
-func (s *bucketOrder) Swap(i, j int) {
-	b := s.b
-	b.tweets[i], b.tweets[j] = b.tweets[j], b.tweets[i]
-	b.cells[i], b.cells[j] = b.cells[j], b.cells[i]
-	for k := 0; k < 3; k++ {
-		b.vecs[3*i+k], b.vecs[3*j+k] = b.vecs[3*j+k], b.vecs[3*i+k]
+	for shift := 0; shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue
+		}
+		var next [256]int
+		for _, k := range keys {
+			next[k.user>>shift&0xff]++
+		}
+		at := 0
+		for d, c := range next {
+			next[d], at = at, at+c
+		}
+		for _, k := range keys {
+			d := k.user >> shift & 0xff
+			tmp[next[d]] = k
+			next[d]++
+		}
+		keys, tmp = tmp, keys
 	}
-	tmp := s.tmp[:s.slots]
-	copy(tmp, b.assign[i*s.slots:(i+1)*s.slots])
-	copy(b.assign[i*s.slots:(i+1)*s.slots], b.assign[j*s.slots:(j+1)*s.slots])
-	copy(b.assign[j*s.slots:(j+1)*s.slots], tmp)
+	return keys
 }
 
 // window resolves a plan's [FromTS, ToTS) bounds into effective record
@@ -942,27 +1007,18 @@ func (a *Aggregator) hashCoverage(h hash.Hash64, lo, hi int64) {
 
 // CoverageKeyRequest is coverageKey for a request's window.
 func (a *Aggregator) CoverageKeyRequest(req core.Request) (string, error) {
-	_, lo, hi, err := plan(req, a)
+	_, lo, hi, err := plan(req)
 	if err != nil {
 		return "", err
 	}
 	return a.coverageKey(lo, hi), nil
 }
 
-// plan plans req once for rings sharing one Shape and resolves its record
-// window. The error is the request's own validation error.
-func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi int64, err error) {
+// plan plans req and resolves its record window. The error is the
+// request's own validation error.
+func plan(req core.Request) (info *core.PlanInfo, lo, hi int64, err error) {
 	if info, err = core.PlanRequest(req); err != nil {
 		return nil, 0, 0, err
-	}
-	if len(rings) == 0 {
-		return nil, 0, 0, fmt.Errorf("live: no rings to fold")
-	}
-	sh := rings[0].Shape
-	for _, a := range rings[1:] {
-		if a.Shape != sh {
-			return nil, 0, 0, fmt.Errorf("live: rings of different shapes")
-		}
 	}
 	lo, hi = window(info)
 	return info, lo, hi, nil
@@ -971,7 +1027,7 @@ func plan(req core.Request, rings ...*Aggregator) (info *core.PlanInfo, lo, hi i
 // Query answers req by folding the materialised partials covering its
 // window and assembling the Result through core.AssembleFolded. The
 // result is bit-identical to Study.Execute over the same records (see
-// the property tests), at a custom radius too (FoldRings).
+// the property tests), at a custom radius too (FoldSlots).
 func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
 	t0 := time.Now()
 	sp, err := a.FoldPartial(req)

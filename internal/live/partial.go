@@ -8,6 +8,7 @@ import (
 
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
+	"geomob/internal/ring"
 )
 
 // geo5 is the distinct-locations cell id the trajectory statistics count
@@ -43,8 +44,8 @@ type partial struct {
 	// counting primitive, unioned exactly across buckets.
 	marks []uint64
 	// flows are the nonzero interior transition counts, sorted by
-	// (slot, from, to); nil when no user has two records in the partial —
-	// the common hour partial.
+	// (placement slot, scale slot, from, to); nil when no user has two
+	// records in the partial — the common hour partial.
 	flows []flowCell
 	// cells are each user's sorted distinct cell ids, in user-row order;
 	// sums each user row's summed unit vectors.
@@ -96,9 +97,12 @@ func (p *partial) bytes() int64 {
 }
 
 // flowCell is one nonzero interior transition count of a partial: n
-// moves from area from to area to at scale slot slot, a stay when the
-// two match. Counts are exact integers, so cells add in any order.
+// moves, by users of placement slot pslot (ring.SlotOf), from area from
+// to area to at scale slot slot, a stay when the two match. Counts are
+// exact integers, so cells add in any order; the placement slot lets a
+// fold over some placement slots book only their users' moves.
 type flowCell struct {
+	pslot          uint8
 	slot, from, to int16
 	n              float64
 }
@@ -123,7 +127,7 @@ type userRec struct {
 }
 
 // userCursor is the k-way user-major merge over chronologically ordered
-// partials that both the fold and the rollup merge walk: a binary
+// partials that the fold walks: a binary
 // min-heap over the parts' next unread users keyed (user id, part
 // index), so next yields users in ascending id — the canonical stream
 // order — and each user's rows in part, hence time, order at
@@ -201,8 +205,8 @@ func (c *userCursor) siftDown(i int) {
 
 // partialBuild is the scratch a partial is built in: columns that grow
 // by append, plus the dense interior transition accumulator — one cell
-// per (scale slot, from, to), stays on the diagonal — and the list of
-// cells it has touched. Between builds every cell of acc is zero, so a
+// per (placement slot, scale slot, from, to), stays on the diagonal —
+// and the list of cells it has touched. Between builds every cell of acc is zero, so a
 // scratch last used by a shape with other area counts is as good as new
 // once acc is long enough.
 type partialBuild struct {
@@ -233,23 +237,25 @@ func (a *Aggregator) scratchPartial() *partialBuild {
 		sums:      w.sums[:0],
 	}
 	w.sh = a.Shape
-	if cap(w.acc) < a.accLen {
-		w.acc = make([]float64, a.accLen)
+	n := ring.Slots * a.accLen
+	if cap(w.acc) < n {
+		w.acc = make([]float64, n)
 	}
-	w.acc = w.acc[:a.accLen]
+	w.acc = w.acc[:n]
 	return w
 }
 
-// transition books one user's move between the areas of two consecutive
-// tweets at scale slot s (negative = no area within ε).
-func (w *partialBuild) transition(s int, from, to int16) {
+// transition books one move of a user of placement slot ps between the
+// areas of two consecutive tweets at scale slot s (negative = no area
+// within ε).
+func (w *partialBuild) transition(ps, s int, from, to int16) {
 	if from >= 0 && to >= 0 {
-		w.addFlow(s, from, to, 1)
+		w.addFlow(ps, s, from, to, 1)
 	}
 }
 
-func (w *partialBuild) addFlow(s int, from, to int16, n float64) {
-	i := w.sh.accOff[s] + int(from)*len(w.sh.regions[s].Areas) + int(to)
+func (w *partialBuild) addFlow(ps, s int, from, to int16, n float64) {
+	i := ps*w.sh.accLen + w.sh.accOff[s] + int(from)*len(w.sh.regions[s].Areas) + int(to)
 	if w.acc[i] == 0 {
 		w.touched = append(w.touched, i)
 	}
@@ -258,8 +264,8 @@ func (w *partialBuild) addFlow(s int, from, to int16, n float64) {
 
 // publish returns the finished partial: each column copied out of the
 // scratch with one allocation at its final length (nil when empty), the
-// touched accumulator cells emitted in (slot, from, to) order and zeroed
-// again, the scratch back in the pool.
+// touched accumulator cells emitted in (placement slot, scale slot, from,
+// to) order and zeroed again, the scratch back in the pool.
 func (w *partialBuild) publish() *partial {
 	p := w.partial
 	p.users = append([]userPart(nil), w.users...)
@@ -271,14 +277,14 @@ func (w *partialBuild) publish() *partial {
 	if len(w.touched) > 0 {
 		slices.Sort(w.touched)
 		p.flows = make([]flowCell, len(w.touched))
-		s := 0
 		for k, i := range w.touched {
-			for s+1 < len(w.sh.accOff) && i >= w.sh.accOff[s+1] {
+			ps, at, s := i/w.sh.accLen, i%w.sh.accLen, 0
+			for s+1 < len(w.sh.accOff) && at >= w.sh.accOff[s+1] {
 				s++
 			}
 			n := len(w.sh.regions[s].Areas)
-			at := i - w.sh.accOff[s]
-			p.flows[k] = flowCell{slot: int16(s), from: int16(at / n), to: int16(at % n), n: w.acc[i]}
+			at -= w.sh.accOff[s]
+			p.flows[k] = flowCell{pslot: uint8(ps), slot: int16(s), from: int16(at / n), to: int16(at % n), n: w.acc[i]}
 			w.acc[i] = 0
 		}
 		w.touched = w.touched[:0]
@@ -304,7 +310,7 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 	p := a.scratchPartial()
 	slots := a.slots
 	var cu *userPart
-	prevBase := -1
+	prevBase, ps := -1, 0
 	for i := range b.tweets {
 		t := &b.tweets[i]
 		if t.TS < lo || (t.TS >= hi && hi != math.MaxInt64) {
@@ -328,13 +334,14 @@ func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
 				rec0: uint32(p.tweets), c0: uint32(len(p.cells)),
 			})
 			cu = &p.users[len(p.users)-1]
+			ps = ring.SlotOf(t.UserID)
 			p.firstArea = append(p.firstArea, b.assign[base:base+slots]...)
 			p.lastArea = append(p.lastArea, b.assign[base:base+slots]...)
 			p.marks = append(p.marks, a.zeroWords...)
 			p.sums = append(p.sums, mobility.VecSum{})
 		} else {
 			for s := range a.scales {
-				p.transition(s, b.assign[prevBase+s], b.assign[base+s])
+				p.transition(ps, s, b.assign[prevBase+s], b.assign[base+s])
 			}
 			copy(p.lastArea[(len(p.users)-1)*slots:], b.assign[base:base+slots])
 		}

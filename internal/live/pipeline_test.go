@@ -169,7 +169,7 @@ func TestIngestCommitProperty(t *testing.T) {
 // TestBackfillPipelineMatchesSerial pins the two-stage backfill to what
 // one goroutine makes of the same scan: the same chunks appended in the
 // same order, so ring contents, per-bucket revisions and every answer
-// agree — for the one-ring replay and for a routed replay over two rings.
+// agree — for the whole store and for a replay that drops some records.
 func TestBackfillPipelineMatchesSerial(t *testing.T) {
 	all, _ := snapCorpus(t, 4000, 17)
 	if len(all) < 2*backfillChunk+1 {
@@ -189,32 +189,29 @@ func TestBackfillPipelineMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	routes := map[string]func(user, ts int64) int{
-		"one ring": nil,
-		"two rings, some dropped": func(user, _ int64) int {
-			return int(user%3) - 1 // -1 drops a third of the users
+	keeps := map[string]func(ts int64) bool{
+		"all records": nil,
+		"some dropped": func(ts int64) bool {
+			return ts%3 != 0 // drops a third of the records
 		},
 	}
-	for name, route := range routes {
-		piped := []*Aggregator{sh.NewAggregator(), sh.NewAggregator()}
-		n, err := BackfillRouted(store, tweetdb.Query{}, piped, route)
+	for name, keep := range keeps {
+		p := sh.NewAggregator()
+		n, err := backfill(p, store, tweetdb.Query{}, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// The reference: the same scan, chunked the same way, one
 		// IngestBatch after another on this goroutine.
-		serial := []*Aggregator{sh.NewAggregator(), sh.NewAggregator()}
-		bufs, buffered, total := []*tweet.Batch{{}, {}}, 0, int64(0)
+		s := sh.NewAggregator()
+		buf, total := &tweet.Batch{}, int64(0)
 		flush := func() {
-			for k, b := range bufs {
-				if err := serial[k].IngestBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				total += int64(b.Len())
-				b.Reset()
+			if err := s.IngestBatch(buf); err != nil {
+				t.Fatal(err)
 			}
-			buffered = 0
+			total += int64(buf.Len())
+			buf.Reset()
 		}
 		it := store.Scan(tweetdb.Query{})
 		for {
@@ -223,15 +220,10 @@ func TestBackfillPipelineMatchesSerial(t *testing.T) {
 				break
 			}
 			for i := 0; i < blk.Len(); i++ {
-				k := 0
-				if route != nil {
-					k = route(blk.UserID[i], blk.TS[i])
-				}
-				if k < 0 {
+				if keep != nil && !keep(blk.TS[i]) {
 					continue
 				}
-				bufs[k].Append(blk.Row(i))
-				if buffered++; buffered == backfillChunk {
+				if buf.Append(blk.Row(i)); buf.Len() == backfillChunk {
 					flush()
 				}
 			}
@@ -244,30 +236,24 @@ func TestBackfillPipelineMatchesSerial(t *testing.T) {
 		if n != total {
 			t.Errorf("%s: pipeline appended %d records, serial %d", name, n, total)
 		}
-		for k := range piped {
-			p, s := piped[k], serial[k]
-			if p.Ingested() != s.Ingested() || p.rev != s.rev || p.Buckets() != s.Buckets() {
-				t.Fatalf("%s ring %d: pipeline left %d records / revision %d / %d buckets, serial %d / %d / %d",
-					name, k, p.Ingested(), p.rev, p.Buckets(), s.Ingested(), s.rev, s.Buckets())
-			}
-			// The coverage key hashes every bucket's (index, revision).
-			if p.coverageKey(math.MinInt64, math.MaxInt64) != s.coverageKey(math.MinInt64, math.MaxInt64) {
-				t.Fatalf("%s ring %d: per-bucket revisions differ", name, k)
-			}
-			if p.Ingested() == 0 {
-				continue
-			}
-			got, err := p.Query(core.Request{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := s.Query(core.Request{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !resultsBitEqual(got, want) {
-				t.Fatalf("%s ring %d: answers differ", name, k)
-			}
+		if p.Ingested() != s.Ingested() || p.rev != s.rev || p.Buckets() != s.Buckets() || p.HeldSlots() != s.HeldSlots() {
+			t.Fatalf("%s: pipeline left %d records / revision %d / %d buckets / slots %x, serial %d / %d / %d / %x",
+				name, p.Ingested(), p.rev, p.Buckets(), p.HeldSlots(), s.Ingested(), s.rev, s.Buckets(), s.HeldSlots())
+		}
+		// The coverage key hashes every bucket's (index, revision).
+		if p.coverageKey(math.MinInt64, math.MaxInt64) != s.coverageKey(math.MinInt64, math.MaxInt64) {
+			t.Fatalf("%s: per-bucket revisions differ", name)
+		}
+		got, err := p.Query(core.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.Query(core.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resultsBitEqual(got, want) {
+			t.Fatalf("%s: answers differ", name)
 		}
 	}
 }

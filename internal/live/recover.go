@@ -8,11 +8,12 @@ import (
 	"time"
 
 	"geomob/internal/obs"
+	"geomob/internal/ring"
 	"geomob/internal/tweetdb"
 )
 
 // Boot-recovery metrics (DESIGN.md §12): cumulative across every ring
-// recovered in this process (cluster shards recover one ring per slot).
+// recovered in this process.
 var (
 	mRecovRestored   = obs.Def.Counter("geomob_recovery_restored_buckets_total", "Buckets whose partials were restored intact from snapshot files at boot.")
 	mRecovBackfilled = obs.Def.Counter("geomob_recovery_backfilled_buckets_total", "Buckets degraded to a windowed cold store backfill at boot.")
@@ -22,18 +23,9 @@ var (
 	mRecovSeconds    = obs.Def.Histogram("geomob_recovery_seconds", "Latency of one ring recovery at boot.", nil)
 )
 
-// RecoverOpts tune Recover.
-type RecoverOpts struct {
-	// Keep filters records by author — cluster slot rings pass their
-	// placement predicate so a shared store hydrates each ring with only
-	// its own users. Nil keeps every record.
-	Keep func(userID int64) bool
-	// NoFullScan makes Recover report a needed full rescan (stats
-	// FullRescan) without performing it, so a caller owning several
-	// rings over one store can batch all their full rescans into a
-	// single scan.
-	NoFullScan bool
-}
+// RecoverOpts tune Recover. Recovery has no knobs today; the type keeps
+// the call's shape for callers.
+type RecoverOpts struct{}
 
 // RecoveryStats describes what a boot recovery actually did — the
 // numbers /healthz surfaces and the restart smoke test asserts on.
@@ -55,17 +47,6 @@ type RecoveryStats struct {
 	TailRecords  int64 `json:"tail_records"`
 }
 
-// Merge accumulates another ring's recovery into s (cluster shards sum
-// their per-slot recoveries for health reporting).
-func (s *RecoveryStats) Merge(o RecoveryStats) {
-	s.Restored += o.Restored
-	s.Backfilled += o.Backfilled
-	s.SnapErrors += o.SnapErrors
-	s.FullRescan = s.FullRescan || o.FullRescan
-	s.TailSegments += o.TailSegments
-	s.TailRecords += o.TailRecords
-}
-
 // Recover hydrates an empty ring from its snapshot directory and store
 // (DESIGN.md §11). The state machine per boot:
 //
@@ -85,9 +66,9 @@ func (s *RecoveryStats) Merge(o RecoveryStats) {
 //
 // Every path converges on a ring whose folds are bit-identical to a
 // cold Study.Execute over the store; corruption only ever costs time.
-func Recover(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts RecoverOpts) (RecoveryStats, error) {
+func Recover(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, _ RecoverOpts) (RecoveryStats, error) {
 	t0 := time.Now()
-	st, err := recoverRing(a, store, snaps, opts)
+	st, err := recoverRing(a, store, snaps)
 	mRecovRestored.Add(int64(st.Restored))
 	mRecovBackfilled.Add(int64(st.Backfilled))
 	mRecovSnapErrors.Add(int64(st.SnapErrors))
@@ -99,7 +80,7 @@ func Recover(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts Rec
 	return st, err
 }
 
-func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts RecoverOpts) (RecoveryStats, error) {
+func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore) (RecoveryStats, error) {
 	st := RecoveryStats{}
 	man, err := snaps.loadManifest()
 	usable := err == nil &&
@@ -123,10 +104,7 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 	}
 	if !usable {
 		st.FullRescan = true
-		if opts.NoFullScan {
-			return st, nil
-		}
-		n, err := backfillFiltered(a, store, tweetdb.Query{}, opts.Keep, nil, nil)
+		n, err := Backfill(a, store)
 		st.TailRecords = n
 		return st, err
 	}
@@ -161,7 +139,9 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 		}
 		intact = append(intact, decoded[i])
 	}
-	st.Restored = a.restore(intact, failed, &restoreOrigin{store: store, files: append([]string{}, man.Covered...), keep: opts.Keep})
+	st.Restored = a.restore(intact, failed, &restoreOrigin{store: store, files: append([]string{}, man.Covered...)})
+	span := a.fileSpan()
+	group := func(ts int64) int64 { return floorDiv(a.bucketIdx(ts), span) }
 
 	var tail []string
 	for _, m := range segments {
@@ -171,13 +151,12 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 	}
 	if len(tail) > 0 {
 		st.TailSegments = len(tail)
-		n, err := backfillFiltered(a, store, tweetdb.Query{Files: tail}, opts.Keep, failed, nil)
+		n, err := backfill(a, store, tweetdb.Query{Files: tail}, func(ts int64) bool { return !failed[group(ts)] })
 		st.TailRecords = n
 		if err != nil {
 			return st, err
 		}
 	}
-	span := a.fileSpan()
 	for _, fm := range man.Files {
 		g := fm.Group
 		if !failed[g] {
@@ -187,7 +166,7 @@ func recoverRing(a *Aggregator, store *tweetdb.Store, snaps *SnapshotStore, opts
 		if hi := (g + 1) * span * a.width; hi > 0 {
 			q.ToTS = hi
 		}
-		if _, err := backfillFiltered(a, store, q, opts.Keep, nil, &g); err != nil {
+		if _, err := backfill(a, store, q, func(ts int64) bool { return group(ts) == g }); err != nil {
 			return st, err
 		}
 		st.Backfilled += fm.Buckets
@@ -207,11 +186,14 @@ func (a *Aggregator) restore(files []*snapFile, failed map[int64]bool, origin *r
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.origin = origin
-	span, n, records := a.fileSpan(), 0, int64(0)
+	span, n, records, held := a.fileSpan(), 0, int64(0), uint32(0)
 	for _, f := range files {
 		for _, sp := range f.parts {
 			if sp.factor != 1 {
 				continue
+			}
+			for _, u := range sp.part.users {
+				held |= 1 << ring.SlotOf(u.id)
 			}
 			b := a.bucketLocked(sp.idx)
 			a.touchLocked(sp.idx, b)
@@ -234,6 +216,7 @@ func (a *Aggregator) restore(files []*snapFile, failed map[int64]bool, origin *r
 		}
 	}
 	a.storeOnly.Add(int64(n))
+	a.held.Or(held)
 	a.ingested.Add(records)
 	mRingRecords.Add(records)
 	return n
@@ -266,19 +249,4 @@ func (a *Aggregator) mergeMatchesLocked(t *rollupTier, sp snapPart, span int64, 
 		records += a.buckets[idx].part.tweets
 	}
 	return m1-m0 >= 2 && records == sp.part.tweets
-}
-
-// backfillFiltered scans the store with q and routes matching records
-// into the ring, dropping rows whose author fails keep, whose file group
-// is in skip, or — when only is non-nil — whose file group is not *only.
-// It returns how many records were routed.
-func backfillFiltered(a *Aggregator, store *tweetdb.Store, q tweetdb.Query, keep func(int64) bool, skip map[int64]bool, only *int64) (int64, error) {
-	span := a.fileSpan()
-	return BackfillRouted(store, q, []*Aggregator{a}, func(user, ts int64) int {
-		g := floorDiv(a.bucketIdx(ts), span)
-		if keep != nil && !keep(user) || skip[g] || only != nil && g != *only {
-			return -1
-		}
-		return 0
-	})
 }

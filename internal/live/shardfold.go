@@ -3,13 +3,13 @@ package live
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"sort"
 
 	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/mobility"
+	"geomob/internal/ring"
 	"geomob/internal/tweet"
 )
 
@@ -117,27 +117,35 @@ type ShardPartial struct {
 // leaving the trajectory statistics at per-user granularity so
 // user-disjoint shard partials can be interleaved exactly.
 func (a *Aggregator) FoldPartial(req core.Request) (*ShardPartial, error) {
-	return FoldRings(req, []*Aggregator{a})
+	return a.FoldSlots(req, nil)
 }
 
-// FoldRings is FoldPartial over the user-disjoint rings of one Shape — a
-// shard's slot rings — planned once and folded into one ShardPartial:
-// every ring folds with its own user cursor into one shared set of count
-// vectors and flow matrices, and the rings' user runs are interleaved
-// (mergeUsers) into one ascending run, allocated once.
+// FoldSlots is FoldPartial over the users of the given placement slots
+// (ring.SlotOf), nil meaning every slot: a cluster shard's one ring
+// answers any slot subset the coordinator asks of it in one fold that
+// skips the other slots' users (fold).
 //
 // A plan scale whose radius is not the one its slot materialises takes
 // its counts and flows from radiusPass instead; everything else the
 // partials fold does not depend on the radius.
-func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
-	info, lo, hi, err := plan(req, rings...)
+func (a *Aggregator) FoldSlots(req core.Request, slots []int) (*ShardPartial, error) {
+	keep := allSlots
+	if slots != nil {
+		keep = 0
+		for _, k := range slots {
+			if k < 0 || k >= ring.Slots {
+				return nil, fmt.Errorf("live: placement slot %d out of range", k)
+			}
+			keep |= 1 << k
+		}
+	}
+	info, lo, hi, err := plan(req)
 	if err != nil {
 		return nil, err
 	}
-	sh := rings[0].Shape
 	var off []census.Scale // plan scales at a radius the ring does not materialise
 	for i, sc := range info.Scales {
-		if info.ScaleRadius[i] != sh.slotRadius[sh.slotOf[sc]] {
+		if info.ScaleRadius[i] != a.slotRadius[a.slotOf[sc]] {
 			off = append(off, sc)
 		}
 	}
@@ -145,30 +153,19 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 	if len(off) > 0 {
 		recs = new([]tweet.Tweet)
 	}
-	acc := sh.newFold(info)
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
-	runs, n := make([][]UserTrajectory, len(rings)), 0
-	for i, a := range rings {
-		parts, err := a.collectCov(lo, hi, &sp.Coverage, false, recs)
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = acc.add(parts)
-		n += len(runs[i])
+	parts, err := a.collectCov(lo, hi, &sp.Coverage, false, recs)
+	if err != nil {
+		return nil, err
 	}
-	sp.FoldedPass = *acc.f
+	f, users := a.fold(info, parts, keep)
+	sp.FoldedPass, sp.Users = *f, users
 	if recs != nil {
+		if keep != allSlots {
+			*recs = slices.DeleteFunc(*recs, func(t tweet.Tweet) bool { return keep&(1<<ring.SlotOf(t.UserID)) == 0 })
+		}
 		if err := radiusPass(req, info, off, *recs, &sp.FoldedPass); err != nil {
 			return nil, err
-		}
-	}
-	switch {
-	case len(runs) == 1:
-		sp.Users = runs[0]
-	case n > 0:
-		sp.Users = make([]UserTrajectory, 0, n)
-		if err := mergeUsers(runs, func(u *UserTrajectory) { sp.Users = append(sp.Users, *u) }); err != nil {
-			return nil, fmt.Errorf("live: fold rings: %w", err)
 		}
 	}
 	return sp, nil
@@ -176,8 +173,8 @@ func FoldRings(req core.Request, rings []*Aggregator) (*ShardPartial, error) {
 
 // radiusPass sets f's counts and flows at scales — plan scales whose
 // request radius the ring does not materialise — from an exact core
-// observer pass at the request's radius over recs, the folded rings'
-// in-window records. Per-area unique-user counts and flow cells are
+// observer pass at the request's radius over recs, the in-window records
+// of the folded users. Per-area unique-user counts and flow cells are
 // integer sums over users, so the pass over one user partition adds
 // exactly to the passes over the others, as the partials' counts do.
 func radiusPass(req core.Request, info *core.PlanInfo, scales []census.Scale, recs []tweet.Tweet, f *core.FoldedPass) error {
@@ -199,21 +196,4 @@ func radiusPass(req core.Request, info *core.PlanInfo, scales []census.Scale, re
 		}
 	}
 	return nil
-}
-
-// CoverageKeyRings is CoverageKeyRequest over the rings of one Shape,
-// planned once: each ring's coverage is fed into one hash behind its tag
-// (a shard passes its slot indexes), so the key moves exactly when a
-// bucket any of the rings covers for req's window changes.
-func CoverageKeyRings(req core.Request, tags []int, rings []*Aggregator) (string, error) {
-	_, lo, hi, err := plan(req, rings...)
-	if err != nil {
-		return "", err
-	}
-	h := fnv.New64a()
-	for i, a := range rings {
-		fmt.Fprintf(h, "%d;", tags[i])
-		a.hashCoverage(h, lo, hi)
-	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
 }

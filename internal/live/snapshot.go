@@ -1,6 +1,7 @@
 package live
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,6 +17,7 @@ import (
 	"geomob/internal/geo"
 	"geomob/internal/mobility"
 	"geomob/internal/obs"
+	"geomob/internal/ring"
 	"geomob/internal/tweetdb"
 	"geomob/internal/wire"
 )
@@ -44,7 +46,7 @@ var (
 
 const (
 	snapMagic        = uint32(0x4e534d47) // "GMSN"
-	snapVersion      = uint16(2)
+	snapVersion      = uint16(3)
 	manifestVersion  = 3
 	snapHeader       = 40 // magic, version, reserved, shape hash, width, group, part count, CRC
 	snapPartHeader   = 60 // factor, index, bbox, user rows, flow cells, CRC
@@ -277,8 +279,9 @@ func (sh *Shape) midBytes() int {
 //  5. sums — per row the three low words of the vector sum, plus the
 //     three high words for rows of eight or more records (fewer cannot
 //     leave the low word's sign range);
-//  6. flows — the interior transition cells: slot, from, to (two bytes
-//     each) and the count (four bytes);
+//  6. flows — the interior transition cells: the users' placement slot
+//     (one byte), the scale slot, from, to (two bytes each) and the count
+//     (four bytes);
 //  7. mids — a bucket's interior record times (midsLocked) as offsets
 //     from their row's first time; empty for a merge.
 //
@@ -364,6 +367,7 @@ func (sh *Shape) appendSnapPart(w *wire.Writer, sp *snapPart) {
 	w.EndSection(sec)
 	sec = w.BeginSection()
 	for _, c := range p.flows {
+		w.U8(c.pslot)
 		w.U16(uint16(c.slot))
 		w.U16(uint16(c.from))
 		w.U16(uint16(c.to))
@@ -395,7 +399,8 @@ func (sh *Shape) appendSnapPart(w *wire.Writer, sp *snapPart) {
 // every invariant the fold relies on — user ids strictly ascending,
 // record and cell counts, times inside the part's span, areas and flow
 // cells inside their slot's region set, mark bits inside it too, cells
-// strictly ascending per row, flow cells strictly ascending, interior
+// strictly ascending per row, flow cells inside the placement slots and
+// strictly ascending, interior
 // times ordered inside their row. Any mismatch returns
 // errSnapshotCorrupt — callers degrade that file to a cold backfill.
 func (sh *Shape) decodeSnapFile(blob []byte) (*snapFile, error) {
@@ -480,13 +485,13 @@ func (sh *Shape) decodeSnapPart(r *wire.Reader) (snapPart, error) {
 	users, areas, marks, cells, sums, flows, mids := &sec[0], &sec[1], &sec[2], &sec[3], &sec[4], &sec[5], &sec[6]
 	slots, tw, mb := sh.slots, sh.totalWords, sh.midBytes()
 	// Every row takes at least twelve bytes of users, a byte per slot of
-	// areas, four of cells and 24 of sums, and a flow cell ten bytes:
+	// areas, four of cells and 24 of sums, and a flow cell eleven bytes:
 	// bound the counts by the bytes before allocating for them.
 	nu := users.Count(uint64(nUsers), 12)
 	areas.Count(uint64(nu), slots)
 	cells.Count(uint64(nu), 4)
 	sums.Count(uint64(nu), 24)
-	nf := flows.Count(uint64(nFlows), 10)
+	nf := flows.Count(uint64(nFlows), 11)
 	for id := range sec {
 		if err := sec[id].Err(); err != nil {
 			return fail("section %d: %v", id+1, err)
@@ -615,17 +620,16 @@ func (sh *Shape) decodeSnapPart(r *wire.Reader) (snapPart, error) {
 		p.flows = make([]flowCell, nf)
 	}
 	for i := range p.flows {
-		c := flowCell{slot: int16(flows.U16()), from: int16(flows.U16()), to: int16(flows.U16()), n: float64(flows.U32())}
-		if c.slot < 0 || int(c.slot) >= len(sh.scales) || c.n == 0 {
+		c := flowCell{pslot: flows.U8(), slot: int16(flows.U16()), from: int16(flows.U16()), to: int16(flows.U16()), n: float64(flows.U32())}
+		if int(c.pslot) >= ring.Slots || c.slot < 0 || int(c.slot) >= len(sh.scales) || c.n == 0 {
 			return fail("flow cell %d out of range", i)
 		}
 		if na := int16(len(sh.regions[c.slot].Areas)); c.from < 0 || c.from >= na || c.to < 0 || c.to >= na {
 			return fail("flow cell %d out of range", i)
 		}
-		if i > 0 {
-			if o := p.flows[i-1]; c.slot < o.slot || c.slot == o.slot && (c.from < o.from || c.from == o.from && c.to <= o.to) {
-				return fail("flow cell %d out of order", i)
-			}
+		if i > 0 && cmp.Or(cmp.Compare(c.pslot, p.flows[i-1].pslot), cmp.Compare(c.slot, p.flows[i-1].slot),
+			cmp.Compare(c.from, p.flows[i-1].from), cmp.Compare(c.to, p.flows[i-1].to)) <= 0 {
+			return fail("flow cell %d out of order", i)
 		}
 		p.flows[i] = c
 	}
@@ -718,9 +722,8 @@ type SnapshotStats struct {
 	LastUnixMs int64 `json:"last_unix_ms"`
 }
 
-// Merge accumulates another snapshot set's stats into s (a shard sums
-// its slot directories, a partitioned node its shards): counts add, the
-// commit time is the latest.
+// Merge accumulates another snapshot set's stats into s (a partitioned
+// node sums its shards'): counts add, the commit time is the latest.
 func (s *SnapshotStats) Merge(o SnapshotStats) {
 	s.Buckets += o.Buckets
 	s.Files += o.Files

@@ -20,6 +20,7 @@ import (
 
 	"geomob/internal/census"
 	"geomob/internal/core"
+	"geomob/internal/ring"
 	"geomob/internal/testx"
 	"geomob/internal/tweet"
 	"geomob/internal/tweetdb"
@@ -202,9 +203,11 @@ func patchSection(blob []byte, part, sec int, fn func(p []byte)) []byte {
 // damagedShapes are the structured failure shapes a byte matrix can
 // miss, each a whole file to put in place of a day file: a zeroed header,
 // a version bump with a valid header CRC (forward-compatibility gate), a
-// v1 bucket blob's magic and version, trailing garbage, and three files
+// v1 bucket blob's magic and version, trailing garbage, and five files
 // every CRC accepts — user rows out of order, an area id beyond its
-// region set, a flow cell beyond it.
+// region set, a flow cell beyond it, a flow cell of a placement slot past
+// the last, and two flow cells out of (placement slot, scale slot, from,
+// to) order.
 func (f *snapFixture) damagedShapes(t testing.TB, pristine []byte, sf *snapFile) map[string][]byte {
 	t.Helper()
 	merge := len(sf.parts) - 1
@@ -230,7 +233,17 @@ func (f *snapFixture) damagedShapes(t testing.TB, pristine []byte, sf *snapFile)
 	}
 	shapes["rows-swapped-valid-crcs"] = testx.SwapSnapshotRows(pristine, widest, 0, len(sf.parts[widest].part.users)-1)
 	shapes["area-out-of-range-valid-crcs"] = patchSection(pristine, 0, 1, func(p []byte) { p[0] = 0x7f })
-	shapes["flow-out-of-range-valid-crcs"] = patchSection(pristine, merge, 5, func(p []byte) { binary.LittleEndian.PutUint16(p[2:], 0x7fff) })
+	shapes["flow-out-of-range-valid-crcs"] = patchSection(pristine, merge, 5, func(p []byte) { binary.LittleEndian.PutUint16(p[3:], 0x7fff) })
+	shapes["flow-pslot-out-of-range-valid-crcs"] = patchSection(pristine, merge, 5, func(p []byte) { p[0] = ring.Slots })
+	if len(sf.parts[merge].part.flows) < 2 {
+		t.Fatal("the day file's merge holds fewer than two flow cells")
+	}
+	shapes["flows-out-of-order-valid-crcs"] = patchSection(pristine, merge, 5, func(p []byte) {
+		var first [11]byte
+		copy(first[:], p[:11])
+		copy(p, p[11:22])
+		copy(p[11:], first[:])
+	})
 	for label, d := range shapes {
 		if _, err := f.shape.decodeSnapFile(d); !errors.Is(err, errSnapshotCorrupt) {
 			t.Errorf("decode of %s: %v, want errSnapshotCorrupt", label, err)
@@ -492,7 +505,8 @@ func FuzzDecodeBucketSnapshot(f *testing.F) {
 	crcFlip[snapHeader+snapPartHeader+4] ^= 0xA5
 	f.Add(crcFlip)
 	shapes := fx.damagedShapes(f, pristine, sf)
-	for _, label := range []string{"zeroed-header", "v1-blob-valid-crc", "rows-swapped-valid-crcs", "area-out-of-range-valid-crcs", "flow-out-of-range-valid-crcs", "version-bump-valid-crc", "trailing-garbage"} {
+	for _, label := range []string{"zeroed-header", "v1-blob-valid-crc", "rows-swapped-valid-crcs", "area-out-of-range-valid-crcs", "flow-out-of-range-valid-crcs",
+		"flow-pslot-out-of-range-valid-crcs", "flows-out-of-order-valid-crcs", "version-bump-valid-crc", "trailing-garbage"} {
 		f.Add(shapes[label])
 	}
 	claim := append([]byte(nil), pristine...)

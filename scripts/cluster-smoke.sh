@@ -201,6 +201,19 @@ wait_drained
 SNAP1=$(curl -fsS -X POST "http://127.0.0.1:$P_SHARD1/v1/snapshot" | jsonget buckets)
 echo "cluster-smoke: chaos: shard1 snapshotted ($SNAP1 buckets)"
 [ "$SNAP1" -gt 0 ] || { echo "cluster-smoke: chaos: shard1 snapshot empty"; exit 1; }
+# A shard's snapshot is one directory, as a single node's is: the
+# manifest plus at most one file per day group of the records it holds.
+python3 - "$WORK/half1.ndjson" "$WORK/shard1-snap" <<'PY' || exit 1
+import json, os, sys
+batch, snaps = sys.argv[1], sys.argv[2]
+days = {json.loads(line)["ts"] // 86_400_000 for line in open(batch) if line.strip()}
+groups = days | {d // 30 * 30 for d in days}
+names = os.listdir(snaps)
+files = [n for n in names if n.endswith(".gmsnap")]
+if sorted(set(names) - set(files)) != ["SNAPSHOT.json"] or len(files) > len(groups):
+    sys.exit(f"cluster-smoke: chaos: shard1 snapshot dir holds {len(files)} .gmsnap files for {len(groups)} day groups, and {sorted(set(names) - set(files))}")
+print(f"cluster-smoke: chaos: shard1 snapshot {len(files)} files for {len(groups)} day groups")
+PY
 
 # SIGKILL shard1 while the second half is in flight. The spool is the
 # acknowledgement point, so the ingest must still be fully accepted.
