@@ -269,6 +269,10 @@ func TestNodeIngestLimits(t *testing.T) {
 		}
 		return f
 	}
+	badFrame, err := tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{{ID: 9, UserID: 1, TS: 1, Lat: 999, Lon: 151.2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		name string
 		body []byte
@@ -278,6 +282,7 @@ func TestNodeIngestLimits(t *testing.T) {
 		{"malformed envelope", []byte("truncated"), 400},
 		{"slot out of range", appendDeliveries(nil, []Delivery{{Seq: 2, Slot: ring.Slots, Frame: frame(1)}}), 400},
 		{"slot mislabelled", appendDeliveries(nil, []Delivery{{Seq: 4, Slot: (ring.SlotOf(1) + 1) % ring.Slots, Frame: frame(1)}}), 400},
+		{"invalid record", appendDeliveries(nil, []Delivery{{Seq: 5, Slot: ring.SlotOf(1), Frame: badFrame}}), 400},
 		{"oversized body", appendDeliveries(nil, []Delivery{{Seq: 3, Slot: ring.SlotOf(1), Frame: frame(8)}}), 413},
 	} {
 		resp, err := srv.Client().Post(srv.URL+pathDeliverBatch+"?sender=s", "application/octet-stream", bytes.NewReader(c.body))

@@ -506,6 +506,32 @@ func TestDeliverDedup(t *testing.T) {
 	if got := s2.Ring().Ingested(); got != 3 {
 		t.Fatalf("the frame under its own slot ingested %d records in all, want 3", got)
 	}
+	// A delivery holding one frame with an invalid record is refused
+	// whole: its valid frame reaches neither store nor ring, and lands
+	// once when delivered alone.
+	later.ID, later.TS = 3, tw.TS+2
+	bad := later
+	bad.ID, bad.Lat = 4, 999
+	laterFrame, err = tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{later}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badFrame, err := tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{bad}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.DeliverBatch("sender-a", []Delivery{{Seq: 9, Slot: slot, Frame: laterFrame}, {Seq: 10, Slot: slot, Frame: badFrame}}); err == nil {
+		t.Fatal("a delivery holding an invalid record was accepted")
+	}
+	if got, n := s2.Ring().Ingested(), store2.Count(); got != 3 || n != 3 {
+		t.Fatalf("refused delivery applied: ingested %d, stored %d, want 3 and 3", got, n)
+	}
+	if err := s2.DeliverBatch("sender-a", []Delivery{{Seq: 9, Slot: slot, Frame: laterFrame}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, n := s2.Ring().Ingested(), store2.Count(); got != 4 || n != 4 {
+		t.Fatalf("the valid frame alone: ingested %d, stored %d, want 4 and 4", got, n)
+	}
 }
 
 // TestWALRecoveryAcrossRestart: a coordinator killed with undelivered

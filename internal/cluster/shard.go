@@ -176,7 +176,9 @@ func (s *LocalShard) Ring() *live.Aggregator { return s.agg }
 // frames (at or below the current mark) are dropped before the commit. A
 // frame holding a record of a user outside its slot is refused whole: a
 // restart places records by their users, so a fold over some slots must
-// never have seen them placed otherwise.
+// never have seen them placed otherwise. Each frame is validated once,
+// on decode, and a delivery holding one invalid frame is refused whole
+// before anything is stored.
 func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	t0 := time.Now()
 	batches := make([]*tweet.Batch, len(ds))
@@ -189,7 +191,7 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 			return fmt.Errorf("%w: decode frame seq %d: %w", live.ErrBadInput, d.Seq, err)
 		}
 		if err := b.Validate(); err != nil {
-			return fmt.Errorf("cluster: frame seq %d: %w", d.Seq, err)
+			return fmt.Errorf("%w: frame seq %d: %w", live.ErrBadInput, d.Seq, err)
 		}
 		for _, u := range b.UserID {
 			if k := ring.SlotOf(u); k != d.Slot {
@@ -223,9 +225,7 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 			return err
 		}
 	}
-	if err := s.agg.IngestBatch(combined); err != nil {
-		return err
-	}
+	s.agg.IngestValid(combined)
 	if sender != "" {
 		s.hwm[sender] = maxSeq
 	}

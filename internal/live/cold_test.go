@@ -47,7 +47,7 @@ func TestColdBuildParallelMatchesSerial(t *testing.T) {
 		atProcs(procs, func() {
 			// The unbounded window first: it is the one that finds every
 			// bucket partial and every closed rollup group missing.
-			parts, err := agg.collectCov(math.MinInt64, math.MaxInt64, nil, false, nil)
+			parts, err := agg.collectCov(math.MinInt64, math.MaxInt64, allSlots, nil, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

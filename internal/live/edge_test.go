@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -233,6 +234,32 @@ func TestUserCursorMatchesNaiveScan(t *testing.T) {
 		}
 		cases[fmt.Sprintf("random k=%d", k)] = parts
 	}
+	// Cases across chunk cuts (cursorChunk rows).
+	span := func(lo, hi, step int64) []int64 {
+		var ids []int64
+		for id := lo; id < hi; id += step {
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	big := span(0, 3*cursorChunk, 1)
+	cases["part of several chunks"] = []*partial{part(big...)}
+	// The cut falls inside the small parts' rows, whose ids interleave
+	// with the big part's.
+	cases["unequal sizes"] = []*partial{part(span(1, 6*cursorChunk, 2)...), part(span(0, 900, 3)...), part(span(5000, 9000, 7)...)}
+	cases["empty parts between full ones"] = []*partial{part(big...), part(), part(), part(span(2, 2*cursorChunk, 2)...), part()}
+	cases["ids 0 and MaxInt64"] = []*partial{
+		part(append(span(0, 2*cursorChunk, 1), math.MaxInt64)...), part(0, math.MaxInt64), part(math.MaxInt64),
+	}
+	// One user in every part at each id around the first cut, so that for
+	// one of them the cut falls exactly on it (checked below).
+	atCut := map[string]int64{}
+	for id := int64(cursorChunk - 8); id < cursorChunk+8; id++ {
+		name := fmt.Sprintf("user %d in every part", id)
+		cases[name] = []*partial{part(big...), part(id), part(1, id, 9000), part(id)}
+		atCut[name] = id
+	}
+	cutHit := false
 	for name, parts := range cases {
 		wantIDs, wantRows := naiveUsers(parts)
 		cur := newUserCursor(parts)
@@ -247,6 +274,12 @@ func TestUserCursorMatchesNaiveScan(t *testing.T) {
 			if i >= len(wantIDs) || id != wantIDs[i] || !reflect.DeepEqual(recs, wantRows[i]) {
 				t.Fatalf("%s: user %d = (%d, %d rows), diverges from the naive scan", name, i, id, len(recs))
 			}
+			if u, ok := atCut[name]; ok && id == u && cur.at == len(cur.keys) && i+1 < len(wantIDs) {
+				cutHit = true // u is the last user of a chunk that is not the last
+			}
 		}
+	}
+	if !cutHit {
+		t.Fatal("no case put a user present in every part at a chunk cut")
 	}
 }

@@ -104,6 +104,6 @@ func (a *Aggregator) ExplainCoverage(req core.Request) (FoldCoverage, error) {
 	if err != nil {
 		return cov, err
 	}
-	_, err = a.collectCov(lo, hi, &cov, true, nil)
+	_, err = a.collectCov(lo, hi, allSlots, &cov, true, nil)
 	return cov, err
 }

@@ -2,9 +2,12 @@ package live
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"geomob/internal/core"
+	"geomob/internal/ring"
 	"geomob/internal/tweet"
 )
 
@@ -101,4 +104,55 @@ func TestFoldCoverageMerge(t *testing.T) {
 	}
 	var nilCov *FoldCoverage
 	nilCov.Merge(b) // must not panic
+}
+
+// TestFoldSlotsCoverageCountsFoldedSlots: a slot-subset fold counts the
+// residual records of its own users only, so the coverages of
+// complementary slot sets merge to the coverage of the whole ring.
+func TestFoldSlotsCoverageCountsFoldedSlots(t *testing.T) {
+	all, _ := snapCorpusDays(t, 1500, 91, 30)
+	agg, err := NewAggregator(Options{BucketWidth: 6 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := agg.IngestBatch(tweet.BatchOf(all)); err != nil {
+		t.Fatal(err)
+	}
+	// The window's edges are record times, so both cut a bucket holding
+	// records and each fold replays residuals.
+	times := make([]int64, len(all))
+	for i, tw := range all {
+		times[i] = tw.TS
+	}
+	slices.Sort(times)
+	req := core.Request{
+		Analyses: []core.Analysis{core.AnalysisStats},
+		From:     time.UnixMilli(times[len(times)/3]).UTC(),
+		To:       time.UnixMilli(times[2*len(times)/3]).UTC(),
+	}
+	whole, err := agg.FoldSlots(req, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Coverage.ResidualBuckets != 2 || whole.Coverage.ResidualRecords == 0 {
+		t.Fatalf("the window replays %d residual buckets, %d records; want 2 and some", whole.Coverage.ResidualBuckets, whole.Coverage.ResidualRecords)
+	}
+	var halves [2][]int
+	for k := range ring.Slots {
+		halves[k%2] = append(halves[k%2], k)
+	}
+	var merged FoldCoverage
+	for _, slots := range halves {
+		sp, err := agg.FoldSlots(req, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp.Coverage.ResidualRecords >= whole.Coverage.ResidualRecords {
+			t.Fatalf("slots %v count %d residual records, the whole ring %d", slots, sp.Coverage.ResidualRecords, whole.Coverage.ResidualRecords)
+		}
+		merged.Merge(sp.Coverage)
+	}
+	if merged.ResidualRecords != whole.Coverage.ResidualRecords {
+		t.Fatalf("the slot halves count %d residual records, the whole ring %d", merged.ResidualRecords, whole.Coverage.ResidualRecords)
+	}
 }

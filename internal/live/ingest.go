@@ -147,7 +147,7 @@ func (i *Ingestor) flushLocked(st *ingestStages) error {
 		return nil
 	}
 	t0 := time.Now()
-	if err := i.store.AppendBatch(i.batch); err != nil {
+	if err := i.store.AppendBatchMeta(i.batch, nil); err != nil { // validated in addBatch
 		// Nothing durable, nothing in the ring: i.batch stays for the retry.
 		return err
 	}

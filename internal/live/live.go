@@ -468,16 +468,18 @@ func (a *Aggregator) bucketIdx(ts int64) int64 {
 // (and every cached result derived from them alone) stay warm. The batch
 // is only read, never retained.
 func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
-	if b.Len() == 0 {
-		return nil
-	}
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("live: ingest: %w", err)
 	}
+	a.IngestValid(b)
+	return nil
+}
+
+// IngestValid is IngestBatch over a batch the caller has validated.
+func (a *Aggregator) IngestValid(b *tweet.Batch) {
 	r := a.Resolve(b)
 	a.appendResolved(b, r)
 	r.release()
-	return nil
 }
 
 // resolved is what a batch's records are, wherever they end up: per
@@ -669,15 +671,20 @@ type userKey struct {
 // sortByUser sorts keys by user, equal users keeping their order: a
 // byte-wise radix sort that skips the bytes all users share, with tmp (as
 // long as keys) as scratch, or an insertion-friendly stable sort for a
-// handful. It returns the sorted slice, which is keys or tmp.
+// handful; keys already in order are left as they are. It returns the
+// sorted slice, which is keys or tmp.
 func sortByUser(keys, tmp []userKey) []userKey {
 	if len(keys) < 64 {
 		slices.SortStableFunc(keys, func(x, y userKey) int { return cmp.Compare(x.user, y.user) })
 		return keys
 	}
-	or, and := uint64(0), ^uint64(0)
-	for _, k := range keys {
+	or, and, sorted := uint64(0), ^uint64(0), true
+	for i, k := range keys {
 		or, and = or|k.user, and&k.user
+		sorted = sorted && (i == 0 || keys[i-1].user <= k.user)
+	}
+	if sorted {
+		return keys
 	}
 	for shift := 0; shift < 64; shift += 8 {
 		if (or^and)>>shift&0xff == 0 {
@@ -739,10 +746,11 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 // partially covered edge buckets. A non-nil cov records which spans
 // served the window (FoldCoverage). A non-nil recs gets the window's
 // records appended under the same lock, so they are the records the
-// partials were folded from. With dry
-// set the same span selection runs in counting-only mode — no partials
-// are built, merged, reloaded or returned and no build caches or
-// counters are touched — which is what keeps EXPLAIN ANALYZE
+// partials were folded from. Residual partials and recs hold only the
+// users whose placement slots are in keep, the users the fold folds.
+// With dry set the same span selection runs in counting-only mode — no
+// partials are built, merged, reloaded or returned and no build caches
+// or counters are touched — which is what keeps EXPLAIN ANALYZE
 // side-effect-free.
 //
 // The selection only gathers: which groups and buckets the window takes,
@@ -751,7 +759,7 @@ func (a *Aggregator) rangeLocked(lo, hi int64) []int64 {
 // everything lacking at once, so a cold ring is materialised on every
 // processor and a warm one — nothing lacking, or the one edge bucket —
 // pays nothing for it.
-func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool, recs *[]tweet.Tweet) ([]*partial, error) {
+func (a *Aggregator) collectCov(lo, hi int64, keep uint16, cov *FoldCoverage, dry bool, recs *[]tweet.Tweet) ([]*partial, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	idxs := a.rangeLocked(lo, hi)
@@ -764,7 +772,7 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool, recs 
 		if err := a.reloadLocked(idxs); err != nil {
 			return nil, err
 		}
-		*recs = a.appendWindowLocked(*recs, idxs, lo, hi)
+		*recs = a.appendWindowLocked(*recs, idxs, lo, hi, keep)
 	}
 	loIdx, hiIdx, edgeIdx := idxs[0], idxs[len(idxs)-1], a.idxs[len(a.idxs)-1]
 	type span struct {
@@ -861,7 +869,7 @@ func (a *Aggregator) collectCov(lo, hi int64, cov *FoldCoverage, dry bool, recs 
 	for _, idx := range edges {
 		b := a.buckets[idx]
 		ensureSortedLocked(b, a.slots)
-		if p := a.buildRange(b, max(lo, idx*a.width), min(hi, (idx+1)*a.width)); p.seen {
+		if p := a.buildRange(b, max(lo, idx*a.width), min(hi, (idx+1)*a.width), keep); p.seen {
 			spans = append(spans, span{start: idx, p: p})
 			cov.addResidual(p.tweets)
 		}
@@ -919,7 +927,7 @@ func (a *Aggregator) materialiseLocked(groups []groupPick, missing, edges []int6
 	runTasks(len(missing), func(i int) {
 		b := a.buckets[missing[i]]
 		ensureSortedLocked(b, a.slots)
-		a.setPartLocked(b, a.buildRange(b, math.MinInt64, math.MaxInt64))
+		a.setPartLocked(b, a.buildRange(b, math.MinInt64, math.MaxInt64, allSlots))
 	})
 	a.builds.Add(int64(len(missing)))
 	mRingBuilds.Add(int64(len(missing)))
@@ -1054,20 +1062,21 @@ func (a *Aggregator) WindowTweets(lo, hi int64) ([]tweet.Tweet, error) {
 	if err := a.reloadLocked(idxs); err != nil {
 		return nil, err
 	}
-	out := a.appendWindowLocked(nil, idxs, lo, hi)
+	out := a.appendWindowLocked(nil, idxs, lo, hi, allSlots)
 	sort.Sort(tweet.ByUserTime(out))
 	return out, nil
 }
 
 // appendWindowLocked appends the records of buckets idxs with times in
-// [lo, hi) to out, in bucket order. The buckets hold their records:
-// caller read any store-only one back and holds a.mu.
-func (a *Aggregator) appendWindowLocked(out []tweet.Tweet, idxs []int64, lo, hi int64) []tweet.Tweet {
+// [lo, hi) of the users whose placement slots are in keep to out, in
+// bucket order. The buckets hold their records: caller read any
+// store-only one back and holds a.mu.
+func (a *Aggregator) appendWindowLocked(out []tweet.Tweet, idxs []int64, lo, hi int64, keep uint16) []tweet.Tweet {
 	for _, idx := range idxs {
 		b := a.buckets[idx]
 		for i := range b.tweets {
-			if ts := b.tweets[i].TS; ts >= lo && (hi == math.MaxInt64 || ts < hi) {
-				out = append(out, b.tweets[i])
+			if t := &b.tweets[i]; t.TS >= lo && (hi == math.MaxInt64 || t.TS < hi) && (keep == allSlots || keep&(1<<ring.SlotOf(t.UserID)) != 0) {
+				out = append(out, *t)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package live
 import (
 	"math"
 	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -126,81 +127,89 @@ type userRec struct {
 	row int
 }
 
-// userCursor is the k-way user-major merge over chronologically ordered
-// partials that the fold walks: a binary
-// min-heap over the parts' next unread users keyed (user id, part
-// index), so next yields users in ascending id — the canonical stream
-// order — and each user's rows in part, hence time, order at
-// O(log parts) per row.
+// cursorChunk is the number of rows the user cursor aims to sort at a
+// time: it bounds the cursor's scratch and keeps each sort in cache.
+const cursorChunk = 4096
+
+// userCursor is the one user-major walk over chronologically ordered
+// partials, behind both the fold and the rollup merge: next yields users
+// in ascending id — the canonical stream order — and each user's rows in
+// part, hence time, order. It sorts the rows one chunk of the id space
+// at a time (fill), keyed (user, part, row), with sortByUser, which is
+// stable; cursors and their key buffers, about one chunk long, are
+// pooled.
 type userCursor struct {
-	heap []cursorHead
-	recs []userRec // reused across next calls
+	parts     []*partial
+	heads     []int     // per part, its first row not yet in a chunk
+	keys, tmp []userKey // the current chunk's rows, sorted by user
+	at        int       // the next unread key
+	recs      []userRec // reused across next calls
 }
 
-type cursorHead struct {
-	id   int64
-	part int
-	rec  userRec
-}
-
-func (h cursorHead) less(o cursorHead) bool {
-	return h.id < o.id || (h.id == o.id && h.part < o.part)
-}
+var cursorPool = sync.Pool{New: func() any { return new(userCursor) }}
 
 func newUserCursor(parts []*partial) *userCursor {
-	c := &userCursor{heap: make([]cursorHead, 0, len(parts))}
-	for pi, p := range parts {
-		if len(p.users) > 0 {
-			c.heap = append(c.heap, cursorHead{id: p.users[0].id, part: pi, rec: userRec{p: p}})
-		}
-	}
-	for i := len(c.heap)/2 - 1; i >= 0; i-- {
-		c.siftDown(i)
-	}
+	c := cursorPool.Get().(*userCursor)
+	c.parts = parts
+	c.heads = append(c.heads[:0], make([]int, len(parts))...)
+	c.keys, c.at = c.keys[:0], 0
 	return c
 }
 
 // next returns the smallest unread user id and that user's rows in part
-// order; the slice is valid until the following call.
+// order; the slice is valid until the following call. Once it reports
+// !ok the cursor is back in the pool and must not be used again.
 func (c *userCursor) next() (id int64, recs []userRec, ok bool) {
-	if len(c.heap) == 0 {
+	if c.at == len(c.keys) && !c.fill() {
+		clear(c.recs[:cap(c.recs)])
+		c.parts, c.recs = nil, c.recs[:0]
+		cursorPool.Put(c)
 		return 0, nil, false
 	}
-	id = c.heap[0].id
+	u := c.keys[c.at].user
 	c.recs = c.recs[:0]
-	for len(c.heap) > 0 && c.heap[0].id == id {
-		h := &c.heap[0]
-		c.recs = append(c.recs, h.rec)
-		// Ids ascend strictly within a part, so the advanced head sorts
-		// after every remaining head carrying id.
-		if h.rec.row++; h.rec.row < len(h.rec.p.users) {
-			h.id = h.rec.p.users[h.rec.row].id
-		} else {
-			last := len(c.heap) - 1
-			c.heap[0] = c.heap[last]
-			c.heap = c.heap[:last]
-		}
-		c.siftDown(0)
+	for ; c.at < len(c.keys) && c.keys[c.at].user == u; c.at++ {
+		c.recs = append(c.recs, userRec{p: c.parts[c.keys[c.at].part], row: int(c.keys[c.at].at)})
 	}
-	return id, c.recs, true
+	return int64(u ^ 1<<63), c.recs, true
 }
 
-func (c *userCursor) siftDown(i int) {
-	h := c.heap
-	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].less(h[m]) {
-			m = l
+// fill sorts the next chunk into keys, reporting false when no row is
+// left.
+func (c *userCursor) fill() bool {
+	big, most, unread := 0, 0, 0
+	for pi, p := range c.parts {
+		n := len(p.users) - c.heads[pi]
+		if unread += n; n > most {
+			big, most = pi, n
 		}
-		if r := 2*i + 2; r < len(h) && h[r].less(h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
 	}
+	if unread == 0 {
+		return false
+	}
+	// Every row goes when few are left. Otherwise the chunk ends at the
+	// id that ends the next n rows of the part with the most unread
+	// rows, n its share of cursorChunk and at least one row, so the
+	// chunk is never empty, and takes every part's rows up to that id,
+	// so each user falls wholly inside one chunk.
+	last := int64(math.MaxInt64)
+	if unread > cursorChunk {
+		last = c.parts[big].users[c.heads[big]+max(1, cursorChunk*most/unread)-1].id
+	}
+	c.keys, c.at = c.keys[:0], 0
+	for pi, p := range c.parts {
+		lo := c.heads[pi]
+		hi := lo + sort.Search(len(p.users)-lo, func(i int) bool { return p.users[lo+i].id > last })
+		for r := lo; r < hi; r++ {
+			c.keys = append(c.keys, userKey{user: uint64(p.users[r].id) ^ 1<<63, at: int32(r), part: int32(pi)})
+		}
+		c.heads[pi] = hi
+	}
+	c.tmp = slices.Grow(c.tmp[:0], len(c.keys))[:len(c.keys)]
+	if sorted := sortByUser(c.keys, c.tmp); &sorted[0] != &c.keys[0] {
+		c.keys, c.tmp = sorted, c.keys
+	}
+	return true
 }
 
 // partialBuild is the scratch a partial is built in: columns that grow
@@ -302,18 +311,19 @@ func (p *partial) closeCells(u *userPart) {
 }
 
 // buildRange materialises the partial for b's records with timestamps in
-// [lo, hi), an unbounded hi taking every record. b must be sorted; the
-// caller holds the aggregator lock (the build reads bucket storage but
-// writes only fresh memory, so builds of different buckets may run side
-// by side under it).
-func (a *Aggregator) buildRange(b *bucket, lo, hi int64) *partial {
+// [lo, hi), an unbounded hi taking every record, of the users whose
+// placement slots (ring.SlotOf) are in the mask keep. b must be sorted;
+// the caller holds the aggregator lock (the build reads bucket storage
+// but writes only fresh memory, so builds of different buckets may run
+// side by side under it).
+func (a *Aggregator) buildRange(b *bucket, lo, hi int64, keep uint16) *partial {
 	p := a.scratchPartial()
 	slots := a.slots
 	var cu *userPart
 	prevBase, ps := -1, 0
 	for i := range b.tweets {
 		t := &b.tweets[i]
-		if t.TS < lo || (t.TS >= hi && hi != math.MaxInt64) {
+		if t.TS < lo || (t.TS >= hi && hi != math.MaxInt64) || keep != allSlots && keep&(1<<ring.SlotOf(t.UserID)) == 0 {
 			continue
 		}
 		base := i * slots

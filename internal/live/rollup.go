@@ -159,29 +159,12 @@ func (a *Aggregator) mergePartials(parts []*partial) *partial {
 			m.addFlow(int(c.pslot), int(c.slot), c.from, c.to, c.n)
 		}
 	}
-	// Every part's rows ascend by user and the parts come in time order,
-	// so a stable sort of all rows by user yields each user's rows in time
-	// order — for the hundreds of parts of a month group, cheaper than the
-	// fold's heap.
-	n := 0
-	for _, p := range parts {
-		n += len(p.users)
-	}
-	keys := make([]userKey, 0, n)
-	for pi, p := range parts {
-		for r := range p.users {
-			keys = append(keys, userKey{user: uint64(p.users[r].id) ^ 1<<63, at: int32(r), part: int32(pi)})
-		}
-	}
-	keys = sortByUser(keys, make([]userKey, n))
 	slots := a.slots
-	var recs []userRec
-	for lo, hi := 0, 0; lo < len(keys); lo = hi {
-		recs = recs[:0]
-		for hi = lo; hi < len(keys) && keys[hi].user == keys[lo].user; hi++ {
-			recs = append(recs, userRec{p: parts[keys[hi].part], row: int(keys[hi].at)})
+	for cur := newUserCursor(parts); ; {
+		u, recs, ok := cur.next()
+		if !ok {
+			break
 		}
-		u := int64(keys[lo].user ^ 1<<63)
 		row, ps := len(m.users), ring.SlotOf(u)
 		m.users = append(m.users, userPart{
 			id: u, firstTS: recs[0].p.users[recs[0].row].firstTS,

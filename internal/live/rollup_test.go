@@ -1,11 +1,15 @@
 package live
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"time"
 
+	"geomob/internal/census"
+	"geomob/internal/core"
+	"geomob/internal/testx"
 	"geomob/internal/tweet"
 )
 
@@ -101,6 +105,70 @@ func TestRollupTierExactness(t *testing.T) {
 	}
 	reqs = snapRequests(sorted)
 	assertAggMatchesRefs(t, agg, reqs, snapRefs(t, sorted, reqs), "full corpus, stale tiers")
+}
+
+// TestMergeAcrossChunksMatchesMembers: a merged group holding several
+// cursor chunks of users folds bit-identically to its members, for
+// random runs of member buckets and random placement-slot masks. Users
+// draw ids from the whole int64 range, so the chunk cuts split the
+// members' rows unevenly.
+func TestMergeAcrossChunksMatchesMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	agg, err := NewAggregator(Options{BucketWidth: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hours = 24
+	var feed []tweet.Tweet
+	for u := 0; u < 3*cursorChunk; u++ {
+		id := rng.Int63()
+		if u == 0 {
+			id = 0
+		}
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			c := edgeCities[rng.Intn(len(edgeCities))]
+			feed = append(feed, tweet.Tweet{
+				ID: int64(len(feed)), UserID: id, TS: int64(rng.Intn(hours)) * hourMs,
+				Lat: c[0] + rng.Float64()*0.1, Lon: c[1] + rng.Float64()*0.1,
+			})
+		}
+	}
+	if err := agg.IngestBatch(tweet.BatchOf(feed)); err != nil {
+		t.Fatal(err)
+	}
+	var members []*partial
+	for _, idx := range agg.idxs {
+		b := agg.buckets[idx]
+		ensureSortedLocked(b, agg.slots)
+		members = append(members, agg.buildRange(b, math.MinInt64, math.MaxInt64, allSlots))
+	}
+	info, _, _, err := plan(core.Request{
+		Analyses: []core.Analysis{core.AnalysisStats, core.AnalysisPopulation, core.AnalysisFlows},
+		Scales:   []census.Scale{census.ScaleNational, census.ScaleState, census.ScaleMetropolitan},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 6; trial++ {
+		lo := rng.Intn(len(members) / 2)
+		run := members[lo : lo+2+rng.Intn(len(members)-lo-1)]
+		if trial == 0 {
+			run = members
+		}
+		merged := agg.mergePartials(run)
+		if trial == 0 && len(merged.users) <= 2*cursorChunk {
+			t.Fatalf("the merge holds %d users, want more than two chunks", len(merged.users))
+		}
+		keep := allSlots
+		if trial%2 == 1 {
+			keep = uint16(rng.Intn(int(allSlots)))
+		}
+		wantF, wantU := agg.fold(info, run, keep)
+		gotF, gotU := agg.fold(info, []*partial{merged}, keep)
+		if !testx.ValuesBitEqual(gotF, wantF) || !testx.ValuesBitEqual(gotU, wantU) {
+			t.Fatalf("trial %d: folding the merge of %d members (%d users, slots %016b) differs from folding the members", trial, len(run), len(merged.users), keep)
+		}
+	}
 }
 
 // sortedCopy returns the slice and a canonically sorted copy.

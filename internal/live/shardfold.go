@@ -154,16 +154,13 @@ func (a *Aggregator) FoldSlots(req core.Request, slots []int) (*ShardPartial, er
 		recs = new([]tweet.Tweet)
 	}
 	sp := &ShardPartial{Scales: append([]census.Scale(nil), info.Scales...)}
-	parts, err := a.collectCov(lo, hi, &sp.Coverage, false, recs)
+	parts, err := a.collectCov(lo, hi, keep, &sp.Coverage, false, recs)
 	if err != nil {
 		return nil, err
 	}
 	f, users := a.fold(info, parts, keep)
 	sp.FoldedPass, sp.Users = *f, users
 	if recs != nil {
-		if keep != allSlots {
-			*recs = slices.DeleteFunc(*recs, func(t tweet.Tweet) bool { return keep&(1<<ring.SlotOf(t.UserID)) == 0 })
-		}
 		if err := radiusPass(req, info, off, *recs, &sp.FoldedPass); err != nil {
 			return nil, err
 		}

@@ -177,6 +177,9 @@ func (s *Store) Append(tweets []tweet.Tweet) error {
 // one or more columnar segments without ever materialising tweet.Tweet
 // values. The batch is only read, and its columns are not retained.
 func (s *Store) AppendBatch(b *tweet.Batch) error {
+	if err := b.Validate(); err != nil {
+		return fmt.Errorf("tweetdb: append: %w", err)
+	}
 	return s.AppendBatchMeta(b, nil)
 }
 
@@ -185,27 +188,23 @@ func (s *Store) AppendBatch(b *tweet.Batch) error {
 var sortScratch = sync.Pool{New: func() any { return new(tweet.Batch) }}
 var segBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// AppendBatchMeta appends a batch and merges meta into the manifest's
-// key/value table in the same manifest save. Because AppendBatch
-// publishes all of an append's segments with one atomic manifest
-// rename, the batch and its meta updates commit together or not at
-// all — the property cluster shards rely on to make redelivery
-// deduplication exact across kill -9. A failed call leaves the store as
-// it found it, so retrying the same batch commits it exactly once.
+// AppendBatchMeta is AppendBatch over a batch its caller has already
+// validated, merging meta into the manifest's key/value table in the
+// same manifest save. Because AppendBatch publishes all of an append's
+// segments with one atomic manifest rename, the batch and its meta
+// updates commit together or not at all — the property cluster shards
+// rely on to make redelivery deduplication exact across kill -9. A
+// failed call leaves the store as it found it, so retrying the same
+// batch commits it exactly once.
 func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err error) {
 	if b.Len() == 0 && len(meta) == 0 {
 		return nil
 	}
-	if b.Len() > 0 {
-		if err := b.Validate(); err != nil {
-			return fmt.Errorf("tweetdb: append: %w", err)
-		}
-		if !b.IsSorted() {
-			sorted := sortScratch.Get().(*tweet.Batch)
-			defer sortScratch.Put(sorted)
-			b.SortInto(sorted)
-			b = sorted
-		}
+	if !b.IsSorted() {
+		sorted := sortScratch.Get().(*tweet.Batch)
+		defer sortScratch.Put(sorted)
+		b.SortInto(sorted)
+		b = sorted
 	}
 	t0 := time.Now()
 	s.mu.Lock()
