@@ -1,8 +1,9 @@
 // mobbench establishes the repository's performance trajectory: it runs
-// the key benchmarks with -benchmem and writes a machine-readable snapshot
-// (BENCH_<date>.json) recording name, ns/op, B/op, allocs/op and the
-// custom metrics (tweets/op), so successive PRs can assert improvements
-// against a committed baseline instead of folklore.
+// the key benchmarks with -benchmem, each runsPerBenchmark times, and
+// writes a machine-readable snapshot (BENCH_<date>.json) recording, per
+// benchmark, the run with the median ns/op: name, ns/op, B/op, allocs/op
+// and the custom metrics (tweets/op), so successive PRs can assert
+// improvements against a committed baseline instead of folklore.
 //
 // Usage:
 //
@@ -31,6 +32,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,10 +40,17 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// runsPerBenchmark is how often every selected benchmark runs (go test
+// -count). The snapshot keeps each benchmark's median run, so a single
+// slow run on a small, shared box neither fails the gate nor skews a
+// baseline.
+const runsPerBenchmark = 5
 
 // defaultBenchRegex selects the perf-trajectory benchmarks.
 const defaultBenchRegex = "BenchmarkStudyRun/workers=1$|BenchmarkAreaAssign$|BenchmarkResolverBuild$|BenchmarkMultiScaleMap$|BenchmarkHaversine$|BenchmarkStoreScan$|BenchmarkIngest$|BenchmarkIngestBatch$|BenchmarkBackfill$|BenchmarkLiveQuery$|BenchmarkLiveEdgeRefresh$|BenchmarkLiveColdQuery$|BenchmarkShardResident$|BenchmarkClusterIngest$|BenchmarkClusterEdgeIngest$|BenchmarkWALAppend$|BenchmarkIngestReplicated$|BenchmarkObsOverhead$"
@@ -68,6 +77,7 @@ type Snapshot struct {
 	GOARCH    string        `json:"goarch"`
 	CPU       string        `json:"cpu,omitempty"`
 	BenchTime string        `json:"benchtime"`
+	Runs      int           `json:"runs,omitempty"`
 	Results   []BenchResult `json:"results"`
 }
 
@@ -138,7 +148,7 @@ func main() {
 // output into a snapshot. The raw output is returned for diagnostics.
 func runBenchmarks(dir, benchRe, benchTime string) (*Snapshot, []byte, error) {
 	cmd := exec.Command("go", "test", "-run", "^$",
-		"-bench", benchRe, "-benchmem", "-benchtime", benchTime, "-timeout", "30m", ".")
+		"-bench", benchRe, "-benchmem", "-benchtime", benchTime, "-count", strconv.Itoa(runsPerBenchmark), "-timeout", "30m", ".")
 	cmd.Dir = dir
 	raw, err := cmd.CombinedOutput()
 	if err != nil {
@@ -151,6 +161,7 @@ func runBenchmarks(dir, benchRe, benchTime string) (*Snapshot, []byte, error) {
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
 		BenchTime: benchTime,
+		Runs:      runsPerBenchmark,
 	}
 	for _, line := range strings.Split(string(raw), "\n") {
 		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
@@ -161,7 +172,29 @@ func runBenchmarks(dir, benchRe, benchTime string) (*Snapshot, []byte, error) {
 			snap.Results = append(snap.Results, r)
 		}
 	}
+	snap.Results = medianRuns(snap.Results)
 	return snap, raw, nil
+}
+
+// medianRuns collapses the repeated runs of each benchmark, in the order
+// the benchmarks first appear, to the run with the median ns/op (the
+// upper median of an even count): each row stays one coherent run.
+func medianRuns(rs []BenchResult) []BenchResult {
+	runs := map[string][]BenchResult{}
+	var names []string
+	for _, r := range rs {
+		if runs[r.Name] == nil {
+			names = append(names, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]BenchResult, len(names))
+	for i, name := range names {
+		rs := runs[name]
+		slices.SortStableFunc(rs, func(a, b BenchResult) int { return cmp.Compare(a.NsPerOp, b.NsPerOp) })
+		out[i] = rs[len(rs)/2]
+	}
+	return out
 }
 
 // gitCommit best-effort resolves the current commit for provenance.

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseBenchLine(t *testing.T) {
 	line := "BenchmarkStudyRun/workers=1         \t       1\t 830544851 ns/op\t    658610 tweets/op\t61307376 B/op\t    3540 allocs/op"
@@ -51,5 +54,23 @@ func TestParseBenchLineRejectsNoise(t *testing.T) {
 		if _, ok := parseBenchLine(line); ok {
 			t.Errorf("line %q parsed as a result", line)
 		}
+	}
+}
+
+// TestMedianRuns: repeated runs collapse to the one with the median
+// ns/op, whole (its allocs and custom metrics with it), benchmarks keep
+// the order they first appeared in, and a single run passes through.
+func TestMedianRuns(t *testing.T) {
+	run := func(name string, ns, allocs float64) BenchResult {
+		return BenchResult{Name: name, Iterations: 1, NsPerOp: ns, AllocsOp: allocs}
+	}
+	got := medianRuns([]BenchResult{
+		run("BenchmarkB", 90, 9), run("BenchmarkA", 7, 1),
+		run("BenchmarkB", 300, 30), run("BenchmarkB", 100, 10),
+		run("BenchmarkB", 80, 8), run("BenchmarkB", 95, 5),
+	})
+	want := []BenchResult{run("BenchmarkB", 95, 5), run("BenchmarkA", 7, 1)}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("medianRuns = %+v, want %+v", got, want)
 	}
 }

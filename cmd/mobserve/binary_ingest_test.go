@@ -67,10 +67,10 @@ func TestBinaryIngestEndToEnd(t *testing.T) {
 	if status != http.StatusOK || int(body["ingested"].(float64)) != len(tweets) {
 		t.Fatalf("binary ingest: status %d body %v", status, body)
 	}
-	if got := e.store.Count(); got != int64(len(tweets)) {
+	if got := e.shard.Store().Count(); got != int64(len(tweets)) {
 		t.Fatalf("store holds %d records, want %d", got, len(tweets))
 	}
-	if got := e.agg.Ingested(); got != int64(len(tweets)) {
+	if got := e.shard.Ring().Ingested(); got != int64(len(tweets)) {
 		t.Fatalf("ring ingested %d records, want %d", got, len(tweets))
 	}
 

@@ -171,7 +171,8 @@ func TestClusterModeEndToEnd(t *testing.T) {
 // the wiring used to keep its shards only when snapshots were on, so
 // without them the gauge and any /healthz figure were dark. After an
 // ingest and a query every kind is held, and what /metrics and /healthz
-// report is the sum over the shards.
+// report is the sum over the shards. The partitions' rings share the
+// process's one Shape.
 func TestPartitionsResidentBytes(t *testing.T) {
 	for _, snapDir := range []string{"", t.TempDir()} {
 		cfg := testConfig()
@@ -194,6 +195,9 @@ func TestPartitionsResidentBytes(t *testing.T) {
 		}
 		if len(locals) != 2 || want.Records <= 0 || want.Partials <= 0 || want.Rollups <= 0 {
 			t.Fatalf("snapshots %q: %d shards hold %+v, want every kind > 0", snapDir, len(locals), want)
+		}
+		if locals[0].Ring().Shape != locals[1].Ring().Shape {
+			t.Errorf("snapshots %q: the partitions built a Shape each, want one per process", snapDir)
 		}
 		metrics, _ := scrapeMetrics(t, ts.URL)
 		health, _ := fetchJSON(t, ts.URL+"/healthz")["resident_bytes"].(map[string]any)

@@ -1,14 +1,14 @@
 // The engine seam (DESIGN.md §13): what answers /v1 and absorbs ingest
-// behind the handlers. There are two — the ring engine, one bucket ring
-// over one store, and the coordinator engine, scatter-gather over shards
+// behind the handlers. There are two — the ring engine, one LocalShard
+// behind a cache, and the coordinator engine, scatter-gather over shards
 // — and the handlers cannot tell them apart, the same way a
 // cluster.Coordinator cannot tell a LocalShard from an HTTPShard. This is
-// the only file of the command that opens storage.
+// the only file of the command that opens storage, all of it through
+// shardOpener.
 package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -59,24 +59,14 @@ type engine interface {
 // openEngine builds the engine the command line asks for, charging its
 // phases to the boot clock.
 func openEngine(cfg config, boot *bootClock) (engine, error) {
+	open := shardOpener(cfg, boot)
 	if !cfg.coordinator() {
-		store, err := tweetdb.Open(cfg.db)
+		shard, err := open("live aggregation on", cfg.db, cfg.snapDir)
 		if err != nil {
 			return nil, err
 		}
-		boot.mark("store_open")
-		e, err := newRingEngine(store, cfg, boot)
-		if err != nil {
-			return nil, err
-		}
-		if e.snaps == nil {
-			log.Printf("live aggregation on: %d records backfilled into %d buckets of %v (boot: %v)",
-				e.agg.Ingested(), e.agg.Buckets(), cfg.bucket, boot)
-		} else {
-			log.Printf("live aggregation on: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) of %v (boot: %v)",
-				e.recovery.Restored, e.recovery.Backfilled, e.recovery.FullRescan, e.recovery.TailRecords, cfg.bucket, boot)
-		}
-		return e, nil
+		rec := recoveryReport{RecoveryStats: shard.Recovery(), Seconds: boot.spent["recover"].Seconds()}
+		return &ringEngine{shard: shard, cache: svcache.New(0), recovery: rec}, nil
 	}
 	var shards []cluster.Shard
 	var locals []*cluster.LocalShard
@@ -85,20 +75,14 @@ func openEngine(cfg config, boot *bootClock) (engine, error) {
 	}
 	for i := 0; i < cfg.partitions; i++ {
 		part := fmt.Sprintf("part-%03d", i)
-		store, err := tweetdb.Open(filepath.Join(cfg.db, part))
-		if err != nil {
-			return nil, err
-		}
-		boot.mark("store_open")
 		snapDir := ""
 		if cfg.snapDir != "" {
 			snapDir = filepath.Join(cfg.snapDir, part)
 		}
-		shard, err := cluster.NewLocalShardSnap(store, live.Options{BucketWidth: cfg.bucket}, snapDir)
+		shard, err := open("partition "+part, filepath.Join(cfg.db, part), snapDir)
 		if err != nil {
 			return nil, err
 		}
-		boot.mark("recover")
 		locals = append(locals, shard)
 		shards = append(shards, shard)
 	}
@@ -117,34 +101,58 @@ func openEngine(cfg config, boot *bootClock) (engine, error) {
 	return &coordEngine{coord: coord, locals: locals, snapshots: cfg.snapDir != ""}, nil
 }
 
+// shardOpener returns the one opener of this process's LocalShards — a
+// single node's, a -cluster-shard node's and every -partitions member's.
+// Each call opens the store at db, builds the shard over it (its ring
+// backfilled, or with snapDir restored plus a tail replay, DESIGN.md
+// §11), marks store_open and recover on the boot clock and logs what the
+// boot did under name. The first call also builds the process's one
+// Shape (boot mark shape), whose grid resolvers every ring shares.
+func shardOpener(cfg config, boot *bootClock) func(name, db, snapDir string) (*cluster.LocalShard, error) {
+	var sh *live.Shape
+	return func(name, db, snapDir string) (*cluster.LocalShard, error) {
+		store, err := tweetdb.Open(db)
+		if err != nil {
+			return nil, err
+		}
+		boot.mark("store_open")
+		if sh == nil {
+			if sh, err = live.NewShape(live.Options{BucketWidth: cfg.bucket}); err != nil {
+				return nil, err
+			}
+			boot.mark("shape")
+		}
+		shard, err := cluster.NewLocalShardSnap(store, sh, snapDir)
+		if err != nil {
+			return nil, err
+		}
+		boot.mark("recover")
+		agg := shard.Ring()
+		if snapDir == "" {
+			log.Printf("%s: %d records backfilled into %d buckets of %v (boot: %v)",
+				name, agg.Ingested(), agg.Buckets(), cfg.bucket, boot)
+		} else {
+			rec := shard.Recovery()
+			log.Printf("%s: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) into %d buckets of %v (boot: %v)",
+				name, rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, agg.Buckets(), cfg.bucket, boot)
+		}
+		return shard, nil
+	}
+}
+
 // openShardNode builds the -cluster-shard process: the internal shard
 // API over one store, its own /metrics, and — with a snapshot directory
 // — POST /v1/snapshot, whose commit function is returned for the
 // periodic loop and the drain flush (nil without one).
 func openShardNode(cfg config, boot *bootClock) (http.Handler, func() (live.SnapshotStats, error), error) {
-	store, err := tweetdb.Open(cfg.db)
+	shard, err := shardOpener(cfg, boot)("shard node", cfg.db, cfg.snapDir)
 	if err != nil {
 		return nil, nil, err
-	}
-	boot.mark("store_open")
-	shard, err := cluster.NewLocalShardSnap(store, live.Options{BucketWidth: cfg.bucket}, cfg.snapDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	boot.mark("recover") // the shard builds its ring and hydrates it in one call
-	agg := shard.Ring()
-	if cfg.snapDir == "" {
-		log.Printf("shard node: %d records backfilled into %d buckets of %v (boot: %v)",
-			agg.Ingested(), agg.Buckets(), cfg.bucket, boot)
-	} else {
-		rec := shard.Recovery()
-		log.Printf("shard node: %d buckets restored, %d backfilled (full rescan: %v, tail %d records) into %d buckets of %v (boot: %v)",
-			rec.Restored, rec.Backfilled, rec.FullRescan, rec.TailRecords, agg.Buckets(), cfg.bucket, boot)
 	}
 	obs.RegisterBuildMetrics(obs.Def)
 	reg := obs.NewRegistry()
 	registerRuntimeMetrics(reg)
-	registerResidentMetrics(reg, agg.ResidentBytes)
+	registerShardMetrics(reg, shard)
 	mux := http.NewServeMux()
 	mux.Handle("/", cluster.NewNode(shard, cluster.NodeOptions{MaxBodyBytes: cfg.maxIngestBytes}))
 	mux.Handle("GET /metrics", obs.Handler(obs.Def, reg))
@@ -170,21 +178,17 @@ func snapshotHandler(snap func() (live.SnapshotStats, error)) http.HandlerFunc {
 	}
 }
 
-var errNoSnapshots = errors.New("snapshots are not enabled (-snapshot-dir)")
-
-// ringEngine is the single-node backend: one store, the bucket ring
-// materialised over it, the streaming write path into both, and the
-// snapshot cache in front of the ring's folds.
+// ringEngine is the single-node backend: one LocalShard — store, bucket
+// ring, snapshot directory and write path, opened as a shard node opens
+// its own — plus what a coordinator would otherwise put in front of it:
+// the snapshot cache in front of the ring's folds and a direct feed into
+// the shard's Ingestor.
 type ringEngine struct {
-	store *tweetdb.Store
-	agg   *live.Aggregator
-	ing   *live.Ingestor
+	shard *cluster.LocalShard
 	// cache memoises completed executions under keys that carry the
 	// request's bucket-coverage fingerprint.
 	cache *svcache.Cache
-	// snaps is the ring's durable snapshot store (nil without
-	// -snapshot-dir); recovery records what boot did with it.
-	snaps    *live.SnapshotStore
+	// recovery records what boot did with the snapshot directory.
 	recovery recoveryReport
 }
 
@@ -194,38 +198,6 @@ type ringEngine struct {
 type recoveryReport struct {
 	live.RecoveryStats
 	Seconds float64 `json:"seconds"`
-}
-
-// newRingEngine builds the ring over the store and hydrates it — one
-// backfill scan at boot, or with cfg.snapDir a restore of every intact
-// snapshotted bucket plus a replay of only the store tail, degrading per
-// bucket to a windowed cold backfill on any missing or corrupt file
-// (DESIGN.md §11). Never a scan again: every later record arrives
-// through ingest and is resolved exactly once on its way in.
-func newRingEngine(store *tweetdb.Store, cfg config, boot *bootClock) (*ringEngine, error) {
-	sh, err := live.NewShape(live.Options{BucketWidth: cfg.bucket})
-	if err != nil {
-		return nil, err
-	}
-	boot.mark("shape")
-	e := &ringEngine{store: store, agg: sh.NewAggregator(), cache: svcache.New(0)}
-	if cfg.snapDir == "" {
-		if _, err := live.Backfill(e.agg, store); err != nil {
-			return nil, err
-		}
-		boot.mark("recover")
-	} else {
-		if e.snaps, err = live.OpenSnapshotStore(cfg.snapDir); err != nil {
-			return nil, err
-		}
-		rec, err := live.Recover(e.agg, store, e.snaps, live.RecoverOpts{})
-		if err != nil {
-			return nil, err
-		}
-		e.recovery = recoveryReport{RecoveryStats: rec, Seconds: boot.mark("recover").Seconds()}
-	}
-	e.ing, err = live.NewIngestor(store, e.agg, 0)
-	return e, err
 }
 
 // query folds materialised partials: an append invalidates only the
@@ -239,14 +211,14 @@ func newRingEngine(store *tweetdb.Store, cfg config, boot *bootClock) (*ringEngi
 func (e *ringEngine) query(ctx context.Context, req core.Request) (*core.Result, bool, error) {
 	tr := obs.TraceFrom(ctx)
 	endKey := tr.StartStage("cache_lookup")
-	ckey, err := e.agg.CoverageKeyRequest(req)
+	ckey, err := e.shard.Ring().CoverageKeyRequest(req)
 	endKey()
 	if err != nil {
 		return nil, false, err
 	}
 	res, hit, err := e.cache.Get(req.Key()+"|b="+ckey, func() (*core.Result, error) {
 		defer tr.StartStage("fold")()
-		return e.agg.Query(req)
+		return e.shard.Ring().Query(req)
 	})
 	if err == nil {
 		obs.ExplainFrom(ctx).Set("cache", map[string]any{"source": "bucket_fold", "hit": hit, "coverage_key": ckey})
@@ -254,56 +226,50 @@ func (e *ringEngine) query(ctx context.Context, req core.Request) (*core.Result,
 	return res, hit, err
 }
 
-// ingest commits durably to the store, resolves the records through the
-// assignment hot path and appends them to the ring. Cached results whose
-// windows do not cover the landed buckets stay warm. The live ingest
-// stages land on ctx's trace.
+// ingest feeds the shard's Ingestor: it commits durably to the store,
+// resolves the records through the assignment hot path and appends them
+// to the ring. Cached results whose windows do not cover the landed
+// buckets stay warm. The live ingest stages land on ctx's trace.
 func (e *ringEngine) ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
-	return e.ing.Ingest(ctx, read)
+	return e.shard.Ingestor().Ingest(ctx, read)
 }
 
 func (e *ringEngine) ingestReply(accepted int) (int, map[string]any) {
 	return http.StatusOK, map[string]any{
 		"ingested":   accepted,
-		"tweets":     e.store.Count(),
-		"generation": strconv.FormatUint(e.store.Generation(), 16),
-		"buckets":    e.agg.Buckets(),
+		"tweets":     e.shard.Store().Count(),
+		"generation": strconv.FormatUint(e.shard.Store().Generation(), 16),
+		"buckets":    e.shard.Ring().Buckets(),
 	}
 }
 
-// snapshot commits through the ingest lock, which orders every store
-// append before its ring route.
-func (e *ringEngine) snapshot() (live.SnapshotStats, error) {
-	if e.snaps == nil {
-		return live.SnapshotStats{}, errNoSnapshots
-	}
-	return e.ing.Snapshot(e.snaps)
-}
+func (e *ringEngine) snapshot() (live.SnapshotStats, error) { return e.shard.Snapshot() }
 
 func (e *ringEngine) health(snap obs.Snapshot) map[string]any {
+	store, agg := e.shard.Store(), e.shard.Ring()
 	hits, misses := e.cache.Stats()
 	resp := map[string]any{
 		"status":     "ok",
 		"tweets":     snap.Int("geomob_store_tweets"),
-		"generation": strconv.FormatUint(e.store.Generation(), 16),
-		"scans":      e.store.ScanCount(),
+		"generation": strconv.FormatUint(store.Generation(), 16),
+		"scans":      store.ScanCount(),
 		"cache": map[string]int64{
 			"hits":   hits,
 			"misses": misses,
 		},
 		"live": map[string]any{
 			"buckets":  snap.Int("geomob_live_buckets"),
-			"width":    e.agg.Width().String(),
-			"ingested": e.agg.Ingested(),
-			"builds":   e.agg.Builds(),
-			"rollups":  e.agg.RollupStats(),
+			"width":    agg.Width().String(),
+			"ingested": agg.Ingested(),
+			"builds":   agg.Builds(),
+			"rollups":  agg.RollupStats(),
 			// What the ring holds on the heap, by kind.
-			"resident_bytes": e.agg.ResidentBytes(),
+			"resident_bytes": agg.ResidentBytes(),
 			// Restored buckets whose records are still only in the store.
-			"store_only_buckets": e.agg.StoreOnlyBuckets(),
+			"store_only_buckets": agg.StoreOnlyBuckets(),
 		},
 	}
-	if e.snaps != nil {
+	if e.shard.Snapshots() != nil {
 		sn := map[string]any{
 			"buckets": snap.Int("geomob_snapshot_buckets"),
 			"bytes":   snap.Int("geomob_snapshot_bytes"),
@@ -319,38 +285,22 @@ func (e *ringEngine) health(snap obs.Snapshot) map[string]any {
 	return resp
 }
 
-func (e *ringEngine) registerMetrics(r *obs.Registry) {
-	r.GaugeFunc("geomob_store_tweets", "Durable records in this instance's store.",
-		func() float64 { return float64(e.store.Count()) })
-	r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
-		func() float64 { return float64(e.agg.Buckets()) })
-	registerResidentMetrics(r, e.agg.ResidentBytes)
-	if e.snaps != nil {
-		r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
-			func() float64 { return float64(e.snaps.Stats().Buckets) })
-		r.GaugeFunc("geomob_snapshot_bytes", "Bytes held by the durable snapshot set.",
-			func() float64 { return float64(e.snaps.Stats().Bytes) })
-		r.GaugeFunc("geomob_snapshot_written", "Snapshot files written since boot.",
-			func() float64 { return float64(e.snaps.Stats().Written) })
-		r.GaugeFunc("geomob_snapshot_last_unix_ms", "Wall time of the last snapshot commit (ms since epoch).",
-			func() float64 { return float64(e.snaps.Stats().LastUnixMs) })
-	}
-}
+func (e *ringEngine) registerMetrics(r *obs.Registry) { registerShardMetrics(r, e.shard) }
 
 // explain adds the ring's dry coverage walk, which answers for hits and
 // misses alike: the coverage key in the cache key pins the served entry
 // to exactly the bucket revisions the walk sees now.
 func (e *ringEngine) explain(req core.Request, _, blk map[string]any) {
-	if cov, err := e.agg.ExplainCoverage(req); err == nil {
+	if cov, err := e.shard.Ring().ExplainCoverage(req); err == nil {
 		blk["coverage"] = cov
 	}
-	if e.snaps != nil {
+	if e.shard.Snapshots() != nil {
 		blk["recovery"] = e.recovery
 	}
 }
 
 func (e *ringEngine) routes(mux *http.ServeMux) {
-	if e.snaps != nil {
+	if e.shard.Snapshots() != nil {
 		mux.Handle("POST /v1/snapshot", snapshotHandler(e.snapshot))
 	}
 }
@@ -399,9 +349,6 @@ func (e *coordEngine) ingestReply(accepted int) (int, map[string]any) {
 
 func (e *coordEngine) snapshot() (live.SnapshotStats, error) {
 	var sum live.SnapshotStats
-	if !e.snapshots {
-		return sum, errNoSnapshots
-	}
 	for _, sh := range e.locals {
 		st, err := sh.Snapshot()
 		if err != nil {

@@ -53,8 +53,8 @@ func TestExplainSideEffectFree(t *testing.T) {
 		_ = fetchBytes(t, ts.URL+q)      // cold miss computes the entry
 		plain := fetchBytes(t, ts.URL+q) // warm hit pins the cached bytes
 		hits0, misses0 := e.cache.Stats()
-		scans0 := e.store.ScanCount()
-		builds0 := e.agg.Builds()
+		scans0 := e.shard.Store().ScanCount()
+		builds0 := e.shard.Ring().Builds()
 
 		explained := fetchBytes(t, ts.URL+q+sep+"explain=1")
 
@@ -62,10 +62,10 @@ func TestExplainSideEffectFree(t *testing.T) {
 		if hits1 != hits0+1 || misses1 != misses0 {
 			t.Errorf("%s: explain moved cache counters hits %d->%d misses %d->%d; want exactly one hit", q, hits0, hits1, misses0, misses1)
 		}
-		if got := e.store.ScanCount(); got != scans0 {
+		if got := e.shard.Store().ScanCount(); got != scans0 {
 			t.Errorf("%s: explain caused %d store scans", q, got-scans0)
 		}
-		if got := e.agg.Builds(); got != builds0 {
+		if got := e.shard.Ring().Builds(); got != builds0 {
 			t.Errorf("%s: explain caused %d bucket builds", q, got-builds0)
 		}
 

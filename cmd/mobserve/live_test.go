@@ -12,18 +12,13 @@ import (
 
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
-	"geomob/internal/tweetdb"
 )
 
 // newLiveTestServer boots a ring-engine server over an empty store — the
 // situation the CI smoke job reproduces with the real binary.
 func newLiveTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	store, err := tweetdb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := newRingTestServer(t, store, "")
+	s, _ := newRingTestServer(t, t.TempDir(), "")
 	ts := httptest.NewServer(s.routes())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -85,11 +80,11 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || int(ing["ingested"].(float64)) != len(tweets) {
 		t.Fatalf("ingest: status %d body %v", resp.StatusCode, ing)
 	}
-	if got := e.store.Count(); got != int64(len(tweets)) {
+	if got := e.shard.Store().Count(); got != int64(len(tweets)) {
 		t.Fatalf("store count = %d, want %d", got, len(tweets))
 	}
 
-	scans := e.store.ScanCount()
+	scans := e.shard.Store().ScanCount()
 	pop := fetchJSON(t, ts.URL+"/v1/population?scale=national")
 	if pop["cached"].(bool) {
 		t.Error("first population query reported cached")
@@ -113,7 +108,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if !fetchJSON(t, ts.URL+"/v1/flows?scale=national")["cached"].(bool) {
 		t.Error("repeat flows query not cached")
 	}
-	if got := e.store.ScanCount(); got != scans {
+	if got := e.shard.Store().ScanCount(); got != scans {
 		t.Fatalf("live /v1 queries scanned the store: %d -> %d", scans, got)
 	}
 	// A custom radius folds like every shape, still with zero scans.
@@ -121,7 +116,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 	if over["radius"].(float64) != 30000 {
 		t.Fatalf("override radius = %v", over["radius"])
 	}
-	if got := e.store.ScanCount(); got != scans {
+	if got := e.shard.Store().ScanCount(); got != scans {
 		t.Fatalf("custom radius scanned the store: %d -> %d", scans, got)
 	}
 	health := fetchJSON(t, ts.URL+"/healthz")

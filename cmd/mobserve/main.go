@@ -44,10 +44,12 @@
 // /v1 answers fold precomputed bucket partials — an append invalidates
 // only the cached results whose window covers the buckets it landed in,
 // and repeat queries over unchanged coverage do zero segment scans. Two
-// engines serve that one surface (engine.go): the bucket ring over -db,
-// and — with -partitions or -cluster-coordinator — a coordinator that
-// scatter-gathers over shard rings; -cluster-shard runs one such shard
-// node. The store is scanned once, at boot, to fill the ring.
+// engines serve that one surface (engine.go): a single node's one shard
+// over -db behind a result cache, and — with -partitions or
+// -cluster-coordinator — a coordinator that scatter-gathers over shard
+// rings; -cluster-shard runs one such shard node. All three open their
+// shards the same way: the store is scanned once, at boot, to fill the
+// ring, or the ring is restored from -snapshot-dir.
 package main
 
 import (

@@ -20,24 +20,25 @@ func testConfig() config {
 	return config{bucket: time.Hour, maxIngestBytes: cluster.DefaultMaxBodyBytes}
 }
 
-// newRingTestServer boots a ring engine over the store — restoring from
-// snapDir when one is given — and a server over it.
-func newRingTestServer(t *testing.T, store *tweetdb.Store, snapDir string) (*server, *ringEngine) {
+// newRingTestServer boots a ring engine over the store in dbDir —
+// restoring from snapDir when one is given — and a server over it.
+func newRingTestServer(t *testing.T, dbDir, snapDir string) (*server, *ringEngine) {
 	t.Helper()
 	cfg := testConfig()
-	cfg.snapDir = snapDir
-	e, err := newRingEngine(store, cfg, newBootClock())
+	cfg.db, cfg.snapDir = dbDir, snapDir
+	e, err := openEngine(cfg, newBootClock())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newServer(e, cfg), e
+	return newServer(e, cfg), e.(*ringEngine)
 }
 
 // newTestServer builds a server over a small compacted store, which the
 // ring backfills at boot.
 func newTestServer(t *testing.T) (*server, *ringEngine) {
 	t.Helper()
-	store, err := tweetdb.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := tweetdb.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func newTestServer(t *testing.T) (*server, *ringEngine) {
 	if err := store.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	return newRingTestServer(t, store, "")
+	return newRingTestServer(t, dir, "")
 }
 
 // getJSON routes a request through the full mux and decodes the JSON body.
@@ -197,7 +198,7 @@ func TestV1Models(t *testing.T) {
 // exactly the snapshots whose window covers the bucket it landed in.
 func TestV1FlowsSnapshotCache(t *testing.T) {
 	s, e := newTestServer(t)
-	scansAtBoot := e.store.ScanCount()
+	scansAtBoot := e.shard.Store().ScanCount()
 	if scansAtBoot == 0 {
 		t.Fatal("boot did not backfill the ring from the store")
 	}
@@ -223,7 +224,7 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if disp["source"] != "bucket_fold" || disp["hit"] != true {
 		t.Errorf("repeat's cache disposition = %v, want a bucket_fold hit", disp)
 	}
-	if got := e.store.ScanCount(); got != scansAtBoot {
+	if got := e.shard.Store().ScanCount(); got != scansAtBoot {
 		t.Errorf("queries scanned the store: %d scans, %d at boot", got, scansAtBoot)
 	}
 	if !reflect.DeepEqual(first["flows"], second["flows"]) {
@@ -253,7 +254,7 @@ func TestV1FlowsSnapshotCache(t *testing.T) {
 	if third["cached"] == true {
 		t.Error("stale snapshot served after the ring changed")
 	}
-	if got := e.store.ScanCount(); got != scansAtBoot {
+	if got := e.shard.Store().ScanCount(); got != scansAtBoot {
 		t.Errorf("ingest or the refold scanned the store: %d scans, %d at boot", got, scansAtBoot)
 	}
 }

@@ -38,6 +38,29 @@ func (s *server) registerInstanceMetrics() {
 	s.eng.registerMetrics(s.obsReg)
 }
 
+// registerShardMetrics publishes one LocalShard's instance gauges — its
+// store, its ring and, with a snapshot directory, its snapshot set — on a
+// single node and a -cluster-shard node alike.
+func registerShardMetrics(r *obs.Registry, shard *cluster.LocalShard) {
+	store, agg, snaps := shard.Store(), shard.Ring(), shard.Snapshots()
+	r.GaugeFunc("geomob_store_tweets", "Durable records in this instance's store.",
+		func() float64 { return float64(store.Count()) })
+	r.GaugeFunc("geomob_live_buckets", "Live buckets materialised in the ring.",
+		func() float64 { return float64(agg.Buckets()) })
+	registerResidentMetrics(r, agg.ResidentBytes)
+	if snaps == nil {
+		return
+	}
+	r.GaugeFunc("geomob_snapshot_buckets", "Buckets present in the durable snapshot set.",
+		func() float64 { return float64(snaps.Stats().Buckets) })
+	r.GaugeFunc("geomob_snapshot_bytes", "Bytes held by the durable snapshot set.",
+		func() float64 { return float64(snaps.Stats().Bytes) })
+	r.GaugeFunc("geomob_snapshot_written", "Snapshot files written since boot.",
+		func() float64 { return float64(snaps.Stats().Written) })
+	r.GaugeFunc("geomob_snapshot_last_unix_ms", "Wall time of the last snapshot commit (ms since epoch).",
+		func() float64 { return float64(snaps.Stats().LastUnixMs) })
+}
+
 // registerResidentMetrics publishes what this process's rings hold on
 // the heap, by kind: one ring's ResidentBytes on a single node or a
 // shard node, the sum over the in-process shards under -partitions.

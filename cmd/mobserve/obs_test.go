@@ -20,7 +20,6 @@ import (
 	"geomob/internal/obs"
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
-	"geomob/internal/tweetdb"
 )
 
 // genTweets builds a small synthetic corpus.
@@ -268,11 +267,7 @@ func TestHealthzShape(t *testing.T) {
 
 	// With a snapshot directory the recovery block reports what boot
 	// recovery did and, beside those keys, how long it took.
-	store, err := tweetdb.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snapped, _ := newRingTestServer(t, store, t.TempDir())
+	snapped, _ := newRingTestServer(t, t.TempDir(), t.TempDir())
 	ts2 := httptest.NewServer(snapped.routes())
 	defer ts2.Close()
 	body = fetchJSON(t, ts2.URL+"/healthz")

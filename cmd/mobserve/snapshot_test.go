@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"geomob/internal/cluster"
 	"geomob/internal/synth"
 	"geomob/internal/tweet"
-	"geomob/internal/tweetdb"
 )
 
 // postNDJSON ingests tweets through POST /v1/ingest and fails the test
@@ -43,14 +43,12 @@ func postNDJSON(t *testing.T, url string, tweets []tweet.Tweet) {
 // snapshot commit, flush the final snapshot the drain path runs, and
 // boot a second server over the same directories. The restart must
 // restore every bucket from snapshot files — no full rescan, no tail
-// replay, zero store scans — and answer /v1 byte-identically.
+// replay, zero store scans — and answer /v1 byte-identically. So must a
+// -cluster-shard node booted over the same directories, through a
+// coordinator in front of it.
 func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	dbDir, snapDir := t.TempDir(), t.TempDir()
-	store, err := tweetdb.Open(dbDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, e := newRingTestServer(t, store, snapDir)
+	s, e := newRingTestServer(t, dbDir, snapDir)
 	ts := httptest.NewServer(s.routes())
 
 	gen, err := synth.NewGenerator(synth.DefaultConfig(800, 5, 6))
@@ -90,11 +88,8 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	ts.Close()
 
 	// Restart over the same store and snapshot dir.
-	store2, err := tweetdb.Open(dbDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, e2 := newRingTestServer(t, store2, snapDir)
+	s2, e2 := newRingTestServer(t, dbDir, snapDir)
+	store2 := e2.shard.Store()
 	rec := e2.recovery
 	if rec.FullRescan || rec.Restored == 0 || rec.Backfilled != 0 || rec.SnapErrors != 0 {
 		t.Fatalf("restart recovery degraded: %+v", rec)
@@ -162,5 +157,54 @@ func TestSnapshotDrainRestartZeroReplay(t *testing.T) {
 	lv, _ = fetchJSON(t, ts2.URL+"/healthz")["live"].(map[string]any)
 	if got := lv["store_only_buckets"]; got != storeOnly-2 {
 		t.Errorf("healthz live.store_only_buckets = %v after reading 2 of %v back", got, storeOnly)
+	}
+
+	// A single node's store and snapshot dir are a shard's: a
+	// -cluster-shard node over them restores without a rescan or a tail,
+	// publishes a single node's instance gauges, and its partial over all
+	// 16 slots assembles to the single node's answers.
+	cfg := testConfig()
+	cfg.db, cfg.snapDir, cfg.shardNode = dbDir, snapDir, true
+	node, _, err := openShardNode(cfg, newBootClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts3 := httptest.NewServer(node)
+	defer ts3.Close()
+	remote := cluster.NewHTTPShard(ts3.URL, nil)
+	h, err := remote.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Recovery == nil || h.Recovery.FullRescan || h.Recovery.Restored == 0 || h.Recovery.TailRecords != 0 {
+		t.Fatalf("shard node over a single node's dirs recovered %+v", h.Recovery)
+	}
+	gauges, _ := scrapeMetrics(t, ts3.URL)
+	for name, want := range map[string]float64{
+		"geomob_store_tweets":     float64(len(tweets)),
+		"geomob_live_buckets":     float64(h.Buckets),
+		"geomob_snapshot_buckets": snap["buckets"].(float64),
+		"geomob_snapshot_bytes":   snap["bytes"].(float64),
+		"geomob_snapshot_written": 0,
+	} {
+		if got, ok := gauges[name]; !ok || got != want {
+			t.Errorf("shard node %s = %v (published %v), want %v", name, got, ok, want)
+		}
+	}
+	if got := gauges["geomob_snapshot_last_unix_ms"]; got <= 0 {
+		t.Errorf("shard node geomob_snapshot_last_unix_ms = %v, want the single node's last commit", got)
+	}
+	coord, err := cluster.NewCoordinator([]cluster.Shard{remote}, cluster.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ts4 := httptest.NewServer(newServer(&coordEngine{coord: coord}, testConfig()).routes())
+	defer ts4.Close()
+	if got := fetchJSON(t, ts4.URL+"/v1/stats"); !reflect.DeepEqual(stats1, got) {
+		t.Errorf("/v1/stats over the shard node diverged:\n single %v\n shard  %v", stats1, got)
+	}
+	if got := fetchJSON(t, ts4.URL+"/v1/population?scale=state"); !reflect.DeepEqual(pop1, got) {
+		t.Errorf("/v1/population over the shard node diverged:\n single %v\n shard  %v", pop1, got)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"geomob/internal/census"
 	"geomob/internal/core"
 	"geomob/internal/live"
+	"geomob/internal/obs"
 	"geomob/internal/ring"
 	"geomob/internal/synth"
 	"geomob/internal/testx"
@@ -448,6 +449,7 @@ func TestDeliverDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := obs.Def.Snapshot()
 	for i := 0; i < 3; i++ {
 		if err := s.DeliverBatch("sender-a", []Delivery{{Seq: 7, Slot: slot, Frame: frame}}); err != nil {
 			t.Fatal(err)
@@ -455,6 +457,17 @@ func TestDeliverDedup(t *testing.T) {
 	}
 	if got := s.Ring().Ingested(); got != 1 {
 		t.Fatalf("triple delivery ingested %d records, want 1", got)
+	}
+	// Deliveries commit through the shard's Ingestor but are not ingest
+	// requests: they book their own series, not the ingest path's.
+	after := obs.Def.Snapshot()
+	for _, key := range []string{"geomob_ingest_records_total", "geomob_ingest_batches_total", "geomob_ingest_flush_seconds_count"} {
+		if after[key] != before[key] {
+			t.Errorf("a delivery moved %s by %g", key, after[key]-before[key])
+		}
+	}
+	if got := after["geomob_shard_delivered_frames_total"] - before["geomob_shard_delivered_frames_total"]; got != 1 {
+		t.Errorf("geomob_shard_delivered_frames_total moved by %g, want 1", got)
 	}
 	if got := store.Count(); got != 1 {
 		t.Fatalf("triple delivery stored %d records, want 1", got)

@@ -92,10 +92,13 @@ type ShardHealth struct {
 // holding the users of every placement slot delivered to it, optionally
 // in lockstep with one durable store. Replicated reads stay exact
 // because a fold over a subset of slots skips the other slots' users, so
-// it never counts a user another replica serves.
+// it never counts a user another replica serves. A single node is one
+// LocalShard fed straight through its Ingestor.
 type LocalShard struct {
 	store *tweetdb.Store // nil for a ring-only shard
 	agg   *live.Aggregator
+	// ing is the shard's one write path: deliveries commit through it.
+	ing *live.Ingestor
 	// snaps is the shard's snapshot directory (nil without one); recovery
 	// records what the boot hydration did with it.
 	snaps    *live.SnapshotStore
@@ -117,23 +120,28 @@ const hwmMetaPrefix = "hwm:"
 // from the manifest meta table, so replayed spool frames deduplicate
 // across restarts.
 func NewLocalShard(store *tweetdb.Store, opts live.Options) (*LocalShard, error) {
-	return NewLocalShardSnap(store, opts, "")
-}
-
-// NewLocalShardSnap is NewLocalShard plus a snapshot directory: the
-// ring's snapshot store lives in snapDir, and boot hydration runs the
-// snapshot recovery state machine over it — intact buckets restore from
-// their files and only the segment tail replays. An empty snapDir is the
-// classic full-rescan boot.
-func NewLocalShardSnap(store *tweetdb.Store, opts live.Options, snapDir string) (*LocalShard, error) {
-	if snapDir != "" && store == nil {
-		return nil, fmt.Errorf("cluster: snapshot dir requires a store")
-	}
-	agg, err := live.NewAggregator(opts)
+	sh, err := live.NewShape(opts)
 	if err != nil {
 		return nil, err
 	}
-	s := &LocalShard{store: store, agg: agg, hwm: map[string]uint64{}}
+	return NewLocalShardSnap(store, sh, "")
+}
+
+// NewLocalShardSnap is NewLocalShard over a shared Shape plus a snapshot
+// directory: the ring's snapshot store lives in snapDir, and boot
+// hydration runs the snapshot recovery state machine over it — intact
+// buckets restore from their files and only the segment tail replays. An
+// empty snapDir is the classic full-rescan boot.
+func NewLocalShardSnap(store *tweetdb.Store, sh *live.Shape, snapDir string) (*LocalShard, error) {
+	if snapDir != "" && store == nil {
+		return nil, fmt.Errorf("cluster: snapshot dir requires a store")
+	}
+	agg := sh.NewAggregator()
+	ing, err := live.NewIngestor(store, agg, 0)
+	if err != nil {
+		return nil, err
+	}
+	s := &LocalShard{store: store, agg: agg, ing: ing, hwm: map[string]uint64{}}
 	if snapDir != "" {
 		if s.snaps, err = live.OpenSnapshotStore(snapDir); err != nil {
 			return nil, err
@@ -166,10 +174,18 @@ func (s *LocalShard) Store() *tweetdb.Store { return s.store }
 // Ring exposes the shard's bucket ring: its counters and resident bytes.
 func (s *LocalShard) Ring() *live.Aggregator { return s.agg }
 
-// DeliverBatch implements Shard: the fresh frames' batches are appended
-// to the store together with the sender's advanced high-water mark in one
-// atomic manifest commit, then resolved and appended to the ring; a crash
-// between the two is healed by the boot backfill. The mark advances to
+// Ingestor exposes the shard's write path, for a single node's streaming
+// ingest.
+func (s *LocalShard) Ingestor() *live.Ingestor { return s.ing }
+
+// Snapshots exposes the shard's snapshot store (nil without one).
+func (s *LocalShard) Snapshots() *live.SnapshotStore { return s.snaps }
+
+// DeliverBatch implements Shard: the fresh frames' batches commit through
+// the shard's Ingestor together with the sender's advanced high-water
+// mark, so records and mark land in one atomic manifest commit before
+// the ring sees them; a crash between the two is healed by the boot
+// backfill. The mark advances to
 // the batch's top sequence, which is sound because lanes are strict FIFO
 // per sender — the sequences in one drain are contiguous-from-pending and
 // ascending, so acknowledging the top acknowledges them all. Duplicate
@@ -216,16 +232,15 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	if fresh == 0 {
 		return nil
 	}
-	if s.store != nil && combined.Len() > 0 {
+	if combined.Len() > 0 {
 		var meta map[string]string
 		if sender != "" {
 			meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
 		}
-		if err := s.store.AppendBatchMeta(combined, meta); err != nil {
+		if err := s.ing.Commit(combined, meta); err != nil {
 			return err
 		}
 	}
-	s.agg.IngestValid(combined)
 	if sender != "" {
 		s.hwm[sender] = maxSeq
 	}
@@ -279,28 +294,14 @@ func (s *LocalShard) Coverage(_ context.Context, req core.Request, slots []int) 
 }
 
 // Snapshot commits the ring's changed file groups to the shard's
-// snapshot directory. The capture and the covered-segment catalogue are
-// taken under the delivery lock, so the manifest names exactly the
+// snapshot directory through the Ingestor, whose lock orders every store
+// append before its ring route, so the manifest names exactly the
 // segments whose records the ring reflects.
 func (s *LocalShard) Snapshot() (live.SnapshotStats, error) {
 	if s.snaps == nil {
 		return live.SnapshotStats{}, fmt.Errorf("cluster: shard has no snapshot dir")
 	}
-	s.mu.Lock()
-	c, err := s.agg.Capture()
-	var covered []string
-	for _, m := range s.store.Segments() {
-		covered = append(covered, m.File)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return live.SnapshotStats{}, fmt.Errorf("cluster: snapshot: %w", err)
-	}
-	st, err := s.snaps.Commit(c, covered)
-	if err == nil {
-		s.agg.MarkSnapshotted(c)
-	}
-	return st, err
+	return s.ing.Snapshot(s.snaps)
 }
 
 // Recovery reports what boot hydration did (zero value without a

@@ -78,13 +78,16 @@ func TestShardSnapshotRestart(t *testing.T) {
 	all := failoverCorpus(t, 400, 53, 59)
 	cut := len(all) * 3 / 4
 	storeDir, snapDir := t.TempDir(), t.TempDir()
-	opts := live.Options{BucketWidth: 7 * 24 * time.Hour}
+	sh, err := live.NewShape(live.Options{BucketWidth: 7 * 24 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	store, err := tweetdb.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard, err := NewLocalShardSnap(store, opts, snapDir)
+	shard, err := NewLocalShardSnap(store, sh, snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := NewLocalShardSnap(store2, opts, snapDir)
+	s2, err := NewLocalShardSnap(store2, sh, snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +157,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s3, err := NewLocalShardSnap(store3, opts, snapDir)
+	s3, err := NewLocalShardSnap(store3, sh, snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +196,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s4, err := NewLocalShardSnap(store4, opts, snapDir)
+	s4, err := NewLocalShardSnap(store4, sh, snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +235,7 @@ func TestShardSnapshotRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s5, err := NewLocalShardSnap(store5, opts, oldDir)
+	s5, err := NewLocalShardSnap(store5, sh, oldDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestResidentBytesMatchRecount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := agg.Capture()
+	c, err := agg.capture()
 	if err != nil {
 		t.Fatal(err)
 	}

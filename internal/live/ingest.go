@@ -49,15 +49,15 @@ func (st *ingestStages) record(ctx context.Context, total time.Duration) {
 	}
 }
 
-// Ingestor is the streaming write path in front of a store and a bucket
-// ring (DESIGN.md §7's table). It buffers records and, per flushed batch,
-// commits the batch durably, resolves it and appends it to the ring, in
-// that order on the caller's goroutine: durability before visibility, every
-// record resolved once.
-// It is safe for concurrent use — the front door of POST /v1/ingest.
+// Ingestor is the one write path in front of a store and a bucket ring
+// (DESIGN.md §7's table): a single node's streaming ingest and a shard's
+// deliveries both land through it. Per flushed batch or commit it appends
+// the records durably, resolves them and appends them to the ring, in that
+// order on the caller's goroutine and under one lock: durability before
+// visibility, every record resolved once. It is safe for concurrent use.
 type Ingestor struct {
 	mu    sync.Mutex
-	store *tweetdb.Store
+	store *tweetdb.Store // nil for a ring-only write path
 	agg   *Aggregator
 	// batch buffers the in-progress flush column-wise. A failed flush
 	// leaves it alone (the store rolled back, the ring saw nothing), so a
@@ -73,10 +73,11 @@ type Ingestor struct {
 var ErrBadInput = errors.New("live: bad ingest input")
 
 // NewIngestor builds an ingestor over the store, routing flushed batches
-// into agg. batchSize 0 selects tweetdb.DefaultSegmentRecords.
+// into agg. A nil store skips the durable step: the records go to the
+// ring alone. batchSize 0 selects tweetdb.DefaultSegmentRecords.
 func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingestor, error) {
-	if store == nil || agg == nil {
-		return nil, fmt.Errorf("live: ingestor requires a store and a ring")
+	if agg == nil {
+		return nil, fmt.Errorf("live: ingestor requires a ring")
 	}
 	if batchSize == 0 {
 		batchSize = tweetdb.DefaultSegmentRecords
@@ -95,7 +96,7 @@ func NewIngestor(store *tweetdb.Store, agg *Aggregator, batchSize int) (*Ingesto
 // so the next snapshot writes only what changed since.
 func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 	i.mu.Lock()
-	c, err := i.agg.Capture()
+	c, err := i.agg.capture()
 	var covered []string
 	for _, m := range i.store.Segments() {
 		covered = append(covered, m.File)
@@ -106,7 +107,7 @@ func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 	}
 	st, err := snaps.Commit(c, covered)
 	if err == nil {
-		i.agg.MarkSnapshotted(c)
+		i.agg.markSnapshotted(c)
 	}
 	return st, err
 }
@@ -147,24 +148,48 @@ func (i *Ingestor) flushLocked(st *ingestStages) error {
 		return nil
 	}
 	t0 := time.Now()
-	if err := i.store.AppendBatchMeta(i.batch, nil); err != nil { // validated in addBatch
+	if err := i.commitLocked(i.batch, nil, st); err != nil {
 		// Nothing durable, nothing in the ring: i.batch stays for the retry.
 		return err
-	}
-	t1 := time.Now()
-	r := i.agg.Resolve(i.batch)
-	t2 := time.Now()
-	i.agg.appendResolved(i.batch, r)
-	r.release()
-	t3 := time.Now()
-	if st != nil {
-		st.store, st.resolve, st.ring = st.store+t1.Sub(t0), st.resolve+t2.Sub(t1), st.ring+t3.Sub(t2)
 	}
 	i.total.Add(int64(n))
 	i.batch.Reset()
 	mIngestRecords.Add(int64(n))
 	mIngestBatches.Inc()
-	mIngestFlush.Observe(t3.Sub(t0).Seconds())
+	mIngestFlush.Observe(time.Since(t0).Seconds())
+	return nil
+}
+
+// Commit lands one valid batch at once, bypassing the buffer: the records
+// and meta go to the store in one atomic manifest commit, then into the
+// ring. It books none of the geomob_ingest_* series, which count the
+// streaming path only.
+func (i *Ingestor) Commit(b *tweet.Batch, meta map[string]string) error {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.commitLocked(b, meta, nil)
+}
+
+// commitLocked is the write step both paths share, under i.mu: the store
+// append (skipped without a store) before the resolve and the ring
+// append. A failed append leaves the store rolled back and the ring
+// untouched. st, when non-nil, accumulates the three stages.
+func (i *Ingestor) commitLocked(b *tweet.Batch, meta map[string]string, st *ingestStages) error {
+	t0 := time.Now()
+	if i.store != nil {
+		if err := i.store.AppendBatchMeta(b, meta); err != nil {
+			return err
+		}
+	}
+	t1 := time.Now()
+	r := i.agg.Resolve(b)
+	t2 := time.Now()
+	i.agg.appendResolved(b, r)
+	r.release()
+	if st != nil {
+		t3 := time.Now()
+		st.store, st.resolve, st.ring = st.store+t1.Sub(t0), st.resolve+t2.Sub(t1), st.ring+t3.Sub(t2)
+	}
 	return nil
 }
 

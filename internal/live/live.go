@@ -471,15 +471,10 @@ func (a *Aggregator) IngestBatch(b *tweet.Batch) error {
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("live: ingest: %w", err)
 	}
-	a.IngestValid(b)
-	return nil
-}
-
-// IngestValid is IngestBatch over a batch the caller has validated.
-func (a *Aggregator) IngestValid(b *tweet.Batch) {
 	r := a.Resolve(b)
 	a.appendResolved(b, r)
 	r.release()
+	return nil
 }
 
 // resolved is what a batch's records are, wherever they end up: per

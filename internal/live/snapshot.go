@@ -124,13 +124,13 @@ type RingCapture struct {
 	files []capturedFile
 }
 
-// Capture takes the ring's file groups and the partials of the changed
+// capture takes the ring's file groups and the partials of the changed
 // ones. A changed group's bucket that lacks its partial is built first,
 // in one batch on every processor, and read back from the store first
 // if it is store-only. Callers that pair the capture with a store
 // catalogue must hold the lock that orders store appends before ring
-// routes (the Ingestor's, or a cluster shard's).
-func (a *Aggregator) Capture() (*RingCapture, error) {
+// routes: the Ingestor's, which a cluster shard commits through too.
+func (a *Aggregator) capture() (*RingCapture, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	span := a.fileSpan()
@@ -229,10 +229,10 @@ func (a *Aggregator) midsLocked(b *bucket) []int64 {
 	return mids
 }
 
-// MarkSnapshotted records, after a successful commit, that the captured
+// markSnapshotted records, after a successful commit, that the captured
 // revisions and stamps are durable: a bucket or merge untouched since
 // capture goes clean; one that advanced stays dirty for the next round.
-func (a *Aggregator) MarkSnapshotted(c *RingCapture) {
+func (a *Aggregator) markSnapshotted(c *RingCapture) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	for _, cf := range c.files {

@@ -651,7 +651,7 @@ func TestSnapshotExportInjectRoundTrip(t *testing.T) {
 	refs := snapRefs(t, sorted, reqs)
 	assertAggMatchesRefs(t, agg, reqs, refs, "source ring")
 	export := func() [][]byte {
-		c, err := agg.Capture()
+		c, err := agg.capture()
 		if err != nil {
 			t.Fatal(err)
 		}
