@@ -27,8 +27,8 @@
 // durable append + bucket-ring routing), the warm bucket-fold query, a
 // shard's cold fill with its resident B/record, and the replicated
 // cluster's ingest paths (bulk routing, the WAL ack floor,
-// and one hourly request's acknowledgement with its fsyncs/op and
-// deliveries/op).
+// and a day of hourly requests' acknowledgements with their
+// fsyncs/request and deliveries/request).
 package main
 
 import (

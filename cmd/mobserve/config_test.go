@@ -3,12 +3,15 @@ package main
 import (
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"geomob/internal/cluster"
 )
 
 // TestParseConfig is the command-line contract: the mutual-exclusion
@@ -120,6 +123,105 @@ func TestFlagsDocumented(t *testing.T) {
 	}
 	if lines == 0 {
 		t.Errorf("README.md has no %q line", cmd)
+	}
+}
+
+// TestSeriesDocumented is the series drift gate: it scrapes /metrics of
+// a single node, a -partitions 2 coordinator and a shard node (behind a
+// coordinator, whose /metrics/cluster adds the federation's series),
+// each after one ingest and one query, and fails when README.md or
+// DESIGN.md names a geomob_* series (or a geomob_…_* prefix) that no mode
+// exposes, or when an exposed series is named in neither.
+func TestSeriesDocumented(t *testing.T) {
+	exposed := map[string]bool{}
+	scrape := func(url string) {
+		samples, types := scrapeExposition(t, url)
+		for key := range samples {
+			name, _, _ := strings.Cut(key, "{")
+			for _, suf := range []string{"_bucket", "_sum", "_count"} {
+				if fam := strings.TrimSuffix(name, suf); fam != name && types[fam] == "histogram" {
+					name = fam
+				}
+			}
+			exposed[name] = true
+		}
+	}
+	exercise := func(base string) {
+		ingestNDJSON(t, base, genTweets(t, 200, 37, 38))
+		fetchJSON(t, base+"/v1/population?scale=national")
+	}
+
+	single, _ := newRingTestServer(t, t.TempDir(), t.TempDir())
+	ts := httptest.NewServer(single.routes())
+	defer ts.Close()
+	exercise(ts.URL)
+	scrape(ts.URL + "/metrics")
+
+	_, parts, _ := newClusterTestServer(t, 2)
+	exercise(parts.URL)
+	scrape(parts.URL + "/metrics")
+
+	cfg := testConfig()
+	cfg.db, cfg.shardNode = t.TempDir(), true
+	node, _, err := openShardNode(cfg, newBootClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(node)
+	defer shard.Close()
+	coord, err := cluster.NewCoordinator([]cluster.Shard{cluster.NewHTTPShard(shard.URL, nil)}, cluster.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	front := httptest.NewServer(newServer(&coordEngine{coord: coord}, testConfig()).routes())
+	defer front.Close()
+	exercise(front.URL)
+	scrape(shard.URL + "/metrics")
+	scrape(front.URL + "/metrics/cluster")
+
+	var docs []byte
+	for _, name := range []string{"README.md", "DESIGN.md"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs = append(docs, b...)
+	}
+	named := map[string]bool{}
+	for _, m := range regexp.MustCompile(`geomob_[a-z0-9_]+\*?`).FindAllString(string(docs), -1) {
+		named[m] = true
+	}
+	// A name matches a series it equals, a histogram's _bucket/_sum/
+	// _count series, or, ending in *, every series it prefixes.
+	matches := func(m, series string) bool {
+		if prefix, ok := strings.CutSuffix(m, "*"); ok {
+			return strings.HasPrefix(series, prefix)
+		}
+		for _, suf := range []string{"", "_bucket", "_sum", "_count"} {
+			if m == series+suf {
+				return true
+			}
+		}
+		return false
+	}
+	some := func(set map[string]bool, ok func(string) bool) bool {
+		for k := range set {
+			if ok(k) {
+				return true
+			}
+		}
+		return false
+	}
+	for m := range named {
+		if !some(exposed, func(series string) bool { return matches(m, series) }) {
+			t.Errorf("%s is named in README.md or DESIGN.md but no mode exposes it", m)
+		}
+	}
+	for series := range exposed {
+		if strings.HasPrefix(series, "geomob_") && !some(named, func(m string) bool { return matches(m, series) }) {
+			t.Errorf("%s is exposed but named in neither README.md nor DESIGN.md", series)
+		}
 	}
 }
 

@@ -29,11 +29,15 @@ import (
 // else.
 type engine interface {
 	// query answers req through the engine's snapshot cache; cached
-	// reports a hit. ctx carries the request trace, on which the engine
-	// records its stages, and any explain carrier, into which it records
-	// the cache disposition. Computations run under the engine's
-	// lifetime, not the request's: several requests may wait on one.
+	// reports a hit. ctx carries the request's stage clock over the
+	// engine's query path, into which the engine books its stages, and
+	// any explain carrier, into which it records the cache disposition.
+	// Computations run under the engine's lifetime, not the request's:
+	// several requests may wait on one.
 	query(ctx context.Context, req core.Request) (res *core.Result, cached bool, err error)
+	// paths are the stage paths a query and an ingest book through
+	// (DESIGN.md §12); the query path's remainder is encode.
+	paths() (query, ingest *obs.Path)
 	// ingest drains one POST /v1/ingest body, decoded into batches by
 	// read, and returns the records accepted, also on failure.
 	// ingestReply is the success status and body.
@@ -200,31 +204,48 @@ type recoveryReport struct {
 	Seconds float64 `json:"seconds"`
 }
 
+// ringQueryPath is a single node's GET: cache_lookup (the coverage key
+// construction), fold (a miss's Aggregator.Query, feeding
+// geomob_ring_fold_seconds) and encode, the remainder.
+var ringQueryPath = func() *obs.Path {
+	st := cluster.QueryStages("cache_lookup", "fold", "encode")
+	st[ringFold].Hist = obs.Def.Histogram("geomob_ring_fold_seconds", "Latency of a single-node miss's windowed bucket fold (collect + fold + assemble).", nil)
+	return &obs.Path{Rest: ringEncode, Stages: st}
+}()
+
+const ringCacheLookup, ringFold, ringEncode = 0, 1, 2
+
 // query folds materialised partials: an append invalidates only the
 // entries whose window covers the buckets it landed in, and repeat
 // queries over unchanged coverage do zero segment scans. Every request
 // shape folds, a custom radius included (live.FoldSlots). The cache-key
-// construction is the trace's cache_lookup stage, the compute callback
-// (a miss only) its fold stage. The cache disposition (source, hit/miss,
+// construction is the cache_lookup stage, the compute callback (a miss
+// only) the fold stage. The cache disposition (source, hit/miss,
 // coverage key) goes into any explain carrier on ctx; the key and the
 // computation are exactly what the unexplained path uses.
 func (e *ringEngine) query(ctx context.Context, req core.Request) (*core.Result, bool, error) {
-	tr := obs.TraceFrom(ctx)
-	endKey := tr.StartStage("cache_lookup")
+	st := obs.StagesFrom(ctx, ringQueryPath)
+	st.Begin()
 	ckey, err := e.shard.Ring().CoverageKeyRequest(req)
-	endKey()
 	if err != nil {
 		return nil, false, err
 	}
+	st.End(ringCacheLookup)
 	res, hit, err := e.cache.Get(req.Key()+"|b="+ckey, func() (*core.Result, error) {
-		defer tr.StartStage("fold")()
-		return e.shard.Ring().Query(req)
+		st.Begin()
+		res, err := e.shard.Ring().Query(req)
+		if err == nil {
+			st.End(ringFold)
+		}
+		return res, err
 	})
 	if err == nil {
 		obs.ExplainFrom(ctx).Set("cache", map[string]any{"source": "bucket_fold", "hit": hit, "coverage_key": ckey})
 	}
 	return res, hit, err
 }
+
+func (e *ringEngine) paths() (query, ingest *obs.Path) { return ringQueryPath, live.IngestPath }
 
 // ingest feeds the shard's Ingestor: it commits durably to the store,
 // resolves the records through the assignment hot path and appends them
@@ -319,14 +340,19 @@ type coordEngine struct {
 	snapshots bool
 }
 
-// query: the coordinator records scatter/fold/merge/assemble on the
-// trace itself and propagates the trace ID to remote shards.
+// query: the coordinator books scatter/fold/merge/assemble into the
+// request's stage clock itself and propagates the trace ID to remote
+// shards.
 func (e *coordEngine) query(ctx context.Context, req core.Request) (*core.Result, bool, error) {
 	res, hit, err := e.coord.QueryCtx(ctx, req)
 	if err == nil {
 		obs.ExplainFrom(ctx).Set("cache", map[string]any{"source": "cluster", "hit": hit})
 	}
 	return res, hit, err
+}
+
+func (e *coordEngine) paths() (query, ingest *obs.Path) {
+	return cluster.QueryPath, cluster.IngestPath
 }
 
 func (e *coordEngine) ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {

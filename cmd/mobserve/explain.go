@@ -10,29 +10,11 @@ package main
 
 import (
 	"context"
-	"net/http"
 	"time"
 
 	"geomob/internal/core"
 	"geomob/internal/obs"
 )
-
-// execV1 runs req through the engine, honouring ?explain=1. The returned
-// block is nil unless explain was requested and the execution succeeded;
-// handlers attach it under the "explain" response key.
-func (s *server) execV1(r *http.Request, req core.Request) (*core.Result, bool, map[string]any, error) {
-	ctx := r.Context()
-	if r.URL.Query().Get("explain") != "1" {
-		res, cached, err := s.eng.query(ctx, req)
-		return res, cached, nil, err
-	}
-	ex := obs.NewExplain()
-	res, cached, err := s.eng.query(obs.WithExplain(ctx, ex), req)
-	if err != nil {
-		return res, cached, nil, err
-	}
-	return res, cached, s.explainBlock(ctx, req, ex), nil
-}
 
 // explainBlock assembles the explain response block from the request
 // plan, the trace's stage timings, the cache disposition the engine

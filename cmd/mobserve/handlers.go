@@ -59,11 +59,11 @@ func (s *server) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", obs.Handler(obs.Def, s.obsReg))
-	mux.HandleFunc("GET /v1/stats", s.traced("/v1/stats", s.handleV1Stats))
-	mux.HandleFunc("GET /v1/population", s.traced("/v1/population", s.handleV1Population))
-	mux.HandleFunc("GET /v1/models", s.traced("/v1/models", s.handleV1Models))
-	mux.HandleFunc("GET /v1/flows", s.traced("/v1/flows", s.handleV1Flows))
-	mux.HandleFunc("POST /v1/ingest", s.traced("ingest", s.handleIngest))
+	query, ingest := s.eng.paths()
+	for _, ep := range v1Endpoints {
+		mux.HandleFunc("GET "+ep.path, s.traced(ep.path, query, s.v1(ep.analysis, ep.scaled, ep.render)))
+	}
+	mux.HandleFunc("POST /v1/ingest", s.traced("ingest", ingest, s.handleIngest))
 	mux.HandleFunc("GET /debug/traces", s.handleTracesList)
 	mux.HandleFunc("GET /debug/traces/{id}", s.handleTraceGet)
 	s.eng.routes(mux)
@@ -97,7 +97,7 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	resp := s.eng.health(s.obsReg.Snapshot())
 	resp["build"] = buildBlock()
-	resp["latency"] = latencyBlock()
+	resp["latency"] = latencyBlock(s.eng.paths())
 	writeJSON(w, resp)
 }
 
@@ -242,19 +242,58 @@ func writeExecuteError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *server) handleV1Stats(w http.ResponseWriter, r *http.Request) {
-	req, err := parseV1Request(r, core.AnalysisStats, false)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+// v1Endpoints are the /v1 analysis GETs. Scale-independent ones (stats)
+// are not scaled: they refuse scale and radius (parseV1Request).
+var v1Endpoints = []struct {
+	path     string
+	analysis core.Analysis
+	scaled   bool
+	render   func(core.Request, *core.Result) (map[string]any, error)
+}{
+	{"/v1/stats", core.AnalysisStats, false, renderStats},
+	{"/v1/population", core.AnalysisPopulation, true, renderPopulation},
+	{"/v1/models", core.AnalysisMobility, true, renderModels},
+	{"/v1/flows", core.AnalysisFlows, true, renderFlows},
+}
+
+// v1 serves one /v1 endpoint: parse the request (400 on a bad one), run
+// it through the engine, and write what render makes of the result (500
+// on an error) with the cache disposition and, under ?explain=1, the
+// explain block (explain.go).
+func (s *server) v1(analysis core.Analysis, scaled bool, render func(core.Request, *core.Result) (map[string]any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, err := parseV1Request(r, analysis, scaled)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		ctx := r.Context()
+		var ex *obs.Explain
+		if r.URL.Query().Get("explain") == "1" {
+			ex = obs.NewExplain()
+			ctx = obs.WithExplain(ctx, ex)
+		}
+		res, cached, err := s.eng.query(ctx, req)
+		if err != nil {
+			writeExecuteError(w, err)
+			return
+		}
+		resp, err := render(req, res)
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		resp["cached"] = cached
+		if ex != nil {
+			resp["explain"] = s.explainBlock(ctx, req, ex)
+		}
+		writeJSON(w, resp)
 	}
-	res, cached, explain, err := s.execV1(r, req)
-	if err != nil {
-		writeExecuteError(w, err)
-		return
-	}
+}
+
+func renderStats(_ core.Request, res *core.Result) (map[string]any, error) {
 	st := res.Stats
-	resp := map[string]any{
+	return map[string]any{
 		"tweets":              st.Tweets,
 		"users":               st.Users,
 		"avg_tweets_per_user": st.AvgTweetsPerUser,
@@ -265,35 +304,18 @@ func (s *server) handleV1Stats(w http.ResponseWriter, r *http.Request) {
 		"bbox":                st.BBox,
 		"first":               st.First,
 		"last":                st.Last,
-		"cached":              cached,
-	}
-	if explain != nil {
-		resp["explain"] = explain
-	}
-	writeJSON(w, resp)
+	}, nil
 }
 
-func (s *server) handleV1Population(w http.ResponseWriter, r *http.Request) {
-	req, err := parseV1Request(r, core.AnalysisPopulation, true)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, cached, explain, err := s.execV1(r, req)
-	if err != nil {
-		writeExecuteError(w, err)
-		return
-	}
+func renderPopulation(req core.Request, res *core.Result) (map[string]any, error) {
 	scale := req.Scales[0]
 	est := res.Population[scale]
 	if est == nil {
-		httpError(w, http.StatusInternalServerError, "no estimate for %s", scale)
-		return
+		return nil, fmt.Errorf("no estimate for %s", scale)
 	}
 	rs, err := census.Australia().Regions(scale)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "regions: %v", err)
-		return
+		return nil, fmt.Errorf("regions: %w", err)
 	}
 	resp := map[string]any{
 		"scale":         scale.String(),
@@ -304,34 +326,19 @@ func (s *server) handleV1Population(w http.ResponseWriter, r *http.Request) {
 		"rescaled":      est.Rescaled,
 		"c":             est.C,
 		"median_users":  est.MedianUsers,
-		"cached":        cached,
 	}
 	if corr, err := est.Correlation(); err == nil {
 		resp["pearson_log_r"] = corr.R
 		resp["pearson_log_p"] = corr.P
 	}
-	if explain != nil {
-		resp["explain"] = explain
-	}
-	writeJSON(w, resp)
+	return resp, nil
 }
 
-func (s *server) handleV1Models(w http.ResponseWriter, r *http.Request) {
-	req, err := parseV1Request(r, core.AnalysisMobility, true)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, cached, explain, err := s.execV1(r, req)
-	if err != nil {
-		writeExecuteError(w, err)
-		return
-	}
+func renderModels(req core.Request, res *core.Result) (map[string]any, error) {
 	scale := req.Scales[0]
 	mr := res.Mobility[scale]
 	if mr == nil {
-		httpError(w, http.StatusInternalServerError, "no mobility result for %s", scale)
-		return
+		return nil, fmt.Errorf("no mobility result for %s", scale)
 	}
 	fits := make([]map[string]any, 0, len(mr.Fits))
 	for _, f := range mr.Fits {
@@ -341,41 +348,25 @@ func (s *server) handleV1Models(w http.ResponseWriter, r *http.Request) {
 			"metrics": f.Metrics,
 		})
 	}
-	resp := map[string]any{
+	return map[string]any{
 		"scale":      scale.String(),
 		"total_flow": mr.TotalFlow,
 		"flow_pairs": mr.FlowPairs,
 		"fits":       fits,
-		"cached":     cached,
-	}
-	if explain != nil {
-		resp["explain"] = explain
-	}
-	writeJSON(w, resp)
+	}, nil
 }
 
-func (s *server) handleV1Flows(w http.ResponseWriter, r *http.Request) {
-	req, err := parseV1Request(r, core.AnalysisFlows, true)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	res, cached, explain, err := s.execV1(r, req)
-	if err != nil {
-		writeExecuteError(w, err)
-		return
-	}
+func renderFlows(req core.Request, res *core.Result) (map[string]any, error) {
 	scale := req.Scales[0]
 	mr := res.Mobility[scale]
 	if mr == nil {
-		httpError(w, http.StatusInternalServerError, "no flow result for %s", scale)
-		return
+		return nil, fmt.Errorf("no flow result for %s", scale)
 	}
 	radius := req.Radius
 	if radius == 0 {
 		radius = scale.SearchRadius()
 	}
-	resp := map[string]any{
+	return map[string]any{
 		"scale":  scale.String(),
 		"areas":  areaNames(mr.Flows.Areas),
 		"flows":  mr.Flows.Flows,
@@ -383,10 +374,5 @@ func (s *server) handleV1Flows(w http.ResponseWriter, r *http.Request) {
 		"total":  mr.TotalFlow,
 		"pairs":  mr.FlowPairs,
 		"radius": radius,
-		"cached": cached,
-	}
-	if explain != nil {
-		resp["explain"] = explain
-	}
-	writeJSON(w, resp)
+	}, nil
 }

@@ -27,11 +27,11 @@
 //	GET  /metrics/cluster              every member's /metrics as one
 //	                                   exposition (coordinator only)
 //
-// With -snapshot-dir, sealed bucket partials persist to per-bucket
-// checksummed files (DESIGN.md §11): a restart restores intact buckets
-// and replays only the store tail instead of rescanning, SIGTERM drains
-// and flushes a final snapshot so a graceful restart replays nothing,
-// and -snapshot-interval bounds what a crash can cost.
+// With -snapshot-dir, bucket partials persist to one checksummed file
+// per day group under one manifest (DESIGN.md §11): a restart restores
+// intact buckets and replays only the store tail instead of rescanning,
+// SIGTERM drains and flushes a final snapshot so a graceful restart
+// replays nothing, and -snapshot-interval bounds what a crash can cost.
 //
 // Versioned analysis API (request-scoped executions, snapshot-cached;
 // `from`/`to` are RFC3339, `radius` is metres; `explain=1` adds the plan):

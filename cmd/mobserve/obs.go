@@ -12,7 +12,6 @@ import (
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux, served by -pprof-addr
 	"runtime/metrics"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -178,21 +177,31 @@ func buildBlock() map[string]any {
 	}
 }
 
+// durationHistogram is one endpoint's end-to-end latency series.
+func durationHistogram(endpoint string) *obs.Histogram {
+	return obs.Def.Histogram("geomob_query_duration_seconds", "End-to-end latency of one query endpoint request.", nil, "endpoint", endpoint)
+}
+
 // traced wraps a query handler with the request-scoped trace: the
 // X-Geomob-Trace header (or a fresh random ID) becomes the context
 // trace carried through the engine's query into the coordinator and its
 // shard hops, the endpoint's end-to-end latency lands in
 // geomob_query_duration_seconds{endpoint=...}, and any request slower
 // than -slow-query logs one structured line with the per-stage
-// breakdown.
-func (s *server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	hist := obs.Def.Histogram("geomob_query_duration_seconds", "End-to-end latency of one query endpoint request.", nil, "endpoint", endpoint)
+// breakdown. The request's stage clock over path, one of the engine's
+// two, rides the context to the engine; closing it after the handler
+// books the remainder — a GET's encode (parsing, explain, JSON encode and
+// write) or an ingest's decode — so the trace's stages sum to its total.
+func (s *server) traced(endpoint string, path *obs.Path, h http.HandlerFunc) http.HandlerFunc {
+	hist := durationHistogram(endpoint)
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.NewTrace(r.Header.Get(obs.TraceHeader))
+		st := path.Start(tr)
 		w.Header().Set(obs.TraceHeader, tr.ID)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		h(sw, r.WithContext(obs.WithTrace(r.Context(), tr)))
+		h(sw, r.WithContext(obs.WithStages(obs.WithTrace(r.Context(), tr), st)))
+		st.Close()
 		d := tr.Total()
 		hist.Observe(d.Seconds())
 		slow := s.slowQuery > 0 && d >= s.slowQuery
@@ -206,7 +215,7 @@ func (s *server) traced(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 			URL:      r.URL.RequestURI(),
 			Status:   sw.status,
 			Start:    start.UTC(),
-			TotalMs:  float64(d.Microseconds()) / 1000,
+			TotalMs:  float64(d) / float64(time.Millisecond),
 			Stages:   tr.Stages(),
 			Slow:     slow,
 			Error:    sw.status >= 500,
@@ -261,12 +270,12 @@ func (s *server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // latencyBlock is /healthz's quantile summary over the endpoint latency
-// and coordinator stage histograms — the p50/p95/p99 an operator wants
-// before reaching for raw histogram buckets. The histograms are
-// registered at route construction (endpoints) and package init
-// (stages), so the lookups here re-fetch existing series and never
-// create empty ones.
-func latencyBlock() map[string]any {
+// histograms and the stages of the given paths — the ones this process
+// books — the p50/p95/p99 an operator wants before reaching for raw
+// histogram buckets. The histograms are registered at route
+// construction (endpoints) and package init (stages), so the lookups
+// here re-fetch existing series and never create empty ones.
+func latencyBlock(paths ...*obs.Path) map[string]any {
 	quantiles := func(h *obs.Histogram) map[string]float64 {
 		return map[string]float64{
 			"p50_ms": h.Quantile(0.50) * 1000,
@@ -274,13 +283,15 @@ func latencyBlock() map[string]any {
 			"p99_ms": h.Quantile(0.99) * 1000,
 		}
 	}
-	query := map[string]any{}
-	for _, ep := range []string{"/v1/stats", "/v1/population", "/v1/models", "/v1/flows", "ingest"} {
-		query[ep] = quantiles(obs.Def.Histogram("geomob_query_duration_seconds", "End-to-end latency of one query endpoint request.", nil, "endpoint", ep))
+	query := map[string]any{"ingest": quantiles(durationHistogram("ingest"))}
+	for _, ep := range v1Endpoints {
+		query[ep.path] = quantiles(durationHistogram(ep.path))
 	}
 	stages := map[string]any{}
-	for _, st := range slices.Concat(cluster.QueryStages, cluster.IngestStages) {
-		stages[st] = quantiles(cluster.StageHistogram(st))
+	for _, p := range paths {
+		for _, st := range p.Stages {
+			stages[st.Name] = quantiles(st.Hist)
+		}
 	}
 	return map[string]any{"query": query, "stages": stages}
 }

@@ -57,16 +57,22 @@ func ingestNDJSON(t *testing.T, base string, tweets []tweet.Tweet) {
 // samples keyed `name` or `name{labels}` plus the family→type map.
 func scrapeMetrics(t *testing.T, base string) (map[string]float64, map[string]string) {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	return scrapeExposition(t, base+"/metrics")
+}
+
+// scrapeExposition is scrapeMetrics over any exposition endpoint.
+func scrapeExposition(t *testing.T, url string) (map[string]float64, map[string]string) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+		t.Fatalf("GET %s: status %d", url, resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Fatalf("GET /metrics: Content-Type %q", ct)
+		t.Fatalf("GET %s: Content-Type %q", url, ct)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -243,6 +249,22 @@ func TestHealthzShape(t *testing.T) {
 		if _, ok := lat[k]; !ok {
 			t.Errorf("latency block missing %q", k)
 		}
+	}
+	// The block lists the stages this process books: the single node's
+	// own ingest and query paths, not a coordinator's.
+	stages, _ := lat["stages"].(map[string]any)
+	for _, st := range []string{"decode", "store", "resolve", "ring", "cache_lookup", "fold", "encode"} {
+		if _, ok := stages[st]; !ok {
+			t.Errorf("latency.stages missing %q: %v", st, stages)
+		}
+	}
+	for _, st := range []string{"scatter", "merge", "route", "spool"} {
+		if _, ok := stages[st]; ok {
+			t.Errorf("a single node's latency.stages lists the coordinator's %q", st)
+		}
+	}
+	if q, _ := stages["store"].(map[string]any); q == nil || q["p50_ms"].(float64) <= 0 {
+		t.Errorf("latency.stages.store after one ingest: %v", stages["store"])
 	}
 	query, _ := lat["query"].(map[string]any)
 	for _, ep := range []string{"/v1/stats", "/v1/population", "/v1/models", "/v1/flows", "ingest"} {
@@ -635,6 +657,76 @@ func TestIngestTraceStages(t *testing.T) {
 	for _, st := range cluster.IngestStages {
 		if q, ok := lat[st].(map[string]any); !ok || q["p50_ms"] == nil {
 			t.Errorf("healthz latency.stages missing ingest stage %q: %v", st, lat)
+		}
+	}
+}
+
+// TestQueryStagesSumToWall: a GET's retained trace — on a single node
+// and on a -partitions 2 coordinator, for a miss and a warm hit of
+// /v1/population and /v1/flows — lists its engine's stages in pipeline
+// order, none negative, ends in encode exactly once, and sums to 95–100 %
+// of total_ms: every stage and the encode remainder are cut from one
+// request clock. An in-process partition's shard_fold is that shard's
+// own stage, nested inside fold and concurrent with its siblings, so it
+// is checked against fold rather than summed.
+func TestQueryStagesSumToWall(t *testing.T) {
+	_, single := newLiveTestServer(t)
+	_, coord, _ := newClusterTestServer(t, 2)
+	for _, tc := range []struct {
+		mode      string
+		base      string
+		miss, hit string
+	}{
+		{"single node", single.URL, "cache_lookup,fold,encode", "cache_lookup,encode"},
+		{"coordinator", coord.URL, "scatter,fold,merge,assemble,encode", "scatter,encode"},
+	} {
+		ingestNDJSON(t, tc.base, genTweets(t, 400, 35, 36))
+		for _, path := range []string{"/v1/population?scale=national", "/v1/flows?scale=state"} {
+			for _, want := range []string{tc.miss, tc.hit} {
+				resp, err := http.Get(tc.base + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s: status %d", tc.mode, path, resp.StatusCode)
+				}
+				detail := fetchJSON(t, tc.base+"/debug/traces/"+resp.Header.Get(obs.TraceHeader))
+				var names []string
+				var sum, fold float64
+				var shardFolds []float64
+				for _, st := range detail["stages"].([]any) {
+					m := st.(map[string]any)
+					name, ms := m["stage"].(string), m["ms"].(float64)
+					if ms < 0 {
+						t.Errorf("%s %s: stage %s took %v ms", tc.mode, path, name, ms)
+					}
+					if name == "shard_fold" {
+						shardFolds = append(shardFolds, ms)
+						continue
+					}
+					if name == "fold" {
+						fold = ms
+					}
+					names = append(names, name)
+					sum += ms
+				}
+				if got := strings.Join(names, ","); got != want {
+					t.Fatalf("%s %s: trace stages %q, want %q", tc.mode, path, got, want)
+				}
+				if total := detail["total_ms"].(float64); sum > total || sum < 0.95*total {
+					t.Errorf("%s %s (%s): stages sum to %.3f ms of a %.3f ms request", tc.mode, path, want, sum, total)
+				}
+				if tc.mode == "coordinator" && want == tc.miss && len(shardFolds) != 2 {
+					t.Errorf("%s %s: %d shard_fold stages on a miss over two partitions", tc.mode, path, len(shardFolds))
+				}
+				for _, ms := range shardFolds {
+					if ms > fold {
+						t.Errorf("%s %s: shard_fold %.3f ms outlasts its fold %.3f ms", tc.mode, path, ms, fold)
+					}
+				}
+			}
 		}
 	}
 }

@@ -239,7 +239,8 @@ type (
 	// ClusterCoordinator routes ingest by user hash and answers requests
 	// by scatter-gather with coverage-fingerprint snapshot caching.
 	ClusterCoordinator = cluster.Coordinator
-	// ClusterCoordinatorOptions tune batching, backpressure and caching.
+	// ClusterCoordinatorOptions set the replication factor and the
+	// durable spool directory.
 	ClusterCoordinatorOptions = cluster.CoordinatorOptions
 	// ClusterShardPartial is the scatter-gather unit: one shard's folded
 	// observer state at per-user granularity.

@@ -44,7 +44,7 @@ func TestHTTPClusterMatchesExecute(t *testing.T) {
 		t.Cleanup(srv.Close)
 		shards = append(shards, NewHTTPShard(srv.URL, srv.Client()))
 	}
-	coord, err := NewCoordinator(shards, CoordinatorOptions{BatchSize: 128})
+	coord, err := NewCoordinator(shards, CoordinatorOptions{batchSize: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

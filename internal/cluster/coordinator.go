@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"errors"
@@ -22,64 +23,54 @@ import (
 	"geomob/internal/wal"
 )
 
-// Coordinator-side series (DESIGN.md §12). Stage histograms share one
-// family labelled by pipeline stage; the scatter stage includes every
-// failover retry round, so scatter_seconds − fold_seconds exposes
-// probe/assignment overhead directly. The four ingest stages are
-// observed once per request and sum to its wall time (ingestStages).
+// Coordinator-side series (DESIGN.md §12).
 var (
 	mClusterIngested  = obs.Def.Counter("geomob_cluster_ingested_rows_total", "Rows accepted into the replication spool by coordinators.")
 	mClusterFetches   = obs.Def.Counter("geomob_cluster_partial_fetches_total", "Shard fold RPCs issued by coordinators.")
 	mClusterProbes    = obs.Def.Counter("geomob_cluster_coverage_probes_total", "Shard coverage RPCs issued by coordinators.")
 	mClusterFailovers = obs.Def.Counter("geomob_cluster_failovers_total", "Nodes banned mid-query after an unavailable response.")
 	mClusterUnavail   = obs.Def.Counter("geomob_cluster_unavailable_total", "Queries failed because some slot had no live, current replica.")
-
-	mStageScatter  = StageHistogram("scatter")
-	mStageFold     = StageHistogram("fold")
-	mStageMerge    = StageHistogram("merge")
-	mStageAssemble = StageHistogram("assemble")
-
-	mStageIngest = func() (hs [4]*obs.Histogram) {
-		for i, name := range IngestStages {
-			hs[i] = StageHistogram(name)
-		}
-		return hs
-	}()
 )
 
-// QueryStages and IngestStages name the stage label's values in
-// pipeline order: a scatter-gather query, and a POST /v1/ingest through
-// the coordinator.
+// IngestStages names a POST /v1/ingest through the coordinator's stages
+// in trace order: decode (reading and parsing the body, and the reply —
+// the remainder),
+// route (slot routing and framing, including the wait for c.mu), spool
+// (the group append: write plus fsync wait) and deliver (waiting for
+// healthy lanes to settle).
+var IngestStages = []string{"decode", "route", "spool", "deliver"}
+
+// The coordinator's request paths, one histogram family labelled by
+// stage. A query's scatter includes every failover retry round, so
+// scatter − fold exposes probe/assignment overhead directly; encode, the
+// remainder, is closed by whoever writes the answer (mobserve's traced
+// handlers) and is the only stage a query's caller books.
 var (
-	QueryStages  = []string{"scatter", "fold", "merge", "assemble"}
-	IngestStages = []string{"decode", "route", "spool", "deliver"}
+	QueryPath  = &obs.Path{Rest: stageEncode, Stages: QueryStages("scatter", "fold", "merge", "assemble", "encode")}
+	IngestPath = &obs.Path{Every: true, Stages: QueryStages(IngestStages...)}
 )
 
-// StageHistogram returns the coordinator stage-latency series for one
-// stage label value.
-func StageHistogram(stage string) *obs.Histogram {
-	return obs.Def.Histogram("geomob_query_stage_seconds",
-		"Per-stage latency of a coordinator request: scatter/fold/merge/assemble of a query, decode/route/spool/deliver of an ingest.",
-		nil, "stage", stage)
+// Indices of the stages the coordinator books, into QueryPath and
+// IngestPath.
+const (
+	stageScatter, stageFold, stageMerge, stageAssemble, stageEncode = 0, 1, 2, 3, 4
+	stageRoute, stageSpool, stageDeliver                            = 1, 2, 3
+)
+
+// QueryStages returns the request-stage series for the given stage label
+// values: geomob_query_stage_seconds, shared by both paths here and by
+// a single node's queries.
+func QueryStages(names ...string) []obs.Stage {
+	return obs.StageFamily(obs.Def, "geomob_query_stage_seconds",
+		"Per-stage latency of a request: scatter/fold/merge/assemble of a coordinator query, cache_lookup of a single-node query, encode of either, decode/route/spool/deliver of a coordinator ingest.",
+		names...)
 }
 
 // CoordinatorOptions configure a Coordinator.
 type CoordinatorOptions struct {
-	// BatchSize is how many records accumulate per placement slot
-	// before the slot's buffer ships on its own, mid-request; zero means
-	// 4096. Whatever is still buffered when the request ends ships as
-	// one group (see Flush), so BatchSize bounds coordinator memory and
-	// frame size, not the number of fsyncs a small request pays.
-	BatchSize int
-	// QueueDepth bounds each delivery lane's staged frames; zero means
-	// 4 × ring.Slots. Overflow is not lost and does not block the
-	// feed: it stays in the spool and the lane refills as it drains, so
-	// a dead shard costs bounded coordinator memory.
-	QueueDepth int
 	// Replication is the ring's replica factor R: every placement slot
 	// is delivered to R members (clamped to the member count) and any
-	// one of them can serve it. Zero means 1 — no redundancy, the PR 5
-	// behaviour.
+	// one of them can serve it. Zero means 1 — no redundancy.
 	Replication int
 	// WALDir, when set, backs the ingest spool with a segmented WAL in
 	// that directory: ingest acknowledges only after the fsync'd
@@ -88,17 +79,27 @@ type CoordinatorOptions struct {
 	// keeps the spool in memory — same replay semantics, no crash
 	// durability.
 	WALDir string
-	// RetryBase/RetryMax bound the lanes' exponential delivery backoff;
-	// zero means 100 ms and 5 s.
-	RetryBase time.Duration
-	RetryMax  time.Duration
+
+	// batchSize, queueDepth and retryBase/retryMax, when non-zero,
+	// override the defaults below; in-package tests shrink them.
+	batchSize, queueDepth int
+	retryBase, retryMax   time.Duration
 }
 
 const (
-	// defaultQueueDepth stages up to four full flush cycles of slot
-	// frames per lane before spilling to the spool.
+	// defaultBatchSize is how many records accumulate per placement slot
+	// before the slot's buffer ships on its own, mid-request. Whatever is
+	// still buffered when the request ends ships as one group (see
+	// Flush), so it bounds coordinator memory and frame size, not the
+	// number of fsyncs a small request pays.
+	defaultBatchSize = 4096
+	// defaultQueueDepth bounds each delivery lane's staged frames: up to
+	// four full flush cycles of slot frames. Overflow is not lost and
+	// does not block the feed: it stays in the spool and the lane refills
+	// as it drains, so a dead shard costs bounded coordinator memory.
 	defaultQueueDepth = 4 * ring.Slots
-	// defaultRetryBase/defaultRetryMax bound delivery backoff.
+	// defaultRetryBase/defaultRetryMax bound the lanes' exponential
+	// delivery backoff.
 	defaultRetryBase = 100 * time.Millisecond
 	defaultRetryMax  = 5 * time.Second
 )
@@ -113,12 +114,9 @@ const (
 // single-node Study.Execute over the union substream no matter which
 // replicas serve (DESIGN.md §10).
 type Coordinator struct {
-	batch     int
-	depth     int
-	retryBase time.Duration
-	retryMax  time.Duration
-	cache     *svcache.Cache
-	sp        spool
+	batch int
+	cache *svcache.Cache
+	sp    spool
 
 	// ring, shards and lanes are set in NewCoordinator and never change:
 	// membership is static, so reading them takes no lock.
@@ -172,25 +170,10 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 		return nil, err
 	}
 	c := &Coordinator{
-		batch:     opts.BatchSize,
-		depth:     opts.QueueDepth,
-		retryBase: opts.RetryBase,
-		retryMax:  opts.RetryMax,
-		cache:     svcache.New(0),
-		ring:      rg,
-		shards:    append([]Shard(nil), shards...),
-	}
-	if c.batch <= 0 {
-		c.batch = 4096
-	}
-	if c.depth <= 0 {
-		c.depth = defaultQueueDepth
-	}
-	if c.retryBase <= 0 {
-		c.retryBase = defaultRetryBase
-	}
-	if c.retryMax < c.retryBase {
-		c.retryMax = defaultRetryMax
+		batch:  cmp.Or(opts.batchSize, defaultBatchSize),
+		cache:  svcache.New(0),
+		ring:   rg,
+		shards: append([]Shard(nil), shards...),
 	}
 	if opts.WALDir != "" {
 		sp, err := wal.Open(wal.Options{Dir: opts.WALDir})
@@ -201,8 +184,10 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 	} else {
 		c.sp = newMemSpool(randomSenderID())
 	}
+	depth := cmp.Or(opts.queueDepth, defaultQueueDepth)
+	retryBase, retryMax := cmp.Or(opts.retryBase, defaultRetryBase), cmp.Or(opts.retryMax, defaultRetryMax)
 	for i, sh := range c.shards {
-		l := newLane(i, sh, c.sp, c.depth, c.retryBase, c.retryMax)
+		l := newLane(i, sh, c.sp, depth, retryBase, retryMax)
 		if c.sp.PendingRowsNode(i) > 0 {
 			// The reopened WAL owes this node deliveries: replay them
 			// through the lane's spool-refill path.
@@ -241,14 +226,15 @@ func (c *Coordinator) SenderID() string { return c.sp.SenderID() }
 // replica already holds them.
 func (c *Coordinator) AddBatch(b *tweet.Batch) error { return c.addBatch(b, nil) }
 
-func (c *Coordinator) addBatch(b *tweet.Batch, st *ingestStages) error {
+func (c *Coordinator) addBatch(b *tweet.Batch, st *obs.Stages) error {
 	if b.Len() == 0 {
 		return nil
 	}
 	if err := b.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", live.ErrBadInput, err)
 	}
-	defer st.routed(st.now())
+	st.Begin()
+	defer st.End(stageRoute)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed.Load() {
@@ -289,8 +275,9 @@ var allSlots = func() (ks [ring.Slots]int) {
 // drains the shipment as one delivery. The fsync is deliberately not
 // overlapped with delivery: a frame applied at a shard under a sequence
 // the spool then lost would see that sequence reused for another
-// payload and silently deduplicated. Caller holds c.mu.
-func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
+// payload and silently deduplicated. st books the time up to the append
+// as route and the append as spool. Caller holds c.mu.
+func (c *Coordinator) shipLocked(st *obs.Stages, slots ...int) error {
 	var group []wal.Entry
 	for _, k := range slots {
 		b := c.bufs[k]
@@ -310,9 +297,9 @@ func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
 	if len(group) == 0 {
 		return nil
 	}
-	t0 := st.now()
+	st.End(stageRoute)
 	first, err := c.sp.AppendGroup(group)
-	st.spooled(t0)
+	st.End(stageSpool)
 	if err != nil {
 		return fmt.Errorf("cluster: spool append: %w", err)
 	}
@@ -345,19 +332,19 @@ func (c *Coordinator) shipLocked(st *ingestStages, slots ...int) error {
 // itself fails; a dead shard degrades the report, not the ingest.
 func (c *Coordinator) Flush() error { return c.flush(nil) }
 
-func (c *Coordinator) flush(st *ingestStages) error {
-	t0 := st.now()
+func (c *Coordinator) flush(st *obs.Stages) error {
+	st.Begin()
 	c.mu.Lock()
 	err := c.shipLocked(st, allSlots[:]...)
-	st.routed(t0)
 	c.mu.Unlock()
+	st.End(stageRoute)
 	if err != nil {
 		return err
 	}
-	defer st.delivered(st.now())
 	for _, l := range c.lanes {
 		l.waitSettled()
 	}
+	st.End(stageDeliver)
 	return nil
 }
 
@@ -381,69 +368,17 @@ func (c *Coordinator) Close() error {
 	return err
 }
 
-// ingestStages accumulates where one ingest request's time went:
-// route (slot routing and framing, including the wait for c.mu), spool
-// (the group append: write plus fsync wait) and deliver (waiting for
-// healthy lanes to settle); decode is whatever remains of the request's
-// wall time — reading and parsing the body. A nil *ingestStages, which
-// is what the plain AddBatch/Flush pass, records nothing and reads no
-// clock.
-type ingestStages struct {
-	route, spool, deliver time.Duration
-}
-
-func (st *ingestStages) now() time.Time {
-	if st == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (st *ingestStages) routed(t0 time.Time) {
-	if st != nil {
-		st.route += time.Since(t0)
-	}
-}
-
-// spooled books an append made inside a routed interval: to spool, and
-// back out of route.
-func (st *ingestStages) spooled(t0 time.Time) {
-	if st != nil {
-		d := time.Since(t0)
-		st.spool += d
-		st.route -= d
-	}
-}
-
-func (st *ingestStages) delivered(t0 time.Time) {
-	if st != nil {
-		st.deliver += time.Since(t0)
-	}
-}
-
-// record closes the request: one observation per stage histogram and
-// one stage per name on ctx's trace, summing to total.
-func (st *ingestStages) record(ctx context.Context, total time.Duration) {
-	tr := obs.TraceFrom(ctx)
-	for i, d := range []time.Duration{total - st.route - st.spool - st.deliver, st.route, st.spool, st.deliver} {
-		tr.AddStage(IngestStages[i], d)
-		mStageIngest[i].Observe(d.Seconds())
-	}
-}
-
 // Ingest drains a stream of batches through the coordinator and flushes
 // at the end, returning how many records the stream contributed — the
 // cluster-mode twin of live.Ingestor.Ingest, riding the same loop and
 // error contract (live.Drain; live.ErrBadInput marks the caller's
-// records). The decode, route, spool and deliver stages land on ctx's
-// trace.
+// records). Routing, spooling and delivery book route, spool and deliver
+// into ctx's stage clock over IngestPath, when it carries one.
 func (c *Coordinator) Ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
-	st, t0 := &ingestStages{}, time.Now()
-	n, err := live.Drain(read,
+	st := obs.StagesFrom(ctx, IngestPath)
+	return live.Drain(read,
 		func(b *tweet.Batch) error { return c.addBatch(b, st) },
 		func() error { return c.flush(st) })
-	st.record(ctx, time.Since(t0))
-	return n, err
 }
 
 // UnavailableError reports placement slots with no live, current
@@ -533,34 +468,32 @@ func (c *Coordinator) Query(req core.Request) (*core.Result, bool, error) {
 	return c.QueryCtx(context.Background(), req)
 }
 
-// QueryCtx is Query carrying a request context: the context's trace
-// (obs.TraceFrom) records per-stage timings — scatter (assignment +
-// coverage probes, including failover rounds), fold (shard partial
-// fetches), merge, assemble — and its ID travels to remote shards in
-// the obs.TraceHeader header and is stamped onto any UnavailableError.
+// QueryCtx is Query carrying a request context. The context's stage
+// clock over QueryPath (obs.StagesFrom), when there is one, books scatter
+// (assignment + coverage probes, including failover rounds), fold (shard
+// partial fetches), merge and assemble; a stage that fails books nothing.
+// The context's trace ID travels to remote shards in the obs.TraceHeader
+// header and is stamped onto any UnavailableError.
 func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Result, bool, error) {
 	if _, err := core.PlanRequest(req); err != nil {
 		return nil, false, err
 	}
-	tr := obs.TraceFrom(ctx)
+	st := obs.StagesFrom(ctx, QueryPath)
 	tid := obs.TraceID(ctx)
 
 	banned := map[int]bool{}
 	var assign [ring.Slots]int
 	var keys map[int]string
-	endScatter := tr.StartStage("scatter")
-	tScatter := time.Now()
+	st.Begin()
 	for {
 		a, uerr := c.assignSlots(banned)
 		if uerr != nil {
-			endScatter()
 			uerr.TraceID = tid
 			mClusterUnavail.Inc()
 			return nil, false, uerr
 		}
 		ks, failed, err := c.coverageScatter(ctx, req, groupAssign(a, nil))
 		if err != nil {
-			endScatter()
 			return nil, false, err
 		}
 		if failed >= 0 {
@@ -571,8 +504,7 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 		assign, keys = a, ks
 		break
 	}
-	mStageScatter.Observe(time.Since(tScatter).Seconds())
-	endScatter()
+	st.End(stageScatter)
 
 	fp := coverageFingerprint(c.ring.Version(), assign, keys)
 	// Explain recording rides the triggering request's context only: a
@@ -580,30 +512,20 @@ func (c *Coordinator) QueryCtx(ctx context.Context, req core.Request) (*core.Res
 	// cache) gets topology but no shard fragments.
 	rec := newShardExplainRecorder(ctx)
 	res, cached, err := c.cache.Get(req.Key()+"|cf="+fp, func() (*core.Result, error) {
-		endFold := tr.StartStage("fold")
-		tFold := time.Now()
+		st.Begin()
 		parts, err := c.fetchPartials(ctx, req, assign, banned, rec)
-		endFold()
 		if err != nil {
 			return nil, err
 		}
-		mStageFold.Observe(time.Since(tFold).Seconds())
-
-		endMerge := tr.StartStage("merge")
-		tMerge := time.Now()
+		st.End(stageFold)
 		merged, err := MergePartials(req, parts)
-		endMerge()
 		if err != nil {
 			return nil, err
 		}
-		mStageMerge.Observe(time.Since(tMerge).Seconds())
-
-		endAsm := tr.StartStage("assemble")
-		tAsm := time.Now()
+		st.End(stageMerge)
 		out, err := core.AssembleFolded(req, merged)
-		endAsm()
 		if err == nil {
-			mStageAssemble.Observe(time.Since(tAsm).Seconds())
+			st.End(stageAssemble)
 		}
 		return out, err
 	})
@@ -831,19 +753,9 @@ func (c *Coordinator) Health() []ShardStatus {
 		st := &out[i]
 		st.Index = i
 		st.Member = memberName(i)
-		ls := c.lanes[i].status()
+		c.lanes[i].report(st)
 		st.Pending = c.sp.PendingRowsNode(i)
-		st.Queue = ls.queued
-		st.Delivered = ls.delivered
-		st.Batches = ls.batches
-		st.Retries = ls.retries
-		st.Failures = ls.failures
-		st.Dropped = ls.dropped
-		st.LastError = ls.lastErr
-		if !ls.errAt.IsZero() {
-			st.LastErrorAt = ls.errAt.UTC().Format(time.RFC3339)
-		}
-		st.Degraded = ls.down || st.Pending > 0
+		st.Degraded = st.Degraded || st.Pending > 0
 		st.Slots = c.ring.SlotsFor(i)
 		wg.Add(1)
 		go func(i int) {

@@ -149,7 +149,7 @@ func waitNodeDrained(t *testing.T, c *Coordinator, node int, within time.Duratio
 }
 
 func fastRetry() CoordinatorOptions {
-	return CoordinatorOptions{BatchSize: 64, RetryBase: 2 * time.Millisecond, RetryMax: 20 * time.Millisecond}
+	return CoordinatorOptions{batchSize: 64, retryBase: 2 * time.Millisecond, retryMax: 20 * time.Millisecond}
 }
 
 // TestLaneRedeliveryAfterRecovery is the silent-drop fix's contract,

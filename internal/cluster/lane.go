@@ -93,8 +93,11 @@ func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration
 	l.mFailures = obs.Def.Counter("geomob_lane_failures_total", "Failed delivery attempts per shard lane.", "node", nd)
 	l.mDropped = obs.Def.Counter("geomob_lane_dropped_frames_total", "Frames permanently rejected and abandoned per shard lane.", "node", nd)
 	l.mDeliverSecs = obs.Def.Histogram("geomob_lane_deliver_seconds", "Latency of one delivery attempt (single frame or whole drain).", nil, "node", nd)
-	obs.Def.GaugeFunc("geomob_lane_queue_depth", "Frames currently staged per shard lane.",
-		func() float64 { return float64(l.status().queued) }, "node", nd)
+	obs.Def.GaugeFunc("geomob_lane_queue_depth", "Frames currently staged per shard lane.", func() float64 {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return float64(len(l.q))
+	}, "node", nd)
 	return l
 }
 
@@ -315,33 +318,15 @@ func (l *lane) close() {
 	close(l.closeCh)
 }
 
-// laneStatus is a consistent snapshot for health reporting.
-type laneStatus struct {
-	queued    int
-	gapped    bool
-	down      bool
-	delivered int64
-	batches   int64
-	retries   int64
-	failures  int64
-	dropped   int64
-	lastErr   string
-	errAt     time.Time
-}
-
-func (l *lane) status() laneStatus {
+// report fills st's delivery state from one consistent reading of the
+// lane, for health reporting.
+func (l *lane) report(st *ShardStatus) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return laneStatus{
-		queued:    len(l.q),
-		gapped:    l.gapped,
-		down:      l.down,
-		delivered: l.delivered,
-		batches:   l.batches,
-		retries:   l.retries,
-		failures:  l.failures,
-		dropped:   l.dropped,
-		lastErr:   l.lastErr,
-		errAt:     l.errAt,
+	st.Queue, st.Delivered, st.Batches = len(l.q), l.delivered, l.batches
+	st.Retries, st.Failures, st.Dropped = l.retries, l.failures, l.dropped
+	st.LastError, st.Degraded = l.lastErr, l.down
+	if !l.errAt.IsZero() {
+		st.LastErrorAt = l.errAt.UTC().Format(time.RFC3339)
 	}
 }

@@ -182,17 +182,16 @@ func (n *Node) decodeSlotRequest(w http.ResponseWriter, r *http.Request) (slotRe
 	return req, true
 }
 
-// traceCtx lifts the propagated obs.TraceHeader into the request
-// context (so shard folds record against the coordinator's trace) and
-// echoes it on the response for end-to-end correlation.
-func traceCtx(w http.ResponseWriter, r *http.Request) (context.Context, string) {
+// traceID echoes the propagated obs.TraceHeader on the response for
+// end-to-end correlation and returns it for error messages. A shard node
+// retains no traces, so it builds none: its fold books the histogram
+// alone.
+func traceID(w http.ResponseWriter, r *http.Request) string {
 	id := r.Header.Get(obs.TraceHeader)
-	ctx := r.Context()
 	if id != "" {
-		ctx = obs.WithTrace(ctx, obs.NewTrace(id))
 		w.Header().Set(obs.TraceHeader, id)
 	}
-	return ctx, id
+	return id
 }
 
 // traceSuffix tags an error message with the trace it belongs to.
@@ -204,12 +203,12 @@ func traceSuffix(id string) string {
 }
 
 func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
-	ctx, tid := traceCtx(w, r)
+	tid := traceID(w, r)
 	req, ok := n.decodeSlotRequest(w, r)
 	if !ok {
 		return
 	}
-	ps, err := n.shard.Partials(ctx, req.Request, req.Slots)
+	ps, err := n.shard.Partials(r.Context(), req.Request, req.Slots)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("shard partials: %v%s", err, traceSuffix(tid)), http.StatusBadRequest)
 		return
@@ -221,12 +220,12 @@ func (n *Node) handlePartials(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleCoverage(w http.ResponseWriter, r *http.Request) {
-	ctx, tid := traceCtx(w, r)
+	tid := traceID(w, r)
 	req, ok := n.decodeSlotRequest(w, r)
 	if !ok {
 		return
 	}
-	key, err := n.shard.Coverage(ctx, req.Request, req.Slots)
+	key, err := n.shard.Coverage(r.Context(), req.Request, req.Slots)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("shard coverage: %v%s", err, traceSuffix(tid)), http.StatusBadRequest)
 		return

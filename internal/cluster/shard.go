@@ -17,11 +17,13 @@ import (
 	"geomob/internal/tweetdb"
 )
 
-// Shard-side series (DESIGN.md §12). Fold latency covers one Partials
-// call over its whole slot set; deliver latency covers one replicated
-// frame batch landing durably.
+// Shard-side series (DESIGN.md §12). A fold's one stage, shard_fold,
+// covers one Partials call over its whole slot set and books to the
+// caller's trace and geomob_shard_fold_seconds from one reading; deliver
+// latency covers one replicated frame batch landing durably.
 var (
-	mShardFoldSecs    = obs.Def.Histogram("geomob_shard_fold_seconds", "Latency of one shard Partials fold over its requested slots.", nil)
+	shardFold = obs.Stage{Name: "shard_fold", Hist: obs.Def.Histogram("geomob_shard_fold_seconds", "Latency of one shard Partials fold over its requested slots.", nil)}
+
 	mShardFolds       = obs.Def.Counter("geomob_shard_folds_total", "Shard Partials folds served.")
 	mShardDeliverSecs = obs.Def.Histogram("geomob_shard_deliver_seconds", "Latency of one replicated frame batch landing durably on a shard.", nil)
 	mShardFrames      = obs.Def.Counter("geomob_shard_delivered_frames_total", "Fresh replicated frames applied by shards (duplicates excluded).")
@@ -272,14 +274,13 @@ func (s *LocalShard) Partials(ctx context.Context, req core.Request, slots []int
 	if err := validSlots(slots); err != nil {
 		return nil, err
 	}
-	defer obs.TraceFrom(ctx).StartStage("shard_fold")()
 	t0 := time.Now()
 	p, err := s.agg.FoldSlots(req, slots)
 	if err != nil {
 		return nil, err
 	}
+	shardFold.Book(obs.TraceFrom(ctx), time.Since(t0))
 	mShardFolds.Inc()
-	mShardFoldSecs.Observe(time.Since(t0).Seconds())
 	return []*live.ShardPartial{p}, nil
 }
 

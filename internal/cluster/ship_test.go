@@ -146,13 +146,13 @@ func TestFlushOneFsyncOneDelivery(t *testing.T) {
 		return err
 	})
 
-	// One slot's buffer crossing BatchSize mid-request ships alone (a set
+	// One slot's buffer crossing batchSize mid-request ships alone (a set
 	// of one: its own fsync, and a drain of its own unless the lane has
 	// not woken before the Flush group is staged behind it); the rest of
 	// the request is still one group.
 	c.batch = 8
 	hot := slotTweets(1)[0]
-	request("BatchSize crossed", 2, 0, ring.Slots+1, func() error {
+	request("batchSize crossed", 2, 0, ring.Slots+1, func() error {
 		tws := body(2)
 		for i := 0; i < c.batch; i++ {
 			tw := hot
@@ -173,7 +173,7 @@ func TestFlushOneFsyncOneDelivery(t *testing.T) {
 func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	const depth = 6
 	sh := &countingShard{gate: make(chan struct{})}
-	c, err := NewCoordinator([]Shard{sh}, CoordinatorOptions{QueueDepth: depth, WALDir: t.TempDir()})
+	c, err := NewCoordinator([]Shard{sh}, CoordinatorOptions{queueDepth: depth, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,13 +189,13 @@ func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	}
 	c.mu.Unlock()
 
-	st := l.status()
-	if !st.gapped || st.queued != depth {
-		t.Fatalf("after a %d-frame group into a depth-%d queue: queued=%d gapped=%v, want %d staged and gapped", ring.Slots, depth, st.queued, st.gapped, depth)
-	}
 	l.mu.Lock()
+	queued, gapped := len(l.q), l.gapped
 	lastEnq, headSeq := l.lastEnq, l.q[0].seq
 	l.mu.Unlock()
+	if !gapped || queued != depth {
+		t.Fatalf("after a %d-frame group into a depth-%d queue: queued=%d gapped=%v, want %d staged and gapped", ring.Slots, depth, queued, gapped, depth)
+	}
 	if lastEnq != headSeq+depth-1 {
 		t.Fatalf("lastEnq = %d with head %d, want the staged prefix's last sequence %d", lastEnq, headSeq, headSeq+depth-1)
 	}
@@ -214,7 +214,10 @@ func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	if len(batches[0]) != depth {
 		t.Fatalf("first drain carried %d frames, want the staged prefix of %d", len(batches[0]), depth)
 	}
-	if st := l.status(); st.gapped || st.queued != 0 || c.sp.PendingRowsNode(0) != 0 {
-		t.Fatalf("lane not caught up: queued=%d gapped=%v pending=%d", st.queued, st.gapped, c.sp.PendingRowsNode(0))
+	l.mu.Lock()
+	queued, gapped = len(l.q), l.gapped
+	l.mu.Unlock()
+	if gapped || queued != 0 || c.sp.PendingRowsNode(0) != 0 {
+		t.Fatalf("lane not caught up: queued=%d gapped=%v pending=%d", queued, gapped, c.sp.PendingRowsNode(0))
 	}
 }

@@ -22,32 +22,18 @@ var (
 	mIngestBatches = obs.Def.Counter("geomob_ingest_batches_total", "Ingest batch flushes (store append + ring route).")
 	mIngestFlush   = obs.Def.Histogram("geomob_ingest_flush_seconds", "Latency of one ingest batch flush.", nil)
 	mIngestBad     = obs.Def.Counter("geomob_ingest_bad_input_total", "Ingest streams rejected for malformed records or frames.")
-	mIngestStage   = func() (hs [4]*obs.Histogram) {
-		for k, name := range ingestStageNames {
-			hs[k] = obs.Def.Histogram("geomob_ingest_stage_seconds", "Per-stage latency of a single-node ingest request: decode/store/resolve/ring.", nil, "stage", name)
-		}
-		return hs
-	}()
 )
 
-// ingestStageNames names where a request through an Ingestor spends its wall
-// time: decode (reading and buffering the body — what the rest leaves),
-// store (the durable commit), resolve (the resolve stage) and ring (the
-// appends).
-var ingestStageNames = [4]string{"decode", "store", "resolve", "ring"}
+// IngestPath is where a request through an Ingestor spends its wall time
+// (DESIGN.md §7), booked to geomob_ingest_stage_seconds: decode (reading
+// and buffering the body, and the reply — the remainder), store (the
+// durable commit), resolve (the resolve stage) and ring (the appends).
+var IngestPath = &obs.Path{Every: true, Stages: obs.StageFamily(obs.Def, "geomob_ingest_stage_seconds",
+	"Per-stage latency of a single-node ingest request: decode/store/resolve/ring.",
+	"decode", "store", "resolve", "ring")}
 
-// ingestStages accumulates one request's share of the last three; the
-// plain IngestBatch/Flush pass nil and record nothing.
-type ingestStages struct{ store, resolve, ring time.Duration }
-
-// record books the request's four stages, summing to total, on ctx's trace and the histograms.
-func (st *ingestStages) record(ctx context.Context, total time.Duration) {
-	tr := obs.TraceFrom(ctx)
-	for k, d := range [4]time.Duration{total - st.store - st.resolve - st.ring, st.store, st.resolve, st.ring} {
-		tr.AddStage(ingestStageNames[k], d)
-		mIngestStage[k].Observe(d.Seconds())
-	}
-}
+// IngestPath's stages the commit books; decode is the remainder.
+const stageStore, stageResolve, stageRing = 1, 2, 3
 
 // Ingestor is the one write path in front of a store and a bucket ring
 // (DESIGN.md §7's table): a single node's streaming ingest and a shard's
@@ -117,7 +103,7 @@ func (i *Ingestor) Snapshot(snaps *SnapshotStore) (SnapshotStats, error) {
 // batch is copied in; the caller keeps ownership.
 func (i *Ingestor) IngestBatch(b *tweet.Batch) error { return i.addBatch(b, nil) }
 
-func (i *Ingestor) addBatch(b *tweet.Batch, st *ingestStages) error {
+func (i *Ingestor) addBatch(b *tweet.Batch, st *obs.Stages) error {
 	if b.Len() == 0 {
 		return nil
 	}
@@ -136,13 +122,13 @@ func (i *Ingestor) addBatch(b *tweet.Batch, st *ingestStages) error {
 // Flush persists and routes any buffered records as one batch.
 func (i *Ingestor) Flush() error { return i.flush(nil) }
 
-func (i *Ingestor) flush(st *ingestStages) error {
+func (i *Ingestor) flush(st *obs.Stages) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.flushLocked(st)
 }
 
-func (i *Ingestor) flushLocked(st *ingestStages) error {
+func (i *Ingestor) flushLocked(st *obs.Stages) error {
 	n := i.batch.Len()
 	if n == 0 {
 		return nil
@@ -173,23 +159,20 @@ func (i *Ingestor) Commit(b *tweet.Batch, meta map[string]string) error {
 // commitLocked is the write step both paths share, under i.mu: the store
 // append (skipped without a store) before the resolve and the ring
 // append. A failed append leaves the store rolled back and the ring
-// untouched. st, when non-nil, accumulates the three stages.
-func (i *Ingestor) commitLocked(b *tweet.Batch, meta map[string]string, st *ingestStages) error {
-	t0 := time.Now()
+// untouched. st, when non-nil, books the three stages.
+func (i *Ingestor) commitLocked(b *tweet.Batch, meta map[string]string, st *obs.Stages) error {
+	st.Begin()
 	if i.store != nil {
 		if err := i.store.AppendBatchMeta(b, meta); err != nil {
 			return err
 		}
 	}
-	t1 := time.Now()
+	st.End(stageStore)
 	r := i.agg.Resolve(b)
-	t2 := time.Now()
+	st.End(stageResolve)
 	i.agg.appendResolved(b, r)
 	r.release()
-	if st != nil {
-		t3 := time.Now()
-		st.store, st.resolve, st.ring = st.store+t1.Sub(t0), st.resolve+t2.Sub(t1), st.ring+t3.Sub(t2)
-	}
+	st.End(stageRing)
 	return nil
 }
 
@@ -290,14 +273,13 @@ func scanChunks(it *tweetdb.Iterator, sh *Shape, keep func(ts int64) bool, free 
 // Ingest drains a stream of batches through the ingestor and flushes at
 // the end, returning how many records the stream contributed; read is a
 // decoder's batch method (tweet.NDJSONReader.ReadBatch or
-// tweet.BatchReader.Read). The ingest stages land on ctx's trace.
+// tweet.BatchReader.Read). The commit books store, resolve and ring into
+// ctx's stage clock over IngestPath, when it carries one.
 func (i *Ingestor) Ingest(ctx context.Context, read func(*tweet.Batch) error) (int, error) {
-	st, t0 := &ingestStages{}, time.Now()
-	n, err := Drain(read,
+	st := obs.StagesFrom(ctx, IngestPath)
+	return Drain(read,
 		func(b *tweet.Batch) error { return i.addBatch(b, st) },
 		func() error { return i.flush(st) })
-	st.record(ctx, time.Since(t0))
-	return n, err
 }
 
 // Drain is the one ingest loop every write front shares (Ingestor and

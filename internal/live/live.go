@@ -64,7 +64,6 @@ import (
 var (
 	mRingRecords    = obs.Def.Counter("geomob_ring_records_total", "Records routed into the bucket ring.")
 	mRingBuilds     = obs.Def.Counter("geomob_ring_builds_total", "Full-bucket partial materialisations.")
-	mRingFold       = obs.Def.Histogram("geomob_ring_fold_seconds", "Latency of a windowed bucket-fold query (collect + fold + assemble).", nil)
 	mRingReloads    = obs.Def.Counter("geomob_ring_reloads_total", "Restored store-only buckets whose records were read back from the store.")
 	mRingReloadSecs = obs.Def.Histogram("geomob_ring_reload_seconds", "Latency of one reload scan of store-only buckets.", nil)
 )
@@ -1032,18 +1031,13 @@ func plan(req core.Request) (info *core.PlanInfo, lo, hi int64, err error) {
 // result is bit-identical to Study.Execute over the same records (see
 // the property tests), at a custom radius too (FoldSlots).
 func (a *Aggregator) Query(req core.Request) (*core.Result, error) {
-	t0 := time.Now()
 	sp, err := a.FoldPartial(req)
 	if err != nil {
 		return nil, err
 	}
 	// One ascending-id run cannot collide with itself.
 	sp.Stats, _ = FlattenUsers(sp.Tweets, sp.Users)
-	res, err := core.AssembleFolded(req, &sp.FoldedPass)
-	if err == nil {
-		mRingFold.Observe(time.Since(t0).Seconds())
-	}
-	return res, err
+	return core.AssembleFolded(req, &sp.FoldedPass)
 }
 
 // WindowTweets copies the ring's records in [lo, hi) (unbounded sides as

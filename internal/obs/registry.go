@@ -154,37 +154,43 @@ func (r *Registry) familyFor(name, help, typ string) *family {
 	return f
 }
 
+// series returns the series for name and label pairs in a family of
+// type typ, creating it on first use, and under the family lock lets set
+// fill a new series (fresh true) or re-bind an existing one.
+func (r *Registry) series(name, help, typ string, labels []string, set func(s *series, fresh bool)) *series {
+	f := r.familyFor(name, help, typ)
+	ls := renderLabels(labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	s, ok := f.byLabel[ls]
+	if !ok {
+		s = &series{labels: ls}
+		f.series = append(f.series, s)
+		f.byLabel[ls] = s
+	}
+	set(s, !ok)
+	return s
+}
+
 // Counter returns the counter for name (+ optional k,v label pairs),
 // creating it on first use. Re-registration returns the same counter,
 // so package-level vars and per-instance components can share series.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	f := r.familyFor(name, help, typeCounter)
-	ls := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.byLabel[ls]; ok {
-		return s.c
-	}
-	s := &series{labels: ls, c: &Counter{}}
-	f.series = append(f.series, s)
-	f.byLabel[ls] = s
-	return s.c
+	return r.series(name, help, typeCounter, labels, func(s *series, fresh bool) {
+		if fresh {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the gauge for name (+ optional label pairs), creating
 // it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	f := r.familyFor(name, help, typeGauge)
-	ls := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.byLabel[ls]; ok {
-		return s.g
-	}
-	s := &series{labels: ls, g: &Gauge{}}
-	f.series = append(f.series, s)
-	f.byLabel[ls] = s
-	return s.g
+	return r.series(name, help, typeGauge, labels, func(s *series, fresh bool) {
+		if fresh {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at read
@@ -193,18 +199,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // Re-registering the same name+labels replaces fn (a restarted
 // component re-binds its accessor).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	f := r.familyFor(name, help, typeGauge)
-	ls := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.byLabel[ls]; ok {
-		s.gf = fn
-		s.g = nil
-		return
-	}
-	s := &series{labels: ls, gf: fn}
-	f.series = append(f.series, s)
-	f.byLabel[ls] = s
+	r.series(name, help, typeGauge, labels, func(s *series, _ bool) { s.gf, s.g = fn, nil })
 }
 
 // Histogram returns the histogram for name (+ optional label pairs),
@@ -212,17 +207,11 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 // latencyBuckets). Bounds must be ascending; a +Inf overflow bucket is
 // implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	f := r.familyFor(name, help, typeHistogram)
-	ls := renderLabels(labels)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s, ok := f.byLabel[ls]; ok {
-		return s.h
-	}
-	s := &series{labels: ls, h: newHistogram(bounds)}
-	f.series = append(f.series, s)
-	f.byLabel[ls] = s
-	return s.h
+	return r.series(name, help, typeHistogram, labels, func(s *series, fresh bool) {
+		if fresh {
+			s.h = newHistogram(bounds)
+		}
+	}).h
 }
 
 // Snapshot is one coherent pass over a registry: every series read

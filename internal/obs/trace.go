@@ -46,18 +46,8 @@ func NewTrace(id string) *Trace {
 	return &Trace{ID: id, start: time.Now()}
 }
 
-// StartStage begins a named stage and returns the function that ends
-// it: `defer tr.StartStage("fold")()`.
-func (t *Trace) StartStage(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { t.AddStage(name, time.Since(t0)) }
-}
-
-// AddStage records an externally measured stage duration.
-func (t *Trace) AddStage(name string, d time.Duration) {
+// addStage records a stage duration (Stage.Book is the usual caller).
+func (t *Trace) addStage(name string, d time.Duration) {
 	if t == nil {
 		return
 	}

@@ -270,6 +270,9 @@ var unusedExportsPinned = []string{
 	// TestSnapshotRestartProperty and TestSnapshotCleanRestartZeroReplay
 	// (live).
 	"tweetdb.Store.SegmentLoads",
+	// Names the coordinator ingest stages TestIngestTraceStages
+	// (cmd/mobserve) expects in a trace and in /healthz.
+	"cluster.IngestStages",
 }
 
 // TestUnusedExports fails when an exported identifier under internal/
