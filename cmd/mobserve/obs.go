@@ -201,8 +201,7 @@ func (s *server) traced(endpoint string, path *obs.Path, h http.HandlerFunc) htt
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		h(sw, r.WithContext(obs.WithStages(obs.WithTrace(r.Context(), tr), st)))
-		st.Close()
-		d := tr.Total()
+		d := st.Close()
 		hist.Observe(d.Seconds())
 		slow := s.slowQuery > 0 && d >= s.slowQuery
 		if slow {

@@ -154,10 +154,10 @@ func (r *Registry) familyFor(name, help, typ string) *family {
 	return f
 }
 
-// series returns the series for name and label pairs in a family of
+// seriesFor returns the series for name and label pairs in a family of
 // type typ, creating it on first use, and under the family lock lets set
 // fill a new series (fresh true) or re-bind an existing one.
-func (r *Registry) series(name, help, typ string, labels []string, set func(s *series, fresh bool)) *series {
+func (r *Registry) seriesFor(name, help, typ string, labels []string, set func(s *series, fresh bool)) *series {
 	f := r.familyFor(name, help, typ)
 	ls := renderLabels(labels)
 	f.mu.Lock()
@@ -176,7 +176,7 @@ func (r *Registry) series(name, help, typ string, labels []string, set func(s *s
 // creating it on first use. Re-registration returns the same counter,
 // so package-level vars and per-instance components can share series.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	return r.series(name, help, typeCounter, labels, func(s *series, fresh bool) {
+	return r.seriesFor(name, help, typeCounter, labels, func(s *series, fresh bool) {
 		if fresh {
 			s.c = &Counter{}
 		}
@@ -186,7 +186,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // Gauge returns the gauge for name (+ optional label pairs), creating
 // it on first use.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	return r.series(name, help, typeGauge, labels, func(s *series, fresh bool) {
+	return r.seriesFor(name, help, typeGauge, labels, func(s *series, fresh bool) {
 		if fresh {
 			s.g = &Gauge{}
 		}
@@ -199,7 +199,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // Re-registering the same name+labels replaces fn (a restarted
 // component re-binds its accessor).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	r.series(name, help, typeGauge, labels, func(s *series, _ bool) { s.gf, s.g = fn, nil })
+	r.seriesFor(name, help, typeGauge, labels, func(s *series, _ bool) { s.gf, s.g = fn, nil })
 }
 
 // Histogram returns the histogram for name (+ optional label pairs),
@@ -207,7 +207,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 // latencyBuckets). Bounds must be ascending; a +Inf overflow bucket is
 // implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	return r.series(name, help, typeHistogram, labels, func(s *series, fresh bool) {
+	return r.seriesFor(name, help, typeHistogram, labels, func(s *series, fresh bool) {
 		if fresh {
 			s.h = newHistogram(bounds)
 		}

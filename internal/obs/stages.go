@@ -43,8 +43,8 @@ type Path struct {
 	Every  bool
 }
 
-// Stages is one request's stage clock over a Path. Begin, End and Close
-// are nil-safe, so a path's plain entry points pass nil and book nothing,
+// Stages is one request's stage clock over a Path. Begin and End are
+// nil-safe, so a path's plain entry points pass nil and book nothing,
 // reading no clock. One goroutine drives a request's clock; it is not
 // safe for concurrent use.
 type Stages struct {
@@ -92,20 +92,25 @@ func (s *Stages) End(k int) {
 }
 
 // Close ends the request: the remainder stage takes the wall time since
-// Start that no stage claimed.
-func (s *Stages) Close() {
-	if s == nil {
-		return
-	}
-	rest := time.Since(s.start) - s.claimed
+// Start that no stage claimed. It returns the request's wall time up to
+// that same reading, from the trace's start (the clock's own without a
+// trace), so the stages sum to it less only the instant between the
+// trace's start and the clock's.
+func (s *Stages) Close() time.Duration {
+	end := time.Now()
+	rest := end.Sub(s.start) - s.claimed
 	if !s.path.Every {
 		s.path.Stages[s.path.Rest].Book(s.tr, rest)
-		return
+	} else {
+		s.d[s.path.Rest] = rest
+		for k, st := range s.path.Stages {
+			st.Book(s.tr, s.d[k])
+		}
 	}
-	s.d[s.path.Rest] = rest
-	for k, st := range s.path.Stages {
-		st.Book(s.tr, s.d[k])
+	if s.tr == nil {
+		return end.Sub(s.start)
 	}
+	return end.Sub(s.tr.start)
 }
 
 type stagesKey struct{}

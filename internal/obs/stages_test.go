@@ -20,9 +20,7 @@ func TestStagesSumToWall(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	st.End(1)
 	st.End(0)
-	before := time.Now()
-	st.Close()
-	wall := time.Since(before)
+	total := st.Close()
 
 	got := tr.Stages()
 	var names []string
@@ -38,10 +36,13 @@ func TestStagesSumToWall(t *testing.T) {
 		t.Fatalf("stages %q, want %q (merge never ran)", strings.Join(names, " "), want)
 	}
 	if got[0].D < time.Millisecond || got[2].D < time.Millisecond {
-		t.Errorf("fold %v, encode %v: each slept 1ms", got[1].D, got[2].D)
+		t.Errorf("fold %v, encode %v: each slept 1ms", got[0].D, got[2].D)
 	}
-	if total := tr.Total(); sum > total || sum < total-wall-time.Millisecond {
-		t.Errorf("stages sum to %v of a %v trace", sum, total)
+	// The clock opens just behind the trace and closes on the reading
+	// that ends the request, so the stages fall short of it by only that
+	// instant.
+	if sum >= total || sum < total-time.Millisecond {
+		t.Errorf("stages sum to %v of a %v request", sum, total)
 	}
 	snap := r.Snapshot()
 	for name, want := range map[string]float64{"probe": 1, "fold": 1, "merge": 0, "encode": 1} {
@@ -79,7 +80,6 @@ func TestStagesNilAndContext(t *testing.T) {
 	var st *Stages
 	st.Begin()
 	st.End(0)
-	st.Close()
 	q := &Path{Stages: StageFamily(NewRegistry(), "t_ctx_seconds", "h", "a")}
 	other := &Path{Stages: q.Stages}
 	open := q.Start(nil)

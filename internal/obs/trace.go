@@ -43,7 +43,9 @@ func NewTrace(id string) *Trace {
 			id = "trace-rand-unavailable"
 		}
 	}
-	return &Trace{ID: id, start: time.Now()}
+	t := &Trace{ID: id}
+	t.start = time.Now() // after the allocation: a clock opened next starts right behind it
+	return t
 }
 
 // addStage records a stage duration (Stage.Book is the usual caller).
