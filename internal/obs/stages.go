@@ -91,6 +91,11 @@ func (s *Stages) End(k int) {
 	s.path.Stages[k].Book(s.tr, d)
 }
 
+// Claimed returns the wall time the stages have claimed so far: read
+// before and after a run of stages, it times the run from the clock's
+// own readings at its boundaries.
+func (s *Stages) Claimed() time.Duration { return s.claimed }
+
 // Close ends the request: the remainder stage takes the wall time since
 // Start that no stage claimed. It returns the request's wall time up to
 // that same reading, from the trace's start (the clock's own without a

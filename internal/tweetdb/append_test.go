@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"geomob/internal/tweet"
@@ -78,19 +77,17 @@ func TestSegmentBytesGolden(t *testing.T) {
 	}
 }
 
-// failWrites swaps the store's file writer for one that fails the calls
-// whose path satisfies bad, until the returned restore runs.
-func failWrites(t *testing.T, bad func(path string, call int) bool) (restore func()) {
+// failOps makes the store's file operations fail where bad says so,
+// until the returned restore runs.
+func failOps(t *testing.T, bad func(op, path string) bool) (restore func()) {
 	t.Helper()
-	calls := 0
-	writeFile = func(path string, data []byte) error {
-		calls++
-		if bad(path, calls) {
-			return errors.New("injected write failure")
+	fault = func(op, path string) error {
+		if bad(op, path) {
+			return errors.New("injected file operation failure")
 		}
-		return AtomicWriteFile(path, data)
+		return nil
 	}
-	restore = func() { writeFile = AtomicWriteFile }
+	restore = func() { fault = func(string, string) error { return nil } }
 	t.Cleanup(restore)
 	return restore
 }
@@ -109,17 +106,20 @@ func segmentFiles(t *testing.T, s *Store) []string {
 }
 
 func TestAppendFailureRollsBack(t *testing.T) {
-	isManifest := func(path string) bool { return strings.HasSuffix(path, manifestName) }
+	logOp := func(op string) func(string, string) bool {
+		return func(o, p string) bool { return o == op && filepath.Base(p) == logName }
+	}
 	cases := []struct {
 		name     string
 		records  int
 		meta     map[string]string
-		bad      func(path string, call int) bool
+		bad      func(op, path string) bool
 		segments int // segments the successful retry adds
 	}{
-		{"manifest save, one segment", 3, nil, func(p string, _ int) bool { return isManifest(p) }, 1},
-		{"second of two segments", 8, map[string]string{"hwm:a": "7"}, func(_ string, call int) bool { return call == 2 }, 2},
-		{"meta only", 0, map[string]string{"hwm:a": "7"}, func(p string, _ int) bool { return isManifest(p) }, 0},
+		{"manifest save, one segment", 3, nil, logOp("append"), 1},
+		{"log fsync, one segment", 3, map[string]string{"hwm:a": "7"}, logOp("sync"), 1},
+		{"second of two segments", 8, map[string]string{"hwm:a": "7"}, func(op, p string) bool { return op == "write" && filepath.Base(p) == segName(2) }, 2},
+		{"meta only", 0, map[string]string{"hwm:a": "7"}, logOp("append"), 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -133,7 +133,7 @@ func TestAppendFailureRollsBack(t *testing.T) {
 			gen, files := s.Generation(), segmentFiles(t, s)
 			b := tweet.BatchOf(makeTweets(5, tc.records))
 
-			restore := failWrites(t, tc.bad)
+			restore := failOps(t, tc.bad)
 			if err := s.AppendBatchMeta(b, tc.meta); err == nil {
 				t.Fatal("append succeeded through a failing write")
 			}

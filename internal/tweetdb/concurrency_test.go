@@ -109,7 +109,7 @@ func TestIteratorCloseReclaimsGarbage(t *testing.T) {
 	if garbage != 0 {
 		t.Errorf("%d garbage files left after last iterator closed", garbage)
 	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), manifestName)); err != nil {
+	if _, err := os.Stat(filepath.Join(s.Dir(), logName)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,15 +1,16 @@
 // Package tweetdb is an embedded, append-only storage engine for geo-tagged
 // tweets, built for the scan-heavy analytical workloads of the paper:
 // write-once segments hold delta-encoded record blocks with CRC-32
-// integrity, a JSON manifest tracks per-segment metadata (time range,
-// bounding box, user-id range), and queries push time/space/user predicates
-// down to segment pruning before any byte of payload is read.
+// integrity, an append-only catalogue log tracks per-segment metadata
+// (time range, bounding box, user-id range), and queries push
+// time/space/user predicates down to segment pruning before any byte of
+// payload is read.
 //
 // The design follows the classic log-structured table layout: immutable
-// segment files written atomically (temp file + rename), a manifest that is
-// the single source of truth, and an offline compaction that merges
-// segments into global (user, time) order — the order mobility extraction
-// consumes.
+// segment files, a catalogue log whose records are the single source of
+// truth — one record commits one append — and an offline compaction that
+// merges segments into global (user, time) order, the order mobility
+// extraction consumes.
 package tweetdb
 
 import (
@@ -33,17 +34,18 @@ const (
 // SegmentMeta describes one immutable segment file. All ranges are
 // inclusive.
 type SegmentMeta struct {
-	File    string  `json:"file"`     // file name relative to the store directory
-	Count   int     `json:"count"`    // number of records
-	MinTS   int64   `json:"min_ts"`   // earliest tweet timestamp (ms)
-	MaxTS   int64   `json:"max_ts"`   // latest tweet timestamp (ms)
-	MinUser int64   `json:"min_user"` // smallest user id
-	MaxUser int64   `json:"max_user"` // largest user id
-	MinLat  float64 `json:"min_lat"`
-	MinLon  float64 `json:"min_lon"`
-	MaxLat  float64 `json:"max_lat"`
-	MaxLon  float64 `json:"max_lon"`
-	Bytes   int64   `json:"bytes"` // file size, header included
+	File    string // file name relative to the store directory
+	Count   int    // number of records
+	MinTS   int64  // earliest tweet timestamp (ms)
+	MaxTS   int64  // latest tweet timestamp (ms)
+	MinUser int64  // smallest user id
+	MaxUser int64  // largest user id
+	MinLat  float64
+	MinLon  float64
+	MaxLat  float64
+	MaxLon  float64
+	Bytes   int64 // file size, header included
+	seq     int   // the sequence number File carries
 }
 
 // BBox returns the segment's spatial bounds.

@@ -293,20 +293,10 @@ func (s *Store) Compact() error {
 	}
 	all.Sort()
 	old := s.man.Segments
-	s.man.Segments = nil
-	for off := 0; off < all.Len(); off += s.segRecords {
-		end := off + s.segRecords
-		if end > all.Len() {
-			end = all.Len()
-		}
-		if err := s.writeSegmentLocked(all, off, end); err != nil {
-			return fmt.Errorf("tweetdb: compact: %w", err)
-		}
+	if err := s.commitLocked(all, s.man.Meta, true); err != nil {
+		return fmt.Errorf("tweetdb: compact: %w", err)
 	}
-	if err := s.saveManifestLocked(); err != nil {
-		return err
-	}
-	// Old files are garbage only after the manifest no longer references
+	// Old files are garbage only after the log no longer names
 	// them — but an in-flight iterator's catalogue snapshot may still,
 	// so deletion is deferred until the store goes scan-idle instead of
 	// yanking files out from under concurrent readers.

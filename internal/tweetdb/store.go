@@ -1,7 +1,6 @@
 package tweetdb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -16,6 +15,7 @@ import (
 	"geomob/internal/geo"
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
+	"geomob/internal/wire"
 )
 
 // Store metrics (DESIGN.md §12): cumulative over every Store in the
@@ -23,28 +23,14 @@ import (
 var (
 	mScans       = obs.Def.Counter("geomob_store_scans_total", "Store scans started (cache misses that went back to segments).")
 	mSegLoads    = obs.Def.Counter("geomob_store_segment_loads_total", "Segment payloads decoded — the unit of real scan work.")
-	mAppends     = obs.Def.Counter("geomob_store_appends_total", "Durable batch appends (segment writes + manifest rename).")
+	mAppends     = obs.Def.Counter("geomob_store_appends_total", "Durable batch appends (segment writes + one catalogue log record).")
 	mAppendSecs  = obs.Def.Histogram("geomob_store_append_seconds", "Latency of one durable batch append.", nil)
 	mCompactions = obs.Def.Counter("geomob_store_compactions_total", "Store compactions completed.")
 )
 
-const manifestName = "MANIFEST.json"
-
 // DefaultSegmentRecords caps how many records a single segment holds. A
 // segment is the unit of decode, so this bounds peak memory per iterator.
 const DefaultSegmentRecords = 1 << 18
-
-// manifest is the on-disk catalogue of segments.
-type manifest struct {
-	Version  int           `json:"version"`
-	NextSeq  int           `json:"next_seq"`
-	Segments []SegmentMeta `json:"segments"`
-	// Meta holds small application key/values that must commit
-	// atomically with an append — the cluster stores per-sender
-	// delivery high-water marks here, so a batch and the mark that
-	// deduplicates its redelivery land in one manifest rename.
-	Meta map[string]string `json:"meta,omitempty"`
-}
 
 // Store is an append-only tweet database rooted in one directory. A Store
 // is safe for concurrent use: appends serialise on an internal mutex,
@@ -70,6 +56,9 @@ type Store struct {
 	mu         sync.Mutex
 	man        manifest
 	segRecords int // max records per segment; DefaultSegmentRecords unless overridden
+	// logSize is the length of the log's intact prefix; 0 while there is
+	// no log or its tail is unknown, so the next commit checkpoints.
+	logSize int64
 	// garbage lists segment files retired by Compact that could not be
 	// unlinked yet because scans were in flight; dropped as soon as the
 	// store goes scan-idle.
@@ -77,28 +66,47 @@ type Store struct {
 }
 
 // Open opens (or initialises) the store in dir, creating the directory as
-// needed and loading the manifest.
+// needed and replaying the catalogue log. A torn last record is cut away;
+// a damaged record before a good one, a segment the log names but the
+// directory lacks, or a JSON manifest of an older build fail the open.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tweetdb: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, man: manifest{Version: 1}, segRecords: DefaultSegmentRecords}
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		// Fresh store.
-	case err != nil:
-		return nil, fmt.Errorf("tweetdb: read manifest: %w", err)
-	default:
-		if err := json.Unmarshal(raw, &s.man); err != nil {
-			return nil, fmt.Errorf("tweetdb: parse manifest: %w", err)
-		}
-		for _, seg := range s.man.Segments {
-			if _, err := os.Stat(filepath.Join(dir, seg.File)); err != nil {
-				return nil, fmt.Errorf("tweetdb: manifest references missing segment %s: %w", seg.File, err)
-			}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("tweetdb: list %s: %w", dir, err)
+	}
+	present := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		present[e.Name()] = true
+	}
+	if present[legacyManifest] {
+		return nil, fmt.Errorf("tweetdb: open %s: it holds %s, the catalogue format before %s, which this build does not read", dir, legacyManifest, logName)
+	}
+	s := &Store{dir: dir, segRecords: DefaultSegmentRecords}
+	path := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return s, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("tweetdb: read %s: %w", logName, err)
+	}
+	man, valid, err := replayLog(raw)
+	if err != nil {
+		return nil, err
+	}
+	if valid < len(raw) {
+		if err := os.Truncate(path, int64(valid)); err != nil {
+			return nil, fmt.Errorf("tweetdb: cut the torn tail of %s: %w", logName, err)
 		}
 	}
+	for _, seg := range man.Segments {
+		if !present[seg.File] {
+			return nil, fmt.Errorf("tweetdb: %s names missing segment %s", logName, seg.File)
+		}
+	}
+	s.man, s.logSize = man, int64(valid)
 	return s, nil
 }
 
@@ -160,7 +168,7 @@ func (s *Store) Segments() []SegmentMeta {
 }
 
 // Append writes the tweets as one or more new segments (respecting
-// DefaultSegmentRecords) and commits them to the manifest. Records are
+// DefaultSegmentRecords) and commits them to the catalogue. Records are
 // sorted by (user, time) within each segment so the binary delta coding
 // compresses well; global order across segments is only established by
 // Compact. The caller's slice is never mutated.
@@ -189,14 +197,13 @@ var sortScratch = sync.Pool{New: func() any { return new(tweet.Batch) }}
 var segBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendBatchMeta is AppendBatch over a batch its caller has already
-// validated, merging meta into the manifest's key/value table in the
-// same manifest save. Because AppendBatch publishes all of an append's
-// segments with one atomic manifest rename, the batch and its meta
-// updates commit together or not at all — the property cluster shards
-// rely on to make redelivery deduplication exact across kill -9. A
-// failed call leaves the store as it found it, so retrying the same
+// validated, merging meta into the catalogue's key/value table in the
+// same commit. The call's segments and meta keys commit in one log
+// record, so they land together or not at all — the property cluster
+// shards rely on to make redelivery deduplication exact across kill -9.
+// A failed call leaves the store as it found it, so retrying the same
 // batch commits it exactly once.
-func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err error) {
+func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) error {
 	if b.Len() == 0 && len(meta) == 0 {
 		return nil
 	}
@@ -209,33 +216,7 @@ func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err err
 	t0 := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prev := s.man
-	defer func() {
-		if err != nil {
-			for _, seg := range s.man.Segments[len(prev.Segments):] {
-				_ = removeFile(s.dir, seg.File) // in no saved manifest; a leftover is overwritten with its name
-			}
-			s.man = prev
-		}
-	}()
-	for off := 0; off < b.Len(); off += s.segRecords {
-		end := off + s.segRecords
-		if end > b.Len() {
-			end = b.Len()
-		}
-		if err := s.writeSegmentLocked(b, off, end); err != nil {
-			return err
-		}
-	}
-	if len(meta) > 0 {
-		// A fresh table, so prev still holds the one to roll back to.
-		s.man.Meta = maps.Clone(s.man.Meta)
-		if s.man.Meta == nil {
-			s.man.Meta = make(map[string]string, len(meta))
-		}
-		maps.Copy(s.man.Meta, meta)
-	}
-	if err := s.saveManifestLocked(); err != nil {
+	if err := s.commitLocked(b, meta, false); err != nil {
 		return err
 	}
 	mAppends.Inc()
@@ -243,7 +224,7 @@ func (s *Store) AppendBatchMeta(b *tweet.Batch, meta map[string]string) (err err
 	return nil
 }
 
-// MetaPrefix returns a copy of every manifest meta entry whose key
+// MetaPrefix returns a copy of every catalogue meta entry whose key
 // starts with prefix.
 func (s *Store) MetaPrefix(prefix string) map[string]string {
 	s.mu.Lock()
@@ -257,107 +238,89 @@ func (s *Store) MetaPrefix(prefix string) map[string]string {
 	return out
 }
 
-// writeSegmentLocked serialises records [from, to) of the (validated)
-// batch into a new segment file and adds it to the in-memory manifest
-// (not yet persisted). Caller holds s.mu.
-func (s *Store) writeSegmentLocked(b *tweet.Batch, from, to int) error {
-	h := header{
-		version: segVersion,
-		minTS:   b.TS[from],
-		maxTS:   b.TS[from],
-		minUser: b.UserID[from],
-		maxUser: b.UserID[from],
-		bbox:    geo.EmptyBBox(),
+// commitLocked writes the (validated, sorted) batch as new segments and
+// commits them with meta: segment fsyncs, one directory fsync, then one
+// log record and its fsync. With replace they become the whole catalogue
+// (Compact) and the log is rewritten as one checkpoint record, as it is
+// once it grows past twice that size. A failure removes the call's
+// segment files and leaves log and catalogue as they were. Caller holds s.mu.
+func (s *Store) commitLocked(b *tweet.Batch, meta map[string]string, replace bool) (err error) {
+	var segs []SegmentMeta
+	defer func() {
+		if err != nil {
+			for _, m := range segs {
+				_ = removeFile(s.dir, m.File) // named by no record; a leftover is overwritten with its name
+			}
+		}
+	}()
+	for off := 0; off < b.Len(); off += s.segRecords {
+		m, err := s.writeSegment(b, off, min(off+s.segRecords, b.Len()), s.man.NextSeq+len(segs))
+		if err != nil {
+			return err
+		}
+		segs = append(segs, m)
 	}
+	if len(segs) > 0 {
+		if err := syncDir(s.dir); err != nil {
+			return fmt.Errorf("tweetdb: sync %s: %w", s.dir, err)
+		}
+	}
+	w := wire.NewWriter(nil)
+	putLogRecord(&w, s.man.NextSeq+len(segs), segs, meta)
+	rec := w.Bytes()
+	var man manifest
+	if !replace {
+		man = s.man
+		man.Meta = maps.Clone(man.Meta) // s.man keeps the table to fall back to
+	}
+	if err := man.apply(rec[8:]); err != nil {
+		return fmt.Errorf("tweetdb: log record: %w", err)
+	}
+	path := filepath.Join(s.dir, logName)
+	if replace || s.logSize == 0 || s.logSize+int64(len(rec)) > 2*man.checkpointBytes() {
+		w = wire.NewWriter(append(make([]byte, 0, man.checkpointBytes()), logHeader...))
+		putLogRecord(&w, man.NextSeq, man.Segments, man.Meta)
+		if err := AtomicWriteFile(path, w.Bytes()); err != nil {
+			return fmt.Errorf("tweetdb: checkpoint %s: %w", logName, err)
+		}
+		s.logSize = int64(w.Len())
+	} else if err := syncWrite(path, os.O_WRONLY|os.O_APPEND, "append", rec); err != nil {
+		if os.Truncate(path, s.logSize) != nil {
+			s.logSize = 0
+		}
+		return fmt.Errorf("tweetdb: append to %s: %w", logName, err)
+	} else {
+		s.logSize += int64(len(rec))
+	}
+	s.man = man
+	return nil
+}
+
+// writeSegment serialises records [from, to) of the (validated) batch
+// into the new, fsynced segment file seq and returns its catalogue entry.
+func (s *Store) writeSegment(b *tweet.Batch, from, to, seq int) (SegmentMeta, error) {
+	m := SegmentMeta{File: segName(seq), seq: seq, Count: to - from,
+		MinTS: b.TS[from], MaxTS: b.TS[from], MinUser: b.UserID[from], MaxUser: b.UserID[from]}
+	bbox := geo.EmptyBBox()
 	for i := from; i < to; i++ {
-		if ts := b.TS[i]; ts < h.minTS {
-			h.minTS = ts
-		} else if ts > h.maxTS {
-			h.maxTS = ts
-		}
-		if u := b.UserID[i]; u < h.minUser {
-			h.minUser = u
-		} else if u > h.maxUser {
-			h.maxUser = u
-		}
-		h.bbox = h.bbox.Extend(geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]})
+		m.MinTS, m.MaxTS = min(m.MinTS, b.TS[i]), max(m.MaxTS, b.TS[i])
+		m.MinUser, m.MaxUser = min(m.MinUser, b.UserID[i]), max(m.MaxUser, b.UserID[i])
+		bbox = bbox.Extend(geo.Point{Lat: b.Lat[i], Lon: b.Lon[i]})
 	}
+	m.MinLat, m.MinLon, m.MaxLat, m.MaxLon = bbox.MinLat, bbox.MinLon, bbox.MaxLat, bbox.MaxLon
 	bp := segBufs.Get().(*[]byte)
 	defer segBufs.Put(bp)
 	buf := encodeColumnsV2(slices.Grow((*bp)[:0], headerSize)[:headerSize], b, from, to)
 	*bp = buf
-	h.count = uint32(to - from)
-	h.payloadLen = uint32(len(buf) - headerSize)
-	h.crc = checksum(buf[headerSize:])
-	putHeader(buf, h)
-
-	name := fmt.Sprintf("seg-%06d.gmseg", s.man.NextSeq)
-	if err := writeFile(filepath.Join(s.dir, name), buf); err != nil {
-		return fmt.Errorf("tweetdb: write segment %s: %w", name, err)
+	m.Bytes = int64(len(buf))
+	putHeader(buf, header{version: segVersion, count: uint32(m.Count), minTS: m.MinTS, maxTS: m.MaxTS, minUser: m.MinUser, maxUser: m.MaxUser,
+		bbox: bbox, payloadLen: uint32(len(buf) - headerSize), crc: checksum(buf[headerSize:])})
+	path := filepath.Join(s.dir, m.File)
+	if err := syncWrite(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, "write", buf); err != nil {
+		os.Remove(path)
+		return m, fmt.Errorf("tweetdb: write segment %s: %w", m.File, err)
 	}
-	s.man.NextSeq++
-	s.man.Segments = append(s.man.Segments, SegmentMeta{
-		File:    name,
-		Count:   to - from,
-		MinTS:   h.minTS,
-		MaxTS:   h.maxTS,
-		MinUser: h.minUser,
-		MaxUser: h.maxUser,
-		MinLat:  h.bbox.MinLat,
-		MinLon:  h.bbox.MinLon,
-		MaxLat:  h.bbox.MaxLat,
-		MaxLon:  h.bbox.MaxLon,
-		Bytes:   int64(len(buf)),
-	})
-	return nil
-}
-
-// saveManifestLocked persists the manifest atomically. Caller holds s.mu.
-func (s *Store) saveManifestLocked() error {
-	raw, err := json.MarshalIndent(s.man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("tweetdb: marshal manifest: %w", err)
-	}
-	if err := writeFile(filepath.Join(s.dir, manifestName), raw); err != nil {
-		return fmt.Errorf("tweetdb: save manifest: %w", err)
-	}
-	return nil
-}
-
-// writeFile is how segments and the manifest reach the disk; the tests of
-// failed appends swap it for a write that fails on demand.
-var writeFile = AtomicWriteFile
-
-// AtomicWriteFile writes data to path via a temp file, fsync and rename, so
-// readers — and the recovery path after a crash — never observe a
-// partially written file. The store and the live snapshot both write
-// through it.
-func AtomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
+	return m, nil
 }
 
 // loadBlock reads, CRC-verifies and decodes one segment file into a
@@ -397,7 +360,7 @@ func decodeSegment(raw []byte) (*ColumnBlock, error) {
 // dropGarbageLocked unlinks segment files retired by Compact once no
 // in-flight iterator can still reference them. Caller holds s.mu.
 // Removal failures are retried at the next opportunity and are never
-// fatal to correctness: the manifest no longer references the files.
+// fatal to correctness: the catalogue no longer names the files.
 func (s *Store) dropGarbageLocked() {
 	if len(s.garbage) == 0 || s.activeScans.Load() != 0 {
 		return
@@ -433,7 +396,7 @@ func (s *Store) Verify() error {
 			return err
 		}
 		if blk.Len() != meta.Count {
-			return fmt.Errorf("tweetdb: segment %s: manifest count %d != decoded %d", meta.File, meta.Count, blk.Len())
+			return fmt.Errorf("tweetdb: segment %s: catalogue count %d != decoded %d", meta.File, meta.Count, blk.Len())
 		}
 	}
 	return nil

@@ -230,12 +230,12 @@ func TestCompactEstablishesGlobalOrder(t *testing.T) {
 	if !sorted {
 		t.Fatal("compact did not establish (user, time) order")
 	}
-	// Old segment files must be gone: only current catalogue + manifest.
+	// Old segment files must be gone: only current catalogue + log.
 	entries, err := os.ReadDir(s.Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]bool{manifestName: true}
+	want := map[string]bool{logName: true}
 	for _, meta := range s.Segments() {
 		want[meta.File] = true
 	}
@@ -377,11 +377,19 @@ func TestOpenRejectsMissingSegment(t *testing.T) {
 
 func TestOpenRejectsCorruptManifest(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, logName), []byte("{not a log}"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil {
-		t.Error("open should fail on a corrupt manifest")
+		t.Error("open should fail on a corrupt catalogue log")
+	}
+	// The JSON catalogue of older builds is refused by name, not read.
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, legacyManifest), []byte(`{"version":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), legacyManifest) {
+		t.Errorf("open over %s: %v, want an error naming it", legacyManifest, err)
 	}
 }
 
