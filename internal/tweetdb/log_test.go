@@ -145,7 +145,8 @@ func TestLogTornTail(t *testing.T) {
 
 // TestLogCorruptRecord: a damaged record with a good one after it is
 // corruption, not a torn write, and fails Open; the same damage in the
-// last record is a torn write.
+// last record is a torn write. A sound record that repeats a segment
+// fails Open too.
 func TestLogCorruptRecord(t *testing.T) {
 	s := openStore(t)
 	var ends []int64
@@ -176,6 +177,15 @@ func TestLogCorruptRecord(t *testing.T) {
 		case tc.records >= 0 && (err != nil || again.Count() != tc.records):
 			t.Fatalf("damaged last record: open %v", err)
 		}
+	}
+	// The last record twice over, as a retry would leave it after an
+	// append whose failed record stayed in the log: it names its segment
+	// twice, which no commit writes.
+	if err := os.WriteFile(path, append(slices.Clone(pristine), pristine[ends[1]:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(s.Dir()); err == nil {
+		t.Fatal("open accepted a log that names a segment twice")
 	}
 }
 
@@ -255,4 +265,30 @@ func FuzzStoreLog(f *testing.F) {
 			t.Fatalf("checkpoint of an accepted log replays differently: %v", err)
 		}
 	})
+}
+
+// TestCompactFailureRollsBack: a compaction whose checkpoint fails keeps
+// the catalogue it started from, in memory and on disk, and removes the
+// segment files it wrote.
+func TestCompactFailureRollsBack(t *testing.T) {
+	s := openStore(t)
+	for h := range 3 {
+		if err := s.AppendBatch(hourBatch(h, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen, files := s.Generation(), segmentFiles(t, s)
+	restore := failOps(t, func(op, p string) bool { return op == "rename" && filepath.Base(p) == logName })
+	if err := s.Compact(); err == nil {
+		t.Fatal("compact succeeded through a failing checkpoint")
+	}
+	restore()
+	for _, st := range []*Store{s, reopen(t, s)} {
+		if st.Count() != 15 || st.Generation() != gen || !slices.Equal(segmentFiles(t, st), files) {
+			t.Fatalf("failed compact left %d records, generation moved %v, files %v", st.Count(), st.Generation() != gen, segmentFiles(t, st))
+		}
+	}
+	if err := s.Compact(); err != nil || s.Count() != 15 || len(s.Segments()) != 1 {
+		t.Fatalf("retried compact: %v, %d records in %d segments", err, s.Count(), len(s.Segments()))
+	}
 }
