@@ -248,9 +248,9 @@ func TestCoordinatorRejectsTooManyMembers(t *testing.T) {
 }
 
 // TestNodeIngestLimits: the shard's delivery endpoint applies a valid
-// envelope, rejects a malformed envelope, a frame for a slot out of range
-// and a frame holding a user of another slot with 400, and honours the
-// body bound with 413.
+// envelope, rejects a malformed envelope, a frame for a slot out of range,
+// a frame holding a user of another slot and a delivery naming no sender
+// with 400, and honours the body bound with 413.
 func TestNodeIngestLimits(t *testing.T) {
 	local, err := NewLocalShard(nil, live.Options{BucketWidth: time.Hour})
 	if err != nil {
@@ -274,18 +274,20 @@ func TestNodeIngestLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		body []byte
-		want int
+		name  string
+		query string
+		body  []byte
+		want  int
 	}{
-		{"valid", appendDeliveries(nil, []Delivery{{Seq: 1, Slot: ring.SlotOf(1), Frame: frame(1)}}), 200},
-		{"malformed envelope", []byte("truncated"), 400},
-		{"slot out of range", appendDeliveries(nil, []Delivery{{Seq: 2, Slot: ring.Slots, Frame: frame(1)}}), 400},
-		{"slot mislabelled", appendDeliveries(nil, []Delivery{{Seq: 4, Slot: (ring.SlotOf(1) + 1) % ring.Slots, Frame: frame(1)}}), 400},
-		{"invalid record", appendDeliveries(nil, []Delivery{{Seq: 5, Slot: ring.SlotOf(1), Frame: badFrame}}), 400},
-		{"oversized body", appendDeliveries(nil, []Delivery{{Seq: 3, Slot: ring.SlotOf(1), Frame: frame(8)}}), 413},
+		{"valid", "?sender=s", appendDeliveries(nil, []Delivery{{Seq: 1, Slot: ring.SlotOf(1), Frame: frame(1)}}), 200},
+		{"malformed envelope", "?sender=s", []byte("truncated"), 400},
+		{"slot out of range", "?sender=s", appendDeliveries(nil, []Delivery{{Seq: 2, Slot: ring.Slots, Frame: frame(1)}}), 400},
+		{"slot mislabelled", "?sender=s", appendDeliveries(nil, []Delivery{{Seq: 4, Slot: (ring.SlotOf(1) + 1) % ring.Slots, Frame: frame(1)}}), 400},
+		{"invalid record", "?sender=s", appendDeliveries(nil, []Delivery{{Seq: 5, Slot: ring.SlotOf(1), Frame: badFrame}}), 400},
+		{"no sender", "", appendDeliveries(nil, []Delivery{{Seq: 6, Slot: ring.SlotOf(1), Frame: frame(1)}}), 400},
+		{"oversized body", "?sender=s", appendDeliveries(nil, []Delivery{{Seq: 3, Slot: ring.SlotOf(1), Frame: frame(8)}}), 413},
 	} {
-		resp, err := srv.Client().Post(srv.URL+pathDeliverBatch+"?sender=s", "application/octet-stream", bytes.NewReader(c.body))
+		resp, err := srv.Client().Post(srv.URL+pathDeliverBatch+c.query, "application/octet-stream", bytes.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +336,7 @@ func FuzzDecodeDeliveries(f *testing.F) {
 }
 
 // deliverAll loads a shard as a coordinator's lane would: one frame per
-// placement slot, in one DeliverBatch without a sender.
+// placement slot, in one DeliverBatch from one sender.
 func deliverAll(t testing.TB, s Shard, tweets []tweet.Tweet) {
 	t.Helper()
 	var parts [ring.Slots]tweet.Batch
@@ -352,7 +354,7 @@ func deliverAll(t testing.TB, s Shard, tweets []tweet.Tweet) {
 		}
 		ds = append(ds, Delivery{Seq: uint64(len(ds) + 1), Slot: k, Frame: frame})
 	}
-	if err := s.DeliverBatch("", ds); err != nil {
+	if err := s.DeliverBatch("load", ds); err != nil {
 		t.Fatal(err)
 	}
 }

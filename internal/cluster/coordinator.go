@@ -80,10 +80,10 @@ type CoordinatorOptions struct {
 	// durability.
 	WALDir string
 
-	// batchSize, queueDepth and retryBase/retryMax, when non-zero,
+	// batchSize, drainCap and retryBase/retryMax, when non-zero,
 	// override the defaults below; in-package tests shrink them.
-	batchSize, queueDepth int
-	retryBase, retryMax   time.Duration
+	batchSize, drainCap int
+	retryBase, retryMax time.Duration
 }
 
 const (
@@ -93,11 +93,11 @@ const (
 	// Flush), so it bounds coordinator memory and frame size, not the
 	// number of fsyncs a small request pays.
 	defaultBatchSize = 4096
-	// defaultQueueDepth bounds each delivery lane's staged frames: up to
-	// four full flush cycles of slot frames. Overflow is not lost and
-	// does not block the feed: it stays in the spool and the lane refills
-	// as it drains, so a dead shard costs bounded coordinator memory.
-	defaultQueueDepth = 4 * ring.Slots
+	// defaultDrainCap bounds the frames one lane delivery carries, and so
+	// the frames a lane holds: up to four full flush cycles of slot
+	// frames. What a lane owes past it stays in the spool for its next
+	// drain, so a dead shard costs bounded coordinator memory.
+	defaultDrainCap = 4 * ring.Slots
 	// defaultRetryBase/defaultRetryMax bound the lanes' exponential
 	// delivery backoff.
 	defaultRetryBase = 100 * time.Millisecond
@@ -106,8 +106,8 @@ const (
 
 // Coordinator is the cluster front door: it routes ingest records into
 // per-slot batches, spools a request's framed batches durably as one
-// group (the acknowledgement point), and stages each replica lane's
-// share of the group in one step. Queries scatter slot-set folds
+// group (the acknowledgement point), and wakes the replica lanes that
+// read the group back from the spool. Queries scatter slot-set folds
 // over one live, current replica per slot — failing over replica by
 // replica — merge the slot-disjoint partials, and assemble through the
 // exact single-node float pipeline, so answers are bit-identical to a
@@ -184,15 +184,10 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 	} else {
 		c.sp = newMemSpool(randomSenderID())
 	}
-	depth := cmp.Or(opts.queueDepth, defaultQueueDepth)
+	drain := cmp.Or(opts.drainCap, defaultDrainCap)
 	retryBase, retryMax := cmp.Or(opts.retryBase, defaultRetryBase), cmp.Or(opts.retryMax, defaultRetryMax)
 	for i, sh := range c.shards {
-		l := newLane(i, sh, c.sp, depth, retryBase, retryMax)
-		if c.sp.PendingRowsNode(i) > 0 {
-			// The reopened WAL owes this node deliveries: replay them
-			// through the lane's spool-refill path.
-			l.markGapped()
-		}
+		l := newLane(i, sh, c.sp, drain, retryBase, retryMax)
 		c.lanes = append(c.lanes, l)
 		c.wg.Add(1)
 		go l.run(&c.wg)
@@ -271,14 +266,15 @@ var allSlots = func() (ks [ring.Slots]int) {
 // given slots (a full buffer ships a set of one, Flush ships them all),
 // makes one spool group append — the durability/acknowledgement point,
 // one write and one fsync however many slots ship — and only then
-// stages each replica lane's share with one enqueue, so an idle lane
-// drains the shipment as one delivery. The fsync is deliberately not
-// overlapped with delivery: a frame applied at a shard under a sequence
-// the spool then lost would see that sequence reused for another
-// payload and silently deduplicated. st books the time up to the append
-// as route and the append as spool. Caller holds c.mu.
+// notifies each replica lane, so an idle lane reads the shipment back as
+// one drain. The spool hands out no frame before its group's fsync has
+// returned: a frame applied at a shard under a sequence the spool then
+// lost would see that sequence reused for another payload and silently
+// deduplicated. st books the time up to the append as route and the
+// append as spool. Caller holds c.mu.
 func (c *Coordinator) shipLocked(st *obs.Stages, slots ...int) error {
 	var group []wal.Entry
+	var owed uint64
 	for _, k := range slots {
 		b := c.bufs[k]
 		if b == nil || b.Len() == 0 {
@@ -292,31 +288,26 @@ func (c *Coordinator) shipLocked(st *obs.Stages, slots ...int) error {
 		for _, nd := range c.ring.Replicas(k) {
 			mask |= 1 << uint(nd)
 		}
+		owed |= mask
 		group = append(group, wal.Entry{Slot: k, Dests: mask, Frame: frame})
 	}
 	if len(group) == 0 {
 		return nil
 	}
 	st.End(stageRoute)
-	first, err := c.sp.AppendGroup(group)
+	_, err := c.sp.AppendGroup(group)
 	st.End(stageSpool)
 	if err != nil {
 		return fmt.Errorf("cluster: spool append: %w", err)
 	}
-	shares := make([][]*laneEntry, len(c.lanes))
 	var rows int64
-	for i, e := range group {
-		b := c.bufs[e.Slot]
-		ent := &laneEntry{seq: first + uint64(i), slot: e.Slot, rows: b.Len(), frame: e.Frame}
-		for _, nd := range c.ring.Replicas(e.Slot) {
-			shares[nd] = append(shares[nd], ent)
-		}
-		rows += int64(b.Len())
-		b.Reset()
+	for _, e := range group {
+		rows += int64(c.bufs[e.Slot].Len())
+		c.bufs[e.Slot].Reset()
 	}
-	for nd, share := range shares {
-		if len(share) > 0 {
-			c.lanes[nd].enqueue(share)
+	for nd, l := range c.lanes {
+		if owed&(1<<uint(nd)) != 0 {
+			l.notify()
 		}
 	}
 	c.ingested.Add(rows)
@@ -704,13 +695,11 @@ type ShardStatus struct {
 	// back up.
 	OK       bool `json:"ok"`
 	Degraded bool `json:"degraded,omitempty"`
-	// Pending counts spooled rows not yet acknowledged by this member;
-	// Queue counts frames staged in its lane. Retries/Failures/Dropped
-	// count delivery attempts that failed, and LastError/LastErrorAt
-	// latch the most recent failure — nothing a 202 accepted is ever
-	// dropped without a trace here.
+	// Pending counts spooled rows not yet acknowledged by this member.
+	// Retries/Failures/Dropped count delivery attempts that failed, and
+	// LastError/LastErrorAt latch the most recent failure — nothing a
+	// 202 accepted is ever dropped without a trace here.
 	Pending     int64       `json:"pending"`
-	Queue       int         `json:"queue"`
 	Delivered   int64       `json:"delivered"`
 	Batches     int64       `json:"batches"`
 	Retries     int64       `json:"retries,omitempty"`

@@ -7,6 +7,7 @@ import (
 
 	"geomob/internal/live"
 	"geomob/internal/obs"
+	"geomob/internal/wal"
 )
 
 // errUnavailable marks a shard that cannot currently be reached — a
@@ -19,7 +20,7 @@ var errUnavailable = errors.New("cluster: shard unavailable")
 
 // errPermanent marks a delivery the shard actively rejected (4xx): a
 // retry loop would never succeed, so the lane drops the frame, counts
-// it, and latches the error instead of wedging the queue forever.
+// it, and latches the error instead of wedging the lane forever.
 var errPermanent = errors.New("cluster: delivery permanently rejected")
 
 func isUnavailable(err error) bool { return errors.Is(err, errUnavailable) }
@@ -28,36 +29,24 @@ func permanentDeliveryError(err error) bool {
 	return errors.Is(err, errPermanent) || errors.Is(err, live.ErrBadInput)
 }
 
-// laneEntry is one spooled frame staged for delivery to a node.
-type laneEntry struct {
-	seq   uint64
-	slot  int
-	rows  int
-	frame []byte
-}
-
-// lane is one shard node's delivery pipeline: a bounded FIFO of
-// spooled frames drained by a single sender goroutine in sequence
-// order, with exponential backoff on failure. When the queue
-// overflows (a down shard, a restart replay) the lane goes "gapped":
-// the overflow stays in the spool and the sender refills from
-// PendingForNode as the queue drains, so coordinator memory stays
-// bounded by depth while the spool holds the tail.
+// lane is one shard node's delivery pipeline: a single sender goroutine
+// that reads the lowest frames the spool owes its node — at most one
+// drain of them — delivers them in sequence order and acks them, with
+// exponential backoff on failure. The spool is its only queue, so a
+// down shard or a restart replay costs the coordinator one drain of
+// memory while the spool holds the tail.
 type lane struct {
 	node   int
 	shard  Shard
 	sp     spool
 	sender string
-	depth  int
+	drain  int // most frames one delivery carries
 	base   time.Duration
 	max    time.Duration
 
 	mu         sync.Mutex
 	cv         *sync.Cond
-	q          []*laneEntry
-	gapped     bool
-	spilled    bool   // enqueue left frames to the spool since the last refill began
-	lastEnq    uint64 // highest seq ever staged in q
+	work       bool // the spool may owe the node frames no read has seen
 	attempting bool
 	down       bool // last attempt failed; cleared on the next success
 	closed     bool
@@ -79,10 +68,13 @@ type lane struct {
 	closeCh chan struct{}
 }
 
-func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration) *lane {
+// newLane builds node's lane. It starts with work pending, so its first
+// read replays whatever a reopened spool still owes the node.
+func newLane(node int, shard Shard, sp spool, drain int, base, max time.Duration) *lane {
 	l := &lane{
 		node: node, shard: shard, sp: sp, sender: sp.SenderID(),
-		depth: depth, base: base, max: max,
+		drain: drain, base: base, max: max,
+		work:    true,
 		closeCh: make(chan struct{}),
 	}
 	l.cv = sync.NewCond(&l.mu)
@@ -93,133 +85,62 @@ func newLane(node int, shard Shard, sp spool, depth int, base, max time.Duration
 	l.mFailures = obs.Def.Counter("geomob_lane_failures_total", "Failed delivery attempts per shard lane.", "node", nd)
 	l.mDropped = obs.Def.Counter("geomob_lane_dropped_frames_total", "Frames permanently rejected and abandoned per shard lane.", "node", nd)
 	l.mDeliverSecs = obs.Def.Histogram("geomob_lane_deliver_seconds", "Latency of one delivery attempt (single frame or whole drain).", nil, "node", nd)
-	obs.Def.GaugeFunc("geomob_lane_queue_depth", "Frames currently staged per shard lane.", func() float64 {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		return float64(len(l.q))
-	}, "node", nd)
 	return l
 }
 
-// enqueue stages this lane's share of one freshly-spooled group, in
-// ascending sequence order, under a single lock hold — so an idle
-// sender wakes to the whole share and drains it as one delivery. What
-// does not fit the queue (or anything at all once gapped) flips the
-// lane to gapped: those frames are already durable in the spool, and
-// the sender pulls them back via PendingForNode past lastEnq once the
-// queue drains.
-func (l *lane) enqueue(ents []*laneEntry) {
+// notify tells the lane the spool owes its node more frames: a group
+// naming the node has been durably appended.
+func (l *lane) notify() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	room := l.depth - len(l.q)
-	if l.gapped || room < 0 {
-		room = 0
-	}
-	if len(ents) > room {
-		l.gapped, l.spilled = true, true
-		ents = ents[:room]
-	}
-	if len(ents) == 0 {
-		return
-	}
-	l.q = append(l.q, ents...)
-	l.lastEnq = ents[len(ents)-1].seq
-	l.cv.Broadcast()
-}
-
-// markGapped marks the lane as having spool-resident work (boot replay
-// of a recovered WAL).
-func (l *lane) markGapped() {
-	l.mu.Lock()
-	l.gapped = true
+	l.work = true
 	l.cv.Broadcast()
 	l.mu.Unlock()
 }
 
-// run is the sender loop: deliver what is staged, ack the spool on
-// success, back off exponentially on failure. Strict FIFO in seq order
-// keeps per-sender sequences monotone at the shard, which is what
-// makes its high-water-mark dedup sound.
+// run is the sender loop: read a drain from the spool, deliver it, ack
+// the spool on success, back off exponentially on failure. Strict
+// sequence order keeps per-sender sequences monotone at the shard,
+// which is what makes its high-water-mark dedup sound.
 func (l *lane) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	backoff := time.Duration(0)
 	for {
 		l.mu.Lock()
-		for len(l.q) == 0 && !l.gapped && !l.closed {
+		for !l.work && !l.closed {
 			l.cv.Wait()
 		}
 		if l.closed {
 			l.mu.Unlock()
 			return
 		}
-		if len(l.q) == 0 {
-			// Gapped: refill from the spool past the highest staged seq.
-			after := l.lastEnq
-			l.spilled = false
-			l.mu.Unlock()
-			recs, err := l.sp.PendingForNode(l.node, after, l.depth)
-			l.mu.Lock()
-			if err != nil {
-				l.failures++
-				l.lastErr = err.Error()
-				l.errAt = time.Now()
-				l.cv.Broadcast()
-				l.mu.Unlock()
-				if !l.sleep(l.base) {
-					return
-				}
-				continue
-			}
-			if len(recs) == 0 {
-				// Caught up — unless a group spilled while the spool was
-				// being read: it may have landed after that read, so look
-				// again rather than strand it behind later sequences.
-				l.gapped = l.spilled
-				l.cv.Broadcast()
-				l.mu.Unlock()
-				continue
-			}
-			for i := range recs {
-				r := &recs[i]
-				l.q = append(l.q, &laneEntry{seq: r.Seq, slot: r.Slot, rows: r.Rows, frame: r.Frame})
-				if r.Seq > l.lastEnq {
-					l.lastEnq = r.Seq
-				}
-			}
-		}
-		// Drain: the shard takes the whole staged queue in one durable
-		// commit (one high-water-mark advance per drain). The drained
-		// prefix is stable across the unlock — enqueue only appends, and
-		// only this goroutine removes.
-		ents := l.q[:len(l.q):len(l.q)]
-		l.attempting = true
+		// Take the wake-up before reading: a group appended during the
+		// read notifies again, so the next pass reads it.
+		l.work, l.attempting = false, true
 		l.mu.Unlock()
 
-		t0 := time.Now()
-		err := l.deliver(ents)
-		if err != nil && len(ents) > 1 {
-			// Retry the head alone: a transient failure backs off as
-			// usual, and a single poison frame is isolated and dropped
-			// instead of permanently rejecting the whole drain.
-			ents = ents[:1]
-			err = l.deliver(ents)
+		recs, err := l.sp.PendingForNode(l.node, l.drain)
+		if err == nil && len(recs) == 0 {
+			l.mu.Lock()
+			l.attempting = false
+			l.cv.Broadcast()
+			l.mu.Unlock()
+			continue
 		}
-		l.mDeliverSecs.Observe(time.Since(t0).Seconds())
+		if err == nil {
+			recs, err = l.deliver(recs)
+		}
 
 		l.mu.Lock()
-		l.attempting = false
+		// More may be owed behind this drain, or it must be tried again.
+		l.attempting, l.work = false, true
 		if err == nil {
-			_ = l.sp.AckBatch(entrySeqs(ents), l.node)
-			for _, e := range ents {
-				l.delivered += int64(e.rows)
-				l.mRows.Add(int64(e.rows))
+			_ = l.sp.AckBatch(recordSeqs(recs), l.node)
+			for _, r := range recs {
+				l.delivered += int64(r.Rows)
+				l.mRows.Add(int64(r.Rows))
 			}
-			l.q = l.q[len(ents):]
-			l.batches += int64(len(ents))
-			l.mFrames.Add(int64(len(ents)))
+			l.batches += int64(len(recs))
+			l.mFrames.Add(int64(len(recs)))
 			l.down = false
 			backoff = 0
 			l.cv.Broadcast()
@@ -234,8 +155,7 @@ func (l *lane) run(wg *sync.WaitGroup) {
 			// The shard rejected the frame outright; retrying cannot
 			// succeed. Drop it (counted, latched) rather than wedge
 			// every later frame behind it.
-			_ = l.sp.AckBatch(entrySeqs(ents), l.node)
-			l.q = l.q[1:]
+			_ = l.sp.AckBatch(recordSeqs(recs), l.node)
 			l.dropped++
 			l.mDropped.Inc()
 			l.cv.Broadcast()
@@ -261,19 +181,35 @@ func (l *lane) run(wg *sync.WaitGroup) {
 	}
 }
 
-// deliver hands ents to the shard in one DeliverBatch.
-func (l *lane) deliver(ents []*laneEntry) error {
-	ds := make([]Delivery, len(ents))
-	for i, e := range ents {
-		ds[i] = Delivery{Seq: e.seq, Slot: e.slot, Frame: e.frame}
+// deliver hands the drain to the shard in one DeliverBatch — one
+// durable commit and one high-water-mark advance at the shard. If that
+// fails it retries the head alone: a transient failure backs off as
+// usual, and a single poison frame is isolated and dropped instead of
+// permanently rejecting the whole drain. It returns the frames its last
+// attempt carried.
+func (l *lane) deliver(recs []wal.Record) ([]wal.Record, error) {
+	t0 := time.Now()
+	err := l.shard.DeliverBatch(l.sender, deliveries(recs))
+	if err != nil && len(recs) > 1 {
+		recs = recs[:1]
+		err = l.shard.DeliverBatch(l.sender, deliveries(recs))
 	}
-	return l.shard.DeliverBatch(l.sender, ds)
+	l.mDeliverSecs.Observe(time.Since(t0).Seconds())
+	return recs, err
 }
 
-func entrySeqs(ents []*laneEntry) []uint64 {
-	seqs := make([]uint64, len(ents))
-	for i, e := range ents {
-		seqs[i] = e.seq
+func deliveries(recs []wal.Record) []Delivery {
+	ds := make([]Delivery, len(recs))
+	for i, r := range recs {
+		ds[i] = Delivery{Seq: r.Seq, Slot: r.Slot, Frame: r.Frame}
+	}
+	return ds
+}
+
+func recordSeqs(recs []wal.Record) []uint64 {
+	seqs := make([]uint64, len(recs))
+	for i, r := range recs {
+		seqs[i] = r.Seq
 	}
 	return seqs
 }
@@ -288,10 +224,11 @@ func (l *lane) sleep(d time.Duration) bool {
 	}
 }
 
-// waitSettled blocks until the lane has nothing left to attempt (queue
-// and spool tail drained) or is in a failure state. A down lane
-// returns immediately: its frames are safe in the spool, and ingest
-// acknowledgement must not wait out a dead shard's backoff.
+// waitSettled blocks until the lane has nothing left to attempt (a read
+// after the last notify found the spool owes it nothing) or is in a
+// failure state. A down lane returns immediately: its frames are safe
+// in the spool, and ingest acknowledgement must not wait out a dead
+// shard's backoff.
 func (l *lane) waitSettled() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -299,7 +236,7 @@ func (l *lane) waitSettled() {
 		if l.closed || l.down {
 			return
 		}
-		if len(l.q) == 0 && !l.gapped && !l.attempting {
+		if !l.work && !l.attempting {
 			return
 		}
 		l.cv.Wait()
@@ -323,7 +260,7 @@ func (l *lane) close() {
 func (l *lane) report(st *ShardStatus) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st.Queue, st.Delivered, st.Batches = len(l.q), l.delivered, l.batches
+	st.Delivered, st.Batches = l.delivered, l.batches
 	st.Retries, st.Failures, st.Dropped = l.retries, l.failures, l.dropped
 	st.LastError, st.Degraded = l.lastErr, l.down
 	if !l.errAt.IsZero() {

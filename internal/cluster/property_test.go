@@ -169,7 +169,7 @@ func TestScatterGatherMatchesExecuteProperty(t *testing.T) {
 				shards[i] = s
 				locals[i] = s
 			}
-			coord, err := NewCoordinator(shards, CoordinatorOptions{batchSize: 173, queueDepth: 2, Replication: tc.replication})
+			coord, err := NewCoordinator(shards, CoordinatorOptions{batchSize: 173, drainCap: 2, Replication: tc.replication})
 			if err != nil {
 				t.Fatal(err)
 			}

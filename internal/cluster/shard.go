@@ -37,13 +37,13 @@ var (
 type Shard interface {
 	// DeliverBatch applies replicated batch frames from one sender, each
 	// for its placement slot, exactly once and in one durable commit. A
-	// lane hands over whatever it has staged, so the frames carry
+	// lane hands over one drain read from the spool, so the frames carry
 	// ascending sequence numbers; those at or below the shard's durable
 	// high-water mark for the sender are acknowledged without
 	// re-applying, which makes spool replay and redelivery after an
-	// ambiguous failure idempotent. An empty sender disables
-	// deduplication. Delivery is synchronous: success means every frame
-	// is durable.
+	// ambiguous failure idempotent. A delivery without a sender is
+	// refused as live.ErrBadInput. Delivery is synchronous: success
+	// means every frame is durable.
 	DeliverBatch(sender string, ds []Delivery) error
 	// Partials folds the shard's materialised bucket partials covering
 	// req's window over the requested placement slots (non-empty,
@@ -199,6 +199,9 @@ func (s *LocalShard) Snapshots() *live.SnapshotStore { return s.snaps }
 // before anything is stored.
 func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	t0 := time.Now()
+	if sender == "" {
+		return fmt.Errorf("%w: delivery names no sender", live.ErrBadInput)
+	}
 	batches := make([]*tweet.Batch, len(ds))
 	for i, d := range ds {
 		if d.Slot < 0 || d.Slot >= ring.Slots {
@@ -224,7 +227,7 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 	var maxSeq uint64
 	fresh := 0
 	for i, d := range ds {
-		if sender != "" && d.Seq <= s.hwm[sender] {
+		if d.Seq <= s.hwm[sender] {
 			continue
 		}
 		fresh++
@@ -235,17 +238,12 @@ func (s *LocalShard) DeliverBatch(sender string, ds []Delivery) error {
 		return nil
 	}
 	if combined.Len() > 0 {
-		var meta map[string]string
-		if sender != "" {
-			meta = map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
-		}
+		meta := map[string]string{hwmMetaPrefix + sender: strconv.FormatUint(maxSeq, 10)}
 		if err := s.ing.Commit(combined, meta); err != nil {
 			return err
 		}
 	}
-	if sender != "" {
-		s.hwm[sender] = maxSeq
-	}
+	s.hwm[sender] = maxSeq
 	mShardFrames.Add(int64(fresh))
 	mShardDeliverSecs.Observe(time.Since(t0).Seconds())
 	return nil

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"geomob/internal/obs"
 	"geomob/internal/ring"
@@ -13,23 +15,15 @@ import (
 )
 
 // countingShard records how deliveries reach it — which calls, carrying
-// which sequences — and holds nothing else. While gate is non-nil every
-// delivery blocks on it, which lets a test fill a lane queue.
+// which sequences — and holds nothing else.
 type countingShard struct {
 	Shard // queries are never reached
 
 	mu      sync.Mutex
 	batches [][]uint64 // sequences of each DeliverBatch call
-	gate    chan struct{}
 }
 
 func (s *countingShard) DeliverBatch(_ string, ds []Delivery) error {
-	s.mu.Lock()
-	gate := s.gate
-	s.mu.Unlock()
-	if gate != nil {
-		<-gate
-	}
 	seqs := make([]uint64, len(ds))
 	for i, d := range ds {
 		seqs[i] = d.Seq
@@ -166,44 +160,20 @@ func TestFlushOneFsyncOneDelivery(t *testing.T) {
 	})
 }
 
-// TestEnqueueOverflowGoesGapped: a group larger than the room left in a
-// lane's queue stages only a prefix and flips the lane gapped; the
-// spool refill past lastEnq then delivers the remainder — every
+// TestDrainCapped: a group larger than the drain cap reaches the shard
+// in drains of at most the cap, read straight from the spool — every
 // sequence once, in order.
-func TestEnqueueOverflowGoesGapped(t *testing.T) {
-	const depth = 6
-	sh := &countingShard{gate: make(chan struct{})}
-	c, err := NewCoordinator([]Shard{sh}, CoordinatorOptions{queueDepth: depth, WALDir: t.TempDir()})
+func TestDrainCapped(t *testing.T) {
+	const drain = 6
+	sh := &countingShard{}
+	c, err := NewCoordinator([]Shard{sh}, CoordinatorOptions{drainCap: drain, WALDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	l := c.lanes[0]
-
 	if err := c.AddBatch(tweet.BatchOf(slotTweets(1))); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	if err := c.shipLocked(nil, allSlots[:]...); err != nil {
-		t.Fatal(err)
-	}
-	c.mu.Unlock()
-
-	l.mu.Lock()
-	queued, gapped := len(l.q), l.gapped
-	lastEnq, headSeq := l.lastEnq, l.q[0].seq
-	l.mu.Unlock()
-	if !gapped || queued != depth {
-		t.Fatalf("after a %d-frame group into a depth-%d queue: queued=%d gapped=%v, want %d staged and gapped", ring.Slots, depth, queued, gapped, depth)
-	}
-	if lastEnq != headSeq+depth-1 {
-		t.Fatalf("lastEnq = %d with head %d, want the staged prefix's last sequence %d", lastEnq, headSeq, headSeq+depth-1)
-	}
-
-	sh.mu.Lock()
-	close(sh.gate)
-	sh.gate = nil
-	sh.mu.Unlock()
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,13 +181,85 @@ func TestEnqueueOverflowGoesGapped(t *testing.T) {
 	if got := contiguous(t, "shard 0", batches); got != ring.Slots {
 		t.Fatalf("delivered %d frames in %v, want each of %d once", got, batches, ring.Slots)
 	}
-	if len(batches[0]) != depth {
-		t.Fatalf("first drain carried %d frames, want the staged prefix of %d", len(batches[0]), depth)
+	for _, b := range batches {
+		if len(b) > drain {
+			t.Fatalf("a drain carried %d frames in %v, want at most %d", len(b), batches, drain)
+		}
 	}
-	l.mu.Lock()
-	queued, gapped = len(l.q), l.gapped
-	l.mu.Unlock()
-	if gapped || queued != 0 || c.sp.PendingRowsNode(0) != 0 {
-		t.Fatalf("lane not caught up: queued=%d gapped=%v pending=%d", queued, gapped, c.sp.PendingRowsNode(0))
+	if got := c.sp.PendingRowsNode(0); got != 0 {
+		t.Fatalf("lane not caught up: %d rows still owed", got)
+	}
+}
+
+// outageShard refuses every delivery as unavailable while down, and
+// records the largest delivery it was offered.
+type outageShard struct {
+	countingShard
+	down    atomic.Bool
+	largest atomic.Int64
+}
+
+func (s *outageShard) DeliverBatch(sender string, ds []Delivery) error {
+	if n := int64(len(ds)); n > s.largest.Load() {
+		s.largest.Store(n)
+	}
+	if s.down.Load() {
+		return fmt.Errorf("%w: shard down", errUnavailable)
+	}
+	return s.countingShard.DeliverBatch(sender, ds)
+}
+
+// TestOutageDrainsFromSpool: while a shard is down for many more groups
+// than one drain, its lane is offered no more than one drain at a time
+// and the spool keeps its retained frames within budget; once the shard
+// returns, every sequence reaches it once, in ascending order, and the
+// spool lets go of everything.
+func TestOutageDrainsFromSpool(t *testing.T) {
+	// retainBudget is the spool's in-memory frame budget (internal/wal).
+	const drain, groups, retainBudget = 4, 12, 16 << 20
+	sh := &outageShard{}
+	sh.down.Store(true)
+	c, err := NewCoordinator([]Shard{sh}, CoordinatorOptions{
+		drainCap: drain, WALDir: t.TempDir(),
+		retryBase: time.Millisecond, retryMax: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for g := 0; g < groups; g++ {
+		tws := slotTweets(2)
+		for i := range tws {
+			tws[i].ID += int64(g) << 32
+		}
+		if err := c.AddBatch(tweet.BatchOf(tws)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.sp.Stats(); st.RetainedBytes > retainBudget {
+			t.Fatalf("group %d: spool retains %d bytes, over its %d budget", g, st.RetainedBytes, retainBudget)
+		}
+	}
+	if st := c.sp.Stats(); st.PendingRecords != groups*ring.Slots {
+		t.Fatalf("during the outage the spool holds %d records, want all %d", st.PendingRecords, groups*ring.Slots)
+	}
+	sh.down.Store(false)
+	deadline := time.Now().Add(10 * time.Second)
+	for c.sp.PendingRowsNode(0) > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("shard still owed %d rows after recovery", c.sp.PendingRowsNode(0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := contiguous(t, "shard 0", sh.seen()); got != groups*ring.Slots {
+		t.Fatalf("delivered %d frames after recovery, want each of %d once", got, groups*ring.Slots)
+	}
+	if got := sh.largest.Load(); got > drain {
+		t.Fatalf("the lane offered a delivery of %d frames, over its drain cap of %d", got, drain)
+	}
+	if st := c.sp.Stats(); st.PendingRecords != 0 || st.RetainedBytes != 0 {
+		t.Fatalf("after recovery the spool holds %+v, want nothing pending or retained", st)
 	}
 }

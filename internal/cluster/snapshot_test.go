@@ -259,12 +259,14 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 	for _, tw := range all {
 		minTS, maxTS = min(minTS, tw.TS), max(maxTS, tw.TS)
 	}
-	deliver := func(tw tweet.Tweet) error {
+	// The two delivering goroutines are two senders, each with its own
+	// ascending sequences.
+	deliver := func(sender string, seq uint64, tw tweet.Tweet) error {
 		frame, err := tweet.AppendFrame(nil, tweet.BatchOf([]tweet.Tweet{tw}))
 		if err != nil {
 			return err
 		}
-		return s.DeliverBatch("", []Delivery{{Slot: ring.SlotOf(tw.UserID), Frame: frame}})
+		return s.DeliverBatch(sender, []Delivery{{Seq: seq, Slot: ring.SlotOf(tw.UserID), Frame: frame}})
 	}
 	// Deliveries a year past the corpus run beside everything below.
 	base := all
@@ -288,7 +290,7 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 				return
 			default:
 			}
-			if err := deliver(future(k)); err != nil {
+			if err := deliver("future", uint64(k)+1, future(k)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -323,7 +325,7 @@ func assertShardHostile(t *testing.T, s *LocalShard, store *tweetdb.Store, all [
 	// A late record lands in a restored bucket.
 	late := all[len(all)/2]
 	late.ID = 1 << 41
-	if err := deliver(late); err != nil {
+	if err := deliver("late", 1, late); err != nil {
 		t.Fatal(err)
 	}
 	all = append(all, late)

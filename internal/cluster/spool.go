@@ -12,13 +12,13 @@ import (
 // (CoordinatorOptions.WALDir) or an in-memory fallback with identical
 // semantics minus crash durability. Either way, AppendGroup is the
 // ingest acknowledgement point — one call per shipment, entry i getting
-// sequence first+i — and lanes drain PendingForNode until every replica
-// has acked.
+// sequence first+i — and each lane reads its node's drains back from
+// PendingForNode, lowest sequence first, until every replica has acked.
 type spool interface {
 	SenderID() string
 	AppendGroup(es []wal.Entry) (first uint64, err error)
 	AckBatch(seqs []uint64, node int) error
-	PendingForNode(node int, after uint64, max int) ([]wal.Record, error)
+	PendingForNode(node int, max int) ([]wal.Record, error)
 	PendingRowsNode(node int) int64
 	PendingRowsSlotNode(node, slot int) int64
 	Stats() wal.Stats
@@ -101,12 +101,12 @@ func (m *memSpool) AckBatch(seqs []uint64, node int) error {
 	return nil
 }
 
-func (m *memSpool) PendingForNode(node int, after uint64, max int) ([]wal.Record, error) {
+func (m *memSpool) PendingForNode(node int, max int) ([]wal.Record, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []wal.Record
-	for seq, rec := range m.recs {
-		if seq > after && rec.Dests&(1<<uint(node)) != 0 {
+	for _, rec := range m.recs {
+		if rec.Dests&(1<<uint(node)) != 0 {
 			out = append(out, *rec)
 		}
 	}
@@ -138,6 +138,7 @@ func (m *memSpool) Stats() wal.Stats {
 	st := wal.Stats{PendingRecords: len(m.recs), NextSeq: m.nextSeq}
 	for _, rec := range m.recs {
 		st.PendingRows += int64(rec.Rows)
+		st.RetainedBytes += int64(len(rec.Frame))
 	}
 	return st
 }

@@ -49,7 +49,10 @@ func syncWrite(path string, flag int, op string, data []byte) error {
 	return err
 }
 
-func syncDir(dir string) error { return syncWrite(dir, os.O_RDONLY, "", nil) }
+// SyncDir fsyncs a directory, making the names created or renamed in it
+// durable. The store and the ingest spool call it after creating a file
+// and before acknowledging anything written to it.
+func SyncDir(dir string) error { return syncWrite(dir, os.O_RDONLY, "", nil) }
 
 // AtomicWriteFile writes data to path via a temp file, fsync, rename and
 // a directory fsync, so readers — and the recovery path after a crash —
@@ -69,5 +72,5 @@ func AtomicWriteFile(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }

@@ -261,7 +261,7 @@ func (s *Store) commitLocked(b *tweet.Batch, meta map[string]string, replace boo
 		segs = append(segs, m)
 	}
 	if len(segs) > 0 {
-		if err := syncDir(s.dir); err != nil {
+		if err := SyncDir(s.dir); err != nil {
 			return fmt.Errorf("tweetdb: sync %s: %w", s.dir, err)
 		}
 	}

@@ -406,7 +406,7 @@ func FuzzSpoolRecover(f *testing.F) {
 				}
 			}
 			sort.Slice(wantSeqs, func(a, b int) bool { return wantSeqs[a] < wantSeqs[b] })
-			recs, err := s.PendingForNode(node, 0, 0)
+			recs, err := s.PendingForNode(node, 0)
 			if err != nil {
 				t.Fatalf("node %d: reload: %v", node, err)
 			}

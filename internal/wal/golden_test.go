@@ -59,7 +59,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 		{{Seq: 2, Slot: 5, Dests: 0b01, Rows: 2, Frame: testFrame(t, 200, 2)}, {Seq: 4, Slot: 15, Dests: 0b01, Rows: 1, Frame: testFrame(t, 400, 1)}},
 		{{Seq: 1, Slot: 0, Dests: 0b10, Rows: 1, Frame: testFrame(t, 100, 1)}, {Seq: 3, Slot: 9, Dests: 0b10, Rows: 3, Frame: testFrame(t, 300, 3)}},
 	} {
-		got, err := s.PendingForNode(node, 0, 0)
+		got, err := s.PendingForNode(node, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

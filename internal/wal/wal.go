@@ -15,7 +15,9 @@
 // Durability model: AppendGroup returns only after every record of the
 // group has reached the file and one fsync has covered them all — the
 // group is one Write and one Sync, however many frames it carries, and
-// no sequence number leaves the spool before that. Each frame is still
+// no sequence number leaves the spool before that: PendingForNode stops
+// at the first record whose group's fsync has not returned, and a group
+// whose write or fsync failed is never pending. Each frame is still
 // its own CRC'd record with its own sequence number and destination
 // mask, so recovery, acks and (sender, seq) dedup see no difference
 // between a group of sixteen and sixteen single appends. Appenders on
@@ -49,8 +51,15 @@ import (
 
 	"geomob/internal/obs"
 	"geomob/internal/tweet"
+	"geomob/internal/tweetdb"
 	"geomob/internal/wire"
 )
+
+// fault runs before each group-commit fsync, directory fsync and SENDER
+// write the spool makes and fails it with the error it returns. The
+// tests record the order of the operations and fail or hold them
+// through it.
+var fault = func(op, path string) error { return nil }
 
 // Spool metrics (DESIGN.md §12). Appends count frames and fsyncs count
 // Sync calls actually issued, so appends/fsyncs is the group-commit
@@ -100,6 +109,11 @@ const (
 	// MaxNodes is how many destination nodes a record can name: one bit
 	// each of its uint64 destination mask.
 	MaxNodes = 64
+
+	// retainBytes bounds the frame bytes the spool keeps in memory for
+	// the lanes to read back. A frame appended while the retained frames
+	// fill it, or recovered at boot, is reloaded from its segment.
+	retainBytes = 16 << 20
 )
 
 // Options configures Open.
@@ -112,7 +126,7 @@ type Options struct {
 }
 
 // Record is one pending spooled frame, returned by PendingForNode with
-// the frame bytes loaded back from disk.
+// its frame bytes.
 type Record struct {
 	Seq   uint64
 	Slot  int
@@ -125,19 +139,22 @@ type Record struct {
 type Stats struct {
 	PendingRecords int
 	PendingRows    int64
+	RetainedBytes  int64 // pending frame bytes held in memory (at most retainBytes)
 	Segments       int
 	NextSeq        uint64
 	Corrupt        bool // recovery abandoned a damaged suffix
 }
 
 type prec struct {
-	seq  uint64
-	slot uint8
-	mask uint64
-	rows int32
-	seg  int
-	off  int64 // record start (length field) within its segment
-	n    int32 // total record bytes including the 8-byte header
+	seq     uint64
+	slot    uint8
+	mask    uint64
+	rows    int32
+	seg     int
+	off     int64  // record start (length field) within its segment
+	n       int32  // total record bytes including the 8-byte header
+	durable bool   // its group's fsync has returned
+	frame   []byte // retained frame bytes; nil means reload from seg
 }
 
 // Spool is a durable ingest spool. All methods are safe for concurrent
@@ -155,9 +172,11 @@ type Spool struct {
 	nextSeq    uint64
 	nextSeg    int
 	index      map[uint64]*prec
+	owed       map[int][]*prec       // per node, ascending seq; acked entries linger until read past
 	segPending map[int]int           // unacked data records per segment
 	rowsNode   map[int]int64         // pending rows per destination node
 	rowsSN     map[int]map[int]int64 // node -> slot -> pending rows
+	retained   int64                 // bytes of the index's retained frames
 	corrupt    bool
 
 	syncMu  sync.Mutex
@@ -181,6 +200,7 @@ func Open(opts Options) (*Spool, error) {
 		maxSeg:     -1,
 		nextSeq:    1,
 		index:      map[uint64]*prec{},
+		owed:       map[int][]*prec{},
 		segPending: map[int]int{},
 		rowsNode:   map[int]int64{},
 		rowsSN:     map[int]map[int]int64{},
@@ -218,14 +238,12 @@ func (s *Spool) loadSender() error {
 		return fmt.Errorf("wal: generate sender id: %w", err)
 	}
 	s.sender = hex.EncodeToString(buf[:])
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(s.sender+"\n"), 0o644); err != nil {
+	// A SENDER lost to a power loss would mint a new id, under which
+	// shards no longer deduplicate the frames the spool replays.
+	if err := fault("sender", path); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return nil
+	return tweetdb.AtomicWriteFile(path, []byte(s.sender+"\n"))
 }
 
 func segName(idx int) string { return fmt.Sprintf("spool-%08d.wal", idx) }
@@ -330,9 +348,8 @@ func (s *Spool) scanSegment(idx int) (floor uint64, clean bool) {
 				floor = rec.seq + 1
 			}
 			if rec.mask != 0 {
-				s.index[rec.seq] = rec
-				s.segPending[idx]++
-				s.addPending(rec, rec.mask)
+				rec.durable = true
+				s.addPending(rec)
 				mWalReplayed.Inc()
 			}
 		case kindAck:
@@ -351,9 +368,16 @@ func (s *Spool) scanSegment(idx int) (floor uint64, clean bool) {
 	return floor, r.Len() == 0
 }
 
-func (s *Spool) addPending(rec *prec, mask uint64) {
-	for node := 0; mask != 0; node++ {
+// addPending indexes rec as owed to the nodes in its mask. Caller holds
+// mu (or is single-threaded recovery) and adds records in ascending
+// sequence order.
+func (s *Spool) addPending(rec *prec) {
+	s.index[rec.seq] = rec
+	s.segPending[rec.seg]++
+	s.retained += int64(len(rec.frame))
+	for node, mask := 0, rec.mask; mask != 0; node++ {
 		if mask&1 != 0 {
+			s.owed[node] = append(s.owed[node], rec)
 			s.rowsNode[node] += int64(rec.rows)
 			sn := s.rowsSN[node]
 			if sn == nil {
@@ -383,6 +407,8 @@ func (s *Spool) clearPendingLocked(seq uint64, node int) (cleared bool) {
 	}
 	if rec.mask == 0 {
 		delete(s.index, seq)
+		s.retained -= int64(len(rec.frame))
+		rec.frame = nil
 		s.segPending[rec.seg]--
 		if s.segPending[rec.seg] == 0 && rec.seg != s.fIdx && rec.seg != s.maxSeg {
 			os.Remove(s.segPath(rec.seg))
@@ -406,7 +432,8 @@ func (s *Spool) ensureActiveLocked() error {
 		s.f = nil
 	}
 	idx := s.nextSeg
-	f, err := os.OpenFile(s.segPath(idx), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := s.segPath(idx)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
@@ -416,8 +443,18 @@ func (s *Spool) ensureActiveLocked() error {
 	hdr.Zero(2)
 	hdr.U64(s.nextSeq)
 	hdr.CRC(0)
-	if _, err := f.Write(hdr.Bytes()); err != nil {
+	_, err = f.Write(hdr.Bytes())
+	// The new name must be durable before a group in it is acknowledged:
+	// the group's fsync covers the file's bytes, not its directory entry.
+	if err == nil {
+		err = fault("syncdir", s.dir)
+	}
+	if err == nil {
+		err = tweetdb.SyncDir(s.dir)
+	}
+	if err != nil {
 		f.Close()
+		os.Remove(path)
 		return err
 	}
 	s.f, s.fIdx, s.fSize = f, idx, segHeader
@@ -450,6 +487,8 @@ func (s *Spool) writeLocked(recs []byte) (seg int, off int64, err error) {
 
 // Entry is one frame of a group append: the placement slot it belongs
 // to, the bitmask of replica node indexes owed it, and the frame bytes.
+// The spool may keep Frame until every destination has acked it, so the
+// caller must not modify it after the append.
 type Entry struct {
 	Slot  int
 	Dests uint64
@@ -467,7 +506,8 @@ func (s *Spool) Append(slot int, destMask uint64, frame []byte) (uint64, error) 
 // records are built in one buffer, written with one Write and covered
 // by one fsync before this returns — the cluster's ingest
 // acknowledgement point, paid once per request rather than once per
-// slot. If the write fails no entry is pending; on any error none of the
+// slot. The records become pending when that fsync returns; if the write
+// or the fsync fails none of them ever is, and on any error none of the
 // sequence numbers is ever issued again.
 func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 	if len(es) == 0 {
@@ -518,17 +558,33 @@ func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 		s.mu.Unlock()
 		return 0, err
 	}
+	// Indexed now, in sequence order behind every earlier group, but not
+	// durable until the fsync below returns.
 	for i := range recs {
 		rec := &recs[i]
 		rec.seg, rec.off = seg, base+rec.off
-		s.index[rec.seq] = rec
-		s.addPending(rec, rec.mask)
+		if s.retained+int64(len(es[i].Frame)) <= retainBytes {
+			rec.frame = es[i].Frame
+		}
+		s.addPending(rec)
 	}
-	s.segPending[seg] += len(recs)
 	f, target := s.f, s.fSize
 	s.mu.Unlock()
 
-	if err := s.syncTo(f, seg, target); err != nil {
+	err = s.syncTo(f, seg, target)
+	s.mu.Lock()
+	for i := range recs {
+		rec := &recs[i]
+		if err == nil {
+			rec.durable = true
+			continue
+		}
+		for node := 0; node < MaxNodes; node++ {
+			s.clearPendingLocked(rec.seq, node)
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
 		return 0, err
 	}
 	mWalAppends.Add(int64(len(es)))
@@ -557,7 +613,11 @@ func (s *Spool) syncTo(f *os.File, fileIdx int, target int64) error {
 		}
 		return nil
 	}
-	if err := f.Sync(); err != nil {
+	err := fault("sync", f.Name())
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		// A concurrent roll may have synced and closed this handle
 		// between the size snapshot and our Sync; those bytes are
 		// already durable.
@@ -609,43 +669,54 @@ func (s *Spool) ackLocked(seqs []uint64, node int) error {
 	return err
 }
 
-// PendingForNode returns up to max pending records destined for node
-// with seq > after, in ascending seq order, frames reloaded from disk.
-// Delivery lanes use it both for boot replay and to refill after a
-// queue overflow spilled to the spool.
-func (s *Spool) PendingForNode(node int, after uint64, max int) ([]Record, error) {
+// PendingForNode returns the lowest records still owed to node, up to
+// max of them (all when max <= 0), in ascending sequence order. It stops
+// at the first record whose group's fsync has not returned, so only
+// durable frames leave the spool. A delivery lane reads its next drain
+// here, at boot and after every append alike.
+func (s *Spool) PendingForNode(node int, max int) ([]Record, error) {
+	bit := uint64(1) << uint(node)
 	s.mu.Lock()
-	var recs []*prec
-	for seq, rec := range s.index {
-		if seq > after && rec.mask&(1<<uint(node)) != 0 {
-			recs = append(recs, rec)
+	q := s.owed[node]
+	for len(q) > 0 && q[0].mask&bit == 0 {
+		q[0] = nil
+		q = q[1:]
+	}
+	s.owed[node] = q
+	// Snapshot the records before unlocking; one may be acked by another
+	// node concurrently (the frame bytes on disk are immutable until the
+	// whole segment is reclaimed, and reclaim requires node's ack, which
+	// only node's lane sends).
+	var snap []prec
+	for _, rec := range q {
+		if max > 0 && len(snap) == max {
+			break
 		}
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
-	if max > 0 && len(recs) > max {
-		recs = recs[:max]
-	}
-	// Snapshot the location fields before unlocking; the record itself
-	// may be acked concurrently (the frame bytes on disk are immutable
-	// until the whole segment is reclaimed, and reclaim requires the
-	// ack we have not sent yet).
-	snap := make([]prec, len(recs))
-	for i, r := range recs {
-		snap[i] = *r
+		if rec.mask&bit == 0 {
+			continue // a failed group's record, or one acked out of order
+		}
+		if !rec.durable {
+			break
+		}
+		snap = append(snap, *rec)
 	}
 	s.mu.Unlock()
 
 	out := make([]Record, 0, len(snap))
 	for i := range snap {
-		frame, err := s.load(&snap[i])
-		if err != nil {
-			return out, err
+		rec := &snap[i]
+		frame := rec.frame
+		if frame == nil {
+			var err error
+			if frame, err = s.load(rec); err != nil {
+				return out, err
+			}
 		}
 		out = append(out, Record{
-			Seq:   snap[i].seq,
-			Slot:  int(snap[i].slot),
-			Dests: snap[i].mask,
-			Rows:  int(snap[i].rows),
+			Seq:   rec.seq,
+			Slot:  int(rec.slot),
+			Dests: rec.mask,
+			Rows:  int(rec.rows),
 			Frame: frame,
 		})
 	}
@@ -697,6 +768,7 @@ func (s *Spool) Stats() Stats {
 	defer s.mu.Unlock()
 	st := Stats{
 		PendingRecords: len(s.index),
+		RetainedBytes:  s.retained,
 		NextSeq:        s.nextSeq,
 		Corrupt:        s.corrupt,
 	}

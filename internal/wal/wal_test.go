@@ -31,7 +31,7 @@ func testFrame(t testing.TB, base int64, rows int) []byte {
 
 func pendingSeqs(t testing.TB, s *Spool, node int) []uint64 {
 	t.Helper()
-	recs, err := s.PendingForNode(node, 0, 0)
+	recs, err := s.PendingForNode(node, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestSpoolRoundtrip(t *testing.T) {
 	if s2.SenderID() != sender {
 		t.Fatalf("sender changed across reopen: %q vs %q", s2.SenderID(), sender)
 	}
-	recs, err := s2.PendingForNode(1, 0, 0)
+	recs, err := s2.PendingForNode(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +137,8 @@ func TestSpoolRoundtrip(t *testing.T) {
 	s3.Close()
 }
 
+// TestSpoolPendingWindow: a read returns the lowest max records still
+// owed, so a lane that acks its drain reads the next one.
 func TestSpoolPendingWindow(t *testing.T) {
 	s, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -151,12 +153,15 @@ func TestSpoolPendingWindow(t *testing.T) {
 		}
 		seqs = append(seqs, seq)
 	}
-	recs, err := s.PendingForNode(0, seqs[1], 3)
+	if err := s.AckBatch(seqs[:2], 0); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := s.PendingForNode(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 3 || recs[0].Seq != seqs[2] || recs[2].Seq != seqs[4] {
-		t.Fatalf("window after=%d max=3 returned %+v", seqs[1], recs)
+		t.Fatalf("window after acking %v, max=3, returned %+v", seqs[:2], recs)
 	}
 }
 
@@ -309,7 +314,7 @@ func TestSpoolAppendGroup(t *testing.T) {
 	}
 	defer s.Close()
 	for node := 0; node < 2; node++ {
-		recs, err := s.PendingForNode(node, 0, 0)
+		recs, err := s.PendingForNode(node, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,7 +419,7 @@ func TestSpoolParentFormatReplays(t *testing.T) {
 	if got := fmt.Sprint(pendingSeqs(t, s, 0), pendingSeqs(t, s, 1)); got != "[2 3] [1 2 3]" {
 		t.Fatalf("pending for nodes 0 and 1 = %s, want [2 3] [1 2 3]", got)
 	}
-	recs, err := s.PendingForNode(1, 0, 0)
+	recs, err := s.PendingForNode(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
