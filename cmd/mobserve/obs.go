@@ -206,7 +206,7 @@ func (s *server) traced(endpoint string, path *obs.Path, h http.HandlerFunc) htt
 		slow := s.slowQuery > 0 && d >= s.slowQuery
 		if slow {
 			mSlowQueries.Inc()
-			logSlowQuery(endpoint, r.URL.RequestURI(), tr)
+			logSlowQuery(endpoint, r.URL.RequestURI(), tr, d)
 		}
 		s.traces.Add(obs.TraceRecord{
 			ID:       tr.ID,
@@ -296,20 +296,21 @@ func latencyBlock(paths ...*obs.Path) map[string]any {
 }
 
 // logSlowQuery emits one structured JSON line on the standard logger
-// (stderr) with the trace ID and per-stage timings, greppable as
+// (stderr) with the trace ID, the request's total d as the retained
+// trace records it, and per-stage timings, greppable as
 // `"slow_query":true`.
-func logSlowQuery(endpoint, uri string, tr *obs.Trace) {
+func logSlowQuery(endpoint, uri string, tr *obs.Trace, d time.Duration) {
 	entry := map[string]any{
 		"slow_query": true,
 		"trace_id":   tr.ID,
 		"endpoint":   endpoint,
 		"url":        uri,
-		"total_ms":   float64(tr.Total().Microseconds()) / 1000,
+		"total_ms":   float64(d) / float64(time.Millisecond),
 		"stages":     tr.Stages(),
 	}
 	b, err := json.Marshal(entry)
 	if err != nil {
-		log.Printf("slow query trace=%s endpoint=%s total=%v", tr.ID, endpoint, tr.Total())
+		log.Printf("slow query trace=%s endpoint=%s total=%v", tr.ID, endpoint, d)
 		return
 	}
 	log.Printf("%s", b)

@@ -448,7 +448,8 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 
 // TestSlowQueryLog drops the threshold to one nanosecond so every query
 // logs, and asserts the line is structured JSON carrying the caller's
-// trace ID and a stage breakdown — and that the trace ID echoes on the
+// trace ID, a stage breakdown and the total the retained trace at
+// /debug/traces/{id} records — and that the trace ID echoes on the
 // response header.
 func TestSlowQueryLog(t *testing.T) {
 	s, ts := newLiveTestServer(t)
@@ -482,6 +483,19 @@ func TestSlowQueryLog(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-query log missing %s:\n%s", want, line)
 		}
+	}
+	var logged struct {
+		TotalMs float64 `json:"total_ms"`
+	}
+	for _, l := range strings.Split(line, "\n") {
+		if i := strings.Index(l, `{"`); i >= 0 && strings.Contains(l, `"slow_query":true`) {
+			if err := json.Unmarshal([]byte(l[i:]), &logged); err != nil {
+				t.Fatalf("slow-query log line is not one JSON object: %v\n%s", err, l)
+			}
+		}
+	}
+	if kept := fetchJSON(t, ts.URL+"/debug/traces/"+tid)["total_ms"]; logged.TotalMs != kept {
+		t.Errorf("slow-query log total_ms %v, the retained trace's %v", logged.TotalMs, kept)
 	}
 }
 

@@ -240,7 +240,8 @@ type (
 	// by scatter-gather with coverage-fingerprint snapshot caching.
 	ClusterCoordinator = cluster.Coordinator
 	// ClusterCoordinatorOptions set the replication factor and the
-	// durable spool directory.
+	// durable spool directory; without one the coordinator runs the same
+	// spool without a directory, with no crash durability.
 	ClusterCoordinatorOptions = cluster.CoordinatorOptions
 	// ClusterShardPartial is the scatter-gather unit: one shard's folded
 	// observer state at per-user granularity.

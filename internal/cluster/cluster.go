@@ -30,10 +30,12 @@
 //     and folds any subset of them by skipping the other slots' users;
 //     HTTPShard talks to a
 //     remote member over the internal /shard/v1 API served by Node;
-//   - spool (internal/wal behind CoordinatorOptions.WALDir): the ingest
-//     acknowledgement point — frames are acked to the client once
-//     spooled, delivered to each replica by per-member lanes with
-//     retry and backoff, and truncated once every replica acked;
+//   - spool (internal/wal, in CoordinatorOptions.WALDir or, without
+//     one, the same spool without a directory and so with no crash
+//     durability): the ingest acknowledgement point — frames are acked
+//     to the client once spooled, delivered to each replica by
+//     per-member lanes with retry and backoff, and truncated once every
+//     replica acked;
 //   - Coordinator: routes ingest into per-slot frames, replicates them
 //     via the spool and lanes, scatters queries over one live current
 //     replica per slot with failover, merges the partials through

@@ -3,7 +3,6 @@ package cluster
 import (
 	"cmp"
 	"context"
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -76,8 +75,8 @@ type CoordinatorOptions struct {
 	// that directory: ingest acknowledges only after the fsync'd
 	// append, and a coordinator reopened over the same directory (with
 	// the same shard order) replays every unacknowledged frame. Empty
-	// keeps the spool in memory — same replay semantics, no crash
-	// durability.
+	// opens the same spool without a directory: the same delivery and
+	// ack semantics, no crash durability.
 	WALDir string
 
 	// batchSize, drainCap and retryBase/retryMax, when non-zero,
@@ -116,7 +115,7 @@ const (
 type Coordinator struct {
 	batch int
 	cache *svcache.Cache
-	sp    spool
+	sp    *wal.Spool
 
 	// ring, shards and lanes are set in NewCoordinator and never change:
 	// membership is static, so reading them takes no lock.
@@ -175,14 +174,8 @@ func NewCoordinator(shards []Shard, opts CoordinatorOptions) (*Coordinator, erro
 		ring:   rg,
 		shards: append([]Shard(nil), shards...),
 	}
-	if opts.WALDir != "" {
-		sp, err := wal.Open(wal.Options{Dir: opts.WALDir})
-		if err != nil {
-			return nil, err
-		}
-		c.sp = sp
-	} else {
-		c.sp = newMemSpool(randomSenderID())
+	if c.sp, err = wal.Open(wal.Options{Dir: opts.WALDir}); err != nil {
+		return nil, err
 	}
 	drain := cmp.Or(opts.drainCap, defaultDrainCap)
 	retryBase, retryMax := cmp.Or(opts.retryBase, defaultRetryBase), cmp.Or(opts.retryMax, defaultRetryMax)
@@ -208,9 +201,6 @@ func (c *Coordinator) PartialFetches() int64 { return c.partialFetches.Load() }
 
 // CacheStats exposes the snapshot cache counters.
 func (c *Coordinator) CacheStats() (hits, misses int64) { return c.cache.Stats() }
-
-// SenderID exposes the spool's delivery identity (tests).
-func (c *Coordinator) SenderID() string { return c.sp.SenderID() }
 
 // AddBatch routes a whole columnar batch row by row into its placement
 // slots' buffers by the UserID column, shipping a slot when its buffer
@@ -763,14 +753,4 @@ func (c *Coordinator) Health() []ShardStatus {
 	}
 	wg.Wait()
 	return out
-}
-
-// randomSenderID labels an in-memory spool's deliveries uniquely per
-// coordinator instance.
-func randomSenderID() string {
-	var buf [16]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return "mem-sender"
-	}
-	return fmt.Sprintf("%x", buf)
 }

@@ -583,7 +583,7 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sender := coord.SenderID()
+	sender := coord.sp.SenderID()
 	chaos[1].setDown(true) // node 1 dies before anything delivers to it
 	if err := coord.AddBatch(tweet.BatchOf(all)); err != nil {
 		t.Fatal(err)
@@ -607,8 +607,8 @@ func TestWALRecoveryAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord2.Close()
-	if coord2.SenderID() != sender {
-		t.Fatalf("sender identity not persistent: %s vs %s", coord2.SenderID(), sender)
+	if coord2.sp.SenderID() != sender {
+		t.Fatalf("sender identity not persistent: %s vs %s", coord2.sp.SenderID(), sender)
 	}
 	waitNodeDrained(t, coord2, 1, 10*time.Second)
 

@@ -38,7 +38,7 @@ func permanentDeliveryError(err error) bool {
 type lane struct {
 	node   int
 	shard  Shard
-	sp     spool
+	sp     *wal.Spool
 	sender string
 	drain  int // most frames one delivery carries
 	base   time.Duration
@@ -70,7 +70,7 @@ type lane struct {
 
 // newLane builds node's lane. It starts with work pending, so its first
 // read replays whatever a reopened spool still owes the node.
-func newLane(node int, shard Shard, sp spool, drain int, base, max time.Duration) *lane {
+func newLane(node int, shard Shard, sp *wal.Spool, drain int, base, max time.Duration) *lane {
 	l := &lane{
 		node: node, shard: shard, sp: sp, sender: sp.SenderID(),
 		drain: drain, base: base, max: max,

@@ -68,14 +68,6 @@ func (t *Trace) Stages() []StageTiming {
 	return append([]StageTiming(nil), t.stages...)
 }
 
-// Total is the wall time since the trace started.
-func (t *Trace) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 type traceKey struct{}
 
 // WithTrace attaches tr to ctx.

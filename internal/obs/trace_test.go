@@ -25,15 +25,12 @@ func TestTraceStages(t *testing.T) {
 	if st[1].Ms != 5 {
 		t.Fatalf("merge ms = %v, want 5", st[1].Ms)
 	}
-	if tr.Total() <= 0 {
-		t.Fatal("zero total")
-	}
 }
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
 	tr.addStage("y", time.Second)
-	if tr.Stages() != nil || tr.Total() != 0 {
+	if tr.Stages() != nil {
 		t.Fatal("nil trace recorded something")
 	}
 }

@@ -5,7 +5,9 @@
 // is dropped once every replica destination has acknowledged it.
 //
 // A spool is a directory of append-only segment files plus a SENDER
-// file holding the coordinator's stable sender identity. Each data
+// file holding the coordinator's stable sender identity; a spool opened
+// without a directory keeps the same state with no files, and so no
+// crash durability. Each data
 // record wraps one PR 6 binary batch frame (the exact bytes shipped to
 // shards) together with its destination slot, a bitmask of replica
 // node indexes still owed the frame, and a monotone sequence number.
@@ -17,7 +19,8 @@
 // group is one Write and one Sync, however many frames it carries, and
 // no sequence number leaves the spool before that: PendingForNode stops
 // at the first record whose group's fsync has not returned, and a group
-// whose write or fsync failed is never pending. Each frame is still
+// whose write or fsync failed is never pending, nor replayed after a
+// reopen (cancelLocked). Each frame is still
 // its own CRC'd record with its own sequence number and destination
 // mask, so recovery, acks and (sender, seq) dedup see no difference
 // between a group of sixteen and sixteen single appends. Appenders on
@@ -38,7 +41,6 @@ package wal
 
 import (
 	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -55,8 +57,9 @@ import (
 	"geomob/internal/wire"
 )
 
-// fault runs before each group-commit fsync, directory fsync and SENDER
-// write the spool makes and fails it with the error it returns. The
+// fault runs before each group-commit fsync ("sync"), failed-group
+// cancel fsync ("cancel"), directory fsync ("syncdir") and SENDER write
+// ("sender") the spool makes and fails it with the error it returns. The
 // tests record the order of the operations and fail or hold them
 // through it.
 var fault = func(op, path string) error { return nil }
@@ -112,13 +115,14 @@ const (
 
 	// retainBytes bounds the frame bytes the spool keeps in memory for
 	// the lanes to read back. A frame appended while the retained frames
-	// fill it, or recovered at boot, is reloaded from its segment.
+	// fill it, or recovered at boot, is reloaded from its segment. A
+	// spool without files keeps every frame.
 	retainBytes = 16 << 20
 )
 
 // Options configures Open.
 type Options struct {
-	// Dir is the spool directory; created if absent.
+	// Dir is the spool directory; created if absent. Empty: no files.
 	Dir string
 	// SegmentBytes overrides the roll threshold (defaultSegmentBytes
 	// when <= 0). Tests use tiny segments to exercise rolling.
@@ -160,7 +164,7 @@ type prec struct {
 // Spool is a durable ingest spool. All methods are safe for concurrent
 // use.
 type Spool struct {
-	dir      string
+	dir      string // empty: no files
 	sender   string
 	segBytes int64
 
@@ -178,6 +182,7 @@ type Spool struct {
 	rowsSN     map[int]map[int]int64 // node -> slot -> pending rows
 	retained   int64                 // bytes of the index's retained frames
 	corrupt    bool
+	failed     error // a failed group's cancel is not durable: appends are refused
 
 	syncMu  sync.Mutex
 	syncIdx int
@@ -185,14 +190,8 @@ type Spool struct {
 }
 
 // Open opens or creates the spool at opts.Dir, recovering any pending
-// records from existing segments.
+// records from existing segments, or a spool without files if Dir is "".
 func Open(opts Options) (*Spool, error) {
-	if opts.Dir == "" {
-		return nil, fmt.Errorf("wal: empty spool directory")
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: create spool dir: %w", err)
-	}
 	s := &Spool{
 		dir:        opts.Dir,
 		segBytes:   opts.SegmentBytes,
@@ -208,6 +207,13 @@ func Open(opts Options) (*Spool, error) {
 	}
 	if s.segBytes <= 0 {
 		s.segBytes = defaultSegmentBytes
+	}
+	s.sender = rand.Text()
+	if s.dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(s.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: create spool dir: %w", err)
 	}
 	if err := s.loadSender(); err != nil {
 		return nil, err
@@ -233,11 +239,6 @@ func (s *Spool) loadSender() error {
 		s.sender = id
 		return nil
 	}
-	var buf [16]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		return fmt.Errorf("wal: generate sender id: %w", err)
-	}
-	s.sender = hex.EncodeToString(buf[:])
 	// A SENDER lost to a power loss would mint a new id, under which
 	// shards no longer deduplicate the frames the spool replays.
 	if err := fault("sender", path); err != nil {
@@ -410,7 +411,7 @@ func (s *Spool) clearPendingLocked(seq uint64, node int) (cleared bool) {
 		s.retained -= int64(len(rec.frame))
 		rec.frame = nil
 		s.segPending[rec.seg]--
-		if s.segPending[rec.seg] == 0 && rec.seg != s.fIdx && rec.seg != s.maxSeg {
+		if s.segPending[rec.seg] == 0 && s.dir != "" && rec.seg != s.fIdx && rec.seg != s.maxSeg {
 			os.Remove(s.segPath(rec.seg))
 			delete(s.segPending, rec.seg)
 		}
@@ -466,19 +467,25 @@ func (s *Spool) ensureActiveLocked() error {
 }
 
 // writeLocked appends already-framed records to the active segment in
-// one Write, returning the segment index and offset they start at. A
+// one Write, returning the segment index and offset they start at; seg
+// is -1 when the error came before any byte could reach the file. A
 // failed or short write is rolled back (truncate + seek) so whatever
 // is appended next does not sit behind a torn record that recovery
-// would stop at. Caller holds mu.
+// would stop at; a spool that cannot roll it back refuses appends.
+// Caller holds mu.
 func (s *Spool) writeLocked(recs []byte) (seg int, off int64, err error) {
 	if err := s.ensureActiveLocked(); err != nil {
-		return 0, 0, err
+		return -1, 0, err
 	}
 	if _, err := s.f.Write(recs); err != nil {
-		if terr := s.f.Truncate(s.fSize); terr == nil {
-			_, _ = s.f.Seek(s.fSize, io.SeekStart)
+		terr := s.f.Truncate(s.fSize)
+		if terr == nil {
+			_, terr = s.f.Seek(s.fSize, io.SeekStart)
 		}
-		return 0, 0, err
+		if terr != nil && s.failed == nil {
+			s.failed = fmt.Errorf("wal: roll back a failed write: %w", terr)
+		}
+		return s.fIdx, 0, err
 	}
 	off = s.fSize
 	s.fSize += int64(len(recs))
@@ -508,7 +515,8 @@ func (s *Spool) Append(slot int, destMask uint64, frame []byte) (uint64, error) 
 // acknowledgement point, paid once per request rather than once per
 // slot. The records become pending when that fsync returns; if the write
 // or the fsync fails none of them ever is, and on any error none of the
-// sequence numbers is ever issued again.
+// sequence numbers is ever issued again. Without files they are pending
+// at once.
 func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 	if len(es) == 0 {
 		return 0, fmt.Errorf("wal: empty append group")
@@ -527,61 +535,24 @@ func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 
 	s.mu.Lock()
 	first = s.nextSeq
-	w := wire.NewWriter(make([]byte, 0, size))
 	recs := make([]prec, len(es))
 	for i, e := range es {
-		start := w.BeginSection()
-		rows := tweet.FrameRows(e.Frame)
-		w.U8(kindData)
-		w.U8(byte(e.Slot))
-		w.Zero(2)
-		w.U32(uint32(rows))
-		w.U64(first + uint64(i))
-		w.U64(e.Dests)
-		w.Raw(e.Frame)
-		w.EndSection(start)
 		recs[i] = prec{
-			seq:  first + uint64(i),
-			slot: uint8(e.Slot),
-			mask: e.Dests,
-			rows: int32(rows),
-			off:  int64(start),
-			n:    int32(w.Len() - start),
+			seq:     first + uint64(i),
+			slot:    uint8(e.Slot),
+			mask:    e.Dests,
+			rows:    int32(tweet.FrameRows(e.Frame)),
+			durable: s.dir == "",
+			frame:   e.Frame,
 		}
 	}
-	seg, base, err := s.writeLocked(w.Bytes())
-	// The range is burned even when the write failed: a group that fails
-	// part-way may have left whole records on disk, and a sequence
-	// recovered from there must never also name a later payload.
-	s.nextSeq = first + uint64(len(es))
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	// Indexed now, in sequence order behind every earlier group, but not
-	// durable until the fsync below returns.
-	for i := range recs {
-		rec := &recs[i]
-		rec.seg, rec.off = seg, base+rec.off
-		if s.retained+int64(len(es[i].Frame)) <= retainBytes {
-			rec.frame = es[i].Frame
+	if s.dir == "" {
+		s.nextSeq = first + uint64(len(es))
+		for i := range recs {
+			s.addPending(&recs[i])
 		}
-		s.addPending(rec)
-	}
-	f, target := s.f, s.fSize
-	s.mu.Unlock()
-
-	err = s.syncTo(f, seg, target)
-	s.mu.Lock()
-	for i := range recs {
-		rec := &recs[i]
-		if err == nil {
-			rec.durable = true
-			continue
-		}
-		for node := 0; node < MaxNodes; node++ {
-			s.clearPendingLocked(rec.seq, node)
-		}
+	} else {
+		err = s.commitLocked(es, recs, size)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -591,6 +562,86 @@ func (s *Spool) AppendGroup(es []Entry) (first uint64, err error) {
 	mWalAppendBytes.Add(int64(size - len(es)*recHeader))
 	mWalAppendSecs.Observe(time.Since(t0).Seconds())
 	return first, nil
+}
+
+// commitLocked writes a group's records in one Write, indexes them, and
+// marks them durable once one fsync covers them; on failure it cancels
+// them. Caller holds mu, released across the fsync so groups share it.
+func (s *Spool) commitLocked(es []Entry, recs []prec, size int) error {
+	if s.failed != nil {
+		return fmt.Errorf("wal: spool refuses appends until reopened: %w", s.failed)
+	}
+	w := wire.NewWriter(make([]byte, 0, size))
+	for i, e := range es {
+		rec := &recs[i]
+		start := w.BeginSection()
+		w.U8(kindData)
+		w.U8(rec.slot)
+		w.Zero(2)
+		w.U32(uint32(rec.rows))
+		w.U64(rec.seq)
+		w.U64(rec.mask)
+		w.Raw(e.Frame)
+		w.EndSection(start)
+		rec.off, rec.n = int64(start), int32(w.Len()-start)
+	}
+	seg, base, err := s.writeLocked(w.Bytes())
+	// The range is burned even when the write failed: a group that fails
+	// part-way may have left whole records on disk, and a sequence
+	// recovered from there must never also name a later payload.
+	s.nextSeq = recs[len(recs)-1].seq + 1
+	if seg < 0 {
+		return err
+	}
+	for i := range recs {
+		rec := &recs[i]
+		rec.seg, rec.off = seg, base+rec.off
+		if s.retained+int64(len(rec.frame)) > retainBytes {
+			rec.frame = nil
+		}
+		s.addPending(rec)
+	}
+	if err == nil {
+		f, target := s.f, s.fSize
+		s.mu.Unlock()
+		err = s.syncTo(f, seg, target)
+		s.mu.Lock()
+	}
+	if err != nil {
+		s.cancelLocked(recs)
+		return err
+	}
+	for i := range recs {
+		recs[i].durable = true
+	}
+	return nil
+}
+
+// cancelLocked drops a failed group's records from the index by acking
+// every destination of each, and syncs the acks, so no reopen replays a
+// group whose caller may ship the same rows again under new sequences.
+// A spool whose cancel is not durable refuses appends until reopened.
+// Caller holds mu.
+func (s *Spool) cancelLocked(recs []prec) {
+	var owed uint64
+	seqs := make([]uint64, len(recs))
+	for i, rec := range recs {
+		owed, seqs[i] = owed|rec.mask, rec.seq
+	}
+	var err error
+	for node := 0; owed != 0; node, owed = node+1, owed>>1 {
+		if owed&1 != 0 {
+			if aerr := s.ackLocked(seqs, node); err == nil {
+				err = aerr
+			}
+		}
+	}
+	if err == nil {
+		err = syncFile("cancel", s.f)
+	}
+	if err != nil && s.failed == nil {
+		s.failed = fmt.Errorf("wal: cancel a failed group: %w", err)
+	}
 }
 
 // syncTo implements group commit: returns once bytes [0, target) of
@@ -613,11 +664,7 @@ func (s *Spool) syncTo(f *os.File, fileIdx int, target int64) error {
 		}
 		return nil
 	}
-	err := fault("sync", f.Name())
-	if err == nil {
-		err = f.Sync()
-	}
-	if err != nil {
+	if err := syncFile("sync", f); err != nil {
 		// A concurrent roll may have synced and closed this handle
 		// between the size snapshot and our Sync; those bytes are
 		// already durable.
@@ -626,8 +673,19 @@ func (s *Spool) syncTo(f *os.File, fileIdx int, target int64) error {
 		}
 		return err
 	}
-	mWalFsyncs.Inc()
 	s.syncIdx, s.syncOff = curIdx, curSize
+	return nil
+}
+
+// syncFile fsyncs f once the fault seam lets op through, and counts it.
+func syncFile(op string, f *os.File) error {
+	if err := fault(op, f.Name()); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	mWalFsyncs.Inc()
 	return nil
 }
 
@@ -649,6 +707,14 @@ func (s *Spool) AckBatch(seqs []uint64, node int) error {
 // ackLocked clears node's claim on each still-pending sequence and logs
 // the acks as one write. Caller holds mu.
 func (s *Spool) ackLocked(seqs []uint64, node int) error {
+	if s.dir == "" {
+		for _, seq := range seqs {
+			if s.clearPendingLocked(seq, node) {
+				mWalAcks.Inc()
+			}
+		}
+		return nil
+	}
 	w := wire.NewWriter(make([]byte, 0, len(seqs)*(recHeader+ackLen)))
 	for _, seq := range seqs {
 		if !s.clearPendingLocked(seq, node) {
@@ -706,7 +772,7 @@ func (s *Spool) PendingForNode(node int, max int) ([]Record, error) {
 	for i := range snap {
 		rec := &snap[i]
 		frame := rec.frame
-		if frame == nil {
+		if frame == nil && s.dir != "" {
 			var err error
 			if frame, err = s.load(rec); err != nil {
 				return out, err
@@ -772,17 +838,17 @@ func (s *Spool) Stats() Stats {
 		NextSeq:        s.nextSeq,
 		Corrupt:        s.corrupt,
 	}
-	for _, rec := range s.index {
-		st.PendingRows += int64(rec.rows)
-	}
 	segs := map[int]bool{}
 	for _, rec := range s.index {
+		st.PendingRows += int64(rec.rows)
 		segs[rec.seg] = true
 	}
 	if s.f != nil {
 		segs[s.fIdx] = true
 	}
-	st.Segments = len(segs)
+	if s.dir != "" {
+		st.Segments = len(segs)
+	}
 	return st
 }
 

@@ -42,8 +42,17 @@ func pendingSeqs(t testing.TB, s *Spool, node int) []uint64 {
 	return seqs
 }
 
-func TestSpoolRoundtrip(t *testing.T) {
-	dir := t.TempDir()
+// eachMode runs test over a spool without files (dir "") and over one
+// in a fresh directory: the two share every behaviour short of what
+// outlives the process.
+func eachMode(t *testing.T, test func(t *testing.T, dir string)) {
+	t.Run("memory", func(t *testing.T) { test(t, "") })
+	t.Run("dir", func(t *testing.T) { test(t, t.TempDir()) })
+}
+
+func TestSpoolRoundtrip(t *testing.T) { eachMode(t, testSpoolRoundtrip) }
+
+func testSpoolRoundtrip(t *testing.T, dir string) {
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +93,9 @@ func TestSpoolRoundtrip(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if dir == "" {
+		return // nothing outlives a spool without files
 	}
 
 	// Reopen: node 1's debt and the sender identity must survive.
@@ -139,8 +151,10 @@ func TestSpoolRoundtrip(t *testing.T) {
 
 // TestSpoolPendingWindow: a read returns the lowest max records still
 // owed, so a lane that acks its drain reads the next one.
-func TestSpoolPendingWindow(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir()})
+func TestSpoolPendingWindow(t *testing.T) { eachMode(t, testSpoolPendingWindow) }
+
+func testSpoolPendingWindow(t *testing.T, dir string) {
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +297,13 @@ func TestSpoolConcurrentAppend(t *testing.T) {
 	}
 }
 
-// TestSpoolAppendGroup: a group is one fsync and one pass through the
-// append histogram however many frames it carries, while every frame
-// stays its own record — own contiguous sequence, slot, mask and row
-// count — and a drain's acks retire them together.
-func TestSpoolAppendGroup(t *testing.T) {
-	dir := t.TempDir()
+// TestSpoolAppendGroup: a group is one fsync (none without files) and
+// one pass through the append histogram however many frames it carries,
+// while every frame stays its own record — own contiguous sequence,
+// slot, mask and row count — and a drain's acks retire them together.
+func TestSpoolAppendGroup(t *testing.T) { eachMode(t, testSpoolAppendGroup) }
+
+func testSpoolAppendGroup(t *testing.T, dir string) {
 	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -302,15 +317,23 @@ func TestSpoolAppendGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if df, da := mWalFsyncs.Value()-fsyncs, mWalAppends.Value()-appends; df != 1 || da != 16 {
-		t.Fatalf("group of 16 cost %d fsyncs and counted %d appends, want 1 and 16", df, da)
+	wantFsyncs, wantSegments := int64(1), 1
+	if dir == "" {
+		wantFsyncs, wantSegments = 0, 0
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	if df, da := mWalFsyncs.Value()-fsyncs, mWalAppends.Value()-appends; df != wantFsyncs || da != 16 {
+		t.Fatalf("group of 16 cost %d fsyncs and counted %d appends, want %d and 16", df, da, wantFsyncs)
 	}
-	s, err = Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	if st := s.Stats(); st.Segments != wantSegments || st.PendingRecords != 16 || st.PendingRows != 31 {
+		t.Fatalf("after the group: %+v, want %d segments, 16 records and 31 rows pending", st, wantSegments)
+	}
+	if dir != "" {
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(Options{Dir: dir}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	defer s.Close()
 	for node := 0; node < 2; node++ {
@@ -339,8 +362,10 @@ func TestSpoolAppendGroup(t *testing.T) {
 	}
 }
 
-func TestSpoolRejectsBadArgs(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir()})
+func TestSpoolRejectsBadArgs(t *testing.T) { eachMode(t, testSpoolRejectsBadArgs) }
+
+func testSpoolRejectsBadArgs(t *testing.T, dir string) {
+	s, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +392,6 @@ func TestSpoolRejectsBadArgs(t *testing.T) {
 	}
 	if st := s.Stats(); st.PendingRecords != 0 || st.NextSeq != 1 {
 		t.Errorf("rejected appends left %d pending records and NextSeq %d", st.PendingRecords, st.NextSeq)
-	}
-	if _, err := Open(Options{}); err == nil {
-		t.Error("empty dir accepted")
 	}
 }
 

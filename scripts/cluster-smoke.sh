@@ -5,8 +5,9 @@
 # corpus into both deployments through their public /v1/ingest, then
 # assert that /v1/population and /v1/flows answer byte-for-byte
 # identically — the scatter-gather exactness contract (DESIGN.md §8) at
-# the HTTP surface — and that the coordinator reports healthy shards and
-# cached repeats.
+# the HTTP surface — and that the coordinator reports healthy shards,
+# cached repeats and a spool without a directory (no -wal-dir) that
+# holds no segments and drains to no pending records.
 #
 # With --chaos (CI's e2e-chaos job): 3 shard nodes, -replication 2 and a
 # durable WAL spool. Half the corpus goes in, then one shard is killed
@@ -95,7 +96,7 @@ sys.exit(0 if ok else 1)'; then return 0; fi
 }
 
 if [ "$CHAOS" = 0 ]; then
-  # ---- plain mode: 2 shards, R=1, no spool directory ----
+  # ---- plain mode: 2 shards, R=1, the spool without a directory ----
   start_shard "$P_SHARD0" "$WORK/shard0" shard0
   start_shard "$P_SHARD1" "$WORK/shard1" shard1
   "$WORK/mobserve" -cluster-coordinator "http://127.0.0.1:$P_SHARD0,http://127.0.0.1:$P_SHARD1" \
@@ -127,6 +128,17 @@ if [ "$CHAOS" = 0 ]; then
   done
 
   wait_drained
+  # Without -wal-dir the coordinator runs the spool without a directory:
+  # it reports no segments and, once the lanes drain, no pending records.
+  for _ in $(seq 1 150); do
+    SPOOL=$(curl -fsS "http://127.0.0.1:$P_COORD/healthz" | python3 -c 'import json,sys
+s=json.load(sys.stdin)["ring"]["spool"]; print(s["Segments"], s["PendingRecords"])')
+    [ "$SPOOL" = "0 0" ] && break
+    sleep 0.2
+  done
+  [ "$SPOOL" = "0 0" ] \
+    || { echo "cluster-smoke: spool without a directory reports segments/pending '$SPOOL', want '0 0'"; exit 1; }
+  echo "cluster-smoke: spool without a directory holds 0 segments, 0 pending records"
   compare_endpoints "2 shards"
 
   # Warm repeat is cached and the coordinator reports healthy shards.
