@@ -143,7 +143,7 @@ type Record struct {
 type Stats struct {
 	PendingRecords int
 	PendingRows    int64
-	RetainedBytes  int64 // pending frame bytes held in memory (at most retainBytes)
+	RetainedBytes  int64 // pending frame bytes held in memory (at most retainBytes with a directory)
 	Segments       int
 	NextSeq        uint64
 	Corrupt        bool // recovery abandoned a damaged suffix
